@@ -1,8 +1,8 @@
 """Command-line entry points: synth, train, eval, gradcheck.
 
 Exit codes: 0 ok, 1 numeric failure, 2 data/config error, 3 checkpoint
-compatibility error. Every command is reproducible: (config, seed,
-deterministic=true) fully determines all outputs byte for byte.
+compatibility error. Every command is reproducible: (config, seed) fully
+determines all outputs byte for byte.
 """
 
 from __future__ import annotations
@@ -14,17 +14,16 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autodiff as ad
 from .config import (ConfigError, load_run_config, override_run_config)
 from .dataio import (DataError, GenConfig, assemble_dataset, dataset_hash,
                      load_dataset, synthesize_records, write_interactions,
                      write_manifest, write_relations)
-from .model import ModelContext, batch_loss, forward
+from .model import ModelContext, batch_loss
 from .numerics import NumericError, finite_difference_gradcheck
 from .trainer import (CompatibilityError, check_compatible, epoch_ranking_triples,
                       epoch_relation_triples, fit, init_params, load_checkpoint,
                       save_fit_checkpoint)
-from .evaluator import evaluate, interest_center_distance
+from .evaluator import evaluate
 
 EXIT_OK = 0
 EXIT_NUMERIC = 1
@@ -32,15 +31,6 @@ EXIT_DATA = 2
 EXIT_COMPAT = 3
 
 GRADCHECK_TOLERANCE = 1e-4
-
-
-def _parse_bool_flag(value: str) -> bool:
-    v = value.lower()
-    if v in ("true", "1", "yes", "on"):
-        return True
-    if v in ("false", "0", "no", "off"):
-        return False
-    raise argparse.ArgumentTypeError(f"expected a boolean, got {value!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -56,8 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="run config path")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--workers", type=int, default=None)
-        p.add_argument("--deterministic", type=_parse_bool_flag, default=None)
         if name == "eval":
             p.add_argument("--checkpoint", required=True)
             p.add_argument("--n", type=int, default=None, help="metric cutoff N")
@@ -71,11 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_config(args):
     cfg = load_run_config(args.config)
-    cfg = override_run_config(
-        cfg, seed=args.seed, workers=args.workers,
-        deterministic=args.deterministic, top_n=getattr(args, "n", None),
-        out_dir=args.out)
-    return cfg
+    return override_run_config(cfg, seed=args.seed, top_n=getattr(args, "n", None),
+                               out_dir=args.out)
 
 
 def _out_dir(cfg) -> Path:
@@ -156,21 +141,16 @@ def cmd_eval(args) -> int:
                       all_behaviors=cfg.eval_all_behaviors)
     out = _out_dir(cfg)
     with open(out / "eval.jsonl", "w", encoding="utf-8") as fh:
-        epoch = int(ckpt.config.get("epoch", -1))
+        epoch = ckpt.int_value("epoch")
         for k, (hr, ndcg, users) in report.per_behavior.items():
             record = {"epoch": epoch, "behavior": int(k), "hr": hr, "ndcg": ndcg,
                       "users": users}
             fh.write(json.dumps(record) + "\n")
             print(f"behavior {k}: HR@{cfg.top_n}={hr:.6f} NDCG@{cfg.top_n}={ndcg:.6f} "
                   f"({users} users)")
-        s_spe, s_sha, _ = hyper.interest_structure()
-        if s_spe + s_sha >= 2:
-            fwd = forward({k: ad.Tensor(v) for k, v in params.items()}, ctx, hyper)
-            stacks = fwd.item_interest_stacks[dataset.target_behavior].data
-            dist = interest_center_distance(stacks)
-            fh.write(json.dumps({"metric": "interest_distance",
-                                 "mean": dist["mean"], "p10": dist["p10"],
-                                 "p50": dist["p50"], "p90": dist["p90"]}) + "\n")
+        dist = report.diagnostics.get("interest_distance")
+        if dist is not None:
+            fh.write(json.dumps({"metric": "interest_distance", **dist}) + "\n")
     return EXIT_OK
 
 

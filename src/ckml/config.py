@@ -43,8 +43,6 @@ class HyperConfig:
     epochs: int = 100
     seed: int = 0
     patience: int = 20
-    deterministic: bool = True
-    workers: int = 1
     precision: str = "f64"
     no_cie: bool = False
     no_fbc: bool = False
@@ -119,8 +117,6 @@ class HyperConfig:
             raise ConfigError("decay_rate must sit in (0, 1]")
         if self.batch_size < 1 or self.epochs < 0 or self.patience < 1:
             raise ConfigError("batch_size >= 1, epochs >= 0, patience >= 1 required")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
         if self.precision not in ("f64", "f32"):
             raise ConfigError("precision must be f64 or f32")
         if self.shared_only and self.specific_only:
@@ -163,16 +159,13 @@ class RunConfig:
             raise ConfigError("top_n must be >= 1")
 
 
-_BOOL_KEYS = {"time_embedding", "deterministic", "no_cie", "no_fbc", "no_mi",
-              "shared_only", "specific_only", "eval_all_behaviors"}
 _MODEL_KEYS = ("embed_dim", "specific_interests", "shared_interests", "tau",
                "routing_iterations", "relation_layers", "interaction_layers",
                "attention_heads", "aggregator", "leaky_slope", "time_buckets",
                "time_embedding", "no_cie", "no_fbc", "no_mi", "shared_only",
                "specific_only")
 _TRAIN_KEYS = ("alpha", "beta", "reg_lambda", "learning_rate", "decay_rate",
-               "batch_size", "epochs", "seed", "patience", "deterministic",
-               "workers", "precision")
+               "batch_size", "epochs", "seed", "patience", "precision")
 _SYNTH_KEYS = ("users", "items", "behaviors", "relations", "shared_prototypes",
                "specific_prototypes", "interactions_per_user", "correlation",
                "relation_degree")
@@ -189,8 +182,6 @@ def _parse_bool(value: str, key: str) -> bool:
 
 
 def _coerce(current, value: str, key: str):
-    if key in _BOOL_KEYS:
-        return _parse_bool(value, key)
     if isinstance(current, bool):
         return _parse_bool(value, key)
     if isinstance(current, int):
@@ -204,7 +195,9 @@ def _coerce(current, value: str, key: str):
         except ValueError:
             raise ConfigError(f"cannot parse float {key}={value!r}") from None
     if isinstance(current, tuple):
-        value = value.strip()
+        # brackets are dropped: checkpoints written before the shared
+        # serializer hold alpha as a JSON list such as "[0.5, 1.0]"
+        value = value.strip().strip("[]")
         if not value:
             return ()
         try:
@@ -297,15 +290,11 @@ def _format_value(v) -> str:
     return str(v)
 
 
-def override_run_config(cfg: RunConfig, *, seed=None, workers=None,
-                        deterministic=None, top_n=None, out_dir=None) -> RunConfig:
+def override_run_config(cfg: RunConfig, *, seed=None, top_n=None,
+                        out_dir=None) -> RunConfig:
     hyper = cfg.hyper
     if seed is not None:
         hyper = replace(hyper, seed=seed)
-    if workers is not None:
-        hyper = replace(hyper, workers=workers)
-    if deterministic is not None:
-        hyper = replace(hyper, deterministic=deterministic)
     out = replace(cfg, hyper=hyper)
     if top_n is not None:
         out.top_n = top_n

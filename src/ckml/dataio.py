@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -256,38 +255,15 @@ def sample_eval_negatives(dataset: Dataset, seed: int) -> dict:
     target = dataset.behavior_graphs[dataset.target_behavior]
     negatives = {}
     for u in sorted(dataset.test_positive):
-        banned = set(target.user_items(u).tolist())
-        banned.add(dataset.test_positive[u])
-        pool = np.array([i for i in range(dataset.num_items) if i not in banned],
-                        dtype=np.int64)
+        free = np.ones(dataset.num_items, dtype=bool)
+        free[target.user_items(u)] = False
+        free[dataset.test_positive[u]] = False
+        pool = np.flatnonzero(free)
         if len(pool) < 99:
             raise DataError(
                 f"insufficient candidate pool for user {u}: {len(pool)} < 99")
         negatives[u] = pool[rng.permutation(len(pool))[:99]]
     return negatives
-
-
-def sample_training_triples(graph: BehaviorGraph, count: int, seed: int):
-    """(u, p, q) triples: (u, p) uniform over edges, q uniform over items
-    the user never interacted with under this behavior."""
-    if graph.edge_count == 0:
-        raise DataError(f"behavior {graph.behavior_id} has no edges to sample")
-    rng = np.random.default_rng(seed)
-    edge_idx = rng.integers(0, graph.edge_count, size=count)
-    triples = []
-    for e in edge_idx:
-        u, p = graph.edges[e]
-        positives = set(graph.user_items(u).tolist())
-        if len(positives) >= graph.num_items:
-            warnings.warn(
-                f"user {u} interacted with every item under behavior "
-                f"{graph.behavior_id}; triple skipped")
-            continue
-        q = int(rng.integers(0, graph.num_items))
-        while q in positives:
-            q = int(rng.integers(0, graph.num_items))
-        triples.append((int(u), int(p), q))
-    return triples
 
 
 # ----------------------------------------------------------- time buckets

@@ -10,12 +10,12 @@ from __future__ import annotations
 import json
 import struct
 from collections import OrderedDict
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import autodiff as ad
-from .config import HyperConfig
+from .config import ConfigError, HyperConfig, _coerce, _format_value
 from .dataio import Dataset
 from .evaluator import MetricsReport, evaluate
 from .model import ModelContext, batch_loss, param_specs
@@ -29,7 +29,7 @@ _TAG_DTYPES = {1: np.dtype(np.float32), 2: np.dtype(np.float64)}
 
 
 class CompatibilityError(RuntimeError):
-    """Checkpoint and dataset/config disagree on shapes."""
+    """Checkpoint unreadable, or disagreeing with the dataset on shapes."""
 
 
 def init_params(hyper: HyperConfig, dataset: Dataset, seed: int | None = None,
@@ -78,32 +78,33 @@ class Adam:
 
 # ------------------------------------------------------------ sampling
 
-def _negative_for(rng, num_items, banned):
-    q = int(rng.integers(0, num_items))
-    while q in banned:
+def _draw_negatives(rng, num_items, anchors, banned_for):
+    """One negative per anchor, drawn in anchor order by rejection from the
+    items outside `banned_for(anchor)`; -1 where no item is free."""
+    negatives = np.empty(len(anchors), dtype=np.int64)
+    banned = {}
+    for e, a in enumerate(anchors.tolist()):
+        if a not in banned:
+            banned[a] = banned_for(a)
+        if len(banned[a]) >= num_items:
+            negatives[e] = -1
+            continue
         q = int(rng.integers(0, num_items))
-    return q
+        while q in banned[a]:
+            q = int(rng.integers(0, num_items))
+        negatives[e] = q
+    return negatives
 
 
 def epoch_ranking_triples(graph, rng):
     """One negative per observed edge: (users, positives, negatives)."""
-    E = graph.edge_count
-    if E == 0:
+    if graph.edge_count == 0:
         return None
-    users = graph.edges[:, 0]
-    positives = graph.edges[:, 1]
-    negatives = np.empty(E, dtype=np.int64)
-    pos_sets = {}
-    for e in range(E):
-        u = int(users[e])
-        if u not in pos_sets:
-            pos_sets[u] = set(graph.user_items(u).tolist())
-        if len(pos_sets[u]) >= graph.num_items:
-            negatives[e] = -1
-            continue
-        negatives[e] = _negative_for(rng, graph.num_items, pos_sets[u])
+    users, positives = graph.edges[:, 0], graph.edges[:, 1]
+    negatives = _draw_negatives(rng, graph.num_items, users,
+                                lambda u: set(graph.user_items(u).tolist()))
     keep = negatives >= 0
-    return users[keep].copy(), positives[keep].copy(), negatives[keep]
+    return users[keep], positives[keep], negatives[keep]
 
 
 def epoch_relation_triples(rel_graph, rng):
@@ -111,23 +112,41 @@ def epoch_relation_triples(rel_graph, rng):
     und = rel_graph.undirected_edges()
     if len(und) == 0:
         return None
-    anchors = und[:, 0]
-    positives = und[:, 1]
-    negatives = np.empty(len(und), dtype=np.int64)
+    anchors, positives = und[:, 0], und[:, 1]
     adj = rel_graph.adj.matrix
-    related = {}
-    for e in range(len(und)):
-        a = int(anchors[e])
-        if a not in related:
-            row = set(adj.indices[adj.indptr[a]:adj.indptr[a + 1]].tolist())
-            row.add(a)
-            related[a] = row
-        if len(related[a]) >= rel_graph.num_items:
-            negatives[e] = -1
-            continue
-        negatives[e] = _negative_for(rng, rel_graph.num_items, related[a])
+
+    def related(a):
+        return set(adj.indices[adj.indptr[a]:adj.indptr[a + 1]].tolist()) | {a}
+
+    negatives = _draw_negatives(rng, rel_graph.num_items, anchors, related)
     keep = negatives >= 0
-    return anchors[keep].copy(), positives[keep].copy(), negatives[keep]
+    return anchors[keep], positives[keep], negatives[keep]
+
+
+def _shuffled_triples(sampler, graphs, rng):
+    """Every graph's triples tagged with the graph's index and shuffled
+    together: (ids, anchors, positives, negatives)."""
+    parts = []
+    for g_id, graph in enumerate(graphs):
+        triples = sampler(graph, rng)
+        if triples is not None:
+            parts.append((np.full(len(triples[0]), g_id), *triples))
+    if not parts:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty, empty, empty
+    columns = [np.concatenate(column) for column in zip(*parts)]
+    perm = rng.permutation(len(columns[0]))
+    return tuple(column[perm] for column in columns)
+
+
+def _batches_by_id(ids, columns, count, lo, hi):
+    """Rows [lo, hi) split by id: per id in range(count), the columns'
+    rows with that id, or None when there are none."""
+    batches = []
+    for g_id in range(count):
+        m = (ids[lo:hi] == g_id)
+        batches.append(tuple(c[lo:hi][m] for c in columns) if m.any() else None)
+    return batches
 
 
 def train_epoch(params: OrderedDict, ctx: ModelContext, hyper: HyperConfig,
@@ -136,41 +155,10 @@ def train_epoch(params: OrderedDict, ctx: ModelContext, hyper: HyperConfig,
     relation edge, in shuffled batches; Adam steps at lr * decay^epoch."""
     ds = ctx.dataset
     K = ds.num_behaviors
-    rank_all = []  # (behavior, u, p, q) concatenated
-    for k in range(K):
-        triples = epoch_ranking_triples(ds.behavior_graphs[k], rng)
-        if triples is None:
-            continue
-        u, p, q = triples
-        rank_all.append((np.full(len(u), k), u, p, q))
-    if rank_all:
-        beh = np.concatenate([t[0] for t in rank_all])
-        users = np.concatenate([t[1] for t in rank_all])
-        pos = np.concatenate([t[2] for t in rank_all])
-        neg = np.concatenate([t[3] for t in rank_all])
-        perm = rng.permutation(len(beh))
-        beh, users, pos, neg = beh[perm], users[perm], pos[perm], neg[perm]
-    else:
-        beh = np.zeros(0, dtype=np.int64)
-        users = pos = neg = beh
-
-    rel_all = []
-    for r in range(ds.relation_count):
-        triples = epoch_relation_triples(ds.relation_graphs[r], rng)
-        if triples is None:
-            continue
-        a, p, q = triples
-        rel_all.append((np.full(len(a), r), a, p, q))
-    if rel_all:
-        rel_ids = np.concatenate([t[0] for t in rel_all])
-        rel_a = np.concatenate([t[1] for t in rel_all])
-        rel_p = np.concatenate([t[2] for t in rel_all])
-        rel_q = np.concatenate([t[3] for t in rel_all])
-        perm = rng.permutation(len(rel_ids))
-        rel_ids, rel_a, rel_p, rel_q = rel_ids[perm], rel_a[perm], rel_p[perm], rel_q[perm]
-    else:
-        rel_ids = np.zeros(0, dtype=np.int64)
-        rel_a = rel_p = rel_q = rel_ids
+    beh, *rank_columns = _shuffled_triples(epoch_ranking_triples,
+                                           ds.behavior_graphs, rng)
+    rel_ids, *rel_columns = _shuffled_triples(epoch_relation_triples,
+                                              ds.relation_graphs, rng)
 
     steps = max(1, -(-len(beh) // hyper.batch_size))
     rel_chunk = -(-len(rel_ids) // steps) if len(rel_ids) else 0
@@ -178,18 +166,10 @@ def train_epoch(params: OrderedDict, ctx: ModelContext, hyper: HyperConfig,
 
     totals = LossBreakdown([0.0] * K, 0.0, 0.0, 0.0)
     for s in range(steps):
-        lo, hi = s * hyper.batch_size, (s + 1) * hyper.batch_size
-        rank_batches = []
-        for k in range(K):
-            m = (beh[lo:hi] == k)
-            rank_batches.append((users[lo:hi][m], pos[lo:hi][m], neg[lo:hi][m])
-                                if m.any() else None)
-        rel_batches = []
-        rlo, rhi = s * rel_chunk, (s + 1) * rel_chunk
-        for r in range(ds.relation_count):
-            m = (rel_ids[rlo:rhi] == r)
-            rel_batches.append((rel_a[rlo:rhi][m], rel_p[rlo:rhi][m], rel_q[rlo:rhi][m])
-                               if m.any() else None)
+        rank_batches = _batches_by_id(beh, rank_columns, K, s * hyper.batch_size,
+                                      (s + 1) * hyper.batch_size)
+        rel_batches = _batches_by_id(rel_ids, rel_columns, ds.relation_count,
+                                     s * rel_chunk, (s + 1) * rel_chunk)
         tensors = {k: ad.Tensor(v, requires_grad=True) for k, v in params.items()}
         total, breakdown, _ = batch_loss(tensors, ctx, hyper, rank_batches, rel_batches)
         if not np.isfinite(total.data):
@@ -216,22 +196,26 @@ class Checkpoint:
     arrays: OrderedDict    # name -> ndarray (params and "opt/" entries)
 
     def hyper(self) -> HyperConfig:
+        defaults = HyperConfig()
         kwargs = {}
-        for f_ in HyperConfig.__dataclass_fields__.values():
+        for f_ in fields(HyperConfig):
             raw = self.config.get(f"hyper.{f_.name}")
             if raw is None:
                 continue
-            if f_.name == "alpha":
-                kwargs[f_.name] = tuple(json.loads(raw))
-            elif f_.type in ("int", int):
-                kwargs[f_.name] = int(raw)
-            elif f_.type in ("float", float):
-                kwargs[f_.name] = float(raw)
-            elif f_.type in ("bool", bool):
-                kwargs[f_.name] = raw == "True"
-            else:
-                kwargs[f_.name] = raw
+            try:
+                kwargs[f_.name] = _coerce(getattr(defaults, f_.name), raw, f_.name)
+            except ConfigError as exc:
+                raise CompatibilityError(f"checkpoint hyperparameter: {exc}") from exc
         return HyperConfig(**kwargs)
+
+    def int_value(self, key: str) -> int:
+        """An integer entry of the config block; -1 when absent."""
+        raw = self.config.get(key, "-1")
+        try:
+            return int(raw)
+        except ValueError:
+            raise CompatibilityError(
+                f"checkpoint {key}={raw!r} is not an integer") from None
 
     def model_params(self) -> OrderedDict:
         return OrderedDict((k, v) for k, v in self.arrays.items()
@@ -240,8 +224,8 @@ class Checkpoint:
 
 def _config_block(hyper: HyperConfig, dataset: Dataset, epoch: int,
                   adam: Adam | None, rng_state: dict | None) -> dict:
-    block = {f"hyper.{k}": (json.dumps(list(v)) if k == "alpha" else str(v))
-             for k, v in asdict(hyper).items()}
+    block = {f"hyper.{f_.name}": _format_value(getattr(hyper, f_.name))
+             for f_ in fields(HyperConfig)}
     block.update({
         "dims.users": str(dataset.num_users),
         "dims.items": str(dataset.num_items),
@@ -289,29 +273,38 @@ def load_checkpoint(path) -> Checkpoint:
         magic = fh.read(4)
         if magic != CHECKPOINT_MAGIC:
             raise CompatibilityError(f"bad checkpoint magic {magic!r}")
-        (version,) = struct.unpack("<H", fh.read(2))
-        if version != CHECKPOINT_VERSION:
-            raise CompatibilityError(f"unsupported checkpoint version {version}")
-        (clen,) = struct.unpack("<I", fh.read(4))
-        config = {}
-        for line in fh.read(clen).decode("utf-8").splitlines():
-            if "=" in line:
-                key, value = line.split("=", 1)
-                config[key] = value
-        (count,) = struct.unpack("<I", fh.read(4))
-        arrays = OrderedDict()
-        for _ in range(count):
-            (nlen,) = struct.unpack("<I", fh.read(4))
-            name = fh.read(nlen).decode("utf-8")
-            (rank,) = struct.unpack("<B", fh.read(1))
-            shape = tuple(struct.unpack("<Q", fh.read(8))[0] for _ in range(rank))
-            (tag,) = struct.unpack("<B", fh.read(1))
-            dtype = _TAG_DTYPES[tag]
-            n = int(np.prod(shape)) if shape else 1
-            buf = fh.read(n * dtype.itemsize)
-            arrays[name] = np.frombuffer(buf, dtype=dtype.newbyteorder("<")).astype(
-                dtype).reshape(shape)
-        return Checkpoint(version, config, arrays)
+        try:
+            return _read_checkpoint_body(fh)
+        except (struct.error, ValueError, KeyError) as exc:
+            # short reads, a cut array buffer, undecodable text, unknown dtype tag
+            raise CompatibilityError(
+                f"truncated or corrupt checkpoint {path}: {exc!r}") from exc
+
+
+def _read_checkpoint_body(fh) -> Checkpoint:
+    (version,) = struct.unpack("<H", fh.read(2))
+    if version != CHECKPOINT_VERSION:
+        raise CompatibilityError(f"unsupported checkpoint version {version}")
+    (clen,) = struct.unpack("<I", fh.read(4))
+    config = {}
+    for line in fh.read(clen).decode("utf-8").splitlines():
+        if "=" in line:
+            key, value = line.split("=", 1)
+            config[key] = value
+    (count,) = struct.unpack("<I", fh.read(4))
+    arrays = OrderedDict()
+    for _ in range(count):
+        (nlen,) = struct.unpack("<I", fh.read(4))
+        name = fh.read(nlen).decode("utf-8")
+        (rank,) = struct.unpack("<B", fh.read(1))
+        shape = tuple(struct.unpack("<Q", fh.read(8))[0] for _ in range(rank))
+        (tag,) = struct.unpack("<B", fh.read(1))
+        dtype = _TAG_DTYPES[tag]
+        n = int(np.prod(shape)) if shape else 1
+        buf = fh.read(n * dtype.itemsize)
+        arrays[name] = np.frombuffer(buf, dtype=dtype.newbyteorder("<")).astype(
+            dtype).reshape(shape)
+    return Checkpoint(version, config, arrays)
 
 
 def check_compatible(ckpt: Checkpoint, dataset: Dataset):
@@ -319,7 +312,7 @@ def check_compatible(ckpt: Checkpoint, dataset: Dataset):
              ("dims.behaviors", dataset.num_behaviors),
              ("dims.relations", dataset.relation_count)]
     for key, expected in pairs:
-        got = int(ckpt.config.get(key, -1))
+        got = ckpt.int_value(key)
         if got != expected:
             raise CompatibilityError(
                 f"checkpoint {key}={got} does not match dataset value {expected}")

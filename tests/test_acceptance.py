@@ -312,7 +312,7 @@ def test_criterion_9_determinism(tmp_path):
     ds = generate_synthetic(gen, seed=3)
     hyper = HyperConfig(embed_dim=8, specific_interests=1, shared_interests=1,
                         attention_heads=2, time_buckets=2, epochs=3,
-                        batch_size=64, seed=3, deterministic=True)
+                        batch_size=64, seed=3)
     blobs = []
     logs = []
     for run in range(2):

@@ -1,6 +1,9 @@
 import json
 from pathlib import Path
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from ckml.cli import main
 from ckml.dataio import dataset_hash, load_dataset
 
@@ -122,6 +125,38 @@ class TestEval:
         assert matching and matching[0]["hr"] == eval_lines[0]["hr"]
         assert matching[0]["ndcg"] == eval_lines[0]["ndcg"]
 
+    def test_interest_distance_matches_training_log(self, tmp_path, capsys):
+        cfg, ckpt = self._trained(tmp_path, epochs=2)
+        assert main(["eval", "--config", str(cfg), "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path / "ev")]) == 0
+        eval_lines = [json.loads(l) for l in
+                      (tmp_path / "ev" / "eval.jsonl").read_text().splitlines()]
+        train_lines = [json.loads(l) for l in
+                       (tmp_path / "run" / "metrics.jsonl").read_text().splitlines()]
+        epoch = eval_lines[0]["epoch"]
+        [got] = [r for r in eval_lines if r.get("metric") == "interest_distance"]
+        [want] = [r for r in train_lines if r.get("metric") == "interest_distance"
+                  and r["epoch"] == epoch]
+        del want["epoch"]
+        assert got == want
+
+    def test_truncated_checkpoint_exits_3(self, tmp_path, capsys):
+        cfg, ckpt = self._trained(tmp_path, epochs=0)
+        blob = ckpt.read_bytes()
+        cut = tmp_path / "cut.ckml"
+
+        @given(st.integers(0, len(blob) - 1))
+        @example(9)
+        @example(40)
+        @example(len(blob) - 7)
+        @settings(max_examples=40, deadline=None)
+        def check(offset):
+            cut.write_bytes(blob[:offset])
+            assert main(["eval", "--config", str(cfg), "--checkpoint", str(cut),
+                         "--out", str(tmp_path / "ev")]) == 3
+
+        check()
+
     def test_hr_monotone_in_n(self, tmp_path, capsys):
         cfg, ckpt = self._trained(tmp_path)
         hrs = {}
@@ -205,7 +240,7 @@ class TestDeterminism:
         add_manifest(cfg, tmp_path / "out" / "manifest.txt")
         for d in ("r1", "r2"):
             assert main(["train", "--config", str(cfg), "--out",
-                         str(tmp_path / d), "--deterministic", "true"]) == 0
+                         str(tmp_path / d)]) == 0
         assert ((tmp_path / "r1" / "model.ckml").read_bytes()
                 == (tmp_path / "r2" / "model.ckml").read_bytes())
         assert ((tmp_path / "r1" / "metrics.jsonl").read_bytes()

@@ -19,7 +19,6 @@ aggregator = gccf
 alpha = 0.5,1.0
 learning_rate = 0.002
 epochs = 7
-deterministic = true
 
 [eval]
 top_n = 5

@@ -8,7 +8,7 @@ from ckml.dataio import (DataError, GenConfig, InteractionRecord,
                          build_behavior_graphs, build_relation_graphs,
                          dataset_hash, generate_synthetic, leave_one_out_split,
                          load_dataset, load_interactions,
-                         sample_training_triples, synthesize_records, time_buckets,
+                         synthesize_records, time_buckets,
                          write_interactions, write_manifest, write_relations)
 
 
@@ -163,46 +163,6 @@ class TestEvalNegatives:
         records = [rec(0, 0, 0, 1), rec(0, 1, 0, 2)]
         with pytest.raises(DataError, match="insufficient candidate pool"):
             self._dataset(100, records)
-
-
-class TestTrainingTriples:
-    def test_forced_negative(self):
-        g = build_behavior_graphs([rec(0, 0, 0)], 1, 2, 1)[0]
-        triples = sample_training_triples(g, 20, seed=0)
-        assert all(q == 1 for _, _, q in triples)
-
-    def test_positives_are_edges(self):
-        records = [rec(u, i, 0) for u in range(3) for i in (u, u + 1)]
-        g = build_behavior_graphs(records, 3, 5, 1)[0]
-        edges = {tuple(e) for e in g.edges}
-        for u, p, q in sample_training_triples(g, 200, seed=1):
-            assert (u, p) in edges
-            assert (u, q) not in edges
-
-    def test_edge_frequency_uniform(self):
-        # chi-square-style check against brute-force edge enumeration
-        records = [rec(u, i, 0) for u in range(4) for i in range(5)]
-        g = build_behavior_graphs(records, 4, 30, 1)[0]
-        n = 100_000
-        triples = sample_training_triples(g, n, seed=9)
-        counts = {}
-        for u, p, _ in triples:
-            counts[(u, p)] = counts.get((u, p), 0) + 1
-        expected = n / g.edge_count
-        sigma = np.sqrt(n * (1 / g.edge_count) * (1 - 1 / g.edge_count))
-        for e in map(tuple, g.edges):
-            assert abs(counts.get(e, 0) - expected) < 3 * sigma
-
-    def test_saturated_user_skipped_with_warning(self):
-        g = build_behavior_graphs([rec(0, 0, 0), rec(0, 1, 0)], 1, 2, 1)[0]
-        with pytest.warns(UserWarning, match="every item"):
-            triples = sample_training_triples(g, 10, seed=0)
-        assert triples == []
-
-    def test_empty_graph_rejected(self):
-        g = build_behavior_graphs([], 1, 2, 1)[0]
-        with pytest.raises(DataError):
-            sample_training_triples(g, 1, seed=0)
 
 
 class TestSynthetic:

@@ -1,3 +1,6 @@
+import struct
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 
@@ -192,6 +195,35 @@ class TestCheckpoint:
         p.write_bytes(b"NOPE" + b"\x00" * 32)
         with pytest.raises(CompatibilityError, match="magic"):
             load_checkpoint(p)
+
+    def test_checkpoint_from_earlier_encoder_loads(self, small_ds, tmp_path):
+        # earlier checkpoints spelt bools True/False, alpha as a JSON list,
+        # and held the since-removed workers and deterministic keys
+        h = small_hyper(alpha=(0.5, 1.0), no_fbc=True)
+        block = _config_block(h, small_ds, 0, None, None)
+        block.update({"hyper.alpha": "[0.5, 1.0]", "hyper.no_fbc": "True",
+                      "hyper.time_embedding": "True", "hyper.no_cie": "False",
+                      "hyper.deterministic": "True", "hyper.workers": "1"})
+        path = tmp_path / "old.ckml"
+        save_checkpoint(path, init_params(h, small_ds, seed=4), block)
+        assert load_checkpoint(path).hyper() == h
+
+    def test_unknown_dtype_tag_rejected(self, tmp_path):
+        p = tmp_path / "tag.ckml"
+        p.write_bytes(b"CKML" + struct.pack("<HII", 1, 0, 1) + struct.pack("<I", 1)
+                      + b"w" + struct.pack("<BQB", 1, 1, 9) + b"\x00" * 8)
+        with pytest.raises(CompatibilityError, match="corrupt"):
+            load_checkpoint(p)
+
+    def test_undecodable_hyper_value_rejected(self):
+        ckpt = Checkpoint(1, {"hyper.embed_dim": "sixteen"}, OrderedDict())
+        with pytest.raises(CompatibilityError, match="embed_dim"):
+            ckpt.hyper()
+
+    def test_non_integer_dimension_rejected(self, small_ds):
+        ckpt = Checkpoint(1, {"dims.users": "x2"}, OrderedDict())
+        with pytest.raises(CompatibilityError, match="dims.users"):
+            check_compatible(ckpt, small_ds)
 
     def test_dimension_compatibility(self, small_ds, tmp_path):
         h = small_hyper()
