@@ -259,16 +259,6 @@ def tanh(x: Tensor) -> Tensor:
     return out
 
 
-def relu(x: Tensor) -> Tensor:
-    """max(0, x); derivative defined as 0 at the kink."""
-    mask = x.data > 0
-    zero = x.dtype.type(0)
-    out = Tensor(np.where(mask, x.data, zero), x.requires_grad, (x,))
-    if x.requires_grad:
-        out._backward = lambda g: x._accumulate(g * mask)
-    return out
-
-
 def leaky_relu(x: Tensor, slope: float) -> Tensor:
     mask = x.data >= 0
     slope = x.dtype.type(slope)

@@ -7,6 +7,11 @@ File formats:
   manifest:     `key=value` lines declaring dims, target behavior, seed and
     file paths (relative to the manifest's directory).
 
+In memory the records keep the files' column order as int64 row arrays,
+from the loaders and `synthesize_records` through the split and the graph
+builders to the writers: interactions are (E, 4) rows of user, item,
+behavior, timestamp; relations are (E, 3) rows of item_a, item_b, relation.
+
 Graphs are immutable once built: duplicate interactions collapse to a
 single edge (latest timestamp kept for time bucketing), relation graphs
 are symmetrized and deduplicated.
@@ -26,21 +31,6 @@ from .numerics import SparseMatrix
 
 class DataError(ValueError):
     """Malformed or inconsistent input data."""
-
-
-@dataclass(frozen=True)
-class InteractionRecord:
-    user_id: int
-    item_id: int
-    behavior_id: int
-    timestamp: int
-
-
-@dataclass(frozen=True)
-class ItemRelationRecord:
-    item_a: int
-    item_b: int
-    relation_id: int
 
 
 @dataclass
@@ -122,105 +112,103 @@ class Dataset:
 
 # ---------------------------------------------------------------- loading
 
-def _parse_int(token: str, what: str, line_no: int) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise DataError(f"malformed {what} {token!r} at line {line_no}") from None
+# Upper bound of a column without one of its own: values must fit in int64.
+_INT64_END = 2**63
+
+
+def _rows(records, width: int) -> np.ndarray:
+    """Records as an (E, width) int64 array; accepts any sequence of rows."""
+    return np.asarray(records, dtype=np.int64).reshape(-1, width)
+
+
+def _read_rows(path, columns) -> np.ndarray:
+    """Parse a tab-separated file into int64 rows, one column per
+    `(name, upper bound)` in `columns`.
+
+    Every field of a line is parsed before any is range-checked, and the
+    first bad line raises, naming its 1-based line number (comment and
+    blank lines count).
+    """
+    width = len(columns)
+    rows = []
+    with open(path, encoding="utf-8") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.rstrip("\n")
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split("\t")
+            if len(parts) != width:
+                raise DataError(f"malformed line (expected {width} tab-separated "
+                                f"fields) at line {line_no}")
+            row = []
+            for (what, _), token in zip(columns, parts):
+                try:
+                    row.append(int(token))
+                except ValueError:
+                    raise DataError(
+                        f"malformed {what} {token!r} at line {line_no}") from None
+            for (what, upper), value in zip(columns, row):
+                if value < 0 and upper == _INT64_END:
+                    raise DataError(f"negative {what} at line {line_no}")
+                if not 0 <= value < upper:
+                    raise DataError(f"{what} out of range at line {line_no}")
+            rows.append(row)
+    return _rows(rows, width)
 
 
 def load_interactions(path, num_users: int, num_items: int, num_behaviors: int):
-    """Parse a tab-separated interactions file into validated records."""
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise DataError(
-                    f"malformed line (expected 4 tab-separated fields) at line {line_no}")
-            u = _parse_int(parts[0], "user id", line_no)
-            i = _parse_int(parts[1], "item id", line_no)
-            b = _parse_int(parts[2], "behavior id", line_no)
-            t = _parse_int(parts[3], "timestamp", line_no)
-            if not 0 <= u < num_users:
-                raise DataError(f"user id out of range at line {line_no}")
-            if not 0 <= i < num_items:
-                raise DataError(f"item id out of range at line {line_no}")
-            if not 0 <= b < num_behaviors:
-                raise DataError(f"behavior id out of range at line {line_no}")
-            if t < 0:
-                raise DataError(f"negative timestamp at line {line_no}")
-            records.append(InteractionRecord(u, i, b, t))
-    return records
+    """Validated (E, 4) int64 rows of user, item, behavior, timestamp, in
+    file order."""
+    return _read_rows(path, (("user id", num_users), ("item id", num_items),
+                             ("behavior id", num_behaviors),
+                             ("timestamp", _INT64_END)))
 
 
 def load_relations(path, num_items: int, relation_count: int):
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise DataError(
-                    f"malformed line (expected 3 tab-separated fields) at line {line_no}")
-            a = _parse_int(parts[0], "item id", line_no)
-            b = _parse_int(parts[1], "item id", line_no)
-            r = _parse_int(parts[2], "relation id", line_no)
-            if not 0 <= a < num_items or not 0 <= b < num_items:
-                raise DataError(f"item id out of range at line {line_no}")
-            if not 0 <= r < relation_count:
-                raise DataError(f"relation id out of range at line {line_no}")
-            records.append(ItemRelationRecord(a, b, r))
-    return records
+    """Validated (E, 3) int64 rows of item_a, item_b, relation, in file order."""
+    return _read_rows(path, (("item id", num_items), ("item id", num_items),
+                             ("relation id", relation_count)))
 
 
 # ---------------------------------------------------------- graph building
 
+def _last_of_groups(keys: np.ndarray) -> np.ndarray:
+    """Mask of the last row of each run of equal rows in sorted `keys`."""
+    last = np.ones(len(keys), dtype=bool)
+    last[:-1] = np.any(keys[1:] != keys[:-1], axis=1)
+    return last
+
+
 def build_behavior_graphs(records, num_users: int, num_items: int, num_behaviors: int):
     """One graph per behavior; duplicate (u, i, k) edges collapse, keeping
     the latest timestamp for time-embedding bucketing."""
-    latest = [{} for _ in range(num_behaviors)]
-    for rec in records:
-        key = (rec.user_id, rec.item_id)
-        d = latest[rec.behavior_id]
-        if key not in d or rec.timestamp > d[key]:
-            d[key] = rec.timestamp
+    rows = _rows(records, 4)
+    rows = rows[np.lexsort((rows[:, 3], rows[:, 1], rows[:, 0], rows[:, 2]))]
+    rows = rows[_last_of_groups(rows[:, :3])]
     graphs = []
     for k in range(num_behaviors):
-        if latest[k]:
-            pairs = sorted(latest[k].items())
-            edges = np.array([p for p, _ in pairs], dtype=np.int64)
-            ts = np.array([t for _, t in pairs], dtype=np.int64)
-        else:
-            edges = np.zeros((0, 2), dtype=np.int64)
-            ts = np.zeros(0, dtype=np.int64)
-        graphs.append(BehaviorGraph(k, num_users, num_items, edges, ts))
+        mine = rows[rows[:, 2] == k]
+        graphs.append(BehaviorGraph(k, num_users, num_items,
+                                    np.ascontiguousarray(mine[:, :2]),
+                                    mine[:, 3].copy()))
     return graphs
 
 
 def build_relation_graphs(records, num_items: int, relation_count: int):
     """Symmetrized, deduplicated item-item graphs, one per relation."""
-    per_rel = [set() for _ in range(relation_count)]
-    for rec in records:
-        if rec.item_a == rec.item_b:
-            raise DataError(
-                f"self-loop relation record rejected: item {rec.item_a}, "
-                f"relation {rec.relation_id}")
-        per_rel[rec.relation_id].add((rec.item_a, rec.item_b))
-        per_rel[rec.relation_id].add((rec.item_b, rec.item_a))
-    graphs = []
-    for r in range(relation_count):
-        if per_rel[r]:
-            edges = np.array(sorted(per_rel[r]), dtype=np.int64)
-        else:
-            edges = np.zeros((0, 2), dtype=np.int64)
-        graphs.append(RelationGraph(r, num_items, edges))
-    return graphs
+    rows = _rows(records, 3)
+    loops = rows[:, 0] == rows[:, 1]
+    if loops.any():
+        a, _, r = rows[np.argmax(loops)]
+        raise DataError(
+            f"self-loop relation record rejected: item {a}, relation {r}")
+    # (relation, from, to) in both directions, sorted, each row kept once
+    pairs = np.concatenate([rows[:, [2, 0, 1]], rows[:, [2, 1, 0]]])
+    pairs = pairs[np.lexsort(pairs.T[::-1])]
+    pairs = pairs[_last_of_groups(pairs)]
+    return [RelationGraph(r, num_items,
+                          np.ascontiguousarray(pairs[pairs[:, 0] == r, 1:]))
+            for r in range(relation_count)]
 
 
 # ------------------------------------------------------------- splitting
@@ -231,21 +219,19 @@ def leave_one_out_split(records, target_behavior: int):
     Last = greatest timestamp, ties broken by greatest item id. Every
     target-behavior record of the held-out (user, item) pair leaves the
     training set so the test positive never appears in the train graph.
+    Returns (train rows in input order, {user: held-out item}) with users
+    ascending.
     """
-    best = {}
-    for rec in records:
-        if rec.behavior_id != target_behavior:
-            continue
-        key = (rec.timestamp, rec.item_id)
-        if rec.user_id not in best or key > best[rec.user_id]:
-            best[rec.user_id] = key
-    test_positive = {u: item for u, (_, item) in best.items()}
-    train = [
-        rec for rec in records
-        if not (rec.behavior_id == target_behavior
-                and test_positive.get(rec.user_id) == rec.item_id)
-    ]
-    return train, test_positive
+    rows = _rows(records, 4)
+    is_target = rows[:, 2] == target_behavior
+    target = rows[is_target]
+    target = target[np.lexsort((target[:, 1], target[:, 3], target[:, 0]))]
+    held = target[_last_of_groups(target[:, :1])]
+    test_positive = dict(zip(held[:, 0].tolist(), held[:, 1].tolist()))
+    held_item = np.full(rows[:, 0].max(initial=-1) + 1, -1, dtype=np.int64)
+    held_item[held[:, 0]] = held[:, 1]
+    drop = is_target & (held_item[rows[:, 0]] == rows[:, 1])
+    return rows[~drop], test_positive
 
 
 def sample_eval_negatives(dataset: Dataset, seed: int) -> dict:
@@ -276,13 +262,10 @@ def time_buckets(graph: BehaviorGraph, bucket_count: int):
     (timestamp, node id).
     """
     buckets = []
-    for side in (0, 1):
-        n = graph.num_users if side == 0 else graph.num_items
+    for n, nodes in ((graph.num_users, graph.edges[:, 0]),
+                     (graph.num_items, graph.edges[:, 1])):
         latest = np.full(n, -1, dtype=np.int64)
-        for (u, i), t in zip(graph.edges, graph.edge_ts):
-            node = u if side == 0 else i
-            if t > latest[node]:
-                latest[node] = t
+        np.maximum.at(latest, nodes, graph.edge_ts)
         out = np.zeros(n, dtype=np.int64)
         active = np.flatnonzero(latest >= 0)
         if len(active):
@@ -323,7 +306,7 @@ def synthesize_records(cfg: GenConfig, seed: int):
     items mostly from a primary prototype (shared with probability
     `correlation`, otherwise drawn fresh from the behavior's pool) plus a
     secondary prototype; specific prototypes never leak across behaviors.
-    Returns (records, relation_records, ground_truth).
+    Returns (interaction rows (E, 4), relation rows (E', 3), ground_truth).
     """
     P = cfg.prototype_count()
     if P == 0:
@@ -371,8 +354,7 @@ def synthesize_records(cfg: GenConfig, seed: int):
             probs = item_w[positive] / item_w[positive].sum()
             chosen = rng.choice(positive, size=n_draw, replace=False, p=probs)
             for i in chosen:
-                records.append(InteractionRecord(
-                    u, int(i), k, int(rng.integers(0, 1_000_000))))
+                records.append((u, i, k, rng.integers(0, 1_000_000)))
 
     rel_records = []
     for r in range(cfg.relation_count):
@@ -382,8 +364,8 @@ def synthesize_records(cfg: GenConfig, seed: int):
             if len(mates) == 0:
                 continue
             take = min(cfg.relation_degree, len(mates))
-            for j in rng.choice(mates, size=take, replace=False):
-                rel_records.append(ItemRelationRecord(i, int(j), r))
+            rel_records.extend((i, j, r)
+                               for j in rng.choice(mates, size=take, replace=False))
 
     ground_truth = {
         "item_prototypes": item_proto.tolist(),
@@ -391,7 +373,7 @@ def synthesize_records(cfg: GenConfig, seed: int):
         "prototype_vectors": proto_vectors.tolist(),
         "user_primary": user_primary.tolist(),
     }
-    return records, rel_records, ground_truth
+    return _rows(records, 4), _rows(rel_records, 3), ground_truth
 
 
 def generate_synthetic(cfg: GenConfig, seed: int, eval_negatives: bool = True) -> Dataset:
@@ -423,18 +405,17 @@ def assemble_dataset(records, rel_records, num_users, num_items, num_behaviors,
 
 # ------------------------------------------------------- files & manifest
 
+def _write_rows(path, header: str, rows, width: int):
+    np.savetxt(path, _rows(rows, width), fmt="%d", delimiter="\t",
+               header=header, comments="# ", encoding="utf-8")
+
+
 def write_interactions(path, records):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# user\titem\tbehavior\ttimestamp\n")
-        for r in records:
-            fh.write(f"{r.user_id}\t{r.item_id}\t{r.behavior_id}\t{r.timestamp}\n")
+    _write_rows(path, "user\titem\tbehavior\ttimestamp", records, 4)
 
 
 def write_relations(path, records):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# item_a\titem_b\trelation\n")
-        for r in records:
-            fh.write(f"{r.item_a}\t{r.item_b}\t{r.relation_id}\n")
+    _write_rows(path, "item_a\titem_b\trelation", records, 3)
 
 
 def write_manifest(path, *, num_users, num_items, num_behaviors, relation_count,

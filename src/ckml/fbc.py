@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .cie import apply_aggregator
+from .cie import apply_aggregator, assemble_interest_embedding
 from .numerics import NumericError, SparseMatrix, normalized_adjacency
 
 NORM_GUARD = 1e-12
@@ -217,17 +217,7 @@ def correlate_shared(shared_stacks: list, q_proj: ad.Tensor, k_proj: ad.Tensor,
     return [ad.narrow(out, 0, k, 1).reshape(V, S, d_star) for k in range(K)], lam
 
 
-def concat_blocks(specific: ad.Tensor | None,
-                  shared_corr: ad.Tensor | None) -> ad.Tensor:
-    """(specific block || correlated shared block), tolerating absent blocks."""
-    if specific is None:
-        return shared_corr
-    if shared_corr is None:
-        return specific
-    return ad.concat([specific, shared_corr], axis=1)
-
-
 def propagate_layer(specific: ad.Tensor | None, shared_corr: ad.Tensor | None,
                     previous: ad.Tensor) -> ad.Tensor:
     """Next layer state: (specific block || correlated shared block) + previous."""
-    return concat_blocks(specific, shared_corr) + previous
+    return assemble_interest_embedding(specific, shared_corr) + previous

@@ -248,8 +248,8 @@ def forward(params: dict, ctx: ModelContext, hyper: HyperConfig,
             corr_i = [None] * K
 
         for k in range(K):
-            out_u = fbc.concat_blocks(spe_u[k], corr_u[k])
-            out_i = fbc.concat_blocks(spe_i[k], corr_i[k])
+            out_u = cie.assemble_interest_embedding(spe_u[k], corr_u[k])
+            out_i = cie.assemble_interest_embedding(spe_i[k], corr_i[k])
             layer_outputs_u[k].append(out_u)
             layer_outputs_i[k].append(out_i)
             states_u[k] = out_u + states_u[k]

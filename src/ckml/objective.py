@@ -50,7 +50,7 @@ def score_interactions(h_user: ad.Tensor, h_item: ad.Tensor) -> ad.Tensor:
 
 def margin_bpr_loss(pos_scores: ad.Tensor, neg_scores: ad.Tensor) -> ad.Tensor:
     """Per-pair hinge max(0, 1 - o_p + o_q); derivative 0 at the kink."""
-    return ad.relu(1.0 - pos_scores + neg_scores)
+    return ad.maximum(1.0 - pos_scores + neg_scores, 0.0)
 
 
 def relation_scores(y_r: ad.Tensor, left: np.ndarray, right: np.ndarray) -> ad.Tensor:

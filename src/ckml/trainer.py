@@ -8,9 +8,11 @@ run is a pure function of (config, seed) in deterministic mode.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from collections import OrderedDict
 from dataclasses import dataclass, field, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -250,22 +252,36 @@ def save_checkpoint(path, params: OrderedDict, config_block: dict,
         for name, arr in adam.v.items():
             arrays[f"opt/{name}/v"] = arr
     lines = "".join(f"{k}={v}\n" for k, v in config_block.items()).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<H", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<I", len(lines)))
-        fh.write(lines)
-        fh.write(struct.pack("<I", len(arrays)))
-        for name, arr in arrays.items():
-            nb = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(nb)))
-            fh.write(nb)
-            fh.write(struct.pack("<B", arr.ndim))
-            for dim in arr.shape:
-                fh.write(struct.pack("<Q", dim))
-            tag = _DTYPE_TAGS[np.dtype(arr.dtype)]
-            fh.write(struct.pack("<B", tag))
-            fh.write(np.ascontiguousarray(arr).astype(arr.dtype.newbyteorder("<")).tobytes())
+    # Written beside the target and renamed over it, so a failed save
+    # leaves any earlier checkpoint intact.
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            _write_checkpoint_body(fh, lines, arrays)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_checkpoint_body(fh, lines: bytes, arrays: OrderedDict):
+    fh.write(CHECKPOINT_MAGIC)
+    fh.write(struct.pack("<H", CHECKPOINT_VERSION))
+    fh.write(struct.pack("<I", len(lines)))
+    fh.write(lines)
+    fh.write(struct.pack("<I", len(arrays)))
+    for name, arr in arrays.items():
+        nb = name.encode("utf-8")
+        fh.write(struct.pack("<I", len(nb)))
+        fh.write(nb)
+        fh.write(struct.pack("<B", arr.ndim))
+        for dim in arr.shape:
+            fh.write(struct.pack("<Q", dim))
+        tag = _DTYPE_TAGS[np.dtype(arr.dtype)]
+        fh.write(struct.pack("<B", tag))
+        fh.write(np.ascontiguousarray(arr).astype(arr.dtype.newbyteorder("<")).tobytes())
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -308,6 +324,8 @@ def _read_checkpoint_body(fh) -> Checkpoint:
 
 
 def check_compatible(ckpt: Checkpoint, dataset: Dataset):
+    """Raise CompatibilityError unless the checkpoint's dims, hyperparameters
+    and parameter arrays (names and shapes) fit a model of `dataset`."""
     pairs = [("dims.users", dataset.num_users), ("dims.items", dataset.num_items),
              ("dims.behaviors", dataset.num_behaviors),
              ("dims.relations", dataset.relation_count)]
@@ -316,6 +334,18 @@ def check_compatible(ckpt: Checkpoint, dataset: Dataset):
         if got != expected:
             raise CompatibilityError(
                 f"checkpoint {key}={got} does not match dataset value {expected}")
+    hyper = ckpt.hyper()
+    try:
+        hyper.validate(dataset.num_behaviors)
+    except ConfigError as exc:
+        raise CompatibilityError(f"checkpoint hyperparameters: {exc}") from exc
+    want = {name: spec.shape for name, spec in param_specs(hyper, dataset).items()}
+    got = {name: arr.shape for name, arr in ckpt.model_params().items()}
+    for name in sorted(want.keys() | got.keys()):
+        if got.get(name) != want.get(name):
+            raise CompatibilityError(
+                f"checkpoint array {name} has shape {got.get(name, 'absent')}, "
+                f"the model needs {want.get(name, 'none')}")
 
 
 # ------------------------------------------------------------------- fit

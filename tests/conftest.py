@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from ckml.dataio import (Dataset, InteractionRecord, ItemRelationRecord,
-                         build_behavior_graphs, build_relation_graphs,
+from ckml.dataio import (Dataset, build_behavior_graphs, build_relation_graphs,
                          leave_one_out_split)
 
 
@@ -14,13 +13,12 @@ def tiny_dataset(num_users=8, num_items=12, num_behaviors=2, relation_count=2,
     for u in range(num_users):
         for k in range(num_behaviors):
             for i in rng.choice(num_items, size=per_user, replace=False):
-                records.append(InteractionRecord(u, int(i), k,
-                                                 int(rng.integers(0, 1000))))
+                records.append((u, int(i), k, int(rng.integers(0, 1000))))
     rels = []
     for r in range(relation_count):
         for _ in range(relation_pairs):
             a, b = rng.choice(num_items, size=2, replace=False)
-            rels.append(ItemRelationRecord(int(a), int(b), r))
+            rels.append((int(a), int(b), r))
     train, test_pos = leave_one_out_split(records, num_behaviors - 1)
     graphs = build_behavior_graphs(train, num_users, num_items, num_behaviors)
     rel_graphs = build_relation_graphs(rels, num_items, relation_count)

@@ -76,8 +76,8 @@ def test_criterion_2_routing_oracle_equivalence():
         pairs = {(int(rng.integers(M)), int(rng.integers(N)))
                  for _ in range(rng.integers(1, M * N + 1))}
         edges = sorted(pairs)
-        from ckml.dataio import InteractionRecord, build_behavior_graphs
-        records = [InteractionRecord(u, i, 0, 0) for u, i in edges]
+        from ckml.dataio import build_behavior_graphs
+        records = [(u, i, 0, 0) for u, i in edges]
         graph = build_behavior_graphs(records, M, N, 1)[0]
         ctx = BehaviorContext(graph)
         x = rng.normal(size=(M, n_interests, d_star))
@@ -105,9 +105,9 @@ def test_criterion_3_normalization_invariants():
     draws = 0
     while draws < 600:
         M, N, S = 3, 4, int(rng.choice([2, 3, 4]))
-        from ckml.dataio import InteractionRecord, build_behavior_graphs
+        from ckml.dataio import build_behavior_graphs
         pairs = {(int(rng.integers(M)), int(rng.integers(N))) for _ in range(6)}
-        records = [InteractionRecord(u, i, 0, 0) for u, i in sorted(pairs)]
+        records = [(u, i, 0, 0) for u, i in sorted(pairs)]
         graph = build_behavior_graphs(records, M, N, 1)[0]
         ctx = BehaviorContext(graph)
         x = ad.Tensor(rng.normal(size=(M, S, 2)))
@@ -147,9 +147,9 @@ def test_criterion_3_normalization_invariants():
 def test_criterion_4_single_interest_reduction():
     """N_*=1 routing reduces to plain means; scoring to a flat dot product."""
     rng = np.random.default_rng(44)
-    from ckml.dataio import InteractionRecord, build_behavior_graphs
+    from ckml.dataio import build_behavior_graphs
     edges = [(0, 0), (0, 1), (1, 0), (2, 2), (1, 3), (2, 0)]
-    records = [InteractionRecord(u, i, 0, 0) for u, i in edges]
+    records = [(u, i, 0, 0) for u, i in edges]
     graph = build_behavior_graphs(records, 3, 4, 1)[0]
     ctx = BehaviorContext(graph)
     # identity-configured interest stacks: the single interest row IS the state

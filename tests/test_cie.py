@@ -6,13 +6,13 @@ from ckml.cie import (assemble_interest_embedding, average_layers,
                       concat_relations, extract_interests,
                       propagate_relation_graph, relation_norm_adjacency,
                       split_interest_embedding)
-from ckml.dataio import ItemRelationRecord, build_relation_graphs
+from ckml.dataio import build_relation_graphs
 
 rng = np.random.default_rng(42)
 
 
 def norm_adj(pairs, n):
-    recs = [ItemRelationRecord(a, b, 0) for a, b in pairs]
+    recs = [(a, b, 0) for a, b in pairs]
     return relation_norm_adjacency(build_relation_graphs(recs, n, 1)[0])
 
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from ckml.cli import main
 from ckml.dataio import dataset_hash, load_dataset
+from ckml.trainer import load_checkpoint, save_checkpoint
 
 SYNTH_CONFIG = """
 [data]
@@ -156,6 +157,24 @@ class TestEval:
                          "--out", str(tmp_path / "ev")]) == 3
 
         check()
+
+    def _resaved(self, tmp_path, edit):
+        cfg, ckpt = self._trained(tmp_path, epochs=0)
+        loaded = load_checkpoint(ckpt)
+        edit(loaded.arrays)
+        save_checkpoint(tmp_path / "edited.ckml", loaded.arrays, loaded.config)
+        return main(["eval", "--config", str(cfg), "--checkpoint",
+                     str(tmp_path / "edited.ckml"), "--out", str(tmp_path / "ev")])
+
+    def test_missing_parameter_array_exits_3(self, tmp_path, capsys):
+        assert self._resaved(tmp_path, lambda a: a.pop("embed/item")) == 3
+        assert "embed/item" in capsys.readouterr().err
+
+    def test_misshapen_parameter_array_exits_3(self, tmp_path, capsys):
+        def narrow(arrays):
+            arrays["embed/item"] = arrays["embed/item"][:, :-1]
+        assert self._resaved(tmp_path, narrow) == 3
+        assert "embed/item" in capsys.readouterr().err
 
     def test_hr_monotone_in_n(self, tmp_path, capsys):
         cfg, ckpt = self._trained(tmp_path)

@@ -3,29 +3,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ckml.dataio import (DataError, GenConfig, InteractionRecord,
-                         ItemRelationRecord, assemble_dataset,
+from ckml.dataio import (DataError, GenConfig, assemble_dataset,
                          build_behavior_graphs, build_relation_graphs,
                          dataset_hash, generate_synthetic, leave_one_out_split,
-                         load_dataset, load_interactions,
+                         load_dataset, load_interactions, load_relations,
                          synthesize_records, time_buckets,
                          write_interactions, write_manifest, write_relations)
 
+from naive_dataio import (naive_behavior_graphs, naive_leave_one_out_split,
+                          naive_relation_graphs, naive_time_buckets)
+
 
 def rec(u, i, k, t=0):
-    return InteractionRecord(u, i, k, t)
+    return (u, i, k, t)
 
 
 class TestLoadInteractions:
     def test_empty_file(self, tmp_path):
         p = tmp_path / "x.tsv"
         p.write_text("")
-        assert load_interactions(p, 1, 1, 1) == []
+        out = load_interactions(p, 1, 1, 1)
+        assert out.shape == (0, 4) and out.dtype == np.int64
 
     def test_single_record(self, tmp_path):
         p = tmp_path / "x.tsv"
         p.write_text("0\t0\t0\t100\n")
-        assert load_interactions(p, 1, 1, 1) == [rec(0, 0, 0, 100)]
+        assert load_interactions(p, 1, 1, 1).tolist() == [[0, 0, 0, 100]]
 
     def test_comments_ignored(self, tmp_path):
         p = tmp_path / "x.tsv"
@@ -48,7 +51,168 @@ class TestLoadInteractions:
         p = tmp_path / "x.tsv"
         p.write_text("0\t1\t0\t5\n0\t0\t0\t3\n")
         out = load_interactions(p, 1, 2, 1)
-        assert [r.item_id for r in out] == [1, 0]
+        assert out[:, 1].tolist() == [1, 0]
+
+
+# Dims for the rejection table: 2 users, 3 items, 2 behaviors, 2 relations.
+INTERACTION_REJECTIONS = [
+    ("0\t0\t0\n", "malformed line (expected 4 tab-separated fields) at line 1"),
+    ("0\t0\t0\t1\t9\n", "malformed line (expected 4 tab-separated fields) at line 1"),
+    ("u\t0\t0\t1\n", "malformed user id 'u' at line 1"),
+    ("0\t1.5\t0\t1\n", "malformed item id '1.5' at line 1"),
+    ("0\t0\t\t1\n", "malformed behavior id '' at line 1"),
+    ("0\t0\t0\tnow\n", "malformed timestamp 'now' at line 1"),
+    ("2\t0\t0\t1\n", "user id out of range at line 1"),
+    ("-1\t0\t0\t1\n", "user id out of range at line 1"),
+    ("0\t3\t0\t1\n", "item id out of range at line 1"),
+    ("0\t-1\t0\t1\n", "item id out of range at line 1"),
+    ("0\t0\t2\t1\n", "behavior id out of range at line 1"),
+    ("0\t0\t-1\t1\n", "behavior id out of range at line 1"),
+    ("0\t0\t0\t-1\n", "negative timestamp at line 1"),
+    # comment and blank lines count toward the line number
+    ("# header\n\n0\t0\t0\t1\n9\t0\t0\t1\n", "user id out of range at line 4"),
+    # every field parses before any range check: the parse error wins
+    ("9\t0\tx\t1\n", "malformed behavior id 'x' at line 1"),
+    ("9\t0\t0\n", "malformed line (expected 4 tab-separated fields) at line 1"),
+    # the earlier bad line fails first, whatever its kind
+    ("9\t0\t0\t1\n0\tx\t0\t1\n", "user id out of range at line 1"),
+    ("0\tx\t0\t1\n9\t0\t0\t1\n", "malformed item id 'x' at line 1"),
+    ("0\t0\t0\t1\n0\t0\t0\t-5\n0\t9\t0\t1\n", "negative timestamp at line 2"),
+]
+
+RELATION_REJECTIONS = [
+    ("0\t1\n", "malformed line (expected 3 tab-separated fields) at line 1"),
+    ("0\t1\t0\t0\n", "malformed line (expected 3 tab-separated fields) at line 1"),
+    ("a\t1\t0\n", "malformed item id 'a' at line 1"),
+    ("0\tb\t0\n", "malformed item id 'b' at line 1"),
+    ("0\t1\tr\n", "malformed relation id 'r' at line 1"),
+    ("3\t1\t0\n", "item id out of range at line 1"),
+    ("0\t3\t0\n", "item id out of range at line 1"),
+    ("-1\t1\t0\n", "item id out of range at line 1"),
+    ("0\t1\t2\n", "relation id out of range at line 1"),
+    ("0\t1\t-1\n", "relation id out of range at line 1"),
+    ("# a\tb\tr\n\n\n0\t1\t5\n", "relation id out of range at line 4"),
+    ("9\t1\tr\n", "malformed relation id 'r' at line 1"),
+    ("0\t1\t9\n0\tb\t0\n", "relation id out of range at line 1"),
+    ("0\tb\t0\n0\t1\t9\n", "malformed item id 'b' at line 1"),
+]
+
+
+class TestLoaderRejections:
+    @pytest.mark.parametrize("text,message", INTERACTION_REJECTIONS)
+    def test_interactions(self, tmp_path, text, message):
+        p = tmp_path / "x.tsv"
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(DataError) as err:
+            load_interactions(p, 2, 3, 2)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("text,message", RELATION_REJECTIONS)
+    def test_relations(self, tmp_path, text, message):
+        p = tmp_path / "r.tsv"
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(DataError) as err:
+            load_relations(p, 3, 2)
+        assert str(err.value) == message
+
+
+class TestTimestampBound:
+    def test_timestamp_beyond_int64_rejected(self, tmp_path):
+        p = tmp_path / "x.tsv"
+        p.write_text(f"0\t0\t0\t{2**63 - 1}\n0\t0\t0\t{2**63}\n")
+        with pytest.raises(DataError) as err:
+            load_interactions(p, 1, 1, 1)
+        assert str(err.value) == "timestamp out of range at line 2"
+
+
+@st.composite
+def interaction_rows(draw):
+    """(rows, dims, target) with repeated edges under tied and distinct
+    timestamps, often a behavior with no rows and users with no target row."""
+    num_users = draw(st.integers(1, 5))
+    num_items = draw(st.integers(1, 5))
+    num_behaviors = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.tuples(st.integers(0, num_users - 1),
+                                   st.integers(0, num_items - 1),
+                                   st.integers(0, num_behaviors - 1),
+                                   st.integers(0, 6)), max_size=30))
+    if rows:
+        repeats = draw(st.lists(st.tuples(st.integers(0, len(rows) - 1),
+                                          st.integers(0, 6)), max_size=15))
+        rows += [rows[j][:3] + (t,) for j, t in repeats]
+    empty = draw(st.integers(0, num_behaviors))  # == num_behaviors: none emptied
+    rows = [r for r in rows if r[2] != empty]
+    target = draw(st.integers(0, num_behaviors - 1))
+    if draw(st.booleans()):  # user 0 keeps no target row
+        rows = [r for r in rows if not (r[0] == 0 and r[2] == target)]
+    return rows, (num_users, num_items, num_behaviors), target
+
+
+@st.composite
+def relation_rows(draw):
+    """(rows, num_items, relation_count) with exact repeats and mirrored
+    pairs; sometimes self-loops, of which the first must be named."""
+    num_items = draw(st.integers(2, 6))
+    relation_count = draw(st.integers(1, 3))
+    pairs = st.tuples(st.integers(0, num_items - 1), st.integers(0, num_items - 1),
+                      st.integers(0, relation_count - 1))
+    rows = [r for r in draw(st.lists(pairs, max_size=20)) if r[0] != r[1]]
+    if rows:
+        picks = draw(st.lists(st.tuples(st.integers(0, len(rows) - 1),
+                                        st.booleans()), max_size=10))
+        rows += [(rows[j][1], rows[j][0], rows[j][2]) if mirror else rows[j]
+                 for j, mirror in picks]
+    for loop, _, r in draw(st.lists(pairs, max_size=2)):
+        rows.insert(draw(st.integers(0, len(rows))), (loop, loop, r))
+    return rows, num_items, relation_count
+
+
+def assert_bitwise(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestArraysMatchRecordLoops:
+    @given(interaction_rows(), st.integers(1, 5))
+    @settings(max_examples=150, deadline=None)
+    def test_split_graphs_and_buckets(self, case, bucket_count):
+        rows, (num_users, num_items, num_behaviors), target = case
+        train, test = leave_one_out_split(rows, target)
+        want_train, want_test = naive_leave_one_out_split(rows, target)
+        assert test == want_test
+        assert list(test) == sorted(test)
+        assert all(type(v) is int for pair in test.items() for v in pair)
+        assert_bitwise(train, np.array(want_train, dtype=np.int64).reshape(-1, 4))
+
+        for source in (rows, train):
+            got = build_behavior_graphs(source, num_users, num_items, num_behaviors)
+            want = naive_behavior_graphs(source, num_users, num_items,
+                                         num_behaviors)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert g.behavior_id == w.behavior_id
+                assert_bitwise(g.edges, w.edges)
+                assert_bitwise(g.edge_ts, w.edge_ts)
+                for b, wb in zip(time_buckets(g, bucket_count),
+                                 naive_time_buckets(w, bucket_count)):
+                    assert_bitwise(b, wb)
+
+    @given(relation_rows())
+    @settings(max_examples=150, deadline=None)
+    def test_relation_graphs(self, case):
+        rows, num_items, relation_count = case
+        try:
+            want = naive_relation_graphs(rows, num_items, relation_count)
+        except DataError as exc:
+            with pytest.raises(DataError) as err:
+                build_relation_graphs(rows, num_items, relation_count)
+            assert str(err.value) == str(exc)
+            return
+        got = build_relation_graphs(rows, num_items, relation_count)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.relation_id == w.relation_id
+            assert_bitwise(g.edges, w.edges)
 
 
 class TestBuildBehaviorGraphs:
@@ -82,7 +246,7 @@ class TestBuildBehaviorGraphs:
 
 class TestBuildRelationGraphs:
     def test_symmetrized(self):
-        g = build_relation_graphs([ItemRelationRecord(0, 1, 0)], 2, 1)[0]
+        g = build_relation_graphs([(0, 1, 0)], 2, 1)[0]
         assert {(0, 1), (1, 0)} == {tuple(e) for e in g.edges}
 
     def test_empty(self):
@@ -90,14 +254,14 @@ class TestBuildRelationGraphs:
         assert all(g.edges.shape[0] == 0 for g in graphs)
 
     def test_mirrored_pair_dedups(self):
-        recs = [ItemRelationRecord(0, 1, 0), ItemRelationRecord(1, 0, 0)]
+        recs = [(0, 1, 0), (1, 0, 0)]
         g = build_relation_graphs(recs, 2, 1)[0]
         assert len(g.undirected_edges()) == 1
         np.testing.assert_array_equal(g.degrees, [1, 1])
 
     def test_self_loop_rejected(self):
         with pytest.raises(DataError, match="self-loop"):
-            build_relation_graphs([ItemRelationRecord(2, 2, 0)], 3, 1)
+            build_relation_graphs([(2, 2, 0)], 3, 1)
 
 
 class TestLeaveOneOutSplit:
@@ -105,13 +269,13 @@ class TestLeaveOneOutSplit:
         records = [rec(0, 3, 1, 1), rec(0, 4, 1, 2)]
         train, test = leave_one_out_split(records, 1)
         assert test == {0: 4}
-        assert train == [records[0]]
+        assert train.tolist() == [list(records[0])]
 
     def test_single_interaction_user_keeps_no_target_edge(self):
         records = [rec(0, 2, 1, 7), rec(0, 5, 0, 1)]
         train, test = leave_one_out_split(records, 1)
         assert test == {0: 2}
-        assert all(r.behavior_id != 1 for r in train)
+        assert (train[:, 2] != 1).all()
 
     def test_tie_breaks_by_greater_item(self):
         records = [rec(0, 2, 0, 5), rec(0, 7, 0, 5)]
@@ -124,8 +288,8 @@ class TestLeaveOneOutSplit:
     def test_reinsertion_restores_edge_set(self, raw):
         records = [rec(u, i, 0, t) for u, i, t in raw]
         train, test = leave_one_out_split(records, 0)
-        original = {(r.user_id, r.item_id) for r in records}
-        rebuilt = {(r.user_id, r.item_id) for r in train}
+        original = {(u, i) for u, i, _, _ in records}
+        rebuilt = {(u, i) for u, i, _, _ in train.tolist()}
         rebuilt |= {(u, i) for u, i in test.items()}
         assert rebuilt == original
 
@@ -174,8 +338,8 @@ class TestSynthetic:
         records, _, gt = synthesize_records(cfg, seed=0)
         protos = np.array(gt["item_prototypes"])
         by_behavior = {0: set(), 1: set()}
-        for r in records:
-            by_behavior[r.behavior_id].add(int(protos[r.item_id]))
+        for _, i, k, _ in records:
+            by_behavior[k].add(int(protos[i]))
         assert not (by_behavior[0] & by_behavior[1])
 
     def test_same_seed_same_hash(self):
@@ -194,8 +358,8 @@ class TestSynthetic:
                             correlation=corr)
             records, _, _ = synthesize_records(cfg, seed=seed)
             sets = {}
-            for r in records:
-                sets.setdefault((r.user_id, r.behavior_id), set()).add(r.item_id)
+            for u, i, k, _ in records.tolist():
+                sets.setdefault((u, k), set()).add(i)
             vals = []
             for u in range(cfg.num_users):
                 a = sets.get((u, 0), set())

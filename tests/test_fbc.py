@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ckml import autodiff as ad
-from ckml.dataio import InteractionRecord, build_behavior_graphs
+from ckml.dataio import build_behavior_graphs
 from ckml.fbc import (BehaviorContext, correlate_shared, plain_aggregation_layer,
                       propagate_layer, route_behavior_layer,
                       routed_mean_before_aggregation)
@@ -14,7 +14,7 @@ rng = np.random.default_rng(7)
 
 
 def make_ctx(edges, M, N):
-    records = [InteractionRecord(u, i, 0, t) for t, (u, i) in enumerate(edges)]
+    records = [(u, i, 0, t) for t, (u, i) in enumerate(edges)]
     graph = build_behavior_graphs(records, M, N, 1)[0]
     return BehaviorContext(graph)
 
@@ -152,8 +152,7 @@ class TestRouting:
 
     def test_oracle_agreement_with_time_offsets(self):
         edges = [(0, 0), (0, 2), (1, 1), (1, 2)]
-        ctx_records = [InteractionRecord(u, i, 0, 10 * (n + 1))
-                       for n, (u, i) in enumerate(edges)]
+        ctx_records = [(u, i, 0, 10 * (n + 1)) for n, (u, i) in enumerate(edges)]
         graph = build_behavior_graphs(ctx_records, 2, 3, 1)[0]
         ctx = BehaviorContext(graph)
         x = rng.normal(size=(2, 2, 2))

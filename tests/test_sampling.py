@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ckml.dataio import (DataError, InteractionRecord, ItemRelationRecord,
-                         assemble_dataset, build_behavior_graphs,
+from ckml.dataio import (DataError, assemble_dataset, build_behavior_graphs,
                          build_relation_graphs, sample_eval_negatives)
 from ckml.trainer import epoch_ranking_triples, epoch_relation_triples
 
@@ -24,7 +23,7 @@ def behavior_graphs(draw):
                                    st.integers(0, num_items - 1)), max_size=20))
     if draw(st.booleans()):
         pairs |= {(0, i) for i in range(num_items)}
-    records = [InteractionRecord(u, i, 0, 0) for u, i in sorted(pairs)]
+    records = [(u, i, 0, 0) for u, i in sorted(pairs)]
     return build_behavior_graphs(records, num_users, num_items, 1)[0]
 
 
@@ -37,7 +36,7 @@ def relation_graphs(draw):
                                    st.integers(0, num_items - 1)), max_size=15))
     if draw(st.booleans()):
         pairs |= {(0, i) for i in range(1, num_items)}
-    records = [ItemRelationRecord(a, b, 0) for a, b in sorted(pairs) if a != b]
+    records = [(a, b, 0) for a, b in sorted(pairs) if a != b]
     return build_relation_graphs(records, num_items, 1)[0]
 
 
@@ -73,7 +72,7 @@ class TestOracleEquality:
     @settings(max_examples=60, deadline=None)
     def test_eval_negatives_match_comprehension(self, num_users, num_items, raw,
                                                 seed):
-        records = [InteractionRecord(u, i, 0, t) for u, i, t in raw
+        records = [(u, i, 0, t) for u, i, t in raw
                    if u < num_users and i < num_items]
         ds = assemble_dataset(records, [], num_users, num_items, 1, 0, 0, seed,
                               eval_negatives=False)
@@ -93,9 +92,8 @@ class TestOracleEquality:
 class TestEpochSamplers:
     def test_forced_negative(self):
         # one free item is the only possible negative for every anchor
-        g = build_behavior_graphs([InteractionRecord(0, 0, 0, 0),
-                                   InteractionRecord(0, 1, 0, 0)], 1, 3, 1)[0]
-        r = build_relation_graphs([ItemRelationRecord(0, 1, 0)], 3, 1)[0]
+        g = build_behavior_graphs([(0, 0, 0, 0), (0, 1, 0, 0)], 1, 3, 1)[0]
+        r = build_relation_graphs([(0, 1, 0)], 3, 1)[0]
         rng = np.random.default_rng(0)
         for _ in range(10):
             assert epoch_ranking_triples(g, rng)[2].tolist() == [2, 2]

@@ -225,6 +225,29 @@ class TestCheckpoint:
         with pytest.raises(CompatibilityError, match="dims.users"):
             check_compatible(ckpt, small_ds)
 
+    def test_failed_save_keeps_earlier_checkpoint(self, small_ds, tmp_path):
+        h = small_hyper()
+        params = init_params(h, small_ds, seed=0)
+        block = _config_block(h, small_ds, 0, None, None)
+        path = tmp_path / "m.ckml"
+        save_checkpoint(path, params, block)
+        before = path.read_bytes()
+        bad = OrderedDict(params)
+        bad["zz/int"] = np.arange(3)  # int64 has no dtype tag: raises mid-write
+        with pytest.raises(KeyError):
+            save_checkpoint(path, bad, block)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.ckml"]
+
+    def test_invalid_hyperparameters_rejected(self, small_ds, tmp_path):
+        h = small_hyper()
+        block = _config_block(h, small_ds, 0, None, None)
+        block["hyper.attention_heads"] = "3"  # does not divide the width 4
+        path = tmp_path / "m.ckml"
+        save_checkpoint(path, init_params(h, small_ds, seed=0), block)
+        with pytest.raises(CompatibilityError, match="attention heads"):
+            check_compatible(load_checkpoint(path), small_ds)
+
     def test_dimension_compatibility(self, small_ds, tmp_path):
         h = small_hyper()
         params = init_params(h, small_ds, seed=0)
