@@ -10,7 +10,11 @@ identical outputs and gradients.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from . import numerics
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -328,27 +332,45 @@ def stack(tensors, axis: int = 0) -> Tensor:
     return concat([t.reshape(t.shape[:axis] + (1,) + t.shape[axis:]) for t in tensors], axis)
 
 
-def gather(x: Tensor, index: np.ndarray) -> Tensor:
-    """Select rows along axis 0; backward scatter-adds into the source."""
-    index = np.asarray(index)
-    out = Tensor(x.data[index], x.requires_grad, (x,))
+def _incidence(index, num_nodes: int):
+    """`index` as its node-by-position incidence; a prebuilt one passes through."""
+    if isinstance(index, numerics.SparseMatrix):
+        if index.shape[0] != num_nodes:
+            raise ValueError(f"incidence has {index.shape[0]} rows, expected {num_nodes}")
+        return index
+    return numerics.SparseMatrix.incidence(index, num_nodes)
+
+
+def _sum_rows(incidence, v: np.ndarray) -> np.ndarray:
+    """Per-node sums of the rows of `v`: the incidence times `v` flattened
+    past axis 0. Bitwise equal to `np.add.at` when both share a dtype."""
+    flat = v.reshape(v.shape[0], math.prod(v.shape[1:]))
+    return (incidence.matrix @ flat).reshape((incidence.shape[0],) + v.shape[1:])
+
+
+def gather(x: Tensor, index) -> Tensor:
+    """Select rows along axis 0; backward sums each row's gradients.
+
+    `index` is an int array or its `SparseMatrix.incidence` (callers that
+    gather the same rows every step cache it; an array becomes one on the
+    backward call)."""
+    rows = (index.matrix_t.indices if isinstance(index, numerics.SparseMatrix)
+            else np.asarray(index))
+    out = Tensor(x.data[rows], x.requires_grad, (x,))
     if x.requires_grad:
-        def bw(g):
-            full = np.zeros_like(x.data)
-            np.add.at(full, index, g)
-            x._accumulate(full)
-        out._backward = bw
+        out._backward = lambda g: x._accumulate(
+            _sum_rows(_incidence(index, x.shape[0]), g))
     return out
 
 
-def segment_sum(x: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
-    """out[s] = sum of x rows whose segment_ids == s; backward gathers."""
-    segment_ids = np.asarray(segment_ids)
-    out_data = np.zeros((num_segments,) + x.shape[1:], dtype=x.dtype)
-    np.add.at(out_data, segment_ids, x.data)
-    out = Tensor(out_data, x.requires_grad, (x,))
+def segment_sum(x: Tensor, segment_ids, num_segments: int) -> Tensor:
+    """out[s] = sum of x rows whose segment_ids == s; backward gathers.
+
+    `segment_ids` is an int array or its `SparseMatrix.incidence`."""
+    incidence = _incidence(segment_ids, num_segments)
+    out = Tensor(_sum_rows(incidence, x.data), x.requires_grad, (x,))
     if x.requires_grad:
-        out._backward = lambda g: x._accumulate(g[segment_ids])
+        out._backward = lambda g: x._accumulate(g[incidence.matrix_t.indices])
     return out
 
 

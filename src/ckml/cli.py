@@ -98,11 +98,26 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
+def _json_line(record: dict) -> str:
+    """`record` as one JSON line. JSON has no NaN or infinity, so a record
+    holding one raises NumericError naming its key instead of being written."""
+    try:
+        return json.dumps(record, allow_nan=False) + "\n"
+    except ValueError:
+        for key, value in record.items():
+            try:
+                json.dumps(value, allow_nan=False)
+            except ValueError:
+                raise NumericError(
+                    f"non-finite value under {key!r} cannot be written as JSON") from None
+        raise
+
+
 def _jsonl_writer(path):
     fh = open(path, "w", encoding="utf-8")
 
     def write(record):
-        fh.write(json.dumps(record) + "\n")
+        fh.write(_json_line(record))
         fh.flush()
     return fh, write
 
@@ -145,12 +160,12 @@ def cmd_eval(args) -> int:
         for k, (hr, ndcg, users) in report.per_behavior.items():
             record = {"epoch": epoch, "behavior": int(k), "hr": hr, "ndcg": ndcg,
                       "users": users}
-            fh.write(json.dumps(record) + "\n")
+            fh.write(_json_line(record))
             print(f"behavior {k}: HR@{cfg.top_n}={hr:.6f} NDCG@{cfg.top_n}={ndcg:.6f} "
                   f"({users} users)")
         dist = report.diagnostics.get("interest_distance")
         if dist is not None:
-            fh.write(json.dumps({"metric": "interest_distance", **dist}) + "\n")
+            fh.write(_json_line({"metric": "interest_distance", **dist}))
     return EXIT_OK
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -114,6 +115,11 @@ class Dataset:
 
 # Upper bound of a column without one of its own: values must fit in int64.
 _INT64_END = 2**63
+# A field is an optional minus sign and ASCII digits; Python's int() would
+# also take signs, spaces, underscores and non-ASCII digits. A whole line is
+# matched at once, each field only to name the first bad one.
+_INT_TOKEN = re.compile(r"-?[0-9]+")
+_INT_FIELDS = re.compile(r"-?[0-9]+(?:\t-?[0-9]+)*")
 
 
 def _rows(records, width: int) -> np.ndarray:
@@ -127,7 +133,8 @@ def _read_rows(path, columns) -> np.ndarray:
 
     Every field of a line is parsed before any is range-checked, and the
     first bad line raises, naming its 1-based line number (comment and
-    blank lines count).
+    blank lines count). The file is read with universal newlines, so CRLF
+    line ends load like LF ones.
     """
     width = len(columns)
     rows = []
@@ -140,13 +147,11 @@ def _read_rows(path, columns) -> np.ndarray:
             if len(parts) != width:
                 raise DataError(f"malformed line (expected {width} tab-separated "
                                 f"fields) at line {line_no}")
-            row = []
-            for (what, _), token in zip(columns, parts):
-                try:
-                    row.append(int(token))
-                except ValueError:
-                    raise DataError(
-                        f"malformed {what} {token!r} at line {line_no}") from None
+            if _INT_FIELDS.fullmatch(line) is None:
+                for (what, _), token in zip(columns, parts):
+                    if _INT_TOKEN.fullmatch(token) is None:
+                        raise DataError(f"malformed {what} {token!r} at line {line_no}")
+            row = [int(token) for token in parts]
             for (what, upper), value in zip(columns, row):
                 if value < 0 and upper == _INT64_END:
                     raise DataError(f"negative {what} at line {line_no}")

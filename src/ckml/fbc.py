@@ -11,6 +11,12 @@ specific blocks bypass correlation entirely.
 Coefficients live per *directed* edge: the user-side column (u, i) and the
 item-side column (i, u) of an interaction evolve independently, exactly as
 the symmetric adjacency implies.
+
+The affinity's l2 normalization and tanh act on each interest row alone,
+so they run on the node stacks before the per-edge gather, not on the
+gathered edges. Per-node sums over edges (the weighted means' segment sums
+and the gathers' backward) are products with node-by-edge incidence
+matrices that each `BehaviorContext` builds once.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .cie import apply_aggregator, assemble_interest_embedding
+from .cie import apply_aggregator
 from .numerics import NumericError, SparseMatrix, normalized_adjacency
 
 NORM_GUARD = 1e-12
@@ -32,15 +38,15 @@ class BehaviorContext:
     """Constant per-behavior structures reused across layers and steps."""
 
     graph: object
-    u_idx: np.ndarray = field(init=False)
-    i_idx: np.ndarray = field(init=False)
+    user_incidence: SparseMatrix = field(init=False)  # user x edge
+    item_incidence: SparseMatrix = field(init=False)  # item x edge
     user_from_item: SparseMatrix = field(init=False)
     item_from_user: SparseMatrix = field(init=False)
 
     def __post_init__(self):
         g = self.graph
-        self.u_idx = g.edges[:, 0].copy()
-        self.i_idx = g.edges[:, 1].copy()
+        self.user_incidence = SparseMatrix.incidence(g.edges[:, 0], g.num_users)
+        self.item_incidence = SparseMatrix.incidence(g.edges[:, 1], g.num_items)
         self.user_from_item = normalized_adjacency(
             g.user_adj, "symmetric-degree", col_degrees=g.item_degrees())
         self.item_from_user = normalized_adjacency(
@@ -48,7 +54,7 @@ class BehaviorContext:
 
     @property
     def edge_count(self) -> int:
-        return len(self.u_idx)
+        return self.user_incidence.shape[1]
 
 
 @dataclass
@@ -59,16 +65,17 @@ class RoutingState:
     logits: list = field(default_factory=list)
 
 
-def _weighted_mean(coeff: ad.Tensor, sources: ad.Tensor, seg_ids: np.ndarray,
-                   num_segments: int) -> ad.Tensor:
+def _weighted_mean(coeff: ad.Tensor, sources: ad.Tensor,
+                   incidence: SparseMatrix) -> ad.Tensor:
     """Step-3 kernel: per-node, per-interest weighted mean of source rows.
 
-    coeff: (E, S); sources: (E, S, d*). Nodes with no incident edges give a
-    0/guard division, i.e. exactly zero.
+    coeff: (E, S); sources: (E, S, d*); incidence: node x edge. Nodes with
+    no incident edges give a 0/guard division, i.e. exactly zero.
     """
+    num_nodes = incidence.shape[0]
     msg = coeff.reshape(coeff.shape[0], coeff.shape[1], 1) * sources
-    num = ad.segment_sum(msg, seg_ids, num_segments)
-    den = ad.segment_sum(coeff, seg_ids, num_segments)
+    num = ad.segment_sum(msg, incidence, num_nodes)
+    den = ad.segment_sum(coeff, incidence, num_nodes)
     den = ad.maximum(den, DEGREE_GUARD)
     return num / den.reshape(den.shape[0], den.shape[1], 1)
 
@@ -96,11 +103,12 @@ def _route(ctx: BehaviorContext, x_stack: ad.Tensor, g_stack: ad.Tensor,
         zero_i = ad.constant(np.zeros((N, S, d_star), dtype=h_i0.dtype))
         return zero_u, zero_i, state
 
-    # static per-edge views of the initial states
-    h_u0_e = ad.gather(h_u0, ctx.u_idx)
-    h_i0_e = ad.gather(h_i0, ctx.i_idx)
-    nh_u0_e = ad.l2_normalize(h_u0_e, axis=-1, eps=NORM_GUARD)
-    nh_i0_e = ad.l2_normalize(h_i0_e, axis=-1, eps=NORM_GUARD)
+    # static per-edge views of the initial states, normalized per node
+    users, items = ctx.user_incidence, ctx.item_incidence
+    h_u0_e = ad.gather(h_u0, users)
+    h_i0_e = ad.gather(h_i0, items)
+    nh_u0_e = ad.gather(ad.l2_normalize(h_u0, axis=-1, eps=NORM_GUARD), users)
+    nh_i0_e = ad.gather(ad.l2_normalize(h_i0, axis=-1, eps=NORM_GUARD), items)
 
     ones = np.ones((E, S), dtype=h_u0.dtype)
     logits_user_side = ad.constant(ones)  # columns (u, i): items feeding users
@@ -113,17 +121,19 @@ def _route(ctx: BehaviorContext, x_stack: ad.Tensor, g_stack: ad.Tensor,
         c_item = ad.softmax(logits_item_side / tau, axis=1)
         if collect_state:
             state.coefficients.append((c_user.data.copy(), c_item.data.copy()))
-        h_u_t = _weighted_mean(c_user, h_i0_e, ctx.u_idx, M)
-        h_i_t = _weighted_mean(c_item, h_u0_e, ctx.i_idx, N)
+        h_u_t = _weighted_mean(c_user, h_i0_e, users)
+        h_i_t = _weighted_mean(c_item, h_u0_e, items)
         if not (np.all(np.isfinite(h_u_t.data)) and np.all(np.isfinite(h_i_t.data))):
             bad = np.argwhere(~np.isfinite(h_u_t.data))
             where = f"user node {bad[0][0]}" if len(bad) else "item side"
             raise NumericError(f"non-finite routing state at iteration {t} ({where})")
         if t < n_iter:  # the final update is never consumed by Step 5
-            nh_u_t = ad.l2_normalize(ad.gather(h_u_t, ctx.u_idx), axis=-1, eps=NORM_GUARD)
-            nh_i_t = ad.l2_normalize(ad.gather(h_i_t, ctx.i_idx), axis=-1, eps=NORM_GUARD)
-            aff_user = (nh_i0_e * ad.tanh(nh_u_t)).sum(axis=-1)
-            aff_item = (nh_u0_e * ad.tanh(nh_i_t)).sum(axis=-1)
+            th_u_t = ad.gather(ad.tanh(ad.l2_normalize(h_u_t, axis=-1, eps=NORM_GUARD)),
+                               users)
+            th_i_t = ad.gather(ad.tanh(ad.l2_normalize(h_i_t, axis=-1, eps=NORM_GUARD)),
+                               items)
+            aff_user = (nh_i0_e * th_u_t).sum(axis=-1)
+            aff_item = (nh_u0_e * th_i_t).sum(axis=-1)
             logits_user_side = logits_user_side + aff_user
             logits_item_side = logits_item_side + aff_item
             if collect_state:
@@ -174,14 +184,6 @@ def plain_aggregation_layer(ctx: BehaviorContext, x_stack: ad.Tensor,
     return out_u.reshape(M, S, d_star), out_i.reshape(N, S, d_star)
 
 
-def routed_mean_before_aggregation(ctx: BehaviorContext, x_stack, g_stack,
-                                   time_u, time_i, tau, n_iter):
-    """Pre-Step-5 routing output; exposed for the reduction invariants."""
-    h_u_t, h_i_t, _ = _route(ctx, x_stack, g_stack, time_u, time_i,
-                             tau, n_iter, collect_state=False)
-    return h_u_t, h_i_t
-
-
 def correlate_shared(shared_stacks: list, q_proj: ad.Tensor, k_proj: ad.Tensor,
                      v_proj: ad.Tensor, heads: int):
     """Per-node, per-shared-interest multi-head attention across behaviors.
@@ -215,9 +217,3 @@ def correlate_shared(shared_stacks: list, q_proj: ad.Tensor, k_proj: ad.Tensor,
     residual = x.sum(axis=0, keepdims=True)
     out = heads_out + residual
     return [ad.narrow(out, 0, k, 1).reshape(V, S, d_star) for k in range(K)], lam
-
-
-def propagate_layer(specific: ad.Tensor | None, shared_corr: ad.Tensor | None,
-                    previous: ad.Tensor) -> ad.Tensor:
-    """Next layer state: (specific block || correlated shared block) + previous."""
-    return assemble_interest_embedding(specific, shared_corr) + previous

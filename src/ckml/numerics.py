@@ -44,6 +44,19 @@ class SparseMatrix:
         m = sp.csr_matrix((np.asarray(weights, dtype=dtype), (rows, cols)), shape=shape)
         return cls(m)
 
+    @classmethod
+    def incidence(cls, index, num_nodes: int):
+        """Node-by-position 0/1 matrix of an index array: (index[e], e) is 1.
+
+        Row n lists the positions holding n in ascending order, so
+        `matrix @ v` adds the rows of `v` per node from zero in the order
+        `np.add.at` does, and `matrix_t.indices` is `index` itself. The ones
+        are float32, so float32 operands stay float32.
+        """
+        index = np.asarray(index)
+        return cls.from_edges(index, np.arange(len(index)), (num_nodes, len(index)),
+                              dtype=np.float32)
+
     @property
     def shape(self):
         return self.matrix.shape

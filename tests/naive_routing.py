@@ -1,12 +1,20 @@
-"""Straight-line loop oracle for the interest-allocation routine.
+"""Oracles for the interest-allocation routine.
 
-Deliberately naive and independent of the package implementation: python
-dict/loop structure, per-directed-edge coefficient scalars, the literal
-iteration order of the published procedure (including the final, unused
-coefficient update). Only tiny numpy vectors are used for arithmetic.
+`naive_route` is a straight-line loop oracle, deliberately naive and
+independent of the package implementation: python dict/loop structure,
+per-directed-edge coefficient scalars, the literal iteration order of the
+published procedure (including the final, unused coefficient update). Only
+tiny numpy vectors are used for arithmetic.
+
+The tape-level references at the end keep the package's earlier scatter
+ops and per-edge routing, plus two test-only helpers.
 """
 
 import numpy as np
+
+from ckml import autodiff as ad
+from ckml.cie import assemble_interest_embedding
+from ckml.fbc import _route
 
 GUARD = 1e-12
 
@@ -110,3 +118,85 @@ def naive_route_and_aggregate(edges, num_users, num_items, x_user, g_item,
     ru, ri = naive_route(edges, num_users, num_items, x_user, g_item,
                          t_user, t_item, tau, n_iter)
     return naive_light_aggregate(edges, num_users, num_items, ru, ri)
+
+
+# ---------------------------------------------------------------------------
+# Tape-level references. Unlike the loops above these run on the package's
+# autodiff tensors: the scatter ops as `np.add.at` and the routing with the
+# l2 normalization and tanh applied to the gathered per-edge rows, as the
+# package computed them before its incidence products and per-node
+# normalization. The new kernels must match them bitwise in the forward.
+
+def add_at_gather(x, index):
+    """Rows of x along axis 0; backward scatter-adds with `np.add.at`."""
+    index = np.asarray(index)
+    out = ad.Tensor(x.data[index], x.requires_grad, (x,))
+    if x.requires_grad:
+        def bw(g):
+            full = np.zeros_like(x.data)
+            np.add.at(full, index, g)
+            x._accumulate(full)
+        out._backward = bw
+    return out
+
+
+def add_at_segment_sum(x, segment_ids, num_segments):
+    """Per-segment row sums by `np.add.at`; backward gathers."""
+    segment_ids = np.asarray(segment_ids)
+    out_data = np.zeros((num_segments,) + x.shape[1:], dtype=x.dtype)
+    np.add.at(out_data, segment_ids, x.data)
+    out = ad.Tensor(out_data, x.requires_grad, (x,))
+    if x.requires_grad:
+        out._backward = lambda g: x._accumulate(g[segment_ids])
+    return out
+
+
+def _edge_weighted_mean(coeff, sources, seg_ids, num_segments):
+    msg = coeff.reshape(coeff.shape[0], coeff.shape[1], 1) * sources
+    num = add_at_segment_sum(msg, seg_ids, num_segments)
+    den = ad.maximum(add_at_segment_sum(coeff, seg_ids, num_segments), GUARD)
+    return num / den.reshape(den.shape[0], den.shape[1], 1)
+
+
+def per_edge_route(ctx, x_stack, g_stack, time_u, time_i, tau, n_iter):
+    """Routing steps 1-4 normalizing the gathered per-edge rows; returns the
+    last iteration's (user, item) stacks like `fbc._route`."""
+    M, S, D = x_stack.shape
+    N = g_stack.shape[0]
+    u_idx, i_idx = ctx.graph.edges[:, 0], ctx.graph.edges[:, 1]
+    h_u0 = x_stack + time_u if time_u is not None else x_stack
+    h_i0 = g_stack + time_i if time_i is not None else g_stack
+    E = len(u_idx)
+    if E == 0:
+        return (ad.constant(np.zeros((M, S, D), dtype=h_u0.dtype)),
+                ad.constant(np.zeros((N, S, D), dtype=h_i0.dtype)))
+    h_u0_e = add_at_gather(h_u0, u_idx)
+    h_i0_e = add_at_gather(h_i0, i_idx)
+    nh_u0_e = ad.l2_normalize(h_u0_e, axis=-1, eps=GUARD)
+    nh_i0_e = ad.l2_normalize(h_i0_e, axis=-1, eps=GUARD)
+    ones = np.ones((E, S), dtype=h_u0.dtype)
+    logits_user = ad.constant(ones)
+    logits_item = ad.constant(ones.copy())
+    for t in range(1, n_iter + 1):
+        c_user = ad.softmax(logits_user / tau, axis=1)
+        c_item = ad.softmax(logits_item / tau, axis=1)
+        h_u_t = _edge_weighted_mean(c_user, h_i0_e, u_idx, M)
+        h_i_t = _edge_weighted_mean(c_item, h_u0_e, i_idx, N)
+        if t < n_iter:
+            nh_u_t = ad.l2_normalize(add_at_gather(h_u_t, u_idx), axis=-1, eps=GUARD)
+            nh_i_t = ad.l2_normalize(add_at_gather(h_i_t, i_idx), axis=-1, eps=GUARD)
+            logits_user = logits_user + (nh_i0_e * ad.tanh(nh_u_t)).sum(axis=-1)
+            logits_item = logits_item + (nh_u0_e * ad.tanh(nh_i_t)).sum(axis=-1)
+    return h_u_t, h_i_t
+
+
+def routed_mean_before_aggregation(ctx, x_stack, g_stack, time_u, time_i, tau, n_iter):
+    """The package's pre-aggregation routing output, for the reduction invariants."""
+    h_u_t, h_i_t, _ = _route(ctx, x_stack, g_stack, time_u, time_i,
+                             tau, n_iter, collect_state=False)
+    return h_u_t, h_i_t
+
+
+def propagate_layer(specific, shared_corr, previous):
+    """Next layer state: (specific block || correlated shared block) + previous."""
+    return assemble_interest_embedding(specific, shared_corr) + previous

@@ -4,6 +4,7 @@ from pathlib import Path
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ckml import cli, trainer
 from ckml.cli import main
 from ckml.dataio import dataset_hash, load_dataset
 from ckml.trainer import load_checkpoint, save_checkpoint
@@ -54,6 +55,16 @@ def add_manifest(config_path, manifest):
     config_path.write_text(text)
 
 
+def with_target_ndcg(evaluate, value):
+    """`evaluate` that reports `value` as the first behavior's NDCG."""
+    def wrapped(*args, **kwargs):
+        report = evaluate(*args, **kwargs)
+        k, (hr, _, users) = next(iter(report.per_behavior.items()))
+        report.per_behavior[k] = (hr, value, users)
+        return report
+    return wrapped
+
+
 class TestSynth:
     def test_writes_declared_manifest(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -101,6 +112,18 @@ class TestTrain:
 
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "missing.ini")]) == 2
+
+    def test_non_finite_metric_exits_1_without_writing_nan(self, tmp_path, capsys,
+                                                          monkeypatch):
+        cfg = write_config(tmp_path, epochs=0)
+        assert main(["synth", "--config", str(cfg)]) == 0
+        add_manifest(cfg, tmp_path / "out" / "manifest.txt")
+        monkeypatch.setattr(trainer, "evaluate",
+                            with_target_ndcg(trainer.evaluate, float("nan")))
+        assert main(["train", "--config", str(cfg), "--out",
+                     str(tmp_path / "run")]) == 1
+        assert "'ndcg'" in capsys.readouterr().err
+        assert "NaN" not in (tmp_path / "run" / "metrics.jsonl").read_text()
 
 
 class TestEval:
@@ -175,6 +198,15 @@ class TestEval:
             arrays["embed/item"] = arrays["embed/item"][:, :-1]
         assert self._resaved(tmp_path, narrow) == 3
         assert "embed/item" in capsys.readouterr().err
+
+    def test_non_finite_metric_exits_1_without_writing_it(self, tmp_path, capsys,
+                                                         monkeypatch):
+        cfg, ckpt = self._trained(tmp_path, epochs=0)
+        monkeypatch.setattr(cli, "evaluate", with_target_ndcg(cli.evaluate, float("inf")))
+        assert main(["eval", "--config", str(cfg), "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path / "ev")]) == 1
+        assert "'ndcg'" in capsys.readouterr().err
+        assert "Infinity" not in (tmp_path / "ev" / "eval.jsonl").read_text()
 
     def test_hr_monotone_in_n(self, tmp_path, capsys):
         cfg, ckpt = self._trained(tmp_path)

@@ -115,6 +115,34 @@ class TestLoaderRejections:
             load_relations(p, 3, 2)
         assert str(err.value) == message
 
+    # int() would take each of these tokens; a field is "-"? and ASCII digits
+    def _interaction_error(self, tmp_path, text):
+        p = tmp_path / "x.tsv"
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(DataError) as err:
+            load_interactions(p, 2, 20, 2)
+        return str(err.value)
+
+    def test_underscore_in_digits_rejected(self, tmp_path):
+        assert (self._interaction_error(tmp_path, "0\t1_0\t0\t1\n")
+                == "malformed item id '1_0' at line 1")
+
+    def test_plus_sign_rejected(self, tmp_path):
+        assert (self._interaction_error(tmp_path, "0\t0\t0\t1\n0\t0\t0\t+5\n")
+                == "malformed timestamp '+5' at line 2")
+
+    def test_space_and_non_ascii_digit_rejected(self, tmp_path):
+        assert (self._interaction_error(tmp_path, "0\t \u0663\t0\t1\n")
+                == "malformed item id ' \u0663' at line 1")
+
+    def test_crlf_line_ends_load(self, tmp_path):
+        p = tmp_path / "x.tsv"
+        p.write_bytes(b"# header\r\n0\t1\t0\t5\r\n1\t2\t1\t-0\r\n")
+        assert load_interactions(p, 2, 3, 2).tolist() == [[0, 1, 0, 5], [1, 2, 1, 0]]
+        p.write_bytes(b"0\t1\t0\t5\r\n0\t1\t0\t-5\r\n")
+        with pytest.raises(DataError, match="^negative timestamp at line 2$"):
+            load_interactions(p, 2, 3, 2)
+
 
 class TestTimestampBound:
     def test_timestamp_beyond_int64_rejected(self, tmp_path):

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ckml import autodiff as ad
 from ckml.dataio import build_behavior_graphs
-from ckml.fbc import (BehaviorContext, correlate_shared, plain_aggregation_layer,
-                      propagate_layer, route_behavior_layer,
-                      routed_mean_before_aggregation)
-from ckml.numerics import NumericError
+from ckml.fbc import (BehaviorContext, _route, correlate_shared,
+                      plain_aggregation_layer, route_behavior_layer)
+from ckml.numerics import NumericError, finite_difference_gradcheck
 
-from naive_routing import naive_route, naive_route_and_aggregate
+from naive_routing import (naive_route, naive_route_and_aggregate, per_edge_route,
+                           propagate_layer, routed_mean_before_aggregation)
 
 rng = np.random.default_rng(7)
 
@@ -166,6 +168,83 @@ class TestRouting:
             [tuple(e) for e in graph.edges], 2, 3, x, g, tu, ti, 0.8, 3)
         np.testing.assert_allclose(h_u.data, want_u, atol=1e-10)
         np.testing.assert_allclose(h_i.data, want_i, atol=1e-10)
+
+
+@st.composite
+def routing_cases(draw):
+    """(edges, M, N, S, D, time offsets?, tau, n_iter, seed); the node counts
+    may exceed the nodes any edge names, so isolated nodes are common."""
+    M = draw(st.integers(1, 4))
+    N = draw(st.integers(1, 5))
+    pairs = [(u, i) for u in range(M) for i in range(N)]
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=10, unique=True))
+    return (edges, M, N, draw(st.integers(1, 3)), draw(st.integers(1, 3)),
+            draw(st.booleans()), draw(st.sampled_from([0.3, 1.0, 2.5])),
+            draw(st.integers(1, 3)), draw(st.integers(0, 2**32 - 1)))
+
+
+def routed_loss(route, ctx, arrays, weights, tau, n_iter):
+    """Weighted sum of both routed stacks, plus the leaf tensors it ran on."""
+    leaves = [ad.Tensor(a, requires_grad=True) if a is not None else None
+              for a in arrays]
+    h_u, h_i = route(ctx, *leaves, tau, n_iter)[:2]
+    loss = (h_u * weights[0]).sum() + (h_i * weights[1]).sum()
+    loss.backward()
+    return h_u, h_i, leaves
+
+
+class TestRouteMatchesPerEdgeReference:
+    """Per-node normalization and incidence products against the routing
+    that normalized the gathered edge rows and scattered with `np.add.at`."""
+
+    @given(routing_cases())
+    @settings(max_examples=120, deadline=None)
+    def test_forward_bitwise_and_gradients_close(self, case):
+        edges, M, N, S, D, timed, tau, n_iter, seed = case
+        case_rng = np.random.default_rng(seed)
+        ctx = make_ctx(edges, M, N)
+        arrays = [case_rng.normal(size=(M, S, D)), case_rng.normal(size=(N, S, D)),
+                  case_rng.normal(size=(M, S, D)) * 0.1 if timed else None,
+                  case_rng.normal(size=(N, S, D)) * 0.1 if timed else None]
+        weights = [case_rng.normal(size=(M, S, D)), case_rng.normal(size=(N, S, D))]
+        got = routed_loss(lambda *a: _route(*a, collect_state=False),
+                          ctx, arrays, weights, tau, n_iter)
+        want = routed_loss(per_edge_route, ctx, arrays, weights, tau, n_iter)
+        for g_stack, w_stack in zip(got[:2], want[:2]):
+            assert g_stack.data.tobytes() == w_stack.data.tobytes()
+        for g_leaf, w_leaf in zip(got[2], want[2]):
+            if g_leaf is not None:
+                np.testing.assert_allclose(g_leaf.grad, w_leaf.grad,
+                                           rtol=1e-12, atol=0)
+
+    def test_gradcheck_with_isolated_nodes_and_zero_rows(self):
+        # user 2 and item 3 have no edges, so their per-node states are zero
+        # rows; the mask zeroes user 0's first interest row, as the model's
+        # block mask does. Both pass through the l2 guard.
+        edges = [(0, 0), (0, 1), (1, 1), (1, 2), (0, 2)]
+        ctx = make_ctx(edges, 3, 4)
+        case_rng = np.random.default_rng(11)
+        mask = np.ones((3, 2, 3))
+        mask[0, 0] = 0.0
+        w_u = ad.constant(case_rng.normal(size=(3, 2, 3)))
+        w_i = ad.constant(case_rng.normal(size=(4, 2, 3)))
+
+        def loss_fn(t):
+            h_u, h_i, _ = _route(ctx, t["x"] * mask, t["g"], None, t["time_i"],
+                                 0.7, 3, collect_state=False)
+            return (h_u * w_u).sum() + (h_i * w_i).sum()
+
+        params = {"x": case_rng.normal(size=(3, 2, 3)),
+                  "g": case_rng.normal(size=(4, 2, 3)),
+                  "time_i": case_rng.normal(size=(4, 2, 3)) * 0.1}
+        report = finite_difference_gradcheck(loss_fn, params, epsilon=1e-5)
+        assert report.overall < 1e-7, report.per_parameter
+
+        t = {k: ad.Tensor(v, requires_grad=True) for k, v in params.items()}
+        loss_fn(t).backward()
+        assert all(np.all(np.isfinite(v.grad)) for v in t.values())
+        np.testing.assert_array_equal(t["x"].grad[0, 0], 0.0)
+        np.testing.assert_array_equal(t["x"].grad[2], 0.0)
 
 
 def scalar_attention_oracle(sha, Q, K_, V, heads):
