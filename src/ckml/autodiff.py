@@ -33,11 +33,12 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 class Tensor:
     """Node in the computation graph; `data` is never mutated after creation."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_owns_grad")
 
     def __init__(self, data, requires_grad=False, parents=(), backward=None):
         self.data = np.asarray(data)
         self.grad = None
+        self._owns_grad = False
         self.requires_grad = bool(requires_grad)
         self._parents = parents if self.requires_grad else ()
         self._backward = backward if self.requires_grad else None
@@ -78,12 +79,21 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                node._owns_grad = False  # its parents may hold it now
 
     def _accumulate(self, g: np.ndarray):
+        """Add `g` to `.grad`. A first gradient of the right dtype is stored
+        as given, so it may be another node's array and is never written to;
+        the second is added out of place into an array this node owns, and
+        later ones in place."""
         if self.grad is None:
-            self.grad = g.astype(self.data.dtype, copy=True)
-        else:
+            self._owns_grad = g.dtype != self.data.dtype
+            self.grad = g.astype(self.data.dtype) if self._owns_grad else g
+        elif self._owns_grad:
             self.grad += g
+        else:
+            self.grad = np.add(self.grad, g, out=np.empty_like(self.grad))
+            self._owns_grad = True
 
     # -- elementwise arithmetic (numpy broadcasting rules) --
 
@@ -410,8 +420,19 @@ def l2_normalize(x: Tensor, axis: int = -1, eps: float = 1e-12) -> Tensor:
     """x / max(||x||, eps) along `axis`; the guard keeps zero vectors at zero.
 
     The floor is applied under the root (max(||x||, e) == sqrt(max(ss, e^2)))
-    so the sqrt backward never divides by zero on all-zero slices.
+    so the backward never divides by zero on all-zero slices. The backward
+    is (g - y (y.g)) / n for the output y: on one-element slices y is exactly
+    +-1, so the gradient is exactly zero, as it is in exact arithmetic.
     """
-    ss = (x * x).sum(axis=axis, keepdims=True)
-    n = sqrt(maximum(ss, eps * eps))
-    return x / n
+    ss = (x.data * x.data).sum(axis=axis, keepdims=True)
+    floor = x.dtype.type(eps * eps)
+    live = ss > floor
+    n = np.sqrt(np.where(live, ss, floor))
+    out_data = x.data / n
+    out = Tensor(out_data, x.requires_grad, (x,))
+    if x.requires_grad:
+        def bw(g):
+            dot = (g * out_data).sum(axis=axis, keepdims=True) * live
+            x._accumulate((g - out_data * dot) / n)
+        out._backward = bw
+    return out

@@ -10,13 +10,18 @@ specific blocks bypass correlation entirely.
 
 Coefficients live per *directed* edge: the user-side column (u, i) and the
 item-side column (i, u) of an interaction evolve independently, exactly as
-the symmetric adjacency implies.
+the symmetric adjacency implies. So each side's routed output depends only
+on the other side's initial states, and routing is one tape node per side
+with a hand-derived backward (`_route_side`).
 
-The affinity's l2 normalization and tanh act on each interest row alone,
-so they run on the node stacks before the per-edge gather, not on the
-gathered edges. Per-node sums over edges (the weighted means' segment sums
-and the gathers' backward) are products with node-by-edge incidence
-matrices that each `BehaviorContext` builds once.
+Inside that node the per-edge arrays are edge-minor, (S, d*, E) and (S, E),
+so reductions over the short interest and width axes run one long inner
+loop each. The affinity's l2 normalization and tanh act on each interest
+row alone, so they run on the node stacks before the per-edge gather. The
+weighted sums over a node's edges are sparse products whose entries are
+the coefficients (`_EdgeWeights`), laid out from the node-by-edge
+incidence matrices that each `BehaviorContext` builds once, so no per-edge
+message array is formed.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import autodiff as ad
 from .cie import apply_aggregator
@@ -65,80 +71,179 @@ class RoutingState:
     logits: list = field(default_factory=list)
 
 
-def _weighted_mean(coeff: ad.Tensor, sources: ad.Tensor,
-                   incidence: SparseMatrix) -> ad.Tensor:
-    """Step-3 kernel: per-node, per-interest weighted mean of source rows.
+def _edge_rows(node_rows: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Row `ids[e]` of `node_rows` (V, ...) for every edge e, edge-minor:
+    (..., E)."""
+    flat = np.ascontiguousarray(node_rows.reshape(node_rows.shape[0], -1).T)
+    return np.take(flat, ids, axis=1).reshape(node_rows.shape[1:] + (len(ids),))
 
-    coeff: (E, S); sources: (E, S, d*); incidence: node x edge. Nodes with
-    no incident edges give a 0/guard division, i.e. exactly zero.
+
+class _EdgeWeights:
+    """Weighted sums over one direction of a side's edges, one block per
+    interest: `apply(w, stack)[v, s]` adds `w[s, e] * stack[col[e], s]` over
+    the edges e of row node v, from zero in ascending edge order. So it is
+    bitwise the incidence product of the per-edge products, which it never
+    forms."""
+
+    def __init__(self, rows: SparseMatrix, cols: np.ndarray, num_cols: int, S: int):
+        self.order = rows.matrix.indices.astype(np.intp)
+        E = len(self.order)
+        block = np.arange(S)[:, None]
+        indptr = np.append((rows.matrix.indptr[:-1] + E * block).ravel(), S * E)
+        indices = (cols[self.order] + num_cols * block).ravel()
+        self.matrix = sp.csr_matrix((np.empty(S * E), indices, indptr),
+                                    shape=(S * rows.shape[0], S * num_cols))
+
+    def apply(self, w: np.ndarray, stack: np.ndarray) -> np.ndarray:
+        # the order is in range by construction; "clip" writes straight
+        # into the matrix, where "raise" would go through a buffer
+        np.take(w, self.order, axis=1, out=self.matrix.data.reshape(w.shape), mode="clip")
+        by_interest = np.ascontiguousarray(stack.transpose(1, 0, 2))
+        out = self.matrix @ by_interest.reshape(-1, stack.shape[2])
+        return out.reshape(w.shape[0], -1, stack.shape[2]).transpose(1, 0, 2)
+
+
+def _unit_rows(x: np.ndarray):
+    """x / max(||x||, NORM_GUARD) over the last axis, computed as
+    `ad.l2_normalize` does; also the guarded norms and where the guard lost."""
+    ss = (x * x).sum(axis=-1, keepdims=True)
+    floor = x.dtype.type(NORM_GUARD * NORM_GUARD)
+    live = ss > floor
+    norm = np.sqrt(np.where(live, ss, floor))
+    return x / norm, norm, live
+
+
+def _unit_rows_backward(unit, norm, live, g):
+    """Gradient of `_unit_rows` for its output `unit` and the output
+    gradient `g`, as `ad.l2_normalize` computes it: exactly zero on rows of
+    one element."""
+    dot = (g * unit).sum(axis=-1, keepdims=True) * live
+    return (g - unit * dot) / norm
+
+
+def _route_side(src: ad.Tensor, src_incidence: SparseMatrix,
+                dst_incidence: SparseMatrix, tau: float, n_iter: int, log):
+    """Steps 1-4 for one side: each destination node's interest rows become
+    the coefficient-weighted means of its edges' source rows, iterated.
+
+    src: (source nodes, S, d*); the incidences are node x edge. Per-edge
+    arrays are edge-minor, (S, d*, E) and (S, E), so every per-edge
+    reduction runs one long inner loop. Returns the last iteration's
+    (destination nodes, S, d*) float64 Tensor, whose only parent is `src`,
+    and the first iteration whose state is not finite (0 if none; routing
+    stops there). `log`, if given, is a pair of lists that receive (E, S)
+    copies of each iteration's coefficients and of each updated logit array.
     """
-    num_nodes = incidence.shape[0]
-    msg = coeff.reshape(coeff.shape[0], coeff.shape[1], 1) * sources
-    num = ad.segment_sum(msg, incidence, num_nodes)
-    den = ad.segment_sum(coeff, incidence, num_nodes)
-    den = ad.maximum(den, DEGREE_GUARD)
-    return num / den.reshape(den.shape[0], den.shape[1], 1)
+    x = src.data
+    V, S, _ = x.shape
+    E = src_incidence.shape[1]
+    # each edge's source and destination node
+    src_ids = src_incidence.matrix_t.indices.astype(np.intp)
+    dst_ids = dst_incidence.matrix_t.indices.astype(np.intp)
+    to_dst = _EdgeWeights(dst_incidence, src_ids, V, S)
+    unit_x, x_norm, x_live = _unit_rows(x)
+    # one product gives each weighted mean's numerator and denominator
+    x_and_ones = np.concatenate([x, np.ones((V, S, 1), dtype=x.dtype)], axis=2)
+    unit_src_e = _edge_rows(unit_x, src_ids) if n_iter > 1 else None
+    logits = np.ones((S, E))  # float64, as ad.constant made it on the composed tape
+    saved = [] if src.requires_grad else None
+    for t in range(1, n_iter + 1):
+        # softmax over the interests, in place: a fresh (S, E) array costs
+        # more than the arithmetic on it
+        c = logits / tau
+        c -= c.max(axis=0, keepdims=True)
+        np.exp(c, out=c)
+        c /= c.sum(axis=0, keepdims=True)
+        if log is not None:
+            log[0].append(c.T.copy())
+        num_den = to_dst.apply(c, x_and_ones)
+        num, den_raw = num_den[:, :, :-1], num_den[:, :, -1]
+        den_live = den_raw > DEGREE_GUARD
+        den = np.where(den_live, den_raw, DEGREE_GUARD)[:, :, None]
+        h = num / den
+        if not np.all(np.isfinite(h)):
+            return ad.Tensor(h), t
+        step = None
+        if t < n_iter:  # the final update is never consumed by Step 5
+            unit_h, h_norm, h_live = _unit_rows(h)
+            th = np.tanh(unit_h)
+            aff = _edge_rows(th, dst_ids)
+            aff *= unit_src_e
+            logits += aff.sum(axis=1)
+            if log is not None:
+                log[1].append(logits.T.copy())
+            step = (unit_h, h_norm, h_live, th)
+        if saved is not None:
+            saved.append((c, num, den, den_live, step))
+    out = ad.Tensor(h, src.requires_grad, (src,))
+    if saved is None:
+        return out, 0
+    to_src = _EdgeWeights(src_incidence, dst_ids, dst_incidence.shape[0], S)
+
+    def backward(g):
+        d_x = np.zeros(x.shape)
+        d_unit_x = np.zeros(x.shape)
+        src_e = _edge_rows(x, src_ids) if n_iter > 1 else None
+        d_logits = np.zeros((S, E))
+        dh = g
+        for t in range(n_iter, 0, -1):
+            c, num, den, den_live, step = saved[t - 1]
+            if step is not None:  # dh reaches h_t through the logit update
+                unit_h, h_norm, h_live, th = step
+                d_unit_x += to_src.apply(d_logits, th)
+                d_th = to_dst.apply(d_logits, unit_x)
+                dh = _unit_rows_backward(unit_h, h_norm, h_live, d_th * (1.0 - th * th))
+            d_num = dh / den
+            d_x += to_src.apply(c, d_num)
+            if t > 1:  # the first iteration's logits are constants
+                d_den = -(dh * num / (den * den)).sum(axis=-1) * den_live
+                d_aff = _edge_rows(d_num, dst_ids)
+                d_aff *= src_e
+                dc = d_aff.sum(axis=1)
+                dc += _edge_rows(d_den, dst_ids)
+                dc -= (dc * c).sum(axis=0, keepdims=True)
+                dc *= c
+                dc /= tau
+                d_logits += dc
+        src._accumulate(d_x + _unit_rows_backward(unit_x, x_norm, x_live, d_unit_x))
+    out._backward = backward
+    return out, 0
 
 
 def _route(ctx: BehaviorContext, x_stack: ad.Tensor, g_stack: ad.Tensor,
            time_u: ad.Tensor | None, time_i: ad.Tensor | None,
            tau: float, n_iter: int, collect_state: bool):
-    """Steps 1-4: iterate coefficient normalization, weighted-mean
-    propagation of the opposite side's initial states, and affinity
-    updates. Returns the last iteration's stacks plus diagnostics."""
+    """Steps 1-4 on both sides: iterate coefficient normalization,
+    weighted-mean propagation of the opposite side's initial states, and
+    affinity updates. Returns the last iteration's stacks plus diagnostics."""
     if tau <= 0:
         raise NumericError(f"routing temperature must be positive, got {tau}")
     if n_iter < 1:
         raise NumericError(f"routing needs at least one iteration, got {n_iter}")
     M, S, d_star = x_stack.shape
     N = g_stack.shape[0]
-    state = RoutingState() if collect_state else None
 
     h_u0 = x_stack + time_u if time_u is not None else x_stack
     h_i0 = g_stack + time_i if time_i is not None else g_stack
 
-    E = ctx.edge_count
-    if E == 0:
+    if ctx.edge_count == 0:
         zero_u = ad.constant(np.zeros((M, S, d_star), dtype=h_u0.dtype))
         zero_i = ad.constant(np.zeros((N, S, d_star), dtype=h_i0.dtype))
-        return zero_u, zero_i, state
+        return zero_u, zero_i, RoutingState() if collect_state else None
 
-    # static per-edge views of the initial states, normalized per node
+    # columns (u, i) carry items to users, columns (i, u) users to items
     users, items = ctx.user_incidence, ctx.item_incidence
-    h_u0_e = ad.gather(h_u0, users)
-    h_i0_e = ad.gather(h_i0, items)
-    nh_u0_e = ad.gather(ad.l2_normalize(h_u0, axis=-1, eps=NORM_GUARD), users)
-    nh_i0_e = ad.gather(ad.l2_normalize(h_i0, axis=-1, eps=NORM_GUARD), items)
-
-    ones = np.ones((E, S), dtype=h_u0.dtype)
-    logits_user_side = ad.constant(ones)  # columns (u, i): items feeding users
-    logits_item_side = ad.constant(ones.copy())  # columns (i, u): users feeding items
-
-    h_u_t = None
-    h_i_t = None
-    for t in range(1, n_iter + 1):
-        c_user = ad.softmax(logits_user_side / tau, axis=1)
-        c_item = ad.softmax(logits_item_side / tau, axis=1)
-        if collect_state:
-            state.coefficients.append((c_user.data.copy(), c_item.data.copy()))
-        h_u_t = _weighted_mean(c_user, h_i0_e, users)
-        h_i_t = _weighted_mean(c_item, h_u0_e, items)
-        if not (np.all(np.isfinite(h_u_t.data)) and np.all(np.isfinite(h_i_t.data))):
-            bad = np.argwhere(~np.isfinite(h_u_t.data))
-            where = f"user node {bad[0][0]}" if len(bad) else "item side"
-            raise NumericError(f"non-finite routing state at iteration {t} ({where})")
-        if t < n_iter:  # the final update is never consumed by Step 5
-            th_u_t = ad.gather(ad.tanh(ad.l2_normalize(h_u_t, axis=-1, eps=NORM_GUARD)),
-                               users)
-            th_i_t = ad.gather(ad.tanh(ad.l2_normalize(h_i_t, axis=-1, eps=NORM_GUARD)),
-                               items)
-            aff_user = (nh_i0_e * th_u_t).sum(axis=-1)
-            aff_item = (nh_u0_e * th_i_t).sum(axis=-1)
-            logits_user_side = logits_user_side + aff_user
-            logits_item_side = logits_item_side + aff_item
-            if collect_state:
-                state.logits.append((logits_user_side.data.copy(),
-                                     logits_item_side.data.copy()))
+    log_u, log_i = (([], []), ([], [])) if collect_state else (None, None)
+    h_u_t, bad_u = _route_side(h_i0, items, users, tau, n_iter, log_u)
+    h_i_t, bad_i = _route_side(h_u0, users, items, tau, n_iter, log_i)
+    if bad_u or bad_i:
+        t = min(b for b in (bad_u, bad_i) if b)
+        where = (f"user node {np.argwhere(~np.isfinite(h_u_t.data))[0][0]}"
+                 if bad_u == t else "item side")
+        raise NumericError(f"non-finite routing state at iteration {t} ({where})")
+    state = None
+    if collect_state:
+        state = RoutingState(list(zip(log_u[0], log_i[0])), list(zip(log_u[1], log_i[1])))
     return h_u_t, h_i_t, state
 
 

@@ -53,9 +53,19 @@ class SparseMatrix:
         `np.add.at` does, and `matrix_t.indices` is `index` itself. The ones
         are float32, so float32 operands stay float32.
         """
-        index = np.asarray(index)
-        return cls.from_edges(index, np.arange(len(index)), (num_nodes, len(index)),
-                              dtype=np.float32)
+        index = np.asarray(index, dtype=np.int64)
+        E = len(index)
+        ones = np.ones(E, dtype=np.float32)
+        counts = np.bincount(index, minlength=num_nodes)
+        # built as CSR directly: a stable argsort already gives each row its
+        # positions in ascending order, without duplicates, so the COO
+        # conversion, sorting and transposing in __post_init__ are skipped
+        out = cls.__new__(cls)
+        out.matrix = sp.csr_matrix(
+            (ones, np.argsort(index, kind="stable"), np.concatenate(([0], np.cumsum(counts)))),
+            shape=(num_nodes, E))
+        out.matrix_t = sp.csr_matrix((ones, index, np.arange(E + 1)), shape=(E, num_nodes))
+        return out
 
     @property
     def shape(self):
@@ -79,27 +89,6 @@ class SparseMatrix:
 
     def row_degrees(self) -> np.ndarray:
         return np.diff(self.matrix.indptr)
-
-
-def softmax_with_temperature(values: np.ndarray, tau: float) -> np.ndarray:
-    """Temperature softmax over the last axis, max-subtracted for stability."""
-    if tau <= 0:
-        raise NumericError(f"temperature must be positive, got {tau}")
-    values = np.asarray(values)
-    if not np.all(np.isfinite(values)):
-        raise NumericError("softmax input contains non-finite values")
-    scaled = values / values.dtype.type(tau)
-    shifted = scaled - scaled.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def leaky_relu(x, slope: float = 0.2):
-    """x if x >= 0 else slope * x. Slope must sit strictly inside (0, 1)."""
-    if not 0.0 < slope < 1.0:
-        raise NumericError(f"leaky_relu slope must be in (0,1), got {slope}")
-    x = np.asarray(x)
-    return np.where(x >= 0, x, x.dtype.type(slope) * x)
 
 
 NORMALIZATIONS = ("none", "row-mean", "symmetric-degree")
@@ -138,17 +127,6 @@ def normalized_adjacency(adj: SparseMatrix, normalization: str,
         data = m.data * np.repeat(inv_row, np.diff(m.indptr)) * inv_col[m.indices]
     out = sp.csr_matrix((data, m.indices.copy(), m.indptr.copy()), shape=m.shape)
     return SparseMatrix(out)
-
-
-def spmm(adjacency: SparseMatrix, dense: np.ndarray, normalization: str = "none") -> np.ndarray:
-    """Row i of the result is the normalized weighted sum of dense rows of
-    i's neighbors; zero-degree rows come out zero."""
-    dense = np.asarray(dense)
-    if adjacency.shape[1] != dense.shape[0]:
-        raise ValueError(
-            f"shape mismatch: adjacency {adjacency.shape} @ dense {dense.shape}")
-    out = normalized_adjacency(adjacency, normalization).matrix @ dense
-    return np.asarray(out)
 
 
 @dataclass

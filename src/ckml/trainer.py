@@ -173,7 +173,7 @@ def train_epoch(params: OrderedDict, ctx: ModelContext, hyper: HyperConfig,
         rel_batches = _batches_by_id(rel_ids, rel_columns, ds.relation_count,
                                      s * rel_chunk, (s + 1) * rel_chunk)
         # The last step's tape lives on into this forward: freeing it first cut peak RSS
-        # 423 -> 313 MB but slowed the median step 164 -> 243 ms (step-fullgraph, 2 cores).
+        # 204 -> 154 MB but slowed the median step 105 -> 141 ms (step-fullgraph, 2 cores).
         tensors = {k: ad.Tensor(v, requires_grad=True) for k, v in params.items()}
         total, breakdown, _ = batch_loss(tensors, ctx, hyper, rank_batches, rel_batches)
         if not np.isfinite(total.data):

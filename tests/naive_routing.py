@@ -7,14 +7,16 @@ published procedure (including the final, unused coefficient update). Only
 tiny numpy vectors are used for arithmetic.
 
 The tape-level references at the end keep the package's earlier scatter
-ops and per-edge routing, plus two test-only helpers.
+ops, its per-edge routing and its routing composed of tape ops, plus two
+test-only helpers.
 """
 
 import numpy as np
 
 from ckml import autodiff as ad
 from ckml.cie import assemble_interest_embedding
-from ckml.fbc import _route
+from ckml.fbc import DEGREE_GUARD, NORM_GUARD, RoutingState, _route
+from ckml.numerics import NumericError
 
 GUARD = 1e-12
 
@@ -188,6 +190,78 @@ def per_edge_route(ctx, x_stack, g_stack, time_u, time_i, tau, n_iter):
             logits_user = logits_user + (nh_i0_e * ad.tanh(nh_u_t)).sum(axis=-1)
             logits_item = logits_item + (nh_u0_e * ad.tanh(nh_i_t)).sum(axis=-1)
     return h_u_t, h_i_t
+
+
+def _weighted_mean(coeff, sources, incidence):
+    """Per-node, per-interest weighted mean of source rows on the tape.
+
+    coeff: (E, S); sources: (E, S, d*); incidence: node x edge. Nodes with
+    no incident edges give a 0/guard division, i.e. exactly zero.
+    """
+    num_nodes = incidence.shape[0]
+    msg = coeff.reshape(coeff.shape[0], coeff.shape[1], 1) * sources
+    num = ad.segment_sum(msg, incidence, num_nodes)
+    den = ad.segment_sum(coeff, incidence, num_nodes)
+    den = ad.maximum(den, DEGREE_GUARD)
+    return num / den.reshape(den.shape[0], den.shape[1], 1)
+
+
+def tape_route(ctx, x_stack, g_stack, time_u, time_i, tau, n_iter, collect_state):
+    """`fbc._route` composed of tape ops, as the package ran it before the
+    fused per-side nodes: (E, S, d*) per-edge arrays, one tape node per op."""
+    if tau <= 0:
+        raise NumericError(f"routing temperature must be positive, got {tau}")
+    if n_iter < 1:
+        raise NumericError(f"routing needs at least one iteration, got {n_iter}")
+    M, S, d_star = x_stack.shape
+    N = g_stack.shape[0]
+    state = RoutingState() if collect_state else None
+
+    h_u0 = x_stack + time_u if time_u is not None else x_stack
+    h_i0 = g_stack + time_i if time_i is not None else g_stack
+
+    E = ctx.edge_count
+    if E == 0:
+        zero_u = ad.constant(np.zeros((M, S, d_star), dtype=h_u0.dtype))
+        zero_i = ad.constant(np.zeros((N, S, d_star), dtype=h_i0.dtype))
+        return zero_u, zero_i, state
+
+    users, items = ctx.user_incidence, ctx.item_incidence
+    h_u0_e = ad.gather(h_u0, users)
+    h_i0_e = ad.gather(h_i0, items)
+    nh_u0_e = ad.gather(ad.l2_normalize(h_u0, axis=-1, eps=NORM_GUARD), users)
+    nh_i0_e = ad.gather(ad.l2_normalize(h_i0, axis=-1, eps=NORM_GUARD), items)
+
+    ones = np.ones((E, S), dtype=h_u0.dtype)
+    logits_user_side = ad.constant(ones)
+    logits_item_side = ad.constant(ones.copy())
+
+    h_u_t = None
+    h_i_t = None
+    for t in range(1, n_iter + 1):
+        c_user = ad.softmax(logits_user_side / tau, axis=1)
+        c_item = ad.softmax(logits_item_side / tau, axis=1)
+        if collect_state:
+            state.coefficients.append((c_user.data.copy(), c_item.data.copy()))
+        h_u_t = _weighted_mean(c_user, h_i0_e, users)
+        h_i_t = _weighted_mean(c_item, h_u0_e, items)
+        if not (np.all(np.isfinite(h_u_t.data)) and np.all(np.isfinite(h_i_t.data))):
+            bad = np.argwhere(~np.isfinite(h_u_t.data))
+            where = f"user node {bad[0][0]}" if len(bad) else "item side"
+            raise NumericError(f"non-finite routing state at iteration {t} ({where})")
+        if t < n_iter:
+            th_u_t = ad.gather(ad.tanh(ad.l2_normalize(h_u_t, axis=-1, eps=NORM_GUARD)),
+                               users)
+            th_i_t = ad.gather(ad.tanh(ad.l2_normalize(h_i_t, axis=-1, eps=NORM_GUARD)),
+                               items)
+            aff_user = (nh_i0_e * th_u_t).sum(axis=-1)
+            aff_item = (nh_u0_e * th_i_t).sum(axis=-1)
+            logits_user_side = logits_user_side + aff_user
+            logits_item_side = logits_item_side + aff_item
+            if collect_state:
+                state.logits.append((logits_user_side.data.copy(),
+                                     logits_item_side.data.copy()))
+    return h_u_t, h_i_t, state
 
 
 def routed_mean_before_aggregation(ctx, x_stack, g_stack, time_u, time_i, tau, n_iter):

@@ -17,12 +17,13 @@ from ckml.dataio import GenConfig, generate_synthetic
 from ckml.evaluator import hr_ndcg_at_n, interest_center_distance, rank_positive
 from ckml.fbc import BehaviorContext, correlate_shared, route_behavior_layer
 from ckml.model import ModelContext, batch_loss, forward
-from ckml.numerics import finite_difference_gradcheck, softmax_with_temperature
+from ckml.numerics import finite_difference_gradcheck
 from ckml.objective import score_interactions
 from ckml.trainer import (Adam, epoch_ranking_triples, epoch_relation_triples,
                           fit, init_params, save_fit_checkpoint, train_epoch)
 
 from conftest import tiny_dataset
+from naive_numerics import softmax_with_temperature
 from naive_routing import naive_route_and_aggregate, routed_mean_before_aggregation
 
 

@@ -4,8 +4,12 @@ Each op is validated against central finite differences computed by this
 file's own helper (no shared code with the gradcheck in numerics).
 """
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ckml import autodiff as ad
 
@@ -214,3 +218,82 @@ def test_float32_ops_keep_dtype():
     assert y.dtype == np.float32
     y.sum().backward()
     assert x.grad.dtype == np.float32
+
+
+# ---------------------------------------------------------------------------
+# A node stores its first gradient without copying it. These tapes hand one
+# gradient array to several parents (x + x, a reshape view, the pass-through
+# of `_unbroadcast`, a sum's broadcast) and compare with copy-on-first.
+
+TAPE_OPS = ("double", "reshape", "add_leaf", "sum_broadcast", "scale", "fan_out")
+
+
+def run_tape(ops, leaves, weights):
+    x, y = leaves
+    t = x
+    for op in ops:
+        if op == "double":
+            t = t + t
+        elif op == "reshape":
+            t = t.reshape(-1).reshape(x.shape)
+        elif op == "add_leaf":
+            t = t + y
+        elif op == "sum_broadcast":
+            t = t + t.sum(axis=0, keepdims=True)
+        elif op == "scale":
+            t = t * weights[0]
+        else:  # one node read by two consumers that pass its gradient on as is
+            a = t + y
+            t = a.reshape(-1).reshape(x.shape) + a
+    (t * weights[1]).sum().backward()
+
+
+@contextmanager
+def patched_accumulate(accumulate):
+    original = ad.Tensor._accumulate
+    ad.Tensor._accumulate = accumulate
+    try:
+        yield
+    finally:
+        ad.Tensor._accumulate = original
+
+
+def copy_on_first(self, g):
+    if self.grad is None:
+        self.grad = g.astype(self.data.dtype, copy=True)
+    else:
+        self.grad += g
+
+
+@given(st.lists(st.sampled_from(TAPE_OPS), min_size=1, max_size=6),
+       st.tuples(st.integers(1, 3), st.integers(1, 3)),
+       st.sampled_from([np.float64, np.float32]), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_first_gradient_stored_without_copy(ops, shape, dtype, seed):
+    rng = np.random.default_rng(seed)
+    arrays = [rng.normal(size=shape).astype(dtype) for _ in range(2)]
+    weights = [rng.normal(size=shape).astype(dtype) for _ in range(2)]
+
+    want = [ad.Tensor(a, requires_grad=True) for a in arrays]
+    with patched_accumulate(copy_on_first):
+        run_tape(ops, want, weights)
+
+    stored = []
+    accumulate = ad.Tensor._accumulate
+
+    def watched(self, g):
+        accumulate(self, g)
+        if self.grad is g:  # held, not copied: it must never change again
+            stored.append((g, g.copy()))
+    got = [ad.Tensor(a, requires_grad=True) for a in arrays]
+    with patched_accumulate(watched):
+        run_tape(ops, got, weights)
+
+    for g_leaf, w_leaf in zip(got, want):
+        if w_leaf.grad is None:
+            assert g_leaf.grad is None
+            continue
+        assert g_leaf.grad.dtype == w_leaf.grad.dtype
+        assert g_leaf.grad.tobytes() == w_leaf.grad.tobytes()
+    for held, snapshot in stored:
+        assert held.tobytes() == snapshot.tobytes()

@@ -1,3 +1,5 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,7 @@ from ckml.fbc import (BehaviorContext, _route, correlate_shared,
 from ckml.numerics import NumericError, finite_difference_gradcheck
 
 from naive_routing import (naive_route, naive_route_and_aggregate, per_edge_route,
-                           propagate_layer, routed_mean_before_aggregation)
+                           propagate_layer, routed_mean_before_aggregation, tape_route)
 
 rng = np.random.default_rng(7)
 
@@ -72,7 +74,7 @@ class TestRouting:
     def test_argmax_invariant_under_temperature(self):
         # different temperatures applied to the SAME logits never change the
         # winning interest (sharpness changes, the argmax does not)
-        from ckml.numerics import softmax_with_temperature
+        from naive_numerics import softmax_with_temperature
         edges = [(u, i) for u in range(3) for i in range(4)]
         ctx = make_ctx(edges, 3, 4)
         x, g = tensors(3, 4, 4, 2)
@@ -193,6 +195,30 @@ def routed_loss(route, ctx, arrays, weights, tau, n_iter):
     return h_u, h_i, leaves
 
 
+def gradcheck_case(n_iter):
+    """(loss_fn, params) for a finite-difference check of `_route`. User 2
+    and item 3 have no edges, so their per-node states are zero rows; the
+    mask zeroes user 0's first interest row, as the model's block mask
+    does. Both pass through the l2 guard."""
+    edges = [(0, 0), (0, 1), (1, 1), (1, 2), (0, 2)]
+    ctx = make_ctx(edges, 3, 4)
+    case_rng = np.random.default_rng(11)
+    mask = np.ones((3, 2, 3))
+    mask[0, 0] = 0.0
+    w_u = ad.constant(case_rng.normal(size=(3, 2, 3)))
+    w_i = ad.constant(case_rng.normal(size=(4, 2, 3)))
+
+    def loss_fn(t):
+        h_u, h_i, _ = _route(ctx, t["x"] * mask, t["g"], None, t["time_i"],
+                             0.7, n_iter, collect_state=False)
+        return (h_u * w_u).sum() + (h_i * w_i).sum()
+
+    params = {"x": case_rng.normal(size=(3, 2, 3)),
+              "g": case_rng.normal(size=(4, 2, 3)),
+              "time_i": case_rng.normal(size=(4, 2, 3)) * 0.1}
+    return loss_fn, params
+
+
 class TestRouteMatchesPerEdgeReference:
     """Per-node normalization and incidence products against the routing
     that normalized the gathered edge rows and scattered with `np.add.at`."""
@@ -218,25 +244,7 @@ class TestRouteMatchesPerEdgeReference:
                                            rtol=1e-12, atol=0)
 
     def test_gradcheck_with_isolated_nodes_and_zero_rows(self):
-        # user 2 and item 3 have no edges, so their per-node states are zero
-        # rows; the mask zeroes user 0's first interest row, as the model's
-        # block mask does. Both pass through the l2 guard.
-        edges = [(0, 0), (0, 1), (1, 1), (1, 2), (0, 2)]
-        ctx = make_ctx(edges, 3, 4)
-        case_rng = np.random.default_rng(11)
-        mask = np.ones((3, 2, 3))
-        mask[0, 0] = 0.0
-        w_u = ad.constant(case_rng.normal(size=(3, 2, 3)))
-        w_i = ad.constant(case_rng.normal(size=(4, 2, 3)))
-
-        def loss_fn(t):
-            h_u, h_i, _ = _route(ctx, t["x"] * mask, t["g"], None, t["time_i"],
-                                 0.7, 3, collect_state=False)
-            return (h_u * w_u).sum() + (h_i * w_i).sum()
-
-        params = {"x": case_rng.normal(size=(3, 2, 3)),
-                  "g": case_rng.normal(size=(4, 2, 3)),
-                  "time_i": case_rng.normal(size=(4, 2, 3)) * 0.1}
+        loss_fn, params = gradcheck_case(n_iter=3)
         report = finite_difference_gradcheck(loss_fn, params, epsilon=1e-5)
         assert report.overall < 1e-7, report.per_parameter
 
@@ -245,6 +253,114 @@ class TestRouteMatchesPerEdgeReference:
         assert all(np.all(np.isfinite(v.grad)) for v in t.values())
         np.testing.assert_array_equal(t["x"].grad[0, 0], 0.0)
         np.testing.assert_array_equal(t["x"].grad[2], 0.0)
+
+    @pytest.mark.parametrize("n_iter", [1, 2])
+    def test_gradcheck_with_fewer_iterations(self, n_iter):
+        report = finite_difference_gradcheck(*gradcheck_case(n_iter), epsilon=1e-5)
+        assert report.overall < 1e-7, report.per_parameter
+
+
+@st.composite
+def typed_routing_cases(draw):
+    """`routing_cases` with S up to 4 and the leaves' dtypes: all float64,
+    all float32, or float32 user-side and float64 item-side leaves."""
+    edges, M, N, _, D, timed, tau, n_iter, seed = draw(routing_cases())
+    return (edges, M, N, draw(st.integers(1, 4)), D, timed, tau, n_iter, seed,
+            draw(st.sampled_from(["f64", "f32", "mixed"])))
+
+
+def typed_arrays(case_rng, M, N, S, D, timed, dtypes):
+    user_t, item_t = {"f64": (np.float64, np.float64), "f32": (np.float32, np.float32),
+                      "mixed": (np.float32, np.float64)}[dtypes]
+    return [case_rng.normal(size=(M, S, D)).astype(user_t),
+            case_rng.normal(size=(N, S, D)).astype(item_t),
+            (case_rng.normal(size=(M, S, D)) * 0.1).astype(user_t) if timed else None,
+            (case_rng.normal(size=(N, S, D)) * 0.1).astype(item_t) if timed else None]
+
+
+@contextmanager
+def float64_gradients():
+    """Run the tape with every gradient kept in float64 instead of rounded
+    to its node's dtype."""
+    original = ad.Tensor._accumulate
+
+    def accumulate(self, g):
+        self.grad = g.astype(np.float64) if self.grad is None else self.grad + g
+    ad.Tensor._accumulate = accumulate
+    try:
+        yield
+    finally:
+        ad.Tensor._accumulate = original
+
+
+class TestRouteMatchesTapeReference:
+    """The fused per-side routing nodes against the same routing composed of
+    tape ops (`tape_route`)."""
+
+    @given(typed_routing_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_forward_state_and_gradients(self, case):
+        edges, M, N, S, D, timed, tau, n_iter, seed, dtypes = case
+        case_rng = np.random.default_rng(seed)
+        ctx = make_ctx(edges, M, N)
+        arrays = typed_arrays(case_rng, M, N, S, D, timed, dtypes)
+        weights = [case_rng.normal(size=(M, S, D)), case_rng.normal(size=(N, S, D))]
+        states = {}
+
+        def run(route):
+            def call(*args):
+                out = route(*args, collect_state=True)
+                states[route] = out[2]
+                return out
+            return routed_loss(call, ctx, arrays, weights, tau, n_iter)
+        got, want = run(_route), run(tape_route)
+        got_state, want_state = states[_route], states[tape_route]
+
+        for g_stack, w_stack in zip(got[:2], want[:2]):
+            assert g_stack.dtype == w_stack.dtype
+            assert g_stack.data.tobytes() == w_stack.data.tobytes()
+        for name in ("coefficients", "logits"):
+            got_log, want_log = getattr(got_state, name), getattr(want_state, name)
+            assert len(got_log) == len(want_log)
+            for got_pair, want_pair in zip(got_log, want_log):
+                for a, b in zip(got_pair, want_pair):
+                    assert a.dtype == b.dtype and a.shape == b.shape
+                    assert a.tobytes() == b.tobytes()
+        # The tape rounds each float32 node's gradient to float32, the fused
+        # backward only its result, so float32 leaves are held to the tape
+        # with its gradients kept in float64: within 4 float32 ulps of the
+        # array's largest entry (at most 1.6 seen over 8,000 random cases).
+        # With d* = 1 a unit row is the sign of its entry: its exact
+        # derivative is zero and both backwards leave a rounding residual
+        # that grows as 1/|entry|, so only the dtype is compared there.
+        with float64_gradients():
+            exact = routed_loss(lambda *a: tape_route(*a, collect_state=False),
+                                ctx, arrays, weights, tau, n_iter)
+        for g_leaf, w_leaf, e_leaf in zip(got[2], want[2], exact[2]):
+            if g_leaf is None:
+                continue
+            assert g_leaf.grad.dtype == w_leaf.grad.dtype == g_leaf.dtype
+            if g_leaf.dtype == np.float64:
+                np.testing.assert_allclose(g_leaf.grad, w_leaf.grad, rtol=1e-12,
+                                           atol=1e-12 * np.abs(w_leaf.grad).max())
+            elif D > 1:
+                ulp = np.finfo(np.float32).eps * np.abs(e_leaf.grad).max()
+                assert np.abs(g_leaf.grad - e_leaf.grad).max() <= 4 * ulp
+
+    def test_no_gradient_builds_no_closure(self):
+        ctx = make_ctx([(0, 0), (0, 1), (1, 1)], 2, 3)
+        x, g = tensors(2, 3, 2, 3)
+        h_u, h_i, _ = _route(ctx, x, g, None, None, 1.0, 3, collect_state=False)
+        for out in (h_u, h_i):
+            assert not out.requires_grad
+            assert out._backward is None and out._parents == ()
+
+    def test_each_side_has_the_other_sides_states_as_parent(self):
+        ctx = make_ctx([(0, 0), (0, 1), (1, 1)], 2, 3)
+        x = ad.Tensor(rng.normal(size=(2, 2, 3)), requires_grad=True)
+        g = ad.Tensor(rng.normal(size=(3, 2, 3)), requires_grad=True)
+        h_u, h_i, _ = _route(ctx, x, g, None, None, 1.0, 2, collect_state=False)
+        assert h_u._parents == (g,) and h_i._parents == (x,)
 
 
 def scalar_attention_oracle(sha, Q, K_, V, heads):

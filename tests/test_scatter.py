@@ -78,6 +78,35 @@ class TestMatchesAddAt:
             ad.segment_sum(x, SparseMatrix.incidence([0, 1, 1], 4), 3)
 
 
+class TestIncidenceBuild:
+    """The directly built incidence against the one scipy builds from
+    (row, column) pairs: COO to CSR, duplicates summed, indices sorted, and
+    the transpose converted."""
+
+    @given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.integers(0, n - 1), max_size=20))))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_scipy_build(self, case):
+        num_nodes, index = case
+        index = np.array(index, dtype=np.int64)
+        got = SparseMatrix.incidence(index, num_nodes)
+        want = SparseMatrix.from_edges(index, np.arange(len(index)),
+                                       (num_nodes, len(index)), dtype=np.float32)
+        for g, w in ((got.matrix, want.matrix), (got.matrix_t, want.matrix_t)):
+            assert g.shape == w.shape
+            assert g.data.dtype == w.data.dtype == np.float32
+            np.testing.assert_array_equal(g.data, w.data)
+            np.testing.assert_array_equal(g.indptr, w.indptr)
+            np.testing.assert_array_equal(g.indices, w.indices)
+            assert g.has_sorted_indices
+
+    def test_out_of_range_index_rejected(self):
+        with pytest.raises(ValueError):
+            SparseMatrix.incidence([0, 3], 3)
+        with pytest.raises(ValueError):
+            SparseMatrix.incidence([0, -1], 3)
+
+
 class Recording(ad.Tensor):
     """Tensor that remembers the dtype of the gradients it receives."""
 
