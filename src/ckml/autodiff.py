@@ -10,7 +10,9 @@ identical outputs and gradients.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 
 import numpy as np
 
@@ -50,9 +52,6 @@ class Tensor:
     @property
     def dtype(self):
         return self.data.dtype
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
 
     def item(self) -> float:
         return float(self.data)
@@ -221,8 +220,9 @@ def constant(x, dtype=np.float64) -> Tensor:
     return Tensor(np.asarray(x, dtype=dtype))
 
 
-def parameter(x) -> Tensor:
-    return Tensor(np.asarray(x), requires_grad=True)
+def add_all(terms) -> Tensor:
+    """terms[0] + terms[1] + ... for a non-empty sequence, added left to right."""
+    return functools.reduce(operator.add, terms)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -239,37 +239,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                 gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
                 b._accumulate(_unbroadcast(gb, b.shape))
         out._backward = bw
-    return out
-
-
-def exp(x: Tensor) -> Tensor:
-    out_data = np.exp(x.data)
-    out = Tensor(out_data, x.requires_grad, (x,))
-    if x.requires_grad:
-        out._backward = lambda g: x._accumulate(g * out_data)
-    return out
-
-
-def log(x: Tensor) -> Tensor:
-    out = Tensor(np.log(x.data), x.requires_grad, (x,))
-    if x.requires_grad:
-        out._backward = lambda g: x._accumulate(g / x.data)
-    return out
-
-
-def sqrt(x: Tensor) -> Tensor:
-    out_data = np.sqrt(x.data)
-    out = Tensor(out_data, x.requires_grad, (x,))
-    if x.requires_grad:
-        out._backward = lambda g: x._accumulate(g * 0.5 / out_data)
-    return out
-
-
-def tanh(x: Tensor) -> Tensor:
-    out_data = np.tanh(x.data)
-    out = Tensor(out_data, x.requires_grad, (x,))
-    if x.requires_grad:
-        out._backward = lambda g: x._accumulate(g * (1.0 - out_data * out_data))
     return out
 
 

@@ -71,10 +71,7 @@ def average_layers(layer_outputs: list) -> ad.Tensor:
     """Elementwise mean over layers 0..L (divide by L+1)."""
     if not layer_outputs:
         raise ValueError("need at least one layer output")
-    total = layer_outputs[0]
-    for layer in layer_outputs[1:]:
-        total = total + layer
-    return total * (1.0 / len(layer_outputs))
+    return ad.add_all(layer_outputs) * (1.0 / len(layer_outputs))
 
 
 def concat_relations(relation_views: list) -> ad.Tensor:

@@ -1,7 +1,8 @@
 """Command-line entry points: synth, train, eval, gradcheck.
 
 Exit codes: 0 ok, 1 numeric failure, 2 data/config error, 3 checkpoint
-compatibility error. Every command is reproducible: (config, seed) fully
+compatibility error (also a checkpoint whose weights evaluate to
+non-finite values). Every command is reproducible: (config, seed) fully
 determines all outputs byte for byte.
 """
 
@@ -20,9 +21,9 @@ from .dataio import (DataError, GenConfig, assemble_dataset, dataset_hash,
                      write_manifest, write_relations)
 from .model import ModelContext, batch_loss
 from .numerics import NumericError, finite_difference_gradcheck
-from .trainer import (CompatibilityError, check_compatible, epoch_ranking_triples,
-                      epoch_relation_triples, fit, init_params, load_checkpoint,
-                      save_fit_checkpoint)
+from .trainer import (CompatibilityError, _metrics_records, check_compatible,
+                      epoch_ranking_triples, epoch_relation_triples, fit, init_params,
+                      load_checkpoint, save_fit_checkpoint)
 from .evaluator import evaluate
 
 EXIT_OK = 0
@@ -150,19 +151,21 @@ def cmd_eval(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     check_compatible(ckpt, dataset)
     hyper = ckpt.hyper()
-    params = ckpt.model_params()
     ctx = ModelContext(dataset, hyper)
-    report = evaluate(params, ctx, hyper, cfg.top_n,
-                      all_behaviors=cfg.eval_all_behaviors)
+    try:
+        report = evaluate(ckpt.model_params(), ctx, hyper, cfg.top_n,
+                          all_behaviors=cfg.eval_all_behaviors)
+    except NumericError as exc:
+        # the forward's only other floats are the dataset's bounded graph
+        # weights, so the checkpoint's values are at fault
+        raise CompatibilityError(
+            f"checkpoint {args.checkpoint} evaluates to non-finite values: {exc}") from exc
     out = _out_dir(cfg)
     with open(out / "eval.jsonl", "w", encoding="utf-8") as fh:
-        epoch = ckpt.int_value("epoch")
-        for k, (hr, ndcg, users) in report.per_behavior.items():
-            record = {"epoch": epoch, "behavior": int(k), "hr": hr, "ndcg": ndcg,
-                      "users": users}
+        for record in _metrics_records(report, ckpt.int_value("epoch")):
             fh.write(_json_line(record))
-            print(f"behavior {k}: HR@{cfg.top_n}={hr:.6f} NDCG@{cfg.top_n}={ndcg:.6f} "
-                  f"({users} users)")
+            print(f"behavior {record['behavior']}: HR@{cfg.top_n}={record['hr']:.6f} "
+                  f"NDCG@{cfg.top_n}={record['ndcg']:.6f} ({record['users']} users)")
         dist = report.diagnostics.get("interest_distance")
         if dist is not None:
             fh.write(_json_line({"metric": "interest_distance", **dist}))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import configparser
 import io
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 from .cie import AGGREGATORS
 
@@ -159,17 +159,33 @@ class RunConfig:
             raise ConfigError("top_n must be >= 1")
 
 
-_MODEL_KEYS = ("embed_dim", "specific_interests", "shared_interests", "tau",
-               "routing_iterations", "relation_layers", "interaction_layers",
-               "attention_heads", "aggregator", "leaky_slope", "time_buckets",
-               "time_embedding", "no_cie", "no_fbc", "no_mi", "shared_only",
-               "specific_only")
-_TRAIN_KEYS = ("alpha", "beta", "reg_lambda", "learning_rate", "decay_rate",
-               "batch_size", "epochs", "seed", "patience", "precision")
-_SYNTH_KEYS = ("users", "items", "behaviors", "relations", "shared_prototypes",
-               "specific_prototypes", "interactions_per_user", "correlation",
-               "relation_degree")
-_EVAL_KEYS = ("top_n", "eval_all_behaviors")
+# Every accepted key, in emitted order: (section, the RunConfig field the
+# keys set or "" for RunConfig itself, key prefix, field names).
+_CONFIG_TABLE = (
+    ("data", "", "", ("manifest", "out_dir")),
+    ("data", "synth", "synth_",
+     ("users", "items", "behaviors", "relations", "shared_prototypes",
+      "specific_prototypes", "interactions_per_user", "correlation",
+      "relation_degree")),
+    ("model", "hyper", "",
+     ("embed_dim", "specific_interests", "shared_interests", "tau",
+      "routing_iterations", "relation_layers", "interaction_layers",
+      "attention_heads", "aggregator", "leaky_slope", "time_buckets",
+      "time_embedding", "no_cie", "no_fbc", "no_mi", "shared_only",
+      "specific_only")),
+    ("train", "hyper", "",
+     ("alpha", "beta", "reg_lambda", "learning_rate", "decay_rate",
+      "batch_size", "epochs", "seed", "patience", "precision")),
+    ("eval", "", "", ("top_n", "eval_all_behaviors")),
+)
+_SECTIONS = tuple(dict.fromkeys(row[0] for row in _CONFIG_TABLE))
+
+
+def _section_keys(cfg: RunConfig, section: str) -> dict:
+    """key -> (object it sets, field name) for every key of `section`."""
+    return {prefix + name: (getattr(cfg, part) if part else cfg, name)
+            for sec, part, prefix, names in _CONFIG_TABLE if sec == section
+            for name in names}
 
 
 def _parse_bool(value: str, key: str) -> bool:
@@ -214,42 +230,18 @@ def parse_run_config(text: str) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config: {exc}") from exc
     cfg = RunConfig()
-    known_sections = {"data", "model", "train", "eval"}
     for section in parser.sections():
-        if section not in known_sections:
+        if section not in _SECTIONS:
             raise ConfigError(f"unknown config section [{section}]")
-    hyper_fields = {f.name for f in fields(HyperConfig)}
-    synth_fields = {f.name for f in fields(SynthConfig)}
-    if parser.has_section("data"):
-        for key, value in parser.items("data"):
-            if key == "manifest":
-                cfg.manifest = value.strip()
-            elif key == "out_dir":
-                cfg.out_dir = value.strip()
-            elif key.startswith("synth_") and key[6:] in synth_fields:
-                name = key[6:]
-                cur = getattr(cfg.synth, name)
-                setattr(cfg.synth, name, _coerce(cur, value, key))
-            else:
-                raise ConfigError(f"unknown key {key!r} in section [data]")
-    if parser.has_section("model"):
-        for key, value in parser.items("model"):
-            if key not in _MODEL_KEYS or key not in hyper_fields:
-                raise ConfigError(f"unknown key {key!r} in section [model]")
-            cur = getattr(cfg.hyper, key)
-            setattr(cfg.hyper, key, _coerce(cur, value, key))
-    if parser.has_section("train"):
-        for key, value in parser.items("train"):
-            if key not in _TRAIN_KEYS or key not in hyper_fields:
-                raise ConfigError(f"unknown key {key!r} in section [train]")
-            cur = getattr(cfg.hyper, key)
-            setattr(cfg.hyper, key, _coerce(cur, value, key))
-    if parser.has_section("eval"):
-        for key, value in parser.items("eval"):
-            if key not in _EVAL_KEYS:
-                raise ConfigError(f"unknown key {key!r} in section [eval]")
-            cur = getattr(cfg, key)
-            setattr(cfg, key, _coerce(cur, value, key))
+    for section in _SECTIONS:
+        if not parser.has_section(section):
+            continue
+        keys = _section_keys(cfg, section)
+        for key, value in parser.items(section):
+            if key not in keys:
+                raise ConfigError(f"unknown key {key!r} in section [{section}]")
+            target, name = keys[key]
+            setattr(target, name, _coerce(getattr(target, name), value.strip(), key))
     return cfg
 
 
@@ -261,20 +253,10 @@ def load_run_config(path) -> RunConfig:
 def emit_run_config(cfg: RunConfig) -> str:
     """Serialize so that parse_run_config(emit_run_config(c)) == c."""
     parser = configparser.ConfigParser()
-    parser.add_section("data")
-    parser.set("data", "manifest", cfg.manifest)
-    parser.set("data", "out_dir", cfg.out_dir)
-    for key in _SYNTH_KEYS:
-        parser.set("data", f"synth_{key}", _format_value(getattr(cfg.synth, key)))
-    parser.add_section("model")
-    for key in _MODEL_KEYS:
-        parser.set("model", key, _format_value(getattr(cfg.hyper, key)))
-    parser.add_section("train")
-    for key in _TRAIN_KEYS:
-        parser.set("train", key, _format_value(getattr(cfg.hyper, key)))
-    parser.add_section("eval")
-    parser.set("eval", "top_n", _format_value(cfg.top_n))
-    parser.set("eval", "eval_all_behaviors", _format_value(cfg.eval_all_behaviors))
+    for section in _SECTIONS:
+        parser.add_section(section)
+        for key, (target, name) in _section_keys(cfg, section).items():
+            parser.set(section, key, _format_value(getattr(target, name)))
     buf = io.StringIO()
     parser.write(buf)
     return buf.getvalue()

@@ -105,6 +105,8 @@ def interest_center_distance(stacks: np.ndarray) -> dict:
     dist = np.sqrt((diffs * diffs).sum(axis=-1))
     iu = np.triu_indices(n_interests, k=1)
     per_item = dist[:, iu[0], iu[1]].mean(axis=1)
+    if not np.all(np.isfinite(per_item)):
+        raise NumericError("interest distances contain non-finite values")
     return {
         "per_item": per_item,
         "mean": float(per_item.mean()),

@@ -222,9 +222,7 @@ def _route(ctx: BehaviorContext, x_stack: ad.Tensor, g_stack: ad.Tensor,
         raise NumericError(f"routing needs at least one iteration, got {n_iter}")
     M, S, d_star = x_stack.shape
     N = g_stack.shape[0]
-
-    h_u0 = x_stack + time_u if time_u is not None else x_stack
-    h_i0 = g_stack + time_i if time_i is not None else g_stack
+    h_u0, h_i0 = _with_time(x_stack, time_u), _with_time(g_stack, time_i)
 
     if ctx.edge_count == 0:
         zero_u = ad.constant(np.zeros((M, S, d_star), dtype=h_u0.dtype))
@@ -259,15 +257,7 @@ def route_behavior_layer(ctx: BehaviorContext, x_stack: ad.Tensor, g_stack: ad.T
     """
     h_u_t, h_i_t, state = _route(ctx, x_stack, g_stack, time_u, time_i,
                                  tau, n_iter, collect_state)
-    M, S, d_star = x_stack.shape
-    N = g_stack.shape[0]
-    routed_u = h_u_t.reshape(M, S * d_star)
-    routed_i = h_i_t.reshape(N, S * d_star)
-    agg_u = ad.spmm(ctx.user_from_item, routed_i)
-    agg_i = ad.spmm(ctx.item_from_user, routed_u)
-    out_u = apply_aggregator(aggregator, agg_u, routed_u, agg_weights, slope)
-    out_i = apply_aggregator(aggregator, agg_i, routed_i, agg_weights, slope)
-    return out_u.reshape(M, S, d_star), out_i.reshape(N, S, d_star), state
+    return (*_aggregate(ctx, h_u_t, h_i_t, aggregator, agg_weights, slope), state)
 
 
 def plain_aggregation_layer(ctx: BehaviorContext, x_stack: ad.Tensor,
@@ -276,12 +266,22 @@ def plain_aggregation_layer(ctx: BehaviorContext, x_stack: ad.Tensor,
                             agg_weights: dict | None = None, slope: float = 0.2):
     """Routing replacement for the no-routing ablation: one configured
     aggregator pass over the bipartite graph on (state + time offset)."""
-    h_u0 = x_stack + time_u if time_u is not None else x_stack
-    h_i0 = g_stack + time_i if time_i is not None else g_stack
-    M, S, d_star = h_u0.shape
-    N = h_i0.shape[0]
-    flat_u = h_u0.reshape(M, S * d_star)
-    flat_i = h_i0.reshape(N, S * d_star)
+    return _aggregate(ctx, _with_time(x_stack, time_u), _with_time(g_stack, time_i),
+                      aggregator, agg_weights, slope)
+
+
+def _with_time(stack: ad.Tensor, offset: ad.Tensor | None) -> ad.Tensor:
+    return stack if offset is None else stack + offset
+
+
+def _aggregate(ctx: BehaviorContext, h_u: ad.Tensor, h_i: ad.Tensor, aggregator: str,
+               agg_weights: dict | None, slope: float):
+    """One aggregator pass over the bipartite graph on (M, S, d*) user and
+    (N, S, d*) item stacks, each side from the other's rows."""
+    M, S, d_star = h_u.shape
+    N = h_i.shape[0]
+    flat_u = h_u.reshape(M, S * d_star)
+    flat_i = h_i.reshape(N, S * d_star)
     agg_u = ad.spmm(ctx.user_from_item, flat_i)
     agg_i = ad.spmm(ctx.item_from_user, flat_u)
     out_u = apply_aggregator(aggregator, agg_u, flat_u, agg_weights, slope)

@@ -1,10 +1,14 @@
 """Parameter registry and the full forward pass.
 
-Layer recurrence per behavior: route the behavior graph across interests
-(or run the plain-aggregation replacement), correlate shared blocks across
-behaviors, concatenate with the untouched specific blocks, add the
-residual. Final representations sum the concatenated routed outputs of
-layers 1..L; layer-0 inputs stay out.
+Layer recurrence: route each behavior graph across interests (or run the
+plain-aggregation replacement), which yields a user and an item stack per
+behavior. Then one loop over the two sides does the same on each: split
+every behavior's stack once, correlate the shared blocks across behaviors
+(summed instead when routing is off), concatenate them back behind the
+untouched specific blocks, and add the residual. Time offsets, states
+and layer outputs are held per behavior as [user, item] pairs. Final
+representations sum the concatenated routed outputs of layers 1..L;
+layer-0 inputs stay out.
 """
 
 from __future__ import annotations
@@ -35,6 +39,12 @@ def param_specs(hyper: HyperConfig, dataset: Dataset) -> "OrderedDict[str, Param
     d = hyper.embed_dim
     s_spe, s_sha, d_star = hyper.interest_structure()
     specs = OrderedDict()
+
+    def aggregator_specs(prefix, layers, width):
+        for l in range(layers):
+            for wname, shape in cie.aggregator_weight_shapes(hyper.aggregator, width):
+                specs[f"{prefix}/l{l}/{wname}"] = ParamSpec(shape, "xavier", *shape)
+
     specs["embed/user"] = ParamSpec((M, d), "xavier", M, d)
     if hyper.cie_disabled:
         for k in range(K):
@@ -46,23 +56,12 @@ def param_specs(hyper: HyperConfig, dataset: Dataset) -> "OrderedDict[str, Param
     else:
         specs["embed/item"] = ParamSpec((N, d), "xavier", N, d)
         width = R * d
-        for k in range(K):
-            for s in range(s_spe):
-                specs[f"cie/spe/k{k}/s{s}/W"] = ParamSpec((width, d_star), "xavier",
-                                                          width, d_star)
-                specs[f"cie/spe/k{k}/s{s}/b"] = ParamSpec((d_star,), "xavier", 1, d_star)
-        for s in range(s_sha):
-            specs[f"cie/sha/s{s}/W"] = ParamSpec((width, d_star), "xavier", width, d_star)
-            specs[f"cie/sha/s{s}/b"] = ParamSpec((d_star,), "xavier", 1, d_star)
-        for l in range(hyper.relation_layers):
-            for wname, shape in cie.aggregator_weight_shapes(hyper.aggregator, d):
-                specs[f"agg/cie/l{l}/{wname}"] = ParamSpec(shape, "xavier",
-                                                           shape[0], shape[1])
-    stack_width = (s_spe + s_sha) * d_star
-    for l in range(hyper.interaction_layers):
-        for wname, shape in cie.aggregator_weight_shapes(hyper.aggregator, stack_width):
-            specs[f"agg/fbc/l{l}/{wname}"] = ParamSpec(shape, "xavier",
-                                                       shape[0], shape[1])
+        for prefix, count in [(f"cie/spe/k{k}", s_spe) for k in range(K)] + [("cie/sha", s_sha)]:
+            for s in range(count):
+                specs[f"{prefix}/s{s}/W"] = ParamSpec((width, d_star), "xavier", width, d_star)
+                specs[f"{prefix}/s{s}/b"] = ParamSpec((d_star,), "xavier", 1, d_star)
+        aggregator_specs("agg/cie", hyper.relation_layers, d)
+    aggregator_specs("agg/fbc", hyper.interaction_layers, (s_spe + s_sha) * d_star)
     if s_sha and not hyper.fbc_disabled:
         c = d_star // hyper.attention_heads
         for l in range(hyper.interaction_layers):
@@ -70,12 +69,10 @@ def param_specs(hyper: HyperConfig, dataset: Dataset) -> "OrderedDict[str, Param
                 specs[f"attn/l{l}/{wname}"] = ParamSpec(
                     (hyper.attention_heads, c, c), "xavier", c, c)
     if hyper.time_embedding:
-        s_total = s_spe + s_sha
         for k in range(K):
-            specs[f"time/user/k{k}"] = ParamSpec((hyper.time_buckets, s_total, d_star),
-                                                 "zero")
-            specs[f"time/item/k{k}"] = ParamSpec((hyper.time_buckets, s_total, d_star),
-                                                 "zero")
+            for side in ("user", "item"):
+                specs[f"time/{side}/k{k}"] = ParamSpec(
+                    (hyper.time_buckets, s_spe + s_sha, d_star), "zero")
     return specs
 
 
@@ -87,18 +84,14 @@ class ModelContext:
     hyper: HyperConfig
     behaviors: list = field(init=False)
     relation_adjs: list = field(init=False)
-    user_buckets: list = field(init=False)
-    item_buckets: list = field(init=False)
+    buckets: list = field(init=False)  # per behavior, (user, item) time bucket ids
 
     def __post_init__(self):
         self.behaviors = [fbc.BehaviorContext(g) for g in self.dataset.behavior_graphs]
         self.relation_adjs = [cie.relation_norm_adjacency(g)
                               for g in self.dataset.relation_graphs]
-        self.user_buckets, self.item_buckets = [], []
-        for g in self.dataset.behavior_graphs:
-            ub, ib = time_buckets(g, self.hyper.time_buckets)
-            self.user_buckets.append(ub)
-            self.item_buckets.append(ib)
+        self.buckets = [time_buckets(g, self.hyper.time_buckets)
+                        for g in self.dataset.behavior_graphs]
 
 
 @dataclass
@@ -140,16 +133,13 @@ def forward(params: dict, ctx: ModelContext, hyper: HyperConfig,
     s_total = s_spe + s_sha
     M = ds.num_users
     slope = hyper.leaky_slope
-    dtype = params["embed/user"].dtype
 
     # coarse interest stacks for items
     relation_views = None
     if hyper.cie_disabled:
         sha_free = params.get("interest/free/sha")
-        g_stacks = []
-        for k in range(K):
-            spe = params.get(f"interest/free/spe/k{k}")
-            g_stacks.append(cie.assemble_interest_embedding(spe, sha_free))
+        g_stacks = [cie.assemble_interest_embedding(params.get(f"interest/free/spe/k{k}"),
+                                                    sha_free) for k in range(K)]
     else:
         item_table = params["embed/item"]
         relation_views = []
@@ -161,19 +151,15 @@ def forward(params: dict, ctx: ModelContext, hyper: HyperConfig,
                 agg_weights=agg_w, slope=slope)
             relation_views.append(cie.average_layers(layers))
         y_star = cie.concat_relations(relation_views)
-        shared_stack = None
-        if s_sha:
-            projections = [(params[f"cie/sha/s{s}/W"], params[f"cie/sha/s{s}/b"])
-                           for s in range(s_sha)]
-            shared_stack = cie.extract_interests(y_star, projections, slope)
-        g_stacks = []
-        for k in range(K):
-            spe_stack = None
-            if s_spe:
-                projections = [(params[f"cie/spe/k{k}/s{s}/W"],
-                                params[f"cie/spe/k{k}/s{s}/b"]) for s in range(s_spe)]
-                spe_stack = cie.extract_interests(y_star, projections, slope)
-            g_stacks.append(cie.assemble_interest_embedding(spe_stack, shared_stack))
+
+        def interests(prefix, count):
+            projections = [(params[f"{prefix}/s{s}/W"], params[f"{prefix}/s{s}/b"])
+                           for s in range(count)]
+            return cie.extract_interests(y_star, projections, slope) if count else None
+
+        shared_stack = interests("cie/sha", s_sha)
+        g_stacks = [cie.assemble_interest_embedding(interests(f"cie/spe/k{k}", s_spe),
+                                                    shared_stack) for k in range(K)]
 
     x0 = params["embed/user"].reshape(M, s_total, d_star)
     mask = _block_mask(hyper, x0.dtype)
@@ -181,82 +167,57 @@ def forward(params: dict, ctx: ModelContext, hyper: HyperConfig,
         x0 = x0 * mask
         g_stacks = [g * mask for g in g_stacks]
 
-    time_u, time_i = [], []
-    for k in range(K):
-        if hyper.time_embedding:
-            tu = ad.gather(params[f"time/user/k{k}"], ctx.user_buckets[k])
-            ti = ad.gather(params[f"time/item/k{k}"], ctx.item_buckets[k])
-            if mask is not None:
-                tu, ti = tu * mask, ti * mask
-            time_u.append(tu)
-            time_i.append(ti)
-        else:
-            time_u.append(None)
-            time_i.append(None)
-
-    states_u = [x0 for _ in range(K)]
-    states_i = list(g_stacks)
-    layer_outputs_u = [[] for _ in range(K)]
-    layer_outputs_i = [[] for _ in range(K)]
+    # per behavior, [user side, item side]
+    times = [[None, None] for _ in range(K)]
+    if hyper.time_embedding:
+        times = [[ad.gather(params[f"time/{side}/k{k}"], ids)
+                  for side, ids in zip(("user", "item"), ctx.buckets[k])]
+                 for k in range(K)]
+        if mask is not None:
+            times = [[t * mask for t in pair] for pair in times]
+    states = [[x0, g] for g in g_stacks]
+    layer_outputs = [([], []) for _ in range(K)]
     attention_weights = []
     routing_states = []
 
     for l in range(hyper.interaction_layers):
         agg_w = _agg_weights(params, "agg/fbc", l, hyper.aggregator)
-        routed_u, routed_i = [], []
+        routed = []
         for k in range(K):
             if hyper.fbc_disabled:
                 h_u, h_i = fbc.plain_aggregation_layer(
-                    ctx.behaviors[k], states_u[k], states_i[k], time_u[k], time_i[k],
-                    hyper.aggregator, agg_w, slope)
+                    ctx.behaviors[k], *states[k], *times[k], hyper.aggregator, agg_w, slope)
                 state = None
             else:
                 h_u, h_i, state = fbc.route_behavior_layer(
-                    ctx.behaviors[k], states_u[k], states_i[k], time_u[k], time_i[k],
-                    hyper.tau, hyper.routing_iterations, hyper.aggregator, agg_w,
-                    slope, collect_state=collect_state)
-            routed_u.append(h_u)
-            routed_i.append(h_i)
+                    ctx.behaviors[k], *states[k], *times[k], hyper.tau,
+                    hyper.routing_iterations, hyper.aggregator, agg_w, slope,
+                    collect_state=collect_state)
+            routed.append((h_u, h_i))
             if collect_state:
                 routing_states.append(state)
 
-        spe_u = [cie.split_interest_embedding(h, s_spe)[0] for h in routed_u]
-        sha_u = [cie.split_interest_embedding(h, s_spe)[1] for h in routed_u]
-        spe_i = [cie.split_interest_embedding(h, s_spe)[0] for h in routed_i]
-        sha_i = [cie.split_interest_embedding(h, s_spe)[1] for h in routed_i]
-
-        if s_sha:
-            if hyper.fbc_disabled:
-                total_u = sha_u[0]
-                for t in sha_u[1:]:
-                    total_u = total_u + t
-                total_i = sha_i[0]
-                for t in sha_i[1:]:
-                    total_i = total_i + t
-                corr_u = [total_u for _ in range(K)]
-                corr_i = [total_i for _ in range(K)]
+        lams = []
+        for side in (0, 1):
+            spe, sha = zip(*(cie.split_interest_embedding(h[side], s_spe) for h in routed))
+            if not s_sha:
+                corr = [None] * K
+            elif hyper.fbc_disabled:
+                corr = [ad.add_all(sha)] * K
             else:
-                q, kp, v = (params[f"attn/l{l}/Q"], params[f"attn/l{l}/K"],
-                            params[f"attn/l{l}/V"])
-                corr_u, lam_u = fbc.correlate_shared(sha_u, q, kp, v,
-                                                     hyper.attention_heads)
-                corr_i, lam_i = fbc.correlate_shared(sha_i, q, kp, v,
-                                                     hyper.attention_heads)
-                attention_weights.append((lam_u, lam_i))
-        else:
-            corr_u = [None] * K
-            corr_i = [None] * K
+                corr, lam = fbc.correlate_shared(
+                    list(sha), params[f"attn/l{l}/Q"], params[f"attn/l{l}/K"],
+                    params[f"attn/l{l}/V"], hyper.attention_heads)
+                lams.append(lam)
+            for k in range(K):
+                out = cie.assemble_interest_embedding(spe[k], corr[k])
+                layer_outputs[k][side].append(out)
+                states[k][side] = out + states[k][side]
+        if lams:
+            attention_weights.append(tuple(lams))
 
-        for k in range(K):
-            out_u = cie.assemble_interest_embedding(spe_u[k], corr_u[k])
-            out_i = cie.assemble_interest_embedding(spe_i[k], corr_i[k])
-            layer_outputs_u[k].append(out_u)
-            layer_outputs_i[k].append(out_i)
-            states_u[k] = out_u + states_u[k]
-            states_i[k] = out_i + states_i[k]
-
-    user_final = [objective.aggregate_final(layer_outputs_u[k]) for k in range(K)]
-    item_final = [objective.aggregate_final(layer_outputs_i[k]) for k in range(K)]
+    user_final = [objective.aggregate_final(outs[0]) for outs in layer_outputs]
+    item_final = [objective.aggregate_final(outs[1]) for outs in layer_outputs]
     return ForwardOutput(user_final, item_final, relation_views, g_stacks, x0,
                          attention_weights, routing_states)
 
@@ -300,11 +261,9 @@ def batch_loss(params: dict, ctx: ModelContext, hyper: HyperConfig,
             rank_terms.append(ranking_term(out, k, *batch))
     rel_total = None
     if out.relation_views is not None and hyper.beta != 0.0:
-        for r, batch in enumerate(rel_batches):
-            if batch is None or len(batch[0]) == 0:
-                continue
-            term = relation_term(out, r, *batch)
-            rel_total = term if rel_total is None else rel_total + term
+        rel_terms = [relation_term(out, r, *batch) for r, batch in enumerate(rel_batches)
+                     if batch is not None and len(batch[0])]
+        rel_total = ad.add_all(rel_terms) if rel_terms else None
     reg = objective.regularization_term(params)
     total, breakdown = objective.total_loss(
         rank_terms, hyper.alphas_for(K), rel_total, hyper.beta, reg, hyper.reg_lambda)

@@ -79,14 +79,6 @@ class SparseMatrix:
     def indices(self):
         return self.matrix.indices
 
-    @property
-    def weights(self):
-        return self.matrix.data
-
-    @property
-    def nnz(self):
-        return self.matrix.nnz
-
     def row_degrees(self) -> np.ndarray:
         return np.diff(self.matrix.indptr)
 

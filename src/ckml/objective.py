@@ -32,10 +32,7 @@ class LossBreakdown:
 
 def aggregate_final(layer_stacks: list) -> ad.Tensor:
     """Elementwise sum of the per-layer (spe || corr-sha) stacks, layers 1..L."""
-    total = layer_stacks[0]
-    for s in layer_stacks[1:]:
-        total = total + s
-    return total
+    return ad.add_all(layer_stacks)
 
 
 def score_interactions(h_user: ad.Tensor, h_item: ad.Tensor) -> ad.Tensor:
@@ -65,11 +62,7 @@ def relation_bpr_loss(pos_scores: ad.Tensor, neg_scores: ad.Tensor) -> ad.Tensor
 
 def regularization_term(params: dict) -> ad.Tensor:
     """Squared Frobenius norm summed over every trainable array."""
-    total = None
-    for t in params.values():
-        sq = (t * t).sum()
-        total = sq if total is None else total + sq
-    return total
+    return ad.add_all([(t * t).sum() for t in params.values()])
 
 
 def total_loss(ranking_terms: list, alphas: list, relation_term: ad.Tensor | None,
@@ -79,26 +72,16 @@ def total_loss(ranking_terms: list, alphas: list, relation_term: ad.Tensor | Non
     ranking_terms: one summed hinge Tensor per behavior (may contain None
     for behaviors without triples in the batch).
     """
-    total = None
-    per_behavior = []
-    for alpha, term in zip(alphas, ranking_terms):
-        if term is None:
-            per_behavior.append(0.0)
-            continue
-        weighted = term * alpha
-        per_behavior.append(float(weighted.data))
-        total = weighted if total is None else total + weighted
-    rel_value = 0.0
-    if relation_term is not None and beta != 0.0:
-        weighted = relation_term * beta
-        rel_value = float(weighted.data)
-        total = weighted if total is None else total + weighted
-    reg_value = 0.0
-    if reg_lambda != 0.0:
-        weighted = reg_term * reg_lambda
-        reg_value = float(weighted.data)
-        total = weighted if total is None else total + weighted
-    if total is None:
-        total = ad.constant(np.float64(0.0))
+    weighted = []
+
+    def weigh(term, weight) -> float:
+        weighted.append(term * weight)
+        return float(weighted[-1].data)
+
+    per_behavior = [0.0 if term is None else weigh(term, alpha)
+                    for alpha, term in zip(alphas, ranking_terms)]
+    rel_value = weigh(relation_term, beta) if relation_term is not None and beta != 0.0 else 0.0
+    reg_value = weigh(reg_term, reg_lambda) if reg_lambda != 0.0 else 0.0
+    total = ad.add_all(weighted) if weighted else ad.constant(np.float64(0.0))
     breakdown = LossBreakdown(per_behavior, rel_value, reg_value, float(total.data))
     return total, breakdown

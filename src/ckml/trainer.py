@@ -8,6 +8,7 @@ run is a pure function of (config, seed) in deterministic mode.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from collections import OrderedDict
@@ -300,12 +301,21 @@ def load_checkpoint(path) -> Checkpoint:
 
 
 def _read_checkpoint_body(fh) -> Checkpoint:
+    size = os.fstat(fh.fileno()).st_size
+
+    def read_claimed(n, what):
+        """`n` bytes, as a length field claims, if that many are left."""
+        if n > size - fh.tell():
+            raise CompatibilityError(
+                f"checkpoint {what} claims {n} bytes, {size - fh.tell()} are left")
+        return fh.read(n)
+
     (version,) = struct.unpack("<H", fh.read(2))
     if version != CHECKPOINT_VERSION:
         raise CompatibilityError(f"unsupported checkpoint version {version}")
     (clen,) = struct.unpack("<I", fh.read(4))
     config = {}
-    for line in fh.read(clen).decode("utf-8").splitlines():
+    for line in read_claimed(clen, "config block").decode("utf-8").splitlines():
         if "=" in line:
             key, value = line.split("=", 1)
             config[key] = value
@@ -313,15 +323,17 @@ def _read_checkpoint_body(fh) -> Checkpoint:
     arrays = OrderedDict()
     for _ in range(count):
         (nlen,) = struct.unpack("<I", fh.read(4))
-        name = fh.read(nlen).decode("utf-8")
+        name = read_claimed(nlen, "array name").decode("utf-8")
         (rank,) = struct.unpack("<B", fh.read(1))
         shape = tuple(struct.unpack("<Q", fh.read(8))[0] for _ in range(rank))
         (tag,) = struct.unpack("<B", fh.read(1))
         dtype = _TAG_DTYPES[tag]
-        n = int(np.prod(shape)) if shape else 1
-        buf = fh.read(n * dtype.itemsize)
+        buf = read_claimed(math.prod(shape) * dtype.itemsize, f"array {name}")
         arrays[name] = np.frombuffer(buf, dtype=dtype.newbyteorder("<")).astype(
             dtype).reshape(shape)
+    if fh.tell() != size:
+        raise CompatibilityError(
+            f"checkpoint has {size - fh.tell()} bytes after its {count} arrays")
     return Checkpoint(version, config, arrays)
 
 

@@ -18,6 +18,8 @@ from ckml.cie import assemble_interest_embedding
 from ckml.fbc import DEGREE_GUARD, NORM_GUARD, RoutingState, _route
 from ckml.numerics import NumericError
 
+from naive_autodiff import tanh
+
 GUARD = 1e-12
 
 
@@ -187,8 +189,8 @@ def per_edge_route(ctx, x_stack, g_stack, time_u, time_i, tau, n_iter):
         if t < n_iter:
             nh_u_t = ad.l2_normalize(add_at_gather(h_u_t, u_idx), axis=-1, eps=GUARD)
             nh_i_t = ad.l2_normalize(add_at_gather(h_i_t, i_idx), axis=-1, eps=GUARD)
-            logits_user = logits_user + (nh_i0_e * ad.tanh(nh_u_t)).sum(axis=-1)
-            logits_item = logits_item + (nh_u0_e * ad.tanh(nh_i_t)).sum(axis=-1)
+            logits_user = logits_user + (nh_i0_e * tanh(nh_u_t)).sum(axis=-1)
+            logits_item = logits_item + (nh_u0_e * tanh(nh_i_t)).sum(axis=-1)
     return h_u_t, h_i_t
 
 
@@ -250,9 +252,9 @@ def tape_route(ctx, x_stack, g_stack, time_u, time_i, tau, n_iter, collect_state
             where = f"user node {bad[0][0]}" if len(bad) else "item side"
             raise NumericError(f"non-finite routing state at iteration {t} ({where})")
         if t < n_iter:
-            th_u_t = ad.gather(ad.tanh(ad.l2_normalize(h_u_t, axis=-1, eps=NORM_GUARD)),
+            th_u_t = ad.gather(tanh(ad.l2_normalize(h_u_t, axis=-1, eps=NORM_GUARD)),
                                users)
-            th_i_t = ad.gather(ad.tanh(ad.l2_normalize(h_i_t, axis=-1, eps=NORM_GUARD)),
+            th_i_t = ad.gather(tanh(ad.l2_normalize(h_i_t, axis=-1, eps=NORM_GUARD)),
                                items)
             aff_user = (nh_i0_e * th_u_t).sum(axis=-1)
             aff_item = (nh_u0_e * th_i_t).sum(axis=-1)

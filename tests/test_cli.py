@@ -1,6 +1,8 @@
 import json
+import struct
 from pathlib import Path
 
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -178,6 +180,35 @@ class TestEval:
             cut.write_bytes(blob[:offset])
             assert main(["eval", "--config", str(cfg), "--checkpoint", str(cut),
                          "--out", str(tmp_path / "ev")]) == 3
+
+        check()
+
+    def test_single_byte_flips_give_finite_output_or_exit_3(self, tmp_path, capsys):
+        cfg, ckpt = self._trained(tmp_path, epochs=0)
+        blob = ckpt.read_bytes()
+        flipped = tmp_path / "flipped.ckml"
+        (clen,) = struct.unpack_from("<I", blob, 6)
+        (nlen,) = struct.unpack_from("<I", blob, 10 + clen + 4)
+        first_dims = 10 + clen + 4 + 4 + nlen + 1
+
+        def no_constant(name):
+            raise AssertionError(f"eval.jsonl holds {name}")
+
+        @given(st.integers(0, len(blob) - 1), st.integers(0, 255))
+        @example(first_dims + 7, 0xff)
+        @example(first_dims + 4, 0x01)
+        @settings(max_examples=150, deadline=None)
+        def check(offset, value):
+            data = bytearray(blob)
+            data[offset] = value
+            flipped.write_bytes(bytes(data))
+            with np.errstate(all="ignore"):  # corrupt weights may overflow
+                code = main(["eval", "--config", str(cfg), "--checkpoint", str(flipped),
+                             "--out", str(tmp_path / "ev")])
+            assert code in (0, 3)
+            if code == 0:
+                for line in (tmp_path / "ev" / "eval.jsonl").read_text().splitlines():
+                    json.loads(line, parse_constant=no_constant)
 
         check()
 

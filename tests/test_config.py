@@ -3,6 +3,22 @@ import pytest
 from ckml.config import (ConfigError, HyperConfig, RunConfig, emit_run_config,
                          parse_run_config)
 
+# Every accepted key per section, in the order emit_run_config writes them.
+KEYS = {
+    "data": ["manifest", "out_dir", "synth_users", "synth_items", "synth_behaviors",
+             "synth_relations", "synth_shared_prototypes", "synth_specific_prototypes",
+             "synth_interactions_per_user", "synth_correlation", "synth_relation_degree"],
+    "model": ["embed_dim", "specific_interests", "shared_interests", "tau",
+              "routing_iterations", "relation_layers", "interaction_layers",
+              "attention_heads", "aggregator", "leaky_slope", "time_buckets",
+              "time_embedding", "no_cie", "no_fbc", "no_mi", "shared_only",
+              "specific_only"],
+    "train": ["alpha", "beta", "reg_lambda", "learning_rate", "decay_rate",
+              "batch_size", "epochs", "seed", "patience", "precision"],
+    "eval": ["top_n", "eval_all_behaviors"],
+}
+SECTION_KEYS = [(section, key) for section, keys in KEYS.items() for key in keys]
+
 BASIC = """
 [data]
 manifest = data/manifest.txt
@@ -60,6 +76,37 @@ class TestParsing:
     def test_round_trip_of_defaults(self):
         cfg = RunConfig()
         assert parse_run_config(emit_run_config(cfg)) == cfg
+
+
+class TestKeyTable:
+    def test_defaults_emit_every_section_and_key_in_order(self):
+        sections, keys = [], {}
+        for line in emit_run_config(RunConfig()).splitlines():
+            if line.startswith("["):
+                sections.append(line.strip("[]"))
+                keys[sections[-1]] = []
+            elif line:
+                keys[sections[-1]].append(line.split(" = ")[0])
+        assert sections == list(KEYS)
+        assert keys == KEYS
+
+    @pytest.mark.parametrize("section, key", SECTION_KEYS,
+                             ids=[f"{s}.{k}" for s, k in SECTION_KEYS])
+    def test_key_is_accepted_only_in_its_own_section(self, section, key):
+        value = dict(line.split(" = ", 1) for line
+                     in emit_run_config(RunConfig()).splitlines() if " = " in line)[key]
+        assert parse_run_config(f"[{section}]\n{key} = {value}\n") == RunConfig()
+        for other in KEYS:
+            if other != section:
+                with pytest.raises(ConfigError) as err:
+                    parse_run_config(f"[{other}]\n{key} = {value}\n")
+                assert str(err.value) == f"unknown key {key!r} in section [{other}]"
+
+    @pytest.mark.parametrize("key", [k[len("synth_"):] for k in KEYS["data"]
+                                     if k.startswith("synth_")])
+    def test_synth_key_needs_its_prefix(self, key):
+        with pytest.raises(ConfigError, match=f"unknown key '{key}' in section \\[data\\]"):
+            parse_run_config(f"[data]\n{key} = 1\n")
 
 
 class TestHyperValidation:

@@ -215,6 +215,34 @@ class TestCheckpoint:
         with pytest.raises(CompatibilityError, match="corrupt"):
             load_checkpoint(p)
 
+    @pytest.mark.parametrize("field, byte, value", [
+        ("dims", 7, 0xff),     # a first dimension near 2**64
+        ("dims", 4, 0x01),     # 2**32 + 3 rows: 137 GB, if it were read
+        ("name", 3, 0x7f),     # a name longer than the file
+        ("config", 2, 0x01),   # a config block longer than the file
+    ])
+    def test_claimed_length_beyond_the_file_rejected(self, tmp_path, field, byte, value):
+        path = tmp_path / "small.ckml"
+        save_checkpoint(path, OrderedDict(w=np.ones((3, 4))), {"epoch": "0"})
+        blob = bytearray(path.read_bytes())
+        (clen,) = struct.unpack_from("<I", blob, 6)
+        name_at = 10 + clen + 4  # the array count sits between block and name
+        offsets = {"config": 6, "name": name_at, "dims": name_at + 4 + len("w") + 1}
+        blob[offsets[field] + byte] = value
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CompatibilityError, match="claims"):
+            load_checkpoint(path)
+
+    def test_bytes_after_the_claimed_arrays_rejected(self, tmp_path):
+        path = tmp_path / "small.ckml"
+        save_checkpoint(path, OrderedDict(w=np.ones((3, 4)), v=np.ones(2)), {"epoch": "0"})
+        blob = bytearray(path.read_bytes())
+        (clen,) = struct.unpack_from("<I", blob, 6)
+        struct.pack_into("<I", blob, 10 + clen, 1)  # the count drops array v
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CompatibilityError, match="after its 1 arrays"):
+            load_checkpoint(path)
+
     def test_undecodable_hyper_value_rejected(self):
         ckpt = Checkpoint(1, {"hyper.embed_dim": "sixteen"}, OrderedDict())
         with pytest.raises(CompatibilityError, match="embed_dim"):
