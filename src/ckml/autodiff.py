@@ -37,13 +37,13 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_owns_grad")
 
-    def __init__(self, data, requires_grad=False, parents=(), backward=None):
+    def __init__(self, data, requires_grad=False, parents=()):
         self.data = np.asarray(data)
         self.grad = None
         self._owns_grad = False
         self.requires_grad = bool(requires_grad)
         self._parents = parents if self.requires_grad else ()
-        self._backward = backward if self.requires_grad else None
+        self._backward = None
 
     @property
     def shape(self):
@@ -96,69 +96,43 @@ class Tensor:
 
     # -- elementwise arithmetic (numpy broadcasting rules) --
 
-    def __add__(self, other):
+    def _binary(self, other, ufunc, grad_self, grad_other):
+        """`ufunc(self, other)` on the tape. `grad_self(g, a, b)` and
+        `grad_other(g, a, b)` give each operand's gradient from the output
+        gradient `g` and the operands' data `a`, `b`, before unbroadcasting."""
         other = _as_tensor(other, self.dtype)
-        out_data = self.data + other.data
         req = self.requires_grad or other.requires_grad
-        out = Tensor(out_data, req, (self, other))
+        out = Tensor(ufunc(self.data, other.data), req, (self, other))
         if req:
             def bw(g):
                 if self.requires_grad:
-                    self._accumulate(_unbroadcast(g, self.shape))
+                    self._accumulate(
+                        _unbroadcast(grad_self(g, self.data, other.data), self.shape))
                 if other.requires_grad:
-                    other._accumulate(_unbroadcast(g, other.shape))
+                    other._accumulate(
+                        _unbroadcast(grad_other(g, self.data, other.data), other.shape))
             out._backward = bw
         return out
+
+    def __add__(self, other):
+        return self._binary(other, np.add, lambda g, a, b: g, lambda g, a, b: g)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _as_tensor(other, self.dtype)
-        out_data = self.data - other.data
-        req = self.requires_grad or other.requires_grad
-        out = Tensor(out_data, req, (self, other))
-        if req:
-            def bw(g):
-                if self.requires_grad:
-                    self._accumulate(_unbroadcast(g, self.shape))
-                if other.requires_grad:
-                    other._accumulate(_unbroadcast(-g, other.shape))
-            out._backward = bw
-        return out
+        return self._binary(other, np.subtract, lambda g, a, b: g, lambda g, a, b: -g)
 
     def __rsub__(self, other):
         return _as_tensor(other, self.dtype) - self
 
     def __mul__(self, other):
-        other = _as_tensor(other, self.dtype)
-        out_data = self.data * other.data
-        req = self.requires_grad or other.requires_grad
-        out = Tensor(out_data, req, (self, other))
-        if req:
-            def bw(g):
-                if self.requires_grad:
-                    self._accumulate(_unbroadcast(g * other.data, self.shape))
-                if other.requires_grad:
-                    other._accumulate(_unbroadcast(g * self.data, other.shape))
-            out._backward = bw
-        return out
+        return self._binary(other, np.multiply, lambda g, a, b: g * b, lambda g, a, b: g * a)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _as_tensor(other, self.dtype)
-        out_data = self.data / other.data
-        req = self.requires_grad or other.requires_grad
-        out = Tensor(out_data, req, (self, other))
-        if req:
-            def bw(g):
-                if self.requires_grad:
-                    self._accumulate(_unbroadcast(g / other.data, self.shape))
-                if other.requires_grad:
-                    other._accumulate(
-                        _unbroadcast(-g * self.data / (other.data * other.data), other.shape))
-            out._backward = bw
-        return out
+        return self._binary(other, np.divide, lambda g, a, b: g / b,
+                            lambda g, a, b: -g * a / (b * b))
 
     def __rtruediv__(self, other):
         return _as_tensor(other, self.dtype) / self
@@ -211,9 +185,7 @@ class Tensor:
 
 
 def _as_tensor(x, dtype) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=dtype))
+    return x if isinstance(x, Tensor) else constant(x, dtype)
 
 
 def constant(x, dtype=np.float64) -> Tensor:
@@ -385,23 +357,34 @@ def transpose(x: Tensor, axes) -> Tensor:
     return out
 
 
-def l2_normalize(x: Tensor, axis: int = -1, eps: float = 1e-12) -> Tensor:
-    """x / max(||x||, eps) along `axis`; the guard keeps zero vectors at zero.
+NORM_GUARD = 1e-12
 
-    The floor is applied under the root (max(||x||, e) == sqrt(max(ss, e^2)))
-    so the backward never divides by zero on all-zero slices. The backward
-    is (g - y (y.g)) / n for the output y: on one-element slices y is exactly
-    +-1, so the gradient is exactly zero, as it is in exact arithmetic.
-    """
-    ss = (x.data * x.data).sum(axis=axis, keepdims=True)
+
+def unit_rows(x: np.ndarray, eps: float = NORM_GUARD):
+    """x / max(||x||, eps) over the last axis, with the guarded norms and
+    where the guard lost. The floor is applied under the root
+    (max(||x||, e) == sqrt(max(ss, e^2))), so all-zero rows stay zero and
+    the backward never divides by zero."""
+    ss = (x * x).sum(axis=-1, keepdims=True)
     floor = x.dtype.type(eps * eps)
     live = ss > floor
-    n = np.sqrt(np.where(live, ss, floor))
-    out_data = x.data / n
-    out = Tensor(out_data, x.requires_grad, (x,))
+    norm = np.sqrt(np.where(live, ss, floor))
+    return x / norm, norm, live
+
+
+def unit_rows_backward(unit, norm, live, g):
+    """Gradient of `unit_rows` for its output `unit` and the output
+    gradient `g`: (g - y (y.g)) / n. On rows of one element y is exactly
+    +-1, so the gradient is exactly zero, as it is in exact arithmetic."""
+    dot = (g * unit).sum(axis=-1, keepdims=True) * live
+    return (g - unit * dot) / norm
+
+
+def l2_normalize(x: Tensor, eps: float = NORM_GUARD) -> Tensor:
+    """x / max(||x||, eps) over the last axis; the guard keeps zero rows at
+    zero (`unit_rows`)."""
+    unit, norm, live = unit_rows(x.data, eps)
+    out = Tensor(unit, x.requires_grad, (x,))
     if x.requires_grad:
-        def bw(g):
-            dot = (g * out_data).sum(axis=axis, keepdims=True) * live
-            x._accumulate((g - out_data * dot) / n)
-        out._backward = bw
+        out._backward = lambda g: x._accumulate(unit_rows_backward(unit, norm, live, g))
     return out

@@ -9,7 +9,7 @@ behavior-specific interest stacks (the initial interest cluster centers).
 from __future__ import annotations
 
 from . import autodiff as ad
-from .numerics import SparseMatrix, normalized_adjacency
+from .numerics import SparseMatrix
 
 AGGREGATORS = ("light", "gccf", "gcn", "ngcf")
 
@@ -107,7 +107,3 @@ def split_interest_embedding(stack: ad.Tensor, n_specific: int):
     sha = (ad.narrow(stack, 1, n_specific, n_total - n_specific)
            if n_total > n_specific else None)
     return spe, sha
-
-
-def relation_norm_adjacency(graph) -> SparseMatrix:
-    return normalized_adjacency(graph.adj, "symmetric-degree")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -147,6 +148,8 @@ def cmd_eval(args) -> int:
     cfg = _load_config(args)
     if not cfg.manifest:
         raise ConfigError("config has no data.manifest to evaluate on")
+    if cfg.top_n < 1:
+        raise ConfigError(f"top_n must be >= 1, got {cfg.top_n}")
     dataset = load_dataset(cfg.manifest)
     ckpt = load_checkpoint(args.checkpoint)
     check_compatible(ckpt, dataset)
@@ -176,6 +179,8 @@ def cmd_gradcheck(args) -> int:
     cfg = _load_config(args)
     if not cfg.manifest:
         raise ConfigError("config has no data.manifest for the gradient audit")
+    if not 0 < args.epsilon < math.inf:
+        raise ConfigError(f"--epsilon must be finite and positive, got {args.epsilon}")
     dataset = load_dataset(cfg.manifest)
     cfg.validate(dataset.num_behaviors)
     hyper = cfg.hyper

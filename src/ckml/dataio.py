@@ -39,8 +39,8 @@ class BehaviorGraph:
     """Bipartite 0/1 interaction graph for one behavior.
 
     `edges` is (E, 2) int64 sorted by (user, item) with no duplicates;
-    `edge_ts` keeps the latest timestamp seen for each edge. The two CSR
-    adjacencies are exact transposes of each other.
+    `edge_ts` keeps the latest timestamp seen for each edge. `user_adj` is
+    the user x item adjacency; its `matrix_t` is the item x user one.
     """
 
     behavior_id: int
@@ -49,13 +49,10 @@ class BehaviorGraph:
     edges: np.ndarray
     edge_ts: np.ndarray
     user_adj: SparseMatrix = field(init=False)
-    item_adj: SparseMatrix = field(init=False)
 
     def __post_init__(self):
         self.user_adj = SparseMatrix.from_edges(
             self.edges[:, 0], self.edges[:, 1], (self.num_users, self.num_items))
-        self.item_adj = SparseMatrix.from_edges(
-            self.edges[:, 1], self.edges[:, 0], (self.num_items, self.num_users))
 
     @property
     def edge_count(self) -> int:
@@ -64,12 +61,6 @@ class BehaviorGraph:
     def user_items(self, u: int) -> np.ndarray:
         m = self.user_adj.matrix
         return m.indices[m.indptr[u]:m.indptr[u + 1]]
-
-    def user_degrees(self) -> np.ndarray:
-        return self.user_adj.row_degrees()
-
-    def item_degrees(self) -> np.ndarray:
-        return self.item_adj.row_degrees()
 
 
 @dataclass
@@ -84,10 +75,6 @@ class RelationGraph:
     def __post_init__(self):
         self.adj = SparseMatrix.from_edges(
             self.edges[:, 0], self.edges[:, 1], (self.num_items, self.num_items))
-
-    @property
-    def degrees(self) -> np.ndarray:
-        return self.adj.row_degrees()
 
     def undirected_edges(self) -> np.ndarray:
         if len(self.edges) == 0:
@@ -440,6 +427,9 @@ def write_manifest(path, *, num_users, num_items, num_behaviors, relation_count,
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+_MANIFEST_INTS = ("users", "items", "behaviors", "relations", "target_behavior", "seed")
+
+
 def load_manifest(path) -> dict:
     manifest = {}
     for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(),
@@ -451,23 +441,25 @@ def load_manifest(path) -> dict:
             raise DataError(f"malformed manifest line {line_no}: {line!r}")
         key, value = line.split("=", 1)
         manifest[key.strip()] = value.strip()
-    required = ["users", "items", "behaviors", "relations", "target_behavior",
-                "seed", "interactions", "relations_file"]
-    missing = [k for k in required if k not in manifest]
+    missing = [k for k in (*_MANIFEST_INTS, "interactions", "relations_file")
+               if k not in manifest]
     if missing:
         raise DataError(f"manifest missing keys: {', '.join(missing)}")
+    for key in _MANIFEST_INTS:
+        if re.fullmatch("[0-9]+", manifest[key]) is None:
+            raise DataError(
+                f"manifest {key} must be a non-negative integer, got {manifest[key]!r}")
     return manifest
 
 
 def load_dataset(manifest_path) -> Dataset:
     manifest = load_manifest(manifest_path)
     base = Path(manifest_path).parent
-    num_users = int(manifest["users"])
-    num_items = int(manifest["items"])
-    num_behaviors = int(manifest["behaviors"])
-    relation_count = int(manifest["relations"])
-    target = int(manifest["target_behavior"])
-    seed = int(manifest["seed"])
+    num_users, num_items, num_behaviors, relation_count, target, seed = (
+        int(manifest[key]) for key in _MANIFEST_INTS)
+    if target >= num_behaviors:
+        raise DataError(f"manifest target_behavior={target} is not one of the "
+                        f"{num_behaviors} behaviors")
     inter_path = base / manifest["interactions"]
     rel_path = base / manifest["relations_file"]
     if not inter_path.exists():

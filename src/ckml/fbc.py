@@ -4,9 +4,10 @@ Every behavior edge is softly allocated across interests by iterative
 dynamic routing (normalize per-edge coefficients, propagate weighted
 means of the opposite side's initial states, update coefficients by
 normalized-affinity agreement), then one aggregator pass runs over the
-bipartite graph on the routed stacks. Shared interest blocks are
-correlated across behaviors with per-interest multi-head attention;
-specific blocks bypass correlation entirely.
+bipartite graph on the routed stacks, through the symmetric-degree
+normalized adjacency D_u^-1/2 A D_i^-1/2 and its transpose. Shared
+interest blocks are correlated across behaviors with per-interest
+multi-head attention; specific blocks bypass correlation entirely.
 
 Coefficients live per *directed* edge: the user-side column (u, i) and the
 item-side column (i, u) of an interaction evolve independently, exactly as
@@ -35,7 +36,6 @@ from . import autodiff as ad
 from .cie import apply_aggregator
 from .numerics import NumericError, SparseMatrix, normalized_adjacency
 
-NORM_GUARD = 1e-12
 DEGREE_GUARD = 1e-12
 
 
@@ -46,17 +46,13 @@ class BehaviorContext:
     graph: object
     user_incidence: SparseMatrix = field(init=False)  # user x edge
     item_incidence: SparseMatrix = field(init=False)  # item x edge
-    user_from_item: SparseMatrix = field(init=False)
-    item_from_user: SparseMatrix = field(init=False)
+    user_from_item: SparseMatrix = field(init=False)  # normalized, user x item
 
     def __post_init__(self):
         g = self.graph
         self.user_incidence = SparseMatrix.incidence(g.edges[:, 0], g.num_users)
         self.item_incidence = SparseMatrix.incidence(g.edges[:, 1], g.num_items)
-        self.user_from_item = normalized_adjacency(
-            g.user_adj, "symmetric-degree", col_degrees=g.item_degrees())
-        self.item_from_user = normalized_adjacency(
-            g.item_adj, "symmetric-degree", col_degrees=g.user_degrees())
+        self.user_from_item = normalized_adjacency(g.user_adj)
 
     @property
     def edge_count(self) -> int:
@@ -103,24 +99,6 @@ class _EdgeWeights:
         return out.reshape(w.shape[0], -1, stack.shape[2]).transpose(1, 0, 2)
 
 
-def _unit_rows(x: np.ndarray):
-    """x / max(||x||, NORM_GUARD) over the last axis, computed as
-    `ad.l2_normalize` does; also the guarded norms and where the guard lost."""
-    ss = (x * x).sum(axis=-1, keepdims=True)
-    floor = x.dtype.type(NORM_GUARD * NORM_GUARD)
-    live = ss > floor
-    norm = np.sqrt(np.where(live, ss, floor))
-    return x / norm, norm, live
-
-
-def _unit_rows_backward(unit, norm, live, g):
-    """Gradient of `_unit_rows` for its output `unit` and the output
-    gradient `g`, as `ad.l2_normalize` computes it: exactly zero on rows of
-    one element."""
-    dot = (g * unit).sum(axis=-1, keepdims=True) * live
-    return (g - unit * dot) / norm
-
-
 def _route_side(src: ad.Tensor, src_incidence: SparseMatrix,
                 dst_incidence: SparseMatrix, tau: float, n_iter: int, log):
     """Steps 1-4 for one side: each destination node's interest rows become
@@ -141,7 +119,7 @@ def _route_side(src: ad.Tensor, src_incidence: SparseMatrix,
     src_ids = src_incidence.matrix_t.indices.astype(np.intp)
     dst_ids = dst_incidence.matrix_t.indices.astype(np.intp)
     to_dst = _EdgeWeights(dst_incidence, src_ids, V, S)
-    unit_x, x_norm, x_live = _unit_rows(x)
+    unit_x, x_norm, x_live = ad.unit_rows(x)
     # one product gives each weighted mean's numerator and denominator
     x_and_ones = np.concatenate([x, np.ones((V, S, 1), dtype=x.dtype)], axis=2)
     unit_src_e = _edge_rows(unit_x, src_ids) if n_iter > 1 else None
@@ -165,7 +143,7 @@ def _route_side(src: ad.Tensor, src_incidence: SparseMatrix,
             return ad.Tensor(h), t
         step = None
         if t < n_iter:  # the final update is never consumed by Step 5
-            unit_h, h_norm, h_live = _unit_rows(h)
+            unit_h, h_norm, h_live = ad.unit_rows(h)
             th = np.tanh(unit_h)
             aff = _edge_rows(th, dst_ids)
             aff *= unit_src_e
@@ -192,7 +170,7 @@ def _route_side(src: ad.Tensor, src_incidence: SparseMatrix,
                 unit_h, h_norm, h_live, th = step
                 d_unit_x += to_src.apply(d_logits, th)
                 d_th = to_dst.apply(d_logits, unit_x)
-                dh = _unit_rows_backward(unit_h, h_norm, h_live, d_th * (1.0 - th * th))
+                dh = ad.unit_rows_backward(unit_h, h_norm, h_live, d_th * (1.0 - th * th))
             d_num = dh / den
             d_x += to_src.apply(c, d_num)
             if t > 1:  # the first iteration's logits are constants
@@ -205,7 +183,7 @@ def _route_side(src: ad.Tensor, src_incidence: SparseMatrix,
                 dc *= c
                 dc /= tau
                 d_logits += dc
-        src._accumulate(d_x + _unit_rows_backward(unit_x, x_norm, x_live, d_unit_x))
+        src._accumulate(d_x + ad.unit_rows_backward(unit_x, x_norm, x_live, d_unit_x))
     out._backward = backward
     return out, 0
 
@@ -277,13 +255,14 @@ def _with_time(stack: ad.Tensor, offset: ad.Tensor | None) -> ad.Tensor:
 def _aggregate(ctx: BehaviorContext, h_u: ad.Tensor, h_i: ad.Tensor, aggregator: str,
                agg_weights: dict | None, slope: float):
     """One aggregator pass over the bipartite graph on (M, S, d*) user and
-    (N, S, d*) item stacks, each side from the other's rows."""
+    (N, S, d*) item stacks, each side from the other's rows: users through
+    the normalized adjacency, items through its cached transpose."""
     M, S, d_star = h_u.shape
     N = h_i.shape[0]
     flat_u = h_u.reshape(M, S * d_star)
     flat_i = h_i.reshape(N, S * d_star)
     agg_u = ad.spmm(ctx.user_from_item, flat_i)
-    agg_i = ad.spmm(ctx.item_from_user, flat_u)
+    agg_i = ad.spmm(ctx.user_from_item.T, flat_u)
     out_u = apply_aggregator(aggregator, agg_u, flat_u, agg_weights, slope)
     out_i = apply_aggregator(aggregator, agg_i, flat_i, agg_weights, slope)
     return out_u.reshape(M, S, d_star), out_i.reshape(N, S, d_star)

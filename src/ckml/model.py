@@ -22,6 +22,7 @@ from . import autodiff as ad
 from . import cie, fbc, objective
 from .config import HyperConfig
 from .dataio import Dataset, time_buckets
+from .numerics import normalized_adjacency
 
 
 @dataclass
@@ -88,7 +89,7 @@ class ModelContext:
 
     def __post_init__(self):
         self.behaviors = [fbc.BehaviorContext(g) for g in self.dataset.behavior_graphs]
-        self.relation_adjs = [cie.relation_norm_adjacency(g)
+        self.relation_adjs = [normalized_adjacency(g.adj)
                               for g in self.dataset.relation_graphs]
         self.buckets = [time_buckets(g, self.hyper.time_buckets)
                         for g in self.dataset.behavior_graphs]

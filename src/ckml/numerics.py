@@ -2,14 +2,16 @@
 
 Dense matrices are plain numpy arrays (float64 in test mode, float32
 allowed in fast mode). Sparse adjacency lives in a thin CSR wrapper backed
-by scipy; the transpose is precomputed once so backward passes through
-`spmm` stay cheap. `finite_difference_gradcheck` is the arbiter for every
-analytic gradient in the package.
+by scipy; the transpose is precomputed once, so backward passes through
+`spmm` and products with the transpose (`SparseMatrix.T`) stay cheap.
+Aggregation has one normalization, the symmetric-degree weights of
+`normalized_adjacency`. `finite_difference_gradcheck` is the arbiter for
+every analytic gradient in the package.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -23,26 +25,27 @@ class NumericError(RuntimeError):
 
 @dataclass
 class SparseMatrix:
-    """CSR matrix with sorted column indices; values immutable after build."""
+    """CSR matrix with sorted column indices and its transpose, both kept;
+    values immutable after build. A `matrix_t` given with `matrix` is
+    trusted to be its sorted transpose; otherwise it is computed."""
 
     matrix: sp.csr_matrix
-    matrix_t: sp.csr_matrix = field(init=False)
+    matrix_t: sp.csr_matrix | None = None
 
     def __post_init__(self):
-        self.matrix = self.matrix.tocsr()
-        self.matrix.sum_duplicates()
-        self.matrix.sort_indices()
-        self.matrix_t = self.matrix.T.tocsr()
-        self.matrix_t.sort_indices()
+        if self.matrix_t is None:
+            self.matrix = self.matrix.tocsr()
+            self.matrix.sum_duplicates()
+            self.matrix.sort_indices()
+            self.matrix_t = self.matrix.T.tocsr()
+            self.matrix_t.sort_indices()
 
     @classmethod
-    def from_edges(cls, rows, cols, shape, weights=None, dtype=np.float64):
+    def from_edges(cls, rows, cols, shape):
+        """The 0/1 float64 matrix with a one at each (rows[e], cols[e])."""
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
-        if weights is None:
-            weights = np.ones(len(rows), dtype=dtype)
-        m = sp.csr_matrix((np.asarray(weights, dtype=dtype), (rows, cols)), shape=shape)
-        return cls(m)
+        return cls(sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=shape))
 
     @classmethod
     def incidence(cls, index, num_nodes: int):
@@ -59,64 +62,41 @@ class SparseMatrix:
         counts = np.bincount(index, minlength=num_nodes)
         # built as CSR directly: a stable argsort already gives each row its
         # positions in ascending order, without duplicates, so the COO
-        # conversion, sorting and transposing in __post_init__ are skipped
-        out = cls.__new__(cls)
-        out.matrix = sp.csr_matrix(
+        # conversion, sorting and transposing are skipped
+        matrix = sp.csr_matrix(
             (ones, np.argsort(index, kind="stable"), np.concatenate(([0], np.cumsum(counts)))),
             shape=(num_nodes, E))
-        out.matrix_t = sp.csr_matrix((ones, index, np.arange(E + 1)), shape=(E, num_nodes))
-        return out
+        return cls(matrix, sp.csr_matrix((ones, index, np.arange(E + 1)), shape=(E, num_nodes)))
 
     @property
     def shape(self):
         return self.matrix.shape
 
     @property
-    def indptr(self):
-        return self.matrix.indptr
-
-    @property
-    def indices(self):
-        return self.matrix.indices
-
-    def row_degrees(self) -> np.ndarray:
-        return np.diff(self.matrix.indptr)
+    def T(self) -> SparseMatrix:
+        """The transpose, sharing both CSR arrays with this one: no copy."""
+        return SparseMatrix(self.matrix_t, self.matrix)
 
 
-NORMALIZATIONS = ("none", "row-mean", "symmetric-degree")
-
-
-def normalized_adjacency(adj: SparseMatrix, normalization: str,
-                         col_degrees: np.ndarray | None = None) -> SparseMatrix:
-    """Reweight a 0/1 adjacency for aggregation.
-
-    row-mean divides each row by its degree; symmetric-degree scales entry
-    (i, j) by 1/sqrt(deg_i * deg_j). For bipartite halves the column-side
-    degrees come from the transposed half via `col_degrees`. Zero-degree
-    rows/columns keep weight 0 so isolated nodes aggregate to zero.
+def normalized_adjacency(adj: SparseMatrix) -> SparseMatrix:
+    """Reweight a 0/1 adjacency for aggregation: entry (i, j) is scaled by
+    1/sqrt(deg_i * deg_j), with row degrees from `adj.matrix` and column
+    degrees from its transpose. Zero-degree rows/columns keep weight 0 so
+    isolated nodes aggregate to zero. The transpose of the result is the
+    normalization of the transposed adjacency.
     """
-    if normalization not in NORMALIZATIONS:
-        raise ValueError(f"unknown normalization {normalization!r}")
-    m = adj.matrix.astype(np.float64)
-    if normalization == "none":
-        return SparseMatrix(m)
-    row_deg = np.diff(m.indptr).astype(np.float64)
-    if normalization == "row-mean":
-        inv = np.zeros_like(row_deg)
-        nz = row_deg > 0
-        inv[nz] = 1.0 / row_deg[nz]
-        data = m.data * np.repeat(inv, np.diff(m.indptr))
-    else:
-        if col_degrees is None:
-            col_degrees = np.asarray(m.sum(axis=0)).ravel()
-        col_degrees = np.asarray(col_degrees, dtype=np.float64)
-        inv_row = np.zeros_like(row_deg)
-        nz = row_deg > 0
-        inv_row[nz] = 1.0 / np.sqrt(row_deg[nz])
-        inv_col = np.zeros_like(col_degrees)
-        nz = col_degrees > 0
-        inv_col[nz] = 1.0 / np.sqrt(col_degrees[nz])
-        data = m.data * np.repeat(inv_row, np.diff(m.indptr)) * inv_col[m.indices]
+    m = adj.matrix
+
+    def inv_sqrt_degrees(indptr):
+        deg = np.diff(indptr).astype(np.float64)
+        inv = np.zeros_like(deg)
+        nz = deg > 0
+        inv[nz] = 1.0 / np.sqrt(deg[nz])
+        return inv
+
+    inv_row = inv_sqrt_degrees(m.indptr)
+    inv_col = inv_sqrt_degrees(adj.matrix_t.indptr)
+    data = m.data * np.repeat(inv_row, np.diff(m.indptr)) * inv_col[m.indices]
     out = sp.csr_matrix((data, m.indices.copy(), m.indptr.copy()), shape=m.shape)
     return SparseMatrix(out)
 

@@ -29,6 +29,7 @@ CHECKPOINT_MAGIC = b"CKML"
 CHECKPOINT_VERSION = 1
 _DTYPE_TAGS = {np.dtype(np.float32): 1, np.dtype(np.float64): 2}
 _TAG_DTYPES = {1: np.dtype(np.float32), 2: np.dtype(np.float64)}
+_PRECISION_DTYPES = {"f32": np.dtype(np.float32), "f64": np.dtype(np.float64)}
 
 
 class CompatibilityError(RuntimeError):
@@ -41,7 +42,7 @@ def init_params(hyper: HyperConfig, dataset: Dataset, seed: int | None = None,
     time offsets; deterministic in registration order for a given seed."""
     if rng is None:
         rng = np.random.default_rng(hyper.seed if seed is None else seed)
-    dtype = np.float64 if hyper.precision == "f64" else np.float32
+    dtype = _PRECISION_DTYPES[hyper.precision]
     params = OrderedDict()
     for name, spec in param_specs(hyper, dataset).items():
         if spec.init == "zero":
@@ -339,7 +340,8 @@ def _read_checkpoint_body(fh) -> Checkpoint:
 
 def check_compatible(ckpt: Checkpoint, dataset: Dataset):
     """Raise CompatibilityError unless the checkpoint's dims, hyperparameters
-    and parameter arrays (names and shapes) fit a model of `dataset`."""
+    and parameter arrays (names, shapes and the dtype of `hyper.precision`)
+    fit a model of `dataset`."""
     pairs = [("dims.users", dataset.num_users), ("dims.items", dataset.num_items),
              ("dims.behaviors", dataset.num_behaviors),
              ("dims.relations", dataset.relation_count)]
@@ -360,6 +362,11 @@ def check_compatible(ckpt: Checkpoint, dataset: Dataset):
             raise CompatibilityError(
                 f"checkpoint array {name} has shape {got.get(name, 'absent')}, "
                 f"the model needs {want.get(name, 'none')}")
+    dtype = _PRECISION_DTYPES[hyper.precision]
+    for name, arr in ckpt.model_params().items():
+        if arr.dtype != dtype:
+            raise CompatibilityError(f"checkpoint array {name} is {arr.dtype}, "
+                                     f"hyper.precision={hyper.precision} needs {dtype}")
 
 
 # ------------------------------------------------------------------- fit

@@ -14,8 +14,9 @@ test-only helpers.
 import numpy as np
 
 from ckml import autodiff as ad
+from ckml.autodiff import NORM_GUARD
 from ckml.cie import assemble_interest_embedding
-from ckml.fbc import DEGREE_GUARD, NORM_GUARD, RoutingState, _route
+from ckml.fbc import DEGREE_GUARD, RoutingState, _route
 from ckml.numerics import NumericError
 
 from naive_autodiff import tanh
@@ -176,8 +177,8 @@ def per_edge_route(ctx, x_stack, g_stack, time_u, time_i, tau, n_iter):
                 ad.constant(np.zeros((N, S, D), dtype=h_i0.dtype)))
     h_u0_e = add_at_gather(h_u0, u_idx)
     h_i0_e = add_at_gather(h_i0, i_idx)
-    nh_u0_e = ad.l2_normalize(h_u0_e, axis=-1, eps=GUARD)
-    nh_i0_e = ad.l2_normalize(h_i0_e, axis=-1, eps=GUARD)
+    nh_u0_e = ad.l2_normalize(h_u0_e, eps=GUARD)
+    nh_i0_e = ad.l2_normalize(h_i0_e, eps=GUARD)
     ones = np.ones((E, S), dtype=h_u0.dtype)
     logits_user = ad.constant(ones)
     logits_item = ad.constant(ones.copy())
@@ -187,8 +188,8 @@ def per_edge_route(ctx, x_stack, g_stack, time_u, time_i, tau, n_iter):
         h_u_t = _edge_weighted_mean(c_user, h_i0_e, u_idx, M)
         h_i_t = _edge_weighted_mean(c_item, h_u0_e, i_idx, N)
         if t < n_iter:
-            nh_u_t = ad.l2_normalize(add_at_gather(h_u_t, u_idx), axis=-1, eps=GUARD)
-            nh_i_t = ad.l2_normalize(add_at_gather(h_i_t, i_idx), axis=-1, eps=GUARD)
+            nh_u_t = ad.l2_normalize(add_at_gather(h_u_t, u_idx), eps=GUARD)
+            nh_i_t = ad.l2_normalize(add_at_gather(h_i_t, i_idx), eps=GUARD)
             logits_user = logits_user + (nh_i0_e * tanh(nh_u_t)).sum(axis=-1)
             logits_item = logits_item + (nh_u0_e * tanh(nh_i_t)).sum(axis=-1)
     return h_u_t, h_i_t
@@ -231,8 +232,8 @@ def tape_route(ctx, x_stack, g_stack, time_u, time_i, tau, n_iter, collect_state
     users, items = ctx.user_incidence, ctx.item_incidence
     h_u0_e = ad.gather(h_u0, users)
     h_i0_e = ad.gather(h_i0, items)
-    nh_u0_e = ad.gather(ad.l2_normalize(h_u0, axis=-1, eps=NORM_GUARD), users)
-    nh_i0_e = ad.gather(ad.l2_normalize(h_i0, axis=-1, eps=NORM_GUARD), items)
+    nh_u0_e = ad.gather(ad.l2_normalize(h_u0, eps=NORM_GUARD), users)
+    nh_i0_e = ad.gather(ad.l2_normalize(h_i0, eps=NORM_GUARD), items)
 
     ones = np.ones((E, S), dtype=h_u0.dtype)
     logits_user_side = ad.constant(ones)
@@ -252,9 +253,9 @@ def tape_route(ctx, x_stack, g_stack, time_u, time_i, tau, n_iter, collect_state
             where = f"user node {bad[0][0]}" if len(bad) else "item side"
             raise NumericError(f"non-finite routing state at iteration {t} ({where})")
         if t < n_iter:
-            th_u_t = ad.gather(tanh(ad.l2_normalize(h_u_t, axis=-1, eps=NORM_GUARD)),
+            th_u_t = ad.gather(tanh(ad.l2_normalize(h_u_t, eps=NORM_GUARD)),
                                users)
-            th_i_t = ad.gather(tanh(ad.l2_normalize(h_i_t, axis=-1, eps=NORM_GUARD)),
+            th_i_t = ad.gather(tanh(ad.l2_normalize(h_i_t, eps=NORM_GUARD)),
                                items)
             aff_user = (nh_i0_e * th_u_t).sum(axis=-1)
             aff_item = (nh_u0_e * th_i_t).sum(axis=-1)

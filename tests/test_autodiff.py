@@ -181,11 +181,11 @@ def test_spmm_grad():
 def test_l2_normalize_with_zero_row():
     x = rng.normal(size=(3, 4))
     x[1] = 0.0
-    out = ad.l2_normalize(ad.Tensor(x), axis=-1)
+    out = ad.l2_normalize(ad.Tensor(x))
     assert np.all(np.isfinite(out.data))
     np.testing.assert_array_equal(out.data[1], np.zeros(4))
     x2 = rng.normal(size=(3, 4)) + 0.5
-    check_op(lambda t: (ad.l2_normalize(t, axis=-1) * 0.7).sum(), x2)
+    check_op(lambda t: (ad.l2_normalize(t) * 0.7).sum(), x2)
 
 
 def test_l2_normalize_gradient_finite_on_zero_row():
@@ -194,7 +194,7 @@ def test_l2_normalize_gradient_finite_on_zero_row():
     x = np.zeros((2, 3))
     x[0] = [1.0, -2.0, 0.5]
     t = ad.Tensor(x, requires_grad=True)
-    ad.l2_normalize(t, axis=-1, eps=1e-12).sum().backward()
+    ad.l2_normalize(t, eps=1e-12).sum().backward()
     assert np.all(np.isfinite(t.grad))
     np.testing.assert_allclose(t.grad[1], np.full(3, 1e12))
 

@@ -1,19 +1,58 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ckml import autodiff as ad
 from ckml.cie import (assemble_interest_embedding, average_layers,
                       concat_relations, extract_interests,
-                      propagate_relation_graph, relation_norm_adjacency,
-                      split_interest_embedding)
+                      propagate_relation_graph, split_interest_embedding)
 from ckml.dataio import build_relation_graphs
+from ckml.numerics import normalized_adjacency
+
+from naive_numerics import separate_normalized_adjacency
 
 rng = np.random.default_rng(42)
 
 
 def norm_adj(pairs, n):
     recs = [(a, b, 0) for a, b in pairs]
-    return relation_norm_adjacency(build_relation_graphs(recs, n, 1)[0])
+    return normalized_adjacency(build_relation_graphs(recs, n, 1)[0].adj)
+
+
+@st.composite
+def relation_cases(draw):
+    """Item count, relation records on all items but the last (so it is
+    isolated), and an rng seed; relation 1 has no records."""
+    n = draw(st.integers(3, 9))
+    pairs = draw(st.sets(st.tuples(st.integers(0, n - 2), st.integers(0, n - 2))
+                         .filter(lambda p: p[0] != p[1]), max_size=20))
+    return n, sorted(pairs), draw(st.integers(0, 2**32 - 1))
+
+
+class TestRelationNormalization:
+    """The normalization with column degrees read from the cached transpose
+    against the earlier one that summed the matrix's columns."""
+
+    @given(relation_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_column_sum_build_and_propagates_bitwise(self, case):
+        n, pairs, seed = case
+        case_rng = np.random.default_rng(seed)
+        for graph in build_relation_graphs([(a, b, 0) for a, b in pairs], n, 2):
+            got = normalized_adjacency(graph.adj)
+            want = separate_normalized_adjacency(graph.adj)
+            for g, w in ((got.matrix, want.matrix), (got.matrix_t, want.matrix_t)):
+                assert g.dtype == w.dtype == np.float64
+                np.testing.assert_array_equal(g.indptr, w.indptr)
+                np.testing.assert_array_equal(g.indices, w.indices)
+                np.testing.assert_array_equal(g.data, w.data)
+            table = ad.Tensor(case_rng.normal(size=(n, 3)), requires_grad=True)
+            out = propagate_relation_graph(table, got, 1, "light")[1]
+            grad = case_rng.normal(size=out.shape)
+            (out * ad.constant(grad)).sum().backward()
+            np.testing.assert_array_equal(out.data, want.matrix @ table.data)
+            np.testing.assert_array_equal(table.grad, want.matrix_t @ grad)
 
 
 class TestPropagateRelationGraph:

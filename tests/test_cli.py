@@ -115,6 +115,21 @@ class TestTrain:
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "missing.ini")]) == 2
 
+    def test_bad_manifest_values_exit_2_naming_key(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, epochs=0)
+        assert main(["synth", "--config", str(cfg)]) == 0
+        manifest = tmp_path / "out" / "manifest.txt"
+        add_manifest(cfg, manifest)
+        good = manifest.read_text()
+        for old, new in (("users=12", "users=twelve"), ("seed=3", "seed=1_0"),
+                         ("target_behavior=1", "target_behavior=5"),
+                         ("target_behavior=1", "target_behavior=2"),
+                         ("target_behavior=1", "target_behavior=-1")):
+            manifest.write_text(good.replace(old, new))
+            assert main(["train", "--config", str(cfg), "--out",
+                         str(tmp_path / "run")]) == 2
+            assert new.split("=")[0] in capsys.readouterr().err
+
     def test_non_finite_metric_exits_1_without_writing_nan(self, tmp_path, capsys,
                                                           monkeypatch):
         cfg = write_config(tmp_path, epochs=0)
@@ -239,6 +254,28 @@ class TestEval:
         assert "'ndcg'" in capsys.readouterr().err
         assert "Infinity" not in (tmp_path / "ev" / "eval.jsonl").read_text()
 
+    def test_checkpoint_relabelled_to_other_precision_exits_3(self, tmp_path, capsys):
+        cfg, ckpt = self._trained(tmp_path, epochs=0)
+        for precision, dtype in (("f32", np.float64), ("f64", np.float32)):
+            loaded = load_checkpoint(ckpt)
+            loaded.config["hyper.precision"] = precision
+            arrays = {k: v.astype(dtype) for k, v in loaded.arrays.items()}
+            save_checkpoint(tmp_path / "edited.ckml", arrays, loaded.config)
+            assert main(["eval", "--config", str(cfg), "--checkpoint",
+                         str(tmp_path / "edited.ckml"), "--out", str(tmp_path / "ev")]) == 3
+            assert f"hyper.precision={precision}" in capsys.readouterr().err
+
+    def test_non_positive_top_n_exits_2(self, tmp_path, capsys):
+        cfg, ckpt = self._trained(tmp_path, epochs=0)
+        for n in ("0", "-2"):
+            assert main(["eval", "--config", str(cfg), "--checkpoint", str(ckpt),
+                         "--n", n, "--out", str(tmp_path / "ev")]) == 2
+            assert "top_n" in capsys.readouterr().err
+        cfg.write_text(cfg.read_text().replace("top_n = 10", "top_n = 0"))
+        assert main(["eval", "--config", str(cfg), "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path / "ev")]) == 2
+        assert "top_n" in capsys.readouterr().err
+
     def test_hr_monotone_in_n(self, tmp_path, capsys):
         cfg, ckpt = self._trained(tmp_path)
         hrs = {}
@@ -278,6 +315,14 @@ class TestGradcheck:
                      "--corrupt-grad", "embed/user"]) == 1
         out = capsys.readouterr().out
         assert "worst parameter group: embed/user" in out
+
+    def test_epsilon_must_be_finite_and_positive(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        main(["synth", "--config", str(cfg)])
+        add_manifest(cfg, tmp_path / "out" / "manifest.txt")
+        for eps in ("0", "-1e-5", "nan", "inf"):
+            assert main(["gradcheck", "--config", str(cfg), f"--epsilon={eps}"]) == 2
+            assert "--epsilon" in capsys.readouterr().err
 
     def test_lambda_only_loss_tight_errors(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

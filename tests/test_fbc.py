@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from ckml import autodiff as ad
 from ckml.dataio import build_behavior_graphs
-from ckml.fbc import (BehaviorContext, _route, correlate_shared,
+from ckml.fbc import (BehaviorContext, _aggregate, _route, correlate_shared,
                       plain_aggregation_layer, route_behavior_layer)
 from ckml.numerics import NumericError, finite_difference_gradcheck
 
+from naive_numerics import bipartite_normalized_adjacencies
 from naive_routing import (naive_route, naive_route_and_aggregate, per_edge_route,
                            propagate_layer, routed_mean_before_aggregation, tape_route)
 
@@ -488,3 +489,55 @@ class TestNoRoutingReplacement:
         assert h_u.shape == (2, 2, 2)
         np.testing.assert_array_equal(h_u.data[1], 0.0)
         np.testing.assert_array_equal(h_i.data[1], 0.0)
+
+
+@st.composite
+def bipartite_cases(draw):
+    """Users, items, (user, item) edges that leave the last user and the
+    last item isolated, interest count, width and an rng seed."""
+    M, N = draw(st.integers(2, 7)), draw(st.integers(2, 9))
+    pairs = draw(st.sets(st.tuples(st.integers(0, M - 2), st.integers(0, N - 2)),
+                         max_size=(M - 1) * (N - 1)))
+    return (M, N, sorted(pairs), draw(st.integers(1, 3)), draw(st.integers(1, 3)),
+            draw(st.integers(0, 2**32 - 1)))
+
+
+class TestAggregateMatchesSeparateAdjacencies:
+    """Both of `_aggregate`'s products, through the normalized adjacency and
+    its cached transpose, against the two normalized matrices built
+    separately from a user x item and an item x user adjacency."""
+
+    @given(bipartite_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_forward_and_backward_bitwise(self, case):
+        M, N, pairs, S, D, seed = case
+        case_rng = np.random.default_rng(seed)
+        records = [(u, i, 0, t) for t, (u, i) in enumerate(pairs)]
+        # behavior 1 has no edges
+        for graph in build_behavior_graphs(records, M, N, 2):
+            ctx = BehaviorContext(graph)
+            user_from_item, item_from_user = bipartite_normalized_adjacencies(
+                graph.edges, M, N)
+            for got, want in ((ctx.user_from_item, user_from_item),
+                              (ctx.user_from_item.T, item_from_user)):
+                for g, w in ((got.matrix, want.matrix), (got.matrix_t, want.matrix_t)):
+                    assert g.shape == w.shape and g.dtype == w.dtype == np.float64
+                    np.testing.assert_array_equal(g.indptr, w.indptr)
+                    np.testing.assert_array_equal(g.indices, w.indices)
+                    np.testing.assert_array_equal(g.data, w.data)
+            h_u = ad.Tensor(case_rng.normal(size=(M, S, D)), requires_grad=True)
+            h_i = ad.Tensor(case_rng.normal(size=(N, S, D)), requires_grad=True)
+            out_u, out_i = _aggregate(ctx, h_u, h_i, "light", None, 0.2)
+            g_u = case_rng.normal(size=(M, S * D))
+            g_i = case_rng.normal(size=(N, S * D))
+            ((out_u * ad.constant(g_u.reshape(M, S, D))).sum()
+             + (out_i * ad.constant(g_i.reshape(N, S, D))).sum()).backward()
+            flat_u, flat_i = h_u.data.reshape(M, -1), h_i.data.reshape(N, -1)
+            np.testing.assert_array_equal(out_u.data.reshape(M, -1),
+                                          user_from_item.matrix @ flat_i)
+            np.testing.assert_array_equal(out_i.data.reshape(N, -1),
+                                          item_from_user.matrix @ flat_u)
+            np.testing.assert_array_equal(h_i.grad.reshape(N, -1),
+                                          user_from_item.matrix_t @ g_u)
+            np.testing.assert_array_equal(h_u.grad.reshape(M, -1),
+                                          item_from_user.matrix_t @ g_i)

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from ckml import autodiff as ad
 from ckml.numerics import (GradientReport, NumericError, SparseMatrix,
-                           finite_difference_gradcheck, normalized_adjacency)
+                           finite_difference_gradcheck)
 
 from naive_autodiff import log
 from naive_numerics import leaky_relu, softmax_with_temperature, spmm
@@ -79,19 +79,19 @@ class TestLeakyRelu:
 class TestSpmm:
     def test_empty_adjacency_gives_zero(self):
         adj = SparseMatrix.from_edges([], [], shape=(3, 3))
-        out = spmm(adj, np.ones((3, 2)), "row-mean")
+        out = spmm(adj, np.ones((3, 2)))
         np.testing.assert_array_equal(out, np.zeros((3, 2)))
 
-    def test_two_node_swap_row_mean(self):
+    def test_two_node_swap_symmetric_degree(self):
         adj = SparseMatrix.from_edges([0, 1], [1, 0], shape=(2, 2))
         dense = np.array([[1.0, 2.0], [3.0, 4.0]])
-        out = spmm(adj, dense, "row-mean")
+        out = spmm(adj, dense)
         np.testing.assert_allclose(out, dense[::-1])
 
     def test_path_graph_symmetric_degree(self):
         # 0-1-2: middle row = 2 * 1/sqrt(2*1) = sqrt(2) on an all-ones input
         adj = SparseMatrix.from_edges([0, 1, 1, 2], [1, 0, 2, 1], shape=(3, 3))
-        out = spmm(adj, np.ones((3, 1)), "symmetric-degree")
+        out = spmm(adj, np.ones((3, 1)))
         assert out[1, 0] == pytest.approx(np.sqrt(2.0))
         assert out[0, 0] == pytest.approx(1 / np.sqrt(2.0))
 
@@ -100,48 +100,29 @@ class TestSpmm:
         with pytest.raises(ValueError):
             spmm(adj, np.ones((3, 1)))
 
-    def test_unknown_normalization(self):
-        adj = SparseMatrix.from_edges([0], [0], shape=(1, 1))
-        with pytest.raises(ValueError):
-            spmm(adj, np.ones((1, 1)), "bogus")
-
-    @given(st.integers(min_value=1, max_value=6), st.data())
-    @settings(max_examples=25, deadline=None)
-    def test_row_mean_preserves_constant(self, n, data):
-        pairs = data.draw(st.sets(
-            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=12))
-        rows = [p[0] for p in pairs]
-        cols = [p[1] for p in pairs]
-        adj = SparseMatrix.from_edges(rows, cols, shape=(n, n))
-        out = spmm(adj, np.full((n, 3), 2.71), "row-mean")
-        degrees = adj.row_degrees()
-        for i in range(n):
-            if degrees[i] > 0:
-                np.testing.assert_allclose(out[i], 2.71, atol=1e-12)
-            else:
-                np.testing.assert_array_equal(out[i], 0.0)
-
     def test_deterministic_bitwise(self):
         rng = np.random.default_rng(5)
         adj = SparseMatrix.from_edges(rng.integers(0, 30, 80), rng.integers(0, 30, 80),
                                       shape=(30, 30))
         dense = rng.normal(size=(30, 7))
-        a = spmm(adj, dense, "symmetric-degree")
-        b = spmm(adj, dense, "symmetric-degree")
+        a = spmm(adj, dense)
+        b = spmm(adj, dense)
         assert np.array_equal(a, b)
 
 
 class TestSparseMatrixInvariants:
     def test_sorted_indices_and_monotone_offsets(self):
         adj = SparseMatrix.from_edges([1, 1, 0, 1], [2, 0, 1, 1], shape=(2, 3))
-        assert np.all(np.diff(adj.indptr) >= 0)
+        m = adj.matrix
+        assert np.all(np.diff(m.indptr) >= 0)
         for r in range(2):
-            row = adj.indices[adj.indptr[r]:adj.indptr[r + 1]]
+            row = m.indices[m.indptr[r]:m.indptr[r + 1]]
             assert np.all(np.diff(row) > 0)
 
     def test_transpose_available(self):
         adj = SparseMatrix.from_edges([0, 1], [1, 0], shape=(2, 2))
         assert (adj.matrix_t != adj.matrix.T).nnz == 0
+        assert adj.T.matrix is adj.matrix_t and adj.T.matrix_t is adj.matrix
 
 
 class TestGradcheck:
@@ -187,9 +168,3 @@ class TestGradcheck:
 
         with pytest.raises(NumericError):
             finite_difference_gradcheck(loss, params)
-
-
-def test_normalized_adjacency_unknown_kind():
-    adj = SparseMatrix.from_edges([0], [0], shape=(1, 1))
-    with pytest.raises(ValueError):
-        normalized_adjacency(adj, "bad-kind")

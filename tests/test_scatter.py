@@ -8,6 +8,7 @@ the operands share a dtype.
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -90,8 +91,9 @@ class TestIncidenceBuild:
         num_nodes, index = case
         index = np.array(index, dtype=np.int64)
         got = SparseMatrix.incidence(index, num_nodes)
-        want = SparseMatrix.from_edges(index, np.arange(len(index)),
-                                       (num_nodes, len(index)), dtype=np.float32)
+        want = SparseMatrix(sp.csr_matrix(
+            (np.ones(len(index), dtype=np.float32), (index, np.arange(len(index)))),
+            shape=(num_nodes, len(index))))
         for g, w in ((got.matrix, want.matrix), (got.matrix_t, want.matrix_t)):
             assert g.shape == w.shape
             assert g.data.dtype == w.data.dtype == np.float32
