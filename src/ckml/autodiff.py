@@ -279,8 +279,22 @@ def concat(tensors, axis: int) -> Tensor:
     return out
 
 
-def stack(tensors, axis: int = 0) -> Tensor:
-    return concat([t.reshape(t.shape[:axis] + (1,) + t.shape[axis:]) for t in tensors], axis)
+def unstack(x: Tensor) -> list:
+    """x[0], x[1], ... as views; backward writes each one's gradient into
+    its slot of one array that x owns."""
+    outs = [Tensor(row, x.requires_grad, (x,)) for row in x.data]
+    if x.requires_grad:
+        def slot(k):
+            def bw(g):
+                if not x._owns_grad:
+                    x.grad = (np.zeros_like(x.data) if x.grad is None
+                              else x.grad.astype(x.dtype))
+                    x._owns_grad = True
+                x.grad[k] += g
+            return bw
+        for k, out in enumerate(outs):
+            out._backward = slot(k)
+    return outs
 
 
 def _incidence(index, num_nodes: int):
@@ -346,14 +360,6 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
             full[sl] = g
             x._accumulate(full)
         out._backward = bw
-    return out
-
-
-def transpose(x: Tensor, axes) -> Tensor:
-    out = Tensor(np.transpose(x.data, axes), x.requires_grad, (x,))
-    if x.requires_grad:
-        inv = np.argsort(axes)
-        out._backward = lambda g: x._accumulate(np.transpose(g, inv))
     return out
 
 

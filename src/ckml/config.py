@@ -117,6 +117,8 @@ class HyperConfig:
             raise ConfigError("decay_rate must sit in (0, 1]")
         if self.batch_size < 1 or self.epochs < 0 or self.patience < 1:
             raise ConfigError("batch_size >= 1, epochs >= 0, patience >= 1 required")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.precision not in ("f64", "f32"):
             raise ConfigError("precision must be f64 or f32")
         if self.shared_only and self.specific_only:

@@ -20,14 +20,21 @@ so reductions over the short interest and width axes run one long inner
 loop each. The affinity's l2 normalization and tanh act on each interest
 row alone, so they run on the node stacks before the per-edge gather. The
 weighted sums over a node's edges are sparse products whose entries are
-the coefficients (`_EdgeWeights`), laid out from the node-by-edge
-incidence matrices that each `BehaviorContext` builds once, so no per-edge
+the coefficients (`_EdgeWeights`): one CSR matrix per direction, into
+users or into items, with one entry per edge, built once per behavior by
+its `BehaviorContext` and refilled one interest at a time, so no per-edge
 message array is formed.
+
+The cross-behavior attention is likewise one tape node per side and
+layer (`correlate_shared`), with a hand-derived backward. Its projections
+are matrix-vector products over all K x V x S chunk rows of a head, which in
+float64 round as per-row products do (`_project` says for which widths).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -58,6 +65,21 @@ class BehaviorContext:
     def edge_count(self) -> int:
         return self.user_incidence.shape[1]
 
+    @cached_property
+    def into_users(self) -> _EdgeWeights:
+        """Weighted sums over the edges into users, from item rows, built on
+        first use: the user side's routing forward and the item side's
+        backward share them."""
+        return _EdgeWeights(self.user_incidence, self.item_incidence.matrix_t.indices,
+                            self.item_incidence.shape[0])
+
+    @cached_property
+    def into_items(self) -> _EdgeWeights:
+        """Weighted sums over the edges into items, from user rows (as
+        `into_users`, sides swapped)."""
+        return _EdgeWeights(self.item_incidence, self.user_incidence.matrix_t.indices,
+                            self.user_incidence.shape[0])
+
 
 @dataclass
 class RoutingState:
@@ -75,36 +97,39 @@ def _edge_rows(node_rows: np.ndarray, ids: np.ndarray) -> np.ndarray:
 
 
 class _EdgeWeights:
-    """Weighted sums over one direction of a side's edges, one block per
-    interest: `apply(w, stack)[v, s]` adds `w[s, e] * stack[col[e], s]` over
-    the edges e of row node v, from zero in ascending edge order. So it is
+    """Weighted sums over one direction of a side's edges, one interest at a
+    time: `apply(w, stack)[v, s]` adds `w[s, e] * stack[col[e], s]` over the
+    edges e of row node v, from zero in ascending edge order. So it is
     bitwise the incidence product of the per-edge products, which it never
-    forms."""
+    forms. The matrix has one entry per edge; `apply` refills its values
+    with each interest's weights."""
 
-    def __init__(self, rows: SparseMatrix, cols: np.ndarray, num_cols: int, S: int):
+    def __init__(self, rows: SparseMatrix, cols: np.ndarray, num_cols: int):
         self.order = rows.matrix.indices.astype(np.intp)
-        E = len(self.order)
-        block = np.arange(S)[:, None]
-        indptr = np.append((rows.matrix.indptr[:-1] + E * block).ravel(), S * E)
-        indices = (cols[self.order] + num_cols * block).ravel()
-        self.matrix = sp.csr_matrix((np.empty(S * E), indices, indptr),
-                                    shape=(S * rows.shape[0], S * num_cols))
+        self.matrix = sp.csr_matrix(
+            (np.empty(len(self.order)), cols[self.order], rows.matrix.indptr),
+            shape=(rows.shape[0], num_cols))
 
     def apply(self, w: np.ndarray, stack: np.ndarray) -> np.ndarray:
-        # the order is in range by construction; "clip" writes straight
-        # into the matrix, where "raise" would go through a buffer
-        np.take(w, self.order, axis=1, out=self.matrix.data.reshape(w.shape), mode="clip")
         by_interest = np.ascontiguousarray(stack.transpose(1, 0, 2))
-        out = self.matrix @ by_interest.reshape(-1, stack.shape[2])
-        return out.reshape(w.shape[0], -1, stack.shape[2]).transpose(1, 0, 2)
+        out = np.empty((w.shape[0], self.matrix.shape[0], stack.shape[2]),
+                       dtype=np.result_type(self.matrix.data, stack))
+        for s, w_s in enumerate(w):
+            # the order is in range by construction; "clip" writes straight
+            # into the matrix, where "raise" would go through a buffer
+            np.take(w_s, self.order, out=self.matrix.data, mode="clip")
+            out[s] = self.matrix @ by_interest[s]
+        return out.transpose(1, 0, 2)
 
 
 def _route_side(src: ad.Tensor, src_incidence: SparseMatrix,
-                dst_incidence: SparseMatrix, tau: float, n_iter: int, log):
+                dst_incidence: SparseMatrix, to_dst: _EdgeWeights,
+                to_src: _EdgeWeights, tau: float, n_iter: int, log):
     """Steps 1-4 for one side: each destination node's interest rows become
     the coefficient-weighted means of its edges' source rows, iterated.
 
-    src: (source nodes, S, d*); the incidences are node x edge. Per-edge
+    src: (source nodes, S, d*); the incidences are node x edge; `to_dst` and
+    `to_src` sum over the edges into destination and source nodes. Per-edge
     arrays are edge-minor, (S, d*, E) and (S, E), so every per-edge
     reduction runs one long inner loop. Returns the last iteration's
     (destination nodes, S, d*) float64 Tensor, whose only parent is `src`,
@@ -118,7 +143,6 @@ def _route_side(src: ad.Tensor, src_incidence: SparseMatrix,
     # each edge's source and destination node
     src_ids = src_incidence.matrix_t.indices.astype(np.intp)
     dst_ids = dst_incidence.matrix_t.indices.astype(np.intp)
-    to_dst = _EdgeWeights(dst_incidence, src_ids, V, S)
     unit_x, x_norm, x_live = ad.unit_rows(x)
     # one product gives each weighted mean's numerator and denominator
     x_and_ones = np.concatenate([x, np.ones((V, S, 1), dtype=x.dtype)], axis=2)
@@ -156,7 +180,6 @@ def _route_side(src: ad.Tensor, src_incidence: SparseMatrix,
     out = ad.Tensor(h, src.requires_grad, (src,))
     if saved is None:
         return out, 0
-    to_src = _EdgeWeights(src_incidence, dst_ids, dst_incidence.shape[0], S)
 
     def backward(g):
         d_x = np.zeros(x.shape)
@@ -210,8 +233,10 @@ def _route(ctx: BehaviorContext, x_stack: ad.Tensor, g_stack: ad.Tensor,
     # columns (u, i) carry items to users, columns (i, u) users to items
     users, items = ctx.user_incidence, ctx.item_incidence
     log_u, log_i = (([], []), ([], [])) if collect_state else (None, None)
-    h_u_t, bad_u = _route_side(h_i0, items, users, tau, n_iter, log_u)
-    h_i_t, bad_i = _route_side(h_u0, users, items, tau, n_iter, log_i)
+    h_u_t, bad_u = _route_side(h_i0, items, users, ctx.into_users, ctx.into_items,
+                               tau, n_iter, log_u)
+    h_i_t, bad_i = _route_side(h_u0, users, items, ctx.into_items, ctx.into_users,
+                               tau, n_iter, log_i)
     if bad_u or bad_i:
         t = min(b for b in (bad_u, bad_i) if b)
         where = (f"user node {np.argwhere(~np.isfinite(h_u_t.data))[0][0]}"
@@ -268,6 +293,36 @@ def _aggregate(ctx: BehaviorContext, h_u: ad.Tensor, h_i: ad.Tensor, aggregator:
     return out_u.reshape(M, S, d_star), out_i.reshape(N, S, d_star)
 
 
+def _project(xh: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Each head's chunks times its transposed weights, (N, H, c) from the
+    head-major (H, N, c) chunks.
+
+    The rows in whole blocks of four take one matrix-vector product per
+    head and output column; the last N % 4 rows take the per-row
+    (1, c) @ (c, c) product. In float64 with scipy-openblas 0.3.31 on an
+    AVX-512 CPU this is bitwise that per-row product for c <= 8 and for c
+    a multiple of 4 (the gemv kernel rounds a partial block of rows, and a
+    c past 8 that is not a multiple of 4, differently). The
+    (H, N, c) @ (H, c, c) product, einsum and explicit sums are not
+    bitwise it.
+    """
+    H, N, c = xh.shape
+    blocks = N - N % 4
+    out = np.empty((N, H, c), dtype=xh.dtype)
+    for h in range(H):
+        for j in range(c):
+            out[:blocks, h, j] = xh[h, :blocks] @ w[h, j]
+    tail = np.matmul(xh[:, blocks:, None, :], w.transpose(0, 2, 1)[:, None])
+    out[blocks:] = tail.reshape(H, N - blocks, c).transpose(1, 0, 2)
+    return out
+
+
+def _head_major(a: np.ndarray, heads: int, c: int) -> np.ndarray:
+    """The (heads, c) chunks of `a`'s rows as a contiguous (heads, rows, c)
+    array."""
+    return np.ascontiguousarray(a.reshape(-1, heads, c).transpose(1, 0, 2))
+
+
 def correlate_shared(shared_stacks: list, q_proj: ad.Tensor, k_proj: ad.Tensor,
                      v_proj: ad.Tensor, heads: int):
     """Per-node, per-shared-interest multi-head attention across behaviors.
@@ -277,27 +332,67 @@ def correlate_shared(shared_stacks: list, q_proj: ad.Tensor, k_proj: ad.Tensor,
     are scaled dot products of projected chunks, softmax-normalized over k'.
     The residual adds the sum of ALL behaviors' shared blocks. Returns
     (list of K output tensors, attention weights of shape (K, K, V, S, H)).
+
+    The attention is one tape node whose parents are the stacks and the
+    three projections, with a hand-derived backward; the weights are cast
+    to the stacks' dtype.
     """
     K = len(shared_stacks)
     V, S, d_star = shared_stacks[0].shape
     if d_star % heads != 0:
         raise ValueError(f"head count {heads} must divide interest width {d_star}")
-    c = d_star // heads
-    x = ad.stack(shared_stacks, axis=0)  # (K, V, S, d*)
-    chunks = x.reshape(K, V, S, heads, 1, c)  # row vectors per head
-    qt = ad.transpose(q_proj, (0, 2, 1))
-    kt = ad.transpose(k_proj, (0, 2, 1))
-    vt = ad.transpose(v_proj, (0, 2, 1))
-    qx = ad.matmul(chunks, qt).reshape(K, V, S, heads, c)
-    kx = ad.matmul(chunks, kt).reshape(K, V, S, heads, c)
-    vx = ad.matmul(chunks, vt).reshape(K, V, S, heads, c)
-    scale = 1.0 / np.sqrt(c)
-    scores = (qx.reshape(K, 1, V, S, heads, c)
-              * kx.reshape(1, K, V, S, heads, c)).sum(axis=-1) * scale
-    lam = ad.softmax(scores, axis=1)  # (K, K', V, S, H), sums to 1 over K'
-    mixed = (lam.reshape(K, K, V, S, heads, 1)
-             * vx.reshape(1, K, V, S, heads, c)).sum(axis=1)
-    heads_out = mixed.reshape(K, V, S, d_star)
+    H, c = heads, d_star // heads
+    projs = (q_proj, k_proj, v_proj)
+    parents = (*shared_stacks, *projs)
+    x = np.stack([t.data for t in shared_stacks])  # (K, V, S, d*)
     residual = x.sum(axis=0, keepdims=True)
-    out = heads_out + residual
-    return [ad.narrow(out, 0, k, 1).reshape(V, S, d_star) for k in range(K)], lam
+    xh = _head_major(x, H, c)
+    del x
+    w = [p.data.astype(xh.dtype, copy=False) for p in projs]
+    qx, kx, vx = (_project(xh, wp).reshape(K, V, S, H, c) for wp in w)
+    # the backward's inputs; every other temporary is dropped once consumed
+    saved = (xh, qx, kx, vx) if any(t.requires_grad for t in parents) else None
+    scale = xh.dtype.type(1 / np.sqrt(c))
+    del xh
+    lam = (qx.reshape(K, 1, V, S, H, c) * kx.reshape(1, K, V, S, H, c)).sum(axis=-1)
+    del qx, kx
+    lam *= scale
+    # softmax over k', in place
+    lam -= lam.max(axis=1, keepdims=True)
+    np.exp(lam, out=lam)
+    lam /= lam.sum(axis=1, keepdims=True)
+    out = (lam.reshape(K, K, V, S, H, 1) * vx.reshape(1, K, V, S, H, c)).sum(axis=1)
+    del vx
+    out = out.reshape(K, V, S, d_star)
+    out += residual
+    del residual
+    node = ad.Tensor(out, saved is not None, parents)
+    if saved is None:
+        return ad.unstack(node), ad.Tensor(lam)
+
+    def backward(g):
+        xh, qx, kx, vx = saved
+        g = g.reshape(K, 1, V, S, H, c)
+        d_lam = (g * vx.reshape(1, K, V, S, H, c)).sum(axis=-1)
+        d_v = (lam.reshape(K, K, V, S, H, 1) * g).sum(axis=0)
+        d_lam -= (d_lam * lam).sum(axis=1, keepdims=True)
+        d_lam *= lam
+        d_lam *= scale
+        d_lam = d_lam.reshape(K, K, V, S, H, 1)
+        d_q = (d_lam * kx.reshape(1, K, V, S, H, c)).sum(axis=1)
+        d_k = (d_lam * qx.reshape(K, 1, V, S, H, c)).sum(axis=0)
+        del d_lam
+        d_xh = None
+        for p, wp, d in zip(projs, w, (d_q, d_k, d_v)):
+            d = _head_major(d, H, c)
+            if p.requires_grad:  # summed over every row inside one product
+                p._accumulate(np.matmul(d.transpose(0, 2, 1), xh))
+            d = np.matmul(d, wp)
+            d_xh = d if d_xh is None else d_xh + d
+        d_x = d_xh.transpose(1, 0, 2).reshape(K, V, S, d_star)
+        d_x += g.reshape(K, V, S, d_star).sum(axis=0)  # the residual
+        for k, t in enumerate(shared_stacks):
+            if t.requires_grad:
+                t._accumulate(d_x[k])
+    node._backward = backward
+    return ad.unstack(node), ad.Tensor(lam)

@@ -22,7 +22,7 @@ from . import autodiff as ad
 from . import cie, fbc, objective
 from .config import HyperConfig
 from .dataio import Dataset, time_buckets
-from .numerics import normalized_adjacency
+from .numerics import SparseMatrix, normalized_adjacency
 
 
 @dataclass
@@ -85,13 +85,17 @@ class ModelContext:
     hyper: HyperConfig
     behaviors: list = field(init=False)
     relation_adjs: list = field(init=False)
-    buckets: list = field(init=False)  # per behavior, (user, item) time bucket ids
+    # per behavior, the (user, item) time bucket ids as incidences, so the
+    # gathers' backward passes reuse them
+    buckets: list = field(init=False)
 
     def __post_init__(self):
         self.behaviors = [fbc.BehaviorContext(g) for g in self.dataset.behavior_graphs]
         self.relation_adjs = [normalized_adjacency(g.adj)
                               for g in self.dataset.relation_graphs]
-        self.buckets = [time_buckets(g, self.hyper.time_buckets)
+        count = self.hyper.time_buckets
+        self.buckets = [tuple(SparseMatrix.incidence(ids, count)
+                              for ids in time_buckets(g, count))
                         for g in self.dataset.behavior_graphs]
 
 

@@ -6,7 +6,7 @@ do, so they compose with them on one tape.
 
 import numpy as np
 
-from ckml.autodiff import Tensor
+from ckml.autodiff import Tensor, concat
 
 
 def exp(x: Tensor) -> Tensor:
@@ -37,4 +37,16 @@ def tanh(x: Tensor) -> Tensor:
     out = Tensor(out_data, x.requires_grad, (x,))
     if x.requires_grad:
         out._backward = lambda g: x._accumulate(g * (1.0 - out_data * out_data))
+    return out
+
+
+def stack(tensors, axis: int = 0) -> Tensor:
+    return concat([t.reshape(t.shape[:axis] + (1,) + t.shape[axis:]) for t in tensors], axis)
+
+
+def transpose(x: Tensor, axes) -> Tensor:
+    out = Tensor(np.transpose(x.data, axes), x.requires_grad, (x,))
+    if x.requires_grad:
+        inv = np.argsort(axes)
+        out._backward = lambda g: x._accumulate(np.transpose(g, inv))
     return out

@@ -7,8 +7,8 @@ published procedure (including the final, unused coefficient update). Only
 tiny numpy vectors are used for arithmetic.
 
 The tape-level references at the end keep the package's earlier scatter
-ops, its per-edge routing and its routing composed of tape ops, plus two
-test-only helpers.
+ops, its per-edge routing, its routing and its cross-behavior attention
+composed of tape ops, plus two test-only helpers.
 """
 
 import numpy as np
@@ -19,7 +19,7 @@ from ckml.cie import assemble_interest_embedding
 from ckml.fbc import DEGREE_GUARD, RoutingState, _route
 from ckml.numerics import NumericError
 
-from naive_autodiff import tanh
+from naive_autodiff import stack, tanh, transpose
 
 GUARD = 1e-12
 
@@ -265,6 +265,34 @@ def tape_route(ctx, x_stack, g_stack, time_u, time_i, tau, n_iter, collect_state
                 state.logits.append((logits_user_side.data.copy(),
                                      logits_item_side.data.copy()))
     return h_u_t, h_i_t, state
+
+
+def composed_correlate_shared(shared_stacks, q_proj, k_proj, v_proj, heads):
+    """`fbc.correlate_shared` composed of tape ops, as the package ran it
+    before the fused node: per-row (1, c) @ (c, c) projections."""
+    K = len(shared_stacks)
+    V, S, d_star = shared_stacks[0].shape
+    if d_star % heads != 0:
+        raise ValueError(f"head count {heads} must divide interest width {d_star}")
+    c = d_star // heads
+    x = stack(shared_stacks, axis=0)  # (K, V, S, d*)
+    chunks = x.reshape(K, V, S, heads, 1, c)  # row vectors per head
+    qt = transpose(q_proj, (0, 2, 1))
+    kt = transpose(k_proj, (0, 2, 1))
+    vt = transpose(v_proj, (0, 2, 1))
+    qx = ad.matmul(chunks, qt).reshape(K, V, S, heads, c)
+    kx = ad.matmul(chunks, kt).reshape(K, V, S, heads, c)
+    vx = ad.matmul(chunks, vt).reshape(K, V, S, heads, c)
+    scale = 1.0 / np.sqrt(c)
+    scores = (qx.reshape(K, 1, V, S, heads, c)
+              * kx.reshape(1, K, V, S, heads, c)).sum(axis=-1) * scale
+    lam = ad.softmax(scores, axis=1)  # (K, K', V, S, H), sums to 1 over K'
+    mixed = (lam.reshape(K, K, V, S, heads, 1)
+             * vx.reshape(1, K, V, S, heads, c)).sum(axis=1)
+    heads_out = mixed.reshape(K, V, S, d_star)
+    residual = x.sum(axis=0, keepdims=True)
+    out = heads_out + residual
+    return [ad.narrow(out, 0, k, 1).reshape(V, S, d_star) for k in range(K)], lam
 
 
 def routed_mean_before_aggregation(ctx, x_stack, g_stack, time_u, time_i, tau, n_iter):

@@ -145,7 +145,7 @@ def test_reshape_narrow_concat_transpose():
         b = ad.narrow(a, 1, 0, 1)
         c = ad.narrow(a, 1, 1, 1)
         d = ad.concat([b, c * 2.0], axis=1)
-        e = ad.transpose(d, (1, 0, 2))
+        e = nad.transpose(d, (1, 0, 2))
         return (e * e).sum()
 
     check_op(build, x)
@@ -154,7 +154,22 @@ def test_reshape_narrow_concat_transpose():
 def test_stack():
     x = rng.normal(size=(3, 2))
     other = ad.constant(rng.normal(size=(3, 2)))
-    check_op(lambda t: ad.stack([t, other, t], axis=0).sum(), x)
+    check_op(lambda t: nad.stack([t, other, t], axis=0).sum(), x)
+
+
+def test_unstack_views_and_gradient():
+    x = rng.normal(size=(3, 2, 2))
+    w = ad.constant(rng.normal(size=(2, 2)))
+    # rows used twice, once and never; x also reaches the loss directly
+    check_op(lambda t: add_all_rows(ad.unstack(t), w) + (t * 0.5).sum(), x)
+    rows = ad.unstack(ad.Tensor(x))
+    assert all(np.shares_memory(r.data, x) for r in rows)
+    np.testing.assert_array_equal(np.stack([r.data for r in rows]), x)
+
+
+def add_all_rows(rows, w):
+    a, b, _ = rows
+    return (a * w).sum() + (a * b).sum() + (b * b * w).sum()
 
 
 def test_gather_accumulates_repeats():

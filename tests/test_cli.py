@@ -67,6 +67,11 @@ def with_target_ndcg(evaluate, value):
     return wrapped
 
 
+def assert_one_error_line(capsys, message):
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+
+
 class TestSynth:
     def test_writes_declared_manifest(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -83,6 +88,15 @@ class TestSynth:
         for name in ("interactions.tsv", "relations.tsv", "ground_truth.json"):
             assert ((tmp_path / "a" / name).read_bytes()
                     == (tmp_path / "b" / name).read_bytes())
+
+    def test_negative_seed_exits_2_with_one_line(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["synth", "--config", str(cfg), "--seed", "-1"]) == 2
+        assert_one_error_line(capsys, "seed must be non-negative, got -1")
+        cfg.write_text(cfg.read_text().replace("seed = 3", "seed = -5"))
+        assert main(["synth", "--config", str(cfg)]) == 2
+        assert_one_error_line(capsys, "seed must be non-negative, got -5")
+        assert not (tmp_path / "out" / "interactions.tsv").exists()
 
     def test_emitted_files_reproduce_dataset_hash(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -111,6 +125,19 @@ class TestTrain:
         assert main(["train", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert "nowhere" in err
+
+    def test_negative_seed_exits_2_with_one_line(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, epochs=0)
+        assert main(["synth", "--config", str(cfg)]) == 0
+        add_manifest(cfg, tmp_path / "out" / "manifest.txt")
+        capsys.readouterr()
+        run = ["train", "--config", str(cfg), "--out", str(tmp_path / "run")]
+        assert main(run + ["--seed", "-2"]) == 2
+        assert_one_error_line(capsys, "seed must be non-negative, got -2")
+        cfg.write_text(cfg.read_text().replace("seed = 3", "seed = -1"))
+        assert main(run) == 2
+        assert_one_error_line(capsys, "seed must be non-negative, got -1")
+        assert not (tmp_path / "run" / "model.ckml").exists()
 
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "missing.ini")]) == 2

@@ -6,14 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ckml import autodiff as ad
+from ckml import fbc
 from ckml.dataio import build_behavior_graphs
 from ckml.fbc import (BehaviorContext, _aggregate, _route, correlate_shared,
                       plain_aggregation_layer, route_behavior_layer)
 from ckml.numerics import NumericError, finite_difference_gradcheck
 
 from naive_numerics import bipartite_normalized_adjacencies
-from naive_routing import (naive_route, naive_route_and_aggregate, per_edge_route,
-                           propagate_layer, routed_mean_before_aggregation, tape_route)
+from naive_routing import (composed_correlate_shared, naive_route,
+                           naive_route_and_aggregate, per_edge_route, propagate_layer,
+                           routed_mean_before_aggregation, tape_route)
 
 rng = np.random.default_rng(7)
 
@@ -442,6 +444,137 @@ class TestCorrelateShared:
         q = ad.Tensor(rng.normal(size=(3, 1, 1)))
         with pytest.raises(ValueError):
             correlate_shared(sha, q, q, q, 3)
+
+
+@st.composite
+def attention_cases(draw):
+    """Behaviors K, nodes V, shared interests S, heads H, chunk width c, an
+    rng seed and whether Q, K and V are one tensor."""
+    return (draw(st.integers(1, 3)), draw(st.sampled_from([1, 2, 5, 37])),
+            draw(st.integers(1, 3)), draw(st.integers(1, 3)),
+            draw(st.sampled_from([1, 2, 3, 4, 8])),
+            draw(st.integers(0, 2**32 - 1)), draw(st.booleans()))
+
+
+def attention_loss(correlate, stacks, projs, weights, heads):
+    """Weighted sum of the attention's outputs on fresh leaves; returns the
+    outputs, the attention weights and the leaves."""
+    leaves = [ad.Tensor(a, requires_grad=True) for a in stacks]
+    proj_leaves = [ad.Tensor(a, requires_grad=True) for a in projs]
+    if len(proj_leaves) == 1:
+        proj_leaves *= 3
+    outs, lam = correlate(leaves, *proj_leaves, heads)
+    ad.add_all([(o * w).sum() for o, w in zip(outs, weights)]).backward()
+    return outs, lam, leaves + proj_leaves[:len(projs)]
+
+
+def attention_arrays(case_rng, K, V, S, H, c, one_proj, proj_dtype=np.float64):
+    stacks = [case_rng.normal(size=(V, S, H * c)) for _ in range(K)]
+    projs = [case_rng.normal(size=(H, c, c)).astype(proj_dtype)
+             for _ in range(1 if one_proj else 3)]
+    weights = [ad.constant(case_rng.normal(size=(V, S, H * c))) for _ in range(K)]
+    return stacks, projs, weights
+
+
+class TestCorrelateSharedMatchesComposed:
+    """The fused attention node against the same attention composed of tape
+    ops (`composed_correlate_shared`)."""
+
+    @given(attention_cases())
+    @settings(max_examples=120, deadline=None)
+    def test_forward_bitwise_and_gradients_close(self, case):
+        K, V, S, H, c, seed, one_proj = case
+        arrays = attention_arrays(np.random.default_rng(seed), K, V, S, H, c, one_proj)
+        got_outs, got_lam, got = attention_loss(correlate_shared, *arrays, H)
+        want_outs, want_lam, want = attention_loss(composed_correlate_shared, *arrays, H)
+        for a, b in zip(got_outs + [got_lam], want_outs + [want_lam]):
+            assert a.shape == b.shape and a.dtype == b.dtype == np.float64
+            assert a.data.tobytes() == b.data.tobytes()
+        # the backwards sum the same terms in different orders
+        for g_leaf, w_leaf in zip(got, want):
+            assert g_leaf.grad.dtype == np.float64
+            np.testing.assert_allclose(g_leaf.grad, w_leaf.grad, rtol=1e-12,
+                                       atol=1e-12 * np.abs(w_leaf.grad).max())
+
+    def test_float32_projections_on_float64_stacks(self):
+        # the weights are cast to float64 once; the composed per-row
+        # products and the matrix-vector products round differently
+        K, V, S, H, c = 3, 37, 2, 2, 4
+        arrays = attention_arrays(np.random.default_rng(5), K, V, S, H, c, False,
+                                  np.float32)
+        got_outs, got_lam, got = attention_loss(correlate_shared, *arrays, H)
+        want_outs, want_lam, want = attention_loss(composed_correlate_shared, *arrays, H)
+        for a, b in zip(got_outs + [got_lam], want_outs + [want_lam]):
+            assert a.dtype == b.dtype == np.float64
+            np.testing.assert_allclose(a.data, b.data, rtol=1e-12,
+                                       atol=1e-12 * np.abs(b.data).max())
+        for g_leaf, w_leaf in zip(got, want):
+            assert g_leaf.grad.dtype == w_leaf.grad.dtype == g_leaf.dtype
+            ulp = np.finfo(g_leaf.dtype).eps * np.abs(w_leaf.grad).max()
+            assert np.abs(g_leaf.grad - w_leaf.grad).max() <= 4 * ulp
+
+    @pytest.mark.parametrize("K, S, H, c", [(3, 2, 2, 2), (2, 1, 1, 3), (1, 2, 3, 1)])
+    def test_gradcheck(self, K, S, H, c):
+        V = 3
+        case_rng = np.random.default_rng(17)
+        stacks, projs, weights = attention_arrays(case_rng, K, V, S, H, c, False)
+
+        def loss_fn(t):
+            outs, _ = correlate_shared([t[f"x{k}"] for k in range(K)],
+                                       t["Q"], t["K"], t["V"], H)
+            return ad.add_all([(o * w).sum() for o, w in zip(outs, weights)])
+
+        params = {f"x{k}": a for k, a in enumerate(stacks)}
+        params.update(zip("QKV", projs))
+        report = finite_difference_gradcheck(loss_fn, params, epsilon=1e-5)
+        assert report.overall < 1e-7, report.per_parameter
+
+    def test_no_gradient_builds_no_closure(self):
+        sha = [ad.Tensor(rng.normal(size=(4, 2, 4))) for _ in range(2)]
+        q = ad.Tensor(rng.normal(size=(2, 2, 2)))
+        outs, lam = correlate_shared(sha, q, q, q, 2)
+        for out in outs + [lam]:
+            assert not out.requires_grad
+            assert out._backward is None and out._parents == ()
+
+
+class TestEdgeWeightsBuiltOnce:
+    """Each behavior builds its two `_EdgeWeights`, into users and into
+    items, on first use: one side's routing forward and the other side's
+    backward share each."""
+
+    def test_built_once_per_direction(self, monkeypatch):
+        built = []
+
+        class Counted(fbc._EdgeWeights):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+        monkeypatch.setattr(fbc, "_EdgeWeights", Counted)
+        ctx = make_ctx([(0, 0), (0, 1), (1, 1), (2, 0)], 3, 2)
+        x, g = tensors(3, 2, 2, 3)
+        route_behavior_layer(ctx, x, g, None, None, 1.0, 3, "light")
+        assert len(built) == 2  # an evaluation forward builds both
+        for _ in range(2):
+            x = ad.Tensor(rng.normal(size=(3, 2, 3)), requires_grad=True)
+            g = ad.Tensor(rng.normal(size=(2, 2, 3)), requires_grad=True)
+            h_u, h_i, _ = route_behavior_layer(ctx, x, g, None, None, 1.0, 3, "light")
+            ((h_u * h_u).sum() + (h_i * h_i).sum()).backward()
+            assert x.grad is not None and g.grad is not None
+        assert len(built) == 2
+        assert {id(w) for w in built} == {id(ctx.into_users), id(ctx.into_items)}
+        for weights, rows in ((ctx.into_users, 3), (ctx.into_items, 2)):
+            assert weights.matrix.shape == (rows, 5 - rows)
+            assert weights.matrix.nnz == ctx.edge_count
+
+    def test_no_edges_builds_none(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(fbc, "_EdgeWeights", lambda *a: built.append(a))
+        records = [(0, 0, 0, 0)]
+        ctx = BehaviorContext(build_behavior_graphs(records, 2, 2, 2)[1])
+        x, g = tensors(2, 2, 2, 2)
+        route_behavior_layer(ctx, x, g, None, None, 1.0, 2, "light")
+        assert built == []
 
 
 class TestPropagateLayer:

@@ -6,8 +6,9 @@ import pytest
 
 from ckml import autodiff as ad
 from ckml.config import HyperConfig
+from ckml.dataio import time_buckets
 from ckml.model import ModelContext, batch_loss, forward
-from ckml.numerics import finite_difference_gradcheck
+from ckml.numerics import SparseMatrix, finite_difference_gradcheck
 from ckml.trainer import (epoch_ranking_triples, epoch_relation_triples,
                           init_params)
 
@@ -119,3 +120,26 @@ def test_no_fbc_path_has_no_attention_parameters(grad_ds):
     hyper.validate(2)
     params = init_params(hyper, grad_ds, seed=0)
     assert not any(k.startswith("attn/") for k in params)
+
+
+def test_time_bucket_gathers_reuse_prebuilt_incidences(grad_ds, monkeypatch):
+    hyper = HyperConfig(**BASE)
+    hyper.validate(2)
+    ctx = ModelContext(grad_ds, hyper)
+    for graph, pair in zip(grad_ds.behavior_graphs, ctx.buckets):
+        for incidence, ids in zip(pair, time_buckets(graph, hyper.time_buckets)):
+            assert incidence.shape == (hyper.time_buckets, len(ids))
+            np.testing.assert_array_equal(incidence.matrix_t.indices, ids)
+    params = init_params(hyper, grad_ds, seed=0)
+    tensors = {k: ad.Tensor(v, requires_grad=True) for k, v in params.items()}
+    built = []
+    original = SparseMatrix.incidence.__func__
+    monkeypatch.setattr(SparseMatrix, "incidence", classmethod(
+        lambda cls, *a: built.append(a) or original(cls, *a)))
+    rank = [(np.arange(3), np.arange(3), np.arange(3, 6))] * 2
+    total, _, _ = batch_loss(tensors, ctx, hyper, rank, [None, None])
+    total.backward()
+    # the batch gathers still build theirs, over users and items
+    assert not [a for a in built if a[1] == hyper.time_buckets]
+    assert all(np.any(tensors[f"time/{side}/k{k}"].grad)
+               for side in ("user", "item") for k in range(2))
