@@ -107,6 +107,11 @@ _INT64_END = 2**63
 # matched at once, each field only to name the first bad one.
 _INT_TOKEN = re.compile(r"-?[0-9]+")
 _INT_FIELDS = re.compile(r"-?[0-9]+(?:\t-?[0-9]+)*")
+# The whole-file check: the first line that is not blank, a comment or
+# `width` fields of at most 18 digits, which always fit in int64. A longer
+# field is left to the per-line parse.
+_SHORT_INT = r"-?[0-9]{1,18}"
+_COMMENT_LINES = re.compile(r"^#[^\n]*", re.MULTILINE)
 
 
 def _rows(records, width: int) -> np.ndarray:
@@ -114,52 +119,81 @@ def _rows(records, width: int) -> np.ndarray:
     return np.asarray(records, dtype=np.int64).reshape(-1, width)
 
 
-def _read_rows(path, columns) -> np.ndarray:
+def _read_text(path, what: str) -> str:
+    """A file's UTF-8 text with universal newlines (CRLF reads as LF)."""
+    if not Path(path).is_file():
+        raise DataError(f"{what} not found: {path}")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{what} {path} is not UTF-8: invalid byte at offset "
+                        f"{exc.start}") from None
+
+
+def _read_rows(path, what: str, columns) -> np.ndarray:
     """Parse a tab-separated file into int64 rows, one column per
     `(name, upper bound)` in `columns`.
 
+    The whole file is checked with one regex and parsed by numpy. A file
+    that fails either goes through `_parse_lines`, which raises the error
+    naming its first bad line.
+    """
+    text = _read_text(path, what)
+    width = len(columns)
+    line = rf"{_SHORT_INT}(?:\t{_SHORT_INT}){{{width - 1}}}"
+    if re.search(rf"^(?!(?:#.*|{line})?$).*", text, re.MULTILINE) is None:
+        rows = _rows(np.array(_COMMENT_LINES.sub("", text).split(), dtype=np.int64),
+                     width)
+        if all(((col >= 0) & (col < upper)).all()
+               for col, (_, upper) in zip(rows.T, columns)):
+            return rows
+    return _parse_lines(text, columns)
+
+
+def _parse_lines(text: str, columns) -> np.ndarray:
+    """`_read_rows` one line at a time.
+
     Every field of a line is parsed before any is range-checked, and the
     first bad line raises, naming its 1-based line number (comment and
-    blank lines count). The file is read with universal newlines, so CRLF
-    line ends load like LF ones.
+    blank lines count).
     """
     width = len(columns)
     rows = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != width:
-                raise DataError(f"malformed line (expected {width} tab-separated "
-                                f"fields) at line {line_no}")
-            if _INT_FIELDS.fullmatch(line) is None:
-                for (what, _), token in zip(columns, parts):
-                    if _INT_TOKEN.fullmatch(token) is None:
-                        raise DataError(f"malformed {what} {token!r} at line {line_no}")
-            row = [int(token) for token in parts]
-            for (what, upper), value in zip(columns, row):
-                if value < 0 and upper == _INT64_END:
-                    raise DataError(f"negative {what} at line {line_no}")
-                if not 0 <= value < upper:
-                    raise DataError(f"{what} out of range at line {line_no}")
-            rows.append(row)
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != width:
+            raise DataError(f"malformed line (expected {width} tab-separated "
+                            f"fields) at line {line_no}")
+        if _INT_FIELDS.fullmatch(line) is None:
+            for (what, _), token in zip(columns, parts):
+                if _INT_TOKEN.fullmatch(token) is None:
+                    raise DataError(f"malformed {what} {token!r} at line {line_no}")
+        row = [int(token) for token in parts]
+        for (what, upper), value in zip(columns, row):
+            if value < 0 and upper == _INT64_END:
+                raise DataError(f"negative {what} at line {line_no}")
+            if not 0 <= value < upper:
+                raise DataError(f"{what} out of range at line {line_no}")
+        rows.append(row)
     return _rows(rows, width)
 
 
 def load_interactions(path, num_users: int, num_items: int, num_behaviors: int):
     """Validated (E, 4) int64 rows of user, item, behavior, timestamp, in
     file order."""
-    return _read_rows(path, (("user id", num_users), ("item id", num_items),
-                             ("behavior id", num_behaviors),
-                             ("timestamp", _INT64_END)))
+    return _read_rows(path, "interactions file",
+                      (("user id", num_users), ("item id", num_items),
+                       ("behavior id", num_behaviors), ("timestamp", _INT64_END)))
 
 
 def load_relations(path, num_items: int, relation_count: int):
     """Validated (E, 3) int64 rows of item_a, item_b, relation, in file order."""
-    return _read_rows(path, (("item id", num_items), ("item id", num_items),
-                             ("relation id", relation_count)))
+    return _read_rows(path, "relations file",
+                      (("item id", num_items), ("item id", num_items),
+                       ("relation id", relation_count)))
 
 
 # ---------------------------------------------------------- graph building
@@ -226,22 +260,74 @@ def leave_one_out_split(records, target_behavior: int):
     return rows[~drop], test_positive
 
 
+_EVAL_NEGATIVES = 99
+# Users whose negatives are drawn together: bounds the draw's scratch arrays
+# whatever the number of users or items.
+_NEGATIVE_CHUNK = 1024
+# Draws per round of a chunk, at most.
+_DRAW_BUDGET = 1 << 18
+
+
 def sample_eval_negatives(dataset: Dataset, seed: int) -> dict:
     """99 items per evaluated user, outside the user's target-behavior
-    history (train and test), in seeded shuffled order."""
+    history (train and test): a uniform ordered draw without replacement
+    from the items the user never touched.
+
+    Each user's negatives are the first 99 distinct free items of a stream
+    of uniform draws over all items. Users are drawn in chunks, each in
+    rounds of one block of draws per user still short, so the work is
+    O(edges + users x 99) and never O(users x items).
+    """
+    n = dataset.num_items
+    users = np.array(sorted(dataset.test_positive), dtype=np.int64)
+    held = np.array([dataset.test_positive[u] for u in users.tolist()], dtype=np.int64)
+    # banned (user, item) pairs as sorted keys user * n + item
+    edges = dataset.behavior_graphs[dataset.target_behavior].edges
+    banned = np.unique(np.concatenate((edges[:, 0] * n + edges[:, 1], users * n + held)))
+    free = n - np.bincount(banned // n, minlength=dataset.num_users)[users]
+    short = np.flatnonzero(free < _EVAL_NEGATIVES)
+    if len(short):
+        u = short[0]
+        raise DataError(f"insufficient candidate pool for user {users[u]}: "
+                        f"{free[u]} < {_EVAL_NEGATIVES}")
     rng = np.random.default_rng(seed)
-    target = dataset.behavior_graphs[dataset.target_behavior]
     negatives = {}
-    for u in sorted(dataset.test_positive):
-        free = np.ones(dataset.num_items, dtype=bool)
-        free[target.user_items(u)] = False
-        free[dataset.test_positive[u]] = False
-        pool = np.flatnonzero(free)
-        if len(pool) < 99:
-            raise DataError(
-                f"insufficient candidate pool for user {u}: {len(pool)} < 99")
-        negatives[u] = pool[rng.permutation(len(pool))[:99]]
+    for lo in range(0, len(users), _NEGATIVE_CHUNK):
+        chunk = users[lo:lo + _NEGATIVE_CHUNK]
+        drawn = _draw_free_items(rng, chunk, free[lo:lo + _NEGATIVE_CHUNK], n, banned)
+        negatives.update(zip(chunk.tolist(), drawn))
     return negatives
+
+
+def _draw_free_items(rng, users, free, n, banned) -> np.ndarray:
+    """(len(users), 99) int64: per user, the first 99 distinct items of a
+    stream of uniform draws from [0, n) whose key is not in `banned`."""
+    out = np.zeros((len(users), _EVAL_NEGATIVES), dtype=np.int64)
+    filled = np.zeros(len(users), dtype=np.int64)
+    active = np.arange(len(users))
+    while len(active):
+        # enough draws that most users finish this round, but a bounded block
+        need = (_EVAL_NEGATIVES - filled[active]) * n / free[active]
+        width = min(int(1.25 * need.max()) + 8, max(_DRAW_BUDGET // len(active), 1))
+        base = users[active, None] * n
+        draws = rng.integers(0, n, size=(len(active), width))
+        hit = banned[np.minimum(np.searchsorted(banned, base + draws), len(banned) - 1)]
+        # the items kept so far, then the new draws: a row in draw order
+        items = np.concatenate((out[active], draws), axis=1)
+        valid = np.flatnonzero(np.concatenate(
+            (np.arange(_EVAL_NEGATIVES) < filled[active, None], hit != base + draws),
+            axis=1))
+        # each valid item's first occurrence in its row, the first 99 of them
+        _, first = np.unique((base + items).ravel()[valid], return_index=True)
+        keep = np.zeros(items.shape, dtype=bool)
+        keep.ravel()[valid[first]] = True
+        rank = np.cumsum(keep, axis=1)
+        keep &= rank <= _EVAL_NEGATIVES
+        r, c = np.nonzero(keep)
+        out[active[r], rank[r, c] - 1] = items[r, c]
+        filled[active] = rank[:, -1].clip(max=_EVAL_NEGATIVES)
+        active = active[filled[active] < _EVAL_NEGATIVES]
+    return out
 
 
 # ----------------------------------------------------------- time buckets
@@ -432,8 +518,7 @@ _MANIFEST_INTS = ("users", "items", "behaviors", "relations", "target_behavior",
 
 def load_manifest(path) -> dict:
     manifest = {}
-    for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(),
-                                  start=1):
+    for line_no, raw in enumerate(_read_text(path, "manifest").splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -446,9 +531,11 @@ def load_manifest(path) -> dict:
     if missing:
         raise DataError(f"manifest missing keys: {', '.join(missing)}")
     for key in _MANIFEST_INTS:
-        if re.fullmatch("[0-9]+", manifest[key]) is None:
-            raise DataError(
-                f"manifest {key} must be a non-negative integer, got {manifest[key]!r}")
+        value = manifest[key]
+        if re.fullmatch("[0-9]+", value) is None:
+            raise DataError(f"manifest {key} must be a non-negative integer, got {value!r}")
+        if len(value.lstrip("0")) > 19 or int(value) >= _INT64_END:
+            raise DataError(f"manifest {key} must be below 2**63, got {value!r}")
     return manifest
 
 
@@ -460,20 +547,22 @@ def load_dataset(manifest_path) -> Dataset:
     if target >= num_behaviors:
         raise DataError(f"manifest target_behavior={target} is not one of the "
                         f"{num_behaviors} behaviors")
-    inter_path = base / manifest["interactions"]
-    rel_path = base / manifest["relations_file"]
-    if not inter_path.exists():
-        raise DataError(f"interactions file not found: {inter_path}")
-    if not rel_path.exists():
-        raise DataError(f"relations file not found: {rel_path}")
-    records = load_interactions(inter_path, num_users, num_items, num_behaviors)
-    rel_records = load_relations(rel_path, num_items, relation_count)
+    # the eval-negative sampler keys (user, item) pairs as user * items + item
+    if num_users * num_items >= _INT64_END:
+        raise DataError(f"manifest users x items = {num_users * num_items} "
+                        "must be below 2**63")
+    records = load_interactions(base / manifest["interactions"], num_users,
+                                num_items, num_behaviors)
+    rel_records = load_relations(base / manifest["relations_file"], num_items,
+                                 relation_count)
     ground_truth = None
     if "ground_truth" in manifest:
         gt_path = base / manifest["ground_truth"]
-        if not gt_path.exists():
-            raise DataError(f"ground truth file not found: {gt_path}")
-        ground_truth = json.loads(gt_path.read_text(encoding="utf-8"))
+        try:
+            ground_truth = json.loads(_read_text(gt_path, "ground truth file"))
+        except json.JSONDecodeError as exc:
+            raise DataError(f"ground truth file {gt_path} is not valid JSON: "
+                            f"{exc}") from None
     return assemble_dataset(records, rel_records, num_users, num_items,
                             num_behaviors, relation_count, target, seed,
                             ground_truth=ground_truth)

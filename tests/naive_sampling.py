@@ -1,9 +1,10 @@
 """Per-edge loop oracles for the package's negative samplers.
 
 Straight Python loops with one banned-item set per anchor and a pool
-built by testing every item. They make the same rng calls, in the same
-order, as the package samplers, so a seeded run of either must agree
-bitwise.
+built by testing every item. The epoch samplers' loops make the same rng
+calls, in the same order, as the package's, so a seeded run of either
+must agree bitwise. The eval-negative comprehension permutes each whole
+pool, so it agrees with the package's rejection draw in distribution only.
 """
 
 import numpy as np
@@ -63,7 +64,7 @@ def naive_relation_triples(rel_graph, rng):
 
 def naive_eval_negatives(dataset, seed):
     """99 shuffled items per evaluated user outside its target history;
-    ValueError when a pool holds fewer than 99."""
+    ValueError, naming the first such user, when a pool holds fewer than 99."""
     rng = np.random.default_rng(seed)
     target = dataset.behavior_graphs[dataset.target_behavior]
     negatives = {}

@@ -170,6 +170,70 @@ class TestTrain:
         assert "NaN" not in (tmp_path / "run" / "metrics.jsonl").read_text()
 
 
+class TestBadLoadPathInput:
+    """Each input below ends in exit 2 with one error line, not a traceback."""
+
+    def _gradcheck(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["synth", "--config", str(cfg)]) == 0
+        add_manifest(cfg, tmp_path / "out" / "manifest.txt")
+        capsys.readouterr()
+        return lambda: main(["gradcheck", "--config", str(cfg)])
+
+    def _edit_manifest(self, tmp_path, old, new):
+        manifest = tmp_path / "out" / "manifest.txt"
+        text = manifest.read_text()
+        assert old in text
+        manifest.write_text(text.replace(old, new))
+
+    def test_non_utf8_byte_in_tsv(self, tmp_path, capsys):
+        run = self._gradcheck(tmp_path, capsys)
+        path = tmp_path / "out" / "interactions.tsv"
+        data = path.read_bytes()
+        path.write_bytes(data + b"0\t\xff\t0\t1\n")
+        assert run() == 2
+        assert_one_error_line(capsys, f"interactions file {path} is not UTF-8: "
+                                      f"invalid byte at offset {len(data) + 2}")
+
+    def test_non_utf8_byte_in_manifest(self, tmp_path, capsys):
+        run = self._gradcheck(tmp_path, capsys)
+        path = tmp_path / "out" / "manifest.txt"
+        path.write_bytes(b"# \xe9\n" + path.read_bytes())
+        assert run() == 2
+        assert_one_error_line(
+            capsys, f"manifest {path} is not UTF-8: invalid byte at offset 2")
+
+    def test_malformed_ground_truth_json(self, tmp_path, capsys):
+        run = self._gradcheck(tmp_path, capsys)
+        path = tmp_path / "out" / "ground_truth.json"
+        path.write_text('{"item_prototypes": [0,', encoding="utf-8")
+        assert run() == 2
+        assert f"ground truth file {path} is not valid JSON" in capsys.readouterr().err
+
+    def test_interactions_path_is_a_directory(self, tmp_path, capsys):
+        run = self._gradcheck(tmp_path, capsys)
+        (tmp_path / "out" / "subdir").mkdir()
+        self._edit_manifest(tmp_path, "interactions=interactions.tsv",
+                            "interactions=subdir")
+        assert run() == 2
+        assert_one_error_line(
+            capsys, f"interactions file not found: {tmp_path / 'out' / 'subdir'}")
+
+    def test_thirty_digit_dimension(self, tmp_path, capsys):
+        run = self._gradcheck(tmp_path, capsys)
+        self._edit_manifest(tmp_path, "users=12", "users=" + "9" * 30)
+        assert run() == 2
+        assert_one_error_line(
+            capsys, f"manifest users must be below 2**63, got {'9' * 30!r}")
+
+    def test_users_times_items_beyond_int64(self, tmp_path, capsys):
+        run = self._gradcheck(tmp_path, capsys)
+        self._edit_manifest(tmp_path, "users=12", f"users={2**62}")
+        assert run() == 2
+        assert_one_error_line(
+            capsys, f"manifest users x items = {2**62 * 130} must be below 2**63")
+
+
 class TestEval:
     def _trained(self, tmp_path, epochs=1):
         cfg = write_config(tmp_path, epochs=epochs)

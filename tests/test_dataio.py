@@ -1,13 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ckml import dataio
 from ckml.dataio import (DataError, GenConfig, assemble_dataset,
                          build_behavior_graphs, build_relation_graphs,
                          dataset_hash, generate_synthetic, leave_one_out_split,
                          load_dataset, load_interactions, load_relations,
-                         synthesize_records, time_buckets,
+                         sample_eval_negatives, synthesize_records, time_buckets,
                          write_interactions, write_manifest, write_relations)
 
 from naive_dataio import (naive_behavior_graphs, naive_leave_one_out_split,
@@ -151,6 +154,68 @@ class TestTimestampBound:
         with pytest.raises(DataError) as err:
             load_interactions(p, 1, 1, 1)
         assert str(err.value) == "timestamp out of range at line 2"
+
+
+# Fields for the reader oracle: valid ids, `-0`, negatives, values at and
+# beyond the int64 edge (19 and 20 digits) and tokens int() takes but the
+# format does not.
+READER_FIELDS = st.one_of(
+    st.integers(-3, 25).map(str), st.just("-0"), st.just("007"),
+    st.integers(-(10**20), 10**20).filter(lambda v: abs(v) >= 10**18).map(str),
+    st.sampled_from([str(2**63 - 1), str(2**63), str(-(2**63)), "0" * 19 + "1",
+                     "", "x", "1_0", "+5", " 3", "\u0663", "1.0"]))
+READER_COLUMNS = (("user id", 20), ("item id", 30), ("behavior id", 3),
+                  ("timestamp", 2**63))
+
+
+@st.composite
+def reader_files(draw):
+    """Bytes of a TSV file, mostly valid: comments, blank lines, LF or CRLF
+    line ends, sometimes a BOM, a trailing tab or a wrong field count."""
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["row"] * 5 + ["blank", "comment"]))
+        if kind == "blank":
+            line = ""
+        elif kind == "comment":
+            line = "# user\titem " + draw(st.text(max_size=4).filter(
+                lambda t: "\n" not in t and "\r" not in t))
+        else:
+            width = draw(st.sampled_from([4] * 8 + [3, 5]))
+            if draw(st.integers(0, 3)):
+                fields = [draw(st.integers(0, upper - 1 if upper < 2**63 else 10**6)
+                               .map(str)) for _, upper in READER_COLUMNS][:width]
+                fields += ["1"] * (width - len(fields))
+            else:
+                fields = [draw(READER_FIELDS) for _ in range(width)]
+            line = "\t".join(fields) + ("\t" if draw(st.integers(0, 9)) == 0 else "")
+        lines.append(line + draw(st.sampled_from(["\n", "\n", "\r\n"])))
+    text = "".join(lines)
+    if lines and draw(st.booleans()):
+        text = text[:-1]  # no line end after the last line
+    if draw(st.integers(0, 9)) == 0:
+        text = "\ufeff" + text
+    return text.encode("utf-8")
+
+
+class TestReaderOracle:
+    @given(reader_files())
+    @settings(max_examples=300, deadline=None)
+    def test_whole_file_parse_matches_per_line_loop(self, tmp_path_factory, data):
+        """The whole-file parse returns the per-line loop's rows bitwise, or
+        raises its message."""
+        p = tmp_path_factory.mktemp("reader") / "x.tsv"
+        p.write_bytes(data)
+        with open(p, encoding="utf-8") as fh:
+            text = fh.read()
+        try:
+            want = dataio._parse_lines(text, READER_COLUMNS)
+        except DataError as exc:
+            with pytest.raises(DataError) as err:
+                dataio._read_rows(p, "interactions file", READER_COLUMNS)
+            assert str(err.value) == str(exc)
+            return
+        assert_bitwise(dataio._read_rows(p, "interactions file", READER_COLUMNS), want)
 
 
 @st.composite
@@ -356,6 +421,32 @@ class TestEvalNegatives:
         records = [rec(0, 0, 0, 1), rec(0, 1, 0, 2)]
         with pytest.raises(DataError, match="insufficient candidate pool"):
             self._dataset(100, records)
+
+    def test_same_seed_same_negatives_and_hash(self):
+        cfg = GenConfig(num_users=40, num_items=150, interactions_per_user=6)
+        a = generate_synthetic(cfg, seed=9)
+        b = generate_synthetic(cfg, seed=9)
+        assert list(a.eval_negatives) == list(b.eval_negatives) == sorted(a.test_positive)
+        for u in a.eval_negatives:
+            assert_bitwise(a.eval_negatives[u], b.eval_negatives[u])
+        assert dataset_hash(a) == dataset_hash(b)
+
+    def test_peak_memory_does_not_grow_with_items(self):
+        """64 users over a million items: the draw allocates per user and
+        per negative, never per item."""
+        num_items = 1_000_000
+        records = [rec(u, (u * 7919 + j * 104729) % num_items, 0, j)
+                   for u in range(64) for j in range(4)]
+        ds = assemble_dataset(records, [], 64, num_items, 1, 0, 0, 5,
+                              eval_negatives=False)
+        tracemalloc.start()
+        try:
+            negatives = sample_eval_negatives(ds, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(negatives) == 64
+        assert peak < 4 * 2**20
 
 
 class TestSynthetic:

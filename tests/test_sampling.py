@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from ckml.dataio import (DataError, assemble_dataset, build_behavior_graphs,
                          build_relation_graphs, sample_eval_negatives)
@@ -72,21 +73,51 @@ class TestOracleEquality:
     @settings(max_examples=60, deadline=None)
     def test_eval_negatives_match_comprehension(self, num_users, num_items, raw,
                                                 seed):
+        # the draws differ from the comprehension's; the users, the pools
+        # and the pool error agree
         records = [(u, i, 0, t) for u, i, t in raw
                    if u < num_users and i < num_items]
         ds = assemble_dataset(records, [], num_users, num_items, 1, 0, 0, seed,
                               eval_negatives=False)
         try:
             want = naive_eval_negatives(ds, seed)
-        except ValueError:
-            with pytest.raises(DataError, match="insufficient candidate pool"):
+        except ValueError as exc:
+            with pytest.raises(DataError) as err:
                 sample_eval_negatives(ds, seed)
+            assert str(err.value).startswith(f"{exc}: ")
             return
         got = sample_eval_negatives(ds, seed)
         assert list(got) == list(want)
-        for u in want:
-            assert got[u].dtype == want[u].dtype
-            np.testing.assert_array_equal(got[u], want[u])
+        target = ds.behavior_graphs[0]
+        for u, negs in got.items():
+            assert negs.dtype == np.int64 and negs.shape == (99,)
+            assert len(set(negs.tolist())) == 99
+            banned = set(target.user_items(u).tolist()) | {ds.test_positive[u]}
+            assert not banned & set(negs.tolist())
+            assert ((negs >= 0) & (negs < num_items)).all()
+
+
+class TestEvalNegativeDistribution:
+    NUM_ITEMS = 110
+    SEEDS = 3000
+
+    def test_first_position_is_uniform_over_free_items(self):
+        """Over seeds, the first negative's counts fit the uniform law on the
+        free items and the comprehension's counts. Total counts over all 99
+        positions would not do: a draw without replacement spreads them less
+        than a multinomial."""
+        # user 0 touched items 0-3 and holds out item 4: 105 free items
+        records = [(0, i, 0, i) for i in range(5)] + [(1, 7, 0, 0), (1, 8, 0, 1)]
+        ds = assemble_dataset(records, [], 2, self.NUM_ITEMS, 1, 0, 0, 0,
+                              eval_negatives=False)
+        counts = np.zeros((2, self.NUM_ITEMS), dtype=np.int64)
+        for seed in range(self.SEEDS):
+            for row, sampler in enumerate((sample_eval_negatives, naive_eval_negatives)):
+                counts[row, sampler(ds, seed)[0][0]] += 1
+        assert not counts[:, :5].any()
+        got, want = counts[:, 5:]
+        assert stats.chisquare(got).pvalue > 0.01
+        assert stats.chi2_contingency([got, want]).pvalue > 0.01
 
 
 class TestEpochSamplers:
