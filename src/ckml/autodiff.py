@@ -188,7 +188,9 @@ def _as_tensor(x, dtype) -> Tensor:
     return x if isinstance(x, Tensor) else constant(x, dtype)
 
 
-def constant(x, dtype=np.float64) -> Tensor:
+def constant(x, dtype=None) -> Tensor:
+    """`x` off the tape, in `dtype` or else in its own dtype (a Python
+    float is float64)."""
     return Tensor(np.asarray(x, dtype=dtype))
 
 

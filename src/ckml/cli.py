@@ -2,8 +2,9 @@
 
 Exit codes: 0 ok, 1 numeric failure, 2 data/config error, 3 checkpoint
 compatibility error (also a checkpoint whose weights evaluate to
-non-finite values). Every command is reproducible: (config, seed) fully
-determines all outputs byte for byte.
+non-finite values). Every command is reproducible: in one checkout and
+environment, (config, seed) fully determines all outputs byte for byte.
+`train`'s metrics.jsonl opens with a `run` record naming both.
 """
 
 from __future__ import annotations
@@ -11,12 +12,16 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import platform
+import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import scipy
 
-from .config import (ConfigError, load_run_config, override_run_config)
+from .config import ConfigError, emit_run_config, load_run_config, override_run_config
 from .dataio import (DataError, GenConfig, assemble_dataset, dataset_hash,
                      load_dataset, synthesize_records, write_interactions,
                      write_manifest, write_relations)
@@ -124,6 +129,25 @@ def _jsonl_writer(path):
     return fh, write
 
 
+def _git_sha() -> str:
+    """HEAD of the checkout holding the package, or "unknown" outside one."""
+    try:
+        proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=Path(__file__).parent,
+                              capture_output=True, text=True, timeout=30)
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
+    return proc.stdout.strip() if proc.returncode == 0 else "unknown"
+
+
+def _run_record(cfg, dataset) -> dict:
+    """The record that opens metrics.jsonl: what ran, on what, with what.
+    The config leaves out `out_dir`, the log's own location, so two runs of
+    one config and seed log the same bytes."""
+    return {"metric": "run", "config": emit_run_config(cfg, omit=("out_dir",)),
+            "dataset_hash": dataset_hash(dataset), "python": platform.python_version(),
+            "numpy": np.__version__, "scipy": scipy.__version__, "git_sha": _git_sha()}
+
+
 def cmd_train(args) -> int:
     cfg = _load_config(args)
     if not cfg.manifest:
@@ -133,6 +157,7 @@ def cmd_train(args) -> int:
     out = _out_dir(cfg)
     fh, write = _jsonl_writer(out / "metrics.jsonl")
     try:
+        write(_run_record(cfg, dataset))
         result = fit(dataset, cfg.hyper, top_n=cfg.top_n,
                      eval_all_behaviors=cfg.eval_all_behaviors, log=write)
     finally:
@@ -183,7 +208,10 @@ def cmd_gradcheck(args) -> int:
         raise ConfigError(f"--epsilon must be finite and positive, got {args.epsilon}")
     dataset = load_dataset(cfg.manifest)
     cfg.validate(dataset.num_behaviors)
-    hyper = cfg.hyper
+    # the formulas are audited in float64 whatever `precision` says: float32
+    # roundoff would swamp the central differences
+    hyper = replace(cfg.hyper, precision="f64")
+    print(f"auditing in f64 (config precision={cfg.hyper.precision})")
     ctx = ModelContext(dataset, hyper)
     params = init_params(hyper, dataset)
     rng = np.random.default_rng(hyper.seed + 1)

@@ -11,6 +11,8 @@ import configparser
 import io
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from .cie import AGGREGATORS
 
 
@@ -56,6 +58,12 @@ class HyperConfig:
             return 0, 1, self.embed_dim
         total = self.specific_interests + self.shared_interests
         return self.specific_interests, self.shared_interests, self.embed_dim // total
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The float dtype that `precision` names: parameters, graph weights
+        and every tape value and gradient are of it."""
+        return np.dtype(np.float32 if self.precision == "f32" else np.float64)
 
     @property
     def cie_disabled(self) -> bool:
@@ -252,13 +260,15 @@ def load_run_config(path) -> RunConfig:
         return parse_run_config(fh.read())
 
 
-def emit_run_config(cfg: RunConfig) -> str:
-    """Serialize so that parse_run_config(emit_run_config(c)) == c."""
+def emit_run_config(cfg: RunConfig, omit: tuple = ()) -> str:
+    """Serialize so that parse_run_config(emit_run_config(c)) == c; keys in
+    `omit` are left out (and parse back to their defaults)."""
     parser = configparser.ConfigParser()
     for section in _SECTIONS:
         parser.add_section(section)
         for key, (target, name) in _section_keys(cfg, section).items():
-            parser.set(section, key, _format_value(getattr(target, name)))
+            if key not in omit:
+                parser.set(section, key, _format_value(getattr(target, name)))
     buf = io.StringIO()
     parser.write(buf)
     return buf.getvalue()

@@ -514,6 +514,10 @@ def write_manifest(path, *, num_users, num_items, num_behaviors, relation_count,
 
 
 _MANIFEST_INTS = ("users", "items", "behaviors", "relations", "target_behavior", "seed")
+# Largest accepted dimensions. Loading allocates per user, per item and per
+# behavior or relation graph, so a manifest past these is refused before
+# anything of its size is allocated.
+MANIFEST_MAXIMA = {"users": 2**24, "items": 2**24, "behaviors": 64, "relations": 64}
 
 
 def load_manifest(path) -> dict:
@@ -551,6 +555,9 @@ def load_dataset(manifest_path) -> Dataset:
     if num_users * num_items >= _INT64_END:
         raise DataError(f"manifest users x items = {num_users * num_items} "
                         "must be below 2**63")
+    for key, maximum in MANIFEST_MAXIMA.items():
+        if int(manifest[key]) > maximum:
+            raise DataError(f"manifest {key}={manifest[key]} exceeds the maximum {maximum}")
     records = load_interactions(base / manifest["interactions"], num_users,
                                 num_items, num_behaviors)
     rel_records = load_relations(base / manifest["relations_file"], num_items,

@@ -51,6 +51,7 @@ class BehaviorContext:
     """Constant per-behavior structures reused across layers and steps."""
 
     graph: object
+    dtype: np.dtype = np.dtype(np.float64)  # of the normalized adjacency
     user_incidence: SparseMatrix = field(init=False)  # user x edge
     item_incidence: SparseMatrix = field(init=False)  # item x edge
     user_from_item: SparseMatrix = field(init=False)  # normalized, user x item
@@ -59,7 +60,7 @@ class BehaviorContext:
         g = self.graph
         self.user_incidence = SparseMatrix.incidence(g.edges[:, 0], g.num_users)
         self.item_incidence = SparseMatrix.incidence(g.edges[:, 1], g.num_items)
-        self.user_from_item = normalized_adjacency(g.user_adj)
+        self.user_from_item = normalized_adjacency(g.user_adj, self.dtype)
 
     @property
     def edge_count(self) -> int:
@@ -102,7 +103,7 @@ class _EdgeWeights:
     edges e of row node v, from zero in ascending edge order. So it is
     bitwise the incidence product of the per-edge products, which it never
     forms. The matrix has one entry per edge; `apply` refills its values
-    with each interest's weights."""
+    with each interest's weights, in their dtype."""
 
     def __init__(self, rows: SparseMatrix, cols: np.ndarray, num_cols: int):
         self.order = rows.matrix.indices.astype(np.intp)
@@ -111,6 +112,8 @@ class _EdgeWeights:
             shape=(rows.shape[0], num_cols))
 
     def apply(self, w: np.ndarray, stack: np.ndarray) -> np.ndarray:
+        if self.matrix.data.dtype != w.dtype:
+            self.matrix.data = np.empty(len(self.order), dtype=w.dtype)
         by_interest = np.ascontiguousarray(stack.transpose(1, 0, 2))
         out = np.empty((w.shape[0], self.matrix.shape[0], stack.shape[2]),
                        dtype=np.result_type(self.matrix.data, stack))
@@ -131,11 +134,12 @@ def _route_side(src: ad.Tensor, src_incidence: SparseMatrix,
     src: (source nodes, S, d*); the incidences are node x edge; `to_dst` and
     `to_src` sum over the edges into destination and source nodes. Per-edge
     arrays are edge-minor, (S, d*, E) and (S, E), so every per-edge
-    reduction runs one long inner loop. Returns the last iteration's
-    (destination nodes, S, d*) float64 Tensor, whose only parent is `src`,
-    and the first iteration whose state is not finite (0 if none; routing
-    stops there). `log`, if given, is a pair of lists that receive (E, S)
-    copies of each iteration's coefficients and of each updated logit array.
+    reduction runs one long inner loop; the forward's are of `src`'s dtype.
+    Returns the last iteration's (destination nodes, S, d*) Tensor of that
+    dtype, whose only parent is `src`, and the first iteration whose state
+    is not finite (0 if none; routing stops there). `log`, if given, is a
+    pair of lists that receive (E, S) copies of each iteration's
+    coefficients and of each updated logit array.
     """
     x = src.data
     V, S, _ = x.shape
@@ -147,7 +151,7 @@ def _route_side(src: ad.Tensor, src_incidence: SparseMatrix,
     # one product gives each weighted mean's numerator and denominator
     x_and_ones = np.concatenate([x, np.ones((V, S, 1), dtype=x.dtype)], axis=2)
     unit_src_e = _edge_rows(unit_x, src_ids) if n_iter > 1 else None
-    logits = np.ones((S, E))  # float64, as ad.constant made it on the composed tape
+    logits = np.ones((S, E), dtype=x.dtype)
     saved = [] if src.requires_grad else None
     for t in range(1, n_iter + 1):
         # softmax over the interests, in place: a fresh (S, E) array costs
@@ -182,11 +186,13 @@ def _route_side(src: ad.Tensor, src_incidence: SparseMatrix,
         return out, 0
 
     def backward(g):
+        # in float64 whatever the forward's dtype, rounded once where it
+        # reaches `src`: in float32 the iterations' roundoff would add up
         d_x = np.zeros(x.shape)
         d_unit_x = np.zeros(x.shape)
         src_e = _edge_rows(x, src_ids) if n_iter > 1 else None
         d_logits = np.zeros((S, E))
-        dh = g
+        dh = g.astype(np.float64, copy=False)
         for t in range(n_iter, 0, -1):
             c, num, den, den_live, step = saved[t - 1]
             if step is not None:  # dh reaches h_t through the logit update

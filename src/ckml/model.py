@@ -79,7 +79,8 @@ def param_specs(hyper: HyperConfig, dataset: Dataset) -> "OrderedDict[str, Param
 
 @dataclass
 class ModelContext:
-    """Constant graph-derived structures shared by every forward pass."""
+    """Constant graph-derived structures shared by every forward pass; the
+    graph weights are of the dtype `hyper.precision` names."""
 
     dataset: Dataset
     hyper: HyperConfig
@@ -90,8 +91,9 @@ class ModelContext:
     buckets: list = field(init=False)
 
     def __post_init__(self):
-        self.behaviors = [fbc.BehaviorContext(g) for g in self.dataset.behavior_graphs]
-        self.relation_adjs = [normalized_adjacency(g.adj)
+        dtype = self.hyper.dtype
+        self.behaviors = [fbc.BehaviorContext(g, dtype) for g in self.dataset.behavior_graphs]
+        self.relation_adjs = [normalized_adjacency(g.adj, dtype)
                               for g in self.dataset.relation_graphs]
         count = self.hyper.time_buckets
         self.buckets = [tuple(SparseMatrix.incidence(ids, count)

@@ -1,12 +1,13 @@
 """Dense/sparse kernels and the gradient-evaluation contract.
 
-Dense matrices are plain numpy arrays (float64 in test mode, float32
-allowed in fast mode). Sparse adjacency lives in a thin CSR wrapper backed
-by scipy; the transpose is precomputed once, so backward passes through
-`spmm` and products with the transpose (`SparseMatrix.T`) stay cheap.
-Aggregation has one normalization, the symmetric-degree weights of
-`normalized_adjacency`. `finite_difference_gradcheck` is the arbiter for
-every analytic gradient in the package.
+Dense matrices are plain numpy arrays of the dtype `precision` names
+(float64 or float32), and so are the normalized adjacencies' weights; the
+gradient audit runs in float64. Sparse adjacency lives in a thin CSR
+wrapper backed by scipy; the transpose is precomputed once, so backward
+passes through `spmm` and products with the transpose (`SparseMatrix.T`)
+stay cheap. Aggregation has one normalization, the symmetric-degree
+weights of `normalized_adjacency`. `finite_difference_gradcheck` is the
+arbiter for every analytic gradient in the package.
 """
 
 from __future__ import annotations
@@ -78,12 +79,13 @@ class SparseMatrix:
         return SparseMatrix(self.matrix_t, self.matrix)
 
 
-def normalized_adjacency(adj: SparseMatrix) -> SparseMatrix:
+def normalized_adjacency(adj: SparseMatrix, dtype=np.float64) -> SparseMatrix:
     """Reweight a 0/1 adjacency for aggregation: entry (i, j) is scaled by
     1/sqrt(deg_i * deg_j), with row degrees from `adj.matrix` and column
     degrees from its transpose. Zero-degree rows/columns keep weight 0 so
     isolated nodes aggregate to zero. The transpose of the result is the
-    normalization of the transposed adjacency.
+    normalization of the transposed adjacency. The weights are computed in
+    float64 and stored in `dtype`.
     """
     m = adj.matrix
 
@@ -97,6 +99,7 @@ def normalized_adjacency(adj: SparseMatrix) -> SparseMatrix:
     inv_row = inv_sqrt_degrees(m.indptr)
     inv_col = inv_sqrt_degrees(adj.matrix_t.indptr)
     data = m.data * np.repeat(inv_row, np.diff(m.indptr)) * inv_col[m.indices]
+    data = data.astype(dtype, copy=False)
     out = sp.csr_matrix((data, m.indices.copy(), m.indptr.copy()), shape=m.shape)
     return SparseMatrix(out)
 

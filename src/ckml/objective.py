@@ -82,6 +82,6 @@ def total_loss(ranking_terms: list, alphas: list, relation_term: ad.Tensor | Non
                     for alpha, term in zip(alphas, ranking_terms)]
     rel_value = weigh(relation_term, beta) if relation_term is not None and beta != 0.0 else 0.0
     reg_value = weigh(reg_term, reg_lambda) if reg_lambda != 0.0 else 0.0
-    total = ad.add_all(weighted) if weighted else ad.constant(np.float64(0.0))
+    total = ad.add_all(weighted) if weighted else ad.constant(np.zeros((), reg_term.dtype))
     breakdown = LossBreakdown(per_behavior, rel_value, reg_value, float(total.data))
     return total, breakdown

@@ -29,7 +29,6 @@ CHECKPOINT_MAGIC = b"CKML"
 CHECKPOINT_VERSION = 1
 _DTYPE_TAGS = {np.dtype(np.float32): 1, np.dtype(np.float64): 2}
 _TAG_DTYPES = {1: np.dtype(np.float32), 2: np.dtype(np.float64)}
-_PRECISION_DTYPES = {"f32": np.dtype(np.float32), "f64": np.dtype(np.float64)}
 
 
 class CompatibilityError(RuntimeError):
@@ -42,7 +41,7 @@ def init_params(hyper: HyperConfig, dataset: Dataset, seed: int | None = None,
     time offsets; deterministic in registration order for a given seed."""
     if rng is None:
         rng = np.random.default_rng(hyper.seed if seed is None else seed)
-    dtype = _PRECISION_DTYPES[hyper.precision]
+    dtype = hyper.dtype
     params = OrderedDict()
     for name, spec in param_specs(hyper, dataset).items():
         if spec.init == "zero":
@@ -362,7 +361,7 @@ def check_compatible(ckpt: Checkpoint, dataset: Dataset):
             raise CompatibilityError(
                 f"checkpoint array {name} has shape {got.get(name, 'absent')}, "
                 f"the model needs {want.get(name, 'none')}")
-    dtype = _PRECISION_DTYPES[hyper.precision]
+    dtype = hyper.dtype
     for name, arr in ckpt.model_params().items():
         if arr.dtype != dtype:
             raise CompatibilityError(f"checkpoint array {name} is {arr.dtype}, "

@@ -236,7 +236,7 @@ def tape_route(ctx, x_stack, g_stack, time_u, time_i, tau, n_iter, collect_state
     nh_i0_e = ad.gather(ad.l2_normalize(h_i0, eps=NORM_GUARD), items)
 
     ones = np.ones((E, S), dtype=h_u0.dtype)
-    logits_user_side = ad.constant(ones)
+    logits_user_side = ad.constant(ones, h_i0.dtype)
     logits_item_side = ad.constant(ones.copy())
 
     h_u_t = None

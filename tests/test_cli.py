@@ -1,13 +1,16 @@
 import json
+import platform
 import struct
 from pathlib import Path
 
 import numpy as np
+import scipy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ckml import cli, trainer
 from ckml.cli import main
+from ckml.config import load_run_config, parse_run_config
 from ckml.dataio import dataset_hash, load_dataset
 from ckml.trainer import load_checkpoint, save_checkpoint
 
@@ -118,6 +121,37 @@ class TestTrain:
         lines = [json.loads(l) for l in
                  (tmp_path / "run" / "metrics.jsonl").read_text().splitlines()]
         assert any(r.get("epoch") == 0 and "hr" in r for r in lines)
+
+    def test_metrics_log_opens_with_the_run_record(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path, epochs=0)
+        cfg.write_text(cfg.read_text().replace("seed = 3\n", "seed = 3\nprecision = f32\n"))
+        assert main(["synth", "--config", str(cfg)]) == 0
+        add_manifest(cfg, tmp_path / "out" / "manifest.txt")
+        records = {}
+        for name in ("run", "elsewhere"):
+            if name == "elsewhere":  # git fails as it does outside a checkout
+                monkeypatch.setattr(cli.subprocess, "run", lambda *a, **k:
+                                    cli.subprocess.CompletedProcess(a, 128, "", ""))
+            assert main(["train", "--config", str(cfg), "--out",
+                         str(tmp_path / name)]) == 0
+            first = (tmp_path / name / "metrics.jsonl").read_text().splitlines()[0]
+            records[name] = json.loads(first)
+        record = records["run"]
+        assert set(record) == {"metric", "config", "dataset_hash", "python", "numpy",
+                               "scipy", "git_sha"}
+        assert record["metric"] == "run"
+        logged = parse_run_config(record["config"])
+        written = load_run_config(cfg)
+        assert logged.hyper == written.hyper and logged.hyper.precision == "f32"
+        assert logged.manifest == written.manifest and logged.synth == written.synth
+        assert "out_dir" not in record["config"]
+        ds = load_dataset(tmp_path / "out" / "manifest.txt")
+        assert record["dataset_hash"] == dataset_hash(ds)
+        assert (record["python"], record["numpy"], record["scipy"]) == (
+            platform.python_version(), np.__version__, scipy.__version__)
+        sha = record["git_sha"]
+        assert sha == "unknown" or (len(sha) == 40 and int(sha, 16) >= 0)
+        assert records["elsewhere"] == {**record, "git_sha": "unknown"}
 
     def test_missing_data_file_exits_2_naming_path(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -232,6 +266,21 @@ class TestBadLoadPathInput:
         assert run() == 2
         assert_one_error_line(
             capsys, f"manifest users x items = {2**62 * 130} must be below 2**63")
+
+
+    def test_users_past_the_maximum(self, tmp_path, capsys):
+        run = self._gradcheck(tmp_path, capsys)
+        self._edit_manifest(tmp_path, "users=12", f"users={10**15}")
+        assert run() == 2
+        assert_one_error_line(
+            capsys, f"manifest users={10**15} exceeds the maximum {2**24}")
+
+    def test_behaviors_past_the_maximum(self, tmp_path, capsys):
+        run = self._gradcheck(tmp_path, capsys)
+        self._edit_manifest(tmp_path, "behaviors=2", f"behaviors={10**12}")
+        assert run() == 2
+        assert_one_error_line(
+            capsys, f"manifest behaviors={10**12} exceeds the maximum 64")
 
 
 class TestEval:
@@ -442,6 +491,23 @@ class TestShippedConfigs:
         cfg.write_text(text)
         assert main(["synth", "--config", str(cfg)]) == 0
         assert main(["gradcheck", "--config", str(cfg)]) == 0
+
+    def test_gradcheck_audits_in_float64_whatever_the_precision(self, tmp_path, capsys):
+        repo = Path(__file__).resolve().parent.parent
+        text = (repo / "configs" / "gradcheck.ini").read_text()
+        cfg = tmp_path / "gradcheck.ini"
+        cfg.write_text(text.replace("runs/gradcheck", str(tmp_path / "gc")))
+        assert main(["synth", "--config", str(cfg)]) == 0
+        for precision in ("f64", "f32"):
+            cfg.write_text(text.replace("runs/gradcheck", str(tmp_path / "gc"))
+                           .replace("[train]\n", f"[train]\nprecision = {precision}\n"))
+            capsys.readouterr()
+            assert main(["gradcheck", "--config", str(cfg)]) == 0
+            out = capsys.readouterr().out
+            assert out.startswith(f"auditing in f64 (config precision={precision})\n")
+            assert "overall max_rel_err=4.237e-05 (tolerance 1e-04)" in out
+        assert main(["gradcheck", "--config", str(cfg), "--corrupt-grad", "attn/l0/Q"]) == 1
+        assert "worst parameter group: attn/l0/Q" in capsys.readouterr().out
 
     def test_all_shipped_configs_parse_and_validate(self):
         from ckml.config import load_run_config

@@ -143,3 +143,40 @@ def test_time_bucket_gathers_reuse_prebuilt_incidences(grad_ds, monkeypatch):
     assert not [a for a in built if a[1] == hyper.time_buckets]
     assert all(np.any(tensors[f"time/{side}/k{k}"].grad)
                for side in ("user", "item") for k in range(2))
+
+
+def tape_nodes(root):
+    """Every Tensor reachable from `root` through its parents."""
+    nodes, stack, seen = [], [root], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    return nodes
+
+
+@pytest.mark.parametrize("precision, dtype", [("f32", np.float32), ("f64", np.float64)])
+def test_every_tape_value_and_gradient_has_the_precision_dtype(grad_ds, precision, dtype):
+    # ngcf gives both aggregator weight groups (agg/cie and agg/fbc) weights
+    hyper = HyperConfig(**{**BASE, "aggregator": "ngcf", "precision": precision})
+    assert hyper.time_embedding
+    hyper.validate(2)
+    ctx = ModelContext(grad_ds, hyper)
+    params = init_params(hyper, grad_ds, seed=0)
+    assert any(k.startswith("agg/cie/") for k in params)
+    assert any(k.startswith("agg/fbc/") for k in params)
+    tensors = {k: ad.Tensor(v, requires_grad=True) for k, v in params.items()}
+    rng = np.random.default_rng(5)
+    rank = [epoch_ranking_triples(g, rng) for g in grad_ds.behavior_graphs]
+    rel = [epoch_relation_triples(g, rng) for g in grad_ds.relation_graphs]
+    total, _, _ = batch_loss(tensors, ctx, hyper, rank, rel)
+    total.backward()
+    nodes = tape_nodes(total)
+    assert len(nodes) > 100
+    assert [n.dtype for n in nodes if n.dtype != dtype] == []
+    grads = [n.grad for n in nodes if n.grad is not None]
+    assert len(grads) > 100
+    assert [g.dtype for g in grads if g.dtype != dtype] == []
+    assert all(tensors[k].grad is not None for k in params)

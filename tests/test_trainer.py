@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ckml import autodiff as ad
+from ckml import trainer
 from ckml.config import ConfigError, HyperConfig
 from ckml.dataio import GenConfig, generate_synthetic
 from ckml.model import ModelContext, batch_loss, forward, param_specs
@@ -139,15 +140,32 @@ class TestTrainEpoch:
         for k in results[0][1]:
             assert np.array_equal(results[0][1][k], results[1][1][k])
 
-    def test_float32_fast_mode_trains_and_keeps_dtype(self, small_ds):
+    def test_float32_fast_mode_trains_and_keeps_dtype(self, small_ds, monkeypatch):
         h = small_hyper(precision="f32", epochs=0)
         ctx = ModelContext(small_ds, h)
         rng = np.random.default_rng(0)
         params = init_params(h, small_ds, rng=rng)
         adam = Adam(params)
+        totals, grads = [], []
+
+        def recording_loss(*args):
+            out = batch_loss(*args)
+            totals.append(out[0])
+            return out
+
+        def recording_step(params, step_grads, lr):
+            grads.append(step_grads)
+            Adam.step(adam, params, step_grads, lr)
+
+        monkeypatch.setattr(trainer, "batch_loss", recording_loss)
+        monkeypatch.setattr(adam, "step", recording_step)
         losses = train_epoch(params, ctx, h, adam, rng, 0)
         assert np.isfinite(losses.total)
         assert all(v.dtype == np.float32 for v in params.values())
+        assert totals and all(t.dtype == np.float32 for t in totals)
+        assert len(grads) == len(totals)
+        assert all(set(g) == set(params) for g in grads)
+        assert all(v.dtype == np.float32 for g in grads for v in g.values())
 
     def test_ranking_loss_decreases_on_fixture(self, small_ds):
         h = small_hyper(learning_rate=5e-3, epochs=0)
