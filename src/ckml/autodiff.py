@@ -350,21 +350,6 @@ def spmm(sparse, x: Tensor) -> Tensor:
     return out
 
 
-def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
-    """Contiguous slice [start, start+length) along `axis`."""
-    sl = [slice(None)] * x.data.ndim
-    sl[axis] = slice(start, start + length)
-    sl = tuple(sl)
-    out = Tensor(x.data[sl], x.requires_grad, (x,))
-    if x.requires_grad:
-        def bw(g):
-            full = np.zeros_like(x.data)
-            full[sl] = g
-            x._accumulate(full)
-        out._backward = bw
-    return out
-
-
 NORM_GUARD = 1e-12
 
 

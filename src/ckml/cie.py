@@ -99,11 +99,3 @@ def assemble_interest_embedding(specific: ad.Tensor | None,
         return specific
     return ad.concat([specific, shared], axis=1)
 
-
-def split_interest_embedding(stack: ad.Tensor, n_specific: int):
-    """Inverse of assemble: (specific block, shared block)."""
-    n_total = stack.shape[1]
-    spe = ad.narrow(stack, 1, 0, n_specific) if n_specific > 0 else None
-    sha = (ad.narrow(stack, 1, n_specific, n_total - n_specific)
-           if n_total > n_specific else None)
-    return spe, sha

@@ -329,31 +329,34 @@ def _head_major(a: np.ndarray, heads: int, c: int) -> np.ndarray:
     return np.ascontiguousarray(a.reshape(-1, heads, c).transpose(1, 0, 2))
 
 
-def correlate_shared(shared_stacks: list, q_proj: ad.Tensor, k_proj: ad.Tensor,
-                     v_proj: ad.Tensor, heads: int):
+def correlate_shared(stacks: list, q_proj: ad.Tensor, k_proj: ad.Tensor,
+                     v_proj: ad.Tensor, heads: int, n_specific: int = 0):
     """Per-node, per-shared-interest multi-head attention across behaviors.
 
-    shared_stacks: K tensors of shape (V, S_sha, d*). Each d*-wide vector is
+    stacks: K tensors of shape (V, S, d*), each behavior's `n_specific`
+    specific interests first and its shared ones after. Only the shared
+    block [:, n_specific:] is attended over; the specific block passes
+    through unchanged, forward and backward. Each shared d*-wide vector is
     chunked into `heads` pieces; per head, scores between behaviors k and k'
     are scaled dot products of projected chunks, softmax-normalized over k'.
     The residual adds the sum of ALL behaviors' shared blocks. Returns
-    (list of K output tensors, attention weights of shape (K, K, V, S, H)).
+    (list of K (V, S, d*) output tensors, attention weights of shape
+    (K, K, V, S - n_specific, H)).
 
     The attention is one tape node whose parents are the stacks and the
     three projections, with a hand-derived backward; the weights are cast
     to the stacks' dtype.
     """
-    K = len(shared_stacks)
-    V, S, d_star = shared_stacks[0].shape
+    K = len(stacks)
+    V, S_all, d_star = stacks[0].shape
     if d_star % heads != 0:
         raise ValueError(f"head count {heads} must divide interest width {d_star}")
-    H, c = heads, d_star // heads
+    H, c, S = heads, d_star // heads, S_all - n_specific
     projs = (q_proj, k_proj, v_proj)
-    parents = (*shared_stacks, *projs)
-    x = np.stack([t.data for t in shared_stacks])  # (K, V, S, d*)
-    residual = x.sum(axis=0, keepdims=True)
-    xh = _head_major(x, H, c)
-    del x
+    parents = (*stacks, *projs)
+    x = np.stack([t.data for t in stacks])  # (K, V, S_all, d*)
+    residual = x[:, :, n_specific:].sum(axis=0, keepdims=True)
+    xh = _head_major(x[:, :, n_specific:], H, c)
     w = [p.data.astype(xh.dtype, copy=False) for p in projs]
     qx, kx, vx = (_project(xh, wp).reshape(K, V, S, H, c) for wp in w)
     # the backward's inputs; every other temporary is dropped once consumed
@@ -372,13 +375,15 @@ def correlate_shared(shared_stacks: list, q_proj: ad.Tensor, k_proj: ad.Tensor,
     out = out.reshape(K, V, S, d_star)
     out += residual
     del residual
+    out = np.concatenate([x[:, :, :n_specific], out], axis=2)
+    del x
     node = ad.Tensor(out, saved is not None, parents)
     if saved is None:
         return ad.unstack(node), ad.Tensor(lam)
 
-    def backward(g):
+    def backward(g_all):
         xh, qx, kx, vx = saved
-        g = g.reshape(K, 1, V, S, H, c)
+        g = np.ascontiguousarray(g_all[:, :, n_specific:]).reshape(K, 1, V, S, H, c)
         d_lam = (g * vx.reshape(1, K, V, S, H, c)).sum(axis=-1)
         d_v = (lam.reshape(K, K, V, S, H, 1) * g).sum(axis=0)
         d_lam -= (d_lam * lam).sum(axis=1, keepdims=True)
@@ -397,7 +402,8 @@ def correlate_shared(shared_stacks: list, q_proj: ad.Tensor, k_proj: ad.Tensor,
             d_xh = d if d_xh is None else d_xh + d
         d_x = d_xh.transpose(1, 0, 2).reshape(K, V, S, d_star)
         d_x += g.reshape(K, V, S, d_star).sum(axis=0)  # the residual
-        for k, t in enumerate(shared_stacks):
+        d_x = np.concatenate([g_all[:, :, :n_specific], d_x], axis=2)
+        for k, t in enumerate(stacks):
             if t.requires_grad:
                 t._accumulate(d_x[k])
     node._backward = backward

@@ -2,13 +2,13 @@
 
 Layer recurrence: route each behavior graph across interests (or run the
 plain-aggregation replacement), which yields a user and an item stack per
-behavior. Then one loop over the two sides does the same on each: split
-every behavior's stack once, correlate the shared blocks across behaviors
-(summed instead when routing is off), concatenate them back behind the
-untouched specific blocks, and add the residual. Time offsets, states
-and layer outputs are held per behavior as [user, item] pairs. Final
-representations sum the concatenated routed outputs of layers 1..L;
-layer-0 inputs stay out.
+behavior. Then one loop over the two sides does the same on each: hand
+the whole stacks to the cross-behavior correlation, which replaces their
+shared blocks (with the shared blocks' sum when routing is off), leaves
+the specific blocks untouched, and add the residual. Time offsets,
+states and layer outputs are held per behavior as [user, item] pairs.
+Final representations sum the routed outputs of layers 1..L; layer-0
+inputs stay out.
 """
 
 from __future__ import annotations
@@ -206,18 +206,22 @@ def forward(params: dict, ctx: ModelContext, hyper: HyperConfig,
 
         lams = []
         for side in (0, 1):
-            spe, sha = zip(*(cie.split_interest_embedding(h[side], s_spe) for h in routed))
-            if not s_sha:
-                corr = [None] * K
-            elif hyper.fbc_disabled:
-                corr = [ad.add_all(sha)] * K
-            else:
-                corr, lam = fbc.correlate_shared(
-                    list(sha), params[f"attn/l{l}/Q"], params[f"attn/l{l}/K"],
-                    params[f"attn/l{l}/V"], hyper.attention_heads)
+            outs = stacks = [h[side] for h in routed]
+            # routing off: each shared block becomes the shared blocks' sum,
+            # one tensor that every behavior reuses; the masks' zeros add
+            # exactly, so the specific blocks pass through unchanged
+            if s_sha and hyper.fbc_disabled and s_spe:
+                keep = ad.constant(np.arange(s_total).reshape(1, -1, 1) < s_spe, x0.dtype)
+                shared = ad.add_all(stacks) * (1.0 - keep)
+                outs = [h * keep + shared for h in stacks]
+            elif s_sha and hyper.fbc_disabled:  # the stacks are all shared
+                outs = [ad.add_all(stacks)] * K
+            elif s_sha:
+                outs, lam = fbc.correlate_shared(
+                    stacks, params[f"attn/l{l}/Q"], params[f"attn/l{l}/K"],
+                    params[f"attn/l{l}/V"], hyper.attention_heads, s_spe)
                 lams.append(lam)
-            for k in range(K):
-                out = cie.assemble_interest_embedding(spe[k], corr[k])
+            for k, out in enumerate(outs):
                 layer_outputs[k][side].append(out)
                 states[k][side] = out + states[k][side]
         if lams:

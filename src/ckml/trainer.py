@@ -1,13 +1,13 @@
-"""Initialization, optimization loop, checkpointing, deterministic execution.
+"""Initialization, optimization loop, checkpointing.
 
 One rng drives everything in order: parameter init, then per-epoch
-negative sampling and batch shuffling. Its state is checkpointed, so a
-run is a pure function of (config, seed) in deterministic mode.
+negative sampling and batch shuffling, so a run is a pure function of
+(config, seed). A checkpoint holds the model only: its parameters and
+the hyperparameters and dimensions that shape them.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import struct
@@ -197,8 +197,8 @@ def train_epoch(params: OrderedDict, ctx: ModelContext, hyper: HyperConfig,
 @dataclass
 class Checkpoint:
     version: int
-    config: dict           # flat string map: hyper snapshot, dims, epoch, rng
-    arrays: OrderedDict    # name -> ndarray (params and "opt/" entries)
+    config: dict           # flat string map: hyper snapshot, dims, epoch
+    arrays: OrderedDict    # name -> ndarray; older files also hold "opt/" entries
 
     def hyper(self) -> HyperConfig:
         defaults = HyperConfig()
@@ -223,12 +223,12 @@ class Checkpoint:
                 f"checkpoint {key}={raw!r} is not an integer") from None
 
     def model_params(self) -> OrderedDict:
+        """The parameter arrays; an older file's "opt/" arrays are ignored."""
         return OrderedDict((k, v) for k, v in self.arrays.items()
                            if not k.startswith("opt/"))
 
 
-def _config_block(hyper: HyperConfig, dataset: Dataset, epoch: int,
-                  adam: Adam | None, rng_state: dict | None) -> dict:
+def _config_block(hyper: HyperConfig, dataset: Dataset, epoch: int) -> dict:
     block = {f"hyper.{f_.name}": _format_value(getattr(hyper, f_.name))
              for f_ in fields(HyperConfig)}
     block.update({
@@ -239,21 +239,10 @@ def _config_block(hyper: HyperConfig, dataset: Dataset, epoch: int,
         "dims.target_behavior": str(dataset.target_behavior),
         "epoch": str(epoch),
     })
-    if adam is not None:
-        block["opt.step"] = str(adam.step_count)
-    if rng_state is not None:
-        block["rng.state"] = json.dumps(rng_state, sort_keys=True)
     return block
 
 
-def save_checkpoint(path, params: OrderedDict, config_block: dict,
-                    adam: Adam | None = None):
-    arrays = OrderedDict(params)
-    if adam is not None:
-        for name, arr in adam.m.items():
-            arrays[f"opt/{name}/m"] = arr
-        for name, arr in adam.v.items():
-            arrays[f"opt/{name}/v"] = arr
+def save_checkpoint(path, arrays: OrderedDict, config_block: dict):
     lines = "".join(f"{k}={v}\n" for k, v in config_block.items()).encode("utf-8")
     # Written beside the target and renamed over it, so a failed save
     # leaves any earlier checkpoint intact.
@@ -377,7 +366,7 @@ class FitResult:
     best_epoch: int
     best_ndcg: float
     history: list = field(default_factory=list)  # JSONL-ready dicts
-    best_snapshot: tuple | None = None  # (params, m, v, step, epoch, rng_state)
+    best_snapshot: tuple | None = None  # (params, epoch) of the best epoch
 
 
 def _metrics_records(report: MetricsReport, epoch: int) -> list:
@@ -408,10 +397,7 @@ def fit(dataset: Dataset, hyper: HyperConfig, top_n: int = 10,
             log(record)
 
     def snapshot(epoch):
-        return (OrderedDict((k, v.copy()) for k, v in params.items()),
-                OrderedDict((k, v.copy()) for k, v in adam.m.items()),
-                OrderedDict((k, v.copy()) for k, v in adam.v.items()),
-                adam.step_count, epoch, rng.bit_generator.state)
+        return OrderedDict((k, v.copy()) for k, v in params.items()), epoch
 
     def run_eval(epoch):
         report = evaluate(params, ctx, hyper, top_n,
@@ -456,11 +442,7 @@ def fit(dataset: Dataset, hyper: HyperConfig, top_n: int = 10,
 def save_fit_checkpoint(path, result: FitResult, dataset: Dataset,
                         hyper: HyperConfig, use_best: bool = True):
     if use_best and result.best_snapshot is not None:
-        params, m, v, step, epoch, rng_state = result.best_snapshot
-        adam = Adam(params)
-        adam.m, adam.v, adam.step_count = m, v, step
+        params, epoch = result.best_snapshot
     else:
-        params, adam, epoch = result.params, result.adam, result.best_epoch
-        rng_state = None
-    block = _config_block(hyper, dataset, epoch, adam, rng_state)
-    save_checkpoint(path, params, block, adam)
+        params, epoch = result.params, result.best_epoch
+    save_checkpoint(path, params, _config_block(hyper, dataset, epoch))

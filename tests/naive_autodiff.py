@@ -50,3 +50,18 @@ def transpose(x: Tensor, axes) -> Tensor:
         inv = np.argsort(axes)
         out._backward = lambda g: x._accumulate(np.transpose(g, inv))
     return out
+
+
+def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
+    """Contiguous slice [start, start+length) along `axis`."""
+    sl = [slice(None)] * x.data.ndim
+    sl[axis] = slice(start, start + length)
+    sl = tuple(sl)
+    out = Tensor(x.data[sl], x.requires_grad, (x,))
+    if x.requires_grad:
+        def bw(g):
+            full = np.zeros_like(x.data)
+            full[sl] = g
+            x._accumulate(full)
+        out._backward = bw
+    return out

@@ -16,10 +16,10 @@ import numpy as np
 from ckml import autodiff as ad
 from ckml.autodiff import NORM_GUARD
 from ckml.cie import assemble_interest_embedding
-from ckml.fbc import DEGREE_GUARD, RoutingState, _route
+from ckml.fbc import DEGREE_GUARD, RoutingState, _head_major, _project, _route
 from ckml.numerics import NumericError
 
-from naive_autodiff import stack, tanh, transpose
+from naive_autodiff import narrow, stack, tanh, transpose
 
 GUARD = 1e-12
 
@@ -267,9 +267,22 @@ def tape_route(ctx, x_stack, g_stack, time_u, time_i, tau, n_iter, collect_state
     return h_u_t, h_i_t, state
 
 
+def _projected(chunks, proj):
+    """Per-row (1, c) @ (c, c) products of the (K, V, S, H, 1, c) chunks
+    with each head's transposed weights, on the tape as `ad.matmul`. The
+    values are `fbc._project`'s, which round as those products do only on
+    some BLAS builds, so that the forward compares bitwise on any of them;
+    the matmul's backward reads its operands, not its output."""
+    K, V, S, H, _, c = chunks.shape
+    out = ad.matmul(chunks, transpose(proj, (0, 2, 1)))
+    rows = _project(_head_major(chunks.data, H, c), proj.data.astype(chunks.dtype))
+    out.data = rows.reshape(out.shape)
+    return out.reshape(K, V, S, H, c)
+
+
 def composed_correlate_shared(shared_stacks, q_proj, k_proj, v_proj, heads):
     """`fbc.correlate_shared` composed of tape ops, as the package ran it
-    before the fused node: per-row (1, c) @ (c, c) projections."""
+    before the fused node, with `_projected`'s projections."""
     K = len(shared_stacks)
     V, S, d_star = shared_stacks[0].shape
     if d_star % heads != 0:
@@ -277,12 +290,7 @@ def composed_correlate_shared(shared_stacks, q_proj, k_proj, v_proj, heads):
     c = d_star // heads
     x = stack(shared_stacks, axis=0)  # (K, V, S, d*)
     chunks = x.reshape(K, V, S, heads, 1, c)  # row vectors per head
-    qt = transpose(q_proj, (0, 2, 1))
-    kt = transpose(k_proj, (0, 2, 1))
-    vt = transpose(v_proj, (0, 2, 1))
-    qx = ad.matmul(chunks, qt).reshape(K, V, S, heads, c)
-    kx = ad.matmul(chunks, kt).reshape(K, V, S, heads, c)
-    vx = ad.matmul(chunks, vt).reshape(K, V, S, heads, c)
+    qx, kx, vx = (_projected(chunks, p) for p in (q_proj, k_proj, v_proj))
     scale = 1.0 / np.sqrt(c)
     scores = (qx.reshape(K, 1, V, S, heads, c)
               * kx.reshape(1, K, V, S, heads, c)).sum(axis=-1) * scale
@@ -292,7 +300,7 @@ def composed_correlate_shared(shared_stacks, q_proj, k_proj, v_proj, heads):
     heads_out = mixed.reshape(K, V, S, d_star)
     residual = x.sum(axis=0, keepdims=True)
     out = heads_out + residual
-    return [ad.narrow(out, 0, k, 1).reshape(V, S, d_star) for k in range(K)], lam
+    return [narrow(out, 0, k, 1).reshape(V, S, d_star) for k in range(K)], lam
 
 
 def routed_mean_before_aggregation(ctx, x_stack, g_stack, time_u, time_i, tau, n_iter):

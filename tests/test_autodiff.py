@@ -142,8 +142,8 @@ def test_reshape_narrow_concat_transpose():
 
     def build(t):
         a = t.reshape(4, 2, 3)
-        b = ad.narrow(a, 1, 0, 1)
-        c = ad.narrow(a, 1, 1, 1)
+        b = nad.narrow(a, 1, 0, 1)
+        c = nad.narrow(a, 1, 1, 1)
         d = ad.concat([b, c * 2.0], axis=1)
         e = nad.transpose(d, (1, 0, 2))
         return (e * e).sum()

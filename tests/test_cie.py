@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from ckml import autodiff as ad
 from ckml.cie import (assemble_interest_embedding, average_layers,
                       concat_relations, extract_interests,
-                      propagate_relation_graph, split_interest_embedding)
+                      propagate_relation_graph)
 from ckml.dataio import build_relation_graphs
 from ckml.numerics import normalized_adjacency
 
@@ -197,17 +197,6 @@ class TestAssembleSplit:
         out = assemble_interest_embedding(z, z)
         np.testing.assert_array_equal(out.data, np.zeros((2, 4, 3)))
 
-    def test_split_round_trip(self):
-        spe = ad.Tensor(rng.normal(size=(3, 2, 4)))
-        sha = ad.Tensor(rng.normal(size=(3, 1, 4)))
-        stack = assemble_interest_embedding(spe, sha)
-        back_spe, back_sha = split_interest_embedding(stack, 2)
-        np.testing.assert_array_equal(back_spe.data, spe.data)
-        np.testing.assert_array_equal(back_sha.data, sha.data)
-
     def test_missing_blocks_pass_through(self):
         sha = ad.Tensor(rng.normal(size=(3, 2, 4)))
         assert assemble_interest_embedding(None, sha) is sha
-        spe, rest = split_interest_embedding(sha, 0)
-        assert spe is None
-        np.testing.assert_array_equal(rest.data, sha.data)

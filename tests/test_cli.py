@@ -1,6 +1,7 @@
 import json
 import platform
 import struct
+from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,8 @@ from ckml import cli, trainer
 from ckml.cli import main
 from ckml.config import load_run_config, parse_run_config
 from ckml.dataio import dataset_hash, load_dataset
-from ckml.trainer import load_checkpoint, save_checkpoint
+from ckml.model import param_specs
+from ckml.trainer import check_compatible, load_checkpoint, save_checkpoint
 
 SYNTH_CONFIG = """
 [data]
@@ -320,6 +322,36 @@ class TestEval:
                   and r["epoch"] == epoch]
         del want["epoch"]
         assert got == want
+
+    def test_checkpoint_holds_only_the_model(self, tmp_path):
+        _, ckpt = self._trained(tmp_path)
+        loaded = load_checkpoint(ckpt)
+        ds = load_dataset(tmp_path / "out" / "manifest.txt")
+        assert list(loaded.arrays) == list(param_specs(loaded.hyper(), ds))
+        assert not [k for k in loaded.config if k.startswith(("opt", "rng"))]
+
+    def test_checkpoint_with_optimizer_state_evaluates_the_same(self, tmp_path):
+        # the layout older versions wrote: Adam's moments after the
+        # parameters, the step count and the rng state in the config block
+        cfg, ckpt = self._trained(tmp_path)
+        loaded = load_checkpoint(ckpt)
+        arrays = OrderedDict(loaded.arrays)
+        for moment, value in (("m", 0.5), ("v", 0.25)):
+            for name, arr in loaded.arrays.items():
+                arrays[f"opt/{name}/{moment}"] = np.full_like(arr, value)
+        state = np.random.default_rng(3).bit_generator.state
+        config = {**loaded.config, "opt.step": "7",
+                  "rng.state": json.dumps(state, sort_keys=True)}
+        older = tmp_path / "older.ckml"
+        save_checkpoint(older, arrays, config)
+        ds = load_dataset(tmp_path / "out" / "manifest.txt")
+        check_compatible(load_checkpoint(older), ds)
+        written = []
+        for path, out in ((ckpt, "ev"), (older, "ev_older")):
+            assert main(["eval", "--config", str(cfg), "--checkpoint", str(path),
+                         "--out", str(tmp_path / out)]) == 0
+            written.append((tmp_path / out / "eval.jsonl").read_bytes())
+        assert written[0] == written[1]
 
     def test_truncated_checkpoint_exits_3(self, tmp_path, capsys):
         cfg, ckpt = self._trained(tmp_path, epochs=0)

@@ -12,6 +12,7 @@ from ckml.fbc import (BehaviorContext, _aggregate, _route, correlate_shared,
                       plain_aggregation_layer, route_behavior_layer)
 from ckml.numerics import NumericError, finite_difference_gradcheck
 
+import naive_autodiff as nad
 from naive_numerics import bipartite_normalized_adjacencies
 from naive_routing import (composed_correlate_shared, naive_route,
                            naive_route_and_aggregate, per_edge_route, propagate_layer,
@@ -497,8 +498,8 @@ class TestCorrelateSharedMatchesComposed:
                                        atol=1e-12 * np.abs(w_leaf.grad).max())
 
     def test_float32_projections_on_float64_stacks(self):
-        # the weights are cast to float64 once; the composed per-row
-        # products and the matrix-vector products round differently
+        # the weights are cast to float64 once; the projections' gradients
+        # are summed in different orders before they round to float32
         K, V, S, H, c = 3, 37, 2, 2, 4
         arrays = attention_arrays(np.random.default_rng(5), K, V, S, H, c, False,
                                   np.float32)
@@ -536,6 +537,56 @@ class TestCorrelateSharedMatchesComposed:
         for out in outs + [lam]:
             assert not out.requires_grad
             assert out._backward is None and out._parents == ()
+
+
+class TestCorrelateSharedOnWholeStacks:
+    """`n_specific` > 0: the whole stacks against the specific blocks cut
+    off, the shared ones correlated by the composed attention, and the two
+    glued back together."""
+
+    @given(attention_cases(), st.integers(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_narrowed_composition(self, case, n_specific):
+        K, V, S, H, c, seed, one_proj = case
+        stacks, projs, weights = attention_arrays(np.random.default_rng(seed), K, V,
+                                                  n_specific + S, H, c, one_proj)
+
+        def whole(leaves, q, k, v, heads):
+            return correlate_shared(leaves, q, k, v, heads, n_specific=n_specific)
+
+        def narrowed(leaves, q, k, v, heads):
+            spe = [nad.narrow(t, 1, 0, n_specific) for t in leaves]
+            sha = [nad.narrow(t, 1, n_specific, S) for t in leaves]
+            outs, lam = composed_correlate_shared(sha, q, k, v, heads)
+            return [ad.concat(pair, axis=1) for pair in zip(spe, outs)], lam
+
+        got_outs, got_lam, got = attention_loss(whole, stacks, projs, weights, H)
+        want_outs, want_lam, want = attention_loss(narrowed, stacks, projs, weights, H)
+        for a, b in zip(got_outs + [got_lam], want_outs + [want_lam]):
+            assert a.shape == b.shape and a.dtype == b.dtype == np.float64
+            assert a.data.tobytes() == b.data.tobytes()
+        for g_leaf, w_leaf in zip(got, want):
+            np.testing.assert_allclose(g_leaf.grad, w_leaf.grad, rtol=1e-12,
+                                       atol=1e-12 * np.abs(w_leaf.grad).max())
+        for leaf, w in zip(got, weights):  # d(sum(out * w)) / d(out) is w
+            assert (leaf.grad[:, :n_specific].tobytes()
+                    == w.data[:, :n_specific].tobytes())
+
+
+class TestProject:
+    @pytest.mark.parametrize("N", [1, 3, 4, 9, 37])
+    @pytest.mark.parametrize("c", [1, 3, 4, 5, 8, 12])
+    def test_matches_per_row_products(self, N, c):
+        H = 2
+        case_rng = np.random.default_rng(N * 100 + c)
+        xh = case_rng.normal(size=(H, N, c))
+        w = case_rng.normal(size=(H, c, c))
+        per_row = np.matmul(xh[:, :, None, :], w.transpose(0, 2, 1)[:, None])
+        want = per_row.reshape(H, N, c).transpose(1, 0, 2)
+        got = fbc._project(xh, w)
+        assert got.shape == (N, H, c)
+        np.testing.assert_allclose(got, want, rtol=4 * c * np.finfo(float).eps,
+                                   atol=4 * c * np.finfo(float).eps * np.abs(want).max())
 
 
 class TestEdgeWeightsBuiltOnce:

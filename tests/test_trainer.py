@@ -185,10 +185,9 @@ class TestCheckpoint:
         params = init_params(h, small_ds, seed=4)
         adam = Adam(params)
         adam.step(params, {k: np.ones_like(v) for k, v in params.items()}, 1e-3)
-        block = _config_block(h, small_ds, epoch=5, adam=adam,
-                              rng_state={"state": 1})
+        block = _config_block(h, small_ds, epoch=5)
         path = tmp_path / "m.ckml"
-        save_checkpoint(path, params, block, adam)
+        save_checkpoint(path, params, block)
         ckpt = load_checkpoint(path)
         assert ckpt.version == 1
         assert ckpt.config["epoch"] == "5"
@@ -196,16 +195,13 @@ class TestCheckpoint:
         assert list(restored) == list(params)
         for k in params:
             assert np.array_equal(restored[k], params[k])
-        for k in params:
-            assert np.array_equal(ckpt.arrays[f"opt/{k}/m"], adam.m[k])
-            assert np.array_equal(ckpt.arrays[f"opt/{k}/v"], adam.v[k])
 
     def test_hyper_snapshot_round_trips(self, small_ds, tmp_path):
         h = small_hyper(alpha=(0.5, 1.0), aggregator="gccf", no_fbc=True,
                         precision="f64")
         params = init_params(h, small_ds, seed=4)
         path = tmp_path / "m.ckml"
-        save_checkpoint(path, params, _config_block(h, small_ds, 0, None, None))
+        save_checkpoint(path, params, _config_block(h, small_ds, 0))
         assert load_checkpoint(path).hyper() == h
 
     def test_magic_verified(self, tmp_path):
@@ -218,7 +214,7 @@ class TestCheckpoint:
         # earlier checkpoints spelt bools True/False, alpha as a JSON list,
         # and held the since-removed workers and deterministic keys
         h = small_hyper(alpha=(0.5, 1.0), no_fbc=True)
-        block = _config_block(h, small_ds, 0, None, None)
+        block = _config_block(h, small_ds, 0)
         block.update({"hyper.alpha": "[0.5, 1.0]", "hyper.no_fbc": "True",
                       "hyper.time_embedding": "True", "hyper.no_cie": "False",
                       "hyper.deterministic": "True", "hyper.workers": "1"})
@@ -274,7 +270,7 @@ class TestCheckpoint:
     def test_failed_save_keeps_earlier_checkpoint(self, small_ds, tmp_path):
         h = small_hyper()
         params = init_params(h, small_ds, seed=0)
-        block = _config_block(h, small_ds, 0, None, None)
+        block = _config_block(h, small_ds, 0)
         path = tmp_path / "m.ckml"
         save_checkpoint(path, params, block)
         before = path.read_bytes()
@@ -287,7 +283,7 @@ class TestCheckpoint:
 
     def test_invalid_hyperparameters_rejected(self, small_ds, tmp_path):
         h = small_hyper()
-        block = _config_block(h, small_ds, 0, None, None)
+        block = _config_block(h, small_ds, 0)
         block["hyper.attention_heads"] = "3"  # does not divide the width 4
         path = tmp_path / "m.ckml"
         save_checkpoint(path, init_params(h, small_ds, seed=0), block)
@@ -298,7 +294,7 @@ class TestCheckpoint:
         h = small_hyper()
         params = init_params(h, small_ds, seed=0)
         path = tmp_path / "m.ckml"
-        save_checkpoint(path, params, _config_block(h, small_ds, 0, None, None))
+        save_checkpoint(path, params, _config_block(h, small_ds, 0))
         ckpt = load_checkpoint(path)
         check_compatible(ckpt, small_ds)  # same dataset passes
         other = tiny_dataset(num_users=9)
@@ -310,7 +306,7 @@ class TestCheckpoint:
         params = init_params(h, small_ds, seed=0)
         assert params["embed/user"].dtype == np.float32
         path = tmp_path / "m32.ckml"
-        save_checkpoint(path, params, _config_block(h, small_ds, 0, None, None))
+        save_checkpoint(path, params, _config_block(h, small_ds, 0))
         restored = load_checkpoint(path).model_params()
         for k in params:
             assert restored[k].dtype == np.float32
