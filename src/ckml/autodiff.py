@@ -53,9 +53,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def item(self) -> float:
-        return float(self.data)
-
     def backward(self):
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar output")

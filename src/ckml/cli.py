@@ -192,11 +192,9 @@ def cmd_eval(args) -> int:
     with open(out / "eval.jsonl", "w", encoding="utf-8") as fh:
         for record in _metrics_records(report, ckpt.int_value("epoch")):
             fh.write(_json_line(record))
-            print(f"behavior {record['behavior']}: HR@{cfg.top_n}={record['hr']:.6f} "
-                  f"NDCG@{cfg.top_n}={record['ndcg']:.6f} ({record['users']} users)")
-        dist = report.diagnostics.get("interest_distance")
-        if dist is not None:
-            fh.write(_json_line({"metric": "interest_distance", **dist}))
+            if "behavior" in record:
+                print(f"behavior {record['behavior']}: HR@{cfg.top_n}={record['hr']:.6f} "
+                      f"NDCG@{cfg.top_n}={record['ndcg']:.6f} ({record['users']} users)")
     return EXIT_OK
 
 
@@ -222,7 +220,7 @@ def cmd_gradcheck(args) -> int:
     rel_batches = [epoch_relation_triples(g, rng) for g in dataset.relation_graphs]
 
     def loss_fn(tensors):
-        total, _, _ = batch_loss(tensors, ctx, hyper, rank_batches, rel_batches)
+        total, _ = batch_loss(tensors, ctx, hyper, rank_batches, rel_batches)
         return total
 
     hook = None

@@ -386,6 +386,18 @@ def synthesize_records(cfg: GenConfig, seed: int):
     secondary prototype; specific prototypes never leak across behaviors.
     Returns (interaction rows (E, 4), relation rows (E', 3), ground_truth).
     """
+    # counts a dataset needs, within the dimensions `load_dataset` accepts
+    dims = MANIFEST_MAXIMA
+    for name, low, high in (
+            ("num_users", 1, dims["users"]), ("num_items", 1, dims["items"]),
+            ("num_behaviors", 1, dims["behaviors"]), ("relation_count", 0, dims["relations"]),
+            ("shared_prototypes", 0, np.inf), ("specific_prototypes", 0, np.inf),
+            ("interactions_per_user", 1, np.inf), ("relation_degree", 0, np.inf),
+            ("prototype_dim", 1, np.inf), ("correlation", 0, 1)):
+        if not low <= getattr(cfg, name) <= high:
+            raise DataError(f"{name} must be in [{low}, {high}], got {getattr(cfg, name)}")
+    if not 0 <= cfg.secondary_weight < 1:
+        raise DataError(f"secondary_weight must be in [0, 1), got {cfg.secondary_weight}")
     P = cfg.prototype_count()
     if P == 0:
         raise DataError("need at least one planted prototype")

@@ -82,14 +82,6 @@ class BehaviorContext:
                             self.user_incidence.shape[0])
 
 
-@dataclass
-class RoutingState:
-    """Per-iteration routing diagnostics (detached numpy copies)."""
-
-    coefficients: list = field(default_factory=list)  # (c_user_side, c_item_side)
-    logits: list = field(default_factory=list)
-
-
 def _edge_rows(node_rows: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """Row `ids[e]` of `node_rows` (V, ...) for every edge e, edge-minor:
     (..., E)."""
@@ -127,7 +119,7 @@ class _EdgeWeights:
 
 def _route_side(src: ad.Tensor, src_incidence: SparseMatrix,
                 dst_incidence: SparseMatrix, to_dst: _EdgeWeights,
-                to_src: _EdgeWeights, tau: float, n_iter: int, log):
+                to_src: _EdgeWeights, tau: float, n_iter: int):
     """Steps 1-4 for one side: each destination node's interest rows become
     the coefficient-weighted means of its edges' source rows, iterated.
 
@@ -137,9 +129,8 @@ def _route_side(src: ad.Tensor, src_incidence: SparseMatrix,
     reduction runs one long inner loop; the forward's are of `src`'s dtype.
     Returns the last iteration's (destination nodes, S, d*) Tensor of that
     dtype, whose only parent is `src`, and the first iteration whose state
-    is not finite (0 if none; routing stops there). `log`, if given, is a
-    pair of lists that receive (E, S) copies of each iteration's
-    coefficients and of each updated logit array.
+    is not finite (0 if none; routing stops there). Each iteration hands
+    its (S, E) coefficients to `to_dst.apply` once.
     """
     x = src.data
     V, S, _ = x.shape
@@ -160,8 +151,6 @@ def _route_side(src: ad.Tensor, src_incidence: SparseMatrix,
         c -= c.max(axis=0, keepdims=True)
         np.exp(c, out=c)
         c /= c.sum(axis=0, keepdims=True)
-        if log is not None:
-            log[0].append(c.T.copy())
         num_den = to_dst.apply(c, x_and_ones)
         num, den_raw = num_den[:, :, :-1], num_den[:, :, -1]
         den_live = den_raw > DEGREE_GUARD
@@ -176,8 +165,6 @@ def _route_side(src: ad.Tensor, src_incidence: SparseMatrix,
             aff = _edge_rows(th, dst_ids)
             aff *= unit_src_e
             logits += aff.sum(axis=1)
-            if log is not None:
-                log[1].append(logits.T.copy())
             step = (unit_h, h_norm, h_live, th)
         if saved is not None:
             saved.append((c, num, den, den_live, step))
@@ -219,10 +206,11 @@ def _route_side(src: ad.Tensor, src_incidence: SparseMatrix,
 
 def _route(ctx: BehaviorContext, x_stack: ad.Tensor, g_stack: ad.Tensor,
            time_u: ad.Tensor | None, time_i: ad.Tensor | None,
-           tau: float, n_iter: int, collect_state: bool):
+           tau: float, n_iter: int):
     """Steps 1-4 on both sides: iterate coefficient normalization,
     weighted-mean propagation of the opposite side's initial states, and
-    affinity updates. Returns the last iteration's stacks plus diagnostics."""
+    affinity updates. Returns the last iteration's (user, item) stacks,
+    (M, S, d*) and (N, S, d*), before aggregation."""
     if tau <= 0:
         raise NumericError(f"routing temperature must be positive, got {tau}")
     if n_iter < 1:
@@ -232,41 +220,34 @@ def _route(ctx: BehaviorContext, x_stack: ad.Tensor, g_stack: ad.Tensor,
     h_u0, h_i0 = _with_time(x_stack, time_u), _with_time(g_stack, time_i)
 
     if ctx.edge_count == 0:
-        zero_u = ad.constant(np.zeros((M, S, d_star), dtype=h_u0.dtype))
-        zero_i = ad.constant(np.zeros((N, S, d_star), dtype=h_i0.dtype))
-        return zero_u, zero_i, RoutingState() if collect_state else None
+        return (ad.constant(np.zeros((M, S, d_star), dtype=h_u0.dtype)),
+                ad.constant(np.zeros((N, S, d_star), dtype=h_i0.dtype)))
 
     # columns (u, i) carry items to users, columns (i, u) users to items
     users, items = ctx.user_incidence, ctx.item_incidence
-    log_u, log_i = (([], []), ([], [])) if collect_state else (None, None)
     h_u_t, bad_u = _route_side(h_i0, items, users, ctx.into_users, ctx.into_items,
-                               tau, n_iter, log_u)
+                               tau, n_iter)
     h_i_t, bad_i = _route_side(h_u0, users, items, ctx.into_items, ctx.into_users,
-                               tau, n_iter, log_i)
+                               tau, n_iter)
     if bad_u or bad_i:
         t = min(b for b in (bad_u, bad_i) if b)
         where = (f"user node {np.argwhere(~np.isfinite(h_u_t.data))[0][0]}"
                  if bad_u == t else "item side")
         raise NumericError(f"non-finite routing state at iteration {t} ({where})")
-    state = None
-    if collect_state:
-        state = RoutingState(list(zip(log_u[0], log_i[0])), list(zip(log_u[1], log_i[1])))
-    return h_u_t, h_i_t, state
+    return h_u_t, h_i_t
 
 
 def route_behavior_layer(ctx: BehaviorContext, x_stack: ad.Tensor, g_stack: ad.Tensor,
                          time_u: ad.Tensor | None, time_i: ad.Tensor | None,
                          tau: float, n_iter: int, aggregator: str,
-                         agg_weights: dict | None = None, slope: float = 0.2,
-                         collect_state: bool = False):
+                         agg_weights: dict | None = None, slope: float = 0.2):
     """Allocate one behavior's edges across interests and aggregate once.
 
-    Returns (h_user, h_item, state): stacks of shape (M, S, d*) / (N, S, d*)
-    after the final aggregation pass; nodes without edges come out zero.
+    Returns (h_user, h_item): stacks of shape (M, S, d*) / (N, S, d*) after
+    the final aggregation pass; nodes without edges come out zero.
     """
-    h_u_t, h_i_t, state = _route(ctx, x_stack, g_stack, time_u, time_i,
-                                 tau, n_iter, collect_state)
-    return (*_aggregate(ctx, h_u_t, h_i_t, aggregator, agg_weights, slope), state)
+    h_u_t, h_i_t = _route(ctx, x_stack, g_stack, time_u, time_i, tau, n_iter)
+    return _aggregate(ctx, h_u_t, h_i_t, aggregator, agg_weights, slope)
 
 
 def plain_aggregation_layer(ctx: BehaviorContext, x_stack: ad.Tensor,

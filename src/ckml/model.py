@@ -8,7 +8,8 @@ shared blocks (with the shared blocks' sum when routing is off), leaves
 the specific blocks untouched, and add the residual. Time offsets,
 states and layer outputs are held per behavior as [user, item] pairs.
 Final representations sum the routed outputs of layers 1..L; layer-0
-inputs stay out.
+inputs stay out. The forward returns only what the losses and the
+evaluator read; routing coefficients and attention weights are dropped.
 """
 
 from __future__ import annotations
@@ -103,13 +104,12 @@ class ModelContext:
 
 @dataclass
 class ForwardOutput:
+    """What the ranking and relation losses and the evaluator read."""
+
     user_final: list      # per behavior, (M, S, d*)
     item_final: list      # per behavior, (N, S, d*)
     relation_views: list | None  # per relation, (N, d); None under no_cie
     item_interest_stacks: list   # CIE output per behavior, (N, S, d*)
-    user_interest_stack: object  # reshaped user embedding, (M, S, d*)
-    attention_weights: list      # per layer, (K, K, V?, S, H) tensors
-    routing_states: list         # per (layer, behavior) RoutingState when collected
 
 
 def _block_mask(hyper: HyperConfig, dtype) -> ad.Tensor | None:
@@ -132,8 +132,7 @@ def _agg_weights(params, prefix, layer, aggregator):
     return {wname: params[f"{prefix}/l{layer}/{wname}"] for wname, _ in names}
 
 
-def forward(params: dict, ctx: ModelContext, hyper: HyperConfig,
-            collect_state: bool = False) -> ForwardOutput:
+def forward(params: dict, ctx: ModelContext, hyper: HyperConfig) -> ForwardOutput:
     ds = ctx.dataset
     K = ds.num_behaviors
     s_spe, s_sha, d_star = hyper.interest_structure()
@@ -184,27 +183,19 @@ def forward(params: dict, ctx: ModelContext, hyper: HyperConfig,
             times = [[t * mask for t in pair] for pair in times]
     states = [[x0, g] for g in g_stacks]
     layer_outputs = [([], []) for _ in range(K)]
-    attention_weights = []
-    routing_states = []
 
     for l in range(hyper.interaction_layers):
         agg_w = _agg_weights(params, "agg/fbc", l, hyper.aggregator)
         routed = []
         for k in range(K):
             if hyper.fbc_disabled:
-                h_u, h_i = fbc.plain_aggregation_layer(
-                    ctx.behaviors[k], *states[k], *times[k], hyper.aggregator, agg_w, slope)
-                state = None
+                routed.append(fbc.plain_aggregation_layer(
+                    ctx.behaviors[k], *states[k], *times[k], hyper.aggregator, agg_w, slope))
             else:
-                h_u, h_i, state = fbc.route_behavior_layer(
+                routed.append(fbc.route_behavior_layer(
                     ctx.behaviors[k], *states[k], *times[k], hyper.tau,
-                    hyper.routing_iterations, hyper.aggregator, agg_w, slope,
-                    collect_state=collect_state)
-            routed.append((h_u, h_i))
-            if collect_state:
-                routing_states.append(state)
+                    hyper.routing_iterations, hyper.aggregator, agg_w, slope))
 
-        lams = []
         for side in (0, 1):
             outs = stacks = [h[side] for h in routed]
             # routing off: each shared block becomes the shared blocks' sum,
@@ -217,20 +208,16 @@ def forward(params: dict, ctx: ModelContext, hyper: HyperConfig,
             elif s_sha and hyper.fbc_disabled:  # the stacks are all shared
                 outs = [ad.add_all(stacks)] * K
             elif s_sha:
-                outs, lam = fbc.correlate_shared(
+                outs, _ = fbc.correlate_shared(
                     stacks, params[f"attn/l{l}/Q"], params[f"attn/l{l}/K"],
                     params[f"attn/l{l}/V"], hyper.attention_heads, s_spe)
-                lams.append(lam)
             for k, out in enumerate(outs):
                 layer_outputs[k][side].append(out)
                 states[k][side] = out + states[k][side]
-        if lams:
-            attention_weights.append(tuple(lams))
 
     user_final = [objective.aggregate_final(outs[0]) for outs in layer_outputs]
     item_final = [objective.aggregate_final(outs[1]) for outs in layer_outputs]
-    return ForwardOutput(user_final, item_final, relation_views, g_stacks, x0,
-                         attention_weights, routing_states)
+    return ForwardOutput(user_final, item_final, relation_views, g_stacks)
 
 
 def ranking_term(out: ForwardOutput, behavior: int, users: np.ndarray,
@@ -259,7 +246,7 @@ def batch_loss(params: dict, ctx: ModelContext, hyper: HyperConfig,
 
     rank_batches: per behavior, (users, positives, negatives) arrays or None.
     rel_batches: per relation, (anchors, positives, negatives) arrays or None.
-    Returns (total Tensor, LossBreakdown, ForwardOutput).
+    Returns (total Tensor, LossBreakdown).
     """
     out = forward(params, ctx, hyper)
     K = ctx.dataset.num_behaviors
@@ -276,6 +263,5 @@ def batch_loss(params: dict, ctx: ModelContext, hyper: HyperConfig,
                      if batch is not None and len(batch[0])]
         rel_total = ad.add_all(rel_terms) if rel_terms else None
     reg = objective.regularization_term(params)
-    total, breakdown = objective.total_loss(
+    return objective.total_loss(
         rank_terms, hyper.alphas_for(K), rel_total, hyper.beta, reg, hyper.reg_lambda)
-    return total, breakdown, out

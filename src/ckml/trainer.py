@@ -176,7 +176,7 @@ def train_epoch(params: OrderedDict, ctx: ModelContext, hyper: HyperConfig,
         # The last step's tape lives on into this forward: freeing it first cut peak RSS
         # 204 -> 154 MB but slowed the median step 105 -> 141 ms (step-fullgraph, 2 cores).
         tensors = {k: ad.Tensor(v, requires_grad=True) for k, v in params.items()}
-        total, breakdown, _ = batch_loss(tensors, ctx, hyper, rank_batches, rel_batches)
+        total, breakdown = batch_loss(tensors, ctx, hyper, rank_batches, rel_batches)
         if not np.isfinite(total.data):
             raise NumericError(
                 f"non-finite loss at epoch {epoch} step {s}: "
@@ -370,10 +370,15 @@ class FitResult:
 
 
 def _metrics_records(report: MetricsReport, epoch: int) -> list:
+    """One evaluation's JSONL records: one per behavior, then the
+    interest-distance diagnostics when the report has them."""
     records = []
     for k, (hr, ndcg, users) in report.per_behavior.items():
         records.append({"epoch": epoch, "behavior": int(k), "hr": hr,
                         "ndcg": ndcg, "users": int(users)})
+    dist = report.diagnostics.get("interest_distance")
+    if dist is not None:
+        records.append({"metric": "interest_distance", "epoch": epoch, **dist})
     return records
 
 
@@ -404,11 +409,6 @@ def fit(dataset: Dataset, hyper: HyperConfig, top_n: int = 10,
                           all_behaviors=eval_all_behaviors)
         for rec in _metrics_records(report, epoch):
             emit(rec)
-        dist = report.diagnostics.get("interest_distance")
-        if dist is not None:
-            emit({"metric": "interest_distance", "epoch": epoch,
-                  "mean": dist["mean"], "p10": dist["p10"], "p50": dist["p50"],
-                  "p90": dist["p90"]})
         return report
 
     report = run_eval(0)

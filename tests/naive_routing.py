@@ -8,20 +8,48 @@ tiny numpy vectors are used for arithmetic.
 
 The tape-level references at the end keep the package's earlier scatter
 ops, its per-edge routing, its routing and its cross-behavior attention
-composed of tape ops, plus two test-only helpers.
+composed of tape ops, plus a test-only helper.
+
+`recorded_coefficients` observes the package's routing from outside: it
+records the coefficients that each routing iteration weights its edges
+with, which no output of the package carries.
 """
+
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ckml import autodiff as ad
+from ckml import fbc
 from ckml.autodiff import NORM_GUARD
 from ckml.cie import assemble_interest_embedding
-from ckml.fbc import DEGREE_GUARD, RoutingState, _head_major, _project, _route
+from ckml.fbc import DEGREE_GUARD, _head_major, _project
 from ckml.numerics import NumericError
 
 from naive_autodiff import narrow, stack, tanh, transpose
 
 GUARD = 1e-12
+
+
+@contextmanager
+def recorded_coefficients():
+    """Yields a list that receives a copy of the (S, E) weights of every
+    `fbc._EdgeWeights.apply` call made inside the block. Each routing
+    iteration of a forward makes one such call with its coefficients, the
+    user side's iterations first and then the item side's. A backward makes
+    further calls, so record forwards alone."""
+    calls = []
+    apply = fbc._EdgeWeights.apply
+
+    def recording(self, w, stack):
+        calls.append(w.copy())
+        return apply(self, w, stack)
+    fbc._EdgeWeights.apply = recording
+    try:
+        yield calls
+    finally:
+        fbc._EdgeWeights.apply = apply
 
 
 def _unit(v):
@@ -209,9 +237,19 @@ def _weighted_mean(coeff, sources, incidence):
     return num / den.reshape(den.shape[0], den.shape[1], 1)
 
 
+@dataclass
+class RoutingState:
+    """Per-iteration routing diagnostics (detached numpy copies)."""
+
+    coefficients: list = field(default_factory=list)  # (c_user_side, c_item_side)
+    logits: list = field(default_factory=list)
+
+
 def tape_route(ctx, x_stack, g_stack, time_u, time_i, tau, n_iter, collect_state):
     """`fbc._route` composed of tape ops, as the package ran it before the
-    fused per-side nodes: (E, S, d*) per-edge arrays, one tape node per op."""
+    fused per-side nodes: (E, S, d*) per-edge arrays, one tape node per op.
+    Returns the (user, item) stacks and, if `collect_state`, a RoutingState
+    of each iteration's (E, S) coefficients and updated logits (else None)."""
     if tau <= 0:
         raise NumericError(f"routing temperature must be positive, got {tau}")
     if n_iter < 1:
@@ -301,13 +339,6 @@ def composed_correlate_shared(shared_stacks, q_proj, k_proj, v_proj, heads):
     residual = x.sum(axis=0, keepdims=True)
     out = heads_out + residual
     return [narrow(out, 0, k, 1).reshape(V, S, d_star) for k in range(K)], lam
-
-
-def routed_mean_before_aggregation(ctx, x_stack, g_stack, time_u, time_i, tau, n_iter):
-    """The package's pre-aggregation routing output, for the reduction invariants."""
-    h_u_t, h_i_t, _ = _route(ctx, x_stack, g_stack, time_u, time_i,
-                             tau, n_iter, collect_state=False)
-    return h_u_t, h_i_t
 
 
 def propagate_layer(specific, shared_corr, previous):

@@ -15,7 +15,7 @@ from ckml import autodiff as ad
 from ckml.config import HyperConfig
 from ckml.dataio import GenConfig, generate_synthetic
 from ckml.evaluator import hr_ndcg_at_n, interest_center_distance, rank_positive
-from ckml.fbc import BehaviorContext, correlate_shared, route_behavior_layer
+from ckml.fbc import BehaviorContext, _route, correlate_shared, route_behavior_layer
 from ckml.model import ModelContext, batch_loss, forward
 from ckml.numerics import finite_difference_gradcheck
 from ckml.objective import score_interactions
@@ -24,7 +24,7 @@ from ckml.trainer import (Adam, epoch_ranking_triples, epoch_relation_triples,
 
 from conftest import tiny_dataset
 from naive_numerics import softmax_with_temperature
-from naive_routing import naive_route_and_aggregate, routed_mean_before_aggregation
+from naive_routing import naive_route_and_aggregate, recorded_coefficients, tape_route
 
 
 def report(number, description, ok, detail=""):
@@ -51,7 +51,7 @@ def test_criterion_1_gradient_correctness():
     rel = [epoch_relation_triples(g, rng) for g in ds.relation_graphs]
 
     def loss_fn(tensors):
-        total, _, _ = batch_loss(tensors, ctx, hyper, rank, rel)
+        total, _ = batch_loss(tensors, ctx, hyper, rank, rel)
         return total
 
     rep = finite_difference_gradcheck(loss_fn, params, epsilon=1e-5)
@@ -84,7 +84,7 @@ def test_criterion_2_routing_oracle_equivalence():
         g = rng.normal(size=(N, n_interests, d_star))
         tu = rng.normal(size=(M, n_interests, d_star)) * 0.2
         ti = rng.normal(size=(N, n_interests, d_star)) * 0.2
-        h_u, h_i, _ = route_behavior_layer(
+        h_u, h_i = route_behavior_layer(
             ctx, ad.Tensor(x), ad.Tensor(g), ad.Tensor(tu), ad.Tensor(ti),
             tau, n_iter, "light")
         want_u, want_i = naive_route_and_aggregate(
@@ -113,14 +113,13 @@ def test_criterion_3_normalization_invariants():
         x = ad.Tensor(rng.normal(size=(M, S, 2)))
         g = ad.Tensor(rng.normal(size=(N, S, 2)))
         tau = float(rng.uniform(0.2, 10.0))
-        _, _, state = route_behavior_layer(ctx, x, g, None, None, tau, 3,
-                                           "light", collect_state=True)
-        for c_user, c_item in state.coefficients:
-            worst_edge = max(worst_edge,
-                             float(np.abs(c_user.sum(axis=1) - 1).max()),
-                             float(np.abs(c_item.sum(axis=1) - 1).max()))
-            draws += len(c_user) + len(c_item)
+        with recorded_coefficients() as coeffs:
+            route_behavior_layer(ctx, x, g, None, None, tau, 3, "light")
+        for c in coeffs:  # (S, E) per side and iteration
+            worst_edge = max(worst_edge, float(np.abs(c.sum(axis=0) - 1).max()))
+            draws += c.shape[1]
         # argmax invariance under temperature rescaling of the same logits
+        _, _, state = tape_route(ctx, x, g, None, None, tau, 3, collect_state=True)
         for logits_u, logits_i in state.logits:
             for logits in (logits_u, logits_i):
                 base = np.argmax(logits, axis=1)
@@ -157,7 +156,7 @@ def test_criterion_4_single_interest_reduction():
     g = ad.Tensor(rng.normal(size=(4, 1, 6)))
     worst = 0.0
     for n_iter in (1, 2, 3):
-        h_u, h_i = routed_mean_before_aggregation(ctx, x, g, None, None, 2.5, n_iter)
+        h_u, h_i = _route(ctx, x, g, None, None, 2.5, n_iter)
         for u in range(3):
             items = [i for (uu, i) in edges if uu == u]
             want = g.data[items].mean(axis=0) if items else np.zeros((1, 6))

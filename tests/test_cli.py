@@ -1,10 +1,12 @@
 import json
 import platform
+import re
 import struct
 from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
+import pytest
 import scipy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -102,6 +104,18 @@ class TestSynth:
         assert main(["synth", "--config", str(cfg)]) == 2
         assert_one_error_line(capsys, "seed must be non-negative, got -5")
         assert not (tmp_path / "out" / "interactions.tsv").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("users", "-1"), ("relation_degree", "-1"), ("interactions_per_user", "-3"),
+        ("behaviors", "0"), ("shared_prototypes", "-1"), ("users", "100000000000"),
+        ("users", "0"), ("correlation", "2.5")])
+    def test_bad_synth_value_exits_2_naming_it(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path)
+        text = re.sub(rf"synth_{key} = .*\n", "", cfg.read_text())
+        cfg.write_text(text.replace("[data]\n", f"[data]\nsynth_{key} = {value}\n"))
+        assert main(["synth", "--config", str(cfg)]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out" / "manifest.txt").exists()
 
     def test_emitted_files_reproduce_dataset_hash(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -320,7 +334,6 @@ class TestEval:
         [got] = [r for r in eval_lines if r.get("metric") == "interest_distance"]
         [want] = [r for r in train_lines if r.get("metric") == "interest_distance"
                   and r["epoch"] == epoch]
-        del want["epoch"]
         assert got == want
 
     def test_checkpoint_holds_only_the_model(self, tmp_path):

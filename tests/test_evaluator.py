@@ -130,8 +130,8 @@ class TestEvaluate:
     def test_constant_scorer_has_zero_hr(self, monkeypatch):
         ds, h, ctx, params = eval_fixture()
 
-        def constant_forward(tensors, fctx, fhyper, collect_state=False):
-            out = forward(tensors, fctx, fhyper, collect_state)
+        def constant_forward(tensors, fctx, fhyper):
+            out = forward(tensors, fctx, fhyper)
             k = ds.target_behavior
             out.user_final[k] = ad.Tensor(np.zeros_like(out.user_final[k].data))
             return out

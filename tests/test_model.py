@@ -13,6 +13,7 @@ from ckml.trainer import (epoch_ranking_triples, epoch_relation_triples,
                           init_params)
 
 from conftest import tiny_dataset
+from naive_routing import recorded_coefficients
 
 
 def run_gradcheck(ds, hyper, seed=5):
@@ -24,7 +25,7 @@ def run_gradcheck(ds, hyper, seed=5):
     rel = [epoch_relation_triples(g, rng) for g in ds.relation_graphs]
 
     def loss_fn(tensors):
-        total, _, _ = batch_loss(tensors, ctx, hyper, rank, rel)
+        total, _ = batch_loss(tensors, ctx, hyper, rank, rel)
         return total
 
     return finite_difference_gradcheck(loss_fn, params, epsilon=1e-5)
@@ -86,33 +87,23 @@ def test_final_representation_excludes_layer_zero():
     np.testing.assert_array_equal(out.item_final[k].data,
                                   np.zeros_like(out.item_final[k].data))
     # the layer-0 inputs themselves are nonzero, proving the exclusion
-    assert np.any(out.user_interest_stack.data)
+    assert np.any(params["embed/user"])
     assert np.any(out.item_interest_stacks[k].data)
 
 
-def test_attention_weights_exposed_per_layer(grad_ds):
-    hyper = HyperConfig(**{**BASE, "interaction_layers": 2})
-    hyper.validate(2)
-    ctx = ModelContext(grad_ds, hyper)
-    params = init_params(hyper, grad_ds, seed=0)
-    out = forward({k: ad.Tensor(v) for k, v in params.items()}, ctx, hyper)
-    assert len(out.attention_weights) == 2
-    lam_u, lam_i = out.attention_weights[0]
-    K = grad_ds.num_behaviors
-    assert lam_u.shape[:2] == (K, K)
-    np.testing.assert_allclose(lam_u.data.sum(axis=1), 1.0, atol=1e-6)
-
-
-def test_routing_states_collected_on_request(grad_ds):
-    hyper = HyperConfig(**BASE)
-    hyper.validate(2)
-    ctx = ModelContext(grad_ds, hyper)
-    params = init_params(hyper, grad_ds, seed=0)
-    out = forward({k: ad.Tensor(v) for k, v in params.items()}, ctx, hyper,
-                  collect_state=True)
-    assert len(out.routing_states) == 2  # one per (layer, behavior)
-    assert all(len(s.coefficients) == hyper.routing_iterations
-               for s in out.routing_states)
+def test_forward_routes_every_side_behavior_layer_and_iteration(grad_ds):
+    counts = []
+    for ablation in ({}, {"no_fbc": True}, {"no_mi": True}):
+        hyper = HyperConfig(**{**BASE, "interaction_layers": 2, "routing_iterations": 3,
+                               **ablation})
+        hyper.validate(2)
+        ctx = ModelContext(grad_ds, hyper)
+        params = init_params(hyper, grad_ds, seed=0)
+        with recorded_coefficients() as coeffs:
+            forward({k: ad.Tensor(v) for k, v in params.items()}, ctx, hyper)
+        counts.append(len(coeffs))
+    # sides x behaviors x layers x iterations; no routing without FBC
+    assert counts == [2 * grad_ds.num_behaviors * 2 * 3, 0, 0]
 
 
 def test_no_fbc_path_has_no_attention_parameters(grad_ds):
@@ -137,7 +128,7 @@ def test_time_bucket_gathers_reuse_prebuilt_incidences(grad_ds, monkeypatch):
     monkeypatch.setattr(SparseMatrix, "incidence", classmethod(
         lambda cls, *a: built.append(a) or original(cls, *a)))
     rank = [(np.arange(3), np.arange(3), np.arange(3, 6))] * 2
-    total, _, _ = batch_loss(tensors, ctx, hyper, rank, [None, None])
+    total, _ = batch_loss(tensors, ctx, hyper, rank, [None, None])
     total.backward()
     # the batch gathers still build theirs, over users and items
     assert not [a for a in built if a[1] == hyper.time_buckets]
@@ -171,7 +162,7 @@ def test_every_tape_value_and_gradient_has_the_precision_dtype(grad_ds, precisio
     rng = np.random.default_rng(5)
     rank = [epoch_ranking_triples(g, rng) for g in grad_ds.behavior_graphs]
     rel = [epoch_relation_triples(g, rng) for g in grad_ds.relation_graphs]
-    total, _, _ = batch_loss(tensors, ctx, hyper, rank, rel)
+    total, _ = batch_loss(tensors, ctx, hyper, rank, rel)
     total.backward()
     nodes = tape_nodes(total)
     assert len(nodes) > 100

@@ -99,7 +99,7 @@ class TestTrainEpoch:
         norms = [np.sqrt(sum(float((v * v).sum()) for v in params.values()))]
         for step in range(10):
             tensors = {k: ad.Tensor(v, requires_grad=True) for k, v in params.items()}
-            total, _, _ = batch_loss(tensors, ctx, h, [None, None], [None, None])
+            total, _ = batch_loss(tensors, ctx, h, [None, None], [None, None])
             total.backward()
             adam.step(params, {k: t.grad for k, t in tensors.items()
                                if t.grad is not None}, h.learning_rate)
@@ -116,7 +116,7 @@ class TestTrainEpoch:
         final = None
         for _ in range(200):
             tensors = {k: ad.Tensor(v, requires_grad=True) for k, v in params.items()}
-            total, br, _ = batch_loss(tensors, ctx, h, rank, [None, None])
+            total, br = batch_loss(tensors, ctx, h, rank, [None, None])
             final = br.ranking
             if final == 0.0:
                 break
@@ -341,7 +341,7 @@ class TestAblations:
         rng = np.random.default_rng(0)
         rank = [epoch_ranking_triples(g, rng) for g in small_ds.behavior_graphs]
         tensors = {k: ad.Tensor(v, requires_grad=True) for k, v in params.items()}
-        total, _, out = batch_loss(tensors, ctx, h, rank, [None, None])
+        total, _ = batch_loss(tensors, ctx, h, rank, [None, None])
         total.backward()
         for k, t in tensors.items():
             if k.startswith("cie/spe/"):
@@ -349,7 +349,7 @@ class TestAblations:
             if k == "cie/sha/s0/W":
                 assert t.grad is not None and np.any(t.grad)
         # the zeroed block really is zero in the interest stacks
-        for g_stack in out.item_interest_stacks:
+        for g_stack in forward(tensors, ctx, h).item_interest_stacks:
             np.testing.assert_array_equal(g_stack.data[:, 0], 0.0)
 
     def test_specific_only_zero_gradient_into_shared_and_attention(self, small_ds):
@@ -360,7 +360,7 @@ class TestAblations:
         rng = np.random.default_rng(0)
         rank = [epoch_ranking_triples(g, rng) for g in small_ds.behavior_graphs]
         tensors = {k: ad.Tensor(v, requires_grad=True) for k, v in params.items()}
-        total, _, _ = batch_loss(tensors, ctx, h, rank, [None, None])
+        total, _ = batch_loss(tensors, ctx, h, rank, [None, None])
         total.backward()
         for k, t in tensors.items():
             if k.startswith(("cie/sha/", "attn/")):
