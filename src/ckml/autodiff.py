@@ -3,6 +3,8 @@
 A Tensor wraps an ndarray and records its parents plus a backward closure
 on a tape; calling ``backward()`` on a scalar walks the tape in reverse
 topological order and accumulates exact analytic gradients into ``.grad``.
+A tape is walked back once and freed as it goes: an interior node drops its
+closure, gradient and parents (None: a later walk raises) once its backward ran.
 Only the ops the model needs are implemented; every op is deterministic
 (fixed reduction order, no threading) so identical inputs give bitwise
 identical outputs and gradients.
@@ -67,15 +69,20 @@ class Tensor:
             if id(node) in seen:
                 continue
             seen.add(id(node))
+            if node._parents is None:
+                raise ValueError("tape already walked back")
             stack.append((node, True))
             for p in node._parents:
                 if id(p) not in seen:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
+        while order:
+            node = order.pop()
+            if node._backward is None:
+                continue  # a leaf keeps its gradient
+            if node.grad is not None:
                 node._backward(node.grad)
-                node._owns_grad = False  # its parents may hold it now
+            node._backward, node._parents, node.grad = None, None, None
 
     def _accumulate(self, g: np.ndarray):
         """Add `g` to `.grad`. A first gradient of the right dtype is stored

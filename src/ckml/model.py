@@ -21,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import cie, fbc, objective
-from .config import HyperConfig
+from .config import ConfigError, HyperConfig
 from .dataio import Dataset, time_buckets
 from .numerics import SparseMatrix, normalized_adjacency
 
@@ -92,6 +92,9 @@ class ModelContext:
     buckets: list = field(init=False)
 
     def __post_init__(self):
+        if self.dataset.relation_count == 0 and not self.hyper.cie_disabled:
+            raise ConfigError("relations = 0 leaves interest extraction no relation "
+                              "to extract from; set no_cie = true")
         dtype = self.hyper.dtype
         self.behaviors = [fbc.BehaviorContext(g, dtype) for g in self.dataset.behavior_graphs]
         self.relation_adjs = [normalized_adjacency(g.adj, dtype)

@@ -8,6 +8,8 @@ the hyperparameters and dimensions that shape them.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 import os
 import struct
@@ -152,10 +154,25 @@ def _batches_by_id(ids, columns, count, lo, hi):
     return batches
 
 
+@functools.cache
+def _pin_allocator() -> bool:
+    """Keep freed tape blocks in the heap for the next step: glibc's mmap and trim
+    thresholds to 1 GiB (both, or the mmap one is fixed at 128 KiB). False where
+    there is no mallopt (musl, macOS, Windows); training is the same, only slower."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    # M_MMAP_THRESHOLD (-3), then M_TRIM_THRESHOLD (-1)
+    return mallopt(-3, 1 << 30) == 1 and mallopt(-1, 1 << 30) == 1
+
+
 def train_epoch(params: OrderedDict, ctx: ModelContext, hyper: HyperConfig,
                 adam: Adam, rng: np.random.Generator, epoch: int) -> LossBreakdown:
     """One pass over every behavior edge (fresh negatives) and every
     relation edge, in shuffled batches; Adam steps at lr * decay^epoch."""
+    _pin_allocator()
     ds = ctx.dataset
     K = ds.num_behaviors
     beh, *rank_columns = _shuffled_triples(epoch_ranking_triples,
@@ -173,8 +190,8 @@ def train_epoch(params: OrderedDict, ctx: ModelContext, hyper: HyperConfig,
                                       (s + 1) * hyper.batch_size)
         rel_batches = _batches_by_id(rel_ids, rel_columns, ds.relation_count,
                                      s * rel_chunk, (s + 1) * rel_chunk)
-        # The last step's tape lives on into this forward: freeing it first cut peak RSS
-        # 204 -> 154 MB but slowed the median step 105 -> 141 ms (step-fullgraph, 2 cores).
+        # The backward freed the last step's tape; _pin_allocator keeps its blocks for this
+        # one. step-fullgraph: peak RSS 165 -> 123 MB, a step 82 -> 84 ms (97 ms unpinned).
         tensors = {k: ad.Tensor(v, requires_grad=True) for k, v in params.items()}
         total, breakdown = batch_loss(tensors, ctx, hyper, rank_batches, rel_batches)
         if not np.isfinite(total.data):

@@ -1,8 +1,11 @@
-"""Tape ops that only the tests and the routing oracles use.
+"""Tape ops that only the tests and the routing oracles use, and the
+tape walk that keeps the tape, the oracle for `Tensor.backward`'s freeing one.
 
-They build `ckml.autodiff.Tensor` nodes exactly as the package's own ops
+The ops build `ckml.autodiff.Tensor` nodes exactly as the package's own ops
 do, so they compose with them on one tape.
 """
+
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -65,3 +68,51 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
             x._accumulate(full)
         out._backward = bw
     return out
+
+
+@contextmanager
+def patched_accumulate(accumulate):
+    """`Tensor._accumulate` replaced by `accumulate` inside the block."""
+    original = Tensor._accumulate
+    Tensor._accumulate = accumulate
+    try:
+        yield
+    finally:
+        Tensor._accumulate = original
+
+
+def tape_nodes(root):
+    """Every Tensor reachable from `root` through its parents, of a tape
+    not yet walked back."""
+    nodes, stack, seen = [], [root], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    return nodes
+
+
+def backward_keeping_tape(root: Tensor):
+    """`root.backward()` as a walk that frees nothing: every node keeps its
+    closure, parents and gradient. The same topological order and the same
+    calls as the package's walk, so the leaves' gradients must agree."""
+    order, seen, stack = [], set(), [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if id(p) not in seen:
+                stack.append((p, False))
+    root.grad = np.ones_like(root.data)
+    for node in reversed(order):
+        if node._backward is not None and node.grad is not None:
+            node._backward(node.grad)
+            node._owns_grad = False  # its parents may hold it now

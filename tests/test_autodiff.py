@@ -4,8 +4,6 @@ Each op is validated against central finite differences computed by this
 file's own helper (no shared code with the gradcheck in numerics).
 """
 
-from contextlib import contextmanager
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +12,7 @@ from hypothesis import strategies as st
 from ckml import autodiff as ad
 
 import naive_autodiff as nad
+from naive_autodiff import patched_accumulate
 
 
 def numeric_grad(fn, x, eps=1e-6):
@@ -246,6 +245,7 @@ TAPE_OPS = ("double", "reshape", "add_leaf", "sum_broadcast", "scale", "fan_out"
 
 
 def run_tape(ops, leaves, weights):
+    """The scalar root of a tape over `leaves`, not yet walked back."""
     x, y = leaves
     t = x
     for op in ops:
@@ -262,17 +262,7 @@ def run_tape(ops, leaves, weights):
         else:  # one node read by two consumers that pass its gradient on as is
             a = t + y
             t = a.reshape(-1).reshape(x.shape) + a
-    (t * weights[1]).sum().backward()
-
-
-@contextmanager
-def patched_accumulate(accumulate):
-    original = ad.Tensor._accumulate
-    ad.Tensor._accumulate = accumulate
-    try:
-        yield
-    finally:
-        ad.Tensor._accumulate = original
+    return (t * weights[1]).sum()
 
 
 def copy_on_first(self, g):
@@ -293,7 +283,7 @@ def test_first_gradient_stored_without_copy(ops, shape, dtype, seed):
 
     want = [ad.Tensor(a, requires_grad=True) for a in arrays]
     with patched_accumulate(copy_on_first):
-        run_tape(ops, want, weights)
+        run_tape(ops, want, weights).backward()
 
     stored = []
     accumulate = ad.Tensor._accumulate
@@ -304,7 +294,7 @@ def test_first_gradient_stored_without_copy(ops, shape, dtype, seed):
             stored.append((g, g.copy()))
     got = [ad.Tensor(a, requires_grad=True) for a in arrays]
     with patched_accumulate(watched):
-        run_tape(ops, got, weights)
+        run_tape(ops, got, weights).backward()
 
     for g_leaf, w_leaf in zip(got, want):
         if w_leaf.grad is None:
@@ -314,3 +304,49 @@ def test_first_gradient_stored_without_copy(ops, shape, dtype, seed):
         assert g_leaf.grad.tobytes() == w_leaf.grad.tobytes()
     for held, snapshot in stored:
         assert held.tobytes() == snapshot.tobytes()
+
+
+@given(st.lists(st.sampled_from(TAPE_OPS), min_size=1, max_size=6),
+       st.tuples(st.integers(1, 3), st.integers(1, 3)),
+       st.sampled_from([np.float64, np.float32]), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_backward_frees_the_tape_and_keeps_leaf_gradients(ops, shape, dtype, seed):
+    rng = np.random.default_rng(seed)
+    arrays = [rng.normal(size=shape).astype(dtype) for _ in range(2)]
+    weights = [rng.normal(size=shape).astype(dtype) for _ in range(2)]
+
+    want = [ad.Tensor(a, requires_grad=True) for a in arrays]
+    nad.backward_keeping_tape(run_tape(ops, want, weights))
+
+    got = [ad.Tensor(a, requires_grad=True) for a in arrays]
+    root = run_tape(ops, got, weights)
+    interior = [n for n in nad.tape_nodes(root) if n._backward is not None]
+    assert interior
+    root.backward()
+    for node in interior:
+        assert node._parents is None and node._backward is None and node.grad is None
+    for g_leaf, w_leaf in zip(got, want):
+        assert g_leaf._parents == () and g_leaf._backward is None
+        if w_leaf.grad is None:
+            assert g_leaf.grad is None
+            continue
+        assert g_leaf.grad.dtype == w_leaf.grad.dtype
+        assert g_leaf.grad.tobytes() == w_leaf.grad.tobytes()
+
+
+def test_a_walked_tape_is_not_walked_again():
+    # a new root over a walked node: the node must not pass for a fresh leaf
+    x = ad.Tensor(np.array([2.0]), requires_grad=True)
+    y = x * 3.0
+    (y * 1.0).sum().backward()
+    assert x.grad[0] == 3.0
+    with pytest.raises(ValueError, match="tape already walked back"):
+        (y * 1.0).sum().backward()
+    assert x.grad[0] == 3.0
+    # the same root twice
+    root = (x * 3.0).sum()
+    root.backward()
+    assert x.grad[0] == 6.0
+    with pytest.raises(ValueError, match="tape already walked back"):
+        root.backward()
+    assert x.grad[0] == 6.0

@@ -527,6 +527,50 @@ class TestGradcheck:
         assert overall < 1e-8
 
 
+class TestZeroRelations:
+    """A dataset without relations leaves interest extraction nothing to
+    extract from: each command that builds the model exits 2 naming both."""
+
+    @pytest.fixture
+    def cfg(self, tmp_path):
+        cfg = write_config(tmp_path)
+        cfg.write_text(cfg.read_text().replace("synth_relations = 2", "synth_relations = 0"))
+        assert main(["synth", "--config", str(cfg)]) == 0
+        add_manifest(cfg, tmp_path / "out" / "manifest.txt")
+        return cfg
+
+    @staticmethod
+    def assert_named(capsys):
+        err = capsys.readouterr().err
+        assert "relations = 0" in err and "no_cie" in err
+
+    def test_train_exits_2(self, cfg, tmp_path, capsys):
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+        self.assert_named(capsys)
+        assert not (tmp_path / "run" / "model.ckml").exists()
+
+    def test_gradcheck_exits_2(self, cfg, capsys):
+        assert main(["gradcheck", "--config", str(cfg)]) == 2
+        self.assert_named(capsys)
+
+    def test_eval_exits_2(self, cfg, tmp_path, capsys):
+        dataset = load_dataset(tmp_path / "out" / "manifest.txt")
+        hyper = load_run_config(cfg).hyper
+        ckpt = tmp_path / "model.ckml"
+        save_checkpoint(ckpt, trainer.init_params(hyper, dataset),
+                        trainer._config_block(hyper, dataset, 0))
+        check_compatible(load_checkpoint(ckpt), dataset)
+        assert main(["eval", "--config", str(cfg), "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path / "ev")]) == 2
+        self.assert_named(capsys)
+
+    def test_no_cie_trains_and_evaluates(self, cfg, tmp_path):
+        cfg.write_text(cfg.read_text().replace("[model]\n", "[model]\nno_cie = true\n"))
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+        assert main(["eval", "--config", str(cfg), "--checkpoint",
+                     str(tmp_path / "run" / "model.ckml"), "--out", str(tmp_path / "ev")]) == 0
+
+
 class TestShippedConfigs:
     def test_gradcheck_config_passes_end_to_end(self, tmp_path, capsys):
         repo = Path(__file__).resolve().parent.parent

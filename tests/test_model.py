@@ -13,6 +13,7 @@ from ckml.trainer import (epoch_ranking_triples, epoch_relation_triples,
                           init_params)
 
 from conftest import tiny_dataset
+from naive_autodiff import patched_accumulate, tape_nodes
 from naive_routing import recorded_coefficients
 
 
@@ -136,18 +137,6 @@ def test_time_bucket_gathers_reuse_prebuilt_incidences(grad_ds, monkeypatch):
                for side in ("user", "item") for k in range(2))
 
 
-def tape_nodes(root):
-    """Every Tensor reachable from `root` through its parents."""
-    nodes, stack, seen = [], [root], set()
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
-            nodes.append(node)
-            stack.extend(node._parents)
-    return nodes
-
-
 @pytest.mark.parametrize("precision, dtype", [("f32", np.float32), ("f64", np.float64)])
 def test_every_tape_value_and_gradient_has_the_precision_dtype(grad_ds, precision, dtype):
     # ngcf gives both aggregator weight groups (agg/cie and agg/fbc) weights
@@ -163,11 +152,19 @@ def test_every_tape_value_and_gradient_has_the_precision_dtype(grad_ds, precisio
     rank = [epoch_ranking_triples(g, rng) for g in grad_ds.behavior_graphs]
     rel = [epoch_relation_triples(g, rng) for g in grad_ds.relation_graphs]
     total, _ = batch_loss(tensors, ctx, hyper, rank, rel)
-    total.backward()
+    # the walk frees interior nodes' gradients, so they are read as stored
     nodes = tape_nodes(total)
+    grad_dtypes = []
+    accumulate = ad.Tensor._accumulate
+
+    def watched(self, g):
+        accumulate(self, g)
+        grad_dtypes.append(self.grad.dtype)
+    with patched_accumulate(watched):
+        total.backward()
     assert len(nodes) > 100
     assert [n.dtype for n in nodes if n.dtype != dtype] == []
-    grads = [n.grad for n in nodes if n.grad is not None]
-    assert len(grads) > 100
-    assert [g.dtype for g in grads if g.dtype != dtype] == []
+    assert len(grad_dtypes) > 100
+    assert [g for g in grad_dtypes if g != dtype] == []
     assert all(tensors[k].grad is not None for k in params)
+    assert [k for k in params if tensors[k].grad.dtype != dtype] == []

@@ -1,4 +1,6 @@
+import platform
 import struct
+import weakref
 from collections import OrderedDict
 
 import numpy as np
@@ -15,6 +17,7 @@ from ckml.trainer import (Adam, Checkpoint, CompatibilityError, check_compatible
                           _config_block)
 
 from conftest import tiny_dataset
+from naive_autodiff import tape_nodes
 
 
 def small_hyper(**kw):
@@ -177,6 +180,55 @@ class TestTrainEpoch:
         for e in range(1, 30):
             last = train_epoch(params, ctx, h, adam, rng, e)
         assert last.ranking < first.ranking
+
+
+class TestTapeRelease:
+    def test_no_step_tape_outlives_the_next_forward(self, small_ds, monkeypatch):
+        # each step's interior nodes, but the root train_epoch still holds:
+        # their values and backward closures (a live node keeps both)
+        h = small_hyper(batch_size=8)
+        ctx = ModelContext(small_ds, h)
+        params = init_params(h, small_ds, seed=1)
+        batch_loss_ = trainer.batch_loss
+        refs, alive = [], []
+
+        def spy(tensors, *args):
+            alive.append(sum(r() is not None for r in refs))
+            total, breakdown = batch_loss_(tensors, *args)
+            refs[:] = [weakref.ref(a) for n in tape_nodes(total)
+                       if n._backward is not None and n is not total
+                       for a in (n.data, n._backward)]
+            assert refs
+            return total, breakdown
+        monkeypatch.setattr(trainer, "batch_loss", spy)
+        train_epoch(params, ctx, h, Adam(params), np.random.default_rng(0), 0)
+        assert len(alive) > 2
+        assert alive == [0] * len(alive)
+
+    def test_training_is_the_same_without_mallopt(self, small_ds, monkeypatch):
+        h = small_hyper()
+        ctx = ModelContext(small_ds, h)
+
+        def epoch():
+            params = init_params(h, small_ds, seed=4)
+            train_epoch(params, ctx, h, Adam(params), np.random.default_rng(4), 0)
+            return params
+
+        want = epoch()
+        if platform.libc_ver()[0] == "glibc":
+            assert trainer._pin_allocator()
+
+        def no_library(*args, **kwargs):
+            raise OSError("no C library")
+        monkeypatch.setattr(trainer.ctypes, "CDLL", no_library)
+        trainer._pin_allocator.cache_clear()
+        try:
+            got = epoch()
+            assert trainer._pin_allocator() is False
+        finally:
+            trainer._pin_allocator.cache_clear()
+        for name in want:
+            assert got[name].tobytes() == want[name].tobytes(), name
 
 
 class TestCheckpoint:
