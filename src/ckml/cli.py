@@ -72,7 +72,10 @@ def _load_config(args):
 
 def _out_dir(cfg) -> Path:
     out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise ConfigError(f"output directory {out} is not a directory") from None
     return out
 
 

@@ -256,7 +256,11 @@ def parse_run_config(text: str) -> RunConfig:
 
 
 def load_run_config(path) -> RunConfig:
-    with open(path, encoding="utf-8") as fh:
+    try:
+        fh = open(path, encoding="utf-8")
+    except IsADirectoryError:
+        raise ConfigError(f"config {path} is a directory") from None
+    with fh:
         return parse_run_config(fh.read())
 
 

@@ -3,6 +3,12 @@
 Ranks are pessimistic: candidates tying the positive's score count
 against it, so a constant scorer ranks the positive last. Evaluation is a
 pure function of (params, dataset, N); repeated calls agree bitwise.
+
+Users are scored and ranked in blocks of `_BLOCK` as (B, C) score arrays:
+a per-user loop spends most of its time in numpy's per-call overhead, and
+scoring all users at once would hold a (users, C, d*) gather, tens of MB
+on a wide catalog. The means add users one at a time in sorted order, so
+they keep the bits of a per-user loop.
 """
 
 from __future__ import annotations
@@ -14,6 +20,8 @@ import numpy as np
 from . import autodiff as ad
 from .numerics import NumericError
 
+_BLOCK = 512  # users scored at once
+
 
 @dataclass
 class MetricsReport:
@@ -22,16 +30,13 @@ class MetricsReport:
     diagnostics: dict = field(default_factory=dict)
 
 
-def rank_positive(scores: np.ndarray, positive_index: int) -> int:
-    """1-based rank of the positive among all candidates, ties counted
-    against the positive."""
-    scores = np.asarray(scores, dtype=np.float64)
+def rank_positives(scores: np.ndarray) -> np.ndarray:
+    """1-based rank of each row's positive, in column 0, among the row's
+    candidates, ties counted against the positive: (B, C) -> (B,)."""
     if not np.all(np.isfinite(scores)):
         raise NumericError("candidate scores contain non-finite values")
-    target = scores[positive_index]
-    higher = int(np.sum(scores > target))
-    tied_others = int(np.sum(scores == target)) - 1
-    return 1 + higher + tied_others
+    target = scores[:, :1]
+    return (scores > target).sum(axis=1) + (scores == target).sum(axis=1)
 
 
 def hr_ndcg_at_n(rank: int, top_n: int):
@@ -43,10 +48,16 @@ def hr_ndcg_at_n(rank: int, top_n: int):
     return 1.0, 1.0 / np.log2(rank + 1.0)
 
 
-def score_candidates(user_stack: np.ndarray, item_stacks: np.ndarray) -> np.ndarray:
-    """Max-over-interests inner products: (S, d*) x (C, S, d*) -> (C,)."""
-    dots = np.einsum("sd,csd->cs", user_stack, item_stacks)
-    return dots.max(axis=1)
+def score_candidates(user_rep: np.ndarray, items: np.ndarray,
+                     candidates: np.ndarray) -> np.ndarray:
+    """Max-over-interests inner products of a block of users with their
+    candidates: (B, S, d*) users, interest-major (S, N, d*) items and
+    (B, C) item ids -> (B, C) float64 scores."""
+    scores = None
+    for s, items_s in enumerate(items):
+        dots = np.einsum("bd,bcd->bc", user_rep[:, s], np.take(items_s, candidates, axis=0))
+        scores = dots if scores is None else np.maximum(scores, dots, out=scores)
+    return scores.astype(np.float64, copy=False)
 
 
 def evaluate(params: dict, ctx, hyper, top_n: int,
@@ -66,19 +77,26 @@ def evaluate(params: dict, ctx, hyper, top_n: int,
     out = forward(tensors, ctx, hyper)
     behaviors = range(ds.num_behaviors) if all_behaviors else [ds.target_behavior]
     users = sorted(ds.test_positive)
+    # (hr, ndcg) by rank: no rank exceeds the candidate count, and the last
+    # entry stands for every rank past the cutoff
+    width = 1 + max((len(ds.eval_negatives[u]) for u in users), default=0)
+    table = [hr_ndcg_at_n(r, top_n) for r in range(1, min(top_n, width) + 2)]
     report = MetricsReport(top_n=top_n)
     for k in behaviors:
         user_rep = out.user_final[k].data
-        item_rep = out.item_final[k].data
+        items = np.ascontiguousarray(out.item_final[k].data.transpose(1, 0, 2))
         hr_sum = 0.0
         ndcg_sum = 0.0
-        for u in users:
-            candidates = np.concatenate(([ds.test_positive[u]], ds.eval_negatives[u]))
-            scores = score_candidates(user_rep[u], item_rep[candidates])
-            rank = rank_positive(scores, 0)
-            hr, ndcg = hr_ndcg_at_n(rank, top_n)
-            hr_sum += hr
-            ndcg_sum += ndcg
+        for lo in range(0, len(users), _BLOCK):
+            block = users[lo:lo + _BLOCK]
+            candidates = np.column_stack(
+                ([ds.test_positive[u] for u in block],
+                 np.stack([ds.eval_negatives[u] for u in block])))
+            ranks = rank_positives(score_candidates(user_rep[block], items, candidates))
+            for r in np.minimum(ranks, len(table)).tolist():
+                hr, ndcg = table[r - 1]
+                hr_sum += hr
+                ndcg_sum += ndcg
         count = len(users)
         report.per_behavior[k] = (hr_sum / count if count else 0.0,
                                   ndcg_sum / count if count else 0.0,

@@ -55,11 +55,15 @@ class BehaviorContext:
     user_incidence: SparseMatrix = field(init=False)  # user x edge
     item_incidence: SparseMatrix = field(init=False)  # item x edge
     user_from_item: SparseMatrix = field(init=False)  # normalized, user x item
+    user_ids: np.ndarray = field(init=False)  # each edge's user, intp
+    item_ids: np.ndarray = field(init=False)  # each edge's item, intp
 
     def __post_init__(self):
         g = self.graph
         self.user_incidence = SparseMatrix.incidence(g.edges[:, 0], g.num_users)
         self.item_incidence = SparseMatrix.incidence(g.edges[:, 1], g.num_items)
+        self.user_ids = self.user_incidence.matrix_t.indices.astype(np.intp)
+        self.item_ids = self.item_incidence.matrix_t.indices.astype(np.intp)
         self.user_from_item = normalized_adjacency(g.user_adj, self.dtype)
 
     @property
@@ -117,16 +121,16 @@ class _EdgeWeights:
         return out.transpose(1, 0, 2)
 
 
-def _route_side(src: ad.Tensor, src_incidence: SparseMatrix,
-                dst_incidence: SparseMatrix, to_dst: _EdgeWeights,
-                to_src: _EdgeWeights, tau: float, n_iter: int):
+def _route_side(src: ad.Tensor, src_ids: np.ndarray, dst_ids: np.ndarray,
+                to_dst: _EdgeWeights, to_src: _EdgeWeights, tau: float, n_iter: int):
     """Steps 1-4 for one side: each destination node's interest rows become
     the coefficient-weighted means of its edges' source rows, iterated.
 
-    src: (source nodes, S, d*); the incidences are node x edge; `to_dst` and
-    `to_src` sum over the edges into destination and source nodes. Per-edge
-    arrays are edge-minor, (S, d*, E) and (S, E), so every per-edge
-    reduction runs one long inner loop; the forward's are of `src`'s dtype.
+    src: (source nodes, S, d*); `src_ids` and `dst_ids` hold each edge's
+    source and destination node; `to_dst` and `to_src` sum over the edges
+    into destination and source nodes. Per-edge arrays are edge-minor,
+    (S, d*, E) and (S, E), so every per-edge reduction runs one long inner
+    loop; the forward's are of `src`'s dtype.
     Returns the last iteration's (destination nodes, S, d*) Tensor of that
     dtype, whose only parent is `src`, and the first iteration whose state
     is not finite (0 if none; routing stops there). Each iteration hands
@@ -134,10 +138,7 @@ def _route_side(src: ad.Tensor, src_incidence: SparseMatrix,
     """
     x = src.data
     V, S, _ = x.shape
-    E = src_incidence.shape[1]
-    # each edge's source and destination node
-    src_ids = src_incidence.matrix_t.indices.astype(np.intp)
-    dst_ids = dst_incidence.matrix_t.indices.astype(np.intp)
+    E = len(src_ids)
     unit_x, x_norm, x_live = ad.unit_rows(x)
     # one product gives each weighted mean's numerator and denominator
     x_and_ones = np.concatenate([x, np.ones((V, S, 1), dtype=x.dtype)], axis=2)
@@ -224,7 +225,7 @@ def _route(ctx: BehaviorContext, x_stack: ad.Tensor, g_stack: ad.Tensor,
                 ad.constant(np.zeros((N, S, d_star), dtype=h_i0.dtype)))
 
     # columns (u, i) carry items to users, columns (i, u) users to items
-    users, items = ctx.user_incidence, ctx.item_incidence
+    users, items = ctx.user_ids, ctx.item_ids
     h_u_t, bad_u = _route_side(h_i0, items, users, ctx.into_users, ctx.into_items,
                                tau, n_iter)
     h_i_t, bad_i = _route_side(h_u0, users, items, ctx.into_items, ctx.into_users,

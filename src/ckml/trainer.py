@@ -294,7 +294,11 @@ def _write_checkpoint_body(fh, lines: bytes, arrays: OrderedDict):
 
 
 def load_checkpoint(path) -> Checkpoint:
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except IsADirectoryError:
+        raise CompatibilityError(f"checkpoint {path} is a directory") from None
+    with fh:
         magic = fh.read(4)
         if magic != CHECKPOINT_MAGIC:
             raise CompatibilityError(f"bad checkpoint magic {magic!r}")

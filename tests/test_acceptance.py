@@ -14,7 +14,7 @@ import pytest
 from ckml import autodiff as ad
 from ckml.config import HyperConfig
 from ckml.dataio import GenConfig, generate_synthetic
-from ckml.evaluator import hr_ndcg_at_n, interest_center_distance, rank_positive
+from ckml.evaluator import hr_ndcg_at_n, interest_center_distance, rank_positives
 from ckml.fbc import BehaviorContext, _route, correlate_shared, route_behavior_layer
 from ckml.model import ModelContext, batch_loss, forward
 from ckml.numerics import finite_difference_gradcheck
@@ -291,7 +291,9 @@ def test_criterion_8_evaluation_oracle():
         else:
             scores = rng.normal(size=100)
         pos = int(rng.integers(0, 100))
-        got_rank = rank_positive(scores, pos)
+        # the evaluator ranks column 0; the others' order leaves ranks alone
+        row = np.concatenate(([scores[pos]], np.delete(scores, pos)))
+        got_rank = int(rank_positives(row[None])[0])
         order = sorted(range(100), key=lambda j: (-scores[j], j == pos))
         want_rank = order.index(pos) + 1
         got = hr_ndcg_at_n(got_rank, 10)

@@ -472,6 +472,53 @@ class TestEval:
             hrs[n] = line["hr"]
         assert hrs[1] <= hrs[10]
 
+    def test_checkpoint_is_a_directory_exits_3(self, tmp_path, capsys):
+        cfg, _ = self._trained(tmp_path, epochs=0)
+        capsys.readouterr()
+        assert main(["eval", "--config", str(cfg), "--checkpoint", str(tmp_path / "run"),
+                     "--out", str(tmp_path / "ev")]) == 3
+        assert_one_error_line(capsys, f"checkpoint {tmp_path / 'run'} is a directory")
+
+    def test_config_is_a_directory_exits_2(self, tmp_path, capsys):
+        _, ckpt = self._trained(tmp_path, epochs=0)
+        capsys.readouterr()
+        assert main(["eval", "--config", str(tmp_path), "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path / "ev")]) == 2
+        assert_one_error_line(capsys, f"config {tmp_path} is a directory")
+
+    def test_out_is_a_regular_file_exits_2(self, tmp_path, capsys):
+        cfg, ckpt = self._trained(tmp_path, epochs=0)
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        capsys.readouterr()
+        for args in (["train", "--config", str(cfg)],
+                     ["eval", "--config", str(cfg), "--checkpoint", str(ckpt)]):
+            assert main(args + ["--out", str(taken)]) == 2
+            assert_one_error_line(capsys, f"output directory {taken} is not a directory")
+        assert taken.read_text() == "not a directory\n"
+
+    def test_overflowing_scores_exit_3(self, tmp_path, capsys):
+        repo = Path(__file__).resolve().parent.parent
+        text = (repo / "configs" / "gradcheck.ini").read_text()
+        cfg = tmp_path / "gradcheck.ini"
+        cfg.write_text(text.replace("runs/gradcheck", str(tmp_path / "gc"))
+                       .replace("epochs = 0", "epochs = 1"))
+        assert main(["synth", "--config", str(cfg)]) == 0
+        assert main(["train", "--config", str(cfg)]) == 0
+        ckpt = tmp_path / "gc" / "model.ckml"
+        loaded = load_checkpoint(ckpt)
+        for name in loaded.arrays:
+            if name.startswith("embed/"):
+                loaded.arrays[name] = loaded.arrays[name] * 1e155
+        save_checkpoint(ckpt, loaded.arrays, loaded.config)
+        capsys.readouterr()
+        with np.errstate(all="ignore"):  # the products overflow on purpose
+            code = main(["eval", "--config", str(cfg), "--checkpoint", str(ckpt),
+                         "--out", str(tmp_path / "ev")])
+        assert code == 3
+        assert_one_error_line(capsys, f"checkpoint {ckpt} evaluates to non-finite values: "
+                                      "candidate scores contain non-finite values")
+
     def test_dimension_mismatch_exits_3(self, tmp_path, capsys):
         cfg, ckpt = self._trained(tmp_path)
         other_cfg = write_config(tmp_path, "other.ini", out="other")

@@ -1,16 +1,30 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import naive_evaluator
 from ckml import autodiff as ad
+from ckml import evaluator
 from ckml.config import HyperConfig
 from ckml.dataio import GenConfig, generate_synthetic
 from ckml.evaluator import (evaluate, hr_ndcg_at_n, interest_center_distance,
-                            rank_positive, score_candidates)
+                            rank_positives, score_candidates)
 from ckml.model import ModelContext, forward
 from ckml.numerics import NumericError
 from ckml.trainer import init_params
 
 rng = np.random.default_rng(3)
+
+
+def rank_positive(scores, positive_index):
+    """`rank_positives` on one candidate list whose positive sits at
+    `positive_index`: the positive moves to column 0, and the order of the
+    others does not change a rank."""
+    row = np.concatenate(([scores[positive_index]], np.delete(scores, positive_index)))
+    return int(rank_positives(row[None])[0])
 
 
 def sort_oracle_rank(scores, positive_index):
@@ -118,9 +132,10 @@ class TestEvaluate:
     def test_perfect_model_scores_one(self, monkeypatch):
         ds, h, ctx, params = eval_fixture()
 
-        def rigged_scores(user_stack, item_stacks):
+        def rigged_scores(user_rep, items, candidates):
             # candidate 0 is the held-out positive by construction
-            return np.arange(item_stacks.shape[0], 0, -1, dtype=np.float64)
+            rows, width = candidates.shape
+            return np.tile(np.arange(width, 0, -1, dtype=np.float64), (rows, 1))
 
         monkeypatch.setattr("ckml.evaluator.score_candidates", rigged_scores)
         report = evaluate(params, ctx, h, 10)
@@ -168,12 +183,95 @@ class TestEvaluate:
         assert r1.per_behavior[k][0] <= r10.per_behavior[k][0]
 
 
+def forward_stub(user_final, item_final):
+    """A `model.forward` stand-in returning the given final stacks, with
+    one-interest item stacks so no distance diagnostics run."""
+    out = SimpleNamespace(
+        user_final=[ad.Tensor(u) for u in user_final],
+        item_final=[ad.Tensor(i) for i in item_final],
+        item_interest_stacks=[ad.Tensor(i[:, :1]) for i in item_final])
+    return lambda tensors, ctx, hyper: out
+
+
+def stub_context(test_positive, eval_negatives, num_behaviors):
+    ds = SimpleNamespace(test_positive=test_positive, eval_negatives=eval_negatives,
+                         num_behaviors=num_behaviors, target_behavior=num_behaviors - 1)
+    return SimpleNamespace(dataset=ds)
+
+
+def bits(per_behavior):
+    return {k: (np.float64(hr).tobytes(), np.float64(ndcg).tobytes(), users)
+            for k, (hr, ndcg, users) in per_behavior.items()}
+
+
+class TestBlockedMatchesPerUser:
+    NUM_ITEMS = 150
+
+    @given(st.sampled_from([np.float32, np.float64]), st.integers(1, 4),
+           st.integers(1, 16), st.sampled_from([1, 5, 10, 100]), st.booleans(),
+           st.booleans(), st.sampled_from([1, 2, 3, evaluator._BLOCK]), st.integers(0, 30),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=120, deadline=None)
+    def test_per_behavior_bytes_equal_the_per_user_loop(
+            self, dtype, n_interests, width, top_n, all_behaviors, tied, block,
+            num_users, seed):
+        r = np.random.default_rng(seed)
+        num_behaviors = 2
+        shape = (n_interests, width)
+        user_final = r.normal(size=(num_behaviors, num_users) + shape)
+        item_final = r.normal(size=(num_behaviors, self.NUM_ITEMS) + shape)
+        if tied:  # coarse values, so many candidates tie the positive
+            user_final, item_final = np.round(user_final), np.round(item_final)
+        user_final, item_final = user_final.astype(dtype), item_final.astype(dtype)
+        # users in scattered order, as a dict of held-out items may list them
+        users = r.permutation(num_users).tolist()
+        test_positive = {u: int(r.integers(self.NUM_ITEMS)) for u in users}
+        eval_negatives = {u: r.choice(np.delete(np.arange(self.NUM_ITEMS), test_positive[u]),
+                                      99, replace=False)
+                          for u in users}
+        ctx = stub_context(test_positive, eval_negatives, num_behaviors)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr("ckml.model.forward", forward_stub(user_final, item_final))
+            mp.setattr(evaluator, "_BLOCK", block)
+            report = evaluate({}, ctx, None, top_n, all_behaviors=all_behaviors)
+        behaviors = range(num_behaviors) if all_behaviors else [num_behaviors - 1]
+        out = forward_stub(user_final, item_final)({}, None, None)
+        want = naive_evaluator.per_behavior(out, ctx.dataset, top_n, behaviors)
+        assert bits(report.per_behavior) == bits(want)
+
+    def _evaluate(self, monkeypatch, num_users, top_n=10, bad_item=None):
+        r = np.random.default_rng(0)
+        user_final = r.normal(size=(1, num_users, 2, 3))
+        item_final = r.normal(size=(1, self.NUM_ITEMS, 2, 3))
+        if bad_item is not None:
+            item_final[0, bad_item, 1, 2] = np.inf
+        ctx = stub_context({u: 0 for u in range(num_users)},
+                           {u: np.arange(1, 100) for u in range(num_users)}, 1)
+        monkeypatch.setattr("ckml.model.forward", forward_stub(user_final, item_final))
+        return evaluate({}, ctx, None, top_n).per_behavior[0]
+
+    def test_zero_test_users(self, monkeypatch):
+        assert self._evaluate(monkeypatch, 0) == (0.0, 0.0, 0)
+
+    def test_zero_cutoff_rejected(self, monkeypatch):
+        with pytest.raises(ValueError, match="N must be >= 1"):
+            self._evaluate(monkeypatch, 3, top_n=0)
+
+    def test_one_non_finite_item_row_rejected(self, monkeypatch):
+        monkeypatch.setattr(evaluator, "_BLOCK", 2)
+        with pytest.raises(NumericError, match="candidate scores contain non-finite"):
+            self._evaluate(monkeypatch, 5, bad_item=57)
+
+
 class TestScoreCandidates:
     def test_max_over_interests(self):
-        user = np.array([[1.0, 0.0], [0.0, 1.0]])
+        user = np.array([[[1.0, 0.0], [0.0, 1.0]]])
         items = np.array([[[2.0, 0.0], [0.0, 3.0]],
-                          [[1.0, 0.0], [0.0, 0.5]]])
-        np.testing.assert_allclose(score_candidates(user, items), [3.0, 1.0])
+                          [[1.0, 0.0], [0.0, 0.5]]])  # (N, S, d*)
+        items = np.ascontiguousarray(items.transpose(1, 0, 2))
+        scores = score_candidates(user, items, np.array([[0, 1, 0]]))
+        assert scores.dtype == np.float64
+        np.testing.assert_allclose(scores, [[3.0, 1.0, 3.0]])
 
 
 class TestInterestCenterDistance:
