@@ -98,8 +98,8 @@ class HyperConfig:
             raise ConfigError(
                 f"attention heads {self.attention_heads} must divide the "
                 f"interest width {d_star}")
-        if self.tau <= 0:
-            raise ConfigError("tau must be positive")
+        if not 0.0 < self.tau < np.inf:  # comparisons with NaN are false
+            raise ConfigError(f"tau must be positive and finite, got {self.tau}")
         if self.routing_iterations < 1:
             raise ConfigError("routing_iterations must be >= 1")
         if self.relation_layers < 0 or self.interaction_layers < 1:
@@ -117,10 +117,12 @@ class HyperConfig:
             raise ConfigError("alpha weights must lie in [0, 1]")
         if not 0.0 <= self.beta <= 1.0:
             raise ConfigError("beta must lie in [0, 1]")
-        if self.reg_lambda < 0.0:
-            raise ConfigError("reg_lambda cannot be negative")
-        if self.learning_rate <= 0.0:
-            raise ConfigError("learning_rate must be positive")
+        if not 0.0 <= self.reg_lambda < np.inf:
+            raise ConfigError(
+                f"reg_lambda must be non-negative and finite, got {self.reg_lambda}")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ConfigError(
+                f"learning_rate must be positive and finite, got {self.learning_rate}")
         if not 0.0 < self.decay_rate <= 1.0:
             raise ConfigError("decay_rate must sit in (0, 1]")
         if self.batch_size < 1 or self.epochs < 0 or self.patience < 1:

@@ -119,10 +119,9 @@ def interest_center_distance(stacks: np.ndarray) -> dict:
     n_interests = stacks.shape[1]
     if n_interests < 2:
         raise ValueError("interest distance needs at least two interests")
-    diffs = stacks[:, :, None, :] - stacks[:, None, :, :]
-    dist = np.sqrt((diffs * diffs).sum(axis=-1))
     iu = np.triu_indices(n_interests, k=1)
-    per_item = dist[:, iu[0], iu[1]].mean(axis=1)
+    diffs = stacks[:, iu[0]] - stacks[:, iu[1]]  # the S(S-1)/2 pairs alone
+    per_item = np.sqrt((diffs * diffs).sum(axis=-1)).mean(axis=1)
     if not np.all(np.isfinite(per_item)):
         raise NumericError("interest distances contain non-finite values")
     return {

@@ -23,7 +23,11 @@ weighted sums over a node's edges are sparse products whose entries are
 the coefficients (`_EdgeWeights`): one CSR matrix per direction, into
 users or into items, with one entry per edge, built once per behavior by
 its `BehaviorContext` and refilled one interest at a time, so no per-edge
-message array is formed.
+message array is formed. The first iteration's equal logits give every
+edge the weight 1/S, so it takes one product over all interests
+(`uniform`). A batch's loss reaches only the rows its triples touch: the
+backward sums over the edges into rows of nonzero gradient alone
+(`restrict`) while they are under `LIVE_EDGE_CUT` of all edges.
 
 The cross-behavior attention is likewise one tape node per side and
 layer (`correlate_shared`), with a hand-derived backward. Its projections
@@ -44,6 +48,9 @@ from .cie import apply_aggregator
 from .numerics import NumericError, SparseMatrix, normalized_adjacency
 
 DEGREE_GUARD = 1e-12
+# Routing's backward sums over the live edges alone below this share of
+# all edges: on the benchmark's step graph that gained up to ~0.6, lost above.
+LIVE_EDGE_CUT = 0.5
 
 
 @dataclass
@@ -120,6 +127,25 @@ class _EdgeWeights:
             out[s] = self.matrix @ by_interest[s]
         return out.transpose(1, 0, 2)
 
+    def uniform(self, w: np.generic, stack: np.ndarray) -> np.ndarray:
+        """Bitwise `apply` with the scalar `w` as every weight: one product
+        over all interests adds the same terms in the same order."""
+        self.matrix.data = np.full(len(self.order), w)
+        V, S, W = stack.shape
+        return (self.matrix @ stack.reshape(V, S * W)).reshape(-1, S, W)
+
+    def restrict(self, live: np.ndarray) -> _EdgeWeights:
+        """The same sums over the edges e with `live[e]` alone, in the same
+        rows and order; the weights' columns are the live edges, ascending."""
+        keep = live[self.order]
+        kept = np.concatenate(([0], np.cumsum(keep)))  # live entries before each entry
+        out = object.__new__(_EdgeWeights)
+        out.order = (np.cumsum(live) - 1)[self.order[keep]]
+        out.matrix = sp.csr_matrix(
+            (np.empty(len(out.order)), self.matrix.indices[keep],
+             kept[self.matrix.indptr]), shape=self.matrix.shape)
+        return out
+
 
 def _route_side(src: ad.Tensor, src_ids: np.ndarray, dst_ids: np.ndarray,
                 to_dst: _EdgeWeights, to_src: _EdgeWeights, tau: float, n_iter: int):
@@ -134,7 +160,8 @@ def _route_side(src: ad.Tensor, src_ids: np.ndarray, dst_ids: np.ndarray,
     Returns the last iteration's (destination nodes, S, d*) Tensor of that
     dtype, whose only parent is `src`, and the first iteration whose state
     is not finite (0 if none; routing stops there). Each iteration hands
-    its (S, E) coefficients to `to_dst.apply` once.
+    its coefficients to `to_dst` once: the first its one weight to `uniform`,
+    the others (S, E) arrays to `apply`.
     """
     x = src.data
     V, S, _ = x.shape
@@ -143,7 +170,7 @@ def _route_side(src: ad.Tensor, src_ids: np.ndarray, dst_ids: np.ndarray,
     # one product gives each weighted mean's numerator and denominator
     x_and_ones = np.concatenate([x, np.ones((V, S, 1), dtype=x.dtype)], axis=2)
     unit_src_e = _edge_rows(unit_x, src_ids) if n_iter > 1 else None
-    logits = np.ones((S, E), dtype=x.dtype)
+    logits = np.ones((S, 1), dtype=x.dtype)  # equal on every edge until updated
     saved = [] if src.requires_grad else None
     for t in range(1, n_iter + 1):
         # softmax over the interests, in place: a fresh (S, E) array costs
@@ -152,7 +179,8 @@ def _route_side(src: ad.Tensor, src_ids: np.ndarray, dst_ids: np.ndarray,
         c -= c.max(axis=0, keepdims=True)
         np.exp(c, out=c)
         c /= c.sum(axis=0, keepdims=True)
-        num_den = to_dst.apply(c, x_and_ones)
+        # the first iteration's equal logits give every edge one weight
+        num_den = to_dst.uniform(c[0, 0], x_and_ones) if t == 1 else to_dst.apply(c, x_and_ones)
         num, den_raw = num_den[:, :, :-1], num_den[:, :, -1]
         den_live = den_raw > DEGREE_GUARD
         den = np.where(den_live, den_raw, DEGREE_GUARD)[:, :, None]
@@ -165,7 +193,7 @@ def _route_side(src: ad.Tensor, src_ids: np.ndarray, dst_ids: np.ndarray,
             th = np.tanh(unit_h)
             aff = _edge_rows(th, dst_ids)
             aff *= unit_src_e
-            logits += aff.sum(axis=1)
+            logits = logits + aff.sum(axis=1)
             step = (unit_h, h_norm, h_live, th)
         if saved is not None:
             saved.append((c, num, den, den_live, step))
@@ -174,32 +202,47 @@ def _route_side(src: ad.Tensor, src_ids: np.ndarray, dst_ids: np.ndarray,
         return out, 0
 
     def backward(g):
+        # Edges into rows of zero gradient add exactly +-0 to every sum (states
+        # are finite), which leaves a sum from +0 bitwise as it is, so while
+        # few edges are live the sums skip the rest. One live edge stays whole:
+        # numpy would sum its lone column pairwise, many edges row by row.
+        live = np.any(g != 0, axis=(1, 2))[dst_ids]
+        n_live = np.count_nonzero(live)
+        if n_live != 1 and n_live < LIVE_EDGE_CUT * E:
+            edges = np.flatnonzero(live)
+            to_dst_e, to_src_e = to_dst.restrict(live), to_src.restrict(live)
+        else:
+            edges, to_dst_e, to_src_e = slice(None), to_dst, to_src
+        dst_e = dst_ids[edges]
         # in float64 whatever the forward's dtype, rounded once where it
         # reaches `src`: in float32 the iterations' roundoff would add up
         d_x = np.zeros(x.shape)
         d_unit_x = np.zeros(x.shape)
-        src_e = _edge_rows(x, src_ids) if n_iter > 1 else None
-        d_logits = np.zeros((S, E))
+        src_e = _edge_rows(x, src_ids[edges]) if n_iter > 1 else None
+        d_logits = np.zeros((S, len(dst_e)))
         dh = g.astype(np.float64, copy=False)
         for t in range(n_iter, 0, -1):
             c, num, den, den_live, step = saved[t - 1]
             if step is not None:  # dh reaches h_t through the logit update
                 unit_h, h_norm, h_live, th = step
-                d_unit_x += to_src.apply(d_logits, th)
-                d_th = to_dst.apply(d_logits, unit_x)
+                d_unit_x += to_src_e.apply(d_logits, th)
+                d_th = to_dst_e.apply(d_logits, unit_x)
                 dh = ad.unit_rows_backward(unit_h, h_norm, h_live, d_th * (1.0 - th * th))
             d_num = dh / den
-            d_x += to_src.apply(c, d_num)
-            if t > 1:  # the first iteration's logits are constants
-                d_den = -(dh * num / (den * den)).sum(axis=-1) * den_live
-                d_aff = _edge_rows(d_num, dst_ids)
-                d_aff *= src_e
-                dc = d_aff.sum(axis=1)
-                dc += _edge_rows(d_den, dst_ids)
-                dc -= (dc * c).sum(axis=0, keepdims=True)
-                dc *= c
-                dc /= tau
-                d_logits += dc
+            if t == 1:  # the first iteration's logits are constants
+                d_x += to_src_e.uniform(c[0, 0], d_num)
+                break
+            c = c[:, edges]
+            d_x += to_src_e.apply(c, d_num)
+            d_den = -(dh * num / (den * den)).sum(axis=-1) * den_live
+            d_aff = _edge_rows(d_num, dst_e)
+            d_aff *= src_e
+            dc = d_aff.sum(axis=1)
+            dc += _edge_rows(d_den, dst_e)
+            dc -= (dc * c).sum(axis=0, keepdims=True)
+            dc *= c
+            dc /= tau
+            d_logits += dc
         src._accumulate(d_x + ad.unit_rows_backward(unit_x, x_norm, x_live, d_unit_x))
     out._backward = backward
     return out, 0

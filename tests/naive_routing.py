@@ -35,21 +35,26 @@ GUARD = 1e-12
 @contextmanager
 def recorded_coefficients():
     """Yields a list that receives a copy of the (S, E) weights of every
-    `fbc._EdgeWeights.apply` call made inside the block. Each routing
+    `fbc._EdgeWeights.apply` call made inside the block, and of every
+    `uniform` call as its weight repeated over (S, E). Each routing
     iteration of a forward makes one such call with its coefficients, the
     user side's iterations first and then the item side's. A backward makes
     further calls, so record forwards alone."""
     calls = []
-    apply = fbc._EdgeWeights.apply
+    apply, uniform = fbc._EdgeWeights.apply, fbc._EdgeWeights.uniform
 
     def recording(self, w, stack):
         calls.append(w.copy())
         return apply(self, w, stack)
-    fbc._EdgeWeights.apply = recording
+
+    def recording_uniform(self, w, stack):
+        calls.append(np.full((stack.shape[1], len(self.order)), w, dtype=w.dtype))
+        return uniform(self, w, stack)
+    fbc._EdgeWeights.apply, fbc._EdgeWeights.uniform = recording, recording_uniform
     try:
         yield calls
     finally:
-        fbc._EdgeWeights.apply = apply
+        fbc._EdgeWeights.apply, fbc._EdgeWeights.uniform = apply, uniform
 
 
 def _unit(v):

@@ -207,6 +207,23 @@ class TestTrain:
                          str(tmp_path / "run")]) == 2
             assert new.split("=")[0] in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("tau", "nan"), ("tau", "inf"), ("learning_rate", "nan"),
+        ("learning_rate", "1e400"), ("reg_lambda", "nan"), ("reg_lambda", "inf")])
+    def test_non_finite_hyperparameter_exits_2_naming_key(self, tmp_path, capsys,
+                                                          key, value):
+        cfg = write_config(tmp_path)
+        assert main(["synth", "--config", str(cfg)]) == 0
+        add_manifest(cfg, tmp_path / "out" / "manifest.txt")
+        section = "[model]\n" if key == "tau" else "[train]\n"
+        text = re.sub(rf"^{key} = .*\n", "", cfg.read_text(), flags=re.M)
+        cfg.write_text(text.replace(section, f"{section}{key} = {value}\n"))
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} ") and err.count("\n") == 1
+        assert not (tmp_path / "run" / "model.ckml").exists()
+
     def test_non_finite_metric_exits_1_without_writing_nan(self, tmp_path, capsys,
                                                           monkeypatch):
         cfg = write_config(tmp_path, epochs=0)

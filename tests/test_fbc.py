@@ -2,7 +2,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ckml import autodiff as ad
@@ -626,6 +626,108 @@ class TestEdgeWeightsBuiltOnce:
         x, g = tensors(2, 2, 2, 2)
         route_behavior_layer(ctx, x, g, None, None, 1.0, 2, "light")
         assert built == []
+
+
+@st.composite
+def live_edge_cases(draw):
+    """`routing_cases` with S up to 4, d* up to 10, a dtype, and which
+    destination rows of the backward's gradient are nonzero: none, one,
+    some or all."""
+    edges, M, N, _, _, _, tau, n_iter, seed = draw(routing_cases())
+    return (edges, M, N, draw(st.integers(1, 4)), draw(st.integers(1, 10)), tau,
+            n_iter, seed,
+            draw(st.sampled_from([np.float32, np.float64])),
+            draw(st.sampled_from(["none", "one", "some", "all"])))
+
+
+def side_gradient(ctx, src, g, tau, n_iter, cut):
+    """`src.grad` after `_route_side` routes the item rows `src` to users
+    and its backward takes `g`, with `fbc.LIVE_EDGE_CUT` set to `cut`."""
+    leaf = ad.Tensor(src, requires_grad=True)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fbc, "LIVE_EDGE_CUT", cut)
+        out, bad = fbc._route_side(leaf, ctx.item_ids, ctx.user_ids, ctx.into_users,
+                                   ctx.into_items, tau, n_iter)
+        assert bad == 0
+        out._backward(g)
+    return leaf.grad
+
+
+class TestLiveEdgeBackward:
+    """Routing's backward over the live edges alone against the same
+    backward over every edge, and the `_EdgeWeights` products it uses."""
+
+    # user 0's lone edge is live: numpy sums a lone edge's d* >= 9 terms
+    # pairwise, many edges' row by row, so that backward stays whole
+    @given(live_edge_cases())
+    @example(([(0, 0), (1, 0), (1, 1), (2, 1), (2, 2)], 3, 3, 2, 9, 1.0, 2, 0,
+              np.float64, "one"))
+    @settings(max_examples=200, deadline=None)
+    def test_gradient_bytes_equal_the_whole_edge_backward(self, case):
+        edges, M, N, S, D, tau, n_iter, seed, dtype, mode = case
+        case_rng = np.random.default_rng(seed)
+        ctx = make_ctx(edges, M, N)
+        src = case_rng.normal(size=(N, S, D)).astype(dtype)
+        g = case_rng.normal(size=(M, S, D)).astype(dtype)
+        live_rows = {"none": np.zeros(M, bool), "all": np.ones(M, bool),
+                     "one": np.arange(M) == case_rng.integers(M),
+                     "some": case_rng.random(M) < 0.5}[mode]
+        # dead rows are +0.0 or -0.0
+        g[~live_rows] = np.where(case_rng.random((M, 1, 1)) < 0.5, 0.0, -0.0)[~live_rows]
+        whole = side_gradient(ctx, src, g, tau, n_iter, cut=0.0)
+        live = side_gradient(ctx, src, g, tau, n_iter, cut=2.0)
+        assert whole.dtype == live.dtype == dtype
+        assert whole.tobytes() == live.tobytes()
+
+    def test_live_edges_choose_the_path(self, monkeypatch):
+        ctx = make_ctx([(0, 0), (0, 1), (1, 1), (2, 0), (2, 1), (3, 2)], 4, 3)
+        src = rng.normal(size=(3, 2, 3))
+        restricted = []
+        restrict = fbc._EdgeWeights.restrict
+
+        def counted(self, live):
+            restricted.append(live.copy())
+            return restrict(self, live)
+        monkeypatch.setattr(fbc._EdgeWeights, "restrict", counted)
+        for live_users, cut, restricts in (((0,), 0.5, True), ((0, 1), 0.5, False),
+                                           ((), 0.5, True), ((3,), 2.0, False)):
+            g = np.zeros((4, 2, 3))
+            g[list(live_users)] = 1.0
+            restricted.clear()
+            side_gradient(ctx, src, g, 1.0, 2, cut)
+            # two of six edges live, then three: only under half restricts;
+            # no live edge restricts, one live edge never does
+            assert bool(restricted) == restricts
+            for live in restricted:
+                np.testing.assert_array_equal(live, np.isin(ctx.user_ids, live_users))
+
+    @given(routing_cases(), st.sampled_from([np.float32, np.float64]))
+    @settings(max_examples=100, deadline=None)
+    def test_restriction_is_apply_with_dead_weights_zeroed(self, case, dtype):
+        edges, M, N, S, D, _, _, _, seed = case
+        case_rng = np.random.default_rng(seed)
+        ctx = make_ctx(edges, M, N)
+        for weights, cols in ((ctx.into_users, N), (ctx.into_items, M)):
+            w = case_rng.normal(size=(S, len(edges))).astype(dtype)
+            stack = case_rng.normal(size=(cols, S, D))
+            live = case_rng.random(len(edges)) < 0.5
+            got = weights.restrict(live).apply(w[:, live], stack)
+            want = weights.apply(np.where(live, w, 0).astype(dtype), stack)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("S", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_uniform_product_is_apply_with_constant_weights(self, S, dtype):
+        # users 3 and 5 and item 4 have no edges
+        edges = [(0, 0), (0, 1), (1, 1), (2, 0), (2, 2), (4, 3), (1, 3)]
+        ctx = make_ctx(edges, 6, 5)
+        value = dtype(1) / dtype(S)
+        for weights, cols in ((ctx.into_users, 5), (ctx.into_items, 6)):
+            for stack_dtype in (dtype, np.float64):
+                stack = rng.normal(size=(cols, S, 4)).astype(stack_dtype)
+                got = weights.uniform(value, stack)
+                want = weights.apply(np.full((S, len(edges)), value), stack)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestPropagateLayer:

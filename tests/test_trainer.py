@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ckml import autodiff as ad
-from ckml import trainer
+from ckml import fbc, trainer
 from ckml.config import ConfigError, HyperConfig
 from ckml.dataio import GenConfig, generate_synthetic
 from ckml.model import ModelContext, batch_loss, forward, param_specs
@@ -180,6 +180,32 @@ class TestTrainEpoch:
         for e in range(1, 30):
             last = train_epoch(params, ctx, h, adam, rng, e)
         assert last.ranking < first.ranking
+
+    @pytest.mark.parametrize("precision", ["f64", "f32"])
+    def test_live_edge_backward_trains_the_same_bytes(self, small_ds, monkeypatch,
+                                                     precision):
+        h = small_hyper(precision=precision, batch_size=4)
+        restricted = []
+        restrict = fbc._EdgeWeights.restrict
+
+        def counted(self, live):
+            restricted.append(live)
+            return restrict(self, live)
+        monkeypatch.setattr(fbc._EdgeWeights, "restrict", counted)
+
+        def epoch(cut):  # 0 keeps every backward whole, 2 restricts it
+            monkeypatch.setattr(fbc, "LIVE_EDGE_CUT", cut)
+            ctx = ModelContext(small_ds, h)
+            params = init_params(h, small_ds, seed=4)
+            train_epoch(params, ctx, h, Adam(params), np.random.default_rng(4), 0)
+            return params
+
+        whole = epoch(0.0)
+        assert not restricted
+        live = epoch(2.0)
+        assert any(not edges.all() for edges in restricted)  # some edges were dead
+        for k in whole:
+            assert whole[k].tobytes() == live[k].tobytes(), k
 
 
 class TestTapeRelease:
