@@ -20,6 +20,13 @@ class ConfigError(ValueError):
     """Invalid or inconsistent configuration."""
 
 
+# Largest accepted model sizes, each over 10x what any shipped config uses:
+# they scale what a step allocates or how often it loops, so a config past
+# them is refused before anything of its size is built.
+HYPER_MAXIMA = {"embed_dim": 1024, "time_buckets": 1024, "routing_iterations": 64,
+                "relation_layers": 32, "interaction_layers": 32}
+
+
 @dataclass
 class HyperConfig:
     """Every scalar hyperparameter of the model and optimizer."""
@@ -81,6 +88,9 @@ class HyperConfig:
         return tuple(self.alpha)
 
     def validate(self, num_behaviors: int | None = None):
+        for key, maximum in HYPER_MAXIMA.items():
+            if getattr(self, key) > maximum:
+                raise ConfigError(f"{key}={getattr(self, key)} exceeds the maximum {maximum}")
         if self.embed_dim < 1:
             raise ConfigError("embed_dim must be positive")
         if self.specific_interests < 0 or self.shared_interests < 0:

@@ -58,10 +58,6 @@ class BehaviorGraph:
     def edge_count(self) -> int:
         return self.edges.shape[0]
 
-    def user_items(self, u: int) -> np.ndarray:
-        m = self.user_adj.matrix
-        return m.indices[m.indptr[u]:m.indptr[u + 1]]
-
 
 @dataclass
 class RelationGraph:
@@ -261,8 +257,8 @@ def leave_one_out_split(records, target_behavior: int):
 
 
 _EVAL_NEGATIVES = 99
-# Users whose negatives are drawn together: bounds the draw's scratch arrays
-# whatever the number of users or items.
+# Rows whose negatives are drawn together: bounds the draw's scratch arrays
+# whatever the number of rows or items.
 _NEGATIVE_CHUNK = 1024
 # Draws per round of a chunk, at most.
 _DRAW_BUDGET = 1 << 18
@@ -271,13 +267,7 @@ _DRAW_BUDGET = 1 << 18
 def sample_eval_negatives(dataset: Dataset, seed: int) -> dict:
     """99 items per evaluated user, outside the user's target-behavior
     history (train and test): a uniform ordered draw without replacement
-    from the items the user never touched.
-
-    Each user's negatives are the first 99 distinct free items of a stream
-    of uniform draws over all items. Users are drawn in chunks, each in
-    rounds of one block of draws per user still short, so the work is
-    O(edges + users x 99) and never O(users x items).
-    """
+    from the items the user never touched, by `draw_free_items`."""
     n = dataset.num_items
     users = np.array(sorted(dataset.test_positive), dtype=np.int64)
     held = np.array([dataset.test_positive[u] for u in users.tolist()], dtype=np.int64)
@@ -290,43 +280,49 @@ def sample_eval_negatives(dataset: Dataset, seed: int) -> dict:
         u = short[0]
         raise DataError(f"insufficient candidate pool for user {users[u]}: "
                         f"{free[u]} < {_EVAL_NEGATIVES}")
-    rng = np.random.default_rng(seed)
-    negatives = {}
-    for lo in range(0, len(users), _NEGATIVE_CHUNK):
-        chunk = users[lo:lo + _NEGATIVE_CHUNK]
-        drawn = _draw_free_items(rng, chunk, free[lo:lo + _NEGATIVE_CHUNK], n, banned)
-        negatives.update(zip(chunk.tolist(), drawn))
-    return negatives
+    drawn = draw_free_items(np.random.default_rng(seed), users, banned, n, _EVAL_NEGATIVES)
+    return dict(zip(users.tolist(), drawn))
 
 
-def _draw_free_items(rng, users, free, n, banned) -> np.ndarray:
-    """(len(users), 99) int64: per user, the first 99 distinct items of a
-    stream of uniform draws from [0, n) whose key is not in `banned`."""
-    out = np.zeros((len(users), _EVAL_NEGATIVES), dtype=np.int64)
-    filled = np.zeros(len(users), dtype=np.int64)
-    active = np.arange(len(users))
-    while len(active):
-        # enough draws that most users finish this round, but a bounded block
-        need = (_EVAL_NEGATIVES - filled[active]) * n / free[active]
-        width = min(int(1.25 * need.max()) + 8, max(_DRAW_BUDGET // len(active), 1))
-        base = users[active, None] * n
-        draws = rng.integers(0, n, size=(len(active), width))
-        hit = banned[np.minimum(np.searchsorted(banned, base + draws), len(banned) - 1)]
-        # the items kept so far, then the new draws: a row in draw order
-        items = np.concatenate((out[active], draws), axis=1)
-        valid = np.flatnonzero(np.concatenate(
-            (np.arange(_EVAL_NEGATIVES) < filled[active, None], hit != base + draws),
-            axis=1))
-        # each valid item's first occurrence in its row, the first 99 of them
-        _, first = np.unique((base + items).ravel()[valid], return_index=True)
-        keep = np.zeros(items.shape, dtype=bool)
-        keep.ravel()[valid[first]] = True
-        rank = np.cumsum(keep, axis=1)
-        keep &= rank <= _EVAL_NEGATIVES
-        r, c = np.nonzero(keep)
-        out[active[r], rank[r, c] - 1] = items[r, c]
-        filled[active] = rank[:, -1].clip(max=_EVAL_NEGATIVES)
-        active = active[filled[active] < _EVAL_NEGATIVES]
+def draw_free_items(rng, anchors, banned, n: int, count: int) -> np.ndarray:
+    """(len(anchors), count) int64: per row, the first `count` distinct items
+    of a stream of uniform draws from [0, n) whose key `anchor * n + item` is
+    not in `banned` (sorted, unique keys). A row whose anchor has fewer than
+    `count` free items is all -1.
+
+    Rows may repeat an anchor; each is drawn on its own. Rows are drawn in
+    chunks, each in rounds of one block of draws per row still short, so the
+    work is O(len(banned) + rows x count) and never O(rows x n).
+    """
+    base = anchors * n
+    free = n - (np.searchsorted(banned, base + n) - np.searchsorted(banned, base))
+    banned = np.append(banned, _INT64_END - 1)  # above every key: each lookup lands
+    out = np.full((len(anchors), count), -1, dtype=np.int64)
+    filled = np.zeros(len(anchors), dtype=np.int64)
+    for lo in range(0, len(anchors), _NEGATIVE_CHUNK):
+        active = lo + np.flatnonzero(free[lo:lo + _NEGATIVE_CHUNK] >= count)
+        while len(active):
+            # enough draws that most rows finish this round, but a bounded block
+            need = (count - filled[active]) * n / free[active]
+            width = min(int(1.25 * need.max()) + 8, max(_DRAW_BUDGET // len(active), 1))
+            draws = rng.integers(0, n, size=(len(active), width))
+            keys = base[active, None] + draws
+            # the items kept so far, then the new draws: a row in draw order
+            items = np.concatenate((out[active], draws), axis=1)
+            valid = np.flatnonzero(np.concatenate(
+                (np.arange(count) < filled[active, None],
+                 banned[np.searchsorted(banned, keys)] != keys), axis=1))
+            # each valid item's first occurrence in its row, the first `count`
+            row_keys = (active - lo)[:, None] * n + items
+            _, first = np.unique(row_keys.ravel()[valid], return_index=True)
+            keep = np.zeros(items.shape, dtype=bool)
+            keep.ravel()[valid[first]] = True
+            rank = np.cumsum(keep, axis=1)
+            keep &= rank <= count
+            r, c = np.nonzero(keep)
+            out[active[r], rank[r, c] - 1] = items[r, c]
+            filled[active] = rank[:, -1].clip(max=count)
+            active = active[filled[active] < count]
     return out
 
 

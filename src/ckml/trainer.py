@@ -2,8 +2,10 @@
 
 One rng drives everything in order: parameter init, then per-epoch
 negative sampling and batch shuffling, so a run is a pure function of
-(config, seed). A checkpoint holds the model only: its parameters and
-the hyperparameters and dimensions that shape them.
+(config, seed). Training negatives, one per behavior or relation edge,
+are drawn by `dataio.draw_free_items`, the sampler of the evaluation
+negatives. A checkpoint holds the model only: its parameters and the
+hyperparameters and dimensions that shape them.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .config import ConfigError, HyperConfig, _coerce, _format_value
-from .dataio import Dataset
+from .dataio import Dataset, draw_free_items
 from .evaluator import MetricsReport, evaluate
 from .model import ModelContext, batch_loss, param_specs
 from .numerics import NumericError
@@ -83,47 +85,29 @@ class Adam:
 
 # ------------------------------------------------------------ sampling
 
-def _draw_negatives(rng, num_items, anchors, banned_for):
-    """One negative per anchor, drawn in anchor order by rejection from the
-    items outside `banned_for(anchor)`; -1 where no item is free."""
-    negatives = np.empty(len(anchors), dtype=np.int64)
-    banned = {}
-    for e, a in enumerate(anchors.tolist()):
-        if a not in banned:
-            banned[a] = banned_for(a)
-        if len(banned[a]) >= num_items:
-            negatives[e] = -1
-            continue
-        q = int(rng.integers(0, num_items))
-        while q in banned[a]:
-            q = int(rng.integers(0, num_items))
-        negatives[e] = q
-    return negatives
-
-
 def epoch_ranking_triples(graph, rng):
-    """One negative per observed edge: (users, positives, negatives)."""
+    """One negative per observed edge, outside the user's items:
+    (users, positives, negatives)."""
     if graph.edge_count == 0:
         return None
     users, positives = graph.edges[:, 0], graph.edges[:, 1]
-    negatives = _draw_negatives(rng, graph.num_items, users,
-                                lambda u: set(graph.user_items(u).tolist()))
+    n = graph.num_items
+    # the edges are sorted by (user, item), so their keys are too
+    negatives = draw_free_items(rng, users, users * n + positives, n, 1)[:, 0]
     keep = negatives >= 0
     return users[keep], positives[keep], negatives[keep]
 
 
 def epoch_relation_triples(rel_graph, rng):
-    """One negative per undirected relation edge, anchored at the lower id."""
+    """One negative per undirected relation edge, anchored at the lower id and
+    outside the anchor and its neighbours."""
     und = rel_graph.undirected_edges()
     if len(und) == 0:
         return None
     anchors, positives = und[:, 0], und[:, 1]
-    adj = rel_graph.adj.matrix
-
-    def related(a):
-        return set(adj.indices[adj.indptr[a]:adj.indptr[a + 1]].tolist()) | {a}
-
-    negatives = _draw_negatives(rng, rel_graph.num_items, anchors, related)
+    n, edges = rel_graph.num_items, rel_graph.edges
+    banned = np.union1d(edges[:, 0] * n + edges[:, 1], np.arange(n) * (n + 1))
+    negatives = draw_free_items(rng, anchors, banned, n, 1)[:, 0]
     keep = negatives >= 0
     return anchors[keep], positives[keep], negatives[keep]
 

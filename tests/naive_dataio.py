@@ -85,3 +85,8 @@ def naive_time_buckets(graph, bucket_count):
                                     bucket_count - 1)
         buckets.append(out)
     return buckets[0], buckets[1]
+
+
+def user_items(graph, u):
+    """The items of user `u` in a behavior graph, ascending."""
+    return graph.edges[graph.edges[:, 0] == u, 1]

@@ -1,13 +1,14 @@
 """Per-edge loop oracles for the package's negative samplers.
 
 Straight Python loops with one banned-item set per anchor and a pool
-built by testing every item. The epoch samplers' loops make the same rng
-calls, in the same order, as the package's, so a seeded run of either
-must agree bitwise. The eval-negative comprehension permutes each whole
-pool, so it agrees with the package's rejection draw in distribution only.
+built by testing every item. The package draws every negative in batched
+rounds (`dataio.draw_free_items`), so these loops agree with it in
+distribution only, not draw for draw.
 """
 
 import numpy as np
+
+from naive_dataio import user_items
 
 
 def _negative_for(rng, num_items, banned):
@@ -29,7 +30,7 @@ def naive_ranking_triples(graph, rng):
     for e in range(E):
         u = int(users[e])
         if u not in pos_sets:
-            pos_sets[u] = set(graph.user_items(u).tolist())
+            pos_sets[u] = set(user_items(graph, u).tolist())
         if len(pos_sets[u]) >= graph.num_items:
             negatives[e] = -1
             continue
@@ -69,7 +70,7 @@ def naive_eval_negatives(dataset, seed):
     target = dataset.behavior_graphs[dataset.target_behavior]
     negatives = {}
     for u in sorted(dataset.test_positive):
-        banned = set(target.user_items(u).tolist())
+        banned = set(user_items(target, u).tolist())
         banned.add(dataset.test_positive[u])
         pool = np.array([i for i in range(dataset.num_items) if i not in banned],
                         dtype=np.int64)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from ckml import cli, trainer
 from ckml.cli import main
-from ckml.config import load_run_config, parse_run_config
+from ckml.config import ConfigError, HyperConfig, load_run_config, parse_run_config
 from ckml.dataio import dataset_hash, load_dataset
 from ckml.model import param_specs
 from ckml.trainer import check_compatible, load_checkpoint, save_checkpoint
@@ -223,6 +223,25 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {key} ") and err.count("\n") == 1
         assert not (tmp_path / "run" / "model.ckml").exists()
+
+    @pytest.mark.parametrize("key", ["embed_dim", "time_buckets", "routing_iterations",
+                                     "relation_layers", "interaction_layers"])
+    def test_oversized_model_size_exits_2_naming_key(self, tmp_path, capsys, key):
+        # 10**12 asks numpy for terabytes (the first two) or loops without end
+        # (the other three), so `validate` must refuse it; only the first two
+        # are run through `ckml train`
+        with pytest.raises(ConfigError, match=f"^{key}=1000000000000 exceeds the maximum"):
+            HyperConfig(**{key: 10**12}).validate()
+        if key not in ("embed_dim", "time_buckets"):
+            return
+        cfg = write_config(tmp_path)
+        assert main(["synth", "--config", str(cfg)]) == 0
+        add_manifest(cfg, tmp_path / "out" / "manifest.txt")
+        text = re.sub(rf"^{key} = .*\n", "", cfg.read_text(), flags=re.M)
+        cfg.write_text(text.replace("[model]\n", f"[model]\n{key} = {10**12}\n"))
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {key}=")
 
     def test_non_finite_metric_exits_1_without_writing_nan(self, tmp_path, capsys,
                                                           monkeypatch):
@@ -658,7 +677,7 @@ class TestShippedConfigs:
             assert main(["gradcheck", "--config", str(cfg)]) == 0
             out = capsys.readouterr().out
             assert out.startswith(f"auditing in f64 (config precision={precision})\n")
-            assert "overall max_rel_err=4.237e-05 (tolerance 1e-04)" in out
+            assert "overall max_rel_err=1.274e-05 (tolerance 1e-04)" in out
         assert main(["gradcheck", "--config", str(cfg), "--corrupt-grad", "attn/l0/Q"]) == 1
         assert "worst parameter group: attn/l0/Q" in capsys.readouterr().out
 

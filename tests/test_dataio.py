@@ -14,7 +14,7 @@ from ckml.dataio import (DataError, GenConfig, assemble_dataset,
                          write_interactions, write_manifest, write_relations)
 
 from naive_dataio import (naive_behavior_graphs, naive_leave_one_out_split,
-                          naive_relation_graphs, naive_time_buckets)
+                          naive_relation_graphs, naive_time_buckets, user_items)
 
 
 def rec(u, i, k, t=0):
@@ -317,7 +317,7 @@ class TestBuildBehaviorGraphs:
     def test_duplicate_edges_collapse(self):
         graphs = build_behavior_graphs([rec(0, 1, 0, 5), rec(0, 1, 0, 9)], 1, 2, 1)
         assert graphs[0].edge_count == 1
-        assert graphs[0].user_items(0).tolist() == [1]
+        assert user_items(graphs[0], 0).tolist() == [1]
         assert graphs[0].edge_ts[0] == 9  # latest timestamp retained
 
     def test_hand_enumerated_adjacency(self):
@@ -430,6 +430,14 @@ class TestEvalNegatives:
         for u in a.eval_negatives:
             assert_bitwise(a.eval_negatives[u], b.eval_negatives[u])
         assert dataset_hash(a) == dataset_hash(b)
+
+    def test_pinned_hash(self):
+        """The eval-negative stream is part of a dataset: a change to the
+        sampler must not move it. 1,100 users span two draw chunks."""
+        ds = generate_synthetic(GenConfig(num_users=1100, num_items=200), seed=5)
+        assert len(ds.eval_negatives) == 1100
+        assert dataset_hash(ds) == (
+            "3bf2dc171d88b1a3233758db1579195eaa70f15fefe9f052cc0b2607a6793782")
 
     def test_peak_memory_does_not_grow_with_items(self):
         """64 users over a million items: the draw allocates per user and

@@ -1,13 +1,17 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from ckml import dataio
 from ckml.dataio import (DataError, assemble_dataset, build_behavior_graphs,
-                         build_relation_graphs, sample_eval_negatives)
+                         build_relation_graphs, draw_free_items, sample_eval_negatives)
 from ckml.trainer import epoch_ranking_triples, epoch_relation_triples
 
+from naive_dataio import user_items
 from naive_sampling import (naive_eval_negatives, naive_ranking_triples,
                             naive_relation_triples)
 
@@ -41,32 +45,32 @@ def relation_graphs(draw):
     return build_relation_graphs(records, num_items, 1)[0]
 
 
-def assert_same_draws(got, want, rng_got, rng_want):
-    if want is None:
-        assert got is None
-    else:
-        for g, w in zip(got, want, strict=True):
-            assert g.dtype == w.dtype
-            np.testing.assert_array_equal(g, w)
-    # the same number of draws was consumed, so later draws agree too
-    assert rng_got.bit_generator.state == rng_want.bit_generator.state
+class TestDrawFreeItems:
+    @given(st.integers(1, 120), st.lists(st.integers(0, 4), max_size=30),
+           st.lists(st.floats(0, 1), min_size=5, max_size=5),
+           st.sampled_from([1, 3, 99]), st.sampled_from([2, 1024]), SEEDS)
+    @settings(max_examples=120, deadline=None)
+    def test_rows_are_distinct_free_items(self, n, anchors, density, count, chunk,
+                                          seed):
+        """Rows repeat anchors, and chunks of two rows split them; anchors
+        range from every item free to none."""
+        rng = np.random.default_rng(seed)
+        banned = np.flatnonzero(rng.random((5, n)) < np.array(density)[:, None])
+        free = n - np.bincount(banned // n, minlength=5)
+        anchors = np.array(anchors, dtype=np.int64)
+        with mock.patch.object(dataio, "_NEGATIVE_CHUNK", chunk):
+            got = draw_free_items(rng, anchors, banned, n, count)
+        assert got.dtype == np.int64 and got.shape == (len(anchors), count)
+        banned = set(banned.tolist())
+        for a, row in zip(anchors.tolist(), got.tolist()):
+            if free[a] < count:
+                assert row == [-1] * count
+            else:
+                assert len(set(row)) == count
+                assert all(0 <= q < n and a * n + q not in banned for q in row)
 
 
 class TestOracleEquality:
-    @given(behavior_graphs(), SEEDS)
-    @settings(max_examples=80, deadline=None)
-    def test_ranking_triples_match_loop(self, graph, seed):
-        rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert_same_draws(epoch_ranking_triples(graph, rng_got),
-                          naive_ranking_triples(graph, rng_want), rng_got, rng_want)
-
-    @given(relation_graphs(), SEEDS)
-    @settings(max_examples=80, deadline=None)
-    def test_relation_triples_match_loop(self, graph, seed):
-        rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
-        assert_same_draws(epoch_relation_triples(graph, rng_got),
-                          naive_relation_triples(graph, rng_want), rng_got, rng_want)
-
     @given(st.integers(1, 4), st.integers(99, 106),
            st.lists(st.tuples(st.integers(0, 3), st.integers(0, 105),
                               st.integers(0, 9)), max_size=25), SEEDS)
@@ -92,7 +96,7 @@ class TestOracleEquality:
         for u, negs in got.items():
             assert negs.dtype == np.int64 and negs.shape == (99,)
             assert len(set(negs.tolist())) == 99
-            banned = set(target.user_items(u).tolist()) | {ds.test_positive[u]}
+            banned = set(user_items(target, u).tolist()) | {ds.test_positive[u]}
             assert not banned & set(negs.tolist())
             assert ((negs >= 0) & (negs < num_items)).all()
 
@@ -114,6 +118,36 @@ class TestEvalNegativeDistribution:
         for seed in range(self.SEEDS):
             for row, sampler in enumerate((sample_eval_negatives, naive_eval_negatives)):
                 counts[row, sampler(ds, seed)[0][0]] += 1
+        assert not counts[:, :5].any()
+        got, want = counts[:, 5:]
+        assert stats.chisquare(got).pvalue > 0.01
+        assert stats.chi2_contingency([got, want]).pvalue > 0.01
+
+
+class TestEpochNegativeDistribution:
+    NUM_ITEMS = 40
+    SEEDS = 3000
+    # the first row's anchor is user or item 0, with items 0-4 not free
+    GRAPHS = {
+        "ranking": (epoch_ranking_triples, naive_ranking_triples,
+                    build_behavior_graphs([(0, i, 0, 0) for i in range(5)]
+                                          + [(1, 7, 0, 0)], 2, NUM_ITEMS, 1)[0]),
+        "relation": (epoch_relation_triples, naive_relation_triples,
+                     build_relation_graphs([(0, i, 0) for i in range(1, 5)]
+                                           + [(7, 8, 0)], NUM_ITEMS, 1)[0]),
+    }
+
+    @pytest.mark.parametrize("kind", GRAPHS)
+    def test_first_negative_is_uniform_over_free_items(self, kind):
+        """Over seeds, the first row's negative fits the uniform law on its
+        anchor's free items and the loop's counts."""
+        *samplers, graph = self.GRAPHS[kind]
+        counts = np.zeros((2, self.NUM_ITEMS), dtype=np.int64)
+        for seed in range(self.SEEDS):
+            for row, sampler in enumerate(samplers):
+                anchors, _, negatives = sampler(graph, np.random.default_rng(seed))
+                assert anchors[0] == 0
+                counts[row, negatives[0]] += 1
         assert not counts[:, :5].any()
         got, want = counts[:, 5:]
         assert stats.chisquare(got).pvalue > 0.01
