@@ -121,7 +121,7 @@ def interest_center_distance(stacks: np.ndarray) -> dict:
         raise ValueError("interest distance needs at least two interests")
     iu = np.triu_indices(n_interests, k=1)
     diffs = stacks[:, iu[0]] - stacks[:, iu[1]]  # the S(S-1)/2 pairs alone
-    per_item = np.sqrt((diffs * diffs).sum(axis=-1)).mean(axis=1)
+    per_item = np.sqrt(ad.sum_last(diffs * diffs)[..., 0]).mean(axis=1)
     if not np.all(np.isfinite(per_item)):
         raise NumericError("interest distances contain non-finite values")
     return {

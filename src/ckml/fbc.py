@@ -134,16 +134,18 @@ class _EdgeWeights:
         V, S, W = stack.shape
         return (self.matrix @ stack.reshape(V, S * W)).reshape(-1, S, W)
 
-    def restrict(self, live: np.ndarray) -> _EdgeWeights:
+    def restrict(self, live: np.ndarray, rank: np.ndarray, rows: np.ndarray) -> _EdgeWeights:
         """The same sums over the edges e with `live[e]` alone, in the same
-        rows and order; the weights' columns are the live edges, ascending."""
+        rows and order; the weights' columns are the live edges, ascending.
+        `rank[e]` is live edge e's column (other entries are not read), and
+        `rows` holds the live edges' rows, ascending by edge."""
         keep = live[self.order]
-        kept = np.concatenate(([0], np.cumsum(keep)))  # live entries before each entry
         out = object.__new__(_EdgeWeights)
-        out.order = (np.cumsum(live) - 1)[self.order[keep]]
+        out.order = rank[self.order[keep]]
+        live_per_row = np.bincount(rows, minlength=self.matrix.shape[0])
         out.matrix = sp.csr_matrix(
             (np.empty(len(out.order)), self.matrix.indices[keep],
-             kept[self.matrix.indptr]), shape=self.matrix.shape)
+             np.concatenate(([0], np.cumsum(live_per_row)))), shape=self.matrix.shape)
         return out
 
 
@@ -210,15 +212,19 @@ def _route_side(src: ad.Tensor, src_ids: np.ndarray, dst_ids: np.ndarray,
         n_live = np.count_nonzero(live)
         if n_live != 1 and n_live < LIVE_EDGE_CUT * E:
             edges = np.flatnonzero(live)
-            to_dst_e, to_src_e = to_dst.restrict(live), to_src.restrict(live)
+            dst_e, src_ids_e = dst_ids[edges], src_ids[edges]
+            rank = np.empty(E, dtype=np.intp)
+            rank[edges] = np.arange(n_live)
+            to_dst_e = to_dst.restrict(live, rank, dst_e)
+            to_src_e = to_src.restrict(live, rank, src_ids_e)
         else:
             edges, to_dst_e, to_src_e = slice(None), to_dst, to_src
-        dst_e = dst_ids[edges]
+            dst_e, src_ids_e = dst_ids, src_ids
         # in float64 whatever the forward's dtype, rounded once where it
         # reaches `src`: in float32 the iterations' roundoff would add up
         d_x = np.zeros(x.shape)
         d_unit_x = np.zeros(x.shape)
-        src_e = _edge_rows(x, src_ids[edges]) if n_iter > 1 else None
+        src_e = _edge_rows(x, src_ids_e) if n_iter > 1 else None
         d_logits = np.zeros((S, len(dst_e)))
         dh = g.astype(np.float64, copy=False)
         for t in range(n_iter, 0, -1):
@@ -234,7 +240,7 @@ def _route_side(src: ad.Tensor, src_ids: np.ndarray, dst_ids: np.ndarray,
                 break
             c = c[:, edges]
             d_x += to_src_e.apply(c, d_num)
-            d_den = -(dh * num / (den * den)).sum(axis=-1) * den_live
+            d_den = -ad.sum_last(dh * num / (den * den))[..., 0] * den_live
             d_aff = _edge_rows(d_num, dst_e)
             d_aff *= src_e
             dc = d_aff.sum(axis=1)
@@ -388,7 +394,7 @@ def correlate_shared(stacks: list, q_proj: ad.Tensor, k_proj: ad.Tensor,
     saved = (xh, qx, kx, vx) if any(t.requires_grad for t in parents) else None
     scale = xh.dtype.type(1 / np.sqrt(c))
     del xh
-    lam = (qx.reshape(K, 1, V, S, H, c) * kx.reshape(1, K, V, S, H, c)).sum(axis=-1)
+    lam = ad.sum_last(qx.reshape(K, 1, V, S, H, c) * kx.reshape(1, K, V, S, H, c))[..., 0]
     del qx, kx
     lam *= scale
     # softmax over k', in place
@@ -409,7 +415,7 @@ def correlate_shared(stacks: list, q_proj: ad.Tensor, k_proj: ad.Tensor,
     def backward(g_all):
         xh, qx, kx, vx = saved
         g = np.ascontiguousarray(g_all[:, :, n_specific:]).reshape(K, 1, V, S, H, c)
-        d_lam = (g * vx.reshape(1, K, V, S, H, c)).sum(axis=-1)
+        d_lam = ad.sum_last(g * vx.reshape(1, K, V, S, H, c))[..., 0]
         d_v = (lam.reshape(K, K, V, S, H, 1) * g).sum(axis=0)
         d_lam -= (d_lam * lam).sum(axis=1, keepdims=True)
         d_lam *= lam

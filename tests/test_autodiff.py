@@ -213,6 +213,39 @@ def test_l2_normalize_gradient_finite_on_zero_row():
     np.testing.assert_allclose(t.grad[1], np.full(3, 1e12))
 
 
+@st.composite
+def short_axis_arrays(draw):
+    """Arrays of 0 to a few thousand rows and a last axis of 0-16 entries,
+    contiguous or views, over a wide exponent range with signed zeros,
+    infinities and NaN mixed in."""
+    width = draw(st.integers(0, 16))
+    rows = draw(st.sampled_from([0, 1, 3, 50, 2000, 4000]))
+    middle = tuple(draw(st.lists(st.integers(1, 4), max_size=1)))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    view = draw(st.sampled_from(["whole", "drop_last", "reversed", "strided", "transposed",
+                                 "fortran"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (rows,) + middle + (width + (view == "drop_last"),)
+    span = 35 if dtype == np.float32 else 300
+    a = (rng.normal(size=shape) * 10.0 ** rng.integers(-span, span, size=shape)).astype(dtype)
+    special = rng.random(shape)
+    for value, lo in ((0.0, 0.0), (-0.0, 0.1), (np.inf, 0.2), (-np.inf, 0.21), (np.nan, 0.22)):
+        a[(special >= lo) & (special < lo + 0.01 * draw(st.integers(0, 10)))] = value
+    return {"whole": a, "drop_last": a[..., :-1], "reversed": a[..., ::-1],
+            "strided": a[::2], "transposed": np.swapaxes(a, 0, -2),
+            "fortran": np.asfortranarray(a)}[view]
+
+
+@given(short_axis_arrays())
+@settings(max_examples=300, deadline=None)
+def test_sum_last_is_numpys_sum(a):
+    with np.errstate(all="ignore"):
+        got = ad.sum_last(a)
+        want = a.sum(axis=-1, keepdims=True)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def test_shared_subexpression_grad_counted_once():
     x = np.array([2.0])
     t = ad.Tensor(x, requires_grad=True)

@@ -1,3 +1,4 @@
+import configparser
 import json
 import platform
 import re
@@ -13,7 +14,8 @@ from hypothesis import strategies as st
 
 from ckml import cli, trainer
 from ckml.cli import main
-from ckml.config import ConfigError, HyperConfig, load_run_config, parse_run_config
+from ckml.config import (ConfigError, HyperConfig, emit_run_config, load_run_config,
+                         parse_run_config)
 from ckml.dataio import dataset_hash, load_dataset
 from ckml.model import param_specs
 from ckml.trainer import check_compatible, load_checkpoint, save_checkpoint
@@ -701,3 +703,56 @@ class TestDeterminism:
                 == (tmp_path / "r2" / "model.ckml").read_bytes())
         assert ((tmp_path / "r1" / "metrics.jsonl").read_bytes()
                 == (tmp_path / "r2" / "metrics.jsonl").read_bytes())
+
+
+def _gradcheck_keys():
+    """Every (section, key) that the emitted `configs/gradcheck.ini` holds."""
+    repo = Path(__file__).resolve().parent.parent
+    parser = configparser.ConfigParser()
+    parser.read_string(emit_run_config(load_run_config(repo / "configs" / "gradcheck.ini")))
+    return parser, [(s, k) for s in parser.sections() for k in parser[s]]
+
+
+FUZZ_BASE, FUZZ_KEYS = _gradcheck_keys()
+
+
+class TestConfigFuzz:
+    """One key of `gradcheck.ini` at a time takes each value of a pool of
+    bad or extreme ones; `synth` and then a one-epoch `train` end in a
+    documented exit code and never let an exception escape. `train` reads a
+    dataset synthesized from the unchanged config, so a value that `synth`
+    rejects still reaches `train`. The maxima in `config.HYPER_MAXIMA` make
+    10**12 fail before anything is allocated."""
+
+    VALUES = ("nan", "inf", "-1", "0", "1e400", str(10**12), "0.5", "abc", "")
+
+    @staticmethod
+    def write(path, out_dir, manifest, section=None, key=None, value=None):
+        parser = configparser.ConfigParser()
+        parser.read_dict(FUZZ_BASE)
+        parser["data"]["out_dir"] = str(out_dir)
+        parser["data"]["manifest"] = str(manifest)
+        parser["train"]["epochs"] = "1"
+        if section is not None:
+            parser[section][key] = value
+        with open(path, "w", encoding="utf-8") as fh:
+            parser.write(fh)
+        return str(path)
+
+    @pytest.fixture(scope="class")
+    def manifest(self, tmp_path_factory):
+        base = tmp_path_factory.mktemp("fuzz_base")
+        cfg = self.write(base / "base.ini", base / "data", base / "data" / "manifest.txt")
+        assert main(["synth", "--config", cfg]) == 0
+        return base / "data" / "manifest.txt"
+
+    @pytest.mark.parametrize("section, key", FUZZ_KEYS, ids=[k for _, k in FUZZ_KEYS])
+    def test_every_value_exits_documented(self, section, key, manifest, tmp_path,
+                                          monkeypatch):
+        monkeypatch.chdir(tmp_path)  # a relative out_dir or manifest lands here
+        for n, value in enumerate(self.VALUES):
+            cfg = self.write(tmp_path / f"{n}.ini", tmp_path / str(n), manifest,
+                             section, key, value)
+            for command in ("synth", "train"):
+                code = main([command, "--config", cfg])
+                assert code in (0, 1, 2), (key, value, command, code)

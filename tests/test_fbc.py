@@ -685,9 +685,9 @@ class TestLiveEdgeBackward:
         restricted = []
         restrict = fbc._EdgeWeights.restrict
 
-        def counted(self, live):
+        def counted(self, live, *rest):
             restricted.append(live.copy())
-            return restrict(self, live)
+            return restrict(self, live, *rest)
         monkeypatch.setattr(fbc._EdgeWeights, "restrict", counted)
         for live_users, cut, restricts in (((0,), 0.5, True), ((0, 1), 0.5, False),
                                            ((), 0.5, True), ((3,), 2.0, False)):
@@ -707,11 +707,13 @@ class TestLiveEdgeBackward:
         edges, M, N, S, D, _, _, _, seed = case
         case_rng = np.random.default_rng(seed)
         ctx = make_ctx(edges, M, N)
-        for weights, cols in ((ctx.into_users, N), (ctx.into_items, M)):
+        for weights, cols, row_ids in ((ctx.into_users, N, ctx.user_ids),
+                                       (ctx.into_items, M, ctx.item_ids)):
             w = case_rng.normal(size=(S, len(edges))).astype(dtype)
             stack = case_rng.normal(size=(cols, S, D))
             live = case_rng.random(len(edges)) < 0.5
-            got = weights.restrict(live).apply(w[:, live], stack)
+            got = weights.restrict(live, np.cumsum(live) - 1, row_ids[live]).apply(
+                w[:, live], stack)
             want = weights.apply(np.where(live, w, 0).astype(dtype), stack)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 

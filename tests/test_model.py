@@ -129,10 +129,11 @@ def test_time_bucket_gathers_reuse_prebuilt_incidences(grad_ds, monkeypatch):
     monkeypatch.setattr(SparseMatrix, "incidence", classmethod(
         lambda cls, *a: built.append(a) or original(cls, *a)))
     rank = [(np.arange(3), np.arange(3), np.arange(3, 6))] * 2
-    total, _ = batch_loss(tensors, ctx, hyper, rank, [None, None])
+    rel = [(np.arange(3), np.arange(3, 6), np.arange(5, 8))] * 2
+    total, _ = batch_loss(tensors, ctx, hyper, rank, rel)
     total.backward()
-    # the batch gathers still build theirs, over users and items
-    assert not [a for a in built if a[1] == hyper.time_buckets]
+    # the batch gathers' backward adds by np.add.at, so nothing is built
+    assert built == []
     assert all(np.any(tensors[f"time/{side}/k{k}"].grad)
                for side in ("user", "item") for k in range(2))
 

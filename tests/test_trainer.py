@@ -188,9 +188,9 @@ class TestTrainEpoch:
         restricted = []
         restrict = fbc._EdgeWeights.restrict
 
-        def counted(self, live):
+        def counted(self, live, *rest):
             restricted.append(live)
-            return restrict(self, live)
+            return restrict(self, live, *rest)
         monkeypatch.setattr(fbc._EdgeWeights, "restrict", counted)
 
         def epoch(cut):  # 0 keeps every backward whole, 2 restricts it
