@@ -256,6 +256,9 @@ def main(argv=None) -> int:
     except (ConfigError, DataError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except IsADirectoryError as exc:  # an output file's path is a directory
+        print(f"error: {exc.filename2 or exc.filename} is a directory", file=sys.stderr)
+        return EXIT_DATA
     except CompatibilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPAT

@@ -21,13 +21,14 @@ loop each. The affinity's l2 normalization and tanh act on each interest
 row alone, so they run on the node stacks before the per-edge gather. The
 weighted sums over a node's edges are sparse products whose entries are
 the coefficients (`_EdgeWeights`): one CSR matrix per direction, into
-users or into items, with one entry per edge, built once per behavior by
-its `BehaviorContext` and refilled one interest at a time, so no per-edge
-message array is formed. The first iteration's equal logits give every
-edge the weight 1/S, so it takes one product over all interests
-(`uniform`). A batch's loss reaches only the rows its triples touch: the
-backward sums over the edges into rows of nonzero gradient alone
-(`restrict`) while they are under `LIVE_EDGE_CUT` of all edges.
+users or into items, with one entry per edge, refilled one interest at a
+time, so no per-edge message array is formed. One constructor builds it
+from each edge's row and column node, over a behavior's whole graph (its
+`BehaviorContext`) or over a backward's live edges: while the edges into
+rows of nonzero gradient are under `LIVE_EDGE_CUT` of all edges, the
+backward sums over them alone, in time that grows with their count. The
+first iteration's equal logits give every edge the weight 1/S, so it
+takes one product over all interests (`uniform`).
 
 The cross-behavior attention is likewise one tape node per side and
 layer (`correlate_shared`), with a hand-derived backward. Its projections
@@ -38,7 +39,6 @@ float64 round as per-row products do (`_project` says for which widths).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -49,7 +49,8 @@ from .numerics import NumericError, SparseMatrix, normalized_adjacency
 
 DEGREE_GUARD = 1e-12
 # Routing's backward sums over the live edges alone below this share of
-# all edges: on the benchmark's step graph that gained up to ~0.6, lost above.
+# all edges: per backward on the benchmark's step graph, that took ~0.75 of
+# the whole-edge time at 0.1-0.4 live, ~0.9 at 0.4-0.5, crossed near 0.6, lost above.
 LIVE_EDGE_CUT = 0.5
 
 
@@ -59,38 +60,24 @@ class BehaviorContext:
 
     graph: object
     dtype: np.dtype = np.dtype(np.float64)  # of the normalized adjacency
-    user_incidence: SparseMatrix = field(init=False)  # user x edge
-    item_incidence: SparseMatrix = field(init=False)  # item x edge
     user_from_item: SparseMatrix = field(init=False)  # normalized, user x item
     user_ids: np.ndarray = field(init=False)  # each edge's user, intp
     item_ids: np.ndarray = field(init=False)  # each edge's item, intp
+    # one side's routing forward and the other side's backward share each
+    into_users: _EdgeWeights = field(init=False)  # from item rows
+    into_items: _EdgeWeights = field(init=False)  # from user rows
 
     def __post_init__(self):
         g = self.graph
-        self.user_incidence = SparseMatrix.incidence(g.edges[:, 0], g.num_users)
-        self.item_incidence = SparseMatrix.incidence(g.edges[:, 1], g.num_items)
-        self.user_ids = self.user_incidence.matrix_t.indices.astype(np.intp)
-        self.item_ids = self.item_incidence.matrix_t.indices.astype(np.intp)
+        self.user_ids = g.edges[:, 0].astype(np.intp)
+        self.item_ids = g.edges[:, 1].astype(np.intp)
         self.user_from_item = normalized_adjacency(g.user_adj, self.dtype)
+        self.into_users = _EdgeWeights(self.user_ids, self.item_ids, g.num_users, g.num_items)
+        self.into_items = _EdgeWeights(self.item_ids, self.user_ids, g.num_items, g.num_users)
 
     @property
     def edge_count(self) -> int:
-        return self.user_incidence.shape[1]
-
-    @cached_property
-    def into_users(self) -> _EdgeWeights:
-        """Weighted sums over the edges into users, from item rows, built on
-        first use: the user side's routing forward and the item side's
-        backward share them."""
-        return _EdgeWeights(self.user_incidence, self.item_incidence.matrix_t.indices,
-                            self.item_incidence.shape[0])
-
-    @cached_property
-    def into_items(self) -> _EdgeWeights:
-        """Weighted sums over the edges into items, from user rows (as
-        `into_users`, sides swapped)."""
-        return _EdgeWeights(self.item_incidence, self.user_incidence.matrix_t.indices,
-                            self.user_incidence.shape[0])
+        return len(self.user_ids)
 
 
 def _edge_rows(node_rows: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -102,17 +89,18 @@ def _edge_rows(node_rows: np.ndarray, ids: np.ndarray) -> np.ndarray:
 
 class _EdgeWeights:
     """Weighted sums over one direction of a side's edges, one interest at a
-    time: `apply(w, stack)[v, s]` adds `w[s, e] * stack[col[e], s]` over the
-    edges e of row node v, from zero in ascending edge order. So it is
+    time: `apply(w, stack)[v, s]` adds `w[s, e] * stack[cols[e], s]` over the
+    edges e with `rows[e] == v`, from zero in ascending edge order. So it is
     bitwise the incidence product of the per-edge products, which it never
     forms. The matrix has one entry per edge; `apply` refills its values
     with each interest's weights, in their dtype."""
 
-    def __init__(self, rows: SparseMatrix, cols: np.ndarray, num_cols: int):
-        self.order = rows.matrix.indices.astype(np.intp)
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, num_rows: int, num_cols: int):
+        self.order = np.argsort(rows, kind="stable")
+        counts = np.bincount(rows, minlength=num_rows)
         self.matrix = sp.csr_matrix(
-            (np.empty(len(self.order)), cols[self.order], rows.matrix.indptr),
-            shape=(rows.shape[0], num_cols))
+            (np.empty(len(rows)), cols[self.order], np.concatenate(([0], np.cumsum(counts)))),
+            shape=(num_rows, num_cols))
 
     def apply(self, w: np.ndarray, stack: np.ndarray) -> np.ndarray:
         if self.matrix.data.dtype != w.dtype:
@@ -133,20 +121,6 @@ class _EdgeWeights:
         self.matrix.data = np.full(len(self.order), w)
         V, S, W = stack.shape
         return (self.matrix @ stack.reshape(V, S * W)).reshape(-1, S, W)
-
-    def restrict(self, live: np.ndarray, rank: np.ndarray, rows: np.ndarray) -> _EdgeWeights:
-        """The same sums over the edges e with `live[e]` alone, in the same
-        rows and order; the weights' columns are the live edges, ascending.
-        `rank[e]` is live edge e's column (other entries are not read), and
-        `rows` holds the live edges' rows, ascending by edge."""
-        keep = live[self.order]
-        out = object.__new__(_EdgeWeights)
-        out.order = rank[self.order[keep]]
-        live_per_row = np.bincount(rows, minlength=self.matrix.shape[0])
-        out.matrix = sp.csr_matrix(
-            (np.empty(len(out.order)), self.matrix.indices[keep],
-             np.concatenate(([0], np.cumsum(live_per_row)))), shape=self.matrix.shape)
-        return out
 
 
 def _route_side(src: ad.Tensor, src_ids: np.ndarray, dst_ids: np.ndarray,
@@ -213,10 +187,8 @@ def _route_side(src: ad.Tensor, src_ids: np.ndarray, dst_ids: np.ndarray,
         if n_live != 1 and n_live < LIVE_EDGE_CUT * E:
             edges = np.flatnonzero(live)
             dst_e, src_ids_e = dst_ids[edges], src_ids[edges]
-            rank = np.empty(E, dtype=np.intp)
-            rank[edges] = np.arange(n_live)
-            to_dst_e = to_dst.restrict(live, rank, dst_e)
-            to_src_e = to_src.restrict(live, rank, src_ids_e)
+            to_dst_e = _EdgeWeights(dst_e, src_ids_e, *to_dst.matrix.shape)
+            to_src_e = _EdgeWeights(src_ids_e, dst_e, *to_src.matrix.shape)
         else:
             edges, to_dst_e, to_src_e = slice(None), to_dst, to_src
             dst_e, src_ids_e = dst_ids, src_ids

@@ -282,6 +282,8 @@ def load_checkpoint(path) -> Checkpoint:
         fh = open(path, "rb")
     except IsADirectoryError:
         raise CompatibilityError(f"checkpoint {path} is a directory") from None
+    except FileNotFoundError:
+        raise CompatibilityError(f"checkpoint {path} not found") from None
     with fh:
         magic = fh.read(4)
         if magic != CHECKPOINT_MAGIC:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ckml import fbc
 from ckml.dataio import (Dataset, build_behavior_graphs, build_relation_graphs,
                          leave_one_out_split)
 
@@ -30,3 +31,17 @@ def tiny_dataset(num_users=8, num_items=12, num_behaviors=2, relation_count=2,
 @pytest.fixture
 def small_ds():
     return tiny_dataset()
+
+
+@pytest.fixture
+def edge_weight_builds(monkeypatch):
+    """The row nodes of every `fbc._EdgeWeights` built from here on, one
+    array per construction."""
+    built = []
+    init = fbc._EdgeWeights.__init__
+
+    def counted(self, rows, *rest):
+        built.append(np.array(rows))
+        init(self, rows, *rest)
+    monkeypatch.setattr(fbc._EdgeWeights, "__init__", counted)
+    return built

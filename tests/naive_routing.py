@@ -25,7 +25,7 @@ from ckml import fbc
 from ckml.autodiff import NORM_GUARD
 from ckml.cie import assemble_interest_embedding
 from ckml.fbc import DEGREE_GUARD, _head_major, _project
-from ckml.numerics import NumericError
+from ckml.numerics import NumericError, SparseMatrix
 
 from naive_autodiff import narrow, stack, tanh, transpose
 
@@ -272,7 +272,8 @@ def tape_route(ctx, x_stack, g_stack, time_u, time_i, tau, n_iter, collect_state
         zero_i = ad.constant(np.zeros((N, S, d_star), dtype=h_i0.dtype))
         return zero_u, zero_i, state
 
-    users, items = ctx.user_incidence, ctx.item_incidence
+    users = SparseMatrix.incidence(ctx.user_ids, M)
+    items = SparseMatrix.incidence(ctx.item_ids, N)
     h_u0_e = ad.gather(h_u0, users)
     h_i0_e = ad.gather(h_i0, items)
     nh_u0_e = ad.gather(ad.l2_normalize(h_u0, eps=NORM_GUARD), users)

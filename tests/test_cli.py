@@ -517,6 +517,14 @@ class TestEval:
                      "--out", str(tmp_path / "ev")]) == 3
         assert_one_error_line(capsys, f"checkpoint {tmp_path / 'run'} is a directory")
 
+    def test_missing_checkpoint_exits_3(self, tmp_path, capsys):
+        cfg, _ = self._trained(tmp_path, epochs=0)
+        missing = tmp_path / "missing.ckml"
+        capsys.readouterr()
+        assert main(["eval", "--config", str(cfg), "--checkpoint", str(missing),
+                     "--out", str(tmp_path / "ev")]) == 3
+        assert_one_error_line(capsys, f"checkpoint {missing} not found")
+
     def test_config_is_a_directory_exits_2(self, tmp_path, capsys):
         _, ckpt = self._trained(tmp_path, epochs=0)
         capsys.readouterr()
@@ -534,6 +542,20 @@ class TestEval:
             assert main(args + ["--out", str(taken)]) == 2
             assert_one_error_line(capsys, f"output directory {taken} is not a directory")
         assert taken.read_text() == "not a directory\n"
+
+    @pytest.mark.parametrize("command, name", [
+        ("synth", "interactions.tsv"), ("synth", "relations.tsv"),
+        ("synth", "ground_truth.json"), ("synth", "manifest.txt"),
+        ("train", "metrics.jsonl"), ("train", "model.ckml"), ("eval", "eval.jsonl")])
+    def test_output_file_that_is_a_directory_exits_2(self, tmp_path, capsys, command, name):
+        cfg, ckpt = self._trained(tmp_path, epochs=0)
+        out = tmp_path / "taken"
+        (out / name).mkdir(parents=True)
+        capsys.readouterr()
+        extra = ["--checkpoint", str(ckpt)] if command == "eval" else []
+        assert main([command, "--config", str(cfg), "--out", str(out)] + extra) == 2
+        assert_one_error_line(capsys, f"{out / name} is a directory")
+        assert (out / name).is_dir() and not list(out.glob("*.tmp"))
 
     def test_overflowing_scores_exit_3(self, tmp_path, capsys):
         repo = Path(__file__).resolve().parent.parent

@@ -591,8 +591,8 @@ class TestProject:
 
 class TestEdgeWeightsBuiltOnce:
     """Each behavior builds its two `_EdgeWeights`, into users and into
-    items, on first use: one side's routing forward and the other side's
-    backward share each."""
+    items, with its context: one side's routing forward and the other
+    side's backward share each."""
 
     def test_built_once_per_direction(self, monkeypatch):
         built = []
@@ -604,8 +604,8 @@ class TestEdgeWeightsBuiltOnce:
         monkeypatch.setattr(fbc, "_EdgeWeights", Counted)
         ctx = make_ctx([(0, 0), (0, 1), (1, 1), (2, 0)], 3, 2)
         x, g = tensors(3, 2, 2, 3)
+        assert len(built) == 2  # the context builds both
         route_behavior_layer(ctx, x, g, None, None, 1.0, 3, "light")
-        assert len(built) == 2  # an evaluation forward builds both
         for _ in range(2):
             x = ad.Tensor(rng.normal(size=(3, 2, 3)), requires_grad=True)
             g = ad.Tensor(rng.normal(size=(2, 2, 3)), requires_grad=True)
@@ -618,14 +618,37 @@ class TestEdgeWeightsBuiltOnce:
             assert weights.matrix.shape == (rows, 5 - rows)
             assert weights.matrix.nnz == ctx.edge_count
 
-    def test_no_edges_builds_none(self, monkeypatch):
-        built = []
-        monkeypatch.setattr(fbc, "_EdgeWeights", lambda *a: built.append(a))
-        records = [(0, 0, 0, 0)]
-        ctx = BehaviorContext(build_behavior_graphs(records, 2, 2, 2)[1])
-        x, g = tensors(2, 2, 2, 2)
-        route_behavior_layer(ctx, x, g, None, None, 1.0, 2, "light")
-        assert built == []
+
+@st.composite
+def edge_layouts(draw):
+    """(rows, cols, num_rows, num_cols) of up to 12 edges, rows unsorted and
+    repeated, nodes that no edge names common, and no edge at all allowed."""
+    num_rows, num_cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    E = draw(st.integers(0, 12))
+    rows = draw(st.lists(st.integers(0, num_rows - 1), min_size=E, max_size=E))
+    cols = draw(st.lists(st.integers(0, num_cols - 1), min_size=E, max_size=E))
+    return np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp), num_rows, num_cols
+
+
+class TestEdgeWeightsLayout:
+    """`_EdgeWeights` from each edge's row and column node against a direct
+    listing of every row's edges."""
+
+    @given(edge_layouts())
+    @example((np.array([], dtype=np.intp), np.array([], dtype=np.intp), 3, 2))
+    @example((np.array([2, 0, 2, 2, 0], dtype=np.intp), np.array([1, 0, 0, 1, 1], dtype=np.intp),
+              4, 2))
+    @settings(max_examples=200, deadline=None)
+    def test_each_row_lists_its_edges_ascending(self, layout):
+        rows, cols, num_rows, num_cols = layout
+        weights = fbc._EdgeWeights(rows, cols, num_rows, num_cols)
+        m = weights.matrix
+        assert m.shape == (num_rows, num_cols) and m.nnz == len(rows) == len(weights.order)
+        for r in range(num_rows):
+            edges = np.flatnonzero(rows == r)
+            span = slice(m.indptr[r], m.indptr[r + 1])
+            np.testing.assert_array_equal(weights.order[span], edges)
+            np.testing.assert_array_equal(m.indices[span], cols[edges])
 
 
 @st.composite
@@ -679,27 +702,22 @@ class TestLiveEdgeBackward:
         assert whole.dtype == live.dtype == dtype
         assert whole.tobytes() == live.tobytes()
 
-    def test_live_edges_choose_the_path(self, monkeypatch):
+    def test_live_edges_choose_the_path(self, edge_weight_builds):
         ctx = make_ctx([(0, 0), (0, 1), (1, 1), (2, 0), (2, 1), (3, 2)], 4, 3)
         src = rng.normal(size=(3, 2, 3))
-        restricted = []
-        restrict = fbc._EdgeWeights.restrict
-
-        def counted(self, live, *rest):
-            restricted.append(live.copy())
-            return restrict(self, live, *rest)
-        monkeypatch.setattr(fbc._EdgeWeights, "restrict", counted)
         for live_users, cut, restricts in (((0,), 0.5, True), ((0, 1), 0.5, False),
                                            ((), 0.5, True), ((3,), 2.0, False)):
             g = np.zeros((4, 2, 3))
             g[list(live_users)] = 1.0
-            restricted.clear()
+            edge_weight_builds.clear()
             side_gradient(ctx, src, g, 1.0, 2, cut)
             # two of six edges live, then three: only under half restricts;
             # no live edge restricts, one live edge never does
-            assert bool(restricted) == restricts
-            for live in restricted:
-                np.testing.assert_array_equal(live, np.isin(ctx.user_ids, live_users))
+            assert len(edge_weight_builds) == (2 if restricts else 0)
+            if restricts:  # into users, then into items, over the live edges
+                live = np.isin(ctx.user_ids, live_users)
+                np.testing.assert_array_equal(edge_weight_builds[0], ctx.user_ids[live])
+                np.testing.assert_array_equal(edge_weight_builds[1], ctx.item_ids[live])
 
     @given(routing_cases(), st.sampled_from([np.float32, np.float64]))
     @settings(max_examples=100, deadline=None)
@@ -707,12 +725,12 @@ class TestLiveEdgeBackward:
         edges, M, N, S, D, _, _, _, seed = case
         case_rng = np.random.default_rng(seed)
         ctx = make_ctx(edges, M, N)
-        for weights, cols, row_ids in ((ctx.into_users, N, ctx.user_ids),
-                                       (ctx.into_items, M, ctx.item_ids)):
+        for weights, rows, cols in ((ctx.into_users, ctx.user_ids, ctx.item_ids),
+                                    (ctx.into_items, ctx.item_ids, ctx.user_ids)):
             w = case_rng.normal(size=(S, len(edges))).astype(dtype)
-            stack = case_rng.normal(size=(cols, S, D))
+            stack = case_rng.normal(size=(weights.matrix.shape[1], S, D))
             live = case_rng.random(len(edges)) < 0.5
-            got = weights.restrict(live, np.cumsum(live) - 1, row_ids[live]).apply(
+            got = fbc._EdgeWeights(rows[live], cols[live], *weights.matrix.shape).apply(
                 w[:, live], stack)
             want = weights.apply(np.where(live, w, 0).astype(dtype), stack)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

@@ -183,27 +183,23 @@ class TestTrainEpoch:
 
     @pytest.mark.parametrize("precision", ["f64", "f32"])
     def test_live_edge_backward_trains_the_same_bytes(self, small_ds, monkeypatch,
-                                                     precision):
+                                                     edge_weight_builds, precision):
         h = small_hyper(precision=precision, batch_size=4)
-        restricted = []
-        restrict = fbc._EdgeWeights.restrict
-
-        def counted(self, live, *rest):
-            restricted.append(live)
-            return restrict(self, live, *rest)
-        monkeypatch.setattr(fbc._EdgeWeights, "restrict", counted)
+        edge_counts = {g.edge_count for g in small_ds.behavior_graphs}
 
         def epoch(cut):  # 0 keeps every backward whole, 2 restricts it
             monkeypatch.setattr(fbc, "LIVE_EDGE_CUT", cut)
             ctx = ModelContext(small_ds, h)
+            edge_weight_builds.clear()  # the contexts' whole-graph weights
             params = init_params(h, small_ds, seed=4)
             train_epoch(params, ctx, h, Adam(params), np.random.default_rng(4), 0)
             return params
 
         whole = epoch(0.0)
-        assert not restricted
+        assert not edge_weight_builds
         live = epoch(2.0)
-        assert any(not edges.all() for edges in restricted)  # some edges were dead
+        # a count that is no behavior's edge count leaves some edges dead
+        assert any(len(rows) not in edge_counts for rows in edge_weight_builds)
         for k in whole:
             assert whole[k].tobytes() == live[k].tobytes(), k
 
