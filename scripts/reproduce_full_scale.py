@@ -20,9 +20,9 @@ Expect weeks on CPU. Every step is a full-graph forward and backward, so
 an epoch costs ceil(E / batch) steps of a time that grows with E. On a
 synthetic graph of 25k users x 25k items (two behaviors, 10 interactions
 per user per behavior: E = 475k training edges), batch-32 float32 steps
-took 0.6-0.9 s each (medians 0.72 and 0.77 s, on two cores of an Intel
-Xeon) and an epoch is 14,844 steps: about 3 h per epoch, or about two
-weeks for the default 100 epochs. Routing's backward covers only the
+took 0.37-0.49 s each (medians 0.39 and 0.41 s, on two cores of an Intel
+Xeon) and an epoch is 14,844 steps: about 1.7 h per epoch, or about a
+week for the default 100 epochs. Routing's backward covers only the
 edges into rows the batch reaches, so larger batches make slower steps
 (but fewer of them). Real datasets hold more edges.
 This artifact's acceptance rests on the desk-scale criteria, not on

@@ -70,19 +70,25 @@ def _load_config(args):
                                out_dir=args.out)
 
 
-def _out_dir(cfg) -> Path:
+def _out_dir(cfg, *files) -> Path:
+    """The output directory, created if missing, in which none of the
+    command's output `files` may be a directory: checked before any work."""
     out = Path(cfg.out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except (FileExistsError, NotADirectoryError):
         raise ConfigError(f"output directory {out} is not a directory") from None
+    for name in files:
+        if (out / name).is_dir():
+            raise ConfigError(f"{out / name} is a directory")
     return out
 
 
 def cmd_synth(args) -> int:
     cfg = _load_config(args)
     cfg.validate()
-    out = _out_dir(cfg)
+    out = _out_dir(cfg, "interactions.tsv", "relations.tsv", "ground_truth.json",
+                   "manifest.txt")
     s = cfg.synth
     gen = GenConfig(num_users=s.users, num_items=s.items, num_behaviors=s.behaviors,
                     relation_count=s.relations, shared_prototypes=s.shared_prototypes,
@@ -155,9 +161,9 @@ def cmd_train(args) -> int:
     cfg = _load_config(args)
     if not cfg.manifest:
         raise ConfigError("config has no data.manifest to train on")
+    out = _out_dir(cfg, "metrics.jsonl", "model.ckml")
     dataset = load_dataset(cfg.manifest)
     cfg.validate(dataset.num_behaviors)
-    out = _out_dir(cfg)
     fh, write = _jsonl_writer(out / "metrics.jsonl")
     try:
         write(_run_record(cfg, dataset))
@@ -178,6 +184,7 @@ def cmd_eval(args) -> int:
         raise ConfigError("config has no data.manifest to evaluate on")
     if cfg.top_n < 1:
         raise ConfigError(f"top_n must be >= 1, got {cfg.top_n}")
+    out = _out_dir(cfg, "eval.jsonl")
     dataset = load_dataset(cfg.manifest)
     ckpt = load_checkpoint(args.checkpoint)
     check_compatible(ckpt, dataset)
@@ -191,7 +198,6 @@ def cmd_eval(args) -> int:
         # weights, so the checkpoint's values are at fault
         raise CompatibilityError(
             f"checkpoint {args.checkpoint} evaluates to non-finite values: {exc}") from exc
-    out = _out_dir(cfg)
     with open(out / "eval.jsonl", "w", encoding="utf-8") as fh:
         for record in _metrics_records(report, ckpt.int_value("epoch")):
             fh.write(_json_line(record))

@@ -26,7 +26,8 @@ time, so no per-edge message array is formed. One constructor builds it
 from each edge's row and column node, over a behavior's whole graph (its
 `BehaviorContext`) or over a backward's live edges: while the edges into
 rows of nonzero gradient are under `LIVE_EDGE_CUT` of all edges, the
-backward sums over them alone, in time that grows with their count. The
+backward works on them alone, and on the node rows they write or read,
+renumbered, so its time grows with their count, not with the graph's. The
 first iteration's equal logits give every edge the weight 1/S, so it
 takes one product over all interests (`uniform`).
 
@@ -38,6 +39,7 @@ float64 round as per-row products do (`_project` says for which widths).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,9 +50,10 @@ from .cie import apply_aggregator
 from .numerics import NumericError, SparseMatrix, normalized_adjacency
 
 DEGREE_GUARD = 1e-12
-# Routing's backward sums over the live edges alone below this share of
-# all edges: per backward on the benchmark's step graph, that took ~0.75 of
-# the whole-edge time at 0.1-0.4 live, ~0.9 at 0.4-0.5, crossed near 0.6, lost above.
+# Routing's backward works on the live edges alone below this share of
+# all edges: per backward on the benchmark's step graph, that took ~0.55-0.75
+# of the whole-edge time at 0.1-0.4 live, ~0.85 at 0.4-0.5, crossed near 0.6,
+# lost above.
 LIVE_EDGE_CUT = 0.5
 
 
@@ -83,7 +86,8 @@ class BehaviorContext:
 def _edge_rows(node_rows: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """Row `ids[e]` of `node_rows` (V, ...) for every edge e, edge-minor:
     (..., E)."""
-    flat = np.ascontiguousarray(node_rows.reshape(node_rows.shape[0], -1).T)
+    width = math.prod(node_rows.shape[1:])  # -1 fails on zero rows
+    flat = np.ascontiguousarray(node_rows.reshape(node_rows.shape[0], width).T)
     return np.take(flat, ids, axis=1).reshape(node_rows.shape[1:] + (len(ids),))
 
 
@@ -180,48 +184,60 @@ def _route_side(src: ad.Tensor, src_ids: np.ndarray, dst_ids: np.ndarray,
     def backward(g):
         # Edges into rows of zero gradient add exactly +-0 to every sum (states
         # are finite), which leaves a sum from +0 bitwise as it is, so while
-        # few edges are live the sums skip the rest. One live edge stays whole:
-        # numpy would sum its lone column pairwise, many edges row by row.
+        # few edges are live the backward works on them alone, on the
+        # destination rows they lead into and the source rows they read, both
+        # renumbered in ascending order: each row keeps its edges in ascending
+        # edge order, and every node-level operation acts per row (where two
+        # NaNs meet, numpy's vector loops keep either sign, by position). One
+        # live edge stays whole: numpy would sum its lone column pairwise,
+        # many edges row by row.
         live = np.any(g != 0, axis=(1, 2))[dst_ids]
         n_live = np.count_nonzero(live)
         if n_live != 1 and n_live < LIVE_EDGE_CUT * E:
             edges = np.flatnonzero(live)
-            dst_e, src_ids_e = dst_ids[edges], src_ids[edges]
-            to_dst_e = _EdgeWeights(dst_e, src_ids_e, *to_dst.matrix.shape)
-            to_src_e = _EdgeWeights(src_ids_e, dst_e, *to_src.matrix.shape)
+            rows, dst_c = np.unique(dst_ids[edges], return_inverse=True)
+            srcs, src_c = np.unique(src_ids[edges], return_inverse=True)
+            to_dst_c = _EdgeWeights(dst_c, src_c, len(rows), len(srcs))
+            to_src_c = _EdgeWeights(src_c, dst_c, len(srcs), len(rows))
         else:
-            edges, to_dst_e, to_src_e = slice(None), to_dst, to_src
-            dst_e, src_ids_e = dst_ids, src_ids
+            edges = rows = srcs = slice(None)
+            dst_c, src_c, to_dst_c, to_src_c = dst_ids, src_ids, to_dst, to_src
+        x_c, unit_x_c = x[srcs], unit_x[srcs]
         # in float64 whatever the forward's dtype, rounded once where it
         # reaches `src`: in float32 the iterations' roundoff would add up
-        d_x = np.zeros(x.shape)
-        d_unit_x = np.zeros(x.shape)
-        src_e = _edge_rows(x, src_ids_e) if n_iter > 1 else None
-        d_logits = np.zeros((S, len(dst_e)))
-        dh = g.astype(np.float64, copy=False)
+        d_x = np.zeros(x_c.shape)
+        d_unit_x = np.zeros(x_c.shape)
+        src_e = _edge_rows(x_c, src_c) if n_iter > 1 else None
+        d_logits = np.zeros((S, len(dst_c)))
+        dh = g[rows].astype(np.float64, copy=False)
         for t in range(n_iter, 0, -1):
             c, num, den, den_live, step = saved[t - 1]
+            num, den, den_live = num[rows], den[rows], den_live[rows]
             if step is not None:  # dh reaches h_t through the logit update
-                unit_h, h_norm, h_live, th = step
-                d_unit_x += to_src_e.apply(d_logits, th)
-                d_th = to_dst_e.apply(d_logits, unit_x)
+                unit_h, h_norm, h_live, th = (a[rows] for a in step)
+                d_unit_x += to_src_c.apply(d_logits, th)
+                d_th = to_dst_c.apply(d_logits, unit_x_c)
                 dh = ad.unit_rows_backward(unit_h, h_norm, h_live, d_th * (1.0 - th * th))
             d_num = dh / den
             if t == 1:  # the first iteration's logits are constants
-                d_x += to_src_e.uniform(c[0, 0], d_num)
+                d_x += to_src_c.uniform(c[0, 0], d_num)
                 break
             c = c[:, edges]
-            d_x += to_src_e.apply(c, d_num)
+            d_x += to_src_c.apply(c, d_num)
             d_den = -ad.sum_last(dh * num / (den * den))[..., 0] * den_live
-            d_aff = _edge_rows(d_num, dst_e)
+            d_aff = _edge_rows(d_num, dst_c)
             d_aff *= src_e
             dc = d_aff.sum(axis=1)
-            dc += _edge_rows(d_den, dst_e)
+            dc += _edge_rows(d_den, dst_c)
             dc -= (dc * c).sum(axis=0, keepdims=True)
             dc *= c
             dc /= tau
             d_logits += dc
-        src._accumulate(d_x + ad.unit_rows_backward(unit_x, x_norm, x_live, d_unit_x))
+        d_x += ad.unit_rows_backward(unit_x_c, x_norm[srcs], x_live[srcs], d_unit_x)
+        if isinstance(srcs, np.ndarray):  # untouched source rows get +0.0
+            d_x, d_touched = np.zeros(x.shape), d_x
+            d_x[srcs] = d_touched
+        src._accumulate(d_x)
     out._backward = backward
     return out, 0
 

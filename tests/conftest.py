@@ -35,13 +35,13 @@ def small_ds():
 
 @pytest.fixture
 def edge_weight_builds(monkeypatch):
-    """The row nodes of every `fbc._EdgeWeights` built from here on, one
-    array per construction."""
+    """The row nodes and the (rows, columns) shape of every
+    `fbc._EdgeWeights` built from here on, one pair per construction."""
     built = []
     init = fbc._EdgeWeights.__init__
 
-    def counted(self, rows, *rest):
-        built.append(np.array(rows))
-        init(self, rows, *rest)
+    def counted(self, rows, cols, num_rows, num_cols):
+        built.append((np.array(rows), (num_rows, num_cols)))
+        init(self, rows, cols, num_rows, num_cols)
     monkeypatch.setattr(fbc._EdgeWeights, "__init__", counted)
     return built

@@ -547,15 +547,22 @@ class TestEval:
         ("synth", "interactions.tsv"), ("synth", "relations.tsv"),
         ("synth", "ground_truth.json"), ("synth", "manifest.txt"),
         ("train", "metrics.jsonl"), ("train", "model.ckml"), ("eval", "eval.jsonl")])
-    def test_output_file_that_is_a_directory_exits_2(self, tmp_path, capsys, command, name):
+    def test_output_file_that_is_a_directory_exits_2(self, tmp_path, capsys, monkeypatch,
+                                                      command, name):
         cfg, ckpt = self._trained(tmp_path, epochs=0)
         out = tmp_path / "taken"
         (out / name).mkdir(parents=True)
         capsys.readouterr()
+
+        def no_work(*args, **kwargs):
+            pytest.fail("the command worked before checking its output paths")
+        for work in ("synthesize_records", "load_dataset", "load_checkpoint", "fit",
+                     "evaluate"):
+            monkeypatch.setattr(cli, work, no_work)
         extra = ["--checkpoint", str(ckpt)] if command == "eval" else []
         assert main([command, "--config", str(cfg), "--out", str(out)] + extra) == 2
         assert_one_error_line(capsys, f"{out / name} is a directory")
-        assert (out / name).is_dir() and not list(out.glob("*.tmp"))
+        assert list(out.iterdir()) == [out / name] and (out / name).is_dir()
 
     def test_overflowing_scores_exit_3(self, tmp_path, capsys):
         repo = Path(__file__).resolve().parent.parent
@@ -778,3 +785,52 @@ class TestConfigFuzz:
             for command in ("synth", "train"):
                 code = main([command, "--config", cfg])
                 assert code in (0, 1, 2), (key, value, command, code)
+
+
+class TestDataFileFuzz:
+    """Byte-level mutations of a synthesized dataset's manifest and TSV
+    files: a byte replaced, a truncation, an insertion of one of `INSERTS`
+    and a deletion, at positions drawn from a fixed seed. A one-epoch
+    `train` on each mutated dataset exits 0 or 2 and lets no exception
+    escape."""
+
+    FILES = ("manifest.txt", "interactions.tsv", "relations.tsv")
+    INSERTS = (b"\t", b"\n", b"-", b"1" * 23, b"nan", b"\xff", b"\x00")
+
+    @staticmethod
+    def mutations(data: bytes, rng):
+        """(kind, mutated bytes): one replacement, truncation and deletion
+        and one insertion of each of `INSERTS`, each at a drawn offset."""
+        def at():
+            return int(rng.integers(len(data)))
+        pos = at()
+        yield "replace", data[:pos] + bytes([int(rng.integers(256))]) + data[pos + 1:]
+        yield "truncate", data[:at()]
+        pos = at()
+        yield "delete", data[:pos] + data[pos + int(rng.integers(1, 9)):]
+        for token in TestDataFileFuzz.INSERTS:
+            pos = at()
+            yield f"insert {token!r}", data[:pos] + token + data[pos:]
+
+    @pytest.fixture(scope="class")
+    def dataset_dir(self, tmp_path_factory):
+        base = tmp_path_factory.mktemp("byte_fuzz_base")
+        cfg = TestConfigFuzz.write(base / "base.ini", base / "data",
+                                   base / "data" / "manifest.txt")
+        assert main(["synth", "--config", cfg]) == 0
+        return base / "data"
+
+    @pytest.mark.parametrize("name", FILES)
+    def test_every_mutation_exits_0_or_2(self, name, dataset_dir, tmp_path):
+        rng = np.random.default_rng([2024, self.FILES.index(name)])
+        original = (dataset_dir / name).read_bytes()
+        for n in range(4):
+            for kind, mutated in self.mutations(original, rng):
+                data = tmp_path / f"{n}-{kind}"
+                data.mkdir()
+                for f in dataset_dir.iterdir():
+                    (data / f.name).write_bytes(mutated if f.name == name else
+                                                f.read_bytes())
+                cfg = TestConfigFuzz.write(data / "run.ini", data / "run",
+                                           data / "manifest.txt")
+                assert main(["train", "--config", cfg]) in (0, 2), (name, n, kind)

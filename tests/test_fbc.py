@@ -655,25 +655,53 @@ class TestEdgeWeightsLayout:
 def live_edge_cases(draw):
     """`routing_cases` with S up to 4, d* up to 10, a dtype, and which
     destination rows of the backward's gradient are nonzero: none, one,
-    some or all."""
+    some, all, or some and one more whose gradient holds a NaN."""
     edges, M, N, _, _, _, tau, n_iter, seed = draw(routing_cases())
     return (edges, M, N, draw(st.integers(1, 4)), draw(st.integers(1, 10)), tau,
             n_iter, seed,
             draw(st.sampled_from([np.float32, np.float64])),
-            draw(st.sampled_from(["none", "one", "some", "all"])))
+            draw(st.sampled_from(["none", "one", "some", "all", "nan"])))
 
 
-def side_gradient(ctx, src, g, tau, n_iter, cut):
-    """`src.grad` after `_route_side` routes the item rows `src` to users
-    and its backward takes `g`, with `fbc.LIVE_EDGE_CUT` set to `cut`."""
+def side_gradient(ctx, src, g, tau, n_iter, cut, to_items=False):
+    """`src.grad` after `_route_side` routes the item rows `src` to users,
+    or with `to_items` the user rows to items, and its backward takes `g`,
+    with `fbc.LIVE_EDGE_CUT` set to `cut`."""
     leaf = ad.Tensor(src, requires_grad=True)
+    ids = ((ctx.user_ids, ctx.item_ids, ctx.into_items, ctx.into_users) if to_items else
+           (ctx.item_ids, ctx.user_ids, ctx.into_users, ctx.into_items))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fbc, "LIVE_EDGE_CUT", cut)
-        out, bad = fbc._route_side(leaf, ctx.item_ids, ctx.user_ids, ctx.into_users,
-                                   ctx.into_items, tau, n_iter)
+        out, bad = fbc._route_side(leaf, *ids, tau, n_iter)
         assert bad == 0
         out._backward(g)
     return leaf.grad
+
+
+def assert_live_backward_is_whole(ctx, S, D, tau, n_iter, dtype, seed, live_rows,
+                                  nan_row=None):
+    """Both directions' restricted backward has the whole-edge backward's
+    bytes, NaNs aside; `live_rows(n)` is the mask of nonzero gradient rows
+    among n destination rows, and `nan_row(n)` one of them to hold a NaN."""
+    case_rng = np.random.default_rng(seed)
+    for to_items in (False, True):
+        M, N = ctx.graph.num_users, ctx.graph.num_items
+        n_src, n_dst = (M, N) if to_items else (N, M)
+        src = case_rng.normal(size=(n_src, S, D)).astype(dtype)
+        g = case_rng.normal(size=(n_dst, S, D)).astype(dtype)
+        live = live_rows(n_dst)
+        # dead rows are +0.0 or -0.0
+        g[~live] = np.where(case_rng.random((n_dst, 1, 1)) < 0.5, 0.0, -0.0)[~live]
+        if nan_row is not None:
+            g[nan_row(n_dst), 0, -1] = np.nan
+        whole = side_gradient(ctx, src, g, tau, n_iter, 0.0, to_items)
+        restricted = side_gradient(ctx, src, g, tau, n_iter, 2.0, to_items)
+        assert whole.dtype == restricted.dtype == dtype
+        # where two NaNs meet, numpy's vector loops and their scalar tails
+        # keep different operands' signs, by position: only where NaNs are
+        # is compared, not their bits
+        assert (np.where(np.isnan(whole), np.nan, whole).tobytes()
+                == np.where(np.isnan(restricted), np.nan, restricted).tobytes()), to_items
 
 
 class TestLiveEdgeBackward:
@@ -688,36 +716,85 @@ class TestLiveEdgeBackward:
     @settings(max_examples=200, deadline=None)
     def test_gradient_bytes_equal_the_whole_edge_backward(self, case):
         edges, M, N, S, D, tau, n_iter, seed, dtype, mode = case
-        case_rng = np.random.default_rng(seed)
+        pick = np.random.default_rng([seed, 1])
+
+        def live_rows(n):
+            some = pick.random(n) < 0.5
+            return {"none": np.zeros(n, bool), "all": np.ones(n, bool),
+                    "one": np.arange(n) == pick.integers(n),
+                    "some": some, "nan": some}[mode]
+        nan_row = (lambda n: pick.integers(n)) if mode == "nan" else None
+        assert_live_backward_is_whole(make_ctx(edges, M, N), S, D, tau, n_iter, dtype,
+                                      seed, live_rows, nan_row)
+
+    @pytest.mark.parametrize("edges, M, N, D, live", [
+        # d* >= 9 with several live edges: each edge's terms summed row by row
+        ([(0, 0), (0, 1), (1, 1), (2, 1), (2, 2), (3, 0)], 4, 3, 12, (0, 2)),
+        # live rows with no edges: user 3 and item 4
+        ([(0, 0), (0, 1), (1, 2), (2, 3), (1, 1)], 4, 5, 3, (0, 1, 3, 4)),
+        # item 0 and user 0 are read by many live edges
+        ([(0, i) for i in range(6)] + [(u, 0) for u in range(1, 7)] + [(3, 5), (7, 7)],
+         8, 8, 9, (1, 2, 3, 4, 5)),
+    ])
+    @pytest.mark.parametrize("nan", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_pinned_cases_equal_the_whole_edge_backward(self, edge_weight_builds, edges,
+                                                         M, N, D, live, nan, dtype):
         ctx = make_ctx(edges, M, N)
-        src = case_rng.normal(size=(N, S, D)).astype(dtype)
-        g = case_rng.normal(size=(M, S, D)).astype(dtype)
-        live_rows = {"none": np.zeros(M, bool), "all": np.ones(M, bool),
-                     "one": np.arange(M) == case_rng.integers(M),
-                     "some": case_rng.random(M) < 0.5}[mode]
-        # dead rows are +0.0 or -0.0
-        g[~live_rows] = np.where(case_rng.random((M, 1, 1)) < 0.5, 0.0, -0.0)[~live_rows]
-        whole = side_gradient(ctx, src, g, tau, n_iter, cut=0.0)
-        live = side_gradient(ctx, src, g, tau, n_iter, cut=2.0)
-        assert whole.dtype == live.dtype == dtype
-        assert whole.tobytes() == live.tobytes()
+        edge_weight_builds.clear()
+        assert_live_backward_is_whole(ctx, 3, D, 1.0, 3, dtype, 5,
+                                      lambda n: np.isin(np.arange(n), live),
+                                      (lambda n: live[0]) if nan else None)
+        assert len(edge_weight_builds) == 4  # each direction restricted
 
     def test_live_edges_choose_the_path(self, edge_weight_builds):
         ctx = make_ctx([(0, 0), (0, 1), (1, 1), (2, 0), (2, 1), (3, 2)], 4, 3)
         src = rng.normal(size=(3, 2, 3))
-        for live_users, cut, restricts in (((0,), 0.5, True), ((0, 1), 0.5, False),
-                                           ((), 0.5, True), ((3,), 2.0, False)):
+        # (live users, cut, (renumbered rows, shape) into users, then into
+        # the items they read): two of six edges live restrict, three are
+        # not under half, no live edge restricts, one live edge never does
+        for live_users, cut, builds in (
+                ((1, 3), 0.5, (([0, 1], (2, 2)), ([0, 1], (2, 2)))),
+                ((2,), 0.5, (([0, 0], (1, 2)), ([0, 1], (2, 1)))),
+                ((), 0.5, (([], (0, 0)), ([], (0, 0)))),
+                ((0, 1), 0.5, ()),
+                ((3,), 2.0, ())):
             g = np.zeros((4, 2, 3))
             g[list(live_users)] = 1.0
             edge_weight_builds.clear()
-            side_gradient(ctx, src, g, 1.0, 2, cut)
-            # two of six edges live, then three: only under half restricts;
-            # no live edge restricts, one live edge never does
-            assert len(edge_weight_builds) == (2 if restricts else 0)
-            if restricts:  # into users, then into items, over the live edges
-                live = np.isin(ctx.user_ids, live_users)
-                np.testing.assert_array_equal(edge_weight_builds[0], ctx.user_ids[live])
-                np.testing.assert_array_equal(edge_weight_builds[1], ctx.item_ids[live])
+            assert side_gradient(ctx, src, g, 1.0, 2, cut).shape == (3, 2, 3)
+            assert len(edge_weight_builds) == len(builds)
+            for (rows, shape), (want_rows, want_shape) in zip(edge_weight_builds, builds):
+                np.testing.assert_array_equal(rows, want_rows)
+                assert shape == want_shape
+
+    def test_restricted_backward_touches_only_live_and_read_rows(self, monkeypatch):
+        # users 0 and 2 are live; they read items 0, 1 and 3 of six
+        ctx = make_ctx([(0, 0), (0, 1), (1, 1), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5)],
+                       5, 6)
+        leaf = ad.Tensor(rng.normal(size=(6, 2, 4)), requires_grad=True)
+        out, _ = fbc._route_side(leaf, ctx.item_ids, ctx.user_ids, ctx.into_users,
+                                 ctx.into_items, 1.0, 3)
+        node_rows = []
+        edge_rows, apply, uniform = fbc._edge_rows, fbc._EdgeWeights.apply, \
+            fbc._EdgeWeights.uniform
+
+        def spy(f):
+            def wrapped(*args):
+                node_rows.append(args[-2].shape[0] if f is edge_rows else args[-1].shape[0])
+                return f(*args)
+            return wrapped
+        monkeypatch.setattr(fbc, "_edge_rows", spy(edge_rows))
+        monkeypatch.setattr(fbc._EdgeWeights, "apply", spy(apply))
+        monkeypatch.setattr(fbc._EdgeWeights, "uniform", spy(uniform))
+        g = np.zeros((5, 2, 4))
+        g[[0, 2]] = rng.normal(size=(2, 2, 4))
+        out._backward(g)
+        # two live users and three items read: no call sees a whole side
+        assert node_rows and set(node_rows) == {2, 3}
+        assert leaf.grad.shape == (6, 2, 4)
+        np.testing.assert_array_equal(leaf.grad[[2, 4, 5]], 0.0)
+        assert not np.signbit(leaf.grad[[2, 4, 5]]).any()
 
     @given(routing_cases(), st.sampled_from([np.float32, np.float64]))
     @settings(max_examples=100, deadline=None)

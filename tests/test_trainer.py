@@ -199,7 +199,7 @@ class TestTrainEpoch:
         assert not edge_weight_builds
         live = epoch(2.0)
         # a count that is no behavior's edge count leaves some edges dead
-        assert any(len(rows) not in edge_counts for rows in edge_weight_builds)
+        assert any(len(rows) not in edge_counts for rows, _ in edge_weight_builds)
         for k in whole:
             assert whole[k].tobytes() == live[k].tobytes(), k
 
