@@ -13,12 +13,9 @@ identical outputs and gradients.
 from __future__ import annotations
 
 import functools
-import math
 import operator
 
 import numpy as np
-
-from . import numerics
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -303,53 +300,31 @@ def unstack(x: Tensor) -> list:
     return outs
 
 
-def _incidence(index, num_nodes: int):
-    """`index` as its node-by-position incidence; a prebuilt one passes through."""
-    if isinstance(index, numerics.SparseMatrix):
-        if index.shape[0] != num_nodes:
-            raise ValueError(f"incidence has {index.shape[0]} rows, expected {num_nodes}")
-        return index
-    return numerics.SparseMatrix.incidence(index, num_nodes)
-
-
-def _sum_rows(incidence, v: np.ndarray) -> np.ndarray:
-    """Per-node sums of the rows of `v`: the incidence times `v` flattened
-    past axis 0. Bitwise equal to `np.add.at` when both share a dtype."""
-    flat = v.reshape(v.shape[0], math.prod(v.shape[1:]))
-    return (incidence.matrix @ flat).reshape((incidence.shape[0],) + v.shape[1:])
-
-
 def gather(x: Tensor, index) -> Tensor:
-    """Select rows along axis 0; backward sums each row's gradients.
-
-    `index` is an int array or its `SparseMatrix.incidence`. An array's
-    backward adds by `np.add.at` into zeros, bitwise the incidence product
-    in the gradient's dtype and cheaper for a batch than building one; an
-    incidence's is one sparse product (callers that gather the same many
-    rows every step cache it)."""
-    sparse = isinstance(index, numerics.SparseMatrix)
-    rows = index.matrix_t.indices if sparse else np.asarray(index)
+    """Select rows along axis 0 by an int array; backward adds each row's
+    gradients into zeros by `np.add.at`. That suits a batch's rows; one row
+    for every node each step (the time offsets) is cheaper as `spmm` with a
+    one-hot matrix, whose backward reuses the cached transpose."""
+    rows = np.asarray(index)
     out = Tensor(x.data[rows], x.requires_grad, (x,))
     if x.requires_grad:
         def bw(g):
-            if sparse:
-                total = _sum_rows(_incidence(index, x.shape[0]), g)
-            else:
-                total = np.zeros(x.shape[:1] + g.shape[1:], dtype=g.dtype)
-                np.add.at(total, rows, g)
+            total = np.zeros(x.shape[:1] + g.shape[1:], dtype=g.dtype)
+            np.add.at(total, rows, g)
             x._accumulate(total)
         out._backward = bw
     return out
 
 
 def segment_sum(x: Tensor, segment_ids, num_segments: int) -> Tensor:
-    """out[s] = sum of x rows whose segment_ids == s; backward gathers.
-
-    `segment_ids` is an int array or its `SparseMatrix.incidence`."""
-    incidence = _incidence(segment_ids, num_segments)
-    out = Tensor(_sum_rows(incidence, x.data), x.requires_grad, (x,))
+    """out[s] = sum of x rows whose segment_ids == s, added into zeros by
+    `np.add.at`; backward gathers."""
+    ids = np.asarray(segment_ids)
+    out_data = np.zeros((num_segments,) + x.shape[1:], dtype=x.dtype)
+    np.add.at(out_data, ids, x.data)
+    out = Tensor(out_data, x.requires_grad, (x,))
     if x.requires_grad:
-        out._backward = lambda g: x._accumulate(g[incidence.matrix_t.indices])
+        out._backward = lambda g: x._accumulate(g[ids])
     return out
 
 

@@ -95,9 +95,9 @@ class _EdgeWeights:
     """Weighted sums over one direction of a side's edges, one interest at a
     time: `apply(w, stack)[v, s]` adds `w[s, e] * stack[cols[e], s]` over the
     edges e with `rows[e] == v`, from zero in ascending edge order. So it is
-    bitwise the incidence product of the per-edge products, which it never
-    forms. The matrix has one entry per edge; `apply` refills its values
-    with each interest's weights, in their dtype."""
+    bitwise `np.add.at` of the per-edge products, which it never forms. The
+    matrix has one entry per edge; `apply` refills its values with each
+    interest's weights, in their dtype."""
 
     def __init__(self, rows: np.ndarray, cols: np.ndarray, num_rows: int, num_cols: int):
         self.order = np.argsort(rows, kind="stable")

@@ -87,8 +87,9 @@ class ModelContext:
     hyper: HyperConfig
     behaviors: list = field(init=False)
     relation_adjs: list = field(init=False)
-    # per behavior, the (user, item) time bucket ids as incidences, so the
-    # gathers' backward passes reuse them
+    # per behavior, the (user, item) node-by-bucket one-hot matrices; a
+    # product with a time table gives each node its bucket's offset, and its
+    # backward reuses the cached transpose
     buckets: list = field(init=False)
 
     def __post_init__(self):
@@ -100,7 +101,8 @@ class ModelContext:
         self.relation_adjs = [normalized_adjacency(g.adj, dtype)
                               for g in self.dataset.relation_graphs]
         count = self.hyper.time_buckets
-        self.buckets = [tuple(SparseMatrix.incidence(ids, count)
+        self.buckets = [tuple(SparseMatrix.from_edges(np.arange(len(ids)), ids,
+                                                      (len(ids), count))
                               for ids in time_buckets(g, count))
                         for g in self.dataset.behavior_graphs]
 
@@ -179,8 +181,9 @@ def forward(params: dict, ctx: ModelContext, hyper: HyperConfig) -> ForwardOutpu
     # per behavior, [user side, item side]
     times = [[None, None] for _ in range(K)]
     if hyper.time_embedding:
-        times = [[ad.gather(params[f"time/{side}/k{k}"], ids)
-                  for side, ids in zip(("user", "item"), ctx.buckets[k])]
+        times = [[ad.spmm(onehot, params[f"time/{side}/k{k}"].reshape(
+                      hyper.time_buckets, s_total * d_star)).reshape(-1, s_total, d_star)
+                  for side, onehot in zip(("user", "item"), ctx.buckets[k])]
                  for k in range(K)]
         if mask is not None:
             times = [[t * mask for t in pair] for pair in times]

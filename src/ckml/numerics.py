@@ -43,31 +43,12 @@ class SparseMatrix:
 
     @classmethod
     def from_edges(cls, rows, cols, shape):
-        """The 0/1 float64 matrix with a one at each (rows[e], cols[e])."""
+        """The 0/1 matrix with a one at each (rows[e], cols[e]). The ones are
+        float32, so float32 operands stay float32."""
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
-        return cls(sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=shape))
-
-    @classmethod
-    def incidence(cls, index, num_nodes: int):
-        """Node-by-position 0/1 matrix of an index array: (index[e], e) is 1.
-
-        Row n lists the positions holding n in ascending order, so
-        `matrix @ v` adds the rows of `v` per node from zero in the order
-        `np.add.at` does, and `matrix_t.indices` is `index` itself. The ones
-        are float32, so float32 operands stay float32.
-        """
-        index = np.asarray(index, dtype=np.int64)
-        E = len(index)
-        ones = np.ones(E, dtype=np.float32)
-        counts = np.bincount(index, minlength=num_nodes)
-        # built as CSR directly: a stable argsort already gives each row its
-        # positions in ascending order, without duplicates, so the COO
-        # conversion, sorting and transposing are skipped
-        matrix = sp.csr_matrix(
-            (ones, np.argsort(index, kind="stable"), np.concatenate(([0], np.cumsum(counts)))),
-            shape=(num_nodes, E))
-        return cls(matrix, sp.csr_matrix((ones, index, np.arange(E + 1)), shape=(E, num_nodes)))
+        ones = np.ones(len(rows), dtype=np.float32)
+        return cls(sp.csr_matrix((ones, (rows, cols)), shape=shape))
 
     @property
     def shape(self):

@@ -25,7 +25,7 @@ from ckml import fbc
 from ckml.autodiff import NORM_GUARD
 from ckml.cie import assemble_interest_embedding
 from ckml.fbc import DEGREE_GUARD, _head_major, _project
-from ckml.numerics import NumericError, SparseMatrix
+from ckml.numerics import NumericError
 
 from naive_autodiff import narrow, stack, tanh, transpose
 
@@ -228,16 +228,15 @@ def per_edge_route(ctx, x_stack, g_stack, time_u, time_i, tau, n_iter):
     return h_u_t, h_i_t
 
 
-def _weighted_mean(coeff, sources, incidence):
+def _weighted_mean(coeff, sources, ids, num_nodes):
     """Per-node, per-interest weighted mean of source rows on the tape.
 
-    coeff: (E, S); sources: (E, S, d*); incidence: node x edge. Nodes with
-    no incident edges give a 0/guard division, i.e. exactly zero.
+    coeff: (E, S); sources: (E, S, d*); ids: (E,) node of each edge. Nodes
+    with no incident edges give a 0/guard division, i.e. exactly zero.
     """
-    num_nodes = incidence.shape[0]
     msg = coeff.reshape(coeff.shape[0], coeff.shape[1], 1) * sources
-    num = ad.segment_sum(msg, incidence, num_nodes)
-    den = ad.segment_sum(coeff, incidence, num_nodes)
+    num = ad.segment_sum(msg, ids, num_nodes)
+    den = ad.segment_sum(coeff, ids, num_nodes)
     den = ad.maximum(den, DEGREE_GUARD)
     return num / den.reshape(den.shape[0], den.shape[1], 1)
 
@@ -272,8 +271,7 @@ def tape_route(ctx, x_stack, g_stack, time_u, time_i, tau, n_iter, collect_state
         zero_i = ad.constant(np.zeros((N, S, d_star), dtype=h_i0.dtype))
         return zero_u, zero_i, state
 
-    users = SparseMatrix.incidence(ctx.user_ids, M)
-    items = SparseMatrix.incidence(ctx.item_ids, N)
+    users, items = ctx.user_ids, ctx.item_ids
     h_u0_e = ad.gather(h_u0, users)
     h_i0_e = ad.gather(h_i0, items)
     nh_u0_e = ad.gather(ad.l2_normalize(h_u0, eps=NORM_GUARD), users)
@@ -290,8 +288,8 @@ def tape_route(ctx, x_stack, g_stack, time_u, time_i, tau, n_iter, collect_state
         c_item = ad.softmax(logits_item_side / tau, axis=1)
         if collect_state:
             state.coefficients.append((c_user.data.copy(), c_item.data.copy()))
-        h_u_t = _weighted_mean(c_user, h_i0_e, users)
-        h_i_t = _weighted_mean(c_item, h_u0_e, items)
+        h_u_t = _weighted_mean(c_user, h_i0_e, users, M)
+        h_i_t = _weighted_mean(c_item, h_u0_e, items, N)
         if not (np.all(np.isfinite(h_u_t.data)) and np.all(np.isfinite(h_i_t.data))):
             bad = np.argwhere(~np.isfinite(h_u_t.data))
             where = f"user node {bad[0][0]}" if len(bad) else "item side"

@@ -4,6 +4,11 @@ Each op is validated against central finite differences computed by this
 file's own helper (no shared code with the gradcheck in numerics).
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -383,3 +388,15 @@ def test_a_walked_tape_is_not_walked_again():
     with pytest.raises(ValueError, match="tape already walked back"):
         root.backward()
     assert x.grad[0] == 6.0
+
+
+def test_the_tape_imports_no_numerics():
+    # numerics builds on the tape (its gradient audit); the tape must not
+    # reach back, or the two modules form an import cycle again
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(Path(ad.__file__).parents[1]), os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, ckml.autodiff; "
+            "assert 'ckml.numerics' not in sys.modules, sorted(sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

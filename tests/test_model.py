@@ -3,6 +3,8 @@ layer bookkeeping, and ablation wiring."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ckml import autodiff as ad
 from ckml.config import HyperConfig
@@ -114,25 +116,73 @@ def test_no_fbc_path_has_no_attention_parameters(grad_ds):
     assert not any(k.startswith("attn/") for k in params)
 
 
-def test_time_bucket_gathers_reuse_prebuilt_incidences(grad_ds, monkeypatch):
-    hyper = HyperConfig(**BASE)
+@given(precision=st.sampled_from(["f32", "f64"]), buckets=st.integers(1, 4),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_time_offsets_are_the_bucket_rows_and_add_at_their_gradient(
+        grad_ds, precision, buckets, seed):
+    hyper = HyperConfig(**{**BASE, "precision": precision, "time_buckets": buckets})
     hyper.validate(2)
     ctx = ModelContext(grad_ds, hyper)
-    for graph, pair in zip(grad_ds.behavior_graphs, ctx.buckets):
-        for incidence, ids in zip(pair, time_buckets(graph, hyper.time_buckets)):
-            assert incidence.shape == (hyper.time_buckets, len(ids))
-            np.testing.assert_array_equal(incidence.matrix_t.indices, ids)
+    dtype = hyper.dtype
+    rng = np.random.default_rng(seed)
+    tensors = {k: ad.Tensor(v) for k, v in init_params(hyper, grad_ds, seed=0).items()}
+    tables = {}
+    for name in tensors:
+        if name.startswith("time/"):
+            shape = tensors[name].shape
+            # wide exponents and exact zeros, all made +0.0: the one-hot product
+            # gives +0.0 where the table holds -0.0
+            table = (rng.normal(size=shape) * 10.0 ** rng.integers(-6, 7, size=shape)
+                     * (rng.random(shape) > 0.2)).astype(dtype)
+            table[table == 0] = 0.0
+            tables[name] = tensors[name] = ad.Tensor(table, requires_grad=True)
+    onehots = {id(m) for pair in ctx.buckets for m in pair}
+    offsets = []
+    spmm = ad.spmm
+
+    def spy(sparse, x):
+        out = spmm(sparse, x)
+        if id(sparse) in onehots:
+            offsets.append(out)
+        return out
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ad, "spmm", spy)
+        forward(tensors, ctx, hyper)
+    names = [f"time/{side}/k{k}" for k in range(2) for side in ("user", "item")]
+    ids = [i for g in grad_ds.behavior_graphs for i in time_buckets(g, buckets)]
+    assert len(offsets) == len(names)
+    weights = []
+    for out, name, node_buckets in zip(offsets, names, ids):
+        want = tables[name].data[node_buckets]
+        assert out.dtype == dtype
+        assert out.data.reshape(want.shape).tobytes() == want.tobytes()
+        weights.append(rng.normal(size=out.shape).astype(dtype))
+    ad.add_all([(out * w).sum() for out, w in zip(offsets, weights)]).backward()
+    for name, node_buckets, w in zip(names, ids, weights):
+        want = np.zeros_like(tables[name].data)
+        np.add.at(want, node_buckets, w.reshape((len(node_buckets),) + want.shape[1:]))
+        assert tables[name].grad.dtype == dtype
+        assert tables[name].grad.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+def test_a_step_builds_no_sparse_matrix_and_trains_every_time_table(
+        grad_ds, monkeypatch, precision):
+    hyper = HyperConfig(**{**BASE, "precision": precision})
+    hyper.validate(2)
+    ctx = ModelContext(grad_ds, hyper)
     params = init_params(hyper, grad_ds, seed=0)
     tensors = {k: ad.Tensor(v, requires_grad=True) for k, v in params.items()}
     built = []
-    original = SparseMatrix.incidence.__func__
-    monkeypatch.setattr(SparseMatrix, "incidence", classmethod(
+    original = SparseMatrix.from_edges.__func__
+    monkeypatch.setattr(SparseMatrix, "from_edges", classmethod(
         lambda cls, *a: built.append(a) or original(cls, *a)))
     rank = [(np.arange(3), np.arange(3), np.arange(3, 6))] * 2
     rel = [(np.arange(3), np.arange(3, 6), np.arange(5, 8))] * 2
     total, _ = batch_loss(tensors, ctx, hyper, rank, rel)
     total.backward()
-    # the batch gathers' backward adds by np.add.at, so nothing is built
+    # the one-hot matrices are built once, in ModelContext
     assert built == []
     assert all(np.any(tensors[f"time/{side}/k{k}"].grad)
                for side in ("user", "item") for k in range(2))
