@@ -22,9 +22,9 @@ import numpy as np
 import scipy
 
 from .config import ConfigError, emit_run_config, load_run_config, override_run_config
-from .dataio import (DataError, GenConfig, assemble_dataset, dataset_hash,
-                     load_dataset, synthesize_records, write_interactions,
-                     write_manifest, write_relations)
+from .dataio import (DataError, assemble_dataset, dataset_hash, load_dataset,
+                     synthesize_records, write_interactions, write_manifest,
+                     write_relations)
 from .model import ModelContext, batch_loss
 from .numerics import NumericError, finite_difference_gradcheck
 from .trainer import (CompatibilityError, _metrics_records, check_compatible,
@@ -90,24 +90,19 @@ def cmd_synth(args) -> int:
     out = _out_dir(cfg, "interactions.tsv", "relations.tsv", "ground_truth.json",
                    "manifest.txt")
     s = cfg.synth
-    gen = GenConfig(num_users=s.users, num_items=s.items, num_behaviors=s.behaviors,
-                    relation_count=s.relations, shared_prototypes=s.shared_prototypes,
-                    specific_prototypes=s.specific_prototypes,
-                    interactions_per_user=s.interactions_per_user,
-                    correlation=s.correlation, relation_degree=s.relation_degree)
     seed = cfg.hyper.seed
-    records, rel_records, ground_truth = synthesize_records(gen, seed)
+    records, rel_records, ground_truth = synthesize_records(s, seed)
     write_interactions(out / "interactions.tsv", records)
     write_relations(out / "relations.tsv", rel_records)
     (out / "ground_truth.json").write_text(
         json.dumps(ground_truth, sort_keys=True), encoding="utf-8")
-    write_manifest(out / "manifest.txt", num_users=s.users, num_items=s.items,
-                   num_behaviors=s.behaviors, relation_count=s.relations,
-                   target_behavior=s.behaviors - 1, seed=seed,
+    write_manifest(out / "manifest.txt", num_users=s.num_users, num_items=s.num_items,
+                   num_behaviors=s.num_behaviors, relation_count=s.relation_count,
+                   target_behavior=s.num_behaviors - 1, seed=seed,
                    interactions="interactions.tsv", relations="relations.tsv",
                    ground_truth="ground_truth.json")
-    ds = assemble_dataset(records, rel_records, s.users, s.items, s.behaviors,
-                          s.relations, s.behaviors - 1, seed,
+    ds = assemble_dataset(records, rel_records, s.num_users, s.num_items, s.num_behaviors,
+                          s.relation_count, s.num_behaviors - 1, seed,
                           ground_truth=ground_truth)
     print(f"wrote {out / 'manifest.txt'}")
     print(f"dataset_hash={dataset_hash(ds)}")

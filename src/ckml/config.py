@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .cie import AGGREGATORS
+from .dataio import GenConfig
 
 
 class ConfigError(ValueError):
@@ -152,24 +153,9 @@ class HyperConfig:
 
 
 @dataclass
-class SynthConfig:
-    """[data] synth_* keys; mirrors dataio.GenConfig."""
-
-    users: int = 50
-    items: int = 80
-    behaviors: int = 2
-    relations: int = 2
-    shared_prototypes: int = 2
-    specific_prototypes: int = 2
-    interactions_per_user: int = 10
-    correlation: float = 1.0
-    relation_degree: int = 2
-
-
-@dataclass
 class RunConfig:
     manifest: str = ""
-    synth: SynthConfig = field(default_factory=SynthConfig)
+    synth: GenConfig = field(default_factory=GenConfig)  # the [data] synth_* keys
     hyper: HyperConfig = field(default_factory=HyperConfig)
     top_n: int = 10
     eval_all_behaviors: bool = False
@@ -182,13 +168,14 @@ class RunConfig:
 
 
 # Every accepted key, in emitted order: (section, the RunConfig field the
-# keys set or "" for RunConfig itself, key prefix, field names).
+# keys set or "" for RunConfig itself, key prefix, field names). A (key,
+# field) pair names a key that differs from its field.
 _CONFIG_TABLE = (
     ("data", "", "", ("manifest", "out_dir")),
     ("data", "synth", "synth_",
-     ("users", "items", "behaviors", "relations", "shared_prototypes",
-      "specific_prototypes", "interactions_per_user", "correlation",
-      "relation_degree")),
+     (("users", "num_users"), ("items", "num_items"), ("behaviors", "num_behaviors"),
+      ("relations", "relation_count"), "shared_prototypes", "specific_prototypes",
+      "interactions_per_user", "correlation", "relation_degree")),
     ("model", "hyper", "",
      ("embed_dim", "specific_interests", "shared_interests", "tau",
       "routing_iterations", "relation_layers", "interaction_layers",
@@ -205,9 +192,9 @@ _SECTIONS = tuple(dict.fromkeys(row[0] for row in _CONFIG_TABLE))
 
 def _section_keys(cfg: RunConfig, section: str) -> dict:
     """key -> (object it sets, field name) for every key of `section`."""
-    return {prefix + name: (getattr(cfg, part) if part else cfg, name)
+    return {prefix + key: (getattr(cfg, part) if part else cfg, name)
             for sec, part, prefix, names in _CONFIG_TABLE if sec == section
-            for name in names}
+            for key, name in (n if isinstance(n, tuple) else (n, n) for n in names)}
 
 
 def _parse_bool(value: str, key: str) -> bool:

@@ -12,9 +12,11 @@ from the loaders and `synthesize_records` through the split and the graph
 builders to the writers: interactions are (E, 4) rows of user, item,
 behavior, timestamp; relations are (E, 3) rows of item_a, item_b, relation.
 
-Graphs are immutable once built: duplicate interactions collapse to a
-single edge (latest timestamp kept for time bucketing), relation graphs
-are symmetrized and deduplicated.
+Graphs are sorted edge arrays, immutable once built: duplicate
+interactions collapse to a single edge (latest timestamp kept for time
+bucketing), relation graphs are symmetrized and deduplicated. The model
+builds its sparse matrices from these edges; this module imports no other
+ckml module.
 """
 
 from __future__ import annotations
@@ -22,12 +24,10 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-
-from .numerics import SparseMatrix
 
 
 class DataError(ValueError):
@@ -36,11 +36,10 @@ class DataError(ValueError):
 
 @dataclass
 class BehaviorGraph:
-    """Bipartite 0/1 interaction graph for one behavior.
+    """Bipartite interaction graph for one behavior, as its edges.
 
-    `edges` is (E, 2) int64 sorted by (user, item) with no duplicates;
-    `edge_ts` keeps the latest timestamp seen for each edge. `user_adj` is
-    the user x item adjacency; its `matrix_t` is the item x user one.
+    `edges` is (E, 2) int64 rows of user, item, sorted by (user, item) with
+    no duplicates; `edge_ts` keeps the latest timestamp seen for each edge.
     """
 
     behavior_id: int
@@ -48,11 +47,6 @@ class BehaviorGraph:
     num_items: int
     edges: np.ndarray
     edge_ts: np.ndarray
-    user_adj: SparseMatrix = field(init=False)
-
-    def __post_init__(self):
-        self.user_adj = SparseMatrix.from_edges(
-            self.edges[:, 0], self.edges[:, 1], (self.num_users, self.num_items))
 
     @property
     def edge_count(self) -> int:
@@ -66,11 +60,6 @@ class RelationGraph:
     relation_id: int
     num_items: int
     edges: np.ndarray  # (E, 2) both directions, sorted, deduplicated
-    adj: SparseMatrix = field(init=False)
-
-    def __post_init__(self):
-        self.adj = SparseMatrix.from_edges(
-            self.edges[:, 0], self.edges[:, 1], (self.num_items, self.num_items))
 
     def undirected_edges(self) -> np.ndarray:
         if len(self.edges) == 0:

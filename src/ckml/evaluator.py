@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
+from .model import _pin_allocator, forward
 from .numerics import NumericError
 
 _BLOCK = 512  # users scored at once
@@ -68,8 +69,7 @@ def evaluate(params: dict, ctx, hyper, top_n: int,
     `all_behaviors` flag reports every behavior's representation against
     the same candidate sets (a diagnostic, the protocol targets one).
     """
-    from .model import forward  # local import to avoid a cycle
-
+    _pin_allocator()
     ds = ctx.dataset
     if ds.eval_negatives is None:
         raise ValueError("dataset has no eval negatives")

@@ -74,7 +74,8 @@ class BehaviorContext:
         g = self.graph
         self.user_ids = g.edges[:, 0].astype(np.intp)
         self.item_ids = g.edges[:, 1].astype(np.intp)
-        self.user_from_item = normalized_adjacency(g.user_adj, self.dtype)
+        self.user_from_item = normalized_adjacency(
+            self.user_ids, self.item_ids, (g.num_users, g.num_items), self.dtype)
         self.into_users = _EdgeWeights(self.user_ids, self.item_ids, g.num_users, g.num_items)
         self.into_items = _EdgeWeights(self.item_ids, self.user_ids, g.num_items, g.num_users)
 

@@ -14,6 +14,8 @@ evaluator read; routing coefficients and attention weights are dropped.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -98,7 +100,8 @@ class ModelContext:
                               "to extract from; set no_cie = true")
         dtype = self.hyper.dtype
         self.behaviors = [fbc.BehaviorContext(g, dtype) for g in self.dataset.behavior_graphs]
-        self.relation_adjs = [normalized_adjacency(g.adj, dtype)
+        self.relation_adjs = [normalized_adjacency(g.edges[:, 0], g.edges[:, 1],
+                                                   (g.num_items, g.num_items), dtype)
                               for g in self.dataset.relation_graphs]
         count = self.hyper.time_buckets
         self.buckets = [tuple(SparseMatrix.from_edges(np.arange(len(ids)), ids,
@@ -135,6 +138,21 @@ def _agg_weights(params, prefix, layer, aggregator):
     if not names:
         return None
     return {wname: params[f"{prefix}/l{layer}/{wname}"] for wname, _ in names}
+
+
+@functools.cache
+def _pin_allocator() -> bool:
+    """Keep freed blocks in the heap for the next full-graph pass: glibc's mmap
+    and trim thresholds to 1 GiB (both, or the mmap one is fixed at 128 KiB).
+    False where there is no mallopt (musl, macOS, Windows); the results are
+    the same, only slower."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    # M_MMAP_THRESHOLD (-3), then M_TRIM_THRESHOLD (-1)
+    return mallopt(-3, 1 << 30) == 1 and mallopt(-1, 1 << 30) == 1
 
 
 def forward(params: dict, ctx: ModelContext, hyper: HyperConfig) -> ForwardOutput:

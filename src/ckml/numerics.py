@@ -2,12 +2,13 @@
 
 Dense matrices are plain numpy arrays of the dtype `precision` names
 (float64 or float32), and so are the normalized adjacencies' weights; the
-gradient audit runs in float64. Sparse adjacency lives in a thin CSR
-wrapper backed by scipy; the transpose is precomputed once, so backward
-passes through `spmm` and products with the transpose (`SparseMatrix.T`)
-stay cheap. Aggregation has one normalization, the symmetric-degree
-weights of `normalized_adjacency`. `finite_difference_gradcheck` is the
-arbiter for every analytic gradient in the package.
+gradient audit runs in float64. Sparse matrices are built from edge lists
+into a thin CSR wrapper backed by scipy; the transpose is computed once,
+at build, so backward passes through `spmm` and products with the
+transpose (`SparseMatrix.T`) stay cheap. Aggregation has one
+normalization, the symmetric-degree weights that `normalized_adjacency`
+gives each edge. `finite_difference_gradcheck` is the arbiter for every
+analytic gradient in the package.
 """
 
 from __future__ import annotations
@@ -27,28 +28,27 @@ class NumericError(RuntimeError):
 @dataclass
 class SparseMatrix:
     """CSR matrix with sorted column indices and its transpose, both kept;
-    values immutable after build. A `matrix_t` given with `matrix` is
-    trusted to be its sorted transpose; otherwise it is computed."""
+    values immutable after build. `from_edges` builds the pair; `.T` swaps
+    it."""
 
     matrix: sp.csr_matrix
-    matrix_t: sp.csr_matrix | None = None
-
-    def __post_init__(self):
-        if self.matrix_t is None:
-            self.matrix = self.matrix.tocsr()
-            self.matrix.sum_duplicates()
-            self.matrix.sort_indices()
-            self.matrix_t = self.matrix.T.tocsr()
-            self.matrix_t.sort_indices()
+    matrix_t: sp.csr_matrix
 
     @classmethod
-    def from_edges(cls, rows, cols, shape):
-        """The 0/1 matrix with a one at each (rows[e], cols[e]). The ones are
-        float32, so float32 operands stay float32."""
+    def from_edges(cls, rows, cols, shape, data=None):
+        """The matrix with `data[e]` at each (rows[e], cols[e]), repeated
+        entries summed, and its transpose. Without `data` the entries are
+        float32 ones, so float32 operands stay float32."""
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
-        ones = np.ones(len(rows), dtype=np.float32)
-        return cls(sp.csr_matrix((ones, (rows, cols)), shape=shape))
+        if data is None:
+            data = np.ones(len(rows), dtype=np.float32)
+        matrix = sp.csr_matrix((data, (rows, cols)), shape=shape)
+        matrix.sum_duplicates()
+        matrix.sort_indices()
+        matrix_t = matrix.T.tocsr()
+        matrix_t.sort_indices()
+        return cls(matrix, matrix_t)
 
     @property
     def shape(self):
@@ -60,29 +60,23 @@ class SparseMatrix:
         return SparseMatrix(self.matrix_t, self.matrix)
 
 
-def normalized_adjacency(adj: SparseMatrix, dtype=np.float64) -> SparseMatrix:
-    """Reweight a 0/1 adjacency for aggregation: entry (i, j) is scaled by
-    1/sqrt(deg_i * deg_j), with row degrees from `adj.matrix` and column
-    degrees from its transpose. Zero-degree rows/columns keep weight 0 so
-    isolated nodes aggregate to zero. The transpose of the result is the
-    normalization of the transposed adjacency. The weights are computed in
-    float64 and stored in `dtype`.
+def normalized_adjacency(rows, cols, shape, dtype=np.float64) -> SparseMatrix:
+    """The aggregation weights of a graph given as edges, each (row, col) at
+    most once: edge (i, j) weighs 1/sqrt(deg_i * deg_j), with row degrees
+    counted over `rows` and column degrees over `cols`. Isolated nodes have
+    no entry, so they aggregate to zero. The transpose of the result is the
+    normalization of the reversed edges. The weights are computed in float64
+    and stored in `dtype`.
     """
-    m = adj.matrix
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
 
-    def inv_sqrt_degrees(indptr):
-        deg = np.diff(indptr).astype(np.float64)
-        inv = np.zeros_like(deg)
-        nz = deg > 0
-        inv[nz] = 1.0 / np.sqrt(deg[nz])
-        return inv
+    def inv_sqrt_degree(ids, count):
+        """1/sqrt of each edge's endpoint degree; an endpoint's is >= 1."""
+        return 1.0 / np.sqrt(np.bincount(ids, minlength=count)[ids])
 
-    inv_row = inv_sqrt_degrees(m.indptr)
-    inv_col = inv_sqrt_degrees(adj.matrix_t.indptr)
-    data = m.data * np.repeat(inv_row, np.diff(m.indptr)) * inv_col[m.indices]
-    data = data.astype(dtype, copy=False)
-    out = sp.csr_matrix((data, m.indices.copy(), m.indptr.copy()), shape=m.shape)
-    return SparseMatrix(out)
+    data = inv_sqrt_degree(rows, shape[0]) * inv_sqrt_degree(cols, shape[1])
+    return SparseMatrix.from_edges(rows, cols, shape, data.astype(dtype, copy=False))
 
 
 @dataclass

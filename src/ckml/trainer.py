@@ -10,8 +10,6 @@ hyperparameters and dimensions that shape them.
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import math
 import os
 import struct
@@ -25,7 +23,7 @@ from . import autodiff as ad
 from .config import ConfigError, HyperConfig, _coerce, _format_value
 from .dataio import Dataset, draw_free_items
 from .evaluator import MetricsReport, evaluate
-from .model import ModelContext, batch_loss, param_specs
+from .model import ModelContext, _pin_allocator, batch_loss, param_specs
 from .numerics import NumericError
 from .objective import LossBreakdown
 
@@ -136,20 +134,6 @@ def _batches_by_id(ids, columns, count, lo, hi):
         m = (ids[lo:hi] == g_id)
         batches.append(tuple(c[lo:hi][m] for c in columns) if m.any() else None)
     return batches
-
-
-@functools.cache
-def _pin_allocator() -> bool:
-    """Keep freed tape blocks in the heap for the next step: glibc's mmap and trim
-    thresholds to 1 GiB (both, or the mmap one is fixed at 128 KiB). False where
-    there is no mallopt (musl, macOS, Windows); training is the same, only slower."""
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError, TypeError):
-        return False
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    # M_MMAP_THRESHOLD (-3), then M_TRIM_THRESHOLD (-1)
-    return mallopt(-3, 1 << 30) == 1 and mallopt(-1, 1 << 30) == 1
 
 
 def train_epoch(params: OrderedDict, ctx: ModelContext, hyper: HyperConfig,
@@ -320,6 +304,8 @@ def _read_checkpoint_body(fh) -> Checkpoint:
     for _ in range(count):
         (nlen,) = struct.unpack("<I", fh.read(4))
         name = read_claimed(nlen, "array name").decode("utf-8")
+        if name in arrays:
+            raise CompatibilityError(f"checkpoint repeats array {name}")
         (rank,) = struct.unpack("<B", fh.read(1))
         shape = tuple(struct.unpack("<Q", fh.read(8))[0] for _ in range(rank))
         (tag,) = struct.unpack("<B", fh.read(1))

@@ -31,14 +31,14 @@ def leaky_relu(x, slope: float = 0.2):
     return np.where(x >= 0, x, x.dtype.type(slope) * x)
 
 
-def spmm(adjacency: SparseMatrix, dense: np.ndarray) -> np.ndarray:
+def spmm(rows, cols, shape, dense: np.ndarray) -> np.ndarray:
     """Row i of the result is the symmetric-degree weighted sum of dense
-    rows of i's neighbors; zero-degree rows come out zero."""
+    rows of i's neighbors, over the graph with an edge at each
+    (rows[e], cols[e]); zero-degree rows come out zero."""
     dense = np.asarray(dense)
-    if adjacency.shape[1] != dense.shape[0]:
-        raise ValueError(
-            f"shape mismatch: adjacency {adjacency.shape} @ dense {dense.shape}")
-    out = normalized_adjacency(adjacency).matrix @ dense
+    if shape[1] != dense.shape[0]:
+        raise ValueError(f"shape mismatch: adjacency {shape} @ dense {dense.shape}")
+    out = normalized_adjacency(rows, cols, shape).matrix @ dense
     return np.asarray(out)
 
 
@@ -46,7 +46,8 @@ def separate_normalized_adjacency(adj: SparseMatrix,
                                   col_degrees: np.ndarray | None = None) -> SparseMatrix:
     """Entry (i, j) of a 0/1 adjacency scaled by 1/sqrt(deg_i * deg_j), with
     the column degrees given (a bipartite half takes them from the other
-    half's rows) or summed over the columns of `adj.matrix`."""
+    half's rows) or summed over the columns of `adj.matrix`. The transpose
+    is scipy's, not the package's builder's."""
     m = adj.matrix.astype(np.float64)
     row_deg = np.diff(m.indptr).astype(np.float64)
     if col_degrees is None:
@@ -60,7 +61,9 @@ def separate_normalized_adjacency(adj: SparseMatrix,
     inv_col[nz] = 1.0 / np.sqrt(col_degrees[nz])
     data = m.data * np.repeat(inv_row, np.diff(m.indptr)) * inv_col[m.indices]
     out = sp.csr_matrix((data, m.indices.copy(), m.indptr.copy()), shape=m.shape)
-    return SparseMatrix(out)
+    out_t = out.T.tocsr()
+    out_t.sort_indices()
+    return SparseMatrix(out, out_t)
 
 
 def bipartite_normalized_adjacencies(edges: np.ndarray, num_users: int, num_items: int):

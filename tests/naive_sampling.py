@@ -47,12 +47,12 @@ def naive_relation_triples(rel_graph, rng):
     anchors = und[:, 0]
     positives = und[:, 1]
     negatives = np.empty(len(und), dtype=np.int64)
-    adj = rel_graph.adj.matrix
+    edges = rel_graph.edges
     related = {}
     for e in range(len(und)):
         a = int(anchors[e])
         if a not in related:
-            row = set(adj.indices[adj.indptr[a]:adj.indptr[a + 1]].tolist())
+            row = set(edges[edges[:, 0] == a, 1].tolist())
             row.add(a)
             related[a] = row
         if len(related[a]) >= rel_graph.num_items:

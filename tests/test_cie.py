@@ -8,7 +8,7 @@ from ckml.cie import (assemble_interest_embedding, average_layers,
                       concat_relations, extract_interests,
                       propagate_relation_graph)
 from ckml.dataio import build_relation_graphs
-from ckml.numerics import normalized_adjacency
+from ckml.numerics import SparseMatrix, normalized_adjacency
 
 from naive_numerics import separate_normalized_adjacency
 
@@ -16,8 +16,8 @@ rng = np.random.default_rng(42)
 
 
 def norm_adj(pairs, n):
-    recs = [(a, b, 0) for a, b in pairs]
-    return normalized_adjacency(build_relation_graphs(recs, n, 1)[0].adj)
+    edges = build_relation_graphs([(a, b, 0) for a, b in pairs], n, 1)[0].edges
+    return normalized_adjacency(edges[:, 0], edges[:, 1], (n, n))
 
 
 @st.composite
@@ -31,8 +31,8 @@ def relation_cases(draw):
 
 
 class TestRelationNormalization:
-    """The normalization with column degrees read from the cached transpose
-    against the earlier one that summed the matrix's columns."""
+    """The normalization with degrees counted over the edge list against
+    the earlier one that summed a 0/1 matrix's rows and columns."""
 
     @given(relation_cases())
     @settings(max_examples=60, deadline=None)
@@ -40,8 +40,9 @@ class TestRelationNormalization:
         n, pairs, seed = case
         case_rng = np.random.default_rng(seed)
         for graph in build_relation_graphs([(a, b, 0) for a, b in pairs], n, 2):
-            got = normalized_adjacency(graph.adj)
-            want = separate_normalized_adjacency(graph.adj)
+            rows, cols = graph.edges[:, 0], graph.edges[:, 1]
+            got = normalized_adjacency(rows, cols, (n, n))
+            want = separate_normalized_adjacency(SparseMatrix.from_edges(rows, cols, (n, n)))
             for g, w in ((got.matrix, want.matrix), (got.matrix_t, want.matrix_t)):
                 assert g.dtype == w.dtype == np.float64
                 np.testing.assert_array_equal(g.indptr, w.indptr)

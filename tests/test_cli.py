@@ -510,6 +510,18 @@ class TestEval:
             hrs[n] = line["hr"]
         assert hrs[1] <= hrs[10]
 
+    def test_repeated_array_name_exits_3(self, tmp_path, capsys):
+        cfg, ckpt = self._trained(tmp_path, epochs=0)
+        blob = ckpt.read_bytes()
+        at = blob.index(b"embed/item")
+        assert blob.index(b"embed/user") < at
+        edited = tmp_path / "edited.ckml"
+        edited.write_bytes(blob[:at] + b"embed/user" + blob[at + len(b"embed/item"):])
+        capsys.readouterr()
+        assert main(["eval", "--config", str(cfg), "--checkpoint", str(edited),
+                     "--out", str(tmp_path / "ev")]) == 3
+        assert_one_error_line(capsys, "checkpoint repeats array embed/user")
+
     def test_checkpoint_is_a_directory_exits_3(self, tmp_path, capsys):
         cfg, _ = self._trained(tmp_path, epochs=0)
         capsys.readouterr()
@@ -717,7 +729,7 @@ class TestShippedConfigs:
         repo = Path(__file__).resolve().parent.parent
         for name in ("gradcheck.ini", "overfit.ini", "synthetic_study.ini"):
             cfg = load_run_config(repo / "configs" / name)
-            cfg.validate(cfg.synth.behaviors)
+            cfg.validate(cfg.synth.num_behaviors)
 
 
 class TestDeterminism:

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from ckml.dataio import (DataError, GenConfig, assemble_dataset,
                          load_dataset, load_interactions, load_relations,
                          sample_eval_negatives, synthesize_records, time_buckets,
                          write_interactions, write_manifest, write_relations)
+from ckml.numerics import SparseMatrix, normalized_adjacency
 
 from naive_dataio import (naive_behavior_graphs, naive_leave_one_out_split,
                           naive_relation_graphs, naive_time_buckets, user_items)
@@ -325,7 +330,8 @@ class TestBuildBehaviorGraphs:
         records = [rec(0, 0, 0), rec(1, 0, 0), rec(0, 1, 1)]
         graphs = build_behavior_graphs(records, 2, 2, 2)
         assert graphs[0].edge_count == 2
-        assert np.diff(graphs[0].user_adj.matrix_t.indptr)[0] == 2
+        adj = SparseMatrix.from_edges(graphs[0].edges[:, 0], graphs[0].edges[:, 1], (2, 2))
+        assert np.diff(adj.matrix_t.indptr)[0] == 2
         assert graphs[1].edge_count == 1
 
     @given(st.sets(st.tuples(st.integers(0, 4), st.integers(0, 5)), max_size=20))
@@ -333,9 +339,11 @@ class TestBuildBehaviorGraphs:
     def test_adjacencies_are_exact_transposes(self, pairs):
         records = [rec(u, i, 0) for u, i in pairs]
         g = build_behavior_graphs(records, 5, 6, 1)[0]
-        assert (g.user_adj.matrix.T != g.user_adj.matrix_t).nnz == 0
-        assert g.edge_count == g.user_adj.matrix.nnz == g.user_adj.matrix_t.nnz
-        assert {tuple(e) for e in g.edges} == set(zip(*g.user_adj.matrix.nonzero()))
+        for adj in (SparseMatrix.from_edges(g.edges[:, 0], g.edges[:, 1], (5, 6)),
+                    normalized_adjacency(g.edges[:, 0], g.edges[:, 1], (5, 6))):
+            assert (adj.matrix.T != adj.matrix_t).nnz == 0
+            assert g.edge_count == adj.matrix.nnz == adj.matrix_t.nnz
+            assert {tuple(e) for e in g.edges} == set(zip(*adj.matrix.nonzero()))
 
 
 class TestBuildRelationGraphs:
@@ -351,11 +359,29 @@ class TestBuildRelationGraphs:
         recs = [(0, 1, 0), (1, 0, 0)]
         g = build_relation_graphs(recs, 2, 1)[0]
         assert len(g.undirected_edges()) == 1
-        np.testing.assert_array_equal(np.diff(g.adj.matrix.indptr), [1, 1])
+        adj = SparseMatrix.from_edges(g.edges[:, 0], g.edges[:, 1], (2, 2))
+        np.testing.assert_array_equal(np.diff(adj.matrix.indptr), [1, 1])
 
     def test_self_loop_rejected(self):
         with pytest.raises(DataError, match="self-loop"):
             build_relation_graphs([(2, 2, 0)], 3, 1)
+
+
+def test_graphs_are_edge_arrays_and_dataio_imports_no_sparse_code():
+    # the model builds every sparse matrix from a graph's edges; a dataset
+    # holding its own copies would go stale when its edges change
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(Path(dataio.__file__).parents[1]), os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, ckml.dataio; "
+            "loaded = {'ckml.numerics', 'scipy.sparse'} & set(sys.modules); "
+            "assert not loaded, sorted(loaded)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    ds = assemble_dataset([rec(0, 1, 0, 3), rec(1, 0, 1, 4)], [(0, 1, 0)], 2, 2, 2, 1,
+                          1, 0, eval_negatives=False)
+    for g in ds.behavior_graphs + ds.relation_graphs:
+        assert all(isinstance(v, (int, np.ndarray)) for v in vars(g).values()), vars(g)
 
 
 class TestLeaveOneOutSplit:

@@ -142,6 +142,13 @@ class TestEvaluate:
         hr, ndcg, _ = report.per_behavior[ds.target_behavior]
         assert hr == 1.0 and ndcg == 1.0
 
+    def test_evaluation_keeps_freed_blocks_like_training(self, monkeypatch):
+        ds, h, ctx, params = eval_fixture()
+        calls = []
+        monkeypatch.setattr("ckml.evaluator._pin_allocator", lambda: calls.append(1))
+        evaluate(params, ctx, h, 10)
+        assert calls == [1]
+
     def test_constant_scorer_has_zero_hr(self, monkeypatch):
         ds, h, ctx, params = eval_fixture()
 
@@ -151,7 +158,7 @@ class TestEvaluate:
             out.user_final[k] = ad.Tensor(np.zeros_like(out.user_final[k].data))
             return out
 
-        monkeypatch.setattr("ckml.model.forward", constant_forward)
+        monkeypatch.setattr("ckml.evaluator.forward", constant_forward)
         report = evaluate(params, ctx, h, 10)
         hr, ndcg, _ = report.per_behavior[ds.target_behavior]
         # pessimistic ties: every positive ranks 100
@@ -231,7 +238,7 @@ class TestBlockedMatchesPerUser:
                           for u in users}
         ctx = stub_context(test_positive, eval_negatives, num_behaviors)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr("ckml.model.forward", forward_stub(user_final, item_final))
+            mp.setattr("ckml.evaluator.forward", forward_stub(user_final, item_final))
             mp.setattr(evaluator, "_BLOCK", block)
             report = evaluate({}, ctx, None, top_n, all_behaviors=all_behaviors)
         behaviors = range(num_behaviors) if all_behaviors else [num_behaviors - 1]
@@ -247,7 +254,7 @@ class TestBlockedMatchesPerUser:
             item_final[0, bad_item, 1, 2] = np.inf
         ctx = stub_context({u: 0 for u in range(num_users)},
                            {u: np.arange(1, 100) for u in range(num_users)}, 1)
-        monkeypatch.setattr("ckml.model.forward", forward_stub(user_final, item_final))
+        monkeypatch.setattr("ckml.evaluator.forward", forward_stub(user_final, item_final))
         return evaluate({}, ctx, None, top_n).per_behavior[0]
 
     def test_zero_test_users(self, monkeypatch):

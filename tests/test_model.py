@@ -78,7 +78,6 @@ def test_final_representation_excludes_layer_zero():
     for g in ds.behavior_graphs:
         g.edges = np.zeros((0, 2), dtype=np.int64)
         g.edge_ts = np.zeros(0, dtype=np.int64)
-        g.__post_init__()
     hyper = HyperConfig(**{**BASE, "interaction_layers": 2})
     hyper.validate(2)
     ctx = ModelContext(ds, hyper)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ckml import autodiff as ad
-from ckml import fbc, trainer
+from ckml import fbc, model, trainer
 from ckml.config import ConfigError, HyperConfig
 from ckml.dataio import GenConfig, generate_synthetic
 from ckml.model import ModelContext, batch_loss, forward, param_specs
@@ -238,17 +238,17 @@ class TestTapeRelease:
 
         want = epoch()
         if platform.libc_ver()[0] == "glibc":
-            assert trainer._pin_allocator()
+            assert model._pin_allocator()
 
         def no_library(*args, **kwargs):
             raise OSError("no C library")
-        monkeypatch.setattr(trainer.ctypes, "CDLL", no_library)
-        trainer._pin_allocator.cache_clear()
+        monkeypatch.setattr(model.ctypes, "CDLL", no_library)
+        model._pin_allocator.cache_clear()
         try:
             got = epoch()
-            assert trainer._pin_allocator() is False
+            assert model._pin_allocator() is False
         finally:
-            trainer._pin_allocator.cache_clear()
+            model._pin_allocator.cache_clear()
         for name in want:
             assert got[name].tobytes() == want[name].tobytes(), name
 
@@ -329,6 +329,15 @@ class TestCheckpoint:
         struct.pack_into("<I", blob, 10 + clen, 1)  # the count drops array v
         path.write_bytes(bytes(blob))
         with pytest.raises(CompatibilityError, match="after its 1 arrays"):
+            load_checkpoint(path)
+
+    def test_repeated_array_name_rejected(self, tmp_path):
+        path = tmp_path / "small.ckml"
+        save_checkpoint(path, OrderedDict(aa=np.ones(3), ab=np.full(3, 2.0)), {"epoch": "0"})
+        blob = path.read_bytes()
+        at = blob.index(b"ab")
+        path.write_bytes(blob[:at] + b"aa" + blob[at + 2:])
+        with pytest.raises(CompatibilityError, match="repeats array aa"):
             load_checkpoint(path)
 
     def test_undecodable_hyper_value_rejected(self):
