@@ -24,12 +24,14 @@ the coefficients (`_EdgeWeights`): one CSR matrix per direction, into
 users or into items, with one entry per edge, refilled one interest at a
 time, so no per-edge message array is formed. One constructor builds it
 from each edge's row and column node, over a behavior's whole graph (its
-`BehaviorContext`) or over a backward's live edges: while the edges into
-rows of nonzero gradient are under `LIVE_EDGE_CUT` of all edges, the
-backward works on them alone, and on the node rows they write or read,
-renumbered, so its time grows with their count, not with the graph's. The
-first iteration's equal logits give every edge the weight 1/S, so it
-takes one product over all interests (`uniform`).
+`BehaviorContext`) or over a subset of its edges, on the node rows they
+write or read, renumbered (`_renumbered`). A training step's last layer
+routes only the edges into the rows its losses read (the reach), and a
+backward only the edges into rows of nonzero gradient, each while those
+edges are under `LIVE_EDGE_CUT` of the edges it starts from, so its time
+grows with their count, not with the graph's. The first iteration's equal
+logits give every edge the weight 1/S, so it takes one product over all
+interests (`uniform`).
 
 The cross-behavior attention is likewise one tape node per side and
 layer (`correlate_shared`), with a hand-derived backward. Its projections
@@ -50,10 +52,11 @@ from .cie import apply_aggregator
 from .numerics import NumericError, SparseMatrix, normalized_adjacency
 
 DEGREE_GUARD = 1e-12
-# Routing's backward works on the live edges alone below this share of
-# all edges: per backward on the benchmark's step graph, that took ~0.55-0.75
-# of the whole-edge time at 0.1-0.4 live, ~0.85 at 0.4-0.5, crossed near 0.6,
-# lost above.
+# Routing works on a subset of a side's edges alone below this share of the
+# edges it starts from: the forward on the reached edges among all, the
+# backward on the live edges among the forward's. Per backward on the
+# benchmark's step graph, that took ~0.55-0.75 of the whole-edge time at
+# 0.1-0.4 live, ~0.85 at 0.4-0.5, crossed near 0.6, lost above.
 LIVE_EDGE_CUT = 0.5
 
 
@@ -128,25 +131,55 @@ class _EdgeWeights:
         return (self.matrix @ stack.reshape(V, S * W)).reshape(-1, S, W)
 
 
+def _renumbered(dst_ids: np.ndarray, src_ids: np.ndarray, edges: np.ndarray):
+    """The edges `edges` of a side, on the destination and source rows they
+    touch, both renumbered in ascending order, so each row keeps its edges
+    in ascending edge order: (destination rows, source rows, each edge's
+    renumbered destination and source, the sums into destination rows and
+    into source rows)."""
+    rows, dst_c = np.unique(dst_ids[edges], return_inverse=True)
+    srcs, src_c = np.unique(src_ids[edges], return_inverse=True)
+    return (rows, srcs, dst_c, src_c, _EdgeWeights(dst_c, src_c, len(rows), len(srcs)),
+            _EdgeWeights(src_c, dst_c, len(srcs), len(rows)))
+
+
+def _restricts(kept: np.ndarray) -> bool:
+    """Whether to work on the edges `kept` marks alone: while they are under
+    `LIVE_EDGE_CUT` of the edges, and not one alone (numpy sums a lone
+    edge's d* >= 9 terms pairwise, many edges' row by row)."""
+    n = np.count_nonzero(kept)
+    return n != 1 and n < LIVE_EDGE_CUT * len(kept)
+
+
 def _route_side(src: ad.Tensor, src_ids: np.ndarray, dst_ids: np.ndarray,
-                to_dst: _EdgeWeights, to_src: _EdgeWeights, tau: float, n_iter: int):
+                to_dst: _EdgeWeights, to_src: _EdgeWeights, tau: float, n_iter: int,
+                reach: np.ndarray | None = None):
     """Steps 1-4 for one side: each destination node's interest rows become
     the coefficient-weighted means of its edges' source rows, iterated.
 
     src: (source nodes, S, d*); `src_ids` and `dst_ids` hold each edge's
     source and destination node; `to_dst` and `to_src` sum over the edges
-    into destination and source nodes. Per-edge arrays are edge-minor,
-    (S, d*, E) and (S, E), so every per-edge reduction runs one long inner
-    loop; the forward's are of `src`'s dtype.
+    into destination and source nodes. `reach`, a mask over the destination
+    nodes, names the rows that are read: while `_restricts` the edges into
+    them, only those edges are routed, on the rows they touch
+    (`_renumbered`), and the other rows come out zero. Per-edge arrays are
+    edge-minor, (S, d*, E) and (S, E), so every per-edge reduction runs one
+    long inner loop; the forward's are of `src`'s dtype.
     Returns the last iteration's (destination nodes, S, d*) Tensor of that
-    dtype, whose only parent is `src`, and the first iteration whose state
-    is not finite (0 if none; routing stops there). Each iteration hands
-    its coefficients to `to_dst` once: the first its one weight to `uniform`,
+    dtype, whose only parent is `src`, and None, or, at the first iteration
+    whose state is not finite, None and (that iteration, the first
+    destination node whose row is not finite). Each iteration hands its
+    coefficients to `to_dst` once: the first its one weight to `uniform`,
     the others (S, E) arrays to `apply`.
     """
     x = src.data
+    n_dst = to_dst.matrix.shape[0]
+    rows = srcs = slice(None)
+    if reach is not None and _restricts(reached := reach[dst_ids]):
+        rows, srcs, dst_ids, src_ids, to_dst, to_src = _renumbered(
+            dst_ids, src_ids, np.flatnonzero(reached))
+        x = x[srcs]
     V, S, _ = x.shape
-    E = len(src_ids)
     unit_x, x_norm, x_live = ad.unit_rows(x)
     # one product gives each weighted mean's numerator and denominator
     x_and_ones = np.concatenate([x, np.ones((V, S, 1), dtype=x.dtype)], axis=2)
@@ -167,7 +200,8 @@ def _route_side(src: ad.Tensor, src_ids: np.ndarray, dst_ids: np.ndarray,
         den = np.where(den_live, den_raw, DEGREE_GUARD)[:, :, None]
         h = num / den
         if not np.all(np.isfinite(h)):
-            return ad.Tensor(h), t
+            row = np.argwhere(~np.isfinite(h))[0][0]
+            return None, (t, int(row if isinstance(rows, slice) else rows[row]))
         step = None
         if t < n_iter:  # the final update is never consumed by Step 5
             unit_h, h_norm, h_live = ad.unit_rows(h)
@@ -178,44 +212,43 @@ def _route_side(src: ad.Tensor, src_ids: np.ndarray, dst_ids: np.ndarray,
             step = (unit_h, h_norm, h_live, th)
         if saved is not None:
             saved.append((c, num, den, den_live, step))
+    if isinstance(rows, np.ndarray):  # rows that are not read hold zeros
+        h, h_reached = np.zeros((n_dst,) + h.shape[1:], dtype=h.dtype), h
+        h[rows] = h_reached
     out = ad.Tensor(h, src.requires_grad, (src,))
     if saved is None:
-        return out, 0
+        return out, None
 
     def backward(g):
         # Edges into rows of zero gradient add exactly +-0 to every sum (states
         # are finite), which leaves a sum from +0 bitwise as it is, so while
-        # few edges are live the backward works on them alone, on the
-        # destination rows they lead into and the source rows they read, both
-        # renumbered in ascending order: each row keeps its edges in ascending
-        # edge order, and every node-level operation acts per row (where two
-        # NaNs meet, numpy's vector loops keep either sign, by position). One
-        # live edge stays whole: numpy would sum its lone column pairwise,
-        # many edges row by row.
+        # `_restricts` the live edges among the forward's, the backward works
+        # on them alone, on the rows they touch: each row keeps its edges in
+        # ascending edge order, and every node-level operation acts per row
+        # (where two NaNs meet, numpy's vector loops keep either sign, by
+        # position).
+        g = g[rows]
         live = np.any(g != 0, axis=(1, 2))[dst_ids]
-        n_live = np.count_nonzero(live)
-        if n_live != 1 and n_live < LIVE_EDGE_CUT * E:
+        if _restricts(live):
             edges = np.flatnonzero(live)
-            rows, dst_c = np.unique(dst_ids[edges], return_inverse=True)
-            srcs, src_c = np.unique(src_ids[edges], return_inverse=True)
-            to_dst_c = _EdgeWeights(dst_c, src_c, len(rows), len(srcs))
-            to_src_c = _EdgeWeights(src_c, dst_c, len(srcs), len(rows))
+            live_rows, live_srcs, dst_c, src_c, to_dst_c, to_src_c = _renumbered(
+                dst_ids, src_ids, edges)
         else:
-            edges = rows = srcs = slice(None)
+            edges = live_rows = live_srcs = slice(None)
             dst_c, src_c, to_dst_c, to_src_c = dst_ids, src_ids, to_dst, to_src
-        x_c, unit_x_c = x[srcs], unit_x[srcs]
+        x_c, unit_x_c = x[live_srcs], unit_x[live_srcs]
         # in float64 whatever the forward's dtype, rounded once where it
         # reaches `src`: in float32 the iterations' roundoff would add up
         d_x = np.zeros(x_c.shape)
         d_unit_x = np.zeros(x_c.shape)
         src_e = _edge_rows(x_c, src_c) if n_iter > 1 else None
         d_logits = np.zeros((S, len(dst_c)))
-        dh = g[rows].astype(np.float64, copy=False)
+        dh = g[live_rows].astype(np.float64, copy=False)
         for t in range(n_iter, 0, -1):
             c, num, den, den_live, step = saved[t - 1]
-            num, den, den_live = num[rows], den[rows], den_live[rows]
+            num, den, den_live = num[live_rows], den[live_rows], den_live[live_rows]
             if step is not None:  # dh reaches h_t through the logit update
-                unit_h, h_norm, h_live, th = (a[rows] for a in step)
+                unit_h, h_norm, h_live, th = (a[live_rows] for a in step)
                 d_unit_x += to_src_c.apply(d_logits, th)
                 d_th = to_dst_c.apply(d_logits, unit_x_c)
                 dh = ad.unit_rows_backward(unit_h, h_norm, h_live, d_th * (1.0 - th * th))
@@ -234,22 +267,24 @@ def _route_side(src: ad.Tensor, src_ids: np.ndarray, dst_ids: np.ndarray,
             dc *= c
             dc /= tau
             d_logits += dc
-        d_x += ad.unit_rows_backward(unit_x_c, x_norm[srcs], x_live[srcs], d_unit_x)
-        if isinstance(srcs, np.ndarray):  # untouched source rows get +0.0
-            d_x, d_touched = np.zeros(x.shape), d_x
-            d_x[srcs] = d_touched
+        d_x += ad.unit_rows_backward(unit_x_c, x_norm[live_srcs], x_live[live_srcs], d_unit_x)
+        touched = live_srcs if isinstance(srcs, slice) else srcs[live_srcs]
+        if isinstance(touched, np.ndarray):  # untouched source rows get +0.0
+            d_x, d_touched = np.zeros(src.shape), d_x
+            d_x[touched] = d_touched
         src._accumulate(d_x)
     out._backward = backward
-    return out, 0
+    return out, None
 
 
 def _route(ctx: BehaviorContext, x_stack: ad.Tensor, g_stack: ad.Tensor,
            time_u: ad.Tensor | None, time_i: ad.Tensor | None,
-           tau: float, n_iter: int):
+           tau: float, n_iter: int, reach: tuple | None = None):
     """Steps 1-4 on both sides: iterate coefficient normalization,
     weighted-mean propagation of the opposite side's initial states, and
-    affinity updates. Returns the last iteration's (user, item) stacks,
-    (M, S, d*) and (N, S, d*), before aggregation."""
+    affinity updates. `reach`, if given, is the (user, item) masks of the
+    rows that are read (`_route_side`). Returns the last iteration's (user,
+    item) stacks, (M, S, d*) and (N, S, d*), before aggregation."""
     if tau <= 0:
         raise NumericError(f"routing temperature must be positive, got {tau}")
     if n_iter < 1:
@@ -264,28 +299,32 @@ def _route(ctx: BehaviorContext, x_stack: ad.Tensor, g_stack: ad.Tensor,
 
     # columns (u, i) carry items to users, columns (i, u) users to items
     users, items = ctx.user_ids, ctx.item_ids
+    reach_u, reach_i = reach if reach is not None else (None, None)
     h_u_t, bad_u = _route_side(h_i0, items, users, ctx.into_users, ctx.into_items,
-                               tau, n_iter)
+                               tau, n_iter, reach_u)
     h_i_t, bad_i = _route_side(h_u0, users, items, ctx.into_items, ctx.into_users,
-                               tau, n_iter)
-    if bad_u or bad_i:
-        t = min(b for b in (bad_u, bad_i) if b)
-        where = (f"user node {np.argwhere(~np.isfinite(h_u_t.data))[0][0]}"
-                 if bad_u == t else "item side")
-        raise NumericError(f"non-finite routing state at iteration {t} ({where})")
+                               tau, n_iter, reach_i)
+    bad = [(b[0], side, b[1]) for side, b in enumerate((bad_u, bad_i)) if b]
+    if bad:  # the earlier iteration, the user side first
+        t, side, node = min(bad)
+        raise NumericError(f"non-finite routing state at iteration {t} "
+                           f"({('user', 'item')[side]} node {node})")
     return h_u_t, h_i_t
 
 
 def route_behavior_layer(ctx: BehaviorContext, x_stack: ad.Tensor, g_stack: ad.Tensor,
                          time_u: ad.Tensor | None, time_i: ad.Tensor | None,
                          tau: float, n_iter: int, aggregator: str,
-                         agg_weights: dict | None = None, slope: float = 0.2):
+                         agg_weights: dict | None = None, slope: float = 0.2,
+                         reach: tuple | None = None):
     """Allocate one behavior's edges across interests and aggregate once.
 
     Returns (h_user, h_item): stacks of shape (M, S, d*) / (N, S, d*) after
-    the final aggregation pass; nodes without edges come out zero.
+    the final aggregation pass; nodes without edges come out zero. With
+    `reach` (`_route`), unreached rows route as zeros, so only the output
+    rows whose aggregation reads reached rows alone are right.
     """
-    h_u_t, h_i_t = _route(ctx, x_stack, g_stack, time_u, time_i, tau, n_iter)
+    h_u_t, h_i_t = _route(ctx, x_stack, g_stack, time_u, time_i, tau, n_iter, reach)
     return _aggregate(ctx, h_u_t, h_i_t, aggregator, agg_weights, slope)
 
 

@@ -155,7 +155,11 @@ def _pin_allocator() -> bool:
     return mallopt(-3, 1 << 30) == 1 and mallopt(-1, 1 << 30) == 1
 
 
-def forward(params: dict, ctx: ModelContext, hyper: HyperConfig) -> ForwardOutput:
+def forward(params: dict, ctx: ModelContext, hyper: HyperConfig,
+            reach: list | None = None) -> ForwardOutput:
+    """The whole forward; with `reach` (`last_layer_reach`), the last
+    layer routes the rows it names alone, and only the final rows that the
+    reach was computed for are right."""
     ds = ctx.dataset
     K = ds.num_behaviors
     s_spe, s_sha, d_star = hyper.interest_structure()
@@ -210,6 +214,7 @@ def forward(params: dict, ctx: ModelContext, hyper: HyperConfig) -> ForwardOutpu
 
     for l in range(hyper.interaction_layers):
         agg_w = _agg_weights(params, "agg/fbc", l, hyper.aggregator)
+        last = l == hyper.interaction_layers - 1
         routed = []
         for k in range(K):
             if hyper.fbc_disabled:
@@ -218,7 +223,8 @@ def forward(params: dict, ctx: ModelContext, hyper: HyperConfig) -> ForwardOutpu
             else:
                 routed.append(fbc.route_behavior_layer(
                     ctx.behaviors[k], *states[k], *times[k], hyper.tau,
-                    hyper.routing_iterations, hyper.aggregator, agg_w, slope))
+                    hyper.routing_iterations, hyper.aggregator, agg_w, slope,
+                    reach[k] if reach is not None and last else None))
 
         for side in (0, 1):
             outs = stacks = [h[side] for h in routed]
@@ -264,15 +270,42 @@ def relation_term(out: ForwardOutput, relation: int, anchors: np.ndarray,
     return objective.relation_bpr_loss(pos, neg).sum()
 
 
+def last_layer_reach(ctx: ModelContext, hyper: HyperConfig, rank_batches: list) -> list:
+    """Per behavior, the (user, item) masks of the last layer's routed rows
+    that the ranking losses read. The aggregation reads the neighbors of
+    the batch's users and items, and under gccf and ngcf their own rows
+    too (`cie.apply_aggregator`); attention mixes the behaviors row by row,
+    so the batch's rows are those of every behavior's triples."""
+    ds = ctx.dataset
+    users = np.zeros(ds.num_users, dtype=bool)
+    items = np.zeros(ds.num_items, dtype=bool)
+    for batch in rank_batches:
+        if batch is not None:
+            users[batch[0]] = True
+            items[batch[1]] = True
+            items[batch[2]] = True
+    reads_self = hyper.aggregator in ("gccf", "ngcf")
+    reach = []
+    for b in ctx.behaviors:
+        user_rows = users.copy() if reads_self else np.zeros_like(users)
+        item_rows = items.copy() if reads_self else np.zeros_like(items)
+        user_rows[b.user_ids[items[b.item_ids]]] = True
+        item_rows[b.item_ids[users[b.user_ids]]] = True
+        reach.append((user_rows, item_rows))
+    return reach
+
+
 def batch_loss(params: dict, ctx: ModelContext, hyper: HyperConfig,
                rank_batches: list, rel_batches: list):
-    """Full joint objective on index batches.
+    """Full joint objective on index batches; the last layer routes only the
+    rows the ranking losses reach (`last_layer_reach`).
 
     rank_batches: per behavior, (users, positives, negatives) arrays or None.
     rel_batches: per relation, (anchors, positives, negatives) arrays or None.
     Returns (total Tensor, LossBreakdown).
     """
-    out = forward(params, ctx, hyper)
+    reach = None if hyper.fbc_disabled else last_layer_reach(ctx, hyper, rank_batches)
+    out = forward(params, ctx, hyper, reach)
     K = ctx.dataset.num_behaviors
     rank_terms = []
     for k in range(K):

@@ -12,9 +12,11 @@ composed of tape ops, plus a test-only helper.
 
 `recorded_coefficients` observes the package's routing from outside: it
 records the coefficients that each routing iteration weights its edges
-with, which no output of the package carries.
+with, which no output of the package carries. `recorded_restrictions`
+records which routing passes worked on a subset of the edges.
 """
 
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -55,6 +57,27 @@ def recorded_coefficients():
         yield calls
     finally:
         fbc._EdgeWeights.apply, fbc._EdgeWeights.uniform = apply, uniform
+
+
+@contextmanager
+def recorded_restrictions():
+    """Yields a list that receives, for every routing pass inside the block
+    that works on some of a side's edges alone, its kind and its edge
+    counts: ("forward", reached, all) for a forward over the reach, and
+    ("backward", live, the forward's) for a backward over its live edges."""
+    calls = []
+    renumbered = fbc._renumbered
+
+    def recording(dst_ids, src_ids, edges):
+        caller = sys._getframe(1).f_code.co_name
+        kind = {"_route_side": "forward", "backward": "backward"}[caller]
+        calls.append((kind, len(edges), len(dst_ids)))
+        return renumbered(dst_ids, src_ids, edges)
+    fbc._renumbered = recording
+    try:
+        yield calls
+    finally:
+        fbc._renumbered = renumbered
 
 
 def _unit(v):

@@ -663,19 +663,25 @@ def live_edge_cases(draw):
             draw(st.sampled_from(["none", "one", "some", "all", "nan"])))
 
 
-def side_gradient(ctx, src, g, tau, n_iter, cut, to_items=False):
-    """`src.grad` after `_route_side` routes the item rows `src` to users,
-    or with `to_items` the user rows to items, and its backward takes `g`,
-    with `fbc.LIVE_EDGE_CUT` set to `cut`."""
+def routed_side(ctx, src, g, tau, n_iter, cut, to_items=False, reach=None):
+    """The output of `_route_side` routing the item rows `src` to users, or
+    with `to_items` the user rows to items, over the destination rows
+    `reach` names, and `src.grad` after its backward takes `g`, with
+    `fbc.LIVE_EDGE_CUT` set to `cut`."""
     leaf = ad.Tensor(src, requires_grad=True)
     ids = ((ctx.user_ids, ctx.item_ids, ctx.into_items, ctx.into_users) if to_items else
            (ctx.item_ids, ctx.user_ids, ctx.into_users, ctx.into_items))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fbc, "LIVE_EDGE_CUT", cut)
-        out, bad = fbc._route_side(leaf, *ids, tau, n_iter)
-        assert bad == 0
+        out, bad = fbc._route_side(leaf, *ids, tau, n_iter, reach)
+        assert bad is None
         out._backward(g)
-    return leaf.grad
+    return out.data, leaf.grad
+
+
+def side_gradient(ctx, src, g, tau, n_iter, cut, to_items=False):
+    """`src.grad` of `routed_side` over every destination row."""
+    return routed_side(ctx, src, g, tau, n_iter, cut, to_items)[1]
 
 
 def assert_live_backward_is_whole(ctx, S, D, tau, n_iter, dtype, seed, live_rows,
@@ -825,6 +831,59 @@ class TestLiveEdgeBackward:
                 got = weights.uniform(value, stack)
                 want = weights.apply(np.full((S, len(edges)), value), stack)
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+class TestReachedForward:
+    """Routing's forward over the reached destination rows alone against the
+    forward over every row: the reached rows and the source gradient keep
+    their bytes, the others come out zero."""
+
+    # one reached edge: numpy sums a lone edge's d* >= 9 terms pairwise,
+    # many edges' row by row, so that forward stays whole
+    @given(live_edge_cases())
+    @example(([(0, 0), (1, 0), (1, 1), (2, 1), (2, 2)], 3, 3, 2, 9, 1.0, 2, 0,
+              np.float64, "one"))
+    @settings(max_examples=200, deadline=None)
+    def test_reached_rows_and_gradient_keep_their_bytes(self, case):
+        edges, M, N, S, D, tau, n_iter, seed, dtype, mode = case
+        ctx = make_ctx(edges, M, N)
+        case_rng = np.random.default_rng(seed)
+        for to_items in (False, True):
+            n_src, n_dst = (M, N) if to_items else (N, M)
+            some = case_rng.random(n_dst) < 0.5
+            reach = {"none": np.zeros(n_dst, bool), "all": np.ones(n_dst, bool),
+                     "one": np.arange(n_dst) == case_rng.integers(n_dst),
+                     "some": some, "nan": some}[mode]
+            src = case_rng.normal(size=(n_src, S, D)).astype(dtype)
+            # the gradient of some reached rows is zero, so the backward may
+            # narrow the forward's edges further; unreached rows get -0.0
+            g = case_rng.normal(size=(n_dst, S, D)).astype(dtype)
+            g[~reach | (case_rng.random(n_dst) < 0.3)] = -0.0
+            out, grad = routed_side(ctx, src, g, tau, n_iter, 2.0, to_items, reach)
+            whole_out, whole_grad = routed_side(ctx, src, g, tau, n_iter, 0.0, to_items)
+            assert out.dtype == grad.dtype == dtype
+            assert out[reach].tobytes() == whole_out[reach].tobytes()
+            assert not np.any(out[~reach]) or np.array_equal(out, whole_out)
+            assert grad.tobytes() == whole_grad.tobytes()
+
+    def test_non_finite_state_names_the_node(self):
+        # user 2 (renumbered 0) is the first reached user whose state is not
+        # finite, item 1 (renumbered 0) the first such item
+        ctx = make_ctx([(0, 0), (1, 1), (2, 1), (3, 2), (4, 3), (5, 3)], 6, 4)
+        x = rng.normal(size=(6, 2, 3))
+        x[2] = np.inf
+        g = rng.normal(size=(4, 2, 3))
+        g[1] = np.inf
+        users, items = np.isin(np.arange(6), (2, 3)), np.arange(4) == 1
+        for reach, user in (((users, items), 2), (None, 1)):
+            with np.errstate(all="ignore"), pytest.raises(
+                    NumericError, match=fr"iteration 1 \(user node {user}\)$"):
+                _route(ctx, ad.Tensor(x), ad.Tensor(g), None, None, 1.0, 2, reach)
+        g[1] = 0.0  # the item side alone
+        for reach in ((users, items), None):
+            with np.errstate(all="ignore"), pytest.raises(
+                    NumericError, match=r"iteration 1 \(item node 1\)$"):
+                _route(ctx, ad.Tensor(x), ad.Tensor(g), None, None, 1.0, 2, reach)
 
 
 class TestPropagateLayer:

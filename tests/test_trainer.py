@@ -18,6 +18,7 @@ from ckml.trainer import (Adam, Checkpoint, CompatibilityError, check_compatible
 
 from conftest import tiny_dataset
 from naive_autodiff import tape_nodes
+from naive_routing import recorded_restrictions
 
 
 def small_hyper(**kw):
@@ -202,6 +203,28 @@ class TestTrainEpoch:
         assert any(len(rows) not in edge_counts for rows, _ in edge_weight_builds)
         for k in whole:
             assert whole[k].tobytes() == live[k].tobytes(), k
+
+    @pytest.mark.parametrize("precision", ["f64", "f32"])
+    @pytest.mark.parametrize("aggregator, layers", [("light", 1), ("ngcf", 2)])
+    def test_reached_forward_trains_the_same_bytes(self, small_ds, monkeypatch, precision,
+                                                  aggregator, layers):
+        h = small_hyper(precision=precision, batch_size=4, aggregator=aggregator,
+                        interaction_layers=layers)
+
+        def epoch(cut):  # 0 routes every row, 2 the reached rows alone
+            monkeypatch.setattr(fbc, "LIVE_EDGE_CUT", cut)
+            ctx = ModelContext(small_ds, h)
+            params = init_params(h, small_ds, seed=4)
+            with recorded_restrictions() as calls:
+                train_epoch(params, ctx, h, Adam(params), np.random.default_rng(4), 0)
+            return params, calls
+
+        whole, calls = epoch(0.0)
+        assert not calls
+        reached, calls = epoch(2.0)
+        assert any(kind == "forward" and n < E for kind, n, E in calls)
+        for k in whole:
+            assert whole[k].tobytes() == reached[k].tobytes(), k
 
 
 class TestTapeRelease:
