@@ -12,6 +12,8 @@ from . import autodiff as ad
 from .numerics import SparseMatrix
 
 AGGREGATORS = ("light", "gccf", "gcn", "ngcf")
+# the aggregators whose output reads a node's own row (`apply_aggregator`)
+READS_SELF = ("gccf", "ngcf")
 
 
 def aggregator_weight_shapes(kind: str, width: int) -> list:

@@ -22,7 +22,7 @@ import numpy as np
 import scipy
 
 from .config import ConfigError, emit_run_config, load_run_config, override_run_config
-from .dataio import (DataError, assemble_dataset, dataset_hash, load_dataset,
+from .dataio import (DataError, dataset_hash, load_dataset,
                      synthesize_records, write_interactions, write_manifest,
                      write_relations)
 from .model import ModelContext, batch_loss
@@ -101,11 +101,8 @@ def cmd_synth(args) -> int:
                    target_behavior=s.num_behaviors - 1, seed=seed,
                    interactions="interactions.tsv", relations="relations.tsv",
                    ground_truth="ground_truth.json")
-    ds = assemble_dataset(records, rel_records, s.num_users, s.num_items, s.num_behaviors,
-                          s.relation_count, s.num_behaviors - 1, seed,
-                          ground_truth=ground_truth)
     print(f"wrote {out / 'manifest.txt'}")
-    print(f"dataset_hash={dataset_hash(ds)}")
+    print(f"dataset_hash={dataset_hash(load_dataset(out / 'manifest.txt'))}")
     return EXIT_OK
 
 

@@ -11,6 +11,9 @@ In memory the records keep the files' column order as int64 row arrays,
 from the loaders and `synthesize_records` through the split and the graph
 builders to the writers: interactions are (E, 4) rows of user, item,
 behavior, timestamp; relations are (E, 3) rows of item_a, item_b, relation.
+The split is rows too: (U, 2) rows of user, held-out item, users ascending,
+and the evaluation negatives a (U, 99) array whose row i belongs to the
+split's row i.
 
 Graphs are sorted edge arrays, immutable once built: duplicate
 interactions collapse to a single edge (latest timestamp kept for time
@@ -77,8 +80,8 @@ class Dataset:
     target_behavior: int
     behavior_graphs: list  # train graphs, one per behavior
     relation_graphs: list
-    test_positive: dict  # user -> held-out item under the target behavior
-    eval_negatives: dict | None
+    test_positive: np.ndarray  # (U, 2) user, held-out target item; users ascending
+    eval_negatives: np.ndarray | None  # (U, 99), row i for test_positive[i]
     rng_seed: int
     ground_truth: dict | None = None
 
@@ -230,19 +233,18 @@ def leave_one_out_split(records, target_behavior: int):
     Last = greatest timestamp, ties broken by greatest item id. Every
     target-behavior record of the held-out (user, item) pair leaves the
     training set so the test positive never appears in the train graph.
-    Returns (train rows in input order, {user: held-out item}) with users
-    ascending.
+    Returns (train rows in input order, (U, 2) rows of user, held-out
+    item with users ascending).
     """
     rows = _rows(records, 4)
     is_target = rows[:, 2] == target_behavior
     target = rows[is_target]
     target = target[np.lexsort((target[:, 1], target[:, 3], target[:, 0]))]
     held = target[_last_of_groups(target[:, :1])]
-    test_positive = dict(zip(held[:, 0].tolist(), held[:, 1].tolist()))
     held_item = np.full(rows[:, 0].max(initial=-1) + 1, -1, dtype=np.int64)
     held_item[held[:, 0]] = held[:, 1]
     drop = is_target & (held_item[rows[:, 0]] == rows[:, 1])
-    return rows[~drop], test_positive
+    return rows[~drop], np.ascontiguousarray(held[:, :2])
 
 
 _EVAL_NEGATIVES = 99
@@ -253,13 +255,13 @@ _NEGATIVE_CHUNK = 1024
 _DRAW_BUDGET = 1 << 18
 
 
-def sample_eval_negatives(dataset: Dataset, seed: int) -> dict:
-    """99 items per evaluated user, outside the user's target-behavior
-    history (train and test): a uniform ordered draw without replacement
-    from the items the user never touched, by `draw_free_items`."""
+def sample_eval_negatives(dataset: Dataset, seed: int) -> np.ndarray:
+    """(U, 99) items, row i for the user of `test_positive[i]`, outside the
+    user's target-behavior history (train and test): a uniform ordered draw
+    without replacement from the items the user never touched, by
+    `draw_free_items`."""
     n = dataset.num_items
-    users = np.array(sorted(dataset.test_positive), dtype=np.int64)
-    held = np.array([dataset.test_positive[u] for u in users.tolist()], dtype=np.int64)
+    users, held = dataset.test_positive.T
     # banned (user, item) pairs as sorted keys user * n + item
     edges = dataset.behavior_graphs[dataset.target_behavior].edges
     banned = np.unique(np.concatenate((edges[:, 0] * n + edges[:, 1], users * n + held)))
@@ -269,8 +271,7 @@ def sample_eval_negatives(dataset: Dataset, seed: int) -> dict:
         u = short[0]
         raise DataError(f"insufficient candidate pool for user {users[u]}: "
                         f"{free[u]} < {_EVAL_NEGATIVES}")
-    drawn = draw_free_items(np.random.default_rng(seed), users, banned, n, _EVAL_NEGATIVES)
-    return dict(zip(users.tolist(), drawn))
+    return draw_free_items(np.random.default_rng(seed), users, banned, n, _EVAL_NEGATIVES)
 
 
 def draw_free_items(rng, anchors, banned, n: int, count: int) -> np.ndarray:
@@ -584,12 +585,12 @@ def dataset_hash(ds: Dataset) -> str:
     for g in ds.relation_graphs:
         h.update(f"|r{g.relation_id}".encode())
         h.update(g.edges.tobytes())
-    for u in sorted(ds.test_positive):
-        h.update(f"|t{u}:{ds.test_positive[u]}".encode())
-    if ds.eval_negatives:
-        for u in sorted(ds.eval_negatives):
+    for u, item in ds.test_positive.tolist():
+        h.update(f"|t{u}:{item}".encode())
+    if ds.eval_negatives is not None:
+        for u, negatives in zip(ds.test_positive[:, 0].tolist(), ds.eval_negatives):
             h.update(f"|n{u}:".encode())
-            h.update(np.asarray(ds.eval_negatives[u], dtype=np.int64).tobytes())
+            h.update(negatives.tobytes())
     if ds.ground_truth is not None:
         h.update(json.dumps({
             "item_prototypes": ds.ground_truth["item_prototypes"],

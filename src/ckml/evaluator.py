@@ -7,8 +7,9 @@ pure function of (params, dataset, N); repeated calls agree bitwise.
 Users are scored and ranked in blocks of `_BLOCK` as (B, C) score arrays:
 a per-user loop spends most of its time in numpy's per-call overhead, and
 scoring all users at once would hold a (users, C, d*) gather, tens of MB
-on a wide catalog. The means add users one at a time in sorted order, so
-they keep the bits of a per-user loop.
+on a wide catalog. A block is a slice of the split's rows and of their
+negatives. The means add the users' HR and NDCG in sorted order with one
+sequential accumulate, so they keep the bits of a per-user loop.
 """
 
 from __future__ import annotations
@@ -76,31 +77,25 @@ def evaluate(params: dict, ctx, hyper, top_n: int,
     tensors = {k: ad.Tensor(v) for k, v in params.items()}
     out = forward(tensors, ctx, hyper)
     behaviors = range(ds.num_behaviors) if all_behaviors else [ds.target_behavior]
-    users = sorted(ds.test_positive)
-    # (hr, ndcg) by rank: no rank exceeds the candidate count, and the last
-    # entry stands for every rank past the cutoff
-    width = 1 + max((len(ds.eval_negatives[u]) for u in users), default=0)
-    table = [hr_ndcg_at_n(r, top_n) for r in range(1, min(top_n, width) + 2)]
+    users, positives = ds.test_positive.T
+    # HR and NDCG by rank: no rank exceeds the candidate count
+    hr_by_rank, ndcg_by_rank = np.array(
+        [hr_ndcg_at_n(r, top_n) for r in range(1, ds.eval_negatives.shape[1] + 2)]).T
     report = MetricsReport(top_n=top_n)
     for k in behaviors:
         user_rep = out.user_final[k].data
         items = np.ascontiguousarray(out.item_final[k].data.transpose(1, 0, 2))
-        hr_sum = 0.0
-        ndcg_sum = 0.0
+        ranks = np.empty(len(users), dtype=np.int64)
         for lo in range(0, len(users), _BLOCK):
-            block = users[lo:lo + _BLOCK]
-            candidates = np.column_stack(
-                ([ds.test_positive[u] for u in block],
-                 np.stack([ds.eval_negatives[u] for u in block])))
-            ranks = rank_positives(score_candidates(user_rep[block], items, candidates))
-            for r in np.minimum(ranks, len(table)).tolist():
-                hr, ndcg = table[r - 1]
-                hr_sum += hr
-                ndcg_sum += ndcg
-        count = len(users)
-        report.per_behavior[k] = (hr_sum / count if count else 0.0,
-                                  ndcg_sum / count if count else 0.0,
-                                  count)
+            block = slice(lo, lo + _BLOCK)
+            candidates = np.column_stack((positives[block], ds.eval_negatives[block]))
+            ranks[block] = rank_positives(
+                score_candidates(user_rep[users[block]], items, candidates))
+        # added from 0.0 one user at a time, as a per-user loop adds them:
+        # np.sum adds pairwise, which changes the last bits
+        hr, ndcg = (np.cumsum(np.append(0.0, by_rank[ranks - 1]))[-1] / max(len(users), 1)
+                    for by_rank in (hr_by_rank, ndcg_by_rank))
+        report.per_behavior[k] = (hr, ndcg, len(users))
     stacks = out.item_interest_stacks[ds.target_behavior].data
     if stacks.shape[1] >= 2:
         dist = interest_center_distance(stacks)

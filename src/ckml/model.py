@@ -273,9 +273,9 @@ def relation_term(out: ForwardOutput, relation: int, anchors: np.ndarray,
 def last_layer_reach(ctx: ModelContext, hyper: HyperConfig, rank_batches: list) -> list:
     """Per behavior, the (user, item) masks of the last layer's routed rows
     that the ranking losses read. The aggregation reads the neighbors of
-    the batch's users and items, and under gccf and ngcf their own rows
-    too (`cie.apply_aggregator`); attention mixes the behaviors row by row,
-    so the batch's rows are those of every behavior's triples."""
+    the batch's users and items, and under `cie.READS_SELF` their own rows
+    too; attention mixes the behaviors row by row, so the batch's rows are
+    those of every behavior's triples."""
     ds = ctx.dataset
     users = np.zeros(ds.num_users, dtype=bool)
     items = np.zeros(ds.num_items, dtype=bool)
@@ -284,7 +284,7 @@ def last_layer_reach(ctx: ModelContext, hyper: HyperConfig, rank_batches: list) 
             users[batch[0]] = True
             items[batch[1]] = True
             items[batch[2]] = True
-    reads_self = hyper.aggregator in ("gccf", "ngcf")
+    reads_self = hyper.aggregator in cie.READS_SELF
     reach = []
     for b in ctx.behaviors:
         user_rows = users.copy() if reads_self else np.zeros_like(users)

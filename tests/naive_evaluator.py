@@ -25,24 +25,33 @@ def score_candidates(user_stack: np.ndarray, item_stacks: np.ndarray) -> np.ndar
     return dots.max(axis=1)
 
 
+def per_user(out, dataset, top_n: int, k: int) -> list:
+    """(hr, ndcg) of each row of the held-out split, in row order, ranked
+    one user at a time under behavior k."""
+    user_rep = out.user_final[k].data
+    item_rep = out.item_final[k].data
+    metrics = []
+    for (u, positive), negatives in zip(dataset.test_positive.tolist(),
+                                        dataset.eval_negatives):
+        candidates = np.concatenate(([positive], negatives))
+        scores = score_candidates(user_rep[u], item_rep[candidates])
+        metrics.append(hr_ndcg_at_n(rank_positive(scores, 0), top_n))
+    return metrics
+
+
 def per_behavior(out, dataset, top_n: int, behaviors) -> dict:
     """k -> (hr, ndcg, user count) from a forward output's final user and
-    item stacks, as `evaluate` reports them."""
-    users = sorted(dataset.test_positive)
+    item stacks, as `evaluate` reports them: the users' values are added
+    one at a time, in the split's ascending user order."""
     result = {}
     for k in behaviors:
-        user_rep = out.user_final[k].data
-        item_rep = out.item_final[k].data
         hr_sum = 0.0
         ndcg_sum = 0.0
-        for u in users:
-            candidates = np.concatenate(([dataset.test_positive[u]],
-                                         dataset.eval_negatives[u]))
-            scores = score_candidates(user_rep[u], item_rep[candidates])
-            hr, ndcg = hr_ndcg_at_n(rank_positive(scores, 0), top_n)
+        metrics = per_user(out, dataset, top_n, k)
+        for hr, ndcg in metrics:
             hr_sum += hr
             ndcg_sum += ndcg
-        count = len(users)
+        count = len(metrics)
         result[k] = (hr_sum / count if count else 0.0,
                      ndcg_sum / count if count else 0.0,
                      count)

@@ -69,9 +69,9 @@ def naive_eval_negatives(dataset, seed):
     rng = np.random.default_rng(seed)
     target = dataset.behavior_graphs[dataset.target_behavior]
     negatives = {}
-    for u in sorted(dataset.test_positive):
+    for u, held in dataset.test_positive.tolist():
         banned = set(user_items(target, u).tolist())
-        banned.add(dataset.test_positive[u])
+        banned.add(held)
         pool = np.array([i for i in range(dataset.num_items) if i not in banned],
                         dtype=np.int64)
         if len(pool) < 99:

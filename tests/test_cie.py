@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ckml import autodiff as ad
-from ckml.cie import (assemble_interest_embedding, average_layers,
-                      concat_relations, extract_interests,
-                      propagate_relation_graph)
+from ckml.cie import (AGGREGATORS, READS_SELF, aggregator_weight_shapes,
+                      apply_aggregator, assemble_interest_embedding, average_layers,
+                      concat_relations, extract_interests, propagate_relation_graph)
 from ckml.dataio import build_relation_graphs
 from ckml.numerics import SparseMatrix, normalized_adjacency
 
@@ -93,6 +93,22 @@ class TestPropagateRelationGraph:
             weights = [{n: ad.Tensor(rng.normal(size=(3, 3))) for n in names}]
             out = propagate_relation_graph(table, adj, 1, kind, weights, slope=0.2)
             assert out[1].shape == (4, 3)
+
+
+class TestApplyAggregator:
+    @pytest.mark.parametrize("kind", AGGREGATORS)
+    def test_reads_own_row_exactly_under_reads_self(self, kind):
+        # the last layer's reach holds the batch's own rows under READS_SELF
+        # only (`model.last_layer_reach`), so it must name every aggregator
+        # whose output reads x_self
+        r = np.random.default_rng(0)
+        neighbors = ad.Tensor(r.normal(size=(5, 3)))
+        weights = {name: ad.Tensor(r.normal(size=shape))
+                   for name, shape in aggregator_weight_shapes(kind, 3)}
+        x_self = r.normal(size=(5, 3))
+        first, second = (apply_aggregator(kind, neighbors, ad.Tensor(x), weights, 0.2).data
+                         for x in (x_self, x_self + 1.0))
+        assert (not np.array_equal(first, second)) == (kind in READS_SELF)
 
 
 class TestAverageLayers:

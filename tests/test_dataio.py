@@ -277,9 +277,8 @@ class TestArraysMatchRecordLoops:
         rows, (num_users, num_items, num_behaviors), target = case
         train, test = leave_one_out_split(rows, target)
         want_train, want_test = naive_leave_one_out_split(rows, target)
-        assert test == want_test
-        assert list(test) == sorted(test)
-        assert all(type(v) is int for pair in test.items() for v in pair)
+        # (user, held-out item) rows, users ascending
+        assert_bitwise(test, np.array(sorted(want_test.items()), dtype=np.int64).reshape(-1, 2))
         assert_bitwise(train, np.array(want_train, dtype=np.int64).reshape(-1, 4))
 
         for source in (rows, train):
@@ -388,19 +387,19 @@ class TestLeaveOneOutSplit:
     def test_max_timestamp_wins(self):
         records = [rec(0, 3, 1, 1), rec(0, 4, 1, 2)]
         train, test = leave_one_out_split(records, 1)
-        assert test == {0: 4}
+        assert test.tolist() == [[0, 4]]
         assert train.tolist() == [list(records[0])]
 
     def test_single_interaction_user_keeps_no_target_edge(self):
         records = [rec(0, 2, 1, 7), rec(0, 5, 0, 1)]
         train, test = leave_one_out_split(records, 1)
-        assert test == {0: 2}
+        assert test.tolist() == [[0, 2]]
         assert (train[:, 2] != 1).all()
 
     def test_tie_breaks_by_greater_item(self):
         records = [rec(0, 2, 0, 5), rec(0, 7, 0, 5)]
         _, test = leave_one_out_split(records, 0)
-        assert test == {0: 7}
+        assert test.tolist() == [[0, 7]]
 
     @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 5),
                               st.integers(0, 9)), max_size=30))
@@ -410,7 +409,7 @@ class TestLeaveOneOutSplit:
         train, test = leave_one_out_split(records, 0)
         original = {(u, i) for u, i, _, _ in records}
         rebuilt = {(u, i) for u, i, _, _ in train.tolist()}
-        rebuilt |= {(u, i) for u, i in test.items()}
+        rebuilt |= {(u, i) for u, i in test.tolist()}
         assert rebuilt == original
 
 
@@ -452,9 +451,9 @@ class TestEvalNegatives:
         cfg = GenConfig(num_users=40, num_items=150, interactions_per_user=6)
         a = generate_synthetic(cfg, seed=9)
         b = generate_synthetic(cfg, seed=9)
-        assert list(a.eval_negatives) == list(b.eval_negatives) == sorted(a.test_positive)
-        for u in a.eval_negatives:
-            assert_bitwise(a.eval_negatives[u], b.eval_negatives[u])
+        assert_bitwise(a.test_positive, b.test_positive)
+        assert a.eval_negatives.shape == (len(a.test_positive), 99)
+        assert_bitwise(a.eval_negatives, b.eval_negatives)
         assert dataset_hash(a) == dataset_hash(b)
 
     def test_pinned_hash(self):
@@ -530,6 +529,23 @@ class TestSynthetic:
             synthesize_records(cfg, seed=0)
 
 
+def assert_split_rows(ds):
+    """The split is (U, 2) int64 rows of user, held-out item with users
+    ascending; its negatives, when drawn, are (U, 99) int64 rows, row i
+    outside the target history of the user of split row i."""
+    test = ds.test_positive
+    assert test.dtype == np.int64 and test.ndim == 2 and test.shape[1] == 2
+    assert len(test) and (np.diff(test[:, 0]) > 0).all()
+    if ds.eval_negatives is None:
+        return
+    negatives = ds.eval_negatives
+    assert negatives.dtype == np.int64 and negatives.shape == (len(test), 99)
+    target = ds.behavior_graphs[ds.target_behavior].edges
+    for (u, held), row in zip(test.tolist(), negatives.tolist()):
+        history = set(target[target[:, 0] == u, 1].tolist()) | {held}
+        assert len(set(row)) == 99 and not history & set(row)
+
+
 class TestRoundTrip:
     def test_files_reproduce_dataset_hash(self, tmp_path):
         cfg = GenConfig(num_users=15, num_items=140, interactions_per_user=6)
@@ -548,6 +564,12 @@ class TestRoundTrip:
         assert dataset_hash(loaded) == dataset_hash(ds)
         for g1, g2 in zip(loaded.behavior_graphs, ds.behavior_graphs):
             np.testing.assert_array_equal(g1.edges, g2.edges)
+        for split in (ds, loaded, generate_synthetic(cfg, seed=2)):
+            assert_split_rows(split)
+            assert split.eval_negatives is not None
+        unsampled = generate_synthetic(cfg, seed=2, eval_negatives=False)
+        assert_split_rows(unsampled)
+        assert unsampled.eval_negatives is None
 
     def test_missing_manifest_keys(self, tmp_path):
         (tmp_path / "manifest.txt").write_text("users=3\n")

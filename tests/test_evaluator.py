@@ -112,9 +112,9 @@ class TestEvaluate:
         out = forward({k: ad.Tensor(v) for k, v in params.items()}, ctx, h)
         k = ds.target_behavior
         hr_sum = ndcg_sum = 0.0
-        users = sorted(ds.test_positive)
-        for u in users:
-            cands = [ds.test_positive[u]] + list(ds.eval_negatives[u])
+        users = ds.test_positive[:, 0].tolist()
+        for (u, positive), negatives in zip(ds.test_positive.tolist(), ds.eval_negatives):
+            cands = [positive] + list(negatives)
             scores = []
             for c in cands:
                 dots = [float(out.user_final[k].data[u, s] @ out.item_final[k].data[c, s])
@@ -206,6 +206,15 @@ def stub_context(test_positive, eval_negatives, num_behaviors):
     return SimpleNamespace(dataset=ds)
 
 
+def held_out_rows(r, users, num_items):
+    """A random split of `users` (ascending) over `num_items` items: (U, 2)
+    rows of user, held-out item and (U, 99) negatives without the item."""
+    positives = r.integers(num_items, size=len(users))
+    negatives = np.array([r.choice(np.delete(np.arange(num_items), p), 99, replace=False)
+                          for p in positives], dtype=np.int64).reshape(-1, 99)
+    return np.column_stack((users, positives)).astype(np.int64), negatives
+
+
 def bits(per_behavior):
     return {k: (np.float64(hr).tobytes(), np.float64(ndcg).tobytes(), users)
             for k, (hr, ndcg, users) in per_behavior.items()}
@@ -230,13 +239,9 @@ class TestBlockedMatchesPerUser:
         if tied:  # coarse values, so many candidates tie the positive
             user_final, item_final = np.round(user_final), np.round(item_final)
         user_final, item_final = user_final.astype(dtype), item_final.astype(dtype)
-        # users in scattered order, as a dict of held-out items may list them
-        users = r.permutation(num_users).tolist()
-        test_positive = {u: int(r.integers(self.NUM_ITEMS)) for u in users}
-        eval_negatives = {u: r.choice(np.delete(np.arange(self.NUM_ITEMS), test_positive[u]),
-                                      99, replace=False)
-                          for u in users}
-        ctx = stub_context(test_positive, eval_negatives, num_behaviors)
+        # a random subset of the users, ascending, as the split lists them
+        users = np.flatnonzero(r.random(num_users) < 0.8)
+        ctx = stub_context(*held_out_rows(r, users, self.NUM_ITEMS), num_behaviors)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr("ckml.evaluator.forward", forward_stub(user_final, item_final))
             mp.setattr(evaluator, "_BLOCK", block)
@@ -246,14 +251,31 @@ class TestBlockedMatchesPerUser:
         want = naive_evaluator.per_behavior(out, ctx.dataset, top_n, behaviors)
         assert bits(report.per_behavior) == bits(want)
 
+    def test_means_add_the_users_left_to_right(self, monkeypatch):
+        """3,000 users whose NDCG values sum to other bits pairwise (`np.sum`)
+        than one at a time: the means take the per-user loop's bits."""
+        r = np.random.default_rng(11)
+        num_users = 3000
+        user_final = r.normal(size=(1, num_users, 2, 3))
+        item_final = r.normal(size=(1, self.NUM_ITEMS, 2, 3))
+        ctx = stub_context(*held_out_rows(r, np.arange(num_users), self.NUM_ITEMS), 1)
+        monkeypatch.setattr("ckml.evaluator.forward", forward_stub(user_final, item_final))
+        report = evaluate({}, ctx, None, 10)
+        out = forward_stub(user_final, item_final)({}, None, None)
+        want = naive_evaluator.per_behavior(out, ctx.dataset, 10, [0])
+        ndcg = [value for _, value in naive_evaluator.per_user(out, ctx.dataset, 10, 0)]
+        assert np.sum(ndcg) / num_users != want[0][1]
+        assert bits(report.per_behavior) == bits(want)
+
     def _evaluate(self, monkeypatch, num_users, top_n=10, bad_item=None):
         r = np.random.default_rng(0)
         user_final = r.normal(size=(1, num_users, 2, 3))
         item_final = r.normal(size=(1, self.NUM_ITEMS, 2, 3))
         if bad_item is not None:
             item_final[0, bad_item, 1, 2] = np.inf
-        ctx = stub_context({u: 0 for u in range(num_users)},
-                           {u: np.arange(1, 100) for u in range(num_users)}, 1)
+        users = np.arange(num_users)
+        ctx = stub_context(np.column_stack((users, np.zeros_like(users))),
+                           np.tile(np.arange(1, 100), (num_users, 1)), 1)
         monkeypatch.setattr("ckml.evaluator.forward", forward_stub(user_final, item_final))
         return evaluate({}, ctx, None, top_n).per_behavior[0]
 
