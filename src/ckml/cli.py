@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import scipy
 
-from .config import ConfigError, emit_run_config, load_run_config, override_run_config
+from .config import ConfigError, emit_run_config, load_run_config
 from .dataio import (DataError, dataset_hash, load_dataset,
                      synthesize_records, write_interactions, write_manifest,
                      write_relations)
@@ -66,8 +66,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_config(args):
     cfg = load_run_config(args.config)
-    return override_run_config(cfg, seed=args.seed, top_n=getattr(args, "n", None),
-                               out_dir=args.out)
+    if args.seed is not None:
+        cfg.hyper.seed = args.seed
+    if getattr(args, "n", None) is not None:
+        cfg.top_n = args.n
+    if args.out is not None:
+        cfg.out_dir = args.out
+    return cfg
 
 
 def _out_dir(cfg, *files) -> Path:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import configparser
 import io
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -233,7 +233,7 @@ def _coerce(current, value: str, key: str):
 
 
 def parse_run_config(text: str) -> RunConfig:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)  # values are literal
     try:
         parser.read_string(text)
     except configparser.Error as exc:
@@ -256,17 +256,20 @@ def parse_run_config(text: str) -> RunConfig:
 
 def load_run_config(path) -> RunConfig:
     try:
-        fh = open(path, encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
     except IsADirectoryError:
         raise ConfigError(f"config {path} is a directory") from None
-    with fh:
-        return parse_run_config(fh.read())
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8: invalid byte at offset "
+                          f"{exc.start}") from None
+    return parse_run_config(text)
 
 
 def emit_run_config(cfg: RunConfig, omit: tuple = ()) -> str:
     """Serialize so that parse_run_config(emit_run_config(c)) == c; keys in
     `omit` are left out (and parse back to their defaults)."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     for section in _SECTIONS:
         parser.add_section(section)
         for key, (target, name) in _section_keys(cfg, section).items():
@@ -285,16 +288,3 @@ def _format_value(v) -> str:
     if isinstance(v, float):
         return repr(v)
     return str(v)
-
-
-def override_run_config(cfg: RunConfig, *, seed=None, top_n=None,
-                        out_dir=None) -> RunConfig:
-    hyper = cfg.hyper
-    if seed is not None:
-        hyper = replace(hyper, seed=seed)
-    out = replace(cfg, hyper=hyper)
-    if top_n is not None:
-        out.top_n = top_n
-    if out_dir is not None:
-        out.out_dir = out_dir
-    return out

@@ -25,13 +25,15 @@ users or into items, with one entry per edge, refilled one interest at a
 time, so no per-edge message array is formed. One constructor builds it
 from each edge's row and column node, over a behavior's whole graph (its
 `BehaviorContext`) or over a subset of its edges, on the node rows they
-write or read, renumbered (`_renumbered`). A training step's last layer
-routes only the edges into the rows its losses read (the reach), and a
-backward only the edges into rows of nonzero gradient, each while those
-edges are under `LIVE_EDGE_CUT` of the edges it starts from, so its time
-grows with their count, not with the graph's. The first iteration's equal
-logits give every edge the weight 1/S, so it takes one product over all
-interests (`uniform`).
+write or read, renumbered. One helper narrows a side either way
+(`_narrowed`): a training step's last layer routes only the edges into the
+rows its losses read (the reach), and a backward only the edges into rows
+of nonzero gradient, each while those edges are under `LIVE_EDGE_CUT` of
+the edges it starts from, so its time grows with their count, not with the
+graph's; another writes the narrowed rows back into rows of full height
+(`_full_height`). A graph without edges takes the same path. The first
+iteration's equal logits give every edge the weight 1/S, so it takes one
+product over all interests (`uniform`).
 
 The cross-behavior attention is likewise one tape node per side and
 layer (`correlate_shared`), with a hand-derived backward. Its projections
@@ -131,24 +133,37 @@ class _EdgeWeights:
         return (self.matrix @ stack.reshape(V, S * W)).reshape(-1, S, W)
 
 
-def _renumbered(dst_ids: np.ndarray, src_ids: np.ndarray, edges: np.ndarray):
-    """The edges `edges` of a side, on the destination and source rows they
-    touch, both renumbered in ascending order, so each row keeps its edges
-    in ascending edge order: (destination rows, source rows, each edge's
-    renumbered destination and source, the sums into destination rows and
-    into source rows)."""
+def _narrowed(dst_ids: np.ndarray, src_ids: np.ndarray, to_dst: _EdgeWeights,
+              to_src: _EdgeWeights, marked: np.ndarray | None):
+    """A side's edges into the destination rows that `marked` marks, on the
+    destination and source rows they touch, both renumbered in ascending
+    order, so each row keeps its edges in ascending edge order: (the edges,
+    the destination rows, the source rows, each edge's renumbered
+    destination and source, the sums into destination rows and into source
+    rows). That while those edges are under `LIVE_EDGE_CUT` of the side's,
+    and not one alone (numpy sums a lone edge's d* >= 9 terms pairwise,
+    many edges' row by row); otherwise, or with `marked` None, the whole
+    side as given, with slices for the edges and rows."""
+    kept = None if marked is None else marked[dst_ids]
+    if kept is None or (n := np.count_nonzero(kept)) == 1 or n >= LIVE_EDGE_CUT * len(kept):
+        every = slice(None)
+        return every, every, every, dst_ids, src_ids, to_dst, to_src
+    edges = np.flatnonzero(kept)
     rows, dst_c = np.unique(dst_ids[edges], return_inverse=True)
     srcs, src_c = np.unique(src_ids[edges], return_inverse=True)
-    return (rows, srcs, dst_c, src_c, _EdgeWeights(dst_c, src_c, len(rows), len(srcs)),
+    return (edges, rows, srcs, dst_c, src_c, _EdgeWeights(dst_c, src_c, len(rows), len(srcs)),
             _EdgeWeights(src_c, dst_c, len(srcs), len(rows)))
 
 
-def _restricts(kept: np.ndarray) -> bool:
-    """Whether to work on the edges `kept` marks alone: while they are under
-    `LIVE_EDGE_CUT` of the edges, and not one alone (numpy sums a lone
-    edge's d* >= 9 terms pairwise, many edges' row by row)."""
-    n = np.count_nonzero(kept)
-    return n != 1 and n < LIVE_EDGE_CUT * len(kept)
+def _full_height(values: np.ndarray, rows, height: int) -> np.ndarray:
+    """`values`, the node rows `rows` (ascending, a slice or an index array)
+    of a (height, ...) array whose other rows are +0.0: `values` itself
+    when it holds every row."""
+    if len(values) == height:
+        return values
+    out = np.zeros((height,) + values.shape[1:], dtype=values.dtype)
+    out[rows] = values
+    return out
 
 
 def _route_side(src: ad.Tensor, src_ids: np.ndarray, dst_ids: np.ndarray,
@@ -160,11 +175,12 @@ def _route_side(src: ad.Tensor, src_ids: np.ndarray, dst_ids: np.ndarray,
     src: (source nodes, S, d*); `src_ids` and `dst_ids` hold each edge's
     source and destination node; `to_dst` and `to_src` sum over the edges
     into destination and source nodes. `reach`, a mask over the destination
-    nodes, names the rows that are read: while `_restricts` the edges into
-    them, only those edges are routed, on the rows they touch
-    (`_renumbered`), and the other rows come out zero. Per-edge arrays are
-    edge-minor, (S, d*, E) and (S, E), so every per-edge reduction runs one
-    long inner loop; the forward's are of `src`'s dtype.
+    nodes, names the rows that are read: the forward routes the edges into
+    them as `_narrowed` gives them, and the backward those of its edges into
+    rows of nonzero gradient; rows left out come out +0.0 (`_full_height`).
+    Per-edge arrays are edge-minor, (S, d*, E) and (S, E), so every
+    per-edge reduction runs one long inner loop; the forward's are of
+    `src`'s dtype.
     Returns the last iteration's (destination nodes, S, d*) Tensor of that
     dtype, whose only parent is `src`, and None, or, at the first iteration
     whose state is not finite, None and (that iteration, the first
@@ -172,13 +188,10 @@ def _route_side(src: ad.Tensor, src_ids: np.ndarray, dst_ids: np.ndarray,
     coefficients to `to_dst` once: the first its one weight to `uniform`,
     the others (S, E) arrays to `apply`.
     """
-    x = src.data
-    n_dst = to_dst.matrix.shape[0]
-    rows = srcs = slice(None)
-    if reach is not None and _restricts(reached := reach[dst_ids]):
-        rows, srcs, dst_ids, src_ids, to_dst, to_src = _renumbered(
-            dst_ids, src_ids, np.flatnonzero(reached))
-        x = x[srcs]
+    n_src, n_dst = src.shape[0], to_dst.matrix.shape[0]
+    _, rows, srcs, dst_ids, src_ids, to_dst, to_src = _narrowed(
+        dst_ids, src_ids, to_dst, to_src, reach)
+    x = src.data[srcs]
     V, S, _ = x.shape
     unit_x, x_norm, x_live = ad.unit_rows(x)
     # one product gives each weighted mean's numerator and denominator
@@ -195,13 +208,12 @@ def _route_side(src: ad.Tensor, src_ids: np.ndarray, dst_ids: np.ndarray,
         c /= c.sum(axis=0, keepdims=True)
         # the first iteration's equal logits give every edge one weight
         num_den = to_dst.uniform(c[0, 0], x_and_ones) if t == 1 else to_dst.apply(c, x_and_ones)
-        num, den_raw = num_den[:, :, :-1], num_den[:, :, -1]
-        den_live = den_raw > DEGREE_GUARD
-        den = np.where(den_live, den_raw, DEGREE_GUARD)[:, :, None]
+        num, den = num_den[:, :, :-1], num_den[:, :, -1:]
+        den = np.where(den > DEGREE_GUARD, den, DEGREE_GUARD)
         h = num / den
         if not np.all(np.isfinite(h)):
             row = np.argwhere(~np.isfinite(h))[0][0]
-            return None, (t, int(row if isinstance(rows, slice) else rows[row]))
+            return None, (t, int(np.arange(n_dst)[rows][row]))
         step = None
         if t < n_iter:  # the final update is never consumed by Step 5
             unit_h, h_norm, h_live = ad.unit_rows(h)
@@ -211,31 +223,21 @@ def _route_side(src: ad.Tensor, src_ids: np.ndarray, dst_ids: np.ndarray,
             logits = logits + aff.sum(axis=1)
             step = (unit_h, h_norm, h_live, th)
         if saved is not None:
-            saved.append((c, num, den, den_live, step))
-    if isinstance(rows, np.ndarray):  # rows that are not read hold zeros
-        h, h_reached = np.zeros((n_dst,) + h.shape[1:], dtype=h.dtype), h
-        h[rows] = h_reached
-    out = ad.Tensor(h, src.requires_grad, (src,))
+            saved.append((c, num, den, step))
+    out = ad.Tensor(_full_height(h, rows, n_dst), src.requires_grad, (src,))
     if saved is None:
         return out, None
 
     def backward(g):
         # Edges into rows of zero gradient add exactly +-0 to every sum (states
-        # are finite), which leaves a sum from +0 bitwise as it is, so while
-        # `_restricts` the live edges among the forward's, the backward works
-        # on them alone, on the rows they touch: each row keeps its edges in
-        # ascending edge order, and every node-level operation acts per row
-        # (where two NaNs meet, numpy's vector loops keep either sign, by
-        # position).
+        # are finite), which leaves a sum from +0 bitwise as it is, so the
+        # backward works on the forward's edges into rows of nonzero gradient
+        # as `_narrowed` gives them: each row keeps its edges in ascending
+        # edge order, and every node-level operation acts per row (where two
+        # NaNs meet, numpy's vector loops keep either sign, by position).
         g = g[rows]
-        live = np.any(g != 0, axis=(1, 2))[dst_ids]
-        if _restricts(live):
-            edges = np.flatnonzero(live)
-            live_rows, live_srcs, dst_c, src_c, to_dst_c, to_src_c = _renumbered(
-                dst_ids, src_ids, edges)
-        else:
-            edges = live_rows = live_srcs = slice(None)
-            dst_c, src_c, to_dst_c, to_src_c = dst_ids, src_ids, to_dst, to_src
+        edges, live_rows, live_srcs, dst_c, src_c, to_dst_c, to_src_c = _narrowed(
+            dst_ids, src_ids, to_dst, to_src, np.any(g != 0, axis=(1, 2)))
         x_c, unit_x_c = x[live_srcs], unit_x[live_srcs]
         # in float64 whatever the forward's dtype, rounded once where it
         # reaches `src`: in float32 the iterations' roundoff would add up
@@ -245,8 +247,8 @@ def _route_side(src: ad.Tensor, src_ids: np.ndarray, dst_ids: np.ndarray,
         d_logits = np.zeros((S, len(dst_c)))
         dh = g[live_rows].astype(np.float64, copy=False)
         for t in range(n_iter, 0, -1):
-            c, num, den, den_live, step = saved[t - 1]
-            num, den, den_live = num[live_rows], den[live_rows], den_live[live_rows]
+            c, num, den, step = saved[t - 1]
+            num, den = num[live_rows], den[live_rows]
             if step is not None:  # dh reaches h_t through the logit update
                 unit_h, h_norm, h_live, th = (a[live_rows] for a in step)
                 d_unit_x += to_src_c.apply(d_logits, th)
@@ -258,7 +260,8 @@ def _route_side(src: ad.Tensor, src_ids: np.ndarray, dst_ids: np.ndarray,
                 break
             c = c[:, edges]
             d_x += to_src_c.apply(c, d_num)
-            d_den = -ad.sum_last(dh * num / (den * den))[..., 0] * den_live
+            # the guarded denominators are constants
+            d_den = -ad.sum_last(dh * num / (den * den))[..., 0] * (den[..., 0] > DEGREE_GUARD)
             d_aff = _edge_rows(d_num, dst_c)
             d_aff *= src_e
             dc = d_aff.sum(axis=1)
@@ -268,11 +271,8 @@ def _route_side(src: ad.Tensor, src_ids: np.ndarray, dst_ids: np.ndarray,
             dc /= tau
             d_logits += dc
         d_x += ad.unit_rows_backward(unit_x_c, x_norm[live_srcs], x_live[live_srcs], d_unit_x)
-        touched = live_srcs if isinstance(srcs, slice) else srcs[live_srcs]
-        if isinstance(touched, np.ndarray):  # untouched source rows get +0.0
-            d_x, d_touched = np.zeros(src.shape), d_x
-            d_x[touched] = d_touched
-        src._accumulate(d_x)
+        # untouched source rows get +0.0
+        src._accumulate(_full_height(_full_height(d_x, live_srcs, len(x)), srcs, n_src))
     out._backward = backward
     return out, None
 
@@ -289,14 +289,7 @@ def _route(ctx: BehaviorContext, x_stack: ad.Tensor, g_stack: ad.Tensor,
         raise NumericError(f"routing temperature must be positive, got {tau}")
     if n_iter < 1:
         raise NumericError(f"routing needs at least one iteration, got {n_iter}")
-    M, S, d_star = x_stack.shape
-    N = g_stack.shape[0]
     h_u0, h_i0 = _with_time(x_stack, time_u), _with_time(g_stack, time_i)
-
-    if ctx.edge_count == 0:
-        return (ad.constant(np.zeros((M, S, d_star), dtype=h_u0.dtype)),
-                ad.constant(np.zeros((N, S, d_star), dtype=h_i0.dtype)))
-
     # columns (u, i) carry items to users, columns (i, u) users to items
     users, items = ctx.user_ids, ctx.item_ids
     reach_u, reach_i = reach if reach is not None else (None, None)

@@ -43,12 +43,10 @@ class SparseMatrix:
         cols = np.asarray(cols, dtype=np.int64)
         if data is None:
             data = np.ones(len(rows), dtype=np.float32)
+        # scipy sums repeated entries and sorts each row's columns while it
+        # builds the matrix, and its transpose's conversion sorts them too
         matrix = sp.csr_matrix((data, (rows, cols)), shape=shape)
-        matrix.sum_duplicates()
-        matrix.sort_indices()
-        matrix_t = matrix.T.tocsr()
-        matrix_t.sort_indices()
-        return cls(matrix, matrix_t)
+        return cls(matrix, matrix.T.tocsr())
 
     @property
     def shape(self):

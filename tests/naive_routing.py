@@ -64,20 +64,24 @@ def recorded_restrictions():
     """Yields a list that receives, for every routing pass inside the block
     that works on some of a side's edges alone, its kind and its edge
     counts: ("forward", reached, all) for a forward over the reach, and
-    ("backward", live, the forward's) for a backward over its live edges."""
+    ("backward", live, the forward's) for a backward over its live edges.
+    Passes that keep the whole side are not recorded."""
     calls = []
-    renumbered = fbc._renumbered
+    narrowed = fbc._narrowed
 
-    def recording(dst_ids, src_ids, edges):
-        caller = sys._getframe(1).f_code.co_name
-        kind = {"_route_side": "forward", "backward": "backward"}[caller]
-        calls.append((kind, len(edges), len(dst_ids)))
-        return renumbered(dst_ids, src_ids, edges)
-    fbc._renumbered = recording
+    def recording(dst_ids, src_ids, to_dst, to_src, marked):
+        side = narrowed(dst_ids, src_ids, to_dst, to_src, marked)
+        edges = side[0]
+        if not isinstance(edges, slice):
+            caller = sys._getframe(1).f_code.co_name
+            kind = {"_route_side": "forward", "backward": "backward"}[caller]
+            calls.append((kind, len(edges), len(dst_ids)))
+        return side
+    fbc._narrowed = recording
     try:
         yield calls
     finally:
-        fbc._renumbered = renumbered
+        fbc._narrowed = narrowed
 
 
 def _unit(v):

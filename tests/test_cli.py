@@ -171,6 +171,19 @@ class TestTrain:
         assert sha == "unknown" or (len(sha) == 40 and int(sha, 16) >= 0)
         assert records["elsewhere"] == {**record, "git_sha": "unknown"}
 
+    def test_percent_signs_in_paths_are_literal(self, tmp_path):
+        # a raw % and a %% both name themselves: no interpolation
+        cfg = write_config(tmp_path, out="50% off %%d")
+        assert main(["synth", "--config", str(cfg)]) == 0
+        manifest = tmp_path / "50% off %%d" / "manifest.txt"
+        assert manifest.is_file()
+        add_manifest(cfg, manifest)
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+        first = (tmp_path / "run" / "metrics.jsonl").read_text().splitlines()[0]
+        logged, written = parse_run_config(json.loads(first)["config"]), load_run_config(cfg)
+        assert logged.manifest == written.manifest == str(manifest)
+        assert logged.hyper == written.hyper and logged.synth == written.synth
+
     def test_missing_data_file_exits_2_naming_path(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         add_manifest(cfg, tmp_path / "nowhere" / "manifest.txt")
@@ -290,6 +303,15 @@ class TestBadLoadPathInput:
         assert run() == 2
         assert_one_error_line(
             capsys, f"manifest {path} is not UTF-8: invalid byte at offset 2")
+
+    @pytest.mark.parametrize("command", ["synth", "train", "eval", "gradcheck"])
+    def test_non_utf8_byte_in_config(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path)
+        cfg.write_bytes(b"# \xff\n" + cfg.read_bytes())
+        extra = ["--checkpoint", str(tmp_path / "model.ckml")] if command == "eval" else []
+        assert main([command, "--config", str(cfg)] + extra) == 2
+        assert_one_error_line(capsys, f"config {cfg} is not UTF-8: invalid byte at offset 2")
+        assert not (tmp_path / "out").exists()
 
     def test_malformed_ground_truth_json(self, tmp_path, capsys):
         run = self._gradcheck(tmp_path, capsys)

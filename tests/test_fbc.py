@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ckml import autodiff as ad
-from ckml import fbc
+from ckml import cie, fbc
 from ckml.dataio import build_behavior_graphs
 from ckml.fbc import (BehaviorContext, _aggregate, _route, correlate_shared,
                       plain_aggregation_layer, route_behavior_layer)
@@ -138,6 +138,29 @@ class TestRouting:
         h_u, h_i = route_behavior_layer(ctx, x, g, None, None, 1.0, 1, "light")
         np.testing.assert_array_equal(h_u.data, 0.0)
         np.testing.assert_array_equal(h_i.data, 0.0)
+
+    @pytest.mark.parametrize("aggregator", ["light", "gccf", "gcn", "ngcf"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("reached", [False, True])
+    def test_graph_without_edges_routes_to_positive_zeros(self, aggregator, dtype, reached):
+        # no shortcut: the routing path itself gives +0.0 rows and +0.0
+        # gradients, through every aggregator
+        ctx = BehaviorContext(build_behavior_graphs([], 3, 4, 1)[0], np.dtype(dtype))
+        S, D = 2, 3
+        x, g, tu, ti = (ad.Tensor(rng.normal(size=(n, S, D)).astype(dtype), requires_grad=True)
+                        for n in (3, 4, 3, 4))
+        weights = {name: ad.Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
+                   for name, shape in cie.aggregator_weight_shapes(aggregator, S * D)}
+        reach = (np.arange(3) < 2, np.ones(4, bool)) if reached else None
+        h_u, h_i = route_behavior_layer(ctx, x, g, tu, ti, 0.7, 3, aggregator,
+                                        weights or None, reach=reach)
+        for h, n in ((h_u, 3), (h_i, 4)):
+            assert h.shape == (n, S, D) and h.dtype == dtype
+            assert not np.any(h.data) and not np.signbit(h.data).any()
+        (h_u.sum() + h_i.sum()).backward()
+        for t in (x, g, tu, ti):
+            assert t.grad.dtype == dtype
+            assert not np.any(t.grad) and not np.signbit(t.grad).any()
 
     def test_invalid_arguments(self):
         ctx = make_ctx([(0, 0)], 1, 1)

@@ -95,6 +95,19 @@ def test_gradients_exact_on_a_sub_batch(overrides):
     assert forwards and starts == {True, False}
 
 
+@pytest.mark.parametrize("overrides", [{}, {"aggregator": "ngcf", "interaction_layers": 2}],
+                         ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()) or "default")
+def test_gradients_exact_with_a_behavior_without_edges(overrides):
+    # behavior 0 has no edges, so no ranking triples, and routes through the
+    # same path as the others, to zero stacks
+    ds = tiny_dataset(num_users=5, num_items=8, num_behaviors=3, relation_count=2,
+                      per_user=3, seed=13, relation_pairs=10)
+    ds.behavior_graphs[0].edges = np.zeros((0, 2), dtype=np.int64)
+    ds.behavior_graphs[0].edge_ts = np.zeros(0, dtype=np.int64)
+    report = run_gradcheck(ds, HyperConfig(**{**BASE, **overrides}))
+    assert report.overall < 1e-4, report.per_parameter
+
+
 def test_final_representation_excludes_layer_zero():
     # with NO edges every routed layer output is zero, so the final sum must
     # be zero even though the residual states stay at the layer-0 inputs

@@ -114,6 +114,18 @@ class TestSparseMatrixInvariants:
             row = m.indices[m.indptr[r]:m.indptr[r + 1]]
             assert np.all(np.diff(row) > 0)
 
+    def test_repeated_entries_summed_in_sorted_rows(self):
+        # unsorted input with (1, 2) given twice, both directions checked
+        adj = SparseMatrix.from_edges([1, 0, 1, 1, 0], [2, 1, 0, 2, 0], shape=(2, 3),
+                                      data=np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
+        for m in (adj.matrix, adj.matrix_t):
+            assert m.has_canonical_format and m.has_sorted_indices
+        np.testing.assert_array_equal(adj.matrix.indptr, [0, 2, 4])
+        np.testing.assert_array_equal(adj.matrix.indices, [0, 1, 0, 2])
+        np.testing.assert_array_equal(adj.matrix.data, [5.0, 2.0, 3.0, 5.0])
+        np.testing.assert_array_equal(adj.matrix_t.toarray(), adj.matrix.toarray().T)
+        np.testing.assert_array_equal(adj.matrix_t.indices, [0, 1, 0, 1])
+
     def test_transpose_available(self):
         adj = SparseMatrix.from_edges([0, 1], [1, 0], shape=(2, 2))
         assert (adj.matrix_t != adj.matrix.T).nnz == 0
