@@ -304,7 +304,7 @@ def gather(x: Tensor, index) -> Tensor:
     """Select rows along axis 0 by an int array; backward adds each row's
     gradients into zeros by `np.add.at`. That suits a batch's rows; one row
     for every node each step (the time offsets) is cheaper as `spmm` with a
-    one-hot matrix, whose backward reuses the cached transpose."""
+    one-hot matrix, whose backward multiplies by its transpose."""
     rows = np.asarray(index)
     out = Tensor(x.data[rows], x.requires_grad, (x,))
     if x.requires_grad:
@@ -329,11 +329,12 @@ def segment_sum(x: Tensor, segment_ids, num_segments: int) -> Tensor:
 
 
 def spmm(sparse, x: Tensor) -> Tensor:
-    """Constant sparse matrix (scipy CSR, with precomputed transpose) times Tensor."""
-    out = Tensor(sparse.matrix @ x.data, x.requires_grad, (x,))
+    """Constant scipy sparse matrix times Tensor; the backward multiplies by
+    `sparse.T`, a view of the same arrays."""
+    out = Tensor(sparse @ x.data, x.requires_grad, (x,))
     if x.requires_grad:
         out._backward = lambda g: x._accumulate(
-            (sparse.matrix_t @ g).astype(x.dtype, copy=False))
+            (sparse.T @ g).astype(x.dtype, copy=False))
     return out
 
 

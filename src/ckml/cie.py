@@ -8,8 +8,9 @@ behavior-specific interest stacks (the initial interest cluster centers).
 
 from __future__ import annotations
 
+import scipy.sparse as sp
+
 from . import autodiff as ad
-from .numerics import SparseMatrix
 
 AGGREGATORS = ("light", "gccf", "gcn", "ngcf")
 # the aggregators whose output reads a node's own row (`apply_aggregator`)
@@ -48,7 +49,7 @@ def apply_aggregator(kind: str, neighbors: ad.Tensor, x_self: ad.Tensor,
     raise ValueError(f"unknown aggregator {kind!r}")
 
 
-def propagate_relation_graph(item_table: ad.Tensor, norm_adj: SparseMatrix,
+def propagate_relation_graph(item_table: ad.Tensor, norm_adj: sp.csr_matrix,
                              layers: int, aggregator: str,
                              agg_weights: list | None = None,
                              slope: float = 0.2) -> list:

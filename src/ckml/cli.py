@@ -10,6 +10,7 @@ environment, (config, seed) fully determines all outputs byte for byte.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import math
 import platform
@@ -145,13 +146,51 @@ def _git_sha() -> str:
     return proc.stdout.strip() if proc.returncode == 0 else "unknown"
 
 
+def _openblas_cores():
+    """{file name: CPU core} of each OpenBLAS loaded into this process, on
+    which dense products' bytes depend; "unknown" where a library names
+    none, or in place of the map where libraries cannot be listed."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {line.split(maxsplit=5)[5].strip() for line in fh if "openblas" in line}
+    except OSError:
+        return "unknown"
+    cores = {}
+    for path in sorted(paths):
+        cores[Path(path).name] = "unknown"
+        try:
+            lib = ctypes.CDLL(path)  # loaded already: no new library is opened
+        except OSError:  # a mapping whose file is gone
+            continue
+        for symbol in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+                       "openblas_get_corename64_", "openblas_get_corename"):
+            if hasattr(lib, symbol):
+                get_corename = getattr(lib, symbol)
+                get_corename.argtypes, get_corename.restype = (), ctypes.c_char_p
+                cores[Path(path).name] = get_corename().decode()
+                break
+    return cores
+
+
+def _numpy_simd():
+    """numpy's build baseline and the dispatch targets this CPU enables
+    (`NPY_DISABLE_CPU_FEATURES` removes some), or "unknown"."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+        return (list(umath.__cpu_baseline__)
+                + [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)])
+    except (ImportError, AttributeError):
+        return "unknown"
+
+
 def _run_record(cfg, dataset) -> dict:
     """The record that opens metrics.jsonl: what ran, on what, with what.
     The config leaves out `out_dir`, the log's own location, so two runs of
     one config and seed log the same bytes."""
     return {"metric": "run", "config": emit_run_config(cfg, omit=("out_dir",)),
             "dataset_hash": dataset_hash(dataset), "python": platform.python_version(),
-            "numpy": np.__version__, "scipy": scipy.__version__, "git_sha": _git_sha()}
+            "numpy": np.__version__, "scipy": scipy.__version__, "git_sha": _git_sha(),
+            "openblas_cores": _openblas_cores(), "numpy_simd": _numpy_simd()}
 
 
 def cmd_train(args) -> int:

@@ -20,20 +20,20 @@ so reductions over the short interest and width axes run one long inner
 loop each. The affinity's l2 normalization and tanh act on each interest
 row alone, so they run on the node stacks before the per-edge gather. The
 weighted sums over a node's edges are sparse products whose entries are
-the coefficients (`_EdgeWeights`): one CSR matrix per direction, into
-users or into items, with one entry per edge, refilled one interest at a
-time, so no per-edge message array is formed. One constructor builds it
-from each edge's row and column node, over a behavior's whole graph (its
-`BehaviorContext`) or over a subset of its edges, on the node rows they
-write or read, renumbered. One helper narrows a side either way
-(`_narrowed`): a training step's last layer routes only the edges into the
-rows its losses read (the reach), and a backward only the edges into rows
-of nonzero gradient, each while those edges are under `LIVE_EDGE_CUT` of
-the edges it starts from, so its time grows with their count, not with the
-graph's; another writes the narrowed rows back into rows of full height
-(`_full_height`). A graph without edges takes the same path. The first
-iteration's equal logits give every edge the weight 1/S, so it takes one
-product over all interests (`uniform`).
+the coefficients (`_EdgeWeights`): one user x item matrix per edge set,
+with one entry per edge, refilled one interest at a time, so no per-edge
+message array is formed; sums into items multiply by its transpose's
+view. A behavior's whole graph (its `BehaviorContext`) shares the
+normalized adjacency's index arrays; a subset of its edges has its own
+matrix, on the node rows they touch, renumbered. One helper narrows a side
+either way (`_narrowed`): a training step's last layer routes only the
+edges into the rows its losses read (the reach), and a backward only the
+edges into rows of nonzero gradient, each while those edges are under
+`LIVE_EDGE_CUT` of the edges it starts from, so its time grows with their
+count, not with the graph's; another writes the narrowed rows back into
+rows of full height (`_full_height`). A graph without edges takes the same
+path. The first iteration's equal logits give every edge the weight 1/S,
+so it takes one product over all interests (`uniform`).
 
 The cross-behavior attention is likewise one tape node per side and
 layer (`correlate_shared`), with a hand-derived backward. Its projections
@@ -51,14 +51,15 @@ import scipy.sparse as sp
 
 from . import autodiff as ad
 from .cie import apply_aggregator
-from .numerics import NumericError, SparseMatrix, normalized_adjacency
+from .numerics import NumericError, normalized_adjacency
 
 DEGREE_GUARD = 1e-12
 # Routing works on a subset of a side's edges alone below this share of the
 # edges it starts from: the forward on the reached edges among all, the
 # backward on the live edges among the forward's. Per backward on the
-# benchmark's step graph, that took ~0.55-0.75 of the whole-edge time at
-# 0.1-0.4 live, ~0.85 at 0.4-0.5, crossed near 0.6, lost above.
+# benchmark's step graph (f64, one BLAS thread, 2-core Xeon), that took
+# ~0.34 of the whole-edge time at 0.1 live, ~0.5 at 0.2, 0.65-0.83 at
+# 0.3-0.4, ~0.9 at 0.5, crossed near 0.6, lost above.
 LIVE_EDGE_CUT = 0.5
 
 
@@ -68,10 +69,10 @@ class BehaviorContext:
 
     graph: object
     dtype: np.dtype = np.dtype(np.float64)  # of the normalized adjacency
-    user_from_item: SparseMatrix = field(init=False)  # normalized, user x item
+    user_from_item: sp.csr_matrix = field(init=False)  # normalized, user x item
     user_ids: np.ndarray = field(init=False)  # each edge's user, intp
     item_ids: np.ndarray = field(init=False)  # each edge's item, intp
-    # one side's routing forward and the other side's backward share each
+    # routing's sums, on the normalized adjacency's index arrays
     into_users: _EdgeWeights = field(init=False)  # from item rows
     into_items: _EdgeWeights = field(init=False)  # from user rows
 
@@ -81,8 +82,10 @@ class BehaviorContext:
         self.item_ids = g.edges[:, 1].astype(np.intp)
         self.user_from_item = normalized_adjacency(
             self.user_ids, self.item_ids, (g.num_users, g.num_items), self.dtype)
-        self.into_users = _EdgeWeights(self.user_ids, self.item_ids, g.num_users, g.num_items)
-        self.into_items = _EdgeWeights(self.item_ids, self.user_ids, g.num_items, g.num_users)
+        adj = self.user_from_item
+        self.into_users = _EdgeWeights(sp.csr_matrix(
+            (np.empty(adj.nnz), adj.indices, adj.indptr), shape=adj.shape))
+        self.into_items = self.into_users.T
 
     @property
     def edge_count(self) -> int:
@@ -98,61 +101,74 @@ def _edge_rows(node_rows: np.ndarray, ids: np.ndarray) -> np.ndarray:
 
 
 class _EdgeWeights:
-    """Weighted sums over one direction of a side's edges, one interest at a
-    time: `apply(w, stack)[v, s]` adds `w[s, e] * stack[cols[e], s]` over the
-    edges e with `rows[e] == v`, from zero in ascending edge order. So it is
-    bitwise `np.add.at` of the per-edge products, which it never forms. The
-    matrix has one entry per edge; `apply` refills its values with each
-    interest's weights, in their dtype."""
+    """Weighted sums over a set of edges, one interest at a time:
+    `apply(w, stack)[v, s]` adds `w[s, e] * stack[u, s]` over the edges e
+    from a node u into v, from zero in ascending edge order. So it is
+    bitwise `np.add.at` of the per-edge products, which it never forms.
+    `matrix` has one entry per edge, in the edges' ascending (user, item)
+    order: a user x item CSR matrix sums into users, its CSC view (`T`)
+    into items, adding each row's terms in column, again edge, order.
+    `apply` copies each interest's weights into its values."""
 
-    def __init__(self, rows: np.ndarray, cols: np.ndarray, num_rows: int, num_cols: int):
-        self.order = np.argsort(rows, kind="stable")
-        counts = np.bincount(rows, minlength=num_rows)
-        self.matrix = sp.csr_matrix(
-            (np.empty(len(rows)), cols[self.order], np.concatenate(([0], np.cumsum(counts)))),
-            shape=(num_rows, num_cols))
+    def __init__(self, matrix):
+        self.matrix = matrix
+
+    @classmethod
+    def of_edges(cls, users: np.ndarray, items: np.ndarray, shape: tuple) -> _EdgeWeights:
+        """Into users, over edges sorted by (user, item), none repeated."""
+        offsets = np.concatenate(([0], np.cumsum(np.bincount(users, minlength=shape[0]))))
+        return cls(sp.csr_matrix((np.empty(len(users)), items, offsets), shape=shape))
+
+    @property
+    def T(self) -> _EdgeWeights:
+        return _EdgeWeights(self.matrix.T)
+
+    def _values(self, dtype) -> np.ndarray:
+        if self.matrix.dtype != dtype:
+            self.matrix.data = np.empty(self.matrix.nnz, dtype=dtype)
+        return self.matrix.data
 
     def apply(self, w: np.ndarray, stack: np.ndarray) -> np.ndarray:
-        if self.matrix.data.dtype != w.dtype:
-            self.matrix.data = np.empty(len(self.order), dtype=w.dtype)
+        values = self._values(w.dtype)
         by_interest = np.ascontiguousarray(stack.transpose(1, 0, 2))
         out = np.empty((w.shape[0], self.matrix.shape[0], stack.shape[2]),
-                       dtype=np.result_type(self.matrix.data, stack))
+                       dtype=np.result_type(w, stack))
         for s, w_s in enumerate(w):
-            # the order is in range by construction; "clip" writes straight
-            # into the matrix, where "raise" would go through a buffer
-            np.take(w_s, self.order, out=self.matrix.data, mode="clip")
+            values[...] = w_s
             out[s] = self.matrix @ by_interest[s]
         return out.transpose(1, 0, 2)
 
     def uniform(self, w: np.generic, stack: np.ndarray) -> np.ndarray:
         """Bitwise `apply` with the scalar `w` as every weight: one product
         over all interests adds the same terms in the same order."""
-        self.matrix.data = np.full(len(self.order), w)
+        self._values(w.dtype).fill(w)
         V, S, W = stack.shape
         return (self.matrix @ stack.reshape(V, S * W)).reshape(-1, S, W)
 
 
 def _narrowed(dst_ids: np.ndarray, src_ids: np.ndarray, to_dst: _EdgeWeights,
-              to_src: _EdgeWeights, marked: np.ndarray | None):
+              marked: np.ndarray | None):
     """A side's edges into the destination rows that `marked` marks, on the
     destination and source rows they touch, both renumbered in ascending
-    order, so each row keeps its edges in ascending edge order: (the edges,
-    the destination rows, the source rows, each edge's renumbered
-    destination and source, the sums into destination rows and into source
-    rows). That while those edges are under `LIVE_EDGE_CUT` of the side's,
-    and not one alone (numpy sums a lone edge's d* >= 9 terms pairwise,
-    many edges' row by row); otherwise, or with `marked` None, the whole
-    side as given, with slices for the edges and rows."""
+    order, so the edges stay sorted by (user, item): (the edges, the
+    destination rows, the source rows, each edge's renumbered destination
+    and source, the sums into destination rows). That while those edges are
+    under `LIVE_EDGE_CUT` of the side's, and not one alone (numpy sums a
+    lone edge's d* >= 9 terms pairwise, many edges' row by row); otherwise,
+    or with `marked` None, the whole side as given, with slices for the
+    edges and rows."""
     kept = None if marked is None else marked[dst_ids]
     if kept is None or (n := np.count_nonzero(kept)) == 1 or n >= LIVE_EDGE_CUT * len(kept):
         every = slice(None)
-        return every, every, every, dst_ids, src_ids, to_dst, to_src
+        return every, every, every, dst_ids, src_ids, to_dst
     edges = np.flatnonzero(kept)
     rows, dst_c = np.unique(dst_ids[edges], return_inverse=True)
     srcs, src_c = np.unique(src_ids[edges], return_inverse=True)
-    return (edges, rows, srcs, dst_c, src_c, _EdgeWeights(dst_c, src_c, len(rows), len(srcs)),
-            _EdgeWeights(src_c, dst_c, len(srcs), len(rows)))
+    if to_dst.matrix.format == "csr":  # into users
+        return edges, rows, srcs, dst_c, src_c, _EdgeWeights.of_edges(
+            dst_c, src_c, (len(rows), len(srcs)))
+    return edges, rows, srcs, dst_c, src_c, _EdgeWeights.of_edges(
+        src_c, dst_c, (len(srcs), len(rows))).T
 
 
 def _full_height(values: np.ndarray, rows, height: int) -> np.ndarray:
@@ -167,20 +183,20 @@ def _full_height(values: np.ndarray, rows, height: int) -> np.ndarray:
 
 
 def _route_side(src: ad.Tensor, src_ids: np.ndarray, dst_ids: np.ndarray,
-                to_dst: _EdgeWeights, to_src: _EdgeWeights, tau: float, n_iter: int,
+                to_dst: _EdgeWeights, tau: float, n_iter: int,
                 reach: np.ndarray | None = None):
     """Steps 1-4 for one side: each destination node's interest rows become
     the coefficient-weighted means of its edges' source rows, iterated.
 
     src: (source nodes, S, d*); `src_ids` and `dst_ids` hold each edge's
-    source and destination node; `to_dst` and `to_src` sum over the edges
-    into destination and source nodes. `reach`, a mask over the destination
-    nodes, names the rows that are read: the forward routes the edges into
-    them as `_narrowed` gives them, and the backward those of its edges into
-    rows of nonzero gradient; rows left out come out +0.0 (`_full_height`).
-    Per-edge arrays are edge-minor, (S, d*, E) and (S, E), so every
-    per-edge reduction runs one long inner loop; the forward's are of
-    `src`'s dtype.
+    source and destination node; `to_dst` sums over the edges into
+    destination nodes, and its transpose into source nodes. `reach`, a mask
+    over the destination nodes, names the rows that are read: the forward
+    routes the edges into them as `_narrowed` gives them, and the backward
+    those of its edges into rows of nonzero gradient; rows left out come
+    out +0.0 (`_full_height`). Per-edge arrays are edge-minor, (S, d*, E)
+    and (S, E), so every per-edge reduction runs one long inner loop; the
+    forward's are of `src`'s dtype.
     Returns the last iteration's (destination nodes, S, d*) Tensor of that
     dtype, whose only parent is `src`, and None, or, at the first iteration
     whose state is not finite, None and (that iteration, the first
@@ -189,8 +205,7 @@ def _route_side(src: ad.Tensor, src_ids: np.ndarray, dst_ids: np.ndarray,
     the others (S, E) arrays to `apply`.
     """
     n_src, n_dst = src.shape[0], to_dst.matrix.shape[0]
-    _, rows, srcs, dst_ids, src_ids, to_dst, to_src = _narrowed(
-        dst_ids, src_ids, to_dst, to_src, reach)
+    _, rows, srcs, dst_ids, src_ids, to_dst = _narrowed(dst_ids, src_ids, to_dst, reach)
     x = src.data[srcs]
     V, S, _ = x.shape
     unit_x, x_norm, x_live = ad.unit_rows(x)
@@ -236,8 +251,9 @@ def _route_side(src: ad.Tensor, src_ids: np.ndarray, dst_ids: np.ndarray,
         # edge order, and every node-level operation acts per row (where two
         # NaNs meet, numpy's vector loops keep either sign, by position).
         g = g[rows]
-        edges, live_rows, live_srcs, dst_c, src_c, to_dst_c, to_src_c = _narrowed(
-            dst_ids, src_ids, to_dst, to_src, np.any(g != 0, axis=(1, 2)))
+        edges, live_rows, live_srcs, dst_c, src_c, to_dst_c = _narrowed(
+            dst_ids, src_ids, to_dst, np.any(g != 0, axis=(1, 2)))
+        to_src_c = to_dst_c.T
         x_c, unit_x_c = x[live_srcs], unit_x[live_srcs]
         # in float64 whatever the forward's dtype, rounded once where it
         # reaches `src`: in float32 the iterations' roundoff would add up
@@ -293,10 +309,8 @@ def _route(ctx: BehaviorContext, x_stack: ad.Tensor, g_stack: ad.Tensor,
     # columns (u, i) carry items to users, columns (i, u) users to items
     users, items = ctx.user_ids, ctx.item_ids
     reach_u, reach_i = reach if reach is not None else (None, None)
-    h_u_t, bad_u = _route_side(h_i0, items, users, ctx.into_users, ctx.into_items,
-                               tau, n_iter, reach_u)
-    h_i_t, bad_i = _route_side(h_u0, users, items, ctx.into_items, ctx.into_users,
-                               tau, n_iter, reach_i)
+    h_u_t, bad_u = _route_side(h_i0, items, users, ctx.into_users, tau, n_iter, reach_u)
+    h_i_t, bad_i = _route_side(h_u0, users, items, ctx.into_items, tau, n_iter, reach_i)
     bad = [(b[0], side, b[1]) for side, b in enumerate((bad_u, bad_i)) if b]
     if bad:  # the earlier iteration, the user side first
         t, side, node = min(bad)
@@ -339,7 +353,7 @@ def _aggregate(ctx: BehaviorContext, h_u: ad.Tensor, h_i: ad.Tensor, aggregator:
                agg_weights: dict | None, slope: float):
     """One aggregator pass over the bipartite graph on (M, S, d*) user and
     (N, S, d*) item stacks, each side from the other's rows: users through
-    the normalized adjacency, items through its cached transpose."""
+    the normalized adjacency, items through its transpose's view."""
     M, S, d_star = h_u.shape
     N = h_i.shape[0]
     flat_u = h_u.reshape(M, S * d_star)

@@ -25,7 +25,7 @@ from . import autodiff as ad
 from . import cie, fbc, objective
 from .config import ConfigError, HyperConfig
 from .dataio import Dataset, time_buckets
-from .numerics import SparseMatrix, normalized_adjacency
+from .numerics import from_edges, normalized_adjacency
 
 
 @dataclass
@@ -91,7 +91,7 @@ class ModelContext:
     relation_adjs: list = field(init=False)
     # per behavior, the (user, item) node-by-bucket one-hot matrices; a
     # product with a time table gives each node its bucket's offset, and its
-    # backward reuses the cached transpose
+    # backward multiplies by the transpose's view
     buckets: list = field(init=False)
 
     def __post_init__(self):
@@ -104,8 +104,7 @@ class ModelContext:
                                                    (g.num_items, g.num_items), dtype)
                               for g in self.dataset.relation_graphs]
         count = self.hyper.time_buckets
-        self.buckets = [tuple(SparseMatrix.from_edges(np.arange(len(ids)), ids,
-                                                      (len(ids), count))
+        self.buckets = [tuple(from_edges(np.arange(len(ids)), ids, (len(ids), count))
                               for ids in time_buckets(g, count))
                         for g in self.dataset.behavior_graphs]
 

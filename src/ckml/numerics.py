@@ -2,13 +2,14 @@
 
 Dense matrices are plain numpy arrays of the dtype `precision` names
 (float64 or float32), and so are the normalized adjacencies' weights; the
-gradient audit runs in float64. Sparse matrices are built from edge lists
-into a thin CSR wrapper backed by scipy; the transpose is computed once,
-at build, so backward passes through `spmm` and products with the
-transpose (`SparseMatrix.T`) stay cheap. Aggregation has one
-normalization, the symmetric-degree weights that `normalized_adjacency`
-gives each edge. `finite_difference_gradcheck` is the arbiter for every
-analytic gradient in the package.
+gradient audit runs in float64. Sparse matrices are scipy CSR matrices
+built from edge lists (`from_edges`). A product with a transpose, as in
+the backward of `spmm`, multiplies by `.T`, scipy's CSC view of the same
+arrays: it adds each output row's terms in ascending order of the other
+index, as a CSR copy of the transpose would, so no copy is kept.
+Aggregation has one normalization, the symmetric-degree weights that
+`normalized_adjacency` gives each edge. `finite_difference_gradcheck` is
+the arbiter for every analytic gradient in the package.
 """
 
 from __future__ import annotations
@@ -25,40 +26,20 @@ class NumericError(RuntimeError):
     """Non-finite value or invalid numeric argument."""
 
 
-@dataclass
-class SparseMatrix:
-    """CSR matrix with sorted column indices and its transpose, both kept;
-    values immutable after build. `from_edges` builds the pair; `.T` swaps
-    it."""
-
-    matrix: sp.csr_matrix
-    matrix_t: sp.csr_matrix
-
-    @classmethod
-    def from_edges(cls, rows, cols, shape, data=None):
-        """The matrix with `data[e]` at each (rows[e], cols[e]), repeated
-        entries summed, and its transpose. Without `data` the entries are
-        float32 ones, so float32 operands stay float32."""
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        if data is None:
-            data = np.ones(len(rows), dtype=np.float32)
-        # scipy sums repeated entries and sorts each row's columns while it
-        # builds the matrix, and its transpose's conversion sorts them too
-        matrix = sp.csr_matrix((data, (rows, cols)), shape=shape)
-        return cls(matrix, matrix.T.tocsr())
-
-    @property
-    def shape(self):
-        return self.matrix.shape
-
-    @property
-    def T(self) -> SparseMatrix:
-        """The transpose, sharing both CSR arrays with this one: no copy."""
-        return SparseMatrix(self.matrix_t, self.matrix)
+def from_edges(rows, cols, shape, data=None) -> sp.csr_matrix:
+    """The CSR matrix with `data[e]` at each (rows[e], cols[e]), repeated
+    entries summed; values immutable after build. Without `data` the
+    entries are float32 ones, so float32 operands stay float32."""
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    if data is None:
+        data = np.ones(len(rows), dtype=np.float32)
+    # scipy sums repeated entries and sorts each row's columns while it
+    # builds the matrix
+    return sp.csr_matrix((data, (rows, cols)), shape=shape)
 
 
-def normalized_adjacency(rows, cols, shape, dtype=np.float64) -> SparseMatrix:
+def normalized_adjacency(rows, cols, shape, dtype=np.float64) -> sp.csr_matrix:
     """The aggregation weights of a graph given as edges, each (row, col) at
     most once: edge (i, j) weighs 1/sqrt(deg_i * deg_j), with row degrees
     counted over `rows` and column degrees over `cols`. Isolated nodes have
@@ -74,7 +55,7 @@ def normalized_adjacency(rows, cols, shape, dtype=np.float64) -> SparseMatrix:
         return 1.0 / np.sqrt(np.bincount(ids, minlength=count)[ids])
 
     data = inv_sqrt_degree(rows, shape[0]) * inv_sqrt_degree(cols, shape[1])
-    return SparseMatrix.from_edges(rows, cols, shape, data.astype(dtype, copy=False))
+    return from_edges(rows, cols, shape, data.astype(dtype, copy=False))
 
 
 @dataclass

@@ -35,13 +35,14 @@ def small_ds():
 
 @pytest.fixture
 def edge_weight_builds(monkeypatch):
-    """The row nodes and the (rows, columns) shape of every
-    `fbc._EdgeWeights` built from here on, one pair per construction."""
+    """Each edge's user and the (users, items) shape of every
+    `fbc._EdgeWeights` built over a subset of a behavior's edges from here
+    on, one pair per construction."""
     built = []
-    init = fbc._EdgeWeights.__init__
+    of_edges = fbc._EdgeWeights.of_edges
 
-    def counted(self, rows, cols, num_rows, num_cols):
-        built.append((np.array(rows), (num_rows, num_cols)))
-        init(self, rows, cols, num_rows, num_cols)
-    monkeypatch.setattr(fbc._EdgeWeights, "__init__", counted)
+    def counted(users, items, shape):
+        built.append((np.array(users), shape))
+        return of_edges(users, items, shape)
+    monkeypatch.setattr(fbc._EdgeWeights, "of_edges", staticmethod(counted))
     return built

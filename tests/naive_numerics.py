@@ -7,7 +7,7 @@ separately."""
 import numpy as np
 import scipy.sparse as sp
 
-from ckml.numerics import NumericError, SparseMatrix, normalized_adjacency
+from ckml.numerics import NumericError, from_edges, normalized_adjacency
 
 
 def softmax_with_temperature(values: np.ndarray, tau: float) -> np.ndarray:
@@ -38,17 +38,17 @@ def spmm(rows, cols, shape, dense: np.ndarray) -> np.ndarray:
     dense = np.asarray(dense)
     if shape[1] != dense.shape[0]:
         raise ValueError(f"shape mismatch: adjacency {shape} @ dense {dense.shape}")
-    out = normalized_adjacency(rows, cols, shape).matrix @ dense
+    out = normalized_adjacency(rows, cols, shape) @ dense
     return np.asarray(out)
 
 
-def separate_normalized_adjacency(adj: SparseMatrix,
-                                  col_degrees: np.ndarray | None = None) -> SparseMatrix:
+def separate_normalized_adjacency(adj: sp.csr_matrix,
+                                  col_degrees: np.ndarray | None = None) -> tuple:
     """Entry (i, j) of a 0/1 adjacency scaled by 1/sqrt(deg_i * deg_j), with
     the column degrees given (a bipartite half takes them from the other
-    half's rows) or summed over the columns of `adj.matrix`. The transpose
-    is scipy's, not the package's builder's."""
-    m = adj.matrix.astype(np.float64)
+    half's rows) or summed over the columns of `adj`, and a CSR copy of its
+    transpose built by scipy's conversion, not the package's view."""
+    m = adj.astype(np.float64)
     row_deg = np.diff(m.indptr).astype(np.float64)
     if col_degrees is None:
         col_degrees = np.asarray(m.sum(axis=0)).ravel()
@@ -63,14 +63,14 @@ def separate_normalized_adjacency(adj: SparseMatrix,
     out = sp.csr_matrix((data, m.indices.copy(), m.indptr.copy()), shape=m.shape)
     out_t = out.T.tocsr()
     out_t.sort_indices()
-    return SparseMatrix(out, out_t)
+    return out, out_t
 
 
 def bipartite_normalized_adjacencies(edges: np.ndarray, num_users: int, num_items: int):
     """(user x item, item x user) normalized adjacencies of (E, 2) user, item
     edges, each built from its own 0/1 adjacency with the other's row
     degrees as its column degrees."""
-    user_adj = SparseMatrix.from_edges(edges[:, 0], edges[:, 1], (num_users, num_items))
-    item_adj = SparseMatrix.from_edges(edges[:, 1], edges[:, 0], (num_items, num_users))
-    return (separate_normalized_adjacency(user_adj, np.diff(item_adj.matrix.indptr)),
-            separate_normalized_adjacency(item_adj, np.diff(user_adj.matrix.indptr)))
+    user_adj = from_edges(edges[:, 0], edges[:, 1], (num_users, num_items))
+    item_adj = from_edges(edges[:, 1], edges[:, 0], (num_items, num_users))
+    return (separate_normalized_adjacency(user_adj, np.diff(item_adj.indptr)),
+            separate_normalized_adjacency(item_adj, np.diff(user_adj.indptr)))

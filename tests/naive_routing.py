@@ -50,7 +50,7 @@ def recorded_coefficients():
         return apply(self, w, stack)
 
     def recording_uniform(self, w, stack):
-        calls.append(np.full((stack.shape[1], len(self.order)), w, dtype=w.dtype))
+        calls.append(np.full((stack.shape[1], self.matrix.nnz), w, dtype=w.dtype))
         return uniform(self, w, stack)
     fbc._EdgeWeights.apply, fbc._EdgeWeights.uniform = recording, recording_uniform
     try:
@@ -69,8 +69,8 @@ def recorded_restrictions():
     calls = []
     narrowed = fbc._narrowed
 
-    def recording(dst_ids, src_ids, to_dst, to_src, marked):
-        side = narrowed(dst_ids, src_ids, to_dst, to_src, marked)
+    def recording(dst_ids, src_ids, to_dst, marked):
+        side = narrowed(dst_ids, src_ids, to_dst, marked)
         edges = side[0]
         if not isinstance(edges, slice):
             caller = sys._getframe(1).f_code.co_name

@@ -191,8 +191,8 @@ def test_segment_sum_roundtrip():
 
 
 def test_spmm_grad():
-    from ckml.numerics import SparseMatrix
-    adj = SparseMatrix.from_edges([0, 1, 2, 2], [1, 0, 0, 1], shape=(3, 2))
+    from ckml.numerics import from_edges
+    adj = from_edges([0, 1, 2, 2], [1, 0, 0, 1], shape=(3, 2))
     x = rng.normal(size=(2, 4))
     check_op(lambda t: (ad.spmm(adj, t) * 1.5).sum(), x)
 

@@ -8,7 +8,7 @@ from ckml.cie import (AGGREGATORS, READS_SELF, aggregator_weight_shapes,
                       apply_aggregator, assemble_interest_embedding, average_layers,
                       concat_relations, extract_interests, propagate_relation_graph)
 from ckml.dataio import build_relation_graphs
-from ckml.numerics import SparseMatrix, normalized_adjacency
+from ckml.numerics import from_edges, normalized_adjacency
 
 from naive_numerics import separate_normalized_adjacency
 
@@ -42,18 +42,17 @@ class TestRelationNormalization:
         for graph in build_relation_graphs([(a, b, 0) for a, b in pairs], n, 2):
             rows, cols = graph.edges[:, 0], graph.edges[:, 1]
             got = normalized_adjacency(rows, cols, (n, n))
-            want = separate_normalized_adjacency(SparseMatrix.from_edges(rows, cols, (n, n)))
-            for g, w in ((got.matrix, want.matrix), (got.matrix_t, want.matrix_t)):
-                assert g.dtype == w.dtype == np.float64
-                np.testing.assert_array_equal(g.indptr, w.indptr)
-                np.testing.assert_array_equal(g.indices, w.indices)
-                np.testing.assert_array_equal(g.data, w.data)
+            want, want_t = separate_normalized_adjacency(from_edges(rows, cols, (n, n)))
+            assert got.dtype == want.dtype == np.float64
+            np.testing.assert_array_equal(got.indptr, want.indptr)
+            np.testing.assert_array_equal(got.indices, want.indices)
+            np.testing.assert_array_equal(got.data, want.data)
             table = ad.Tensor(case_rng.normal(size=(n, 3)), requires_grad=True)
             out = propagate_relation_graph(table, got, 1, "light")[1]
             grad = case_rng.normal(size=out.shape)
             (out * ad.constant(grad)).sum().backward()
-            np.testing.assert_array_equal(out.data, want.matrix @ table.data)
-            np.testing.assert_array_equal(table.grad, want.matrix_t @ grad)
+            np.testing.assert_array_equal(out.data, want @ table.data)
+            np.testing.assert_array_equal(table.grad, want_t @ grad)
 
 
 class TestPropagateRelationGraph:

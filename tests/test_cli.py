@@ -1,8 +1,11 @@
 import configparser
 import json
+import os
 import platform
 import re
 import struct
+import subprocess
+import sys
 from collections import OrderedDict
 from pathlib import Path
 
@@ -156,7 +159,9 @@ class TestTrain:
             records[name] = json.loads(first)
         record = records["run"]
         assert set(record) == {"metric", "config", "dataset_hash", "python", "numpy",
-                               "scipy", "git_sha"}
+                               "scipy", "git_sha", "openblas_cores", "numpy_simd"}
+        assert record["openblas_cores"] == cli._openblas_cores()
+        assert record["numpy_simd"] == cli._numpy_simd()
         assert record["metric"] == "run"
         logged = parse_run_config(record["config"])
         written = load_run_config(cfg)
@@ -170,6 +175,28 @@ class TestTrain:
         sha = record["git_sha"]
         assert sha == "unknown" or (len(sha) == 40 and int(sha, 16) >= 0)
         assert records["elsewhere"] == {**record, "git_sha": "unknown"}
+
+    @pytest.mark.skipif(not (sys.platform == "linux" and platform.machine() == "x86_64"),
+                        reason="forces x86 kernels; lists libraries through /proc")
+    def test_run_record_names_the_kernels_in_use(self):
+        # numpy's bundled OpenBLAS is loaded with numpy; a child forced onto
+        # other kernels reports them
+        probe = ("import json; from ckml import cli; "
+                 "print(json.dumps([cli._openblas_cores(), cli._numpy_simd()]))")
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]),
+               "OPENBLAS_CORETYPE": "Haswell",
+               "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+        for forced in (False, True):
+            out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                                 text=True, timeout=120, env=env if forced else None,
+                                 check=True)
+            cores, simd = json.loads(out.stdout)
+            numpy_lib = [name for name in cores if "openblas64" in name]
+            assert numpy_lib and all(core != "unknown" for core in cores.values())
+            assert "X86_V2" in simd
+            if forced:
+                assert cores[numpy_lib[0]] == "Haswell"
+                assert not {"X86_V4", "AVX512_ICL", "AVX512_SPR"} & set(simd)
 
     def test_percent_signs_in_paths_are_literal(self, tmp_path):
         # a raw % and a %% both name themselves: no interpolation
@@ -471,6 +498,63 @@ class TestEval:
                     json.loads(line, parse_constant=no_constant)
 
         check()
+
+    def test_array_byte_flips_exit_3(self, tmp_path, capsys):
+        # the config block holds a sha256 of the arrays' bytes: a change to
+        # any byte of them, which the structural checks cannot see, fails it
+        cfg, ckpt = self._trained(tmp_path, epochs=0)
+        blob = ckpt.read_bytes()
+        flipped = tmp_path / "flipped.ckml"
+        (clen,) = struct.unpack_from("<I", blob, 6)
+        (count,) = struct.unpack_from("<I", blob, 10 + clen)
+        at, offsets = 14 + clen, []
+        for _ in range(count):
+            (nlen,) = struct.unpack_from("<I", blob, at)
+            rank = blob[at + 4 + nlen]
+            at += 5 + nlen
+            shape = struct.unpack_from(f"<{rank}Q", blob, at)
+            at += 8 * rank + 1
+            size = int(np.prod(shape)) * {1: 4, 2: 8}[blob[at - 1]]
+            offsets.extend(range(at, at + size))
+            at += size
+        assert at == len(blob) and offsets
+
+        def flip(offset, value):
+            data = bytearray(blob)
+            data[offset] = value
+            flipped.write_bytes(bytes(data))
+
+        change = np.random.default_rng(0).integers(1, 256, size=len(offsets))
+        for offset, delta in zip(offsets, change):
+            flip(offset, blob[offset] ^ int(delta))
+            with pytest.raises(trainer.CompatibilityError, match="sha256"):
+                load_checkpoint(flipped)
+
+        @given(st.sampled_from(offsets), st.integers(1, 255))
+        @settings(max_examples=20, deadline=None)
+        def check(offset, delta):
+            flip(offset, blob[offset] ^ delta)
+            assert main(["eval", "--config", str(cfg), "--checkpoint", str(flipped),
+                         "--out", str(tmp_path / "ev")]) == 3
+
+        check()
+        assert "sha256" in capsys.readouterr().err
+
+    def test_checkpoint_without_digest_loads(self, tmp_path, capsys):
+        cfg, ckpt = self._trained(tmp_path, epochs=0)
+        blob = ckpt.read_bytes()
+        (clen,) = struct.unpack_from("<I", blob, 6)
+        lines = blob[10:10 + clen].decode("utf-8").splitlines(keepends=True)
+        kept = "".join(l for l in lines if not l.startswith("arrays.sha256=")).encode()
+        assert len(kept) < clen
+        old = tmp_path / "old.ckml"
+        old.write_bytes(blob[:6] + struct.pack("<I", len(kept)) + kept + blob[10 + clen:])
+        assert "arrays.sha256" not in load_checkpoint(old).config
+        for path, out in ((ckpt, "ev"), (old, "ev_old")):
+            assert main(["eval", "--config", str(cfg), "--checkpoint", str(path),
+                         "--out", str(tmp_path / out)]) == 0
+        assert ((tmp_path / "ev" / "eval.jsonl").read_bytes()
+                == (tmp_path / "ev_old" / "eval.jsonl").read_bytes())
 
     def _resaved(self, tmp_path, edit):
         cfg, ckpt = self._trained(tmp_path, epochs=0)

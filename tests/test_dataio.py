@@ -16,7 +16,7 @@ from ckml.dataio import (DataError, GenConfig, assemble_dataset,
                          load_dataset, load_interactions, load_relations,
                          sample_eval_negatives, synthesize_records, time_buckets,
                          write_interactions, write_manifest, write_relations)
-from ckml.numerics import SparseMatrix, normalized_adjacency
+from ckml.numerics import from_edges, normalized_adjacency
 
 from naive_dataio import (naive_behavior_graphs, naive_leave_one_out_split,
                           naive_relation_graphs, naive_time_buckets, user_items)
@@ -329,8 +329,8 @@ class TestBuildBehaviorGraphs:
         records = [rec(0, 0, 0), rec(1, 0, 0), rec(0, 1, 1)]
         graphs = build_behavior_graphs(records, 2, 2, 2)
         assert graphs[0].edge_count == 2
-        adj = SparseMatrix.from_edges(graphs[0].edges[:, 0], graphs[0].edges[:, 1], (2, 2))
-        assert np.diff(adj.matrix_t.indptr)[0] == 2
+        adj = from_edges(graphs[0].edges[:, 0], graphs[0].edges[:, 1], (2, 2))
+        assert adj.T.getnnz(axis=1)[0] == 2
         assert graphs[1].edge_count == 1
 
     @given(st.sets(st.tuples(st.integers(0, 4), st.integers(0, 5)), max_size=20))
@@ -338,11 +338,11 @@ class TestBuildBehaviorGraphs:
     def test_adjacencies_are_exact_transposes(self, pairs):
         records = [rec(u, i, 0) for u, i in pairs]
         g = build_behavior_graphs(records, 5, 6, 1)[0]
-        for adj in (SparseMatrix.from_edges(g.edges[:, 0], g.edges[:, 1], (5, 6)),
+        for adj in (from_edges(g.edges[:, 0], g.edges[:, 1], (5, 6)),
                     normalized_adjacency(g.edges[:, 0], g.edges[:, 1], (5, 6))):
-            assert (adj.matrix.T != adj.matrix_t).nnz == 0
-            assert g.edge_count == adj.matrix.nnz == adj.matrix_t.nnz
-            assert {tuple(e) for e in g.edges} == set(zip(*adj.matrix.nonzero()))
+            assert g.edge_count == adj.nnz == adj.T.nnz
+            assert {tuple(e) for e in g.edges} == set(zip(*adj.nonzero()))
+            assert {tuple(e[::-1]) for e in g.edges} == set(zip(*adj.T.nonzero()))
 
 
 class TestBuildRelationGraphs:
@@ -358,8 +358,8 @@ class TestBuildRelationGraphs:
         recs = [(0, 1, 0), (1, 0, 0)]
         g = build_relation_graphs(recs, 2, 1)[0]
         assert len(g.undirected_edges()) == 1
-        adj = SparseMatrix.from_edges(g.edges[:, 0], g.edges[:, 1], (2, 2))
-        np.testing.assert_array_equal(np.diff(adj.matrix.indptr), [1, 1])
+        adj = from_edges(g.edges[:, 0], g.edges[:, 1], (2, 2))
+        np.testing.assert_array_equal(np.diff(adj.indptr), [1, 1])
 
     def test_self_loop_rejected(self):
         with pytest.raises(DataError, match="self-loop"):

@@ -613,21 +613,14 @@ class TestProject:
 
 
 class TestEdgeWeightsBuiltOnce:
-    """Each behavior builds its two `_EdgeWeights`, into users and into
-    items, with its context: one side's routing forward and the other
-    side's backward share each."""
+    """Each behavior's context holds one matrix for routing's sums: sums
+    into users multiply by it, sums into items by its transpose's view.
+    Routing over the whole graph builds no other."""
 
-    def test_built_once_per_direction(self, monkeypatch):
-        built = []
-
-        class Counted(fbc._EdgeWeights):
-            def __init__(self, *args):
-                super().__init__(*args)
-                built.append(self)
-        monkeypatch.setattr(fbc, "_EdgeWeights", Counted)
+    def test_built_once_per_direction(self, edge_weight_builds):
         ctx = make_ctx([(0, 0), (0, 1), (1, 1), (2, 0)], 3, 2)
+        into_users, into_items = ctx.into_users.matrix, ctx.into_items.matrix
         x, g = tensors(3, 2, 2, 3)
-        assert len(built) == 2  # the context builds both
         route_behavior_layer(ctx, x, g, None, None, 1.0, 3, "light")
         for _ in range(2):
             x = ad.Tensor(rng.normal(size=(3, 2, 3)), requires_grad=True)
@@ -635,43 +628,76 @@ class TestEdgeWeightsBuiltOnce:
             h_u, h_i = route_behavior_layer(ctx, x, g, None, None, 1.0, 3, "light")
             ((h_u * h_u).sum() + (h_i * h_i).sum()).backward()
             assert x.grad is not None and g.grad is not None
-        assert len(built) == 2
-        assert {id(w) for w in built} == {id(ctx.into_users), id(ctx.into_items)}
-        for weights, rows in ((ctx.into_users, 3), (ctx.into_items, 2)):
-            assert weights.matrix.shape == (rows, 5 - rows)
-            assert weights.matrix.nnz == ctx.edge_count
+        assert not edge_weight_builds
+        assert ctx.into_users.matrix is into_users and ctx.into_items.matrix is into_items
+        assert into_users.shape == (3, 2) and into_items.shape == (2, 3)
+        assert into_users.nnz == into_items.nnz == ctx.edge_count
+
+    @given(routing_cases())
+    @settings(max_examples=30, deadline=None)
+    def test_routing_sums_share_the_adjacency_index_pattern(self, case):
+        edges, M, N = case[:3]
+        ctx = make_ctx(edges, M, N)
+        adj, into_users = ctx.user_from_item, ctx.into_users.matrix
+        assert into_users.format == "csr" and ctx.into_items.matrix.format == "csc"
+        for m in (into_users, ctx.into_items.matrix):
+            for mine, shared in ((m.indices, adj.indices), (m.indptr, adj.indptr)):
+                assert np.shares_memory(mine, shared) and np.array_equal(mine, shared)
+        # the values are routing's own: refilling them leaves the
+        # adjacency's weights as they are
+        assert not np.shares_memory(into_users.data, adj.data)
+        # entry e is edge e
+        np.testing.assert_array_equal(
+            np.repeat(np.arange(M), np.diff(into_users.indptr)), ctx.user_ids)
+        np.testing.assert_array_equal(into_users.indices, ctx.item_ids)
 
 
 @st.composite
 def edge_layouts(draw):
-    """(rows, cols, num_rows, num_cols) of up to 12 edges, rows unsorted and
-    repeated, nodes that no edge names common, and no edge at all allowed."""
-    num_rows, num_cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
-    E = draw(st.integers(0, 12))
-    rows = draw(st.lists(st.integers(0, num_rows - 1), min_size=E, max_size=E))
-    cols = draw(st.lists(st.integers(0, num_cols - 1), min_size=E, max_size=E))
-    return np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp), num_rows, num_cols
+    """(users, items, num_users, num_items) of up to 12 edges sorted by
+    (user, item), none repeated; nodes that no edge names are common, and
+    no edge at all is allowed."""
+    num_users, num_items = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    pairs = sorted(draw(st.sets(st.tuples(st.integers(0, num_users - 1),
+                                          st.integers(0, num_items - 1)), max_size=12)))
+    edges = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+    return edges[:, 0], edges[:, 1], num_users, num_items
 
 
 class TestEdgeWeightsLayout:
-    """`_EdgeWeights` from each edge's row and column node against a direct
-    listing of every row's edges."""
+    """`_EdgeWeights` over sorted edges: every row and every column of the
+    matrix lists its edges in ascending edge order, so the sums into users
+    and, through the transpose, into items add each node's terms in that
+    order."""
 
     @given(edge_layouts())
     @example((np.array([], dtype=np.intp), np.array([], dtype=np.intp), 3, 2))
-    @example((np.array([2, 0, 2, 2, 0], dtype=np.intp), np.array([1, 0, 0, 1, 1], dtype=np.intp),
+    @example((np.array([0, 0, 2, 2, 3], dtype=np.intp), np.array([0, 1, 0, 1, 1], dtype=np.intp),
               4, 2))
     @settings(max_examples=200, deadline=None)
     def test_each_row_lists_its_edges_ascending(self, layout):
-        rows, cols, num_rows, num_cols = layout
-        weights = fbc._EdgeWeights(rows, cols, num_rows, num_cols)
-        m = weights.matrix
-        assert m.shape == (num_rows, num_cols) and m.nnz == len(rows) == len(weights.order)
-        for r in range(num_rows):
-            edges = np.flatnonzero(rows == r)
-            span = slice(m.indptr[r], m.indptr[r + 1])
-            np.testing.assert_array_equal(weights.order[span], edges)
-            np.testing.assert_array_equal(m.indices[span], cols[edges])
+        users, items, num_users, num_items = layout
+        weights = fbc._EdgeWeights.of_edges(users, items, (num_users, num_items))
+        m, E = weights.matrix, len(users)
+        assert m.shape == (num_users, num_items) and m.nnz == E
+        assert weights.T.matrix.shape == (num_items, num_users)
+        # entry k is edge k: each row's span and each column's entries
+        for r in range(num_users):
+            np.testing.assert_array_equal(np.arange(m.indptr[r], m.indptr[r + 1]),
+                                          np.flatnonzero(users == r))
+        for c in range(num_items):
+            np.testing.assert_array_equal(np.flatnonzero(m.indices == c),
+                                          np.flatnonzero(items == c))
+        # both directions' sums are the per-edge products added in edge order
+        case_rng = np.random.default_rng(E)
+        w = case_rng.normal(size=(2, E))
+        for sums, dst, src, n_dst, n_src in ((weights, users, items, num_users, num_items),
+                                             (weights.T, items, users, num_items, num_users)):
+            stack = case_rng.normal(size=(n_src, 2, 3))
+            want = np.zeros((n_dst, 2, 3))
+            for e in range(E):
+                want[dst[e]] += w[:, e, None] * stack[src[e]]
+            assert sums.apply(w, stack).tobytes() == want.tobytes()
 
 
 @st.composite
@@ -692,8 +718,8 @@ def routed_side(ctx, src, g, tau, n_iter, cut, to_items=False, reach=None):
     `reach` names, and `src.grad` after its backward takes `g`, with
     `fbc.LIVE_EDGE_CUT` set to `cut`."""
     leaf = ad.Tensor(src, requires_grad=True)
-    ids = ((ctx.user_ids, ctx.item_ids, ctx.into_items, ctx.into_users) if to_items else
-           (ctx.item_ids, ctx.user_ids, ctx.into_users, ctx.into_items))
+    ids = ((ctx.user_ids, ctx.item_ids, ctx.into_items) if to_items else
+           (ctx.item_ids, ctx.user_ids, ctx.into_users))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fbc, "LIVE_EDGE_CUT", cut)
         out, bad = fbc._route_side(leaf, *ids, tau, n_iter, reach)
@@ -774,18 +800,19 @@ class TestLiveEdgeBackward:
         assert_live_backward_is_whole(ctx, 3, D, 1.0, 3, dtype, 5,
                                       lambda n: np.isin(np.arange(n), live),
                                       (lambda n: live[0]) if nan else None)
-        assert len(edge_weight_builds) == 4  # each direction restricted
+        assert len(edge_weight_builds) == 2  # each direction restricted
 
     def test_live_edges_choose_the_path(self, edge_weight_builds):
         ctx = make_ctx([(0, 0), (0, 1), (1, 1), (2, 0), (2, 1), (3, 2)], 4, 3)
         src = rng.normal(size=(3, 2, 3))
-        # (live users, cut, (renumbered rows, shape) into users, then into
-        # the items they read): two of six edges live restrict, three are
-        # not under half, no live edge restricts, one live edge never does
+        # (live users, cut, (each edge's renumbered user, the shape) of the
+        # one matrix over the live users and the items they read): two of
+        # six edges live restrict, three are not under half, no live edge
+        # restricts, one live edge never does
         for live_users, cut, builds in (
-                ((1, 3), 0.5, (([0, 1], (2, 2)), ([0, 1], (2, 2)))),
-                ((2,), 0.5, (([0, 0], (1, 2)), ([0, 1], (2, 1)))),
-                ((), 0.5, (([], (0, 0)), ([], (0, 0)))),
+                ((1, 3), 0.5, (([0, 1], (2, 2)),)),
+                ((2,), 0.5, (([0, 0], (1, 2)),)),
+                ((), 0.5, (([], (0, 0)),)),
                 ((0, 1), 0.5, ()),
                 ((3,), 2.0, ())):
             g = np.zeros((4, 2, 3))
@@ -802,8 +829,7 @@ class TestLiveEdgeBackward:
         ctx = make_ctx([(0, 0), (0, 1), (1, 1), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5)],
                        5, 6)
         leaf = ad.Tensor(rng.normal(size=(6, 2, 4)), requires_grad=True)
-        out, _ = fbc._route_side(leaf, ctx.item_ids, ctx.user_ids, ctx.into_users,
-                                 ctx.into_items, 1.0, 3)
+        out, _ = fbc._route_side(leaf, ctx.item_ids, ctx.user_ids, ctx.into_users, 1.0, 3)
         node_rows = []
         edge_rows, apply, uniform = fbc._edge_rows, fbc._EdgeWeights.apply, \
             fbc._EdgeWeights.uniform
@@ -831,13 +857,15 @@ class TestLiveEdgeBackward:
         edges, M, N, S, D, _, _, _, seed = case
         case_rng = np.random.default_rng(seed)
         ctx = make_ctx(edges, M, N)
-        for weights, rows, cols in ((ctx.into_users, ctx.user_ids, ctx.item_ids),
-                                    (ctx.into_items, ctx.item_ids, ctx.user_ids)):
+        for weights in (ctx.into_users, ctx.into_items):
             w = case_rng.normal(size=(S, len(edges))).astype(dtype)
             stack = case_rng.normal(size=(weights.matrix.shape[1], S, D))
             live = case_rng.random(len(edges)) < 0.5
-            got = fbc._EdgeWeights(rows[live], cols[live], *weights.matrix.shape).apply(
-                w[:, live], stack)
+            live_edges = fbc._EdgeWeights.of_edges(ctx.user_ids[live], ctx.item_ids[live],
+                                                   ctx.into_users.matrix.shape)
+            if weights is ctx.into_items:
+                live_edges = live_edges.T
+            got = live_edges.apply(w[:, live], stack)
             want = weights.apply(np.where(live, w, 0).astype(dtype), stack)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
@@ -968,8 +996,9 @@ def bipartite_cases(draw):
 
 class TestAggregateMatchesSeparateAdjacencies:
     """Both of `_aggregate`'s products, through the normalized adjacency and
-    its cached transpose, against the two normalized matrices built
-    separately from a user x item and an item x user adjacency."""
+    its transpose's view, and their backwards, against the two normalized
+    matrices built separately from a user x item and an item x user
+    adjacency, and CSR copies of their transposes."""
 
     @given(bipartite_cases())
     @settings(max_examples=60, deadline=None)
@@ -980,15 +1009,14 @@ class TestAggregateMatchesSeparateAdjacencies:
         # behavior 1 has no edges
         for graph in build_behavior_graphs(records, M, N, 2):
             ctx = BehaviorContext(graph)
-            user_from_item, item_from_user = bipartite_normalized_adjacencies(
-                graph.edges, M, N)
+            (user_from_item, user_from_item_t), (item_from_user, item_from_user_t) = \
+                bipartite_normalized_adjacencies(graph.edges, M, N)
             for got, want in ((ctx.user_from_item, user_from_item),
-                              (ctx.user_from_item.T, item_from_user)):
-                for g, w in ((got.matrix, want.matrix), (got.matrix_t, want.matrix_t)):
-                    assert g.shape == w.shape and g.dtype == w.dtype == np.float64
-                    np.testing.assert_array_equal(g.indptr, w.indptr)
-                    np.testing.assert_array_equal(g.indices, w.indices)
-                    np.testing.assert_array_equal(g.data, w.data)
+                              (ctx.user_from_item.T.tocsr(), item_from_user)):
+                assert got.shape == want.shape and got.dtype == want.dtype == np.float64
+                np.testing.assert_array_equal(got.indptr, want.indptr)
+                np.testing.assert_array_equal(got.indices, want.indices)
+                np.testing.assert_array_equal(got.data, want.data)
             h_u = ad.Tensor(case_rng.normal(size=(M, S, D)), requires_grad=True)
             h_i = ad.Tensor(case_rng.normal(size=(N, S, D)), requires_grad=True)
             out_u, out_i = _aggregate(ctx, h_u, h_i, "light", None, 0.2)
@@ -998,10 +1026,10 @@ class TestAggregateMatchesSeparateAdjacencies:
              + (out_i * ad.constant(g_i.reshape(N, S, D))).sum()).backward()
             flat_u, flat_i = h_u.data.reshape(M, -1), h_i.data.reshape(N, -1)
             np.testing.assert_array_equal(out_u.data.reshape(M, -1),
-                                          user_from_item.matrix @ flat_i)
+                                          user_from_item @ flat_i)
             np.testing.assert_array_equal(out_i.data.reshape(N, -1),
-                                          item_from_user.matrix @ flat_u)
+                                          item_from_user @ flat_u)
             np.testing.assert_array_equal(h_i.grad.reshape(N, -1),
-                                          user_from_item.matrix_t @ g_u)
+                                          user_from_item_t @ g_u)
             np.testing.assert_array_equal(h_u.grad.reshape(M, -1),
-                                          item_from_user.matrix_t @ g_i)
+                                          item_from_user_t @ g_i)

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
 from ckml import autodiff as ad
-from ckml.numerics import (GradientReport, NumericError, SparseMatrix,
-                           finite_difference_gradcheck)
+from ckml.numerics import (GradientReport, NumericError, finite_difference_gradcheck,
+                           from_edges)
 
 from naive_autodiff import log
 from naive_numerics import leaky_relu, softmax_with_temperature, spmm
@@ -107,29 +108,50 @@ class TestSpmm:
 
 class TestSparseMatrixInvariants:
     def test_sorted_indices_and_monotone_offsets(self):
-        adj = SparseMatrix.from_edges([1, 1, 0, 1], [2, 0, 1, 1], shape=(2, 3))
-        m = adj.matrix
+        m = from_edges([1, 1, 0, 1], [2, 0, 1, 1], shape=(2, 3))
         assert np.all(np.diff(m.indptr) >= 0)
         for r in range(2):
             row = m.indices[m.indptr[r]:m.indptr[r + 1]]
             assert np.all(np.diff(row) > 0)
 
     def test_repeated_entries_summed_in_sorted_rows(self):
-        # unsorted input with (1, 2) given twice, both directions checked
-        adj = SparseMatrix.from_edges([1, 0, 1, 1, 0], [2, 1, 0, 2, 0], shape=(2, 3),
-                                      data=np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
-        for m in (adj.matrix, adj.matrix_t):
-            assert m.has_canonical_format and m.has_sorted_indices
-        np.testing.assert_array_equal(adj.matrix.indptr, [0, 2, 4])
-        np.testing.assert_array_equal(adj.matrix.indices, [0, 1, 0, 2])
-        np.testing.assert_array_equal(adj.matrix.data, [5.0, 2.0, 3.0, 5.0])
-        np.testing.assert_array_equal(adj.matrix_t.toarray(), adj.matrix.toarray().T)
-        np.testing.assert_array_equal(adj.matrix_t.indices, [0, 1, 0, 1])
+        # unsorted input with (1, 2) given twice
+        m = from_edges([1, 0, 1, 1, 0], [2, 1, 0, 2, 0], shape=(2, 3),
+                       data=np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
+        assert m.has_canonical_format and m.has_sorted_indices
+        np.testing.assert_array_equal(m.indptr, [0, 2, 4])
+        np.testing.assert_array_equal(m.indices, [0, 1, 0, 2])
+        np.testing.assert_array_equal(m.data, [5.0, 2.0, 3.0, 5.0])
+        np.testing.assert_array_equal(m.T.toarray(), m.toarray().T)
 
     def test_transpose_available(self):
-        adj = SparseMatrix.from_edges([0, 1], [1, 0], shape=(2, 2))
-        assert (adj.matrix_t != adj.matrix.T).nnz == 0
-        assert adj.T.matrix is adj.matrix_t and adj.T.matrix_t is adj.matrix
+        m = from_edges([0, 1], [1, 0], shape=(2, 2))
+        # a view: no array is copied
+        assert m.T.format == "csc"
+        for a, b in ((m.T.data, m.data), (m.T.indices, m.indices), (m.T.indptr, m.indptr)):
+            assert np.shares_memory(a, b)
+
+    @pytest.mark.parametrize("width", [1, 16])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_transposed_product_is_the_transpose_csr_product(self, dtype, width):
+        # `spmm`'s backward and the sums into items multiply by `m.T`, a CSC
+        # view; scipy's CSC product must add each output row's terms in the
+        # order a CSR copy of the transpose does: ascending original row.
+        # Rows 2 and 6 and columns 0 and 8 are empty, and entries repeat.
+        rng = np.random.default_rng(width)
+        rows = rng.choice([0, 1, 3, 4, 5], size=60)
+        cols = rng.integers(1, 8, size=60)
+        m = from_edges(rows, cols, (7, 9), rng.normal(size=60).astype(dtype))
+        assert m.nnz < 60 and m.dtype == dtype
+        entry_rows = np.repeat(np.arange(7), np.diff(m.indptr))
+        order = np.lexsort((entry_rows, m.indices))
+        t = sp.csr_matrix((m.data[order], entry_rows[order], np.concatenate(
+            ([0], np.cumsum(np.bincount(m.indices, minlength=9))))), shape=(9, 7))
+        x = rng.normal(size=(7, width)).astype(dtype)
+        got, want = m.T @ x, t @ x
+        assert got.dtype == want.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(got[[0, 8]], 0.0)
 
 
 class TestGradcheck:
