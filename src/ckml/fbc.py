@@ -37,8 +37,8 @@ so it takes one product over all interests (`uniform`).
 
 The cross-behavior attention is likewise one tape node per side and
 layer (`correlate_shared`), with a hand-derived backward. Its projections
-are matrix-vector products over all K x V x S chunk rows of a head, which in
-float64 round as per-row products do (`_project` says for which widths).
+add each row's products in one fixed order (`_project`), so a row's bytes
+do not depend on the other rows or the CPU kernel.
 """
 
 from __future__ import annotations
@@ -83,8 +83,7 @@ class BehaviorContext:
         self.user_from_item = normalized_adjacency(
             self.user_ids, self.item_ids, (g.num_users, g.num_items), self.dtype)
         adj = self.user_from_item
-        self.into_users = _EdgeWeights(sp.csr_matrix(
-            (np.empty(adj.nnz), adj.indices, adj.indptr), shape=adj.shape))
+        self.into_users = _EdgeWeights.of_pattern(adj.indices, adj.indptr, adj.shape)
         self.into_items = self.into_users.T
 
     @property
@@ -108,25 +107,35 @@ class _EdgeWeights:
     `matrix` has one entry per edge, in the edges' ascending (user, item)
     order: a user x item CSR matrix sums into users, its CSC view (`T`)
     into items, adding each row's terms in column, again edge, order.
-    `apply` copies each interest's weights into its values."""
+    `apply` copies each interest's weights into its values: one buffer per
+    dtype, made at the first product in that dtype and shared with `T`."""
 
-    def __init__(self, matrix):
+    def __init__(self, matrix, buffers: dict | None = None):
         self.matrix = matrix
+        self.buffers = {} if buffers is None else buffers  # dtype -> values
+
+    @classmethod
+    def of_pattern(cls, indices: np.ndarray, indptr: np.ndarray, shape: tuple) -> _EdgeWeights:
+        """Into users, on a CSR pattern; a read-only zero stands in for the
+        values until a product gives them a dtype."""
+        return cls(sp.csr_matrix((np.broadcast_to(0.0, len(indices)), indices, indptr), shape))
 
     @classmethod
     def of_edges(cls, users: np.ndarray, items: np.ndarray, shape: tuple) -> _EdgeWeights:
         """Into users, over edges sorted by (user, item), none repeated."""
         offsets = np.concatenate(([0], np.cumsum(np.bincount(users, minlength=shape[0]))))
-        return cls(sp.csr_matrix((np.empty(len(users)), items, offsets), shape=shape))
+        return cls.of_pattern(items, offsets, shape)
 
     @property
     def T(self) -> _EdgeWeights:
-        return _EdgeWeights(self.matrix.T)
+        return _EdgeWeights(self.matrix.T, self.buffers)
 
     def _values(self, dtype) -> np.ndarray:
-        if self.matrix.dtype != dtype:
-            self.matrix.data = np.empty(self.matrix.nnz, dtype=dtype)
-        return self.matrix.data
+        values = self.buffers.get(dtype)
+        if values is None:
+            values = self.buffers[dtype] = np.empty(self.matrix.nnz, dtype=dtype)
+        self.matrix.data = values
+        return values
 
     def apply(self, w: np.ndarray, stack: np.ndarray) -> np.ndarray:
         values = self._values(w.dtype)
@@ -367,26 +376,15 @@ def _aggregate(ctx: BehaviorContext, h_u: ad.Tensor, h_i: ad.Tensor, aggregator:
 
 def _project(xh: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Each head's chunks times its transposed weights, (N, H, c) from the
-    head-major (H, N, c) chunks.
-
-    The rows in whole blocks of four take one matrix-vector product per
-    head and output column; the last N % 4 rows take the per-row
-    (1, c) @ (c, c) product. In float64 with scipy-openblas 0.3.31 on an
-    AVX-512 CPU this is bitwise that per-row product for c <= 8 and for c
-    a multiple of 4 (the gemv kernel rounds a partial block of rows, and a
-    c past 8 that is not a multiple of 4, differently). The
-    (H, N, c) @ (H, c, c) product, einsum and explicit sums are not
-    bitwise it.
-    """
-    H, N, c = xh.shape
-    blocks = N - N % 4
-    out = np.empty((N, H, c), dtype=xh.dtype)
-    for h in range(H):
-        for j in range(c):
-            out[:blocks, h, j] = xh[h, :blocks] @ w[h, j]
-    tail = np.matmul(xh[:, blocks:, None, :], w.transpose(0, 2, 1)[:, None])
-    out[blocks:] = tail.reshape(H, N - blocks, c).transpose(1, 0, 2)
-    return out
+    head-major (H, N, c) chunks: `out[n, h, j]` adds `xh[h, n, k]·w[h, j, k]`
+    for k = 0, 1, ... left to right, one rounded numpy elementwise multiply
+    or add at a time (no BLAS, no fused multiply-add), so a row's bytes
+    depend on that row and its head's weights alone, not on the CPU kernel."""
+    cols = np.ascontiguousarray(xh.transpose(0, 2, 1))  # (H, c, N)
+    out = w[:, :, :1] * cols[:, None, 0]
+    for k in range(1, w.shape[2]):
+        out += w[:, :, k:k + 1] * cols[:, None, k]
+    return np.ascontiguousarray(out.transpose(2, 0, 1))
 
 
 def _head_major(a: np.ndarray, heads: int, c: int) -> np.ndarray:
@@ -459,14 +457,14 @@ def correlate_shared(stacks: list, q_proj: ad.Tensor, k_proj: ad.Tensor,
         d_q = (d_lam * kx.reshape(1, K, V, S, H, c)).sum(axis=1)
         d_k = (d_lam * qx.reshape(K, 1, V, S, H, c)).sum(axis=0)
         del d_lam
-        d_xh = None
+        d_x = None
         for p, wp, d in zip(projs, w, (d_q, d_k, d_v)):
             d = _head_major(d, H, c)
             if p.requires_grad:  # summed over every row inside one product
                 p._accumulate(np.matmul(d.transpose(0, 2, 1), xh))
-            d = np.matmul(d, wp)
-            d_xh = d if d_xh is None else d_xh + d
-        d_x = d_xh.transpose(1, 0, 2).reshape(K, V, S, d_star)
+            d = _project(d, wp.transpose(0, 2, 1))
+            d_x = d if d_x is None else d_x + d
+        d_x = d_x.reshape(K, V, S, d_star)
         d_x += g.reshape(K, V, S, d_star).sum(axis=0)  # the residual
         d_x = np.concatenate([g_all[:, :, :n_specific], d_x], axis=2)
         for k, t in enumerate(stacks):

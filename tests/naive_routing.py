@@ -336,12 +336,26 @@ def tape_route(ctx, x_stack, g_stack, time_u, time_i, tau, n_iter, collect_state
     return h_u_t, h_i_t, state
 
 
+def projected_left_to_right(xh, w):
+    """`fbc._project`'s contract, one entry at a time: `out[n, h, j]` adds
+    the products `xh[h, n, k] * w[h, j, k]` for k = 0, 1, ... left to right,
+    each multiply and add a numpy scalar operation of the inputs' dtype."""
+    H, N, c = xh.shape
+    out = np.empty((N, H, c), dtype=xh.dtype)
+    for h, n, j in np.ndindex(H, N, c):
+        total = xh[h, n, 0] * w[h, j, 0]
+        for k in range(1, c):
+            total = total + xh[h, n, k] * w[h, j, k]
+        out[n, h, j] = total
+    return out
+
+
 def _projected(chunks, proj):
     """Per-row (1, c) @ (c, c) products of the (K, V, S, H, 1, c) chunks
     with each head's transposed weights, on the tape as `ad.matmul`. The
-    values are `fbc._project`'s, which round as those products do only on
-    some BLAS builds, so that the forward compares bitwise on any of them;
-    the matmul's backward reads its operands, not its output."""
+    values are `fbc._project`'s fixed-order sums, which BLAS's products do
+    not round alike, so that the forward compares bitwise; the matmul's
+    backward reads its operands, not its output."""
     K, V, S, H, _, c = chunks.shape
     out = ad.matmul(chunks, transpose(proj, (0, 2, 1)))
     rows = _project(_head_major(chunks.data, H, c), proj.data.astype(chunks.dtype))

@@ -1,4 +1,9 @@
+import os
+import platform
+import subprocess
+import sys
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,8 +20,8 @@ from ckml.numerics import NumericError, finite_difference_gradcheck
 import naive_autodiff as nad
 from naive_numerics import bipartite_normalized_adjacencies
 from naive_routing import (composed_correlate_shared, naive_route,
-                           naive_route_and_aggregate, per_edge_route, propagate_layer,
-                           recorded_coefficients, tape_route)
+                           naive_route_and_aggregate, per_edge_route, projected_left_to_right,
+                           propagate_layer, recorded_coefficients, tape_route)
 
 rng = np.random.default_rng(7)
 
@@ -597,6 +602,28 @@ class TestCorrelateSharedOnWholeStacks:
 
 
 class TestProject:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("c", [1, 2, 3, 4, 5, 8, 12])
+    def test_rows_of_a_subset_are_rows_of_the_whole(self, c, dtype):
+        case_rng = np.random.default_rng(c)
+        xh = case_rng.normal(size=(2, 4099, c)).astype(dtype)
+        w = case_rng.normal(size=(2, c, c)).astype(dtype)
+        whole = fbc._project(xh, w)
+        for _ in range(20):
+            rows = np.sort(case_rng.choice(4099, size=97, replace=False))
+            assert fbc._project(xh[:, rows], w).tobytes() == whole[rows].tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("c", [1, 2, 3, 4, 5, 8, 12])
+    def test_each_entry_adds_its_products_left_to_right(self, c, dtype):
+        case_rng = np.random.default_rng(100 + c)
+        xh = case_rng.normal(size=(2, 41, c)).astype(dtype)
+        xh[:, 3] = -0.0  # a sum that starts from +0.0 would end +0.0 here
+        w = case_rng.normal(size=(2, c, c)).astype(dtype)
+        got = fbc._project(xh, w)
+        assert got.shape == (41, 2, c) and got.dtype == dtype
+        assert got.tobytes() == projected_left_to_right(xh, w).tobytes()
+
     @pytest.mark.parametrize("N", [1, 3, 4, 9, 37])
     @pytest.mark.parametrize("c", [1, 3, 4, 5, 8, 12])
     def test_matches_per_row_products(self, N, c):
@@ -610,6 +637,44 @@ class TestProject:
         assert got.shape == (N, H, c)
         np.testing.assert_allclose(got, want, rtol=4 * c * np.finfo(float).eps,
                                    atol=4 * c * np.finfo(float).eps * np.abs(want).max())
+
+
+class TestAttentionOnOtherKernels:
+    # a child prints a digest of the attention's outputs, its weights and the
+    # stacks' gradients per dtype and chunk width, and the core of numpy's
+    # OpenBLAS; weight gradients are BLAS products, so they are left out
+    PROBE = """
+import hashlib
+import numpy as np
+from ckml import autodiff as ad
+from ckml.cli import _openblas_cores
+from ckml.fbc import correlate_shared
+for dtype in (np.float32, np.float64):
+    for c in (2, 4, 8):
+        case_rng = np.random.default_rng(c)
+        stacks = [ad.Tensor(case_rng.normal(size=(1001, 3, 2 * c)).astype(dtype),
+                            requires_grad=True) for _ in range(3)]
+        projs = [ad.Tensor(case_rng.normal(size=(2, c, c)).astype(dtype), requires_grad=True)
+                 for _ in range(3)]
+        outs, lam = correlate_shared(stacks, *projs, 2, n_specific=1)
+        ad.add_all([(o * ad.constant(case_rng.normal(size=o.shape).astype(dtype))).sum()
+                    for o in outs]).backward()
+        arrays = [o.data for o in outs] + [lam.data] + [t.grad for t in stacks]
+        print(np.dtype(dtype).name, c, hashlib.sha256(b"".join(a.tobytes() for a in arrays))
+              .hexdigest())
+print(sorted(core for name, core in _openblas_cores().items() if "openblas64" in name))
+"""
+
+    @pytest.mark.skipif(not (sys.platform == "linux" and platform.machine() == "x86_64"),
+                        reason="forces x86 kernels; lists libraries through /proc")
+    def test_outputs_and_stack_gradients_keep_their_bytes_under_haswell(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(fbc.__file__).parents[1])}
+        runs = [subprocess.run([sys.executable, "-c", self.PROBE], capture_output=True,
+                               text=True, timeout=120, env=child_env, check=True).stdout
+                for child_env in (env, {**env, "OPENBLAS_CORETYPE": "Haswell"})]
+        default, forced = (run.splitlines() for run in runs)
+        assert forced[-1] == "['Haswell']"
+        assert len(default) == len(forced) == 7 and default[:-1] == forced[:-1]
 
 
 class TestEdgeWeightsBuiltOnce:

@@ -226,6 +226,43 @@ class TestTrainEpoch:
         for k in whole:
             assert whole[k].tobytes() == reached[k].tobytes(), k
 
+    @pytest.mark.parametrize("cut", [fbc.LIVE_EDGE_CUT, 2.0])  # 2 narrows every routing
+    def test_edge_weights_allocate_one_buffer_per_dtype(self, small_ds, monkeypatch, cut):
+        # three float32 steps, whose routing weights are float32 forward and
+        # float64 (and float32) backward
+        monkeypatch.setattr(fbc, "LIVE_EDGE_CUT", cut)
+        edges = sum(g.edge_count for g in small_ds.behavior_graphs)
+        h = small_hyper(precision="f32", batch_size=-(-edges // 3))
+        ctx = ModelContext(small_ds, h)
+        step, asked, owned = [0], {}, {}  # by a matrix's index pattern, its transpose's too
+        values, batch_loss_ = fbc._EdgeWeights._values, trainer.batch_loss
+
+        def spy(self, dtype):
+            before = self.matrix.data
+            out = values(self, dtype)
+            key = self.matrix.indices.ctypes.data  # held below, so never reused
+            asked.setdefault(key, (self.matrix.indices, set()))[1].add(dtype)
+            for buf in (before, out):  # a buffer of its own, not a stand-in view
+                if buf.flags.owndata:
+                    owned.setdefault(key, {}).setdefault(id(buf), (buf, step[0]))
+            return out
+
+        def counted(*args):
+            step[0] += 1
+            return batch_loss_(*args)
+        monkeypatch.setattr(fbc._EdgeWeights, "_values", spy)
+        monkeypatch.setattr(trainer, "batch_loss", counted)
+        params = init_params(h, small_ds, seed=2)
+        train_epoch(params, ctx, h, Adam(params), np.random.default_rng(2), 0)
+        assert step[0] == 3
+        whole = {b.into_users.matrix.indices.ctypes.data for b in ctx.behaviors}
+        assert whole <= set(owned) if cut < 1 else set(owned) - whole
+        for key, bufs in owned.items():
+            dtypes = [buf.dtype for buf, _ in bufs.values()]
+            assert len(dtypes) == len(set(dtypes)) and set(dtypes) <= asked[key][1]
+            if key in whole:
+                assert {s for _, s in bufs.values()} == {1}
+
 
 class TestTapeRelease:
     def test_no_step_tape_outlives_the_next_forward(self, small_ds, monkeypatch):
