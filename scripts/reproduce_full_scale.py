@@ -16,17 +16,21 @@ supply the data yourself:
      (embedding size 16, Adam at 1e-3 with decay 0.96, 2 attention heads,
      2 routing iterations) and reports HR@10 / NDCG@10.
 
-Expect days on CPU. An epoch costs ceil(E / batch) steps, and much of a
-step (interest extraction, the aggregation, attention) still runs over
-the whole graph, so its time grows with E; routing, forward and backward,
-covers only the edges into the rows the batch's losses reach. On a
-synthetic graph of 25k users x 25k items (two behaviors, 10 interactions
-per user per behavior: E = 475k training edges), batch-32 float32 steps
-took 0.14-0.17 s each (medians 0.15 and 0.16 s, on two cores of an Intel
-Xeon, BLAS on one thread) and an epoch is 14,844 steps: about 40 min per
-epoch, or about three days for the default 100 epochs. The reach grows
-with the batch, so larger batches make slower steps (0.16 s at batch 16,
-0.19 s at 64), but fewer of them. Real datasets hold more edges.
+Expect days on CPU. An epoch costs ceil(E / batch) steps, and part of a
+step (interest extraction, the earlier interaction layers, the time
+offsets, the regularization and Adam) still runs over the whole graph,
+so its time grows with E; the last layer routes only the edges into the
+rows the batch's losses reach, and aggregates and attends only the
+batch's rows. On a synthetic graph of 25k users x 25k items (two
+behaviors, 10 interactions per user per behavior: E = 475k training
+edges), batch-32 float32 steps took 0.14-0.17 s each (medians 0.15 and
+0.16 s, on two cores of an Intel Xeon, BLAS on one thread) before the
+last layer's aggregation and attention were narrowed, which took about a
+third off a step in paired runs; an epoch is 14,844 steps: at most about
+40 min per epoch, or about three days for the default 100 epochs. The
+reach grows with the batch, so larger batches make slower steps (0.16 s
+at batch 16, 0.19 s at 64, before that change), but fewer of them. Real
+datasets hold more edges.
 This artifact's acceptance rests on the desk-scale criteria, not on
 reproducing benchmark tables.
 """

@@ -39,6 +39,16 @@ The cross-behavior attention is likewise one tape node per side and
 layer (`correlate_shared`), with a hand-derived backward. Its projections
 add each row's products in one fixed order (`_project`), so a row's bytes
 do not depend on the other rows or the CPU kernel.
+
+A training step's losses read the last layer's stacks at the batch's rows
+alone, so that layer aggregates (`_aggregate`, through `_into_rows`) and
+attends (`correlate_shared`) those rows alone and writes them into rows of
+full height (`_full_height`). The other rows come out +0.0, and their
+gradients never reach the stacks below: nothing reads them. Each of these
+rows keeps its bytes: a sparse product adds a row's terms in the same
+order, the aggregators' dense products run at full height, and each
+attention weight gradient is one product over every row, +0.0 outside the
+batch rows (`_head_major`).
 """
 
 from __future__ import annotations
@@ -61,6 +71,8 @@ DEGREE_GUARD = 1e-12
 # ~0.34 of the whole-edge time at 0.1 live, ~0.5 at 0.2, 0.65-0.83 at
 # 0.3-0.4, ~0.9 at 0.5, crossed near 0.6, lost above.
 LIVE_EDGE_CUT = 0.5
+# The (user, item) node rows of a pass that computes every row.
+EVERY_ROW = (slice(None), slice(None))
 
 
 @dataclass
@@ -180,14 +192,15 @@ def _narrowed(dst_ids: np.ndarray, src_ids: np.ndarray, to_dst: _EdgeWeights,
         src_c, dst_c, (len(srcs), len(rows))).T
 
 
-def _full_height(values: np.ndarray, rows, height: int) -> np.ndarray:
+def _full_height(values: np.ndarray, rows, height: int, axis: int = 0) -> np.ndarray:
     """`values`, the node rows `rows` (ascending, a slice or an index array)
-    of a (height, ...) array whose other rows are +0.0: `values` itself
-    when it holds every row."""
-    if len(values) == height:
+    along `axis` of an array of `height` such rows whose other rows are
+    +0.0: `values` itself when it holds every row."""
+    if values.shape[axis] == height:
         return values
-    out = np.zeros((height,) + values.shape[1:], dtype=values.dtype)
-    out[rows] = values
+    out = np.zeros(values.shape[:axis] + (height,) + values.shape[axis + 1:],
+                   dtype=values.dtype)
+    out[(slice(None),) * axis + (rows,)] = values
     return out
 
 
@@ -332,43 +345,69 @@ def route_behavior_layer(ctx: BehaviorContext, x_stack: ad.Tensor, g_stack: ad.T
                          time_u: ad.Tensor | None, time_i: ad.Tensor | None,
                          tau: float, n_iter: int, aggregator: str,
                          agg_weights: dict | None = None, slope: float = 0.2,
-                         reach: tuple | None = None):
+                         reach: tuple | None = None, rows: tuple = EVERY_ROW):
     """Allocate one behavior's edges across interests and aggregate once.
 
     Returns (h_user, h_item): stacks of shape (M, S, d*) / (N, S, d*) after
     the final aggregation pass; nodes without edges come out zero. With
-    `reach` (`_route`), unreached rows route as zeros, so only the output
-    rows whose aggregation reads reached rows alone are right.
+    `reach` (`_route`), unreached rows route as zeros; with `rows`, the
+    (user, item) rows that are read, only those rows are aggregated, and
+    the others' neighbor sums are +0.0 (`_aggregate`). Right are the rows
+    of `rows` whose aggregation reads reached rows alone.
     """
     h_u_t, h_i_t = _route(ctx, x_stack, g_stack, time_u, time_i, tau, n_iter, reach)
-    return _aggregate(ctx, h_u_t, h_i_t, aggregator, agg_weights, slope)
+    return _aggregate(ctx, h_u_t, h_i_t, aggregator, agg_weights, slope, rows)
 
 
 def plain_aggregation_layer(ctx: BehaviorContext, x_stack: ad.Tensor,
                             g_stack: ad.Tensor, time_u: ad.Tensor | None,
                             time_i: ad.Tensor | None, aggregator: str,
-                            agg_weights: dict | None = None, slope: float = 0.2):
+                            agg_weights: dict | None = None, slope: float = 0.2,
+                            rows: tuple = EVERY_ROW):
     """Routing replacement for the no-routing ablation: one configured
-    aggregator pass over the bipartite graph on (state + time offset)."""
+    aggregator pass over the bipartite graph on (state + time offset), on
+    the (user, item) `rows` alone (`_aggregate`)."""
     return _aggregate(ctx, _with_time(x_stack, time_u), _with_time(g_stack, time_i),
-                      aggregator, agg_weights, slope)
+                      aggregator, agg_weights, slope, rows)
 
 
 def _with_time(stack: ad.Tensor, offset: ad.Tensor | None) -> ad.Tensor:
     return stack if offset is None else stack + offset
 
 
+def _into_rows(ctx: BehaviorContext, side: int, rows) -> sp.csr_matrix:
+    """The normalized adjacency with only its entries into the node rows
+    `rows` (ascending, a slice or an index array) of `side` (0 users, 1
+    items). A product with it, or with its transpose's view for items,
+    gives those rows each from the same terms in the same order as the
+    whole adjacency, and +0.0 rows elsewhere; it is the adjacency itself
+    when it keeps every entry. Entries stay in edge order."""
+    adj = ctx.user_from_item
+    marked = np.zeros(adj.shape[side], dtype=bool)
+    marked[rows] = True
+    kept = np.flatnonzero(marked[(ctx.user_ids, ctx.item_ids)[side]])
+    if len(kept) == adj.nnz:
+        return adj
+    offsets = np.cumsum(np.bincount(ctx.user_ids[kept], minlength=adj.shape[0]))
+    return sp.csr_matrix((adj.data[kept], adj.indices[kept], np.concatenate(([0], offsets))),
+                         adj.shape)
+
+
 def _aggregate(ctx: BehaviorContext, h_u: ad.Tensor, h_i: ad.Tensor, aggregator: str,
-               agg_weights: dict | None, slope: float):
+               agg_weights: dict | None, slope: float, rows: tuple = EVERY_ROW):
     """One aggregator pass over the bipartite graph on (M, S, d*) user and
     (N, S, d*) item stacks, each side from the other's rows: users through
-    the normalized adjacency, items through its transpose's view."""
+    the normalized adjacency, items through its transpose's view. The
+    products compute the (user, item) `rows` alone (`_into_rows`): the
+    other rows' neighbor sums come out +0.0 and pass no gradient back, so
+    only `rows` are right. The aggregator acts on rows of full height, where
+    its dense products give those rows the bytes of the whole pass."""
     M, S, d_star = h_u.shape
     N = h_i.shape[0]
     flat_u = h_u.reshape(M, S * d_star)
     flat_i = h_i.reshape(N, S * d_star)
-    agg_u = ad.spmm(ctx.user_from_item, flat_i)
-    agg_i = ad.spmm(ctx.user_from_item.T, flat_u)
+    agg_u = ad.spmm(_into_rows(ctx, 0, rows[0]), flat_i)
+    agg_i = ad.spmm(_into_rows(ctx, 1, rows[1]).T, flat_u)
     out_u = apply_aggregator(aggregator, agg_u, flat_u, agg_weights, slope)
     out_i = apply_aggregator(aggregator, agg_i, flat_i, agg_weights, slope)
     return out_u.reshape(M, S, d_star), out_i.reshape(N, S, d_star)
@@ -376,25 +415,30 @@ def _aggregate(ctx: BehaviorContext, h_u: ad.Tensor, h_i: ad.Tensor, aggregator:
 
 def _project(xh: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Each head's chunks times its transposed weights, (N, H, c) from the
-    head-major (H, N, c) chunks: `out[n, h, j]` adds `xh[h, n, k]·w[h, j, k]`
+    head-major (H, ..., c) chunks (of any layout; N counts the rows of the
+    middle axes in C order): `out[n, h, j]` adds `xh[h, n, k]·w[h, j, k]`
     for k = 0, 1, ... left to right, one rounded numpy elementwise multiply
     or add at a time (no BLAS, no fused multiply-add), so a row's bytes
     depend on that row and its head's weights alone, not on the CPU kernel."""
-    cols = np.ascontiguousarray(xh.transpose(0, 2, 1))  # (H, c, N)
+    H, c = xh.shape[0], xh.shape[-1]
+    cols = np.ascontiguousarray(np.moveaxis(xh, -1, 1)).reshape(H, c, -1)  # (H, c, N)
     out = w[:, :, :1] * cols[:, None, 0]
     for k in range(1, w.shape[2]):
         out += w[:, :, k:k + 1] * cols[:, None, k]
     return np.ascontiguousarray(out.transpose(2, 0, 1))
 
 
-def _head_major(a: np.ndarray, heads: int, c: int) -> np.ndarray:
-    """The (heads, c) chunks of `a`'s rows as a contiguous (heads, rows, c)
-    array."""
-    return np.ascontiguousarray(a.reshape(-1, heads, c).transpose(1, 0, 2))
+def _head_major(chunks: np.ndarray, rows, height: int) -> np.ndarray:
+    """The head-major (H, K, B, S, c) `chunks` of the node rows `rows` as a
+    contiguous (H, K·height·S, c) array of every node row, the others +0.0:
+    the layout of the weight gradients' products over every row."""
+    H, c = chunks.shape[0], chunks.shape[-1]
+    return np.ascontiguousarray(_full_height(chunks, rows, height, axis=2).reshape(H, -1, c))
 
 
 def correlate_shared(stacks: list, q_proj: ad.Tensor, k_proj: ad.Tensor,
-                     v_proj: ad.Tensor, heads: int, n_specific: int = 0):
+                     v_proj: ad.Tensor, heads: int, n_specific: int = 0,
+                     rows=slice(None)):
     """Per-node, per-shared-interest multi-head attention across behaviors.
 
     stacks: K tensors of shape (V, S, d*), each behavior's `n_specific`
@@ -405,7 +449,14 @@ def correlate_shared(stacks: list, q_proj: ad.Tensor, k_proj: ad.Tensor,
     are scaled dot products of projected chunks, softmax-normalized over k'.
     The residual adds the sum of ALL behaviors' shared blocks. Returns
     (list of K (V, S, d*) output tensors, attention weights of shape
-    (K, K, V, S - n_specific, H)).
+    (K, K, B, S - n_specific, H)) for the B node rows `rows`.
+
+    A node row attends within itself, so the attention stacks, projects
+    and mixes the rows `rows` alone (ascending, a slice or an index array:
+    the rows that are read); the outputs' other rows are +0.0, and so are
+    the stacks' gradients there (`_full_height`). Each projection's weight
+    gradient is still one product over every row's head-major chunks, the
+    others +0.0 (`_head_major`), so its bytes are those of the whole call.
 
     The attention is one tape node whose parents are the stacks and the
     three projections, with a hand-derived backward; the weights are cast
@@ -418,55 +469,60 @@ def correlate_shared(stacks: list, q_proj: ad.Tensor, k_proj: ad.Tensor,
     H, c, S = heads, d_star // heads, S_all - n_specific
     projs = (q_proj, k_proj, v_proj)
     parents = (*stacks, *projs)
-    x = np.stack([t.data for t in stacks])  # (K, V, S_all, d*)
+    x = np.stack([t.data[rows] for t in stacks])  # (K, B, S_all, d*)
+    B = x.shape[1]
     residual = x[:, :, n_specific:].sum(axis=0, keepdims=True)
-    xh = _head_major(x[:, :, n_specific:], H, c)
+    # (H, K, B, S, c)
+    xh = np.ascontiguousarray(
+        x[:, :, n_specific:].reshape(K, B, S, H, c).transpose(3, 0, 1, 2, 4))
     w = [p.data.astype(xh.dtype, copy=False) for p in projs]
-    qx, kx, vx = (_project(xh, wp).reshape(K, V, S, H, c) for wp in w)
+    qx, kx, vx = (_project(xh, wp).reshape(K, B, S, H, c) for wp in w)
     # the backward's inputs; every other temporary is dropped once consumed
     saved = (xh, qx, kx, vx) if any(t.requires_grad for t in parents) else None
     scale = xh.dtype.type(1 / np.sqrt(c))
     del xh
-    lam = ad.sum_last(qx.reshape(K, 1, V, S, H, c) * kx.reshape(1, K, V, S, H, c))[..., 0]
+    lam = ad.sum_last(qx.reshape(K, 1, B, S, H, c) * kx.reshape(1, K, B, S, H, c))[..., 0]
     del qx, kx
     lam *= scale
     # softmax over k', in place
     lam -= lam.max(axis=1, keepdims=True)
     np.exp(lam, out=lam)
     lam /= lam.sum(axis=1, keepdims=True)
-    out = (lam.reshape(K, K, V, S, H, 1) * vx.reshape(1, K, V, S, H, c)).sum(axis=1)
+    out = (lam.reshape(K, K, B, S, H, 1) * vx.reshape(1, K, B, S, H, c)).sum(axis=1)
     del vx
-    out = out.reshape(K, V, S, d_star)
+    out = out.reshape(K, B, S, d_star)
     out += residual
     del residual
     out = np.concatenate([x[:, :, :n_specific], out], axis=2)
     del x
-    node = ad.Tensor(out, saved is not None, parents)
+    node = ad.Tensor(_full_height(out, rows, V, axis=1), saved is not None, parents)
     if saved is None:
         return ad.unstack(node), ad.Tensor(lam)
 
     def backward(g_all):
         xh, qx, kx, vx = saved
-        g = np.ascontiguousarray(g_all[:, :, n_specific:]).reshape(K, 1, V, S, H, c)
-        d_lam = ad.sum_last(g * vx.reshape(1, K, V, S, H, c))[..., 0]
-        d_v = (lam.reshape(K, K, V, S, H, 1) * g).sum(axis=0)
+        g = np.ascontiguousarray(g_all[:, rows, n_specific:]).reshape(K, 1, B, S, H, c)
+        d_lam = ad.sum_last(g * vx.reshape(1, K, B, S, H, c))[..., 0]
+        d_v = (lam.reshape(K, K, B, S, H, 1) * g).sum(axis=0)
         d_lam -= (d_lam * lam).sum(axis=1, keepdims=True)
         d_lam *= lam
         d_lam *= scale
-        d_lam = d_lam.reshape(K, K, V, S, H, 1)
-        d_q = (d_lam * kx.reshape(1, K, V, S, H, c)).sum(axis=1)
-        d_k = (d_lam * qx.reshape(K, 1, V, S, H, c)).sum(axis=0)
+        d_lam = d_lam.reshape(K, K, B, S, H, 1)
+        d_q = (d_lam * kx.reshape(1, K, B, S, H, c)).sum(axis=1)
+        d_k = (d_lam * qx.reshape(K, 1, B, S, H, c)).sum(axis=0)
         del d_lam
+        xh = _head_major(xh, rows, V)
         d_x = None
         for p, wp, d in zip(projs, w, (d_q, d_k, d_v)):
-            d = _head_major(d, H, c)
+            d = d.transpose(3, 0, 1, 2, 4)  # head-major
             if p.requires_grad:  # summed over every row inside one product
-                p._accumulate(np.matmul(d.transpose(0, 2, 1), xh))
+                p._accumulate(np.matmul(_head_major(d, rows, V).transpose(0, 2, 1), xh))
             d = _project(d, wp.transpose(0, 2, 1))
             d_x = d if d_x is None else d_x + d
-        d_x = d_x.reshape(K, V, S, d_star)
-        d_x += g.reshape(K, V, S, d_star).sum(axis=0)  # the residual
-        d_x = np.concatenate([g_all[:, :, :n_specific], d_x], axis=2)
+        d_x = d_x.reshape(K, B, S, d_star)
+        d_x += g.reshape(K, B, S, d_star).sum(axis=0)  # the residual
+        d_x = np.concatenate([g_all[:, rows, :n_specific], d_x], axis=2)
+        d_x = _full_height(d_x, rows, V, axis=1)
         for k, t in enumerate(stacks):
             if t.requires_grad:
                 t._accumulate(d_x[k])

@@ -10,6 +10,8 @@ states and layer outputs are held per behavior as [user, item] pairs.
 Final representations sum the routed outputs of layers 1..L; layer-0
 inputs stay out. The forward returns only what the losses and the
 evaluator read; routing coefficients and attention weights are dropped.
+In a training step the last layer computes only what the batch's losses
+read (`last_layer_reach`); evaluation computes every row.
 """
 
 from __future__ import annotations
@@ -155,10 +157,12 @@ def _pin_allocator() -> bool:
 
 
 def forward(params: dict, ctx: ModelContext, hyper: HyperConfig,
-            reach: list | None = None) -> ForwardOutput:
-    """The whole forward; with `reach` (`last_layer_reach`), the last
-    layer routes the rows it names alone, and only the final rows that the
-    reach was computed for are right."""
+            reach: tuple | None = None) -> ForwardOutput:
+    """The whole forward. With `reach` (`last_layer_reach`), the last layer
+    routes the rows it names alone, and aggregates and attends the batch
+    rows alone: its other rows' neighbor sums and attention outputs are
+    +0.0, so only the final rows of the batch the reach was computed for
+    are right, and the losses read no other."""
     ds = ctx.dataset
     K = ds.num_behaviors
     s_spe, s_sha, d_star = hyper.interest_structure()
@@ -214,16 +218,18 @@ def forward(params: dict, ctx: ModelContext, hyper: HyperConfig,
     for l in range(hyper.interaction_layers):
         agg_w = _agg_weights(params, "agg/fbc", l, hyper.aggregator)
         last = l == hyper.interaction_layers - 1
+        routed_rows, rows = reach if reach is not None and last else ([None] * K, fbc.EVERY_ROW)
         routed = []
         for k in range(K):
             if hyper.fbc_disabled:
                 routed.append(fbc.plain_aggregation_layer(
-                    ctx.behaviors[k], *states[k], *times[k], hyper.aggregator, agg_w, slope))
+                    ctx.behaviors[k], *states[k], *times[k], hyper.aggregator, agg_w, slope,
+                    rows))
             else:
                 routed.append(fbc.route_behavior_layer(
                     ctx.behaviors[k], *states[k], *times[k], hyper.tau,
                     hyper.routing_iterations, hyper.aggregator, agg_w, slope,
-                    reach[k] if reach is not None and last else None))
+                    routed_rows[k], rows))
 
         for side in (0, 1):
             outs = stacks = [h[side] for h in routed]
@@ -239,10 +245,11 @@ def forward(params: dict, ctx: ModelContext, hyper: HyperConfig,
             elif s_sha:
                 outs, _ = fbc.correlate_shared(
                     stacks, params[f"attn/l{l}/Q"], params[f"attn/l{l}/K"],
-                    params[f"attn/l{l}/V"], hyper.attention_heads, s_spe)
+                    params[f"attn/l{l}/V"], hyper.attention_heads, s_spe, rows[side])
             for k, out in enumerate(outs):
                 layer_outputs[k][side].append(out)
-                states[k][side] = out + states[k][side]
+                if not last:  # the last layer's states are never read
+                    states[k][side] = out + states[k][side]
 
     user_final = [objective.aggregate_final(outs[0]) for outs in layer_outputs]
     item_final = [objective.aggregate_final(outs[1]) for outs in layer_outputs]
@@ -269,12 +276,14 @@ def relation_term(out: ForwardOutput, relation: int, anchors: np.ndarray,
     return objective.relation_bpr_loss(pos, neg).sum()
 
 
-def last_layer_reach(ctx: ModelContext, hyper: HyperConfig, rank_batches: list) -> list:
-    """Per behavior, the (user, item) masks of the last layer's routed rows
-    that the ranking losses read. The aggregation reads the neighbors of
-    the batch's users and items, and under `cie.READS_SELF` their own rows
-    too; attention mixes the behaviors row by row, so the batch's rows are
-    those of every behavior's triples."""
+def last_layer_reach(ctx: ModelContext, hyper: HyperConfig, rank_batches: list) -> tuple:
+    """What a training step's last layer computes: (per behavior, the
+    (user, item) masks of its routed rows that the ranking losses read;
+    the (user, item) batch rows, ascending). The batch rows are the users
+    and items of every behavior's triples, since attention mixes the
+    behaviors row by row; the last layer aggregates and attends them alone.
+    The aggregation reads their neighbors in each behavior's graph, and
+    under `cie.READS_SELF` their own rows too."""
     ds = ctx.dataset
     users = np.zeros(ds.num_users, dtype=bool)
     items = np.zeros(ds.num_items, dtype=bool)
@@ -291,20 +300,23 @@ def last_layer_reach(ctx: ModelContext, hyper: HyperConfig, rank_batches: list) 
         user_rows[b.user_ids[items[b.item_ids]]] = True
         item_rows[b.item_ids[users[b.user_ids]]] = True
         reach.append((user_rows, item_rows))
-    return reach
+    return reach, (np.flatnonzero(users), np.flatnonzero(items))
 
 
 def batch_loss(params: dict, ctx: ModelContext, hyper: HyperConfig,
                rank_batches: list, rel_batches: list):
-    """Full joint objective on index batches; the last layer routes only the
-    rows the ranking losses reach (`last_layer_reach`).
+    """Full joint objective on index batches; the last layer computes only
+    what the ranking losses read (`last_layer_reach`): it routes the rows
+    that the batch rows' aggregation reads, and aggregates and attends the
+    batch rows alone. Its other rows' neighbor sums and attention outputs
+    are +0.0 and never read: the losses gather the final stacks at the
+    batch rows only.
 
     rank_batches: per behavior, (users, positives, negatives) arrays or None.
     rel_batches: per relation, (anchors, positives, negatives) arrays or None.
     Returns (total Tensor, LossBreakdown).
     """
-    reach = None if hyper.fbc_disabled else last_layer_reach(ctx, hyper, rank_batches)
-    out = forward(params, ctx, hyper, reach)
+    out = forward(params, ctx, hyper, last_layer_reach(ctx, hyper, rank_batches))
     K = ctx.dataset.num_behaviors
     rank_terms = []
     for k in range(K):

@@ -13,7 +13,10 @@ composed of tape ops, plus a test-only helper.
 `recorded_coefficients` observes the package's routing from outside: it
 records the coefficients that each routing iteration weights its edges
 with, which no output of the package carries. `recorded_restrictions`
-records which routing passes worked on a subset of the edges.
+records which routing passes worked on a subset of the edges, and
+`recorded_last_layer_rows` the rows that aggregation and attention
+computed. `whole_last_layer` turns a training step's narrowed last layer
+off, as the reference that it must match.
 """
 
 import sys
@@ -23,10 +26,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ckml import autodiff as ad
-from ckml import fbc
+from ckml import fbc, model
 from ckml.autodiff import NORM_GUARD
 from ckml.cie import assemble_interest_embedding
-from ckml.fbc import DEGREE_GUARD, _head_major, _project
+from ckml.fbc import DEGREE_GUARD, _project
 from ckml.numerics import NumericError
 
 from naive_autodiff import narrow, stack, tanh, transpose
@@ -82,6 +85,53 @@ def recorded_restrictions():
         yield calls
     finally:
         fbc._narrowed = narrowed
+
+
+@contextmanager
+def whole_last_layer():
+    """Inside the block `model.batch_loss` hands `model.forward` no reach,
+    so the last layer routes, aggregates and attends every row, as
+    evaluation does."""
+    reach = model.last_layer_reach
+    model.last_layer_reach = lambda *args: None
+    try:
+        yield
+    finally:
+        model.last_layer_reach = reach
+
+
+@contextmanager
+def recorded_last_layer_rows():
+    """Yields a dict that receives, per stage, one entry for every call
+    inside the block: under "attention" the node rows each
+    `fbc.correlate_shared` attended (its weights' row axis), under
+    "aggregation" the rows that each of `fbc._aggregate`'s products
+    computed (those its matrix has entries in) and its entry count, and
+    under "time offsets" the same for each of `model.forward`'s one-hot
+    products."""
+    calls = {"attention": [], "aggregation": [], "time offsets": []}
+    correlate, spmm = fbc.correlate_shared, ad.spmm
+
+    def attending(*args, **kwargs):
+        outs, lam = correlate(*args, **kwargs)
+        calls["attention"].append(lam.shape[2])
+        return outs, lam
+
+    stages = {fbc._aggregate.__code__: "aggregation", model.forward.__code__: "time offsets"}
+
+    def multiplying(sparse, x):
+        caller = sys._getframe(1)
+        while caller.f_code.co_name == "<listcomp>":  # frames of their own before 3.12
+            caller = caller.f_back
+        stage = stages.get(caller.f_code)
+        if stage is not None:
+            calls[stage].append((int(np.count_nonzero(sparse.getnnz(axis=1))), sparse.nnz))
+        return spmm(sparse, x)
+    fbc.correlate_shared, ad.spmm = attending, multiplying
+    try:
+        yield calls
+    finally:
+        fbc.correlate_shared, ad.spmm = correlate, spmm
 
 
 def _unit(v):
@@ -358,7 +408,8 @@ def _projected(chunks, proj):
     backward reads its operands, not its output."""
     K, V, S, H, _, c = chunks.shape
     out = ad.matmul(chunks, transpose(proj, (0, 2, 1)))
-    rows = _project(_head_major(chunks.data, H, c), proj.data.astype(chunks.dtype))
+    head_major = chunks.data.reshape(K, V, S, H, c).transpose(3, 0, 1, 2, 4)
+    rows = _project(head_major, proj.data.astype(chunks.dtype))
     out.data = rows.reshape(out.shape)
     return out.reshape(K, V, S, H, c)
 

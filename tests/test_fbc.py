@@ -601,6 +601,53 @@ class TestCorrelateSharedOnWholeStacks:
                     == w.data[:, :n_specific].tobytes())
 
 
+def row_subsets(V, case_rng):
+    """Ascending node rows of V: none, one, a random few and every one."""
+    return [np.zeros(0, dtype=np.intp), np.array([V // 2]),
+            np.sort(case_rng.choice(V, size=max(1, V // 3), replace=False)), np.arange(V)]
+
+
+class TestCorrelateSharedOnRows:
+    """`correlate_shared` on some node rows against the whole call, with an
+    upstream gradient that is zero outside those rows: outputs, weights and
+    stack gradients at the rows, every projection gradient, and +0.0
+    elsewhere, all bitwise."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("c", [1, 2, 4])
+    @pytest.mark.parametrize("n_specific", [0, 2])
+    def test_rows_keep_the_bytes_of_the_whole_call(self, dtype, c, n_specific):
+        K, V, S, H = 3, 61, 2, 2
+        case_rng = np.random.default_rng(c * 10 + n_specific)
+        stacks = [case_rng.normal(size=(V, n_specific + S, H * c)).astype(dtype)
+                  for _ in range(K)]
+        projs = [case_rng.normal(size=(H, c, c)).astype(dtype) for _ in range(3)]
+        upstream = [case_rng.normal(size=(V, n_specific + S, H * c)).astype(dtype)
+                    for _ in range(K)]
+
+        def attended(read, rows):
+            mask = np.zeros((V, 1, 1), dtype=dtype)
+            mask[read] = 1
+            weights = [ad.constant(u * mask) for u in upstream]
+            leaves = [ad.Tensor(a, requires_grad=True) for a in stacks + projs]
+            outs, lam = correlate_shared(leaves[:K], *leaves[K:], H, n_specific, rows)
+            ad.add_all([(o * w).sum() for o, w in zip(outs, weights)]).backward()
+            return [o.data for o in outs], lam.data, [t.grad for t in leaves]
+
+        for rows in row_subsets(V, case_rng):
+            whole_outs, whole_lam, whole_grads = attended(rows, slice(None))
+            outs, lam, grads = attended(rows, rows)
+            assert lam.shape == (K, K, len(rows), S, H) and lam.dtype == dtype
+            assert lam.tobytes() == whole_lam[:, :, rows].tobytes()
+            others = np.setdiff1d(np.arange(V), rows)
+            for got, want in zip(outs + grads[:K], whole_outs + whole_grads[:K]):
+                assert got.shape == want.shape and got.dtype == want.dtype == dtype
+                assert got[rows].tobytes() == want[rows].tobytes()
+                assert not got[others].any() and not np.signbit(got[others]).any()
+            for got, want in zip(grads[K:], whole_grads[K:]):
+                assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
+
 class TestProject:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("c", [1, 2, 3, 4, 5, 8, 12])
@@ -1098,3 +1145,49 @@ class TestAggregateMatchesSeparateAdjacencies:
                                           user_from_item_t @ g_u)
             np.testing.assert_array_equal(h_u.grad.reshape(M, -1),
                                           item_from_user_t @ g_i)
+
+
+class TestAggregateOnRows:
+    """`_aggregate` on some user and item rows against the whole pass, with
+    an upstream gradient that is zero outside those rows: outputs and the
+    stacks' gradients at the rows, every aggregator weight's gradient, and
+    +0.0 elsewhere, all bitwise, for every aggregator."""
+
+    @pytest.mark.parametrize("aggregator", cie.AGGREGATORS)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_rows_keep_the_bytes_of_the_whole_pass(self, aggregator, dtype):
+        M, N, S, D = 23, 41, 2, 3
+        case_rng = np.random.default_rng(3)
+        pairs = sorted({(int(u), int(i)) for u, i in zip(case_rng.integers(M - 1, size=90),
+                                                        case_rng.integers(N - 1, size=90))})
+        records = [(u, i, 0, t) for t, (u, i) in enumerate(pairs)]
+        ctx = BehaviorContext(build_behavior_graphs(records, M, N, 1)[0], np.dtype(dtype))
+        stacks = [case_rng.normal(size=(n, S, D)).astype(dtype) for n in (M, N)]
+        weights = {name: case_rng.normal(size=shape).astype(dtype)
+                   for name, shape in cie.aggregator_weight_shapes(aggregator, S * D)}
+        upstream = [case_rng.normal(size=(n, S, D)).astype(dtype) for n in (M, N)]
+
+        def aggregated(read, rows):
+            h = [ad.Tensor(a, requires_grad=True) for a in stacks]
+            w = {name: ad.Tensor(a, requires_grad=True) for name, a in weights.items()}
+            outs = _aggregate(ctx, *h, aggregator, w or None, 0.2, rows)
+            terms = []
+            for out, u, r in zip(outs, upstream, read):
+                mask = np.zeros((len(u), 1, 1), dtype=dtype)
+                mask[r] = 1
+                terms.append((out * ad.constant(u * mask)).sum())
+            ad.add_all(terms).backward()
+            return [o.data for o in outs], [t.grad for t in h], [t.grad for t in w.values()]
+
+        every = (slice(None), slice(None))
+        for rows in zip(row_subsets(M, case_rng), row_subsets(N, case_rng)):
+            whole_outs, whole_grads, whole_w = aggregated(rows, every)
+            outs, grads, w = aggregated(rows, rows)
+            for got, want, r, n in zip(outs, whole_outs, rows, (M, N)):
+                assert got.shape == want.shape and got.dtype == want.dtype == dtype
+                assert got[r].tobytes() == want[r].tobytes()
+                others = np.setdiff1d(np.arange(n), r)
+                if aggregator == "light":  # the others aggregate nothing
+                    assert not got[others].any() and not np.signbit(got[others]).any()
+            for got, want in zip(grads + w, whole_grads + whole_w):
+                assert got.dtype == dtype and got.tobytes() == want.tobytes()

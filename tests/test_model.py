@@ -1,6 +1,8 @@
 """Whole-forward contracts: gradients across every configuration path,
 layer bookkeeping, and ablation wiring."""
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,8 @@ from ckml.trainer import (epoch_ranking_triples, epoch_relation_triples,
 
 from conftest import tiny_dataset
 from naive_autodiff import patched_accumulate, tape_nodes
-from naive_routing import recorded_coefficients, recorded_restrictions
+from naive_routing import (recorded_coefficients, recorded_last_layer_rows,
+                           recorded_restrictions, whole_last_layer)
 
 
 def run_gradcheck(ds, hyper, seed=5, triples=None):
@@ -86,13 +89,17 @@ def test_gradients_exact_on_a_sub_batch(overrides):
     # run under finite differences
     ds = tiny_dataset(num_users=10, num_items=16, num_behaviors=2, relation_count=2,
                       per_user=2, seed=15, relation_pairs=10)
-    with recorded_restrictions() as calls:
+    with recorded_restrictions() as calls, recorded_last_layer_rows() as rows:
         report = run_gradcheck(ds, HyperConfig(**{**BASE, **overrides}), triples=(1, 2))
     assert report.overall < 1e-4, report.per_parameter
     forwards = {n for kind, n, _ in calls if kind == "forward"}
     # a backward starts from the edges of a forward over the reach, or of all
     starts = {E in forwards for kind, n, E in calls if kind == "backward" and n > 1}
     assert forwards and starts == {True, False}
+    # attention and aggregation computed the batch's <= 3 users and <= 6
+    # items alone, of 10 and 16, in every audited loss
+    assert rows["attention"] and set(rows["attention"]) <= {1, 2, 3, 4, 5, 6}
+    assert rows["aggregation"] and {n for n, _ in rows["aggregation"]} <= {1, 2, 3, 4, 5, 6}
 
 
 @pytest.mark.parametrize("overrides", [{}, {"aggregator": "ngcf", "interaction_layers": 2}],
@@ -283,12 +290,13 @@ def reach_case(M, N, densities, seed, triples, aggregator="light", **overrides):
     return ds, hyper, rank, rel
 
 
-def loss_and_gradient_bytes(ds, hyper, rank, rel, cut):
+def loss_and_gradient_bytes(ds, hyper, rank, rel, cut, reached=True):
     """The bytes of `batch_loss` and of every leaf's gradient (None if it
-    gets none) with `fbc.LIVE_EDGE_CUT` at `cut`."""
+    gets none) with `fbc.LIVE_EDGE_CUT` at `cut`; unless `reached`, with
+    the whole last layer (`whole_last_layer`)."""
     tensors = {k: ad.Tensor(v, requires_grad=True)
                for k, v in init_params(hyper, ds, seed=3).items()}
-    with pytest.MonkeyPatch.context() as mp:
+    with pytest.MonkeyPatch.context() as mp, (nullcontext() if reached else whole_last_layer()):
         mp.setattr(fbc, "LIVE_EDGE_CUT", cut)
         total, _ = batch_loss(tensors, ModelContext(ds, hyper), hyper, rank, rel)
         total.backward()
@@ -297,7 +305,7 @@ def loss_and_gradient_bytes(ds, hyper, rank, rel, cut):
 
 
 ABLATIONS = [{}, {"no_mi": True}, {"shared_only": True}, {"specific_only": True},
-             {"no_cie": True, "beta": 0.0}, {"time_embedding": False}]
+             {"no_cie": True, "beta": 0.0}, {"time_embedding": False}, {"no_fbc": True}]
 
 
 @st.composite
@@ -320,16 +328,17 @@ def reach_cases(draw):
 
 
 class TestReachedForward:
-    """`batch_loss` with the last layer routing the reached rows alone,
-    against every row routed: the cut at 2.0 restricts every forward and
-    backward that can be, at 0.0 none."""
+    """`batch_loss` with the last layer routing the reached rows alone and
+    aggregating and attending the batch rows alone, against the whole last
+    layer: the cut at 2.0 restricts every routing forward and backward that
+    can be, at 0.0 none."""
 
     @given(reach_cases())
     @settings(max_examples=150, deadline=None)
     def test_loss_and_gradients_keep_their_bytes(self, case):
         ds, hyper, rank, rel = reach_case(**case)
         assert (loss_and_gradient_bytes(ds, hyper, rank, rel, 2.0)
-                == loss_and_gradient_bytes(ds, hyper, rank, rel, 0.0))
+                == loss_and_gradient_bytes(ds, hyper, rank, rel, 0.0, reached=False))
 
     @pytest.mark.parametrize("aggregator", ["light", "gccf", "gcn", "ngcf"])
     @pytest.mark.parametrize("precision", ["f32", "f64"])
@@ -344,9 +353,76 @@ class TestReachedForward:
                                        precision=precision, interaction_layers=layers)
         ds.behavior_graphs = build_behavior_graphs(records, 5, 7, 2)
         rank = [None, (np.array([2, 3]), np.array([3, 5]), np.array([6, 4]))]
-        (users, items), _ = last_layer_reach(ModelContext(ds, hyper), hyper, rank)
+        [(users, items), _], rows = last_layer_reach(ModelContext(ds, hyper), hyper, rank)
         assert not users[[0, 1]].any() and not items[[0, 1, 2]].any()
+        assert [r.tolist() for r in rows] == [[2, 3], [3, 4, 5, 6]]
         with recorded_restrictions() as calls:
             restricted = loss_and_gradient_bytes(ds, hyper, rank, rel, 2.0)
-        assert restricted == loss_and_gradient_bytes(ds, hyper, rank, rel, 0.0)
+        assert restricted == loss_and_gradient_bytes(ds, hyper, rank, rel, 0.0, reached=False)
         assert calls.count(("forward", 0, 6)) == 2  # both sides of the last layer
+
+
+# ------------------------------------------------------- a step's work, counted
+
+# The stages of a training step's last layer that still compute every row,
+# so their work grows with a component that no batch row reaches. Remove a
+# stage from here when it computes the rows its losses read alone.
+KNOWN_WHOLE_STAGES = ("time offsets",)
+
+
+def with_disjoint_copy(ds):
+    """`ds` plus a copy of itself on users and items of their own, sharing
+    no edge or relation with `ds`."""
+    M, N, K, R = ds.num_users, ds.num_items, ds.num_behaviors, ds.relation_count
+    records = np.concatenate([
+        np.column_stack([g.edges + shift, np.full(g.edge_count, k), g.edge_ts])
+        for k, g in enumerate(ds.behavior_graphs) for shift in ((0, 0), (M, N))])
+    relations = np.concatenate([
+        np.column_stack([g.undirected_edges() + shift, np.full(len(g.undirected_edges()), r)])
+        for r, g in enumerate(ds.relation_graphs) for shift in (0, N)])
+    return Dataset(2 * M, 2 * N, K, R, ds.target_behavior,
+                   build_behavior_graphs(records, 2 * M, 2 * N, K),
+                   build_relation_graphs(relations, 2 * N, R), ds.test_positive, None,
+                   ds.rng_seed)
+
+
+def last_layer_work(ds, hyper, params, rank, rel):
+    """What one `batch_loss` and its backward computed in the last layer:
+    per stage, the counts `recorded_last_layer_rows` records, and under
+    "routing" each narrowed pass's kind and edge count."""
+    ctx = ModelContext(ds, hyper)
+    tensors = {k: ad.Tensor(v, requires_grad=True) for k, v in params.items()}
+    with recorded_restrictions() as routed, recorded_last_layer_rows() as rows:
+        total, _ = batch_loss(tensors, ctx, hyper, rank, rel)
+        total.backward()
+    return {"routing": [(kind, n) for kind, n, _ in routed], **rows}
+
+
+@pytest.mark.parametrize("aggregator", ["light", "ngcf"])
+def test_last_layer_work_does_not_grow_with_an_unreached_component(aggregator):
+    # the same batch of A's edges, in A and in A plus a disjoint copy of A,
+    # from the same parameters at A's rows
+    a = tiny_dataset(num_users=60, num_items=80, num_behaviors=2, relation_count=2,
+                     per_user=3, seed=21, relation_pairs=30)
+    b = with_disjoint_copy(a)
+    hyper = HyperConfig(**{**BASE, "aggregator": aggregator})
+    hyper.validate(2)
+    rng = np.random.default_rng(8)
+    rank = [tuple(column[:3] for column in epoch_ranking_triples(g, rng))
+            for g in a.behavior_graphs]
+    rel = [tuple(column[:3] for column in epoch_relation_triples(g, rng))
+           for g in a.relation_graphs]
+    params_a, params_b = init_params(hyper, a, seed=3), init_params(hyper, b, seed=3)
+    for name, array in params_a.items():
+        params_b[name][tuple(slice(n) for n in array.shape)] = array
+    work_a = last_layer_work(a, hyper, params_a, rank, rel)
+    work_b = last_layer_work(b, hyper, params_b, rank, rel)
+    # both sides of each behavior routed the reach alone
+    assert [kind for kind, _ in work_a["routing"]].count("forward") == 4
+    assert work_a["attention"] and work_a["aggregation"] and work_a["time offsets"]
+    assert set(work_a) == {"routing", "attention", "aggregation", *KNOWN_WHOLE_STAGES}
+    for stage in work_a:
+        if stage in KNOWN_WHOLE_STAGES:
+            assert work_a[stage] != work_b[stage], stage
+        else:
+            assert work_a[stage] == work_b[stage], stage

@@ -2,6 +2,7 @@ import platform
 import struct
 import weakref
 from collections import OrderedDict
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from ckml.trainer import (Adam, Checkpoint, CompatibilityError, check_compatible
 
 from conftest import tiny_dataset
 from naive_autodiff import tape_nodes
-from naive_routing import recorded_restrictions
+from naive_routing import recorded_last_layer_rows, recorded_restrictions, whole_last_layer
 
 
 def small_hyper(**kw):
@@ -211,18 +212,23 @@ class TestTrainEpoch:
         h = small_hyper(precision=precision, batch_size=4, aggregator=aggregator,
                         interaction_layers=layers)
 
-        def epoch(cut):  # 0 routes every row, 2 the reached rows alone
+        def epoch(cut, last_layer):
+            # 0 routes every row, 2 the reached rows alone
             monkeypatch.setattr(fbc, "LIVE_EDGE_CUT", cut)
             ctx = ModelContext(small_ds, h)
             params = init_params(h, small_ds, seed=4)
-            with recorded_restrictions() as calls:
+            with recorded_restrictions() as calls, last_layer, \
+                    recorded_last_layer_rows() as rows:
                 train_epoch(params, ctx, h, Adam(params), np.random.default_rng(4), 0)
-            return params, calls
+            return params, calls, rows
 
-        whole, calls = epoch(0.0)
+        whole, calls, rows = epoch(0.0, whole_last_layer())
         assert not calls
-        reached, calls = epoch(2.0)
+        assert set(rows["attention"]) == {small_ds.num_users, small_ds.num_items}
+        reached, calls, rows = epoch(2.0, nullcontext())
         assert any(kind == "forward" and n < E for kind, n, E in calls)
+        # at batch 4, a step's batch rows are some of the users and items
+        assert min(rows["attention"]) < small_ds.num_users
         for k in whole:
             assert whole[k].tobytes() == reached[k].tobytes(), k
 
