@@ -302,8 +302,9 @@ def unstack(x: Tensor) -> list:
 
 def gather(x: Tensor, index) -> Tensor:
     """Select rows along axis 0 by an int array; backward adds each row's
-    gradients into zeros by `np.add.at`. That suits a batch's rows; one row
-    for every node each step (the time offsets) is cheaper as `spmm` with a
+    gradients into zeros by `np.add.at`. That suits a batch's rows; the time
+    offsets, a bucket's row for every node (or for every source row that a
+    training step's last routing reads), are cheaper as a product with a
     one-hot matrix, whose backward multiplies by its transpose."""
     rows = np.asarray(index)
     out = Tensor(x.data[rows], x.requires_grad, (x,))

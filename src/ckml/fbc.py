@@ -25,15 +25,17 @@ with one entry per edge, refilled one interest at a time, so no per-edge
 message array is formed; sums into items multiply by its transpose's
 view. A behavior's whole graph (its `BehaviorContext`) shares the
 normalized adjacency's index arrays; a subset of its edges has its own
-matrix, on the node rows they touch, renumbered. One helper narrows a side
-either way (`_narrowed`): a training step's last layer routes only the
-edges into the rows its losses read (the reach), and a backward only the
-edges into rows of nonzero gradient, each while those edges are under
-`LIVE_EDGE_CUT` of the edges it starts from, so its time grows with their
-count, not with the graph's; another writes the narrowed rows back into
-rows of full height (`_full_height`). A graph without edges takes the same
-path. The first iteration's equal logits give every edge the weight 1/S,
-so it takes one product over all interests (`uniform`).
+matrix, on the node rows they touch, renumbered with a presence mask (no
+sort). One helper narrows a side either way (`_narrowed`): a training
+step's last layer routes only the edges into the rows its losses read (the
+reach), read from the row ranges of the adjacency or of its item-major
+copy, and a backward only the forward's edges into rows of nonzero
+gradient, each while those edges are under `LIVE_EDGE_CUT` of the side's,
+so its time grows with their count, not with the graph's; another writes
+the narrowed rows back into rows of full height (`_full_height`). A graph
+without edges takes the same path. The first iteration's equal logits give
+every edge the weight 1/S, so it takes one product over all interests
+(`uniform`).
 
 The cross-behavior attention is likewise one tape node per side and
 layer (`correlate_shared`), with a hand-derived backward. Its projections
@@ -41,14 +43,15 @@ add each row's products in one fixed order (`_project`), so a row's bytes
 do not depend on the other rows or the CPU kernel.
 
 A training step's losses read the last layer's stacks at the batch's rows
-alone, so that layer aggregates (`_aggregate`, through `_into_rows`) and
-attends (`correlate_shared`) those rows alone and writes them into rows of
-full height (`_full_height`). The other rows come out +0.0, and their
-gradients never reach the stacks below: nothing reads them. Each of these
-rows keeps its bytes: a sparse product adds a row's terms in the same
-order, the aggregators' dense products run at full height, and each
-attention weight gradient is one product over every row, +0.0 outside the
-batch rows (`_head_major`).
+alone, so that layer aggregates (`_aggregate`, through the sums of
+`into_rows`, read from row ranges) and attends (`correlate_shared`) those
+rows alone and writes them into rows of full height (`_full_height`). The
+other rows come out +0.0, and their gradients never reach the stacks
+below: nothing reads them. Its routing adds the time offsets to the source
+rows it reads alone (`TimeOffsets`). Each of these rows keeps its bytes: a
+sparse product adds a row's terms in the same order, the aggregators'
+dense products run at full height, and each attention weight gradient is
+one product over every row, +0.0 outside the batch rows (`_head_major`).
 """
 
 from __future__ import annotations
@@ -66,10 +69,13 @@ from .numerics import NumericError, normalized_adjacency
 DEGREE_GUARD = 1e-12
 # Routing works on a subset of a side's edges alone below this share of the
 # edges it starts from: the forward on the reached edges among all, the
-# backward on the live edges among the forward's. Per backward on the
-# benchmark's step graph (f64, one BLAS thread, 2-core Xeon), that took
-# ~0.34 of the whole-edge time at 0.1 live, ~0.5 at 0.2, 0.65-0.83 at
-# 0.3-0.4, ~0.9 at 0.5, crossed near 0.6, lost above.
+# backward on the live edges among the forward's. A backward from a whole
+# forward (f64, S = d* = 4, two iterations, one BLAS thread, 2-core Xeon)
+# took this share of the whole-edge time, both sides, at 0.1 ... 0.9 live:
+# on the benchmark's step graph 0.31, 0.45, 0.56, 0.64, 0.66-0.75,
+# 0.82, 0.90-0.94, 0.97-1.02, 1.11-1.13; on its eval-wide graph 0.24,
+# 0.37-0.41, 0.48-0.50, 0.55-0.60, 0.62-0.69, 0.72-0.76, 0.79-0.83,
+# 0.88-0.93, 0.87-1.01. Near every edge live it still loses.
 LIVE_EDGE_CUT = 0.5
 # The (user, item) node rows of a pass that computes every row.
 EVERY_ROW = (slice(None), slice(None))
@@ -82,6 +88,7 @@ class BehaviorContext:
     graph: object
     dtype: np.dtype = np.dtype(np.float64)  # of the normalized adjacency
     user_from_item: sp.csr_matrix = field(init=False)  # normalized, user x item
+    item_from_user: sp.csr_matrix = field(init=False)  # its item-major copy
     user_ids: np.ndarray = field(init=False)  # each edge's user, intp
     item_ids: np.ndarray = field(init=False)  # each edge's item, intp
     # routing's sums, on the normalized adjacency's index arrays
@@ -95,6 +102,7 @@ class BehaviorContext:
         self.user_from_item = normalized_adjacency(
             self.user_ids, self.item_ids, (g.num_users, g.num_items), self.dtype)
         adj = self.user_from_item
+        self.item_from_user = adj.T.tocsr()
         self.into_users = _EdgeWeights.of_pattern(adj.indices, adj.indptr, adj.shape)
         self.into_items = self.into_users.T
 
@@ -134,9 +142,13 @@ class _EdgeWeights:
 
     @classmethod
     def of_edges(cls, users: np.ndarray, items: np.ndarray, shape: tuple) -> _EdgeWeights:
-        """Into users, over edges sorted by (user, item), none repeated."""
-        offsets = np.concatenate(([0], np.cumsum(np.bincount(users, minlength=shape[0]))))
-        return cls.of_pattern(items, offsets, shape)
+        """Into users, over edges sorted by (user, item), none repeated; its
+        index arrays are int32 where they fit, as scipy would make them after
+        checking their contents."""
+        index = np.int32 if max(len(items), *shape) < 2**31 else np.int64
+        offsets = np.zeros(shape[0] + 1, dtype=index)
+        np.cumsum(np.bincount(users, minlength=shape[0]), out=offsets[1:])
+        return cls.of_pattern(items.astype(index, copy=False), offsets, shape)
 
     @property
     def T(self) -> _EdgeWeights:
@@ -167,29 +179,65 @@ class _EdgeWeights:
         return (self.matrix @ stack.reshape(V, S * W)).reshape(-1, S, W)
 
 
+def _renumbered(ids: np.ndarray, count: int):
+    """`np.unique(ids, return_inverse=True)` for intp ids below `count`,
+    from a presence mask and its running count: O(len(ids) + count), no
+    sort."""
+    present = np.zeros(count, dtype=bool)
+    present[ids] = True
+    return np.flatnonzero(present), np.cumsum(present, dtype=np.intp)[ids] - 1
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The positions `starts[r]:starts[r] + counts[r]` of every range r, one
+    range after another: O(their total + len(starts))."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + counts, counts)
+
+
 def _narrowed(dst_ids: np.ndarray, src_ids: np.ndarray, to_dst: _EdgeWeights,
-              marked: np.ndarray | None):
+              marked: np.ndarray | None, by_dst: sp.csr_matrix | None = None):
     """A side's edges into the destination rows that `marked` marks, on the
     destination and source rows they touch, both renumbered in ascending
-    order, so the edges stay sorted by (user, item): (the edges, the
-    destination rows, the source rows, each edge's renumbered destination
-    and source, the sums into destination rows). That while those edges are
-    under `LIVE_EDGE_CUT` of the side's, and not one alone (numpy sums a
-    lone edge's d* >= 9 terms pairwise, many edges' row by row); otherwise,
-    or with `marked` None, the whole side as given, with slices for the
-    edges and rows."""
-    kept = None if marked is None else marked[dst_ids]
-    if kept is None or (n := np.count_nonzero(kept)) == 1 or n >= LIVE_EDGE_CUT * len(kept):
+    order (`_renumbered`): (the edges, the destination rows, the source
+    rows, each edge's renumbered destination and source, the sums into
+    destination rows). The marked rows' entries are read from their ranges
+    (`_ranges`) in a destination-major CSR pattern of the side: `by_dst`,
+    as positions in it, or a CSR `to_dst`'s own, as edges; a CSC `to_dst`
+    with no `by_dst` has its edges scanned. They keep their order, sorted
+    by (destination, source) from a pattern and by (source, destination)
+    from a scan, and the sums are built in that order. That while those
+    edges are under `LIVE_EDGE_CUT` of the side's, and not one alone (numpy
+    sums a lone edge's d* >= 9 terms pairwise, many edges' row by row);
+    otherwise, or with `marked` None, the whole side as given, with slices
+    for the edges and rows."""
+    if by_dst is None and to_dst.matrix.format == "csr":
+        by_dst = to_dst.matrix
+    if marked is not None:
+        if by_dst is None:
+            edges = np.flatnonzero(marked[dst_ids])
+            n = len(edges)
+        else:
+            marked_rows = np.flatnonzero(marked)
+            starts = by_dst.indptr[marked_rows]
+            counts = by_dst.indptr[marked_rows + 1] - starts
+            n = int(counts.sum())
+    if marked is None or n == 1 or n >= LIVE_EDGE_CUT * len(dst_ids):
         every = slice(None)
         return every, every, every, dst_ids, src_ids, to_dst
-    edges = np.flatnonzero(kept)
-    rows, dst_c = np.unique(dst_ids[edges], return_inverse=True)
-    srcs, src_c = np.unique(src_ids[edges], return_inverse=True)
-    if to_dst.matrix.format == "csr":  # into users
+    n_dst, n_src = to_dst.matrix.shape
+    if by_dst is None:
+        rows, dst_c = _renumbered(dst_ids[edges], n_dst)
+        srcs, src_c = _renumbered(src_ids[edges], n_src)
         return edges, rows, srcs, dst_c, src_c, _EdgeWeights.of_edges(
-            dst_c, src_c, (len(rows), len(srcs)))
+            src_c, dst_c, (len(srcs), len(rows))).T
+    # row by row: the rows with entries renumber in order
+    edges = _ranges(starts, counts)
+    rows, counts = marked_rows[counts > 0], counts[counts > 0]
+    dst_c = np.repeat(np.arange(len(rows)), counts)
+    srcs, src_c = _renumbered(by_dst.indices[edges], n_src)
     return edges, rows, srcs, dst_c, src_c, _EdgeWeights.of_edges(
-        src_c, dst_c, (len(srcs), len(rows))).T
+        dst_c, src_c, (len(rows), len(srcs)))
 
 
 def _full_height(values: np.ndarray, rows, height: int, axis: int = 0) -> np.ndarray:
@@ -204,38 +252,92 @@ def _full_height(values: np.ndarray, rows, height: int, axis: int = 0) -> np.nda
     return out
 
 
+@dataclass
+class TimeOffsets:
+    """A source side's time offsets in the form routing adds them to the
+    rows it reads alone: row r's is `onehot[r] @ table`, times `mask` if
+    given, with `onehot` the (nodes, buckets) one-hot matrix, `table` the
+    (buckets, S, d*) Tensor and `mask` a (1, S, 1) array that zeroes an
+    unused block. Each one-hot row holds one entry, so a product over some
+    rows reads their buckets alone (`onehot_rows`) and gives each row the
+    bytes of the whole product."""
+
+    onehot: sp.csr_matrix
+    table: ad.Tensor
+    mask: np.ndarray | None = None
+
+    def onehot_rows(self, rows) -> sp.csr_matrix:
+        """The one-hot matrix's rows `rows` (ascending, a slice or an index
+        array), from their bucket ids: O(len(rows))."""
+        if isinstance(rows, slice):
+            return self.onehot
+        indptr = np.arange(len(rows) + 1, dtype=self.onehot.indptr.dtype)
+        return sp.csr_matrix((self.onehot.data[rows], self.onehot.indices[rows], indptr),
+                             (len(rows), self.onehot.shape[1]))
+
+    def at(self, rows) -> np.ndarray:
+        """The offsets of the node rows `rows`, (len(rows), S, d*)."""
+        table = self.table.data
+        out = (self.onehot_rows(rows) @ table.reshape(len(table), -1)).reshape(
+            (-1,) + table.shape[1:])
+        return out if self.mask is None else out * self.mask
+
+    def backward(self, d: np.ndarray, rows):
+        """Adds the gradient of the offsets of `rows`, `d`, to the table's.
+        The other rows' would add +-0 to each sum from +0: left out, they
+        leave its bytes as they are."""
+        if not self.table.requires_grad:
+            return
+        if self.mask is not None:
+            d = d * self.mask
+        table = self.table
+        g = self.onehot_rows(rows).T @ d.reshape(len(d), math.prod(table.shape[1:]))
+        table._accumulate(g.astype(table.dtype, copy=False).reshape(table.shape))
+
+
 def _route_side(src: ad.Tensor, src_ids: np.ndarray, dst_ids: np.ndarray,
-                to_dst: _EdgeWeights, tau: float, n_iter: int,
-                reach: np.ndarray | None = None):
+                to_dst: _EdgeWeights, by_dst: sp.csr_matrix | None, tau: float,
+                n_iter: int, reach: np.ndarray | None = None,
+                offsets: TimeOffsets | None = None):
     """Steps 1-4 for one side: each destination node's interest rows become
     the coefficient-weighted means of its edges' source rows, iterated.
 
     src: (source nodes, S, d*); `src_ids` and `dst_ids` hold each edge's
     source and destination node; `to_dst` sums over the edges into
-    destination nodes, and its transpose into source nodes. `reach`, a mask
-    over the destination nodes, names the rows that are read: the forward
-    routes the edges into them as `_narrowed` gives them, and the backward
-    those of its edges into rows of nonzero gradient; rows left out come
-    out +0.0 (`_full_height`). Per-edge arrays are edge-minor, (S, d*, E)
-    and (S, E), so every per-edge reduction runs one long inner loop; the
-    forward's are of `src`'s dtype.
+    destination nodes, and its transpose into source nodes; `by_dst` is the
+    side's destination-major CSR pattern where `to_dst`'s matrix is CSC.
+    `reach`, a mask over the destination nodes, names the rows that are
+    read: the forward routes the entries of those rows as `_narrowed` gives
+    them, and the backward those of its edges into rows of nonzero
+    gradient; rows left out come out +0.0 (`_full_height`). With
+    `offsets`, the forward adds the time offsets of the source rows it
+    reads to them, and the backward hands their gradient to the offsets'
+    table. Per-edge arrays are edge-minor, (S, d*, E) and (S, E), so every
+    per-edge reduction runs one long inner loop; the forward's are of
+    `src`'s dtype.
     Returns the last iteration's (destination nodes, S, d*) Tensor of that
-    dtype, whose only parent is `src`, and None, or, at the first iteration
-    whose state is not finite, None and (that iteration, the first
-    destination node whose row is not finite). Each iteration hands its
-    coefficients to `to_dst` once: the first its one weight to `uniform`,
-    the others (S, E) arrays to `apply`.
+    dtype, whose parents are `src` and the offsets' table, and None, or, at
+    the first iteration whose state is not finite, None and (that
+    iteration, the first destination node whose row is not finite). Each
+    iteration hands its coefficients to `to_dst` once: the first its one
+    weight to `uniform`, the others (S, E) arrays to `apply`.
     """
     n_src, n_dst = src.shape[0], to_dst.matrix.shape[0]
-    _, rows, srcs, dst_ids, src_ids, to_dst = _narrowed(dst_ids, src_ids, to_dst, reach)
+    _, rows, srcs, dst_ids, src_ids, to_dst = _narrowed(dst_ids, src_ids, to_dst, reach,
+                                                        by_dst)
     x = src.data[srcs]
+    parents = (src,)
+    if offsets is not None:
+        x = x + offsets.at(srcs)
+        parents = (src, offsets.table)
+    requires_grad = any(p.requires_grad for p in parents)
     V, S, _ = x.shape
     unit_x, x_norm, x_live = ad.unit_rows(x)
     # one product gives each weighted mean's numerator and denominator
     x_and_ones = np.concatenate([x, np.ones((V, S, 1), dtype=x.dtype)], axis=2)
     unit_src_e = _edge_rows(unit_x, src_ids) if n_iter > 1 else None
     logits = np.ones((S, 1), dtype=x.dtype)  # equal on every edge until updated
-    saved = [] if src.requires_grad else None
+    saved = [] if requires_grad else None
     for t in range(1, n_iter + 1):
         # softmax over the interests, in place: a fresh (S, E) array costs
         # more than the arithmetic on it
@@ -261,7 +363,7 @@ def _route_side(src: ad.Tensor, src_ids: np.ndarray, dst_ids: np.ndarray,
             step = (unit_h, h_norm, h_live, th)
         if saved is not None:
             saved.append((c, num, den, step))
-    out = ad.Tensor(_full_height(h, rows, n_dst), src.requires_grad, (src,))
+    out = ad.Tensor(_full_height(h, rows, n_dst), requires_grad, parents)
     if saved is None:
         return out, None
 
@@ -309,30 +411,39 @@ def _route_side(src: ad.Tensor, src_ids: np.ndarray, dst_ids: np.ndarray,
             dc /= tau
             d_logits += dc
         d_x += ad.unit_rows_backward(unit_x_c, x_norm[live_srcs], x_live[live_srcs], d_unit_x)
-        # untouched source rows get +0.0
-        src._accumulate(_full_height(_full_height(d_x, live_srcs, len(x)), srcs, n_src))
+        d_x = d_x.astype(x.dtype, copy=False)
+        if src.requires_grad:  # untouched source rows get +0.0
+            src._accumulate(_full_height(_full_height(d_x, live_srcs, len(x)), srcs, n_src))
+        if offsets is not None:
+            offsets.backward(d_x, live_srcs if isinstance(srcs, slice) else srcs[live_srcs])
     out._backward = backward
     return out, None
 
 
 def _route(ctx: BehaviorContext, x_stack: ad.Tensor, g_stack: ad.Tensor,
-           time_u: ad.Tensor | None, time_i: ad.Tensor | None,
-           tau: float, n_iter: int, reach: tuple | None = None):
+           time_u, time_i, tau: float, n_iter: int, reach: tuple | None = None):
     """Steps 1-4 on both sides: iterate coefficient normalization,
     weighted-mean propagation of the opposite side's initial states, and
-    affinity updates. `reach`, if given, is the (user, item) masks of the
-    rows that are read (`_route_side`). Returns the last iteration's (user,
-    item) stacks, (M, S, d*) and (N, S, d*), before aggregation."""
+    affinity updates. The (user, item) time offsets are each None, a
+    Tensor of every row's, added to every row, or `TimeOffsets`, which
+    routing adds to the source rows it reads alone (`_route_side`).
+    `reach`, if given, is the (user, item) masks of the rows that are read.
+    Returns the last iteration's (user, item) stacks, (M, S, d*) and (N, S,
+    d*), before aggregation."""
     if tau <= 0:
         raise NumericError(f"routing temperature must be positive, got {tau}")
     if n_iter < 1:
         raise NumericError(f"routing needs at least one iteration, got {n_iter}")
-    h_u0, h_i0 = _with_time(x_stack, time_u), _with_time(g_stack, time_i)
+    (h_u0, off_u), (h_i0, off_i) = (
+        (stack, t) if isinstance(t, TimeOffsets) else (_with_time(stack, t), None)
+        for stack, t in ((x_stack, time_u), (g_stack, time_i)))
     # columns (u, i) carry items to users, columns (i, u) users to items
     users, items = ctx.user_ids, ctx.item_ids
     reach_u, reach_i = reach if reach is not None else (None, None)
-    h_u_t, bad_u = _route_side(h_i0, items, users, ctx.into_users, tau, n_iter, reach_u)
-    h_i_t, bad_i = _route_side(h_u0, users, items, ctx.into_items, tau, n_iter, reach_i)
+    h_u_t, bad_u = _route_side(h_i0, items, users, ctx.into_users, None, tau, n_iter,
+                               reach_u, off_i)
+    h_i_t, bad_i = _route_side(h_u0, users, items, ctx.into_items, ctx.item_from_user,
+                               tau, n_iter, reach_i, off_u)
     bad = [(b[0], side, b[1]) for side, b in enumerate((bad_u, bad_i)) if b]
     if bad:  # the earlier iteration, the user side first
         t, side, node = min(bad)
@@ -342,72 +453,82 @@ def _route(ctx: BehaviorContext, x_stack: ad.Tensor, g_stack: ad.Tensor,
 
 
 def route_behavior_layer(ctx: BehaviorContext, x_stack: ad.Tensor, g_stack: ad.Tensor,
-                         time_u: ad.Tensor | None, time_i: ad.Tensor | None,
-                         tau: float, n_iter: int, aggregator: str,
+                         time_u, time_i, tau: float, n_iter: int, aggregator: str,
                          agg_weights: dict | None = None, slope: float = 0.2,
-                         reach: tuple | None = None, rows: tuple = EVERY_ROW):
+                         reach: tuple | None = None, into: tuple | None = None):
     """Allocate one behavior's edges across interests and aggregate once.
 
     Returns (h_user, h_item): stacks of shape (M, S, d*) / (N, S, d*) after
-    the final aggregation pass; nodes without edges come out zero. With
-    `reach` (`_route`), unreached rows route as zeros; with `rows`, the
-    (user, item) rows that are read, only those rows are aggregated, and
-    the others' neighbor sums are +0.0 (`_aggregate`). Right are the rows
-    of `rows` whose aggregation reads reached rows alone.
+    the final aggregation pass; nodes without edges come out zero. The time
+    offsets are Tensors, `TimeOffsets` or None (`_route`). With `reach`
+    (`_route`), unreached rows route as zeros; with `into`, the (user,
+    item) sums of `into_rows`, only their rows are aggregated, and the
+    others' neighbor sums are +0.0 (`_aggregate`). Right are the rows of
+    `into` whose aggregation reads reached rows alone.
     """
     h_u_t, h_i_t = _route(ctx, x_stack, g_stack, time_u, time_i, tau, n_iter, reach)
-    return _aggregate(ctx, h_u_t, h_i_t, aggregator, agg_weights, slope, rows)
+    return _aggregate(ctx, h_u_t, h_i_t, aggregator, agg_weights, slope, into)
 
 
 def plain_aggregation_layer(ctx: BehaviorContext, x_stack: ad.Tensor,
                             g_stack: ad.Tensor, time_u: ad.Tensor | None,
                             time_i: ad.Tensor | None, aggregator: str,
                             agg_weights: dict | None = None, slope: float = 0.2,
-                            rows: tuple = EVERY_ROW):
+                            into: tuple | None = None):
     """Routing replacement for the no-routing ablation: one configured
     aggregator pass over the bipartite graph on (state + time offset), on
-    the (user, item) `rows` alone (`_aggregate`)."""
+    the rows of `into` alone (`_aggregate`). The aggregator reads its input
+    at full height, so the time offsets here are whole Tensors, added to
+    every row."""
     return _aggregate(ctx, _with_time(x_stack, time_u), _with_time(g_stack, time_i),
-                      aggregator, agg_weights, slope, rows)
+                      aggregator, agg_weights, slope, into)
 
 
 def _with_time(stack: ad.Tensor, offset: ad.Tensor | None) -> ad.Tensor:
     return stack if offset is None else stack + offset
 
 
-def _into_rows(ctx: BehaviorContext, side: int, rows) -> sp.csr_matrix:
-    """The normalized adjacency with only its entries into the node rows
-    `rows` (ascending, a slice or an index array) of `side` (0 users, 1
-    items). A product with it, or with its transpose's view for items,
-    gives those rows each from the same terms in the same order as the
-    whole adjacency, and +0.0 rows elsewhere; it is the adjacency itself
-    when it keeps every entry. Entries stay in edge order."""
+def _rows_of(adj: sp.csr_matrix, rows: np.ndarray) -> sp.csr_matrix:
+    """`adj` with only the entries of its rows `rows` (ascending), read from
+    their ranges (`_ranges`) and kept in order: O(entries + rows + height)."""
+    starts = adj.indptr[rows]
+    counts = np.zeros(adj.shape[0] + 1, dtype=adj.indptr.dtype)
+    counts[rows + 1] = adj.indptr[rows + 1] - starts
+    positions = _ranges(starts, counts[rows + 1])
+    return sp.csr_matrix((adj.data[positions], adj.indices[positions],
+                          np.cumsum(counts, dtype=counts.dtype)), adj.shape)
+
+
+def into_rows(ctx: BehaviorContext, rows: tuple = EVERY_ROW) -> tuple:
+    """The sums into the (user, item) node rows `rows` (ascending, each a
+    slice or an index array): (user x item, item x user) matrices of the
+    normalized adjacency's entries into those rows. Every row's are the
+    adjacency and its transpose's view; a subset's come from the ranges of
+    the adjacency and of its item-major copy. A product with either gives
+    those rows each from the same terms in the same order as the whole
+    adjacency, and +0.0 rows elsewhere."""
+    users, items = rows
     adj = ctx.user_from_item
-    marked = np.zeros(adj.shape[side], dtype=bool)
-    marked[rows] = True
-    kept = np.flatnonzero(marked[(ctx.user_ids, ctx.item_ids)[side]])
-    if len(kept) == adj.nnz:
-        return adj
-    offsets = np.cumsum(np.bincount(ctx.user_ids[kept], minlength=adj.shape[0]))
-    return sp.csr_matrix((adj.data[kept], adj.indices[kept], np.concatenate(([0], offsets))),
-                         adj.shape)
+    return (adj if isinstance(users, slice) else _rows_of(adj, users),
+            adj.T if isinstance(items, slice) else _rows_of(ctx.item_from_user, items))
 
 
 def _aggregate(ctx: BehaviorContext, h_u: ad.Tensor, h_i: ad.Tensor, aggregator: str,
-               agg_weights: dict | None, slope: float, rows: tuple = EVERY_ROW):
+               agg_weights: dict | None, slope: float, into: tuple | None = None):
     """One aggregator pass over the bipartite graph on (M, S, d*) user and
-    (N, S, d*) item stacks, each side from the other's rows: users through
-    the normalized adjacency, items through its transpose's view. The
-    products compute the (user, item) `rows` alone (`_into_rows`): the
-    other rows' neighbor sums come out +0.0 and pass no gradient back, so
-    only `rows` are right. The aggregator acts on rows of full height, where
-    its dense products give those rows the bytes of the whole pass."""
+    (N, S, d*) item stacks, each side from the other's rows, through the
+    (user, item) sums `into` (`into_rows`; None: every row's). The products
+    compute those sums' rows alone: the other rows' neighbor sums come out
+    +0.0 and pass no gradient back, so only those rows are right. The
+    aggregator acts on rows of full height, where its dense products give
+    those rows the bytes of the whole pass."""
     M, S, d_star = h_u.shape
     N = h_i.shape[0]
     flat_u = h_u.reshape(M, S * d_star)
     flat_i = h_i.reshape(N, S * d_star)
-    agg_u = ad.spmm(_into_rows(ctx, 0, rows[0]), flat_i)
-    agg_i = ad.spmm(_into_rows(ctx, 1, rows[1]).T, flat_u)
+    into_users, into_items = into_rows(ctx) if into is None else into
+    agg_u = ad.spmm(into_users, flat_i)
+    agg_i = ad.spmm(into_items, flat_u)
     out_u = apply_aggregator(aggregator, agg_u, flat_u, agg_weights, slope)
     out_i = apply_aggregator(aggregator, agg_i, flat_i, agg_weights, slope)
     return out_u.reshape(M, S, d_star), out_i.reshape(N, S, d_star)

@@ -11,7 +11,11 @@ Final representations sum the routed outputs of layers 1..L; layer-0
 inputs stay out. The forward returns only what the losses and the
 evaluator read; routing coefficients and attention weights are dropped.
 In a training step the last layer computes only what the batch's losses
-read (`last_layer_reach`); evaluation computes every row.
+read (`last_layer_reach`): it routes the rows the batch rows aggregate
+from, adding their time offsets to those source rows alone, and
+aggregates and attends the batch rows alone. Its bookkeeping reads the
+adjacency's row ranges, so it costs O(entries into the rows + node count),
+with no pass over the edges and no sort. Evaluation computes every row.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import ctypes
 import functools
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -157,12 +162,17 @@ def _pin_allocator() -> bool:
 
 
 def forward(params: dict, ctx: ModelContext, hyper: HyperConfig,
-            reach: tuple | None = None) -> ForwardOutput:
+            reach: LastLayerReach | None = None) -> ForwardOutput:
     """The whole forward. With `reach` (`last_layer_reach`), the last layer
     routes the rows it names alone, and aggregates and attends the batch
     rows alone: its other rows' neighbor sums and attention outputs are
     +0.0, so only the final rows of the batch the reach was computed for
-    are right, and the losses read no other."""
+    are right, and the losses read no other. If that layer routes and is
+    the only one, its time offsets are computed for routing's source rows
+    alone (`fbc.TimeOffsets`). Otherwise every row's are added, as in
+    evaluation: earlier layers read every row, and a second product for the
+    last would split the tables' gradient sums and change their bytes;
+    no_fbc's aggregator reads its input at full height."""
     ds = ctx.dataset
     K = ds.num_behaviors
     s_spe, s_sha, d_star = hyper.interest_structure()
@@ -206,30 +216,39 @@ def forward(params: dict, ctx: ModelContext, hyper: HyperConfig,
     # per behavior, [user side, item side]
     times = [[None, None] for _ in range(K)]
     if hyper.time_embedding:
-        times = [[ad.spmm(onehot, params[f"time/{side}/k{k}"].reshape(
-                      hyper.time_buckets, s_total * d_star)).reshape(-1, s_total, d_star)
-                  for side, onehot in zip(("user", "item"), ctx.buckets[k])]
-                 for k in range(K)]
-        if mask is not None:
-            times = [[t * mask for t in pair] for pair in times]
+        tables = [[params[f"time/{side}/k{k}"] for side in ("user", "item")] for k in range(K)]
+        if reach is not None and not hyper.fbc_disabled and hyper.interaction_layers == 1:
+            # the one layer routes: it adds the offsets to the rows it reads
+            times = [[fbc.TimeOffsets(onehot, table, None if mask is None else mask.data)
+                      for onehot, table in zip(ctx.buckets[k], tables[k])]
+                     for k in range(K)]
+        else:
+            times = [[ad.spmm(onehot, table.reshape(hyper.time_buckets, s_total * d_star))
+                      .reshape(-1, s_total, d_star)
+                      for onehot, table in zip(ctx.buckets[k], tables[k])]
+                     for k in range(K)]
+            if mask is not None:
+                times = [[t * mask for t in pair] for pair in times]
     states = [[x0, g] for g in g_stacks]
     layer_outputs = [([], []) for _ in range(K)]
 
     for l in range(hyper.interaction_layers):
         agg_w = _agg_weights(params, "agg/fbc", l, hyper.aggregator)
         last = l == hyper.interaction_layers - 1
-        routed_rows, rows = reach if reach is not None and last else ([None] * K, fbc.EVERY_ROW)
+        narrowed = reach is not None and last
+        rows = reach.rows if narrowed else fbc.EVERY_ROW
         routed = []
         for k in range(K):
+            into = reach.into[k] if narrowed else None
             if hyper.fbc_disabled:
                 routed.append(fbc.plain_aggregation_layer(
                     ctx.behaviors[k], *states[k], *times[k], hyper.aggregator, agg_w, slope,
-                    rows))
+                    into))
             else:
                 routed.append(fbc.route_behavior_layer(
                     ctx.behaviors[k], *states[k], *times[k], hyper.tau,
                     hyper.routing_iterations, hyper.aggregator, agg_w, slope,
-                    routed_rows[k], rows))
+                    reach.routed[k] if narrowed else None, into))
 
         for side in (0, 1):
             outs = stacks = [h[side] for h in routed]
@@ -276,14 +295,25 @@ def relation_term(out: ForwardOutput, relation: int, anchors: np.ndarray,
     return objective.relation_bpr_loss(pos, neg).sum()
 
 
-def last_layer_reach(ctx: ModelContext, hyper: HyperConfig, rank_batches: list) -> tuple:
-    """What a training step's last layer computes: (per behavior, the
-    (user, item) masks of its routed rows that the ranking losses read;
-    the (user, item) batch rows, ascending). The batch rows are the users
-    and items of every behavior's triples, since attention mixes the
-    behaviors row by row; the last layer aggregates and attends them alone.
-    The aggregation reads their neighbors in each behavior's graph, and
-    under `cie.READS_SELF` their own rows too."""
+class LastLayerReach(NamedTuple):
+    """What a training step's last layer computes (`last_layer_reach`)."""
+
+    routed: list | None  # per behavior, (user, item) masks of routed rows; None under no_fbc
+    into: list           # per behavior, `fbc.into_rows` at the batch rows
+    rows: tuple          # the (user, item) batch rows, ascending
+
+
+def last_layer_reach(ctx: ModelContext, hyper: HyperConfig,
+                     rank_batches: list) -> LastLayerReach:
+    """What a training step's last layer computes, once per step. The batch
+    rows are the users and items of every behavior's triples, since
+    attention mixes the behaviors row by row; the last layer aggregates and
+    attends them alone, through each behavior's sums into them
+    (`fbc.into_rows`, read from the adjacency's row ranges). Those sums'
+    columns are the rows the aggregation reads, and under `cie.READS_SELF`
+    the batch rows too: the routed rows, marked from them with no pass over
+    the edges. Under no_fbc nothing routes, so there are none. The cost is
+    O(entries into the batch rows + node count)."""
     ds = ctx.dataset
     users = np.zeros(ds.num_users, dtype=bool)
     items = np.zeros(ds.num_items, dtype=bool)
@@ -292,25 +322,29 @@ def last_layer_reach(ctx: ModelContext, hyper: HyperConfig, rank_batches: list) 
             users[batch[0]] = True
             items[batch[1]] = True
             items[batch[2]] = True
+    rows = (np.flatnonzero(users), np.flatnonzero(items))
+    into = [fbc.into_rows(b, rows) for b in ctx.behaviors]
+    if hyper.fbc_disabled:
+        return LastLayerReach(None, into, rows)
     reads_self = hyper.aggregator in cie.READS_SELF
-    reach = []
-    for b in ctx.behaviors:
+    routed = []
+    for into_users, into_items in into:
         user_rows = users.copy() if reads_self else np.zeros_like(users)
         item_rows = items.copy() if reads_self else np.zeros_like(items)
-        user_rows[b.user_ids[items[b.item_ids]]] = True
-        item_rows[b.item_ids[users[b.user_ids]]] = True
-        reach.append((user_rows, item_rows))
-    return reach, (np.flatnonzero(users), np.flatnonzero(items))
+        user_rows[into_items.indices] = True
+        item_rows[into_users.indices] = True
+        routed.append((user_rows, item_rows))
+    return LastLayerReach(routed, into, rows)
 
 
 def batch_loss(params: dict, ctx: ModelContext, hyper: HyperConfig,
                rank_batches: list, rel_batches: list):
     """Full joint objective on index batches; the last layer computes only
     what the ranking losses read (`last_layer_reach`): it routes the rows
-    that the batch rows' aggregation reads, and aggregates and attends the
-    batch rows alone. Its other rows' neighbor sums and attention outputs
-    are +0.0 and never read: the losses gather the final stacks at the
-    batch rows only.
+    that the batch rows' aggregation reads, with the time offsets of the
+    source rows it reads, and aggregates and attends the batch rows alone.
+    Its other rows' neighbor sums and attention outputs are +0.0 and never
+    read: the losses gather the final stacks at the batch rows only.
 
     rank_batches: per behavior, (users, positives, negatives) arrays or None.
     rel_batches: per relation, (anchors, positives, negatives) arrays or None.

@@ -35,9 +35,11 @@ def small_ds():
 
 @pytest.fixture
 def edge_weight_builds(monkeypatch):
-    """Each edge's user and the (users, items) shape of every
-    `fbc._EdgeWeights` built over a subset of a behavior's edges from here
-    on, one pair per construction."""
+    """Each edge's row and the shape of every `fbc._EdgeWeights` built over
+    a subset of a behavior's edges from here on, one pair per construction:
+    its user and (users, items) for sums built user-major, its item and
+    (items, users) for those built item-major (a forward into item rows,
+    and its backward)."""
     built = []
     of_edges = fbc._EdgeWeights.of_edges
 

@@ -14,9 +14,10 @@ composed of tape ops, plus a test-only helper.
 records the coefficients that each routing iteration weights its edges
 with, which no output of the package carries. `recorded_restrictions`
 records which routing passes worked on a subset of the edges, and
-`recorded_last_layer_rows` the rows that aggregation and attention
-computed. `whole_last_layer` turns a training step's narrowed last layer
-off, as the reference that it must match.
+`recorded_last_layer_rows` the rows that aggregation, attention and the
+time offsets computed. `whole_last_layer` turns a training step's narrowed
+last layer off, as the reference that it must match, and
+`mask_built_rows` keeps the package's earlier sums into some rows.
 """
 
 import sys
@@ -24,6 +25,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from ckml import autodiff as ad
 from ckml import fbc, model
@@ -72,8 +74,8 @@ def recorded_restrictions():
     calls = []
     narrowed = fbc._narrowed
 
-    def recording(dst_ids, src_ids, to_dst, marked):
-        side = narrowed(dst_ids, src_ids, to_dst, marked)
+    def recording(dst_ids, src_ids, to_dst, marked, by_dst=None):
+        side = narrowed(dst_ids, src_ids, to_dst, marked, by_dst)
         edges = side[0]
         if not isinstance(edges, slice):
             caller = sys._getframe(1).f_code.co_name
@@ -107,10 +109,11 @@ def recorded_last_layer_rows():
     `fbc.correlate_shared` attended (its weights' row axis), under
     "aggregation" the rows that each of `fbc._aggregate`'s products
     computed (those its matrix has entries in) and its entry count, and
-    under "time offsets" the same for each of `model.forward`'s one-hot
-    products."""
+    under "time offsets" the same for each one-hot product: `model.forward`'s
+    over every row, and those over the rows routing reads
+    (`fbc.TimeOffsets.onehot_rows`), forward and backward."""
     calls = {"attention": [], "aggregation": [], "time offsets": []}
-    correlate, spmm = fbc.correlate_shared, ad.spmm
+    correlate, spmm, onehot_rows = fbc.correlate_shared, ad.spmm, fbc.TimeOffsets.onehot_rows
 
     def attending(*args, **kwargs):
         outs, lam = correlate(*args, **kwargs)
@@ -127,11 +130,33 @@ def recorded_last_layer_rows():
         if stage is not None:
             calls[stage].append((int(np.count_nonzero(sparse.getnnz(axis=1))), sparse.nnz))
         return spmm(sparse, x)
+
+    def offsetting(self, rows):
+        sparse = onehot_rows(self, rows)
+        calls["time offsets"].append((int(np.count_nonzero(sparse.getnnz(axis=1))),
+                                      sparse.nnz))
+        return sparse
     fbc.correlate_shared, ad.spmm = attending, multiplying
+    fbc.TimeOffsets.onehot_rows = offsetting
     try:
         yield calls
     finally:
         fbc.correlate_shared, ad.spmm = correlate, spmm
+        fbc.TimeOffsets.onehot_rows = onehot_rows
+
+
+def mask_built_rows(ctx, side, rows):
+    """The package's earlier sums into the node rows `rows` of `side` (0
+    users, 1 items): a node mask and a pass over every edge keep the
+    normalized adjacency's entries into those rows, in edge order, as a user
+    x item CSR matrix."""
+    adj = ctx.user_from_item
+    marked = np.zeros(adj.shape[side], dtype=bool)
+    marked[rows] = True
+    kept = np.flatnonzero(marked[(ctx.user_ids, ctx.item_ids)[side]])
+    offsets = np.cumsum(np.bincount(ctx.user_ids[kept], minlength=adj.shape[0]))
+    return sp.csr_matrix((adj.data[kept], adj.indices[kept], np.concatenate(([0], offsets))),
+                         adj.shape)
 
 
 def _unit(v):

@@ -15,11 +15,11 @@ from ckml import cie, fbc
 from ckml.dataio import build_behavior_graphs
 from ckml.fbc import (BehaviorContext, _aggregate, _route, correlate_shared,
                       plain_aggregation_layer, route_behavior_layer)
-from ckml.numerics import NumericError, finite_difference_gradcheck
+from ckml.numerics import NumericError, finite_difference_gradcheck, from_edges
 
 import naive_autodiff as nad
 from naive_numerics import bipartite_normalized_adjacencies
-from naive_routing import (composed_correlate_shared, naive_route,
+from naive_routing import (composed_correlate_shared, mask_built_rows, naive_route,
                            naive_route_and_aggregate, per_edge_route, projected_left_to_right,
                            propagate_layer, recorded_coefficients, tape_route)
 
@@ -830,8 +830,8 @@ def routed_side(ctx, src, g, tau, n_iter, cut, to_items=False, reach=None):
     `reach` names, and `src.grad` after its backward takes `g`, with
     `fbc.LIVE_EDGE_CUT` set to `cut`."""
     leaf = ad.Tensor(src, requires_grad=True)
-    ids = ((ctx.user_ids, ctx.item_ids, ctx.into_items) if to_items else
-           (ctx.item_ids, ctx.user_ids, ctx.into_users))
+    ids = ((ctx.user_ids, ctx.item_ids, ctx.into_items, ctx.item_from_user) if to_items else
+           (ctx.item_ids, ctx.user_ids, ctx.into_users, ctx.user_from_item))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fbc, "LIVE_EDGE_CUT", cut)
         out, bad = fbc._route_side(leaf, *ids, tau, n_iter, reach)
@@ -941,7 +941,8 @@ class TestLiveEdgeBackward:
         ctx = make_ctx([(0, 0), (0, 1), (1, 1), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5)],
                        5, 6)
         leaf = ad.Tensor(rng.normal(size=(6, 2, 4)), requires_grad=True)
-        out, _ = fbc._route_side(leaf, ctx.item_ids, ctx.user_ids, ctx.into_users, 1.0, 3)
+        out, _ = fbc._route_side(leaf, ctx.item_ids, ctx.user_ids, ctx.into_users,
+                                 ctx.user_from_item, 1.0, 3)
         node_rows = []
         edge_rows, apply, uniform = fbc._edge_rows, fbc._EdgeWeights.apply, \
             fbc._EdgeWeights.uniform
@@ -1170,7 +1171,7 @@ class TestAggregateOnRows:
         def aggregated(read, rows):
             h = [ad.Tensor(a, requires_grad=True) for a in stacks]
             w = {name: ad.Tensor(a, requires_grad=True) for name, a in weights.items()}
-            outs = _aggregate(ctx, *h, aggregator, w or None, 0.2, rows)
+            outs = _aggregate(ctx, *h, aggregator, w or None, 0.2, fbc.into_rows(ctx, rows))
             terms = []
             for out, u, r in zip(outs, upstream, read):
                 mask = np.zeros((len(u), 1, 1), dtype=dtype)
@@ -1191,3 +1192,138 @@ class TestAggregateOnRows:
                     assert not got[others].any() and not np.signbit(got[others]).any()
             for got, want in zip(grads + w, whole_grads + whole_w):
                 assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
+
+class TestRenumbered:
+    """`_narrowed`'s renumbering from a presence mask against `np.unique`."""
+
+    @given(st.integers(1, 30).flatmap(lambda count: st.tuples(
+        st.just(count), st.lists(st.integers(0, count - 1), max_size=40))))
+    @example((5, []))
+    @example((1, [0]))
+    @example((4, [2, 2, 2]))
+    @example((6, [5, 0, 3, 1, 4, 2, 0]))  # every id below the count
+    @settings(max_examples=200, deadline=None)
+    def test_equals_unique_with_its_inverse(self, case):
+        count, ids = case
+        ids = np.array(ids, dtype=np.intp)
+        for got, want in zip(fbc._renumbered(ids, count), np.unique(ids, return_inverse=True)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+def chosen_rows(n, case_rng, mode):
+    """Ascending node rows of n: none, one, a random subset, or every row."""
+    return {"none": np.zeros(0, dtype=np.intp), "one": np.array([case_rng.integers(n)]),
+            "some": np.flatnonzero(case_rng.random(n) < 0.4), "every": slice(None)}[mode]
+
+
+class TestIntoRows:
+    """`into_rows` from the row ranges of the adjacency and of its item-major
+    copy against the earlier sums, built with a node mask and a pass over
+    every edge (`mask_built_rows`): the same entries, and products and
+    transposed products with the same bytes, on both sides."""
+
+    @given(bipartite_cases(), st.sampled_from(["none", "one", "some", "every"]),
+           st.sampled_from([np.float32, np.float64]))
+    @example((4, 5, [(0, 0), (0, 3), (1, 1), (2, 0), (2, 3)], 2, 2, 0), "one", np.float64)
+    @settings(max_examples=150, deadline=None)
+    def test_entries_and_products_equal_the_mask_built_sums(self, case, mode, dtype):
+        M, N, pairs, S, D, seed = case
+        case_rng = np.random.default_rng(seed)
+        records = [(u, i, 0, t) for t, (u, i) in enumerate(pairs)]
+        ctx = BehaviorContext(build_behavior_graphs(records, M, N, 1)[0], np.dtype(dtype))
+        rows = tuple(chosen_rows(n, case_rng, mode) for n in (M, N))
+        into = fbc.into_rows(ctx, rows)
+        if mode == "every":
+            assert into[0] is ctx.user_from_item
+        for side, (got, n_src) in enumerate(zip(into, (N, M))):
+            # the earlier sums into items multiplied by the user x item
+            # matrix's transpose
+            want = mask_built_rows(ctx, side, rows[side])
+            want = want.T if side else want
+            assert got.shape == want.shape and got.dtype == want.dtype == dtype
+            got_csr, want_csr = got.tocsr(), want.tocsr()
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got_csr, name), getattr(want_csr, name)), name
+            x = case_rng.normal(size=(n_src, S * D)).astype(dtype)
+            g = case_rng.normal(size=(got.shape[0], S * D)).astype(dtype)
+            for product, reference in ((got @ x, want @ x), (got.T @ g, want.T @ g)):
+                assert product.dtype == reference.dtype == dtype
+                assert product.tobytes() == reference.tobytes()
+
+    def test_item_major_copy_lists_each_items_users_ascending(self):
+        ctx = make_ctx([(0, 1), (0, 2), (1, 0), (2, 1), (3, 1), (3, 2)], 4, 3)
+        copy = ctx.item_from_user
+        assert copy.format == "csr" and copy.shape == (3, 4) and copy.has_sorted_indices
+        assert [copy.indices[copy.indptr[i]:copy.indptr[i + 1]].tolist() for i in range(3)] \
+            == [[1], [0, 2, 3], [0, 3]]
+        np.testing.assert_array_equal(copy.toarray(), ctx.user_from_item.T.toarray())
+
+
+class TestTimeOffsetsOnSourceRows:
+    """Routing that adds the time offsets to the source rows it reads
+    (`TimeOffsets`) against the whole offsets added to every row, as the
+    earlier layers and evaluation add them: the reached rows, the stacks'
+    gradients and the tables' gradients keep their bytes, with and without
+    a block mask."""
+
+    @given(live_edge_cases(), st.sampled_from(["none", "shared_only", "specific_only"]))
+    @example(([(0, 0), (0, 1), (1, 1), (2, 0), (2, 2)], 3, 3, 3, 2, 1.0, 2, 0, np.float32,
+              "some"), "specific_only")
+    @settings(max_examples=150, deadline=None)
+    def test_reached_rows_and_gradients_keep_their_bytes(self, case, block):
+        edges, M, N, S, D, tau, n_iter, seed, dtype, mode = case
+        ctx = make_ctx(edges, M, N)
+        case_rng = np.random.default_rng(seed)
+        T = 3
+        onehots = [from_edges(np.arange(n), case_rng.integers(T, size=n), (n, T))
+                   for n in (M, N)]
+        arrays = ([case_rng.normal(size=(n, S, D)).astype(dtype) for n in (M, N)]
+                  + [(case_rng.normal(size=(T, S, D)) * 0.3).astype(dtype) for _ in range(2)])
+        mask = None
+        if block != "none":  # the model's block mask, with S // 2 specific interests
+            mask = np.ones((1, S, 1), dtype=dtype)
+            mask[0, slice(S // 2) if block == "shared_only" else slice(S // 2, S)] = 0.0
+        some = [case_rng.random(n) < 0.5 for n in (M, N)]
+        reach = [{"none": np.zeros(n, bool), "one": np.arange(n) == case_rng.integers(n),
+                  "all": np.ones(n, bool)}.get(mode, s) for n, s in zip((M, N), some)]
+        weights = [case_rng.normal(size=(n, S, D)).astype(dtype) * r[:, None, None]
+                   for n, r in zip((M, N), reach)]
+
+        def routed(reached):
+            leaves = [ad.Tensor(a, requires_grad=True) for a in arrays]
+            x, g, t_u, t_i = leaves
+            if reached:
+                offsets = [fbc.TimeOffsets(o, t, mask) for o, t in zip(onehots, (t_u, t_i))]
+            else:
+                offsets = [ad.spmm(o, t.reshape(T, S * D)).reshape(-1, S, D)
+                           for o, t in zip(onehots, (t_u, t_i))]
+                if mask is not None:
+                    offsets = [o * ad.constant(mask) for o in offsets]
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(fbc, "LIVE_EDGE_CUT", 2.0 if reached else 0.0)
+                outs = _route(ctx, x, g, *offsets, tau, n_iter, reach if reached else None)
+            ad.add_all([(h * ad.constant(w)).sum() for h, w in zip(outs, weights)]).backward()
+            return [h.data for h in outs], [t.grad for t in leaves]
+
+        outs, grads = routed(True)
+        whole_outs, whole_grads = routed(False)
+        for got, want, r in zip(outs, whole_outs, reach):
+            assert got.dtype == want.dtype == dtype
+            assert got[r].tobytes() == want[r].tobytes()
+        for got, want in zip(grads, whole_grads):
+            assert got.dtype == want.dtype == dtype and got.tobytes() == want.tobytes()
+
+    def test_offsets_of_rows_read_their_buckets_alone(self):
+        onehot = from_edges(np.arange(5), np.array([2, 0, 2, 1, 0]), (5, 3))
+        table = ad.Tensor(rng.normal(size=(3, 2, 2)), requires_grad=True)
+        offsets = fbc.TimeOffsets(onehot, table)
+        rows = np.array([0, 3, 4])
+        part = offsets.onehot_rows(rows)
+        assert part.shape == (3, 3) and part.nnz == 3
+        assert offsets.at(rows).tobytes() == table.data[[2, 1, 0]].tobytes()
+        assert offsets.onehot_rows(slice(None)) is onehot
+        d = rng.normal(size=(3, 2, 2))
+        offsets.backward(d, rows)
+        np.testing.assert_array_equal(table.grad, d[[2, 1, 0]])

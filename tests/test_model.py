@@ -100,6 +100,12 @@ def test_gradients_exact_on_a_sub_batch(overrides):
     # items alone, of 10 and 16, in every audited loss
     assert rows["attention"] and set(rows["attention"]) <= {1, 2, 3, 4, 5, 6}
     assert rows["aggregation"] and {n for n, _ in rows["aggregation"]} <= {1, 2, 3, 4, 5, 6}
+    # the time offsets were computed on routing's source rows, one bucket
+    # each: fewer than either side's nodes where routing narrowed, and no
+    # whole product over every row besides the routing forwards kept whole
+    offsets = rows["time offsets"]
+    assert offsets and all(n == entries for n, entries in offsets)
+    assert min(n for n, _ in offsets) < 10 and {n for n, _ in offsets if n >= 10} <= {10, 16}
 
 
 @pytest.mark.parametrize("overrides", [{}, {"aggregator": "ngcf", "interaction_layers": 2}],
@@ -353,21 +359,81 @@ class TestReachedForward:
                                        precision=precision, interaction_layers=layers)
         ds.behavior_graphs = build_behavior_graphs(records, 5, 7, 2)
         rank = [None, (np.array([2, 3]), np.array([3, 5]), np.array([6, 4]))]
-        [(users, items), _], rows = last_layer_reach(ModelContext(ds, hyper), hyper, rank)
+        reach = last_layer_reach(ModelContext(ds, hyper), hyper, rank)
+        [(users, items), _] = reach.routed
         assert not users[[0, 1]].any() and not items[[0, 1, 2]].any()
-        assert [r.tolist() for r in rows] == [[2, 3], [3, 4, 5, 6]]
+        assert [r.tolist() for r in reach.rows] == [[2, 3], [3, 4, 5, 6]]
         with recorded_restrictions() as calls:
             restricted = loss_and_gradient_bytes(ds, hyper, rank, rel, 2.0)
         assert restricted == loss_and_gradient_bytes(ds, hyper, rank, rel, 0.0, reached=False)
         assert calls.count(("forward", 0, 6)) == 2  # both sides of the last layer
 
 
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+@pytest.mark.parametrize("ablation", [{}, {"shared_only": True}, {"specific_only": True}])
+def test_time_offsets_on_source_rows_keep_the_bytes_of_the_whole_last_layer(precision,
+                                                                            ablation):
+    # every routing of the last layer narrows (the cut at 2.0), so its time
+    # offsets are those of the source rows it reads alone
+    ds, hyper, rank, rel = reach_case(24, 24, [0.1, 0.1], 5, [1, 1], precision=precision,
+                                      **ablation)
+    ctx = ModelContext(ds, hyper)
+    users, items = last_layer_reach(ctx, hyper, rank).rows
+
+    def run(last_layer):
+        tensors = {k: ad.Tensor(v, requires_grad=True)
+                   for k, v in init_params(hyper, ds, seed=3).items()}
+        outs, forward_ = [], model.forward
+        with pytest.MonkeyPatch.context() as mp, last_layer, \
+                recorded_last_layer_rows() as rows:
+            mp.setattr(fbc, "LIVE_EDGE_CUT", 2.0)
+            mp.setattr(model, "forward", lambda *args: outs.append(forward_(*args)) or outs[-1])
+            total, _ = batch_loss(tensors, ctx, hyper, rank, rel)
+            total.backward()
+        [out] = outs
+        finals = [f.data[users] for f in out.user_final] + [f.data[items] for f in out.item_final]
+        return finals, {k: t.grad for k, t in tensors.items()}, rows["time offsets"]
+
+    finals, grads, offsets = run(nullcontext())
+    whole_finals, whole_grads, whole_offsets = run(whole_last_layer())
+    for got, want in zip(finals, whole_finals):
+        assert got.dtype == want.dtype == hyper.dtype and got.tobytes() == want.tobytes()
+    # the stacks' and the time tables' gradients among them
+    assert sum(name.startswith("time/") and g is not None for name, g in grads.items()) == 4
+    for name in grads:
+        assert (grads[name] is None) == (whole_grads[name] is None), name
+        if grads[name] is not None:
+            assert grads[name].tobytes() == whole_grads[name].tobytes(), name
+    # the whole layer multiplied every node's one-hot row; the narrowed one
+    # the source rows of its routing, forward and backward, one bucket each
+    assert whole_offsets == [(24, 24)] * 4
+    assert len(offsets) == 8 and all(n == entries for n, entries in offsets)
+    assert all(n < 24 for n, _ in offsets)
+
+
+def test_no_fbc_reach_holds_the_row_subsets_alone(grad_ds):
+    # nothing routes under no_fbc: the reach marks no routed rows, and
+    # holds each behavior's sums into the batch rows for its aggregation
+    hyper = HyperConfig(**{**BASE, "no_fbc": True})
+    hyper.validate(2)
+    ctx = ModelContext(grad_ds, hyper)
+    rank = [(np.array([0, 1]), np.array([0, 1]), np.array([2, 3])), None]
+    reach = last_layer_reach(ctx, hyper, rank)
+    assert reach.routed is None
+    assert [r.tolist() for r in reach.rows] == [[0, 1], [0, 1, 2, 3]]
+    assert len(reach.into) == 2
+    for into_users, into_items in reach.into:
+        assert set(np.flatnonzero(into_users.getnnz(axis=1))) <= {0, 1}
+        assert set(np.flatnonzero(into_items.getnnz(axis=1))) <= {0, 1, 2, 3}
+
+
 # ------------------------------------------------------- a step's work, counted
 
 # The stages of a training step's last layer that still compute every row,
-# so their work grows with a component that no batch row reaches. Remove a
-# stage from here when it computes the rows its losses read alone.
-KNOWN_WHOLE_STAGES = ("time offsets",)
+# so their work grows with a component that no batch row reaches. None
+# since the time offsets run on routing's source rows; a stage that has to
+# compute every row again goes here.
+KNOWN_WHOLE_STAGES = ()
 
 
 def with_disjoint_copy(ds):
@@ -420,7 +486,7 @@ def test_last_layer_work_does_not_grow_with_an_unreached_component(aggregator):
     # both sides of each behavior routed the reach alone
     assert [kind for kind, _ in work_a["routing"]].count("forward") == 4
     assert work_a["attention"] and work_a["aggregation"] and work_a["time offsets"]
-    assert set(work_a) == {"routing", "attention", "aggregation", *KNOWN_WHOLE_STAGES}
+    assert set(work_a) == {"routing", "attention", "aggregation", "time offsets"}
     for stage in work_a:
         if stage in KNOWN_WHOLE_STAGES:
             assert work_a[stage] != work_b[stage], stage
