@@ -131,22 +131,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        return self._binary(other, np.divide, lambda g, a, b: g / b,
-                            lambda g, a, b: -g * a / (b * b))
-
-    def __rtruediv__(self, other):
-        return _as_tensor(other, self.dtype) / self
-
-    def __neg__(self):
-        out = Tensor(-self.data, self.requires_grad, (self,))
-        if self.requires_grad:
-            out._backward = lambda g: self._accumulate(-g)
-        return out
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
@@ -218,10 +202,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def leaky_relu(x: Tensor, slope: float) -> Tensor:
-    mask = x.data >= 0
+    """where(x >= 0, x, slope * x) for a slope in (0, 1), computed as
+    max(x, slope * x) in one array: the same bytes, signed zeros included."""
     slope = x.dtype.type(slope)
-    out = Tensor(np.where(mask, x.data, slope * x.data), x.requires_grad, (x,))
+    out_data = np.multiply(x.data, slope)
+    np.maximum(x.data, out_data, out=out_data)
+    out = Tensor(out_data, x.requires_grad, (x,))
     if x.requires_grad:
+        mask = x.data >= 0
         out._backward = lambda g: x._accumulate(
             g * np.where(mask, x.dtype.type(1), slope))
     return out
@@ -282,21 +270,24 @@ def concat(tensors, axis: int) -> Tensor:
     return out
 
 
-def unstack(x: Tensor) -> list:
-    """x[0], x[1], ... as views; backward writes each one's gradient into
-    its slot of one array that x owns."""
-    outs = [Tensor(row, x.requires_grad, (x,)) for row in x.data]
+def unstack(x: Tensor, parts=None, axis: int = 0) -> list:
+    """x's parts along `axis` as views, x[0], x[1], ... by default; a part
+    is an index, which drops the axis, or a slice. Backward writes each
+    one's gradient into its slot of one array that x owns."""
+    lead = (slice(None),) * axis
+    keys = [lead + (p,) for p in (range(x.shape[axis]) if parts is None else parts)]
+    outs = [Tensor(x.data[key], x.requires_grad, (x,)) for key in keys]
     if x.requires_grad:
-        def slot(k):
+        def slot(key):
             def bw(g):
                 if not x._owns_grad:
                     x.grad = (np.zeros_like(x.data) if x.grad is None
                               else x.grad.astype(x.dtype))
                     x._owns_grad = True
-                x.grad[k] += g
+                x.grad[key] += g
             return bw
-        for k, out in enumerate(outs):
-            out._backward = slot(k)
+        for key, out in zip(keys, outs):
+            out._backward = slot(key)
     return outs
 
 

@@ -4,10 +4,13 @@ A per-relation GNN over the item-item graphs produces relation views of
 every item; layer outputs are averaged, relation views concatenated, and
 nonlinear per-interest projections turn the concatenation into shared and
 behavior-specific interest stacks (the initial interest cluster centers).
+Those projections run as one product over every interest; its bytes
+depend on the BLAS kernel.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import scipy.sparse as sp
 
 from . import autodiff as ad
@@ -84,13 +87,26 @@ def concat_relations(relation_views: list) -> ad.Tensor:
     return ad.concat(relation_views, axis=1)
 
 
-def extract_interests(y_star: ad.Tensor, projections: list, slope: float) -> ad.Tensor:
-    """Stack LeakyReLU(y* W_s + b_s) for each interest s: (N, S, d*)."""
-    pieces = []
-    for W, b in projections:
-        z = ad.leaky_relu(ad.matmul(y_star, W) + b, slope)
-        pieces.append(z.reshape(z.shape[0], 1, z.shape[1]))
-    return ad.concat(pieces, axis=1)
+def extract_interests(y_star: ad.Tensor, groups: list, slope: float) -> list:
+    """Each group's stack of LeakyReLU(y* W_s + b_s) over its interests s,
+    (N, S_g, d*), or None for a group of no interest.
+
+    `groups` lists (W_s, b_s) pairs, one list per group. Every interest of
+    every group comes from one product: the W_s and b_s are concatenated on
+    the tape, so the parameters stay one pair per interest, and the groups'
+    stacks are slices of the one output (`ad.unstack`).
+    """
+    flat = [wb for group in groups for wb in group]
+    if not flat:
+        return [None] * len(groups)
+    W = ad.concat([W for W, _ in flat], axis=1)
+    b = ad.concat([b for _, b in flat], axis=0)
+    z = ad.leaky_relu(ad.matmul(y_star, W) + b, slope)
+    z = z.reshape(z.shape[0], len(flat), -1)
+    ends = np.cumsum([len(group) for group in groups])
+    stacks = ad.unstack(z, [slice(end - len(group), end)
+                            for group, end in zip(groups, ends)], axis=1)
+    return [stack if group else None for stack, group in zip(stacks, groups)]
 
 
 def assemble_interest_embedding(specific: ad.Tensor | None,

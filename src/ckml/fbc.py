@@ -142,12 +142,18 @@ class _EdgeWeights:
 
     @classmethod
     def of_edges(cls, users: np.ndarray, items: np.ndarray, shape: tuple) -> _EdgeWeights:
-        """Into users, over edges sorted by (user, item), none repeated; its
-        index arrays are int32 where they fit, as scipy would make them after
+        """Into users, over edges sorted by (user, item), none repeated."""
+        return cls.of_counts(np.bincount(users, minlength=shape[0]), items, shape)
+
+    @classmethod
+    def of_counts(cls, counts: np.ndarray, items: np.ndarray, shape: tuple) -> _EdgeWeights:
+        """Into users, over `counts[u]` edges from each user u whose items
+        `items` lists user by user, ascending, none repeated; its index
+        arrays are int32 where they fit, as scipy would make them after
         checking their contents."""
         index = np.int32 if max(len(items), *shape) < 2**31 else np.int64
         offsets = np.zeros(shape[0] + 1, dtype=index)
-        np.cumsum(np.bincount(users, minlength=shape[0]), out=offsets[1:])
+        np.cumsum(counts, out=offsets[1:])
         return cls.of_pattern(items.astype(index, copy=False), offsets, shape)
 
     @property
@@ -236,8 +242,8 @@ def _narrowed(dst_ids: np.ndarray, src_ids: np.ndarray, to_dst: _EdgeWeights,
     rows, counts = marked_rows[counts > 0], counts[counts > 0]
     dst_c = np.repeat(np.arange(len(rows)), counts)
     srcs, src_c = _renumbered(by_dst.indices[edges], n_src)
-    return edges, rows, srcs, dst_c, src_c, _EdgeWeights.of_edges(
-        dst_c, src_c, (len(rows), len(srcs)))
+    return edges, rows, srcs, dst_c, src_c, _EdgeWeights.of_counts(
+        counts, src_c, (len(rows), len(srcs)))
 
 
 def _full_height(values: np.ndarray, rows, height: int, axis: int = 0) -> np.ndarray:

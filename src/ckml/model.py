@@ -43,6 +43,12 @@ class ParamSpec:
     fan_out: int = 0
 
 
+def _cie_groups(K: int, s_spe: int, s_sha: int) -> list:
+    """(parameter prefix, interest count) of each group of CIE projections:
+    every behavior's specific interests, then the shared ones."""
+    return [(f"cie/spe/k{k}", s_spe) for k in range(K)] + [("cie/sha", s_sha)]
+
+
 def param_specs(hyper: HyperConfig, dataset: Dataset) -> "OrderedDict[str, ParamSpec]":
     """Registration-ordered spec of every trainable array."""
     M, N = dataset.num_users, dataset.num_items
@@ -67,7 +73,7 @@ def param_specs(hyper: HyperConfig, dataset: Dataset) -> "OrderedDict[str, Param
     else:
         specs["embed/item"] = ParamSpec((N, d), "xavier", N, d)
         width = R * d
-        for prefix, count in [(f"cie/spe/k{k}", s_spe) for k in range(K)] + [("cie/sha", s_sha)]:
+        for prefix, count in _cie_groups(K, s_spe, s_sha):
             for s in range(count):
                 specs[f"{prefix}/s{s}/W"] = ParamSpec((width, d_star), "xavier", width, d_star)
                 specs[f"{prefix}/s{s}/b"] = ParamSpec((d_star,), "xavier", 1, d_star)
@@ -198,14 +204,12 @@ def forward(params: dict, ctx: ModelContext, hyper: HyperConfig,
             relation_views.append(cie.average_layers(layers))
         y_star = cie.concat_relations(relation_views)
 
-        def interests(prefix, count):
-            projections = [(params[f"{prefix}/s{s}/W"], params[f"{prefix}/s{s}/b"])
-                           for s in range(count)]
-            return cie.extract_interests(y_star, projections, slope) if count else None
-
-        shared_stack = interests("cie/sha", s_sha)
-        g_stacks = [cie.assemble_interest_embedding(interests(f"cie/spe/k{k}", s_spe),
-                                                    shared_stack) for k in range(K)]
+        groups = [[(params[f"{prefix}/s{s}/W"], params[f"{prefix}/s{s}/b"])
+                   for s in range(count)]
+                  for prefix, count in _cie_groups(K, s_spe, s_sha)]
+        *specific, shared_stack = cie.extract_interests(y_star, groups, slope)
+        g_stacks = [cie.assemble_interest_embedding(spe, shared_stack) for spe in specific]
+        del specific, shared_stack  # views of one array, which evaluation frees here
 
     x0 = params["embed/user"].reshape(M, s_total, d_star)
     mask = _block_mask(hyper, x0.dtype)

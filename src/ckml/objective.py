@@ -61,8 +61,21 @@ def relation_bpr_loss(pos_scores: ad.Tensor, neg_scores: ad.Tensor) -> ad.Tensor
 
 
 def regularization_term(params: dict) -> ad.Tensor:
-    """Squared Frobenius norm summed over every trainable array."""
-    return ad.add_all([(t * t).sum() for t in params.values()])
+    """Squared Frobenius norm summed over every trainable array, as one tape
+    node: the arrays' (p*p).sum() added left to right. Its backward gives
+    each array g*p twice, as the two operands of p*p would on the tape, so
+    the bytes are those of a node per square, sum and add."""
+    tensors = list(params.values())
+    value = ad.add_all([(t.data * t.data).sum() for t in tensors])
+    out = ad.Tensor(value, any(t.requires_grad for t in tensors), tuple(tensors))
+    if out.requires_grad:
+        def backward(g):
+            for t in tensors:
+                if t.requires_grad:
+                    t._accumulate(g * t.data)
+                    t._accumulate(g * t.data)
+        out._backward = backward
+    return out
 
 
 def total_loss(ranking_terms: list, alphas: list, relation_term: ad.Tensor | None,

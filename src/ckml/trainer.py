@@ -58,13 +58,24 @@ def init_params(hyper: HyperConfig, dataset: Dataset, seed: int | None = None,
 
 
 class Adam:
-    """Adam with bias correction; moments keyed by parameter name."""
+    """Adam with bias correction; moments keyed by parameter name.
+
+    A step works in place: per array it computes (1-b1)*g, g*g*(1-b2) and
+    lr*(m/c1) / (sqrt(v/c2) + eps) into one pair of scratch buffers sized
+    to the largest array, in that order, so its bytes are those of the same
+    expressions into fresh arrays. A parameter with no gradient steps with
+    g = 0. The gradients are of their parameters' dtype, and `lr` is a
+    Python float, as `train_epoch` passes them.
+    """
 
     def __init__(self, params: OrderedDict, beta1=0.9, beta2=0.999, eps=1e-8):
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.step_count = 0
         self.m = OrderedDict((k, np.zeros_like(v)) for k, v in params.items())
         self.v = OrderedDict((k, np.zeros_like(v)) for k, v in params.items())
+        size = max((v.size for v in params.values()), default=0)
+        self._scratch = {dtype: np.empty((2, size), dtype)
+                         for dtype in {v.dtype for v in params.values()}}
 
     def step(self, params: OrderedDict, grads: dict, lr: float):
         self.step_count += 1
@@ -75,13 +86,23 @@ class Adam:
             g = grads.get(name)
             if g is None:
                 g = np.zeros_like(p)
+            a, b = (buf[:p.size].reshape(p.shape) for buf in self._scratch[p.dtype])
             m = self.m[name]
             v = self.v[name]
+            np.multiply(g, 1.0 - self.beta1, out=a)
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += a
+            np.multiply(g, g, out=a)
+            a *= 1.0 - self.beta2
             v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            v += a
+            np.divide(m, c1, out=a)
+            a *= lr
+            np.divide(v, c2, out=b)
+            np.sqrt(b, out=b)
+            b += self.eps
+            a /= b
+            p -= a
 
 
 # ------------------------------------------------------------ sampling

@@ -41,10 +41,10 @@ def edge_weight_builds(monkeypatch):
     (items, users) for those built item-major (a forward into item rows,
     and its backward)."""
     built = []
-    of_edges = fbc._EdgeWeights.of_edges
+    of_counts = fbc._EdgeWeights.of_counts
 
-    def counted(users, items, shape):
-        built.append((np.array(users), shape))
-        return of_edges(users, items, shape)
-    monkeypatch.setattr(fbc._EdgeWeights, "of_edges", staticmethod(counted))
+    def counted(counts, items, shape):
+        built.append((np.repeat(np.arange(shape[0]), counts), shape))
+        return of_counts(counts, items, shape)
+    monkeypatch.setattr(fbc._EdgeWeights, "of_counts", staticmethod(counted))
     return built

@@ -9,7 +9,22 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from ckml.autodiff import Tensor, concat
+from ckml.autodiff import Tensor, _as_tensor, concat
+
+
+def divide(a, b) -> Tensor:
+    """a / b on the tape, either one a Tensor, the other a number or array
+    that takes the Tensor's dtype."""
+    dtype = (a if isinstance(a, Tensor) else b).dtype
+    return _as_tensor(a, dtype)._binary(b, np.divide, lambda g, a, b: g / b,
+                                        lambda g, a, b: -g * a / (b * b))
+
+
+def neg(x: Tensor) -> Tensor:
+    out = Tensor(-x.data, x.requires_grad, (x,))
+    if x.requires_grad:
+        out._backward = lambda g: x._accumulate(-g)
+    return out
 
 
 def exp(x: Tensor) -> Tensor:

@@ -34,7 +34,7 @@ from ckml.cie import assemble_interest_embedding
 from ckml.fbc import DEGREE_GUARD, _project
 from ckml.numerics import NumericError
 
-from naive_autodiff import narrow, stack, tanh, transpose
+from naive_autodiff import divide, narrow, stack, tanh, transpose
 
 GUARD = 1e-12
 
@@ -295,7 +295,7 @@ def _edge_weighted_mean(coeff, sources, seg_ids, num_segments):
     msg = coeff.reshape(coeff.shape[0], coeff.shape[1], 1) * sources
     num = add_at_segment_sum(msg, seg_ids, num_segments)
     den = ad.maximum(add_at_segment_sum(coeff, seg_ids, num_segments), GUARD)
-    return num / den.reshape(den.shape[0], den.shape[1], 1)
+    return divide(num, den.reshape(den.shape[0], den.shape[1], 1))
 
 
 def per_edge_route(ctx, x_stack, g_stack, time_u, time_i, tau, n_iter):
@@ -318,8 +318,8 @@ def per_edge_route(ctx, x_stack, g_stack, time_u, time_i, tau, n_iter):
     logits_user = ad.constant(ones)
     logits_item = ad.constant(ones.copy())
     for t in range(1, n_iter + 1):
-        c_user = ad.softmax(logits_user / tau, axis=1)
-        c_item = ad.softmax(logits_item / tau, axis=1)
+        c_user = ad.softmax(divide(logits_user, tau), axis=1)
+        c_item = ad.softmax(divide(logits_item, tau), axis=1)
         h_u_t = _edge_weighted_mean(c_user, h_i0_e, u_idx, M)
         h_i_t = _edge_weighted_mean(c_item, h_u0_e, i_idx, N)
         if t < n_iter:
@@ -340,7 +340,7 @@ def _weighted_mean(coeff, sources, ids, num_nodes):
     num = ad.segment_sum(msg, ids, num_nodes)
     den = ad.segment_sum(coeff, ids, num_nodes)
     den = ad.maximum(den, DEGREE_GUARD)
-    return num / den.reshape(den.shape[0], den.shape[1], 1)
+    return divide(num, den.reshape(den.shape[0], den.shape[1], 1))
 
 
 @dataclass
@@ -386,8 +386,8 @@ def tape_route(ctx, x_stack, g_stack, time_u, time_i, tau, n_iter, collect_state
     h_u_t = None
     h_i_t = None
     for t in range(1, n_iter + 1):
-        c_user = ad.softmax(logits_user_side / tau, axis=1)
-        c_item = ad.softmax(logits_item_side / tau, axis=1)
+        c_user = ad.softmax(divide(logits_user_side, tau), axis=1)
+        c_item = ad.softmax(divide(logits_item_side, tau), axis=1)
         if collect_state:
             state.coefficients.append((c_user.data.copy(), c_item.data.copy()))
         h_u_t = _weighted_mean(c_user, h_i0_e, users, M)

@@ -58,7 +58,7 @@ def test_add_mul_broadcast():
 def test_sub_div_broadcast():
     x = rng.normal(size=(2, 5)) + 3.0
     other = ad.constant(rng.normal(size=(1, 5)) + 2.5)
-    check_op(lambda t: ((other / t - t) / 2.0).sum(), x)
+    check_op(lambda t: nad.divide(nad.divide(other, t) - t, 2.0).sum(), x)
 
 
 def test_matmul_plain():
@@ -93,6 +93,25 @@ def test_relu_and_leaky_away_from_kink():
     x = np.array([-2.0, -0.5, 0.4, 1.7])
     check_op(lambda t: ad.maximum(t, 0.0).sum(), x)
     check_op(lambda t: ad.leaky_relu(t, 0.2).sum(), x)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("slope", [0.2, 1e-3, 0.5, 0.999])
+def test_leaky_relu_bytes_are_the_masked_select(dtype, slope):
+    info = np.finfo(dtype)
+    edge = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, info.tiny,
+                     -info.tiny, info.smallest_subnormal, -info.smallest_subnormal,
+                     info.max, -info.max], dtype=dtype)
+    x = np.concatenate([edge, rng.normal(size=200).astype(dtype),
+                        (rng.normal(size=50) * 1e-40).astype(dtype)])
+    s = dtype(slope)
+    want = np.where(x >= 0, x, s * x)
+    t = ad.Tensor(x, requires_grad=True)
+    out = ad.leaky_relu(t, slope)
+    assert out.data.tobytes() == want.tobytes()
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf in the sum
+        out.sum().backward()
+    assert t.grad.tobytes() == np.where(x >= 0, dtype(1), s).tobytes()
 
 
 def test_relu_kink_uses_zero_derivative():
@@ -169,6 +188,24 @@ def test_unstack_views_and_gradient():
     rows = ad.unstack(ad.Tensor(x))
     assert all(np.shares_memory(r.data, x) for r in rows)
     np.testing.assert_array_equal(np.stack([r.data for r in rows]), x)
+
+
+def test_unstack_parts_views_and_gradient():
+    x = rng.normal(size=(2, 5, 3))
+    w = ad.constant(rng.normal(size=(2, 2, 3)))
+    parts = [slice(0, 2), 2, slice(1, 3), slice(3, 5), slice(5, 5)]
+
+    def build(t):
+        a, b, c, _, empty = ad.unstack(t, parts, axis=1)
+        # a and c overlap; d is never used; the empty part is used
+        return ((a * w).sum() + (b * b).sum() + (a * c).sum()
+                + (empty * 2.0).sum() + (t * 0.5).sum())
+
+    check_op(build, x)
+    got = ad.unstack(ad.Tensor(x), parts, axis=1)
+    for part, key in zip(got, parts):
+        assert np.shares_memory(part.data, x) or part.data.size == 0
+        np.testing.assert_array_equal(part.data, x[:, key])
 
 
 def add_all_rows(rows, w):

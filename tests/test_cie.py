@@ -4,13 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ckml import autodiff as ad
+from ckml import cie, model
 from ckml.cie import (AGGREGATORS, READS_SELF, aggregator_weight_shapes,
                       apply_aggregator, assemble_interest_embedding, average_layers,
                       concat_relations, extract_interests, propagate_relation_graph)
+from ckml.config import HyperConfig
 from ckml.dataio import build_relation_graphs
 from ckml.numerics import from_edges, normalized_adjacency
+from ckml.trainer import init_params
 
 from naive_numerics import separate_normalized_adjacency
+from naive_training import per_interest_extract
 
 rng = np.random.default_rng(42)
 
@@ -174,31 +178,130 @@ class TestExtractInterests:
     def test_zero_input_zero_bias(self):
         y = ad.Tensor(np.zeros((3, 4)))
         proj = [(ad.Tensor(rng.normal(size=(4, 2))), ad.Tensor(np.zeros(2)))]
-        out = extract_interests(y, proj, slope=0.2)
+        out, = extract_interests(y, [proj], slope=0.2)
         np.testing.assert_array_equal(out.data, np.zeros((3, 1, 2)))
 
     def test_identity_passthrough(self):
         y_star = ad.Tensor(np.abs(rng.normal(size=(3, 4))))
         proj = [(ad.Tensor(np.eye(4)), ad.Tensor(np.zeros(4)))]
-        out = extract_interests(y_star, proj, slope=0.3)
+        out, = extract_interests(y_star, [proj], slope=0.3)
         np.testing.assert_allclose(out.data[:, 0, :], y_star.data, atol=1e-15)
 
     def test_matches_straight_line_oracle(self):
         y_star = rng.normal(size=(2, 2))
         projections = [(rng.normal(size=(2, 2)), rng.normal(size=2))
                        for _ in range(3)]
-        got = extract_interests(
+        got, = extract_interests(
             ad.Tensor(y_star),
-            [(ad.Tensor(W), ad.Tensor(b)) for W, b in projections], slope=0.2)
+            [[(ad.Tensor(W), ad.Tensor(b)) for W, b in projections]], slope=0.2)
         want = straight_line_extract(y_star, projections, slope=0.2)
         np.testing.assert_allclose(got.data, want, atol=1e-12)
 
     def test_shared_projection_identical_across_behaviors(self):
         y_star = ad.Tensor(rng.normal(size=(4, 6)))
         proj = [(ad.Tensor(rng.normal(size=(6, 3))), ad.Tensor(rng.normal(size=3)))]
-        a = extract_interests(y_star, proj, slope=0.2)
-        b = extract_interests(y_star, proj, slope=0.2)
+        a, = extract_interests(y_star, [proj], slope=0.2)
+        b, = extract_interests(y_star, [proj], slope=0.2)
         assert np.array_equal(a.data, b.data)  # bitwise
+
+
+# the batched product sums each output's R*d terms in its own order, so its
+# error against the per-interest products is bounded relative to the
+# largest entry of the array compared
+EXTRACT_TOL = {np.float32: 1e-5, np.float64: 1e-12}
+
+
+def assert_close_to_scale(got, want, dtype):
+    assert got.dtype == want.dtype == dtype
+    assert np.abs(got - want).max() <= EXTRACT_TOL[dtype] * np.abs(want).max()
+
+
+class TestBatchedExtraction:
+    """One product for every interest against the per-interest loop: the
+    behaviors' assembled stacks, and the gradients of y*, of every W and of
+    every b, behind the block mask a structure uses."""
+
+    @staticmethod
+    def run(extract, y, groups, mask, w):
+        """The assembled per-behavior stacks, masked, and a loss over them."""
+        *specific, shared = extract(y, groups, 0.2)
+        stacks = [assemble_interest_embedding(spe, shared) for spe in specific]
+        if mask is not None:
+            stacks = [g * mask for g in stacks]
+        loss = ad.add_all([(g * w_k).sum() for g, w_k in zip(stacks, w)])
+        loss.backward()
+        return stacks
+
+    # (specific interests, shared interests, block the mask keeps)
+    @pytest.mark.parametrize("s_spe, s_sha, keep", [
+        (2, 2, None),          # the default structure
+        (2, 2, "shared"),      # shared_only
+        (2, 2, "specific"),    # specific_only
+        (0, 3, None),          # specific_interests = 0
+        (1, 1, None),
+    ])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_the_per_interest_loop(self, s_spe, s_sha, keep, dtype):
+        K, N, width, d_star = 3, 7, 8, 4
+        y0 = rng.normal(size=(N, width)).astype(dtype)
+        weights = [[(rng.normal(size=(width, d_star)).astype(dtype),
+                     rng.normal(size=d_star).astype(dtype)) for _ in range(count)]
+                   for count in [s_spe] * K + [s_sha]]
+        mask = None
+        if keep is not None:
+            m = np.ones((1, s_spe + s_sha, 1), dtype=dtype)
+            if keep == "shared":
+                m[0, :s_spe, 0] = 0.0
+            else:
+                m[0, s_spe:, 0] = 0.0
+            mask = ad.constant(m)
+        w = [rng.normal(size=(N, s_spe + s_sha, d_star)).astype(dtype) for _ in range(K)]
+        results = []
+        for extract in (extract_interests, per_interest_extract):
+            y = ad.Tensor(y0.copy(), requires_grad=True)
+            groups = [[(ad.Tensor(W, requires_grad=True), ad.Tensor(b, requires_grad=True))
+                       for W, b in group] for group in weights]
+            stacks = self.run(extract, y, groups, mask, w)
+            results.append((stacks, y, groups))
+        (got, y_got, g_got), (want, y_want, g_want) = results
+        for a, b in zip(got, want):
+            assert a.shape == b.shape == (N, s_spe + s_sha, d_star)
+            assert_close_to_scale(a.data, b.data, dtype)
+        assert_close_to_scale(y_got.grad, y_want.grad, dtype)
+        for group_got, group_want in zip(g_got, g_want):
+            for (W, b), (W_want, b_want) in zip(group_got, group_want):
+                assert_close_to_scale(W.grad, W_want.grad, dtype)
+                assert_close_to_scale(b.grad, b_want.grad, dtype)
+                if keep == "shared" and group_got is not g_got[-1]:
+                    assert not W.grad.any() and not b.grad.any()
+                if keep == "specific" and group_got is g_got[-1]:
+                    assert not W.grad.any() and not b.grad.any()
+
+    def test_groups_without_interests(self):
+        y = ad.Tensor(rng.normal(size=(3, 4)))
+        assert extract_interests(y, [[], []], 0.2) == [None, None]
+        W, b = ad.Tensor(rng.normal(size=(4, 2))), ad.Tensor(rng.normal(size=2))
+        none, stack = extract_interests(y, [[], [(W, b)]], 0.2)
+        assert none is None and stack.shape == (3, 1, 2)
+
+    def test_one_product_per_forward(self, small_ds, monkeypatch):
+        hyper = HyperConfig(embed_dim=8, specific_interests=1, shared_interests=1,
+                            attention_heads=2, time_buckets=2)
+        params = {k: ad.Tensor(v, requires_grad=True)
+                  for k, v in init_params(hyper, small_ds, seed=0).items()}
+        extract, matmul = cie.extract_interests, ad.matmul
+        calls, products = [], []
+
+        def counted_extract(*args):
+            calls.append(args)
+            monkeypatch.setattr(ad, "matmul", lambda *a: products.append(a) or matmul(*a))
+            try:
+                return extract(*args)
+            finally:
+                monkeypatch.setattr(ad, "matmul", matmul)
+        monkeypatch.setattr(cie, "extract_interests", counted_extract)
+        model.forward(params, model.ModelContext(small_ds, hyper), hyper)
+        assert len(calls) == 1 and len(products) == 1
 
 
 class TestAssembleSplit:

@@ -6,6 +6,9 @@ from ckml.objective import (aggregate_final, margin_bpr_loss, relation_bpr_loss,
                             relation_scores, regularization_term,
                             score_interactions, total_loss)
 
+from naive_autodiff import neg
+from naive_training import tape_regularization
+
 rng = np.random.default_rng(12)
 
 
@@ -16,7 +19,7 @@ class TestAggregateFinal:
 
     def test_cancellation(self):
         s = ad.Tensor(rng.normal(size=(2, 2, 2)))
-        out = aggregate_final([s, -s])
+        out = aggregate_final([s, neg(s)])
         np.testing.assert_allclose(out.data, 0.0, atol=1e-15)
 
     def test_three_layers_match_loop_oracle(self):
@@ -162,3 +165,49 @@ def test_hinge_subgradient_zero_at_kink():
     neg = ad.Tensor(np.array([0.0]))
     margin_bpr_loss(pos, neg).sum().backward()  # exactly at the kink
     assert pos.grad[0] == 0.0
+
+
+class TestRegularizationNode:
+    """One tape node against a square, a sum and an add per array: the
+    value, the total and every leaf gradient, byte for byte."""
+
+    @staticmethod
+    def leaves(dtype, seed):
+        r = np.random.default_rng(seed)
+        shapes = [(4, 3), (3,), (2, 2, 3), (), (5, 1)]
+        return {f"p{i}": ad.Tensor(r.normal(size=shape).astype(dtype), requires_grad=True)
+                for i, shape in enumerate(shapes)}
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("lam", [0.0, 1e-4, 0.37])
+    def test_bytes_of_the_tape_nodes(self, dtype, lam):
+        results = []
+        for reg in (regularization_term, tape_regularization):
+            params = self.leaves(dtype, 3)
+            c = ad.constant(np.random.default_rng(4).normal(size=(3,)).astype(dtype))
+            # a model term that reaches some arrays before the regularization
+            rank = ((params["p0"] * c).sum() + (params["p2"] * c * c).sum()
+                    + (params["p3"] * params["p0"]).sum())
+            term = reg(params)
+            total, br = total_loss([rank], [0.5], None, 0.0, term, lam)
+            total.backward()
+            results.append((term.data, total.data, br,
+                            {k: t.grad for k, t in params.items()}))
+        (term, total, br, grads), (term_w, total_w, br_w, grads_w) = results
+        assert term.dtype == term_w.dtype == dtype
+        assert term.tobytes() == term_w.tobytes()
+        assert total.tobytes() == total_w.tobytes() and br == br_w
+        for k in grads_w:
+            if lam == 0.0 and k in ("p1", "p4"):
+                assert grads[k] is None and grads_w[k] is None
+            else:
+                assert grads[k].tobytes() == grads_w[k].tobytes(), k
+
+    def test_arrays_off_the_tape_get_no_gradient(self):
+        params = {"a": ad.Tensor(np.array([1.0, -2.0]), requires_grad=True),
+                  "b": ad.Tensor(np.array([3.0]))}
+        term = regularization_term(params)
+        assert term.data == 14.0
+        term.backward()
+        np.testing.assert_array_equal(params["a"].grad, [2.0, -4.0])
+        assert params["b"].grad is None

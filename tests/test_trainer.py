@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ckml import autodiff as ad
-from ckml import fbc, model, trainer
+from ckml import fbc, model, objective, trainer
 from ckml.config import ConfigError, HyperConfig
 from ckml.dataio import GenConfig, generate_synthetic
 from ckml.model import ModelContext, batch_loss, forward, param_specs
@@ -20,6 +20,7 @@ from ckml.trainer import (Adam, Checkpoint, CompatibilityError, check_compatible
 from conftest import tiny_dataset
 from naive_autodiff import tape_nodes
 from naive_routing import recorded_last_layer_rows, recorded_restrictions, whole_last_layer
+from naive_training import AllocatingAdam, tape_regularization
 
 
 def small_hyper(**kw):
@@ -601,3 +602,73 @@ class TestFit:
         assert "agg/cie/l0/W" in ckpt.arrays
         assert "agg/fbc/l0/W" in ckpt.arrays
         assert ckpt.hyper().aggregator == "gccf"
+
+
+class TestWholeArrayStep:
+    """The regularization as one tape node and Adam in place keep every
+    byte of a step: against the regularization's per-array tape nodes and
+    an Adam that computes into fresh arrays."""
+
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    @pytest.mark.parametrize("reg_lambda", [0.0, 1e-2])
+    def test_batch_loss_keeps_its_bytes(self, small_ds, monkeypatch, precision, reg_lambda):
+        h = small_hyper(precision=precision, reg_lambda=reg_lambda)
+        ctx = ModelContext(small_ds, h)
+        values = init_params(h, small_ds, seed=5)
+        edges = small_ds.behavior_graphs[1].edges
+        rank = [None, (edges[:3, 0], edges[:3, 1], np.array([0, 1, 2]))]
+        results = []
+        for reg in (objective.regularization_term, tape_regularization):
+            monkeypatch.setattr(objective, "regularization_term", reg)
+            tensors = {k: ad.Tensor(v, requires_grad=True) for k, v in values.items()}
+            total, br = batch_loss(tensors, ctx, h, rank, [None, None])
+            total.backward()
+            results.append((total.data, br, {k: t.grad for k, t in tensors.items()}))
+        (total, br, grads), (total_w, br_w, grads_w) = results
+        assert total.tobytes() == total_w.tobytes() and br == br_w
+        for k in values:
+            assert grads[k].tobytes() == grads_w[k].tobytes(), k
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_adam_steps_match_fresh_arrays(self, dtype):
+        r = np.random.default_rng(8)
+        shapes = {"a": (6, 4), "b": (4,), "c": (3, 2, 2), "none": (5, 3), "view": (6, 2)}
+        start = OrderedDict((k, r.normal(size=s).astype(dtype)) for k, s in shapes.items())
+        runs = []
+        for cls in (Adam, AllocatingAdam):
+            params = OrderedDict((k, v.copy()) for k, v in start.items())
+            adam = cls(params)
+            steps = np.random.default_rng(9)
+            for step, lr in enumerate((1e-2, 3e-3, 0.5, 1e-3, 2e-2)):
+                # "none" has a gradient in the first two steps alone
+                grads = {k: (steps.normal(size=s) * 10.0 ** steps.integers(-6, 3)).astype(dtype)
+                         for k, s in shapes.items() if k != "view" and (k != "none" or step < 2)}
+                grads["view"] = steps.normal(size=(6, 5)).astype(dtype)[:, 1:3]  # strided
+                grads["a"][0, 0] = -0.0
+                adam.step(params, grads, lr)
+            runs.append((params, adam))
+        (params, adam), (params_w, adam_w) = runs
+        for k in shapes:
+            assert params[k].dtype == dtype
+            assert params[k].tobytes() == params_w[k].tobytes(), k
+            assert adam.m[k].tobytes() == adam_w.m[k].tobytes(), k
+            assert adam.v[k].tobytes() == adam_w.v[k].tobytes(), k
+
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    @pytest.mark.parametrize("reg_lambda", [0.0, 1e-4])
+    def test_epochs_keep_their_bytes(self, small_ds, monkeypatch, precision, reg_lambda):
+        h = small_hyper(precision=precision, reg_lambda=reg_lambda, batch_size=8)
+        runs = []
+        for reg, cls in ((objective.regularization_term, Adam),
+                         (tape_regularization, AllocatingAdam)):
+            monkeypatch.setattr(objective, "regularization_term", reg)
+            ctx = ModelContext(small_ds, h)
+            rng = np.random.default_rng(h.seed)
+            params = init_params(h, small_ds, rng=rng)
+            adam = cls(params)
+            losses = [train_epoch(params, ctx, h, adam, rng, e) for e in range(2)]
+            runs.append((losses, params))
+        (losses, params), (losses_w, params_w) = runs
+        assert losses == losses_w
+        for k in params:
+            assert params[k].tobytes() == params_w[k].tobytes(), k
