@@ -294,9 +294,9 @@ def unstack(x: Tensor, parts=None, axis: int = 0) -> list:
 def gather(x: Tensor, index) -> Tensor:
     """Select rows along axis 0 by an int array; backward adds each row's
     gradients into zeros by `np.add.at`. That suits a batch's rows; the time
-    offsets, a bucket's row for every node (or for every source row that a
-    training step's last routing reads), are cheaper as a product with a
-    one-hot matrix, whose backward multiplies by its transpose."""
+    offsets' gradient, summed from a row for every node (or for every source
+    row that a training step's last routing reads) into its bucket's, is
+    cheaper as a product with the transposed one-hot matrix."""
     rows = np.asarray(index)
     out = Tensor(x.data[rows], x.requires_grad, (x,))
     if x.requires_grad:

@@ -31,10 +31,9 @@ step's last layer routes only the edges into the rows its losses read (the
 reach), read from the row ranges of the adjacency or of its item-major
 copy, and a backward only the forward's edges into rows of nonzero
 gradient, each while those edges are under `LIVE_EDGE_CUT` of the side's,
-so its time grows with their count, not with the graph's; another writes
-the narrowed rows back into rows of full height (`_full_height`). A graph
-without edges takes the same path. The first iteration's equal logits give
-every edge the weight 1/S, so it takes one product over all interests
+so its time grows with their count, not with the graph's. A graph without
+edges takes the same path. The first iteration's equal logits give every
+edge the weight 1/S, so it takes one product over all interests
 (`uniform`).
 
 The cross-behavior attention is likewise one tape node per side and
@@ -43,15 +42,19 @@ add each row's products in one fixed order (`_project`), so a row's bytes
 do not depend on the other rows or the CPU kernel.
 
 A training step's losses read the last layer's stacks at the batch's rows
-alone, so that layer aggregates (`_aggregate`, through the sums of
-`into_rows`, read from row ranges) and attends (`correlate_shared`) those
-rows alone and writes them into rows of full height (`_full_height`). The
-other rows come out +0.0, and their gradients never reach the stacks
-below: nothing reads them. Its routing adds the time offsets to the source
-rows it reads alone (`TimeOffsets`). Each of these rows keeps its bytes: a
-sparse product adds a row's terms in the same order, the aggregators'
-dense products run at full height, and each attention weight gradient is
-one product over every row, +0.0 outside the batch rows (`_head_major`).
+alone, so that layer works in batch coordinates: each stack holds the rows
+it computes, and so does its gradient. Routing holds the rows it routed
+(every row when it routes a whole side) and adds the time offsets to the
+source rows it reads alone (`TimeOffsets`, a gather of the buckets' table
+rows). Aggregation (`_aggregate`) gives the batch rows alone, through the
+sums of `into_rows` (read from row ranges, one matrix row per batch row
+and one column per routed row), and attention (`correlate_shared`) mixes those rows alone. Routing's backward
+writes its source gradient into full height once. Each row keeps its
+bytes: a sparse product adds a row's terms in the same order, a
+self-reading aggregator reads a row that routing did not compute as +0.0
+(`_rows_at`), the aggregators' dense products run at full height
+(`_matmul_at_full_height`), and each attention weight gradient is one
+product over every row, +0.0 outside the batch rows (`_head_major`).
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import autodiff as ad
-from .cie import apply_aggregator
+from .cie import READS_SELF, apply_aggregator
 from .numerics import NumericError, normalized_adjacency
 
 DEGREE_GUARD = 1e-12
@@ -264,9 +267,10 @@ class TimeOffsets:
     rows it reads alone: row r's is `onehot[r] @ table`, times `mask` if
     given, with `onehot` the (nodes, buckets) one-hot matrix, `table` the
     (buckets, S, d*) Tensor and `mask` a (1, S, 1) array that zeroes an
-    unused block. Each one-hot row holds one entry, so a product over some
-    rows reads their buckets alone (`onehot_rows`) and gives each row the
-    bytes of the whole product."""
+    unused block. Each one-hot row holds one entry, a one, so row r's
+    offset is its bucket's table row plus +0.0 (the product's 0 + 1·t),
+    and a product over some rows reads their buckets alone (`onehot_rows`)
+    and gives each row the bytes of the whole product."""
 
     onehot: sp.csr_matrix
     table: ad.Tensor
@@ -282,10 +286,11 @@ class TimeOffsets:
                              (len(rows), self.onehot.shape[1]))
 
     def at(self, rows) -> np.ndarray:
-        """The offsets of the node rows `rows`, (len(rows), S, d*)."""
-        table = self.table.data
-        out = (self.onehot_rows(rows) @ table.reshape(len(table), -1)).reshape(
-            (-1,) + table.shape[1:])
+        """The offsets of the node rows `rows`, (len(rows), S, d*): their
+        buckets' table rows, gathered, plus +0.0 in place, which turns a
+        -0.0 into +0.0 as the product's sum from zero does."""
+        out = self.table.data[self.onehot.indices[rows]]
+        out += 0.0
         return out if self.mask is None else out * self.mask
 
     def backward(self, d: np.ndarray, rows):
@@ -315,18 +320,18 @@ def _route_side(src: ad.Tensor, src_ids: np.ndarray, dst_ids: np.ndarray,
     `reach`, a mask over the destination nodes, names the rows that are
     read: the forward routes the entries of those rows as `_narrowed` gives
     them, and the backward those of its edges into rows of nonzero
-    gradient; rows left out come out +0.0 (`_full_height`). With
-    `offsets`, the forward adds the time offsets of the source rows it
-    reads to them, and the backward hands their gradient to the offsets'
-    table. Per-edge arrays are edge-minor, (S, d*, E) and (S, E), so every
-    per-edge reduction runs one long inner loop; the forward's are of
-    `src`'s dtype.
-    Returns the last iteration's (destination nodes, S, d*) Tensor of that
-    dtype, whose parents are `src` and the offsets' table, and None, or, at
-    the first iteration whose state is not finite, None and (that
-    iteration, the first destination node whose row is not finite). Each
-    iteration hands its coefficients to `to_dst` once: the first its one
-    weight to `uniform`, the others (S, E) arrays to `apply`.
+    gradient. With `offsets`, the forward adds the time offsets of the
+    source rows it reads to them, and the backward hands their gradient to
+    the offsets' table. Per-edge arrays are edge-minor, (S, d*, E) and (S,
+    E), so every per-edge reduction runs one long inner loop; the
+    forward's are of `src`'s dtype.
+    Returns the last iteration's (routed rows, S, d*) Tensor of that dtype,
+    whose parents are `src` and the offsets' table, the destination rows
+    it holds (ascending; a slice: every row) and None, or, at the first
+    iteration whose state is not finite, None, None and (that iteration,
+    the first destination node whose row is not finite). Each iteration
+    hands its coefficients to `to_dst` once: the first its one weight to
+    `uniform`, the others (S, E) arrays to `apply`.
     """
     n_src, n_dst = src.shape[0], to_dst.matrix.shape[0]
     _, rows, srcs, dst_ids, src_ids, to_dst = _narrowed(dst_ids, src_ids, to_dst, reach,
@@ -358,7 +363,7 @@ def _route_side(src: ad.Tensor, src_ids: np.ndarray, dst_ids: np.ndarray,
         h = num / den
         if not np.all(np.isfinite(h)):
             row = np.argwhere(~np.isfinite(h))[0][0]
-            return None, (t, int(np.arange(n_dst)[rows][row]))
+            return None, None, (t, int(np.arange(n_dst)[rows][row]))
         step = None
         if t < n_iter:  # the final update is never consumed by Step 5
             unit_h, h_norm, h_live = ad.unit_rows(h)
@@ -369,9 +374,9 @@ def _route_side(src: ad.Tensor, src_ids: np.ndarray, dst_ids: np.ndarray,
             step = (unit_h, h_norm, h_live, th)
         if saved is not None:
             saved.append((c, num, den, step))
-    out = ad.Tensor(_full_height(h, rows, n_dst), requires_grad, parents)
+    out = ad.Tensor(h, requires_grad, parents)
     if saved is None:
-        return out, None
+        return out, rows, None
 
     def backward(g):
         # Edges into rows of zero gradient add exactly +-0 to every sum (states
@@ -380,7 +385,6 @@ def _route_side(src: ad.Tensor, src_ids: np.ndarray, dst_ids: np.ndarray,
         # as `_narrowed` gives them: each row keeps its edges in ascending
         # edge order, and every node-level operation acts per row (where two
         # NaNs meet, numpy's vector loops keep either sign, by position).
-        g = g[rows]
         edges, live_rows, live_srcs, dst_c, src_c, to_dst_c = _narrowed(
             dst_ids, src_ids, to_dst, np.any(g != 0, axis=(1, 2)))
         to_src_c = to_dst_c.T
@@ -418,12 +422,14 @@ def _route_side(src: ad.Tensor, src_ids: np.ndarray, dst_ids: np.ndarray,
             d_logits += dc
         d_x += ad.unit_rows_backward(unit_x_c, x_norm[live_srcs], x_live[live_srcs], d_unit_x)
         d_x = d_x.astype(x.dtype, copy=False)
+        # the source rows d_x holds (a slice of srcs is a view of them)
+        read = live_srcs if isinstance(srcs, slice) else srcs[live_srcs]
         if src.requires_grad:  # untouched source rows get +0.0
-            src._accumulate(_full_height(_full_height(d_x, live_srcs, len(x)), srcs, n_src))
+            src._accumulate(_full_height(d_x, read, n_src))
         if offsets is not None:
-            offsets.backward(d_x, live_srcs if isinstance(srcs, slice) else srcs[live_srcs])
+            offsets.backward(d_x, read)
     out._backward = backward
-    return out, None
+    return out, rows, None
 
 
 def _route(ctx: BehaviorContext, x_stack: ad.Tensor, g_stack: ad.Tensor,
@@ -434,8 +440,9 @@ def _route(ctx: BehaviorContext, x_stack: ad.Tensor, g_stack: ad.Tensor,
     Tensor of every row's, added to every row, or `TimeOffsets`, which
     routing adds to the source rows it reads alone (`_route_side`).
     `reach`, if given, is the (user, item) masks of the rows that are read.
-    Returns the last iteration's (user, item) stacks, (M, S, d*) and (N, S,
-    d*), before aggregation."""
+    Returns the last iteration's user and item stacks, before aggregation,
+    and the (user, item) node rows they hold (`_route_side`): (M, S, d*)
+    and (N, S, d*) stacks of every row without `reach`."""
     if tau <= 0:
         raise NumericError(f"routing temperature must be positive, got {tau}")
     if n_iter < 1:
@@ -446,98 +453,171 @@ def _route(ctx: BehaviorContext, x_stack: ad.Tensor, g_stack: ad.Tensor,
     # columns (u, i) carry items to users, columns (i, u) users to items
     users, items = ctx.user_ids, ctx.item_ids
     reach_u, reach_i = reach if reach is not None else (None, None)
-    h_u_t, bad_u = _route_side(h_i0, items, users, ctx.into_users, None, tau, n_iter,
-                               reach_u, off_i)
-    h_i_t, bad_i = _route_side(h_u0, users, items, ctx.into_items, ctx.item_from_user,
-                               tau, n_iter, reach_i, off_u)
+    h_u_t, rows_u, bad_u = _route_side(h_i0, items, users, ctx.into_users, None, tau,
+                                       n_iter, reach_u, off_i)
+    h_i_t, rows_i, bad_i = _route_side(h_u0, users, items, ctx.into_items,
+                                       ctx.item_from_user, tau, n_iter, reach_i, off_u)
     bad = [(b[0], side, b[1]) for side, b in enumerate((bad_u, bad_i)) if b]
     if bad:  # the earlier iteration, the user side first
         t, side, node = min(bad)
         raise NumericError(f"non-finite routing state at iteration {t} "
                            f"({('user', 'item')[side]} node {node})")
-    return h_u_t, h_i_t
+    return h_u_t, h_i_t, (rows_u, rows_i)
 
 
 def route_behavior_layer(ctx: BehaviorContext, x_stack: ad.Tensor, g_stack: ad.Tensor,
                          time_u, time_i, tau: float, n_iter: int, aggregator: str,
                          agg_weights: dict | None = None, slope: float = 0.2,
-                         reach: tuple | None = None, into: tuple | None = None):
+                         reach: tuple | None = None, rows: tuple = EVERY_ROW):
     """Allocate one behavior's edges across interests and aggregate once.
 
     Returns (h_user, h_item): stacks of shape (M, S, d*) / (N, S, d*) after
     the final aggregation pass; nodes without edges come out zero. The time
     offsets are Tensors, `TimeOffsets` or None (`_route`). With `reach`
-    (`_route`), unreached rows route as zeros; with `into`, the (user,
-    item) sums of `into_rows`, only their rows are aggregated, and the
-    others' neighbor sums are +0.0 (`_aggregate`). Right are the rows of
-    `into` whose aggregation reads reached rows alone.
+    (`_route`), routing computes the reached rows alone; the stacks hold
+    the (user, item) node rows `rows` alone (`_aggregate`), which are right
+    where their aggregation reads reached rows alone.
     """
-    h_u_t, h_i_t = _route(ctx, x_stack, g_stack, time_u, time_i, tau, n_iter, reach)
-    return _aggregate(ctx, h_u_t, h_i_t, aggregator, agg_weights, slope, into)
+    h_u_t, h_i_t, routed = _route(ctx, x_stack, g_stack, time_u, time_i, tau, n_iter, reach)
+    return _aggregate(ctx, h_u_t, h_i_t, aggregator, agg_weights, slope, rows, routed)
 
 
 def plain_aggregation_layer(ctx: BehaviorContext, x_stack: ad.Tensor,
                             g_stack: ad.Tensor, time_u: ad.Tensor | None,
                             time_i: ad.Tensor | None, aggregator: str,
                             agg_weights: dict | None = None, slope: float = 0.2,
-                            into: tuple | None = None):
+                            rows: tuple = EVERY_ROW):
     """Routing replacement for the no-routing ablation: one configured
-    aggregator pass over the bipartite graph on (state + time offset), on
-    the rows of `into` alone (`_aggregate`). The aggregator reads its input
-    at full height, so the time offsets here are whole Tensors, added to
-    every row."""
+    aggregator pass over the bipartite graph on (state + time offset), into
+    the (user, item) node rows `rows` alone (`_aggregate`). The aggregation
+    reads its input at every row, so the time offsets here are whole
+    Tensors, added to every row."""
     return _aggregate(ctx, _with_time(x_stack, time_u), _with_time(g_stack, time_i),
-                      aggregator, agg_weights, slope, into)
+                      aggregator, agg_weights, slope, rows)
 
 
 def _with_time(stack: ad.Tensor, offset: ad.Tensor | None) -> ad.Tensor:
     return stack if offset is None else stack + offset
 
 
-def _rows_of(adj: sp.csr_matrix, rows: np.ndarray) -> sp.csr_matrix:
-    """`adj` with only the entries of its rows `rows` (ascending), read from
-    their ranges (`_ranges`) and kept in order: O(entries + rows + height)."""
+def _entries(adj: sp.csr_matrix, rows: np.ndarray):
+    """The positions of the entries of `adj`'s rows `rows` (ascending), read
+    from their ranges (`_ranges`) in order, and each row's count."""
     starts = adj.indptr[rows]
-    counts = np.zeros(adj.shape[0] + 1, dtype=adj.indptr.dtype)
-    counts[rows + 1] = adj.indptr[rows + 1] - starts
-    positions = _ranges(starts, counts[rows + 1])
-    return sp.csr_matrix((adj.data[positions], adj.indices[positions],
-                          np.cumsum(counts, dtype=counts.dtype)), adj.shape)
+    counts = adj.indptr[rows + 1] - starts
+    return _ranges(starts, counts), counts
 
 
-def into_rows(ctx: BehaviorContext, rows: tuple = EVERY_ROW) -> tuple:
-    """The sums into the (user, item) node rows `rows` (ascending, each a
-    slice or an index array): (user x item, item x user) matrices of the
-    normalized adjacency's entries into those rows. Every row's are the
-    adjacency and its transpose's view; a subset's come from the ranges of
-    the adjacency and of its item-major copy. A product with either gives
-    those rows each from the same terms in the same order as the whole
-    adjacency, and +0.0 rows elsewhere."""
+def _rows_of(adj: sp.csr_matrix, rows: np.ndarray, cols) -> sp.csr_matrix:
+    """The rows `rows` (ascending) of `adj`, one row each, with its columns
+    renumbered to the node rows `cols` (ascending, among them every column
+    with an entry; a slice: every column). Each row keeps its entries in
+    order: O(their count + len(rows), + the width to renumber)."""
+    positions, counts = _entries(adj, rows)
+    indptr = np.zeros(len(rows) + 1, dtype=adj.indptr.dtype)
+    np.cumsum(counts, out=indptr[1:])
+    indices, width = adj.indices[positions], adj.shape[1]
+    if not isinstance(cols, slice):
+        at = np.empty(width, dtype=indices.dtype)
+        at[cols] = np.arange(len(cols), dtype=indices.dtype)
+        indices, width = at[indices], len(cols)
+    return sp.csr_matrix((adj.data[positions], indices, indptr), (len(rows), width))
+
+
+def read_rows(ctx: BehaviorContext, rows: tuple) -> tuple:
+    """The (item, user) node rows that the sums into the (user, item) node
+    rows `rows` (ascending index arrays) read, one per entry."""
+    return tuple(adj.indices[_entries(adj, r)[0]]
+                 for adj, r in zip((ctx.user_from_item, ctx.item_from_user), rows))
+
+
+def into_rows(ctx: BehaviorContext, rows: tuple = EVERY_ROW,
+              routed: tuple = EVERY_ROW) -> tuple:
+    """The sums into the (user, item) node rows `rows` from the (user, item)
+    node rows `routed` (each ascending, a slice or an index array; the
+    routed rows hold every row the sums read): (user rows x routed items,
+    item rows x routed users) matrices of the normalized adjacency's
+    entries into those rows, one matrix row per node row and one column
+    per routed row. Every row's are the adjacency and its transpose's
+    view; a subset's come from the ranges of the adjacency and of its
+    item-major copy. A product with either gives each of those rows from
+    the same terms in the same order as the whole adjacency."""
     users, items = rows
     adj = ctx.user_from_item
-    return (adj if isinstance(users, slice) else _rows_of(adj, users),
-            adj.T if isinstance(items, slice) else _rows_of(ctx.item_from_user, items))
+    return (adj if isinstance(users, slice) else _rows_of(adj, users, routed[1]),
+            adj.T if isinstance(items, slice) else _rows_of(ctx.item_from_user, items,
+                                                            routed[0]))
+
+
+def _rows_at(x: ad.Tensor, rows, held) -> ad.Tensor:
+    """The node rows `rows` of the stack `x`, which holds the node rows
+    `held` (each ascending; a slice: every row): a row that `x` does not
+    hold reads +0.0, as routing gives a row without edges. The backward
+    writes each row's gradient into its place, the others +0.0."""
+    if isinstance(rows, slice):
+        return x
+    at, found = rows, slice(None)
+    if not isinstance(held, slice):
+        found = np.isin(rows, held)
+        at = np.searchsorted(held, rows[found])
+    out = np.zeros((len(rows),) + x.shape[1:], dtype=x.dtype)
+    out[found] = x.data[at]
+    out = ad.Tensor(out, x.requires_grad, (x,))
+    if x.requires_grad:
+        def backward(g):
+            total = np.zeros_like(x.data)
+            total[at] = g[found]
+            x._accumulate(total)
+        out._backward = backward
+    return out
+
+
+def _matmul_at_full_height(rows: np.ndarray, height: int):
+    """`ad.matmul` for a left operand that holds the node rows `rows`
+    (ascending) of `height`: each product runs over every row, the others
+    +0.0 (`_full_height`), and keeps the rows `rows`, so they and the
+    right operand's gradient have the bytes of the whole product."""
+    def matmul(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
+        whole = _full_height(a.data, rows, height)
+        out = ad.Tensor(np.matmul(whole, b.data)[rows], a.requires_grad or b.requires_grad,
+                        (a, b))
+        if out.requires_grad:
+            def backward(g):
+                g = _full_height(g, rows, height)
+                if a.requires_grad:
+                    a._accumulate(np.matmul(g, np.swapaxes(b.data, -1, -2))[rows])
+                if b.requires_grad:
+                    b._accumulate(np.matmul(np.swapaxes(whole, -1, -2), g))
+            out._backward = backward
+        return out
+    return matmul
 
 
 def _aggregate(ctx: BehaviorContext, h_u: ad.Tensor, h_i: ad.Tensor, aggregator: str,
-               agg_weights: dict | None, slope: float, into: tuple | None = None):
-    """One aggregator pass over the bipartite graph on (M, S, d*) user and
-    (N, S, d*) item stacks, each side from the other's rows, through the
-    (user, item) sums `into` (`into_rows`; None: every row's). The products
-    compute those sums' rows alone: the other rows' neighbor sums come out
-    +0.0 and pass no gradient back, so only those rows are right. The
-    aggregator acts on rows of full height, where its dense products give
-    those rows the bytes of the whole pass."""
-    M, S, d_star = h_u.shape
-    N = h_i.shape[0]
-    flat_u = h_u.reshape(M, S * d_star)
-    flat_i = h_i.reshape(N, S * d_star)
-    into_users, into_items = into_rows(ctx) if into is None else into
-    agg_u = ad.spmm(into_users, flat_i)
-    agg_i = ad.spmm(into_items, flat_u)
-    out_u = apply_aggregator(aggregator, agg_u, flat_u, agg_weights, slope)
-    out_i = apply_aggregator(aggregator, agg_i, flat_i, agg_weights, slope)
-    return out_u.reshape(M, S, d_star), out_i.reshape(N, S, d_star)
+               agg_weights: dict | None, slope: float, rows: tuple = EVERY_ROW,
+               routed: tuple = EVERY_ROW):
+    """One aggregator pass over the bipartite graph on user and item stacks
+    that hold the (user, item) node rows `routed` (ascending; slices:
+    every row), each side from the other's rows, into the (user, item)
+    node rows `rows` alone (`into_rows`). Returns (user, item) stacks of
+    those rows. A self-reading aggregator reads a row that is not routed as
+    +0.0 (`_rows_at`), and a dense product runs over every row
+    (`_matmul_at_full_height`), so each row has the bytes of the whole
+    pass."""
+    S, d_star = h_u.shape[1:]
+    heights = (ctx.graph.num_users, ctx.graph.num_items)
+    flats = [h.reshape(len(h.data), S * d_star) for h in (h_u, h_i)]
+    outs = []
+    for side, sums in enumerate(into_rows(ctx, rows, routed)):
+        agg = ad.spmm(sums, flats[1 - side])
+        x_self = None
+        if aggregator in READS_SELF:
+            x_self = _rows_at(flats[side], rows[side], routed[side])
+        matmul = (None if isinstance(rows[side], slice)
+                  else _matmul_at_full_height(rows[side], heights[side]))
+        out = apply_aggregator(aggregator, agg, x_self, agg_weights, slope, matmul)
+        outs.append(out.reshape(len(out.data), S, d_star))
+    return tuple(outs)
 
 
 def _project(xh: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -565,39 +645,39 @@ def _head_major(chunks: np.ndarray, rows, height: int) -> np.ndarray:
 
 def correlate_shared(stacks: list, q_proj: ad.Tensor, k_proj: ad.Tensor,
                      v_proj: ad.Tensor, heads: int, n_specific: int = 0,
-                     rows=slice(None)):
+                     rows=slice(None), height: int | None = None):
     """Per-node, per-shared-interest multi-head attention across behaviors.
 
-    stacks: K tensors of shape (V, S, d*), each behavior's `n_specific`
+    stacks: K tensors of shape (B, S, d*), each behavior's `n_specific`
     specific interests first and its shared ones after. Only the shared
     block [:, n_specific:] is attended over; the specific block passes
     through unchanged, forward and backward. Each shared d*-wide vector is
     chunked into `heads` pieces; per head, scores between behaviors k and k'
     are scaled dot products of projected chunks, softmax-normalized over k'.
     The residual adds the sum of ALL behaviors' shared blocks. Returns
-    (list of K (V, S, d*) output tensors, attention weights of shape
-    (K, K, B, S - n_specific, H)) for the B node rows `rows`.
+    (list of K (B, S, d*) output tensors, attention weights of shape
+    (K, K, B, S - n_specific, H)).
 
-    A node row attends within itself, so the attention stacks, projects
-    and mixes the rows `rows` alone (ascending, a slice or an index array:
-    the rows that are read); the outputs' other rows are +0.0, and so are
-    the stacks' gradients there (`_full_height`). Each projection's weight
-    gradient is still one product over every row's head-major chunks, the
-    others +0.0 (`_head_major`), so its bytes are those of the whole call.
+    A node row attends within itself, so the stacks may hold some node
+    rows alone: `rows` of `height` node rows (ascending, an index array;
+    a slice: every row, of the stacks' height). Each projection's weight
+    gradient is still one product over every node row's head-major chunks,
+    the others +0.0 (`_head_major`), so its bytes are those of the call on
+    every row.
 
     The attention is one tape node whose parents are the stacks and the
     three projections, with a hand-derived backward; the weights are cast
     to the stacks' dtype.
     """
     K = len(stacks)
-    V, S_all, d_star = stacks[0].shape
+    B, S_all, d_star = stacks[0].shape
+    V = B if height is None else height
     if d_star % heads != 0:
         raise ValueError(f"head count {heads} must divide interest width {d_star}")
     H, c, S = heads, d_star // heads, S_all - n_specific
     projs = (q_proj, k_proj, v_proj)
     parents = (*stacks, *projs)
-    x = np.stack([t.data[rows] for t in stacks])  # (K, B, S_all, d*)
-    B = x.shape[1]
+    x = np.stack([t.data for t in stacks])  # (K, B, S_all, d*)
     residual = x[:, :, n_specific:].sum(axis=0, keepdims=True)
     # (H, K, B, S, c)
     xh = np.ascontiguousarray(
@@ -622,13 +702,13 @@ def correlate_shared(stacks: list, q_proj: ad.Tensor, k_proj: ad.Tensor,
     del residual
     out = np.concatenate([x[:, :, :n_specific], out], axis=2)
     del x
-    node = ad.Tensor(_full_height(out, rows, V, axis=1), saved is not None, parents)
+    node = ad.Tensor(out, saved is not None, parents)
     if saved is None:
         return ad.unstack(node), ad.Tensor(lam)
 
     def backward(g_all):
         xh, qx, kx, vx = saved
-        g = np.ascontiguousarray(g_all[:, rows, n_specific:]).reshape(K, 1, B, S, H, c)
+        g = np.ascontiguousarray(g_all[:, :, n_specific:]).reshape(K, 1, B, S, H, c)
         d_lam = ad.sum_last(g * vx.reshape(1, K, B, S, H, c))[..., 0]
         d_v = (lam.reshape(K, K, B, S, H, 1) * g).sum(axis=0)
         d_lam -= (d_lam * lam).sum(axis=1, keepdims=True)
@@ -648,8 +728,7 @@ def correlate_shared(stacks: list, q_proj: ad.Tensor, k_proj: ad.Tensor,
             d_x = d if d_x is None else d_x + d
         d_x = d_x.reshape(K, B, S, d_star)
         d_x += g.reshape(K, B, S, d_star).sum(axis=0)  # the residual
-        d_x = np.concatenate([g_all[:, rows, :n_specific], d_x], axis=2)
-        d_x = _full_height(d_x, rows, V, axis=1)
+        d_x = np.concatenate([g_all[:, :, :n_specific], d_x], axis=2)
         for k, t in enumerate(stacks):
             if t.requires_grad:
                 t._accumulate(d_x[k])

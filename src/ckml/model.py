@@ -11,11 +11,14 @@ Final representations sum the routed outputs of layers 1..L; layer-0
 inputs stay out. The forward returns only what the losses and the
 evaluator read; routing coefficients and attention weights are dropped.
 In a training step the last layer computes only what the batch's losses
-read (`last_layer_reach`): it routes the rows the batch rows aggregate
-from, adding their time offsets to those source rows alone, and
-aggregates and attends the batch rows alone. Its bookkeeping reads the
-adjacency's row ranges, so it costs O(entries into the rows + node count),
-with no pass over the edges and no sort. Evaluation computes every row.
+read (`last_layer_reach`), in batch coordinates: it routes the rows the
+batch rows aggregate from, adding their time offsets to those source rows
+alone, and aggregates and attends the batch rows alone, into stacks as
+high as those rows. The final stacks are batch-rows high too (earlier
+layers are read at the batch rows), and the ranking losses gather them by
+position among those rows. Its bookkeeping reads the adjacency's row
+ranges, so it costs O(entries into the rows + node count), with no pass
+over the edges and no sort. Evaluation computes every row.
 """
 
 from __future__ import annotations
@@ -126,8 +129,8 @@ class ModelContext:
 class ForwardOutput:
     """What the ranking and relation losses and the evaluator read."""
 
-    user_final: list      # per behavior, (M, S, d*)
-    item_final: list      # per behavior, (N, S, d*)
+    user_final: list      # per behavior, (M, S, d*), or (batch users, S, d*)
+    item_final: list      # per behavior, (N, S, d*), or (batch items, S, d*)
     relation_views: list | None  # per relation, (N, d); None under no_cie
     item_interest_stacks: list   # CIE output per behavior, (N, S, d*)
 
@@ -171,9 +174,8 @@ def forward(params: dict, ctx: ModelContext, hyper: HyperConfig,
             reach: LastLayerReach | None = None) -> ForwardOutput:
     """The whole forward. With `reach` (`last_layer_reach`), the last layer
     routes the rows it names alone, and aggregates and attends the batch
-    rows alone: its other rows' neighbor sums and attention outputs are
-    +0.0, so only the final rows of the batch the reach was computed for
-    are right, and the losses read no other. If that layer routes and is
+    rows alone, and the final stacks hold those rows alone, in ascending
+    order (`LastLayerReach.rows`). If that layer routes and is
     the only one, its time offsets are computed for routing's source rows
     alone (`fbc.TimeOffsets`). Otherwise every row's are added, as in
     evaluation: earlier layers read every row, and a second product for the
@@ -243,16 +245,15 @@ def forward(params: dict, ctx: ModelContext, hyper: HyperConfig,
         rows = reach.rows if narrowed else fbc.EVERY_ROW
         routed = []
         for k in range(K):
-            into = reach.into[k] if narrowed else None
             if hyper.fbc_disabled:
                 routed.append(fbc.plain_aggregation_layer(
                     ctx.behaviors[k], *states[k], *times[k], hyper.aggregator, agg_w, slope,
-                    into))
+                    rows))
             else:
                 routed.append(fbc.route_behavior_layer(
                     ctx.behaviors[k], *states[k], *times[k], hyper.tau,
                     hyper.routing_iterations, hyper.aggregator, agg_w, slope,
-                    reach.routed[k] if narrowed else None, into))
+                    reach.routed[k] if narrowed else None, rows))
 
         for side in (0, 1):
             outs = stacks = [h[side] for h in routed]
@@ -268,20 +269,23 @@ def forward(params: dict, ctx: ModelContext, hyper: HyperConfig,
             elif s_sha:
                 outs, _ = fbc.correlate_shared(
                     stacks, params[f"attn/l{l}/Q"], params[f"attn/l{l}/K"],
-                    params[f"attn/l{l}/V"], hyper.attention_heads, s_spe, rows[side])
+                    params[f"attn/l{l}/V"], hyper.attention_heads, s_spe, rows[side],
+                    (M, ds.num_items)[side])
             for k, out in enumerate(outs):
                 layer_outputs[k][side].append(out)
                 if not last:  # the last layer's states are never read
                     states[k][side] = out + states[k][side]
 
-    user_final = [objective.aggregate_final(outs[0]) for outs in layer_outputs]
-    item_final = [objective.aggregate_final(outs[1]) for outs in layer_outputs]
+    user_final = [objective.aggregate_final(outs[0], rows[0]) for outs in layer_outputs]
+    item_final = [objective.aggregate_final(outs[1], rows[1]) for outs in layer_outputs]
     return ForwardOutput(user_final, item_final, relation_views, g_stacks)
 
 
 def ranking_term(out: ForwardOutput, behavior: int, users: np.ndarray,
                  positives: np.ndarray, negatives: np.ndarray) -> ad.Tensor:
-    """Summed margin hinge for one behavior's (u, p, q) batch."""
+    """Summed margin hinge for one behavior's (u, p, q) batch, given as rows
+    of the final stacks: in a training step, positions among the batch rows
+    (`LastLayerReach.positions`)."""
     h_u = ad.gather(out.user_final[behavior], users)
     h_p = ad.gather(out.item_final[behavior], positives)
     h_q = ad.gather(out.item_final[behavior], negatives)
@@ -303,8 +307,8 @@ class LastLayerReach(NamedTuple):
     """What a training step's last layer computes (`last_layer_reach`)."""
 
     routed: list | None  # per behavior, (user, item) masks of routed rows; None under no_fbc
-    into: list           # per behavior, `fbc.into_rows` at the batch rows
     rows: tuple          # the (user, item) batch rows, ascending
+    positions: list      # per ranking batch, its triples' rows among `rows`, or None
 
 
 def last_layer_reach(ctx: ModelContext, hyper: HyperConfig,
@@ -313,10 +317,11 @@ def last_layer_reach(ctx: ModelContext, hyper: HyperConfig,
     rows are the users and items of every behavior's triples, since
     attention mixes the behaviors row by row; the last layer aggregates and
     attends them alone, through each behavior's sums into them
-    (`fbc.into_rows`, read from the adjacency's row ranges). Those sums'
-    columns are the rows the aggregation reads, and under `cie.READS_SELF`
-    the batch rows too: the routed rows, marked from them with no pass over
-    the edges. Under no_fbc nothing routes, so there are none. The cost is
+    (`fbc.into_rows`). The rows those sums read (`fbc.read_rows`, from the
+    adjacency's row ranges), and under `cie.READS_SELF` the batch rows too,
+    are the routed rows, marked with no pass over the edges. Under no_fbc
+    nothing routes, so there are none. The triples' positions among the
+    batch rows are where the losses read the final stacks. The cost is
     O(entries into the batch rows + node count)."""
     ds = ctx.dataset
     users = np.zeros(ds.num_users, dtype=bool)
@@ -327,18 +332,21 @@ def last_layer_reach(ctx: ModelContext, hyper: HyperConfig,
             items[batch[1]] = True
             items[batch[2]] = True
     rows = (np.flatnonzero(users), np.flatnonzero(items))
-    into = [fbc.into_rows(b, rows) for b in ctx.behaviors]
+    positions = [None if b is None else (np.searchsorted(rows[0], b[0]),
+                                         *(np.searchsorted(rows[1], ids) for ids in b[1:]))
+                 for b in rank_batches]
     if hyper.fbc_disabled:
-        return LastLayerReach(None, into, rows)
+        return LastLayerReach(None, rows, positions)
     reads_self = hyper.aggregator in cie.READS_SELF
     routed = []
-    for into_users, into_items in into:
+    for b in ctx.behaviors:
+        read_items, read_users = fbc.read_rows(b, rows)
         user_rows = users.copy() if reads_self else np.zeros_like(users)
         item_rows = items.copy() if reads_self else np.zeros_like(items)
-        user_rows[into_items.indices] = True
-        item_rows[into_users.indices] = True
+        user_rows[read_users] = True
+        item_rows[read_items] = True
         routed.append((user_rows, item_rows))
-    return LastLayerReach(routed, into, rows)
+    return LastLayerReach(routed, rows, positions)
 
 
 def batch_loss(params: dict, ctx: ModelContext, hyper: HyperConfig,
@@ -347,14 +355,15 @@ def batch_loss(params: dict, ctx: ModelContext, hyper: HyperConfig,
     what the ranking losses read (`last_layer_reach`): it routes the rows
     that the batch rows' aggregation reads, with the time offsets of the
     source rows it reads, and aggregates and attends the batch rows alone.
-    Its other rows' neighbor sums and attention outputs are +0.0 and never
-    read: the losses gather the final stacks at the batch rows only.
+    The losses gather the final stacks, as high as the batch rows, by the
+    triples' positions among them (`LastLayerReach.positions`).
 
     rank_batches: per behavior, (users, positives, negatives) arrays or None.
     rel_batches: per relation, (anchors, positives, negatives) arrays or None.
     Returns (total Tensor, LossBreakdown).
     """
-    out = forward(params, ctx, hyper, last_layer_reach(ctx, hyper, rank_batches))
+    reach = last_layer_reach(ctx, hyper, rank_batches)
+    out = forward(params, ctx, hyper, reach)
     K = ctx.dataset.num_behaviors
     rank_terms = []
     for k in range(K):
@@ -362,7 +371,7 @@ def batch_loss(params: dict, ctx: ModelContext, hyper: HyperConfig,
         if batch is None or len(batch[0]) == 0:
             rank_terms.append(None)
         else:
-            rank_terms.append(ranking_term(out, k, *batch))
+            rank_terms.append(ranking_term(out, k, *reach.positions[k]))
     rel_total = None
     if out.relation_views is not None and hyper.beta != 0.0:
         rel_terms = [relation_term(out, r, *batch) for r, batch in enumerate(rel_batches)

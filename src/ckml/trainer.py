@@ -5,8 +5,9 @@ negative sampling and batch shuffling, so a run is a pure function of
 (config, seed). Training negatives, one per behavior or relation edge,
 are drawn by `dataio.draw_free_items`, the sampler of the evaluation
 negatives. A checkpoint holds the model only: its parameters and the
-hyperparameters and dimensions that shape them, and a sha256 of the
-arrays' bytes that loading checks.
+hyperparameters and dimensions that shape them, and a sha256 of the file's
+config lines and arrays, each array's header with its bytes, that loading
+checks.
 """
 
 from __future__ import annotations
@@ -33,7 +34,12 @@ CHECKPOINT_MAGIC = b"CKML"
 CHECKPOINT_VERSION = 1
 _DTYPE_TAGS = {np.dtype(np.float32): 1, np.dtype(np.float64): 2}
 _TAG_DTYPES = {1: np.dtype(np.float32), 2: np.dtype(np.float64)}
-ARRAYS_DIGEST = "arrays.sha256"  # config key: sha256 of the arrays' bytes, in order
+# config keys: the sha256 of the other config lines and of every array, its
+# name, rank, shape and dtype tag with its bytes, as the file holds them;
+# older files hold the sha256 of the arrays' bytes alone, or neither
+CHECKPOINT_DIGEST = "checkpoint.sha256"
+ARRAYS_DIGEST = "arrays.sha256"
+_DIGESTS = (CHECKPOINT_DIGEST, ARRAYS_DIGEST)
 
 
 class CompatibilityError(RuntimeError):
@@ -256,12 +262,22 @@ def _little_endian(arr: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<"))
 
 
+def _array_header(name: str, arr: np.ndarray) -> bytes:
+    """An array's name, rank, shape and dtype tag as a checkpoint holds them."""
+    nb = name.encode("utf-8")
+    return b"".join([struct.pack("<I", len(nb)), nb, struct.pack("<B", arr.ndim),
+                     *(struct.pack("<Q", dim) for dim in arr.shape),
+                     struct.pack("<B", _DTYPE_TAGS[np.dtype(arr.dtype)])])
+
+
 def save_checkpoint(path, arrays: OrderedDict, config_block: dict):
-    digest = hashlib.sha256()
-    for arr in arrays.values():
+    lines = "".join(f"{k}={v}\n" for k, v in config_block.items()
+                    if k not in _DIGESTS).encode("utf-8")
+    digest = hashlib.sha256(lines)
+    for name, arr in arrays.items():
+        digest.update(_array_header(name, arr))
         digest.update(_little_endian(arr))
-    block = {**config_block, ARRAYS_DIGEST: digest.hexdigest()}
-    lines = "".join(f"{k}={v}\n" for k, v in block.items()).encode("utf-8")
+    lines += f"{CHECKPOINT_DIGEST}={digest.hexdigest()}\n".encode("utf-8")
     # Written beside the target and renamed over it, so a failed save
     # leaves any earlier checkpoint intact.
     tmp = Path(f"{path}.tmp")
@@ -283,14 +299,7 @@ def _write_checkpoint_body(fh, lines: bytes, arrays: OrderedDict):
     fh.write(lines)
     fh.write(struct.pack("<I", len(arrays)))
     for name, arr in arrays.items():
-        nb = name.encode("utf-8")
-        fh.write(struct.pack("<I", len(nb)))
-        fh.write(nb)
-        fh.write(struct.pack("<B", arr.ndim))
-        for dim in arr.shape:
-            fh.write(struct.pack("<Q", dim))
-        tag = _DTYPE_TAGS[np.dtype(arr.dtype)]
-        fh.write(struct.pack("<B", tag))
+        fh.write(_array_header(name, arr))
         fh.write(_little_endian(arr).tobytes())
 
 
@@ -328,14 +337,20 @@ def _read_checkpoint_body(fh) -> Checkpoint:
         raise CompatibilityError(f"unsupported checkpoint version {version}")
     (clen,) = struct.unpack("<I", fh.read(4))
     config = {}
-    for line in read_claimed(clen, "config block").decode("utf-8").splitlines():
-        if "=" in line:
-            key, value = line.split("=", 1)
+    # the whole file's digest starts from the config lines but its own
+    whole = hashlib.sha256()
+    text = read_claimed(clen, "config block").decode("utf-8")
+    for raw, line in zip(text.splitlines(keepends=True), text.splitlines()):
+        key, eq, value = line.partition("=")
+        if eq:
             config[key] = value
+        if key not in _DIGESTS:
+            whole.update(raw.encode("utf-8"))
     (count,) = struct.unpack("<I", fh.read(4))
     arrays = OrderedDict()
-    digest = hashlib.sha256()
+    payloads = hashlib.sha256()
     for _ in range(count):
+        start = fh.tell()
         (nlen,) = struct.unpack("<I", fh.read(4))
         name = read_claimed(nlen, "array name").decode("utf-8")
         if name in arrays:
@@ -344,15 +359,22 @@ def _read_checkpoint_body(fh) -> Checkpoint:
         shape = tuple(struct.unpack("<Q", fh.read(8))[0] for _ in range(rank))
         (tag,) = struct.unpack("<B", fh.read(1))
         dtype = _TAG_DTYPES[tag]
+        end = fh.tell()
+        fh.seek(start)
+        whole.update(fh.read(end - start))
         buf = read_claimed(math.prod(shape) * dtype.itemsize, f"array {name}")
-        digest.update(buf)
+        whole.update(buf)
+        payloads.update(buf)
         arrays[name] = np.frombuffer(buf, dtype=dtype.newbyteorder("<")).astype(
             dtype).reshape(shape)
     if fh.tell() != size:
         raise CompatibilityError(
             f"checkpoint has {size - fh.tell()} bytes after its {count} arrays")
-    if config.get(ARRAYS_DIGEST, digest.hexdigest()) != digest.hexdigest():
-        raise CompatibilityError("checkpoint arrays do not match their sha256: corrupt file")
+    for key, digest, what in ((CHECKPOINT_DIGEST, whole, "config and arrays"),
+                              (ARRAYS_DIGEST, payloads, "arrays")):
+        if config.get(key, digest.hexdigest()) != digest.hexdigest():
+            raise CompatibilityError(f"checkpoint {what} do not match their sha256: "
+                                     "corrupt file")
     return Checkpoint(version, config, arrays)
 
 

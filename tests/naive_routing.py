@@ -91,15 +91,33 @@ def recorded_restrictions():
 
 @contextmanager
 def whole_last_layer():
-    """Inside the block `model.batch_loss` hands `model.forward` no reach,
-    so the last layer routes, aggregates and attends every row, as
-    evaluation does."""
-    reach = model.last_layer_reach
-    model.last_layer_reach = lambda *args: None
+    """Inside the block `model.forward` computes the last layer at every
+    row, as evaluation does, and hands on the final stacks at the rows of
+    the reach it was given: those that the batch's losses read, in the
+    rows that the narrowed last layer holds."""
+    forward = model.forward
+
+    def whole(params, ctx, hyper, reach=None):
+        out = forward(params, ctx, hyper)
+        if reach is not None:
+            # behaviors that share a final tensor share its rows, so its
+            # gradient sums its terms in the order the narrowed layer does
+            gathered = {}
+            for finals, rows in ((out.user_final, reach.rows[0]),
+                                 (out.item_final, reach.rows[1])):
+                for f in finals:
+                    if id(f) not in gathered:
+                        gathered[id(f)] = ad.gather(f, rows)
+                finals[:] = [gathered[id(f)] for f in finals]
+        return out
+    model.forward = whole
     try:
         yield
     finally:
-        model.last_layer_reach = reach
+        model.forward = forward
+
+
+_FORWARD_CODE = model.forward.__code__  # the package's, whatever a test patches in
 
 
 @contextmanager
@@ -110,8 +128,8 @@ def recorded_last_layer_rows():
     "aggregation" the rows that each of `fbc._aggregate`'s products
     computed (those its matrix has entries in) and its entry count, and
     under "time offsets" the same for each one-hot product: `model.forward`'s
-    over every row, and those over the rows routing reads
-    (`fbc.TimeOffsets.onehot_rows`), forward and backward."""
+    over every row, and those over the rows routing reads, by which the
+    backward of `fbc.TimeOffsets` multiplies (`onehot_rows`)."""
     calls = {"attention": [], "aggregation": [], "time offsets": []}
     correlate, spmm, onehot_rows = fbc.correlate_shared, ad.spmm, fbc.TimeOffsets.onehot_rows
 
@@ -120,7 +138,7 @@ def recorded_last_layer_rows():
         calls["attention"].append(lam.shape[2])
         return outs, lam
 
-    stages = {fbc._aggregate.__code__: "aggregation", model.forward.__code__: "time offsets"}
+    stages = {fbc._aggregate.__code__: "aggregation", _FORWARD_CODE: "time offsets"}
 
     def multiplying(sparse, x):
         caller = sys._getframe(1)

@@ -156,7 +156,7 @@ def test_criterion_4_single_interest_reduction():
     g = ad.Tensor(rng.normal(size=(4, 1, 6)))
     worst = 0.0
     for n_iter in (1, 2, 3):
-        h_u, h_i = _route(ctx, x, g, None, None, 2.5, n_iter)
+        h_u, h_i, _ = _route(ctx, x, g, None, None, 2.5, n_iter)
         for u in range(3):
             items = [i for (uu, i) in edges if uu == u]
             want = g.data[items].mean(axis=0) if items else np.zeros((1, 6))

@@ -1,4 +1,5 @@
 import configparser
+import hashlib
 import json
 import os
 import platform
@@ -541,20 +542,55 @@ class TestEval:
         assert "sha256" in capsys.readouterr().err
 
     def test_checkpoint_without_digest_loads(self, tmp_path, capsys):
+        # a file without the digest, and one with the older digest of the
+        # arrays' payloads alone, load and evaluate as the file they came from
         cfg, ckpt = self._trained(tmp_path, epochs=0)
         blob = ckpt.read_bytes()
         (clen,) = struct.unpack_from("<I", blob, 6)
         lines = blob[10:10 + clen].decode("utf-8").splitlines(keepends=True)
-        kept = "".join(l for l in lines if not l.startswith("arrays.sha256=")).encode()
+        kept = "".join(l for l in lines if not l.startswith("checkpoint.sha256=")).encode()
         assert len(kept) < clen
-        old = tmp_path / "old.ckml"
-        old.write_bytes(blob[:6] + struct.pack("<I", len(kept)) + kept + blob[10 + clen:])
-        assert "arrays.sha256" not in load_checkpoint(old).config
-        for path, out in ((ckpt, "ev"), (old, "ev_old")):
+        payloads = hashlib.sha256()
+        for arr in load_checkpoint(ckpt).arrays.values():
+            payloads.update(np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<")))
+        older = kept + f"arrays.sha256={payloads.hexdigest()}\n".encode()
+        for name, block in (("old", kept), ("older", older)):
+            path = tmp_path / f"{name}.ckml"
+            path.write_bytes(blob[:6] + struct.pack("<I", len(block)) + block
+                             + blob[10 + clen:])
+            assert "checkpoint.sha256" not in load_checkpoint(path).config
             assert main(["eval", "--config", str(cfg), "--checkpoint", str(path),
-                         "--out", str(tmp_path / out)]) == 0
-        assert ((tmp_path / "ev" / "eval.jsonl").read_bytes()
-                == (tmp_path / "ev_old" / "eval.jsonl").read_bytes())
+                         "--out", str(tmp_path / f"ev_{name}")]) == 0
+        assert main(["eval", "--config", str(cfg), "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path / "ev")]) == 0
+        want = (tmp_path / "ev" / "eval.jsonl").read_bytes()
+        for name in ("old", "older"):
+            assert (tmp_path / f"ev_{name}" / "eval.jsonl").read_bytes() == want
+
+    @pytest.mark.parametrize("field", ["config value", "array name", "shape field"])
+    def test_config_name_and_shape_flips_exit_3(self, tmp_path, capsys, field):
+        # the digest covers the config block and every array's header, so a
+        # changed routing temperature, which the structural checks pass, and a
+        # renamed array exit 3 through it; a changed dimension exits 3 too
+        cfg, ckpt = self._trained(tmp_path, epochs=0)
+        blob = bytearray(ckpt.read_bytes())
+        (clen,) = struct.unpack_from("<I", blob, 6)
+        (nlen,) = struct.unpack_from("<I", blob, 10 + clen + 4)
+        if field == "config value":
+            at = blob.index(b"hyper.tau=") + len(b"hyper.tau=")
+            blob[at] = ord("3") if blob[at] != ord("3") else ord("4")
+        elif field == "array name":
+            at = blob.index(b"embed/item") + len(b"embed/")
+            blob[at] = ord("j")
+        else:
+            blob[10 + clen + 4 + 4 + nlen + 1] ^= 0x01  # the first array's first dim
+        flipped = tmp_path / "flipped.ckml"
+        flipped.write_bytes(bytes(blob))
+        capsys.readouterr()
+        assert main(["eval", "--config", str(cfg), "--checkpoint", str(flipped),
+                     "--out", str(tmp_path / "ev")]) == 3
+        if field != "shape field":
+            assert "sha256" in capsys.readouterr().err
 
     def _resaved(self, tmp_path, edit):
         cfg, ckpt = self._trained(tmp_path, epochs=0)

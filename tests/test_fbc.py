@@ -44,7 +44,7 @@ class TestRouting:
         ctx = make_ctx([(0, 0), (0, 1)], 1, 2)
         x = ad.Tensor(np.zeros((1, 1, 1)))
         g = ad.Tensor(np.array([[[1.0]], [[2.0]]]))
-        h_u, _ = _route(ctx, x, g, None, None, 1.0, 1)
+        h_u, _, _ = _route(ctx, x, g, None, None, 1.0, 1)
         assert h_u.data[0, 0, 0] == pytest.approx(1.5)
 
     def test_first_iteration_distribution_exactly_uniform(self):
@@ -100,7 +100,7 @@ class TestRouting:
         ctx = make_ctx(edges, 3, 3)
         x, g = tensors(3, 3, 1, 5)
         for n_iter in (1, 3):
-            h_u, h_i = _route(ctx, x, g, None, None, 2.0, n_iter)
+            h_u, h_i, _ = _route(ctx, x, g, None, None, 2.0, n_iter)
             mean_u = np.zeros_like(x.data)
             mean_i = np.zeros_like(g.data)
             for u in range(3):
@@ -181,7 +181,7 @@ class TestRouting:
         x = ad.Tensor(np.zeros((1, 1, 2)))
         g = ad.Tensor(np.zeros((1, 1, 2)))
         ti = ad.Tensor(np.full((1, 1, 2), 3.0))
-        h_u, _ = _route(ctx, x, g, None, ti, 1.0, 1)
+        h_u, _, _ = _route(ctx, x, g, None, ti, 1.0, 1)
         np.testing.assert_allclose(h_u.data[0, 0], [3.0, 3.0])
 
     def test_oracle_agreement_with_time_offsets(self):
@@ -239,7 +239,7 @@ def gradcheck_case(n_iter):
     w_i = ad.constant(case_rng.normal(size=(4, 2, 3)))
 
     def loss_fn(t):
-        h_u, h_i = _route(ctx, t["x"] * mask, t["g"], None, t["time_i"], 0.7, n_iter)
+        h_u, h_i, _ = _route(ctx, t["x"] * mask, t["g"], None, t["time_i"], 0.7, n_iter)
         return (h_u * w_u).sum() + (h_i * w_i).sum()
 
     params = {"x": case_rng.normal(size=(3, 2, 3)),
@@ -385,7 +385,7 @@ class TestRouteMatchesTapeReference:
     def test_no_gradient_builds_no_closure(self):
         ctx = make_ctx([(0, 0), (0, 1), (1, 1)], 2, 3)
         x, g = tensors(2, 3, 2, 3)
-        h_u, h_i = _route(ctx, x, g, None, None, 1.0, 3)
+        h_u, h_i, _ = _route(ctx, x, g, None, None, 1.0, 3)
         for out in (h_u, h_i):
             assert not out.requires_grad
             assert out._backward is None and out._parents == ()
@@ -394,7 +394,7 @@ class TestRouteMatchesTapeReference:
         ctx = make_ctx([(0, 0), (0, 1), (1, 1)], 2, 3)
         x = ad.Tensor(rng.normal(size=(2, 2, 3)), requires_grad=True)
         g = ad.Tensor(rng.normal(size=(3, 2, 3)), requires_grad=True)
-        h_u, h_i = _route(ctx, x, g, None, None, 1.0, 2)
+        h_u, h_i, _ = _route(ctx, x, g, None, None, 1.0, 2)
         assert h_u._parents == (g,) and h_i._parents == (x,)
 
 
@@ -608,10 +608,11 @@ def row_subsets(V, case_rng):
 
 
 class TestCorrelateSharedOnRows:
-    """`correlate_shared` on some node rows against the whole call, with an
-    upstream gradient that is zero outside those rows: outputs, weights and
-    stack gradients at the rows, every projection gradient, and +0.0
-    elsewhere, all bitwise."""
+    """`correlate_shared` on the stacks' rows at some node rows against the
+    whole call, with an upstream gradient that is zero outside those rows:
+    outputs, weights and stack gradients, each as high as those rows, are
+    the whole call's at them, and every projection gradient is the whole
+    call's, all bitwise."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("c", [1, 2, 4])
@@ -628,9 +629,10 @@ class TestCorrelateSharedOnRows:
         def attended(read, rows):
             mask = np.zeros((V, 1, 1), dtype=dtype)
             mask[read] = 1
-            weights = [ad.constant(u * mask) for u in upstream]
-            leaves = [ad.Tensor(a, requires_grad=True) for a in stacks + projs]
-            outs, lam = correlate_shared(leaves[:K], *leaves[K:], H, n_specific, rows)
+            weights = [ad.constant((u * mask)[rows]) for u in upstream]
+            leaves = [ad.Tensor(a[rows], requires_grad=True) for a in stacks]
+            leaves += [ad.Tensor(a, requires_grad=True) for a in projs]
+            outs, lam = correlate_shared(leaves[:K], *leaves[K:], H, n_specific, rows, V)
             ad.add_all([(o * w).sum() for o, w in zip(outs, weights)]).backward()
             return [o.data for o in outs], lam.data, [t.grad for t in leaves]
 
@@ -639,11 +641,10 @@ class TestCorrelateSharedOnRows:
             outs, lam, grads = attended(rows, rows)
             assert lam.shape == (K, K, len(rows), S, H) and lam.dtype == dtype
             assert lam.tobytes() == whole_lam[:, :, rows].tobytes()
-            others = np.setdiff1d(np.arange(V), rows)
             for got, want in zip(outs + grads[:K], whole_outs + whole_grads[:K]):
-                assert got.shape == want.shape and got.dtype == want.dtype == dtype
-                assert got[rows].tobytes() == want[rows].tobytes()
-                assert not got[others].any() and not np.signbit(got[others]).any()
+                assert got.shape == (len(rows),) + want.shape[1:]
+                assert got.dtype == want.dtype == dtype
+                assert got.tobytes() == want[rows].tobytes()
             for got, want in zip(grads[K:], whole_grads[K:]):
                 assert got.dtype == dtype and got.tobytes() == want.tobytes()
 
@@ -827,22 +828,23 @@ def live_edge_cases(draw):
 def routed_side(ctx, src, g, tau, n_iter, cut, to_items=False, reach=None):
     """The output of `_route_side` routing the item rows `src` to users, or
     with `to_items` the user rows to items, over the destination rows
-    `reach` names, and `src.grad` after its backward takes `g`, with
-    `fbc.LIVE_EDGE_CUT` set to `cut`."""
+    `reach` names, the destination rows it holds, and `src.grad` after its
+    backward takes the rows of the gradient `g` (one row per destination
+    node) that it holds, with `fbc.LIVE_EDGE_CUT` set to `cut`."""
     leaf = ad.Tensor(src, requires_grad=True)
     ids = ((ctx.user_ids, ctx.item_ids, ctx.into_items, ctx.item_from_user) if to_items else
            (ctx.item_ids, ctx.user_ids, ctx.into_users, ctx.user_from_item))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fbc, "LIVE_EDGE_CUT", cut)
-        out, bad = fbc._route_side(leaf, *ids, tau, n_iter, reach)
+        out, rows, bad = fbc._route_side(leaf, *ids, tau, n_iter, reach)
         assert bad is None
-        out._backward(g)
-    return out.data, leaf.grad
+        out._backward(g[rows])
+    return out.data, rows, leaf.grad
 
 
 def side_gradient(ctx, src, g, tau, n_iter, cut, to_items=False):
     """`src.grad` of `routed_side` over every destination row."""
-    return routed_side(ctx, src, g, tau, n_iter, cut, to_items)[1]
+    return routed_side(ctx, src, g, tau, n_iter, cut, to_items)[2]
 
 
 def assert_live_backward_is_whole(ctx, S, D, tau, n_iter, dtype, seed, live_rows,
@@ -941,8 +943,8 @@ class TestLiveEdgeBackward:
         ctx = make_ctx([(0, 0), (0, 1), (1, 1), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5)],
                        5, 6)
         leaf = ad.Tensor(rng.normal(size=(6, 2, 4)), requires_grad=True)
-        out, _ = fbc._route_side(leaf, ctx.item_ids, ctx.user_ids, ctx.into_users,
-                                 ctx.user_from_item, 1.0, 3)
+        out, _, _ = fbc._route_side(leaf, ctx.item_ids, ctx.user_ids, ctx.into_users,
+                                    ctx.user_from_item, 1.0, 3)
         node_rows = []
         edge_rows, apply, uniform = fbc._edge_rows, fbc._EdgeWeights.apply, \
             fbc._EdgeWeights.uniform
@@ -999,8 +1001,9 @@ class TestLiveEdgeBackward:
 
 class TestReachedForward:
     """Routing's forward over the reached destination rows alone against the
-    forward over every row: the reached rows and the source gradient keep
-    their bytes, the others come out zero."""
+    forward over every row: it holds the reached rows with edges, or every
+    row, with their bytes, the reached rows it leaves out route to +0.0 in
+    the whole forward, and the source gradient keeps its bytes."""
 
     # one reached edge: numpy sums a lone edge's d* >= 9 terms pairwise,
     # many edges' row by row, so that forward stays whole
@@ -1023,11 +1026,16 @@ class TestReachedForward:
             # narrow the forward's edges further; unreached rows get -0.0
             g = case_rng.normal(size=(n_dst, S, D)).astype(dtype)
             g[~reach | (case_rng.random(n_dst) < 0.3)] = -0.0
-            out, grad = routed_side(ctx, src, g, tau, n_iter, 2.0, to_items, reach)
-            whole_out, whole_grad = routed_side(ctx, src, g, tau, n_iter, 0.0, to_items)
-            assert out.dtype == grad.dtype == dtype
-            assert out[reach].tobytes() == whole_out[reach].tobytes()
-            assert not np.any(out[~reach]) or np.array_equal(out, whole_out)
+            out, rows, grad = routed_side(ctx, src, g, tau, n_iter, 2.0, to_items, reach)
+            whole_out, every, whole_grad = routed_side(ctx, src, g, tau, n_iter, 0.0, to_items)
+            assert every == slice(None) and whole_out.shape[0] == n_dst
+            held = np.zeros(n_dst, dtype=bool)
+            held[rows] = True
+            assert out.dtype == grad.dtype == dtype and out.shape == whole_out[rows].shape
+            assert out.tobytes() == whole_out[rows].tobytes()
+            assert held.all() or not (held & ~reach).any()
+            left_out = whole_out[reach & ~held]
+            assert not left_out.any() and not np.signbit(left_out).any()
             assert grad.tobytes() == whole_grad.tobytes()
 
     def test_non_finite_state_names_the_node(self):
@@ -1083,7 +1091,7 @@ class TestNoRoutingReplacement:
         ctx = make_ctx(edges, 2, 2)
         x, g = tensors(2, 2, 1, 4)
         agg_u, agg_i = plain_aggregation_layer(ctx, x, g, None, None, "light")
-        route_u, route_i = _route(ctx, x, g, None, None, 1.0, 2)
+        route_u, route_i, _ = _route(ctx, x, g, None, None, 1.0, 2)
         np.testing.assert_allclose(agg_u.data, route_u.data, atol=1e-10)
         np.testing.assert_allclose(agg_i.data, route_i.data, atol=1e-10)
 
@@ -1149,10 +1157,12 @@ class TestAggregateMatchesSeparateAdjacencies:
 
 
 class TestAggregateOnRows:
-    """`_aggregate` on some user and item rows against the whole pass, with
-    an upstream gradient that is zero outside those rows: outputs and the
-    stacks' gradients at the rows, every aggregator weight's gradient, and
-    +0.0 elsewhere, all bitwise, for every aggregator."""
+    """`_aggregate` into some user and item rows, on stacks that hold some
+    routed rows, against the whole pass on stacks of every row, +0.0 where
+    not routed, with an upstream gradient that is zero outside the rows
+    aggregated into: outputs as high as those rows, the whole pass's at
+    them, the stacks' gradients at the routed rows, and every aggregator
+    weight's gradient, all bitwise, for every aggregator."""
 
     @pytest.mark.parametrize("aggregator", cie.AGGREGATORS)
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -1168,29 +1178,43 @@ class TestAggregateOnRows:
                    for name, shape in cie.aggregator_weight_shapes(aggregator, S * D)}
         upstream = [case_rng.normal(size=(n, S, D)).astype(dtype) for n in (M, N)]
 
-        def aggregated(read, rows):
-            h = [ad.Tensor(a, requires_grad=True) for a in stacks]
+        def aggregated(read, rows, routed, routed_stacks):
+            h = [ad.Tensor(a[r], requires_grad=True) for a, r in zip(routed_stacks, routed)]
             w = {name: ad.Tensor(a, requires_grad=True) for name, a in weights.items()}
-            outs = _aggregate(ctx, *h, aggregator, w or None, 0.2, fbc.into_rows(ctx, rows))
+            outs = _aggregate(ctx, *h, aggregator, w or None, 0.2, rows, routed)
             terms = []
-            for out, u, r in zip(outs, upstream, read):
+            for out, u, r, at in zip(outs, upstream, read, rows):
                 mask = np.zeros((len(u), 1, 1), dtype=dtype)
                 mask[r] = 1
-                terms.append((out * ad.constant(u * mask)).sum())
+                terms.append((out * ad.constant((u * mask)[at])).sum())
             ad.add_all(terms).backward()
             return [o.data for o in outs], [t.grad for t in h], [t.grad for t in w.values()]
 
         every = (slice(None), slice(None))
         for rows in zip(row_subsets(M, case_rng), row_subsets(N, case_rng)):
-            whole_outs, whole_grads, whole_w = aggregated(rows, every)
-            outs, grads, w = aggregated(rows, rows)
-            for got, want, r, n in zip(outs, whole_outs, rows, (M, N)):
-                assert got.shape == want.shape and got.dtype == want.dtype == dtype
-                assert got[r].tobytes() == want[r].tobytes()
-                others = np.setdiff1d(np.arange(n), r)
-                if aggregator == "light":  # the others aggregate nothing
-                    assert not got[others].any() and not np.signbit(got[others]).any()
-            for got, want in zip(grads + w, whole_grads + whole_w):
+            read_items, read_users = fbc.read_rows(ctx, rows)
+            # the rows that the sums read, some other rows, and most of the
+            # rows aggregated into, which a self-reading aggregator reads
+            routed = []
+            for n, cols, own in ((M, read_users, rows[0]), (N, read_items, rows[1])):
+                marked = case_rng.random(n) < 0.2
+                marked[cols] = True
+                marked[own] |= case_rng.random(len(own)) < 0.7
+                routed.append(np.flatnonzero(marked))
+            # the stacks as routing leaves them: +0.0 outside the routed rows
+            routed_stacks = []
+            for a, r in zip(stacks, routed):
+                held = np.zeros((len(a), 1, 1), dtype=bool)
+                held[r] = True
+                routed_stacks.append(np.where(held, a, dtype(0)))
+            whole_outs, whole_grads, whole_w = aggregated(rows, every, every, routed_stacks)
+            outs, grads, w = aggregated(rows, rows, routed, routed_stacks)
+            for got, want, r in zip(outs, whole_outs, rows):
+                assert got.shape == want[r].shape and got.dtype == want.dtype == dtype
+                assert got.tobytes() == want[r].tobytes()
+            for got, want, r in zip(grads, whole_grads, routed):
+                assert got.dtype == dtype and got.tobytes() == want[r].tobytes()
+            for got, want in zip(w, whole_w):
                 assert got.dtype == dtype and got.tobytes() == want.tobytes()
 
 
@@ -1221,8 +1245,11 @@ def chosen_rows(n, case_rng, mode):
 class TestIntoRows:
     """`into_rows` from the row ranges of the adjacency and of its item-major
     copy against the earlier sums, built with a node mask and a pass over
-    every edge (`mask_built_rows`): the same entries, and products and
-    transposed products with the same bytes, on both sides."""
+    every edge (`mask_built_rows`): one matrix row per node row with its
+    entries, and products and transposed products with the bytes of the
+    earlier sums' at those rows, on both sides, with a column per source
+    row or per routed row (some rows among which are those the sums read,
+    `read_rows`)."""
 
     @given(bipartite_cases(), st.sampled_from(["none", "one", "some", "every"]),
            st.sampled_from([np.float32, np.float64]))
@@ -1237,18 +1264,34 @@ class TestIntoRows:
         into = fbc.into_rows(ctx, rows)
         if mode == "every":
             assert into[0] is ctx.user_from_item
+            routed = rows
+        else:
+            routed = []
+            for n, read in zip((M, N), fbc.read_rows(ctx, rows)[::-1]):
+                marked = case_rng.random(n) < 0.3
+                marked[read] = True
+                routed.append(np.flatnonzero(marked))
+        on_routed = fbc.into_rows(ctx, rows, routed)
         for side, (got, n_src) in enumerate(zip(into, (N, M))):
             # the earlier sums into items multiplied by the user x item
             # matrix's transpose
             want = mask_built_rows(ctx, side, rows[side])
-            want = want.T if side else want
-            assert got.shape == want.shape and got.dtype == want.dtype == dtype
-            got_csr, want_csr = got.tocsr(), want.tocsr()
+            want = (want.T if side else want).tocsr()
+            n_rows = want[rows[side]].shape[0]
+            assert got.shape == (n_rows, n_src) and got.dtype == want.dtype == dtype
+            got_csr, want_csr = got.tocsr(), want[rows[side]]
             for name in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(got_csr, name), getattr(want_csr, name)), name
             x = case_rng.normal(size=(n_src, S * D)).astype(dtype)
-            g = case_rng.normal(size=(got.shape[0], S * D)).astype(dtype)
-            for product, reference in ((got @ x, want @ x), (got.T @ g, want.T @ g)):
+            g = case_rng.normal(size=(n_rows, S * D)).astype(dtype)
+            g_whole = np.zeros((want.shape[0], S * D), dtype=dtype)
+            g_whole[rows[side]] = g
+            cols = routed[1 - side]
+            on_cols = on_routed[side]
+            for product, reference in ((got @ x, (want @ x)[rows[side]]),
+                                       (got.T @ g, want.T @ g_whole),
+                                       (on_cols @ x[cols], (want @ x)[rows[side]]),
+                                       (on_cols.T @ g, (want.T @ g_whole)[cols])):
                 assert product.dtype == reference.dtype == dtype
                 assert product.tobytes() == reference.tobytes()
 
@@ -1303,17 +1346,43 @@ class TestTimeOffsetsOnSourceRows:
                     offsets = [o * ad.constant(mask) for o in offsets]
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(fbc, "LIVE_EDGE_CUT", 2.0 if reached else 0.0)
-                outs = _route(ctx, x, g, *offsets, tau, n_iter, reach if reached else None)
-            ad.add_all([(h * ad.constant(w)).sum() for h, w in zip(outs, weights)]).backward()
-            return [h.data for h in outs], [t.grad for t in leaves]
+                *outs, rows = _route(ctx, x, g, *offsets, tau, n_iter,
+                                     reach if reached else None)
+            ad.add_all([(h * ad.constant(w[r])).sum()
+                        for h, w, r in zip(outs, weights, rows)]).backward()
+            return [h.data for h in outs], rows, [t.grad for t in leaves]
 
-        outs, grads = routed(True)
-        whole_outs, whole_grads = routed(False)
-        for got, want, r in zip(outs, whole_outs, reach):
+        outs, rows, grads = routed(True)
+        whole_outs, _, whole_grads = routed(False)
+        for got, want, r in zip(outs, whole_outs, rows):
             assert got.dtype == want.dtype == dtype
-            assert got[r].tobytes() == want[r].tobytes()
+            assert got.tobytes() == want[r].tobytes()
         for got, want in zip(grads, whole_grads):
             assert got.dtype == want.dtype == dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gathered_offsets_have_the_bytes_of_the_one_hot_product(self, dtype):
+        # each gathered row plus +0.0 against the product's 0 + 1·t: -0.0
+        # becomes +0.0, and NaN of either sign, infinities and subnormals
+        # keep their bytes
+        T, S, D = 4, 2, 3
+        table = rng.normal(size=(T, S, D)).astype(dtype)
+        table.flat[:8] = [-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf,
+                          np.finfo(dtype).smallest_subnormal, -np.finfo(dtype).tiny]
+        assert np.signbit(table.flat[3]) and not np.signbit(table.flat[2])
+        onehot = from_edges(np.arange(7), np.array([0, 3, 1, 0, 2, 1, 0]), (7, T))
+        mask = np.ones((1, S, 1), dtype=dtype)
+        mask[0, 0] = 0.0
+        for m in (None, mask):
+            offsets = fbc.TimeOffsets(onehot, ad.Tensor(table), m)
+            for rows in (slice(None), np.array([0, 2, 3, 6]), np.zeros(0, dtype=np.intp)):
+                want = (offsets.onehot_rows(rows) @ table.reshape(T, -1)).reshape(-1, S, D)
+                if m is not None:
+                    want = want * m
+                with np.errstate(invalid="ignore"):
+                    got = offsets.at(rows)
+                assert got.dtype == want.dtype == dtype
+                assert got.tobytes() == want.tobytes()
 
     def test_offsets_of_rows_read_their_buckets_alone(self):
         onehot = from_edges(np.arange(5), np.array([2, 0, 2, 1, 0]), (5, 3))

@@ -378,20 +378,20 @@ def test_time_offsets_on_source_rows_keep_the_bytes_of_the_whole_last_layer(prec
     ds, hyper, rank, rel = reach_case(24, 24, [0.1, 0.1], 5, [1, 1], precision=precision,
                                       **ablation)
     ctx = ModelContext(ds, hyper)
-    users, items = last_layer_reach(ctx, hyper, rank).rows
 
     def run(last_layer):
         tensors = {k: ad.Tensor(v, requires_grad=True)
                    for k, v in init_params(hyper, ds, seed=3).items()}
-        outs, forward_ = [], model.forward
-        with pytest.MonkeyPatch.context() as mp, last_layer, \
-                recorded_last_layer_rows() as rows:
+        outs = []
+        with last_layer, recorded_last_layer_rows() as rows, \
+                pytest.MonkeyPatch.context() as mp:
+            forward_ = model.forward  # whole_last_layer's, inside it
             mp.setattr(fbc, "LIVE_EDGE_CUT", 2.0)
             mp.setattr(model, "forward", lambda *args: outs.append(forward_(*args)) or outs[-1])
             total, _ = batch_loss(tensors, ctx, hyper, rank, rel)
             total.backward()
         [out] = outs
-        finals = [f.data[users] for f in out.user_final] + [f.data[items] for f in out.item_final]
+        finals = [f.data for f in out.user_final + out.item_final]
         return finals, {k: t.grad for k, t in tensors.items()}, rows["time offsets"]
 
     finals, grads, offsets = run(nullcontext())
@@ -405,26 +405,25 @@ def test_time_offsets_on_source_rows_keep_the_bytes_of_the_whole_last_layer(prec
         if grads[name] is not None:
             assert grads[name].tobytes() == whole_grads[name].tobytes(), name
     # the whole layer multiplied every node's one-hot row; the narrowed one
-    # the source rows of its routing, forward and backward, one bucket each
+    # gathered the buckets' rows of its routing's source rows, and its
+    # backward multiplied their one-hot rows, one bucket each
     assert whole_offsets == [(24, 24)] * 4
-    assert len(offsets) == 8 and all(n == entries for n, entries in offsets)
+    assert len(offsets) == 4 and all(n == entries for n, entries in offsets)
     assert all(n < 24 for n, _ in offsets)
 
 
 def test_no_fbc_reach_holds_the_row_subsets_alone(grad_ds):
-    # nothing routes under no_fbc: the reach marks no routed rows, and
-    # holds each behavior's sums into the batch rows for its aggregation
+    # nothing routes under no_fbc: the reach marks no routed rows, and holds
+    # the batch rows and the triples' positions among them
     hyper = HyperConfig(**{**BASE, "no_fbc": True})
     hyper.validate(2)
     ctx = ModelContext(grad_ds, hyper)
-    rank = [(np.array([0, 1]), np.array([0, 1]), np.array([2, 3])), None]
+    rank = [(np.array([1, 0]), np.array([0, 1]), np.array([3, 2])), None]
     reach = last_layer_reach(ctx, hyper, rank)
     assert reach.routed is None
     assert [r.tolist() for r in reach.rows] == [[0, 1], [0, 1, 2, 3]]
-    assert len(reach.into) == 2
-    for into_users, into_items in reach.into:
-        assert set(np.flatnonzero(into_users.getnnz(axis=1))) <= {0, 1}
-        assert set(np.flatnonzero(into_items.getnnz(axis=1))) <= {0, 1, 2, 3}
+    assert [p.tolist() for p in reach.positions[0]] == [[1, 0], [0, 1], [3, 2]]
+    assert reach.positions[1] is None
 
 
 # ------------------------------------------------------- a step's work, counted
@@ -492,3 +491,73 @@ def test_last_layer_work_does_not_grow_with_an_unreached_component(aggregator):
             assert work_a[stage] != work_b[stage], stage
         else:
             assert work_a[stage] == work_b[stage], stage
+
+
+@pytest.mark.parametrize("aggregator", ["light", "ngcf"])
+@pytest.mark.parametrize("layers", [1, 2])
+def test_last_layer_stacks_and_their_gradients_are_batch_rows_high(aggregator, layers):
+    # a step's last layer aggregates, attends and sums the final stacks in
+    # the batch rows' coordinates: each of those stacks, and every gradient
+    # that reaches it, is as high as the batch's users or items, while the
+    # layers before it hold every row
+    ds = tiny_dataset(num_users=60, num_items=80, num_behaviors=2, relation_count=2,
+                      per_user=3, seed=21, relation_pairs=30)
+    hyper = HyperConfig(**{**BASE, "aggregator": aggregator, "interaction_layers": layers})
+    hyper.validate(2)
+    rng = np.random.default_rng(8)
+    rank = [tuple(column[:3] for column in epoch_ranking_triples(g, rng))
+            for g in ds.behavior_graphs]
+    rel = [tuple(column[:3] for column in epoch_relation_triples(g, rng))
+           for g in ds.relation_graphs]
+    ctx = ModelContext(ds, hyper)
+    rows = last_layer_reach(ctx, hyper, rank).rows
+    heights = (ds.num_users, ds.num_items)
+    stacks = {"aggregation": [], "attention": [], "final": []}
+    aggregate, correlate, forward_ = fbc._aggregate, fbc.correlate_shared, model.forward
+
+    def aggregating(*args, **kwargs):
+        outs = aggregate(*args, **kwargs)
+        stacks["aggregation"].append(list(enumerate(outs)))
+        return outs
+
+    def attending(stacks_, *args, **kwargs):
+        outs, lam = correlate(stacks_, *args, **kwargs)
+        side = heights.index(args[6]) if len(args) > 6 else None
+        stacks["attention"].append([(side, out) for out in outs])
+        return outs, lam
+
+    def forwarding(*args):
+        out = forward_(*args)
+        stacks["final"].append([(0, f) for f in out.user_final]
+                               + [(1, f) for f in out.item_final])
+        return out
+    tensors = {k: ad.Tensor(v, requires_grad=True)
+               for k, v in init_params(hyper, ds, seed=3).items()}
+    grad_heights = {}
+    accumulate = ad.Tensor._accumulate
+
+    def watched(self, g):
+        grad_heights.setdefault(id(self), set()).add(g.shape[:1])
+        accumulate(self, g)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fbc, "_aggregate", aggregating)
+        mp.setattr(fbc, "correlate_shared", attending)
+        mp.setattr(model, "forward", forwarding)
+        total, _ = batch_loss(tensors, ctx, hyper, rank, rel)
+        with patched_accumulate(watched):
+            total.backward()
+    K = ds.num_behaviors
+    assert len(stacks["aggregation"]) == K * layers and len(stacks["attention"]) == 2 * layers
+    last = {stage: calls[-len(calls) // layers:] for stage, calls in stacks.items()
+            if stage != "final"}
+    last["final"] = stacks["final"]
+    for stage, calls in last.items():
+        for call in calls:
+            for side, stack in call:
+                assert side is not None, stage
+                want = len(rows[side])
+                assert stack.shape[0] == want < heights[side], stage
+                assert grad_heights[id(stack)] == {(want,)}, stage
+    for stage in ("aggregation", "attention"):
+        for call in stacks[stage][:-len(stacks[stage]) // layers]:
+            assert all(stack.shape[0] == heights[side] for side, stack in call), stage
