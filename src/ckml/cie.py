@@ -31,27 +31,24 @@ def aggregator_weight_shapes(kind: str, width: int) -> list:
     raise ValueError(f"unknown aggregator {kind!r}")
 
 
-def apply_aggregator(kind: str, neighbors: ad.Tensor, x_self: ad.Tensor | None,
-                     weights: dict | None, slope: float, matmul=None) -> ad.Tensor:
+def apply_aggregator(kind: str, neighbors: ad.Tensor, x_self: ad.Tensor,
+                     weights: dict | None, slope: float) -> ad.Tensor:
     """Combine the degree-normalized neighbor sum with the node's own state.
 
     light: the normalized sum, untouched. gccf: linear transform plus
     residual. gcn: transform plus activation. ngcf: transform plus the
-    elementwise interaction term, then activation. Only the `READS_SELF`
-    kinds read `x_self`. The transforms are products through `matmul`
-    (`ad.matmul` by default).
+    elementwise interaction term, then activation.
     """
-    matmul = matmul or ad.matmul
     if kind == "light":
         return neighbors
     if kind == "gccf":
-        return matmul(neighbors, weights["W"]) + x_self
+        return ad.matmul(neighbors, weights["W"]) + x_self
     if kind == "gcn":
-        return ad.leaky_relu(matmul(neighbors, weights["W"]), slope)
+        return ad.leaky_relu(ad.matmul(neighbors, weights["W"]), slope)
     if kind == "ngcf":
         return ad.leaky_relu(
-            matmul(neighbors, weights["W1"]) + matmul(neighbors * x_self, weights["W2"]),
-            slope)
+            ad.matmul(neighbors, weights["W1"])
+            + ad.matmul(neighbors * x_self, weights["W2"]), slope)
     raise ValueError(f"unknown aggregator {kind!r}")
 
 

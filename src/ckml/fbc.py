@@ -48,13 +48,14 @@ it computes, and so does its gradient. Routing holds the rows it routed
 source rows it reads alone (`TimeOffsets`, a gather of the buckets' table
 rows). Aggregation (`_aggregate`) gives the batch rows alone, through the
 sums of `into_rows` (read from row ranges, one matrix row per batch row
-and one column per routed row), and attention (`correlate_shared`) mixes those rows alone. Routing's backward
-writes its source gradient into full height once. Each row keeps its
-bytes: a sparse product adds a row's terms in the same order, a
-self-reading aggregator reads a row that routing did not compute as +0.0
-(`_rows_at`), the aggregators' dense products run at full height
-(`_matmul_at_full_height`), and each attention weight gradient is one
-product over every row, +0.0 outside the batch rows (`_head_major`).
+and one column per routed row), and attention (`correlate_shared`) mixes
+those rows alone. Routing's backward writes its source gradient into full
+height once. Each row keeps its bytes: a sparse product adds a row's
+terms in the same order, an aggregator with weights acts on rows of full
+height, +0.0 where the batch rows or the routed rows do not reach
+(`_rows_at`), so its dense products run over every row, and each
+attention weight gradient is one product over every row, +0.0 outside
+the batch rows (`_head_major`).
 """
 
 from __future__ import annotations
@@ -572,27 +573,6 @@ def _rows_at(x: ad.Tensor, rows, held) -> ad.Tensor:
     return out
 
 
-def _matmul_at_full_height(rows: np.ndarray, height: int):
-    """`ad.matmul` for a left operand that holds the node rows `rows`
-    (ascending) of `height`: each product runs over every row, the others
-    +0.0 (`_full_height`), and keeps the rows `rows`, so they and the
-    right operand's gradient have the bytes of the whole product."""
-    def matmul(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
-        whole = _full_height(a.data, rows, height)
-        out = ad.Tensor(np.matmul(whole, b.data)[rows], a.requires_grad or b.requires_grad,
-                        (a, b))
-        if out.requires_grad:
-            def backward(g):
-                g = _full_height(g, rows, height)
-                if a.requires_grad:
-                    a._accumulate(np.matmul(g, np.swapaxes(b.data, -1, -2))[rows])
-                if b.requires_grad:
-                    b._accumulate(np.matmul(np.swapaxes(whole, -1, -2), g))
-            out._backward = backward
-        return out
-    return matmul
-
-
 def _aggregate(ctx: BehaviorContext, h_u: ad.Tensor, h_i: ad.Tensor, aggregator: str,
                agg_weights: dict | None, slope: float, rows: tuple = EVERY_ROW,
                routed: tuple = EVERY_ROW):
@@ -600,22 +580,22 @@ def _aggregate(ctx: BehaviorContext, h_u: ad.Tensor, h_i: ad.Tensor, aggregator:
     that hold the (user, item) node rows `routed` (ascending; slices:
     every row), each side from the other's rows, into the (user, item)
     node rows `rows` alone (`into_rows`). Returns (user, item) stacks of
-    those rows. A self-reading aggregator reads a row that is not routed as
-    +0.0 (`_rows_at`), and a dense product runs over every row
-    (`_matmul_at_full_height`), so each row has the bytes of the whole
-    pass."""
+    those rows. An aggregator with weights acts on rows of full height,
+    +0.0 where the sums or the routed rows do not reach (`_rows_at`), so its
+    dense products, and each row, have the bytes of the whole pass."""
     S, d_star = h_u.shape[1:]
     heights = (ctx.graph.num_users, ctx.graph.num_items)
     flats = [h.reshape(len(h.data), S * d_star) for h in (h_u, h_i)]
     outs = []
     for side, sums in enumerate(into_rows(ctx, rows, routed)):
-        agg = ad.spmm(sums, flats[1 - side])
-        x_self = None
-        if aggregator in READS_SELF:
-            x_self = _rows_at(flats[side], rows[side], routed[side])
-        matmul = (None if isinstance(rows[side], slice)
-                  else _matmul_at_full_height(rows[side], heights[side]))
-        out = apply_aggregator(aggregator, agg, x_self, agg_weights, slope, matmul)
+        out = ad.spmm(sums, flats[1 - side])
+        if agg_weights:
+            every = rows[side] if isinstance(rows[side], slice) else np.arange(heights[side])
+            x_self = (_rows_at(flats[side], every, routed[side]) if aggregator in READS_SELF
+                      else None)
+            out = apply_aggregator(aggregator, _rows_at(out, every, rows[side]), x_self,
+                                   agg_weights, slope)
+            out = _rows_at(out, rows[side], every)
         outs.append(out.reshape(len(out.data), S, d_star))
     return tuple(outs)
 
