@@ -595,7 +595,7 @@ def _aggregate(ctx: BehaviorContext, h_u: ad.Tensor, h_i: ad.Tensor, aggregator:
                       else None)
             out = apply_aggregator(aggregator, _rows_at(out, every, rows[side]), x_self,
                                    agg_weights, slope)
-            out = _rows_at(out, rows[side], every)
+            out = _rows_at(out, rows[side], slice(None))
         outs.append(out.reshape(len(out.data), S, d_star))
     return tuple(outs)
 
