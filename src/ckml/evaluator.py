@@ -75,8 +75,9 @@ def evaluate(params: dict, ctx, hyper, top_n: int,
     if ds.eval_negatives is None:
         raise ValueError("dataset has no eval negatives")
     tensors = {k: ad.Tensor(v) for k, v in params.items()}
-    out = forward(tensors, ctx, hyper)
+    # the forward forms the final stacks of the scored behaviors alone
     behaviors = range(ds.num_behaviors) if all_behaviors else [ds.target_behavior]
+    out = forward(tensors, ctx, hyper, read=behaviors)
     users, positives = ds.test_positive.T
     # HR and NDCG by rank: no rank exceeds the candidate count
     hr_by_rank, ndcg_by_rank = np.array(
@@ -108,21 +109,24 @@ def interest_center_distance(stacks: np.ndarray) -> dict:
     """Mean pairwise Euclidean distance between a node's interest vectors.
 
     stacks: (N, S, d*) with S >= 2. Returns per-item values plus summary
-    percentiles for histogram export.
+    percentiles for histogram export. The S(S-1)/2 pairs are taken one at a
+    time, by slices, into pair-major (pairs, N) norms; each item's mean
+    then adds its pairs in order, with the bytes of a pair-major copy of
+    every pair's difference.
     """
     stacks = np.asarray(stacks)
     n_interests = stacks.shape[1]
     if n_interests < 2:
         raise ValueError("interest distance needs at least two interests")
-    iu = np.triu_indices(n_interests, k=1)
-    diffs = stacks[:, iu[0]] - stacks[:, iu[1]]  # the S(S-1)/2 pairs alone
-    per_item = np.sqrt(ad.sum_last(diffs * diffs)[..., 0]).mean(axis=1)
+    first, second = np.triu_indices(n_interests, k=1)
+    norms = np.empty((len(first), len(stacks)), dtype=stacks.dtype)
+    for p, (a, b) in enumerate(zip(first, second)):
+        diff = stacks[:, a] - stacks[:, b]
+        np.sqrt(ad.sum_last(diff * diff)[:, 0], out=norms[p])
+    per_item = norms.T.mean(axis=1)
     if not np.all(np.isfinite(per_item)):
         raise NumericError("interest distances contain non-finite values")
-    return {
-        "per_item": per_item,
-        "mean": float(per_item.mean()),
-        "p10": float(np.percentile(per_item, 10)),
-        "p50": float(np.percentile(per_item, 50)),
-        "p90": float(np.percentile(per_item, 90)),
-    }
+    # one call per percentile: a call with all three computes in float64
+    # and changes float32 values
+    return {"per_item": per_item, "mean": float(per_item.mean()),
+            **{f"p{q}": float(np.percentile(per_item, q)) for q in (10, 50, 90)}}

@@ -39,7 +39,9 @@ edge the weight 1/S, so it takes one product over all interests
 The cross-behavior attention is likewise one tape node per side and
 layer (`correlate_shared`), with a hand-derived backward. Its projections
 add each row's products in one fixed order (`_project`), so a row's bytes
-do not depend on the other rows or the CPU kernel.
+do not depend on the other rows or the CPU kernel. Asked for some
+behaviors' outputs alone, as evaluation's last layer asks, it forms their
+queries, weights and outputs alone, each with the bytes of the whole call.
 
 A training step's losses read the last layer's stacks at the batch's rows
 alone, so that layer works in batch coordinates: each stack holds the rows
@@ -270,21 +272,22 @@ class TimeOffsets:
     (buckets, S, d*) Tensor and `mask` a (1, S, 1) array that zeroes an
     unused block. Each one-hot row holds one entry, a one, so row r's
     offset is its bucket's table row plus +0.0 (the product's 0 + 1·t),
-    and a product over some rows reads their buckets alone (`onehot_rows`)
+    and a product over some rows reads their buckets alone (`buckets_of`)
     and gives each row the bytes of the whole product."""
 
     onehot: sp.csr_matrix
     table: ad.Tensor
     mask: np.ndarray | None = None
 
-    def onehot_rows(self, rows) -> sp.csr_matrix:
-        """The one-hot matrix's rows `rows` (ascending, a slice or an index
-        array), from their bucket ids: O(len(rows))."""
+    def buckets_of(self, rows) -> sp.csc_matrix:
+        """The transpose of the one-hot matrix's rows `rows` (ascending, a
+        slice or an index array), (buckets, len(rows)), built as CSC from
+        their bucket ids: O(len(rows)). Every row's is the transpose's view."""
         if isinstance(rows, slice):
-            return self.onehot
+            return self.onehot.T
         indptr = np.arange(len(rows) + 1, dtype=self.onehot.indptr.dtype)
-        return sp.csr_matrix((self.onehot.data[rows], self.onehot.indices[rows], indptr),
-                             (len(rows), self.onehot.shape[1]))
+        return sp.csc_matrix((self.onehot.data[rows], self.onehot.indices[rows], indptr),
+                             (self.onehot.shape[1], len(rows)))
 
     def at(self, rows) -> np.ndarray:
         """The offsets of the node rows `rows`, (len(rows), S, d*): their
@@ -303,7 +306,7 @@ class TimeOffsets:
         if self.mask is not None:
             d = d * self.mask
         table = self.table
-        g = self.onehot_rows(rows).T @ d.reshape(len(d), math.prod(table.shape[1:]))
+        g = self.buckets_of(rows) @ d.reshape(len(d), math.prod(table.shape[1:]))
         table._accumulate(g.astype(table.dtype, copy=False).reshape(table.shape))
 
 
@@ -625,7 +628,7 @@ def _head_major(chunks: np.ndarray, rows, height: int) -> np.ndarray:
 
 def correlate_shared(stacks: list, q_proj: ad.Tensor, k_proj: ad.Tensor,
                      v_proj: ad.Tensor, heads: int, n_specific: int = 0,
-                     rows=slice(None), height: int | None = None):
+                     rows=slice(None), height: int | None = None, read=None):
     """Per-node, per-shared-interest multi-head attention across behaviors.
 
     stacks: K tensors of shape (B, S, d*), each behavior's `n_specific`
@@ -637,6 +640,13 @@ def correlate_shared(stacks: list, q_proj: ad.Tensor, k_proj: ad.Tensor,
     The residual adds the sum of ALL behaviors' shared blocks. Returns
     (list of K (B, S, d*) output tensors, attention weights of shape
     (K, K, B, S - n_specific, H)).
+
+    `read`, ascending behavior indices (None: every one), names the R
+    behaviors whose queries, weights and outputs are formed: R outputs and
+    (R, K, B, S - n_specific, H) weights, each with the bytes of the call
+    on every behavior. Keys, values and the residual still cover every
+    behavior. A backward needs every behavior read; a subset is refused
+    where a parent needs a gradient.
 
     A node row attends within itself, so the stacks may hold some node
     rows alone: `rows` of `height` node rows (ascending, an index array;
@@ -657,32 +667,40 @@ def correlate_shared(stacks: list, q_proj: ad.Tensor, k_proj: ad.Tensor,
     H, c, S = heads, d_star // heads, S_all - n_specific
     projs = (q_proj, k_proj, v_proj)
     parents = (*stacks, *projs)
+    if read is not None and len(read) == K:  # ascending: every behavior
+        read = None
+    queried = slice(None) if read is None else np.asarray(read, dtype=np.intp)
+    R = K if read is None else len(read)
+    requires_grad = any(t.requires_grad for t in parents)
+    if requires_grad and read is not None:
+        raise ValueError("attention's backward needs every behavior read")
     x = np.stack([t.data for t in stacks])  # (K, B, S_all, d*)
     residual = x[:, :, n_specific:].sum(axis=0, keepdims=True)
     # (H, K, B, S, c)
     xh = np.ascontiguousarray(
         x[:, :, n_specific:].reshape(K, B, S, H, c).transpose(3, 0, 1, 2, 4))
     w = [p.data.astype(xh.dtype, copy=False) for p in projs]
-    qx, kx, vx = (_project(xh, wp).reshape(K, B, S, H, c) for wp in w)
+    qx = _project(xh[:, queried], w[0]).reshape(R, B, S, H, c)
+    kx, vx = (_project(xh, wp).reshape(K, B, S, H, c) for wp in w[1:])
     # the backward's inputs; every other temporary is dropped once consumed
-    saved = (xh, qx, kx, vx) if any(t.requires_grad for t in parents) else None
+    saved = (xh, qx, kx, vx) if requires_grad else None
     scale = xh.dtype.type(1 / np.sqrt(c))
     del xh
-    lam = ad.sum_last(qx.reshape(K, 1, B, S, H, c) * kx.reshape(1, K, B, S, H, c))[..., 0]
+    lam = ad.sum_last(qx.reshape(R, 1, B, S, H, c) * kx.reshape(1, K, B, S, H, c))[..., 0]
     del qx, kx
     lam *= scale
     # softmax over k', in place
     lam -= lam.max(axis=1, keepdims=True)
     np.exp(lam, out=lam)
     lam /= lam.sum(axis=1, keepdims=True)
-    out = (lam.reshape(K, K, B, S, H, 1) * vx.reshape(1, K, B, S, H, c)).sum(axis=1)
+    out = (lam.reshape(R, K, B, S, H, 1) * vx.reshape(1, K, B, S, H, c)).sum(axis=1)
     del vx
-    out = out.reshape(K, B, S, d_star)
+    out = out.reshape(R, B, S, d_star)
     out += residual
     del residual
-    out = np.concatenate([x[:, :, :n_specific], out], axis=2)
+    out = np.concatenate([x[queried, :, :n_specific], out], axis=2)
     del x
-    node = ad.Tensor(out, saved is not None, parents)
+    node = ad.Tensor(out, requires_grad, parents)
     if saved is None:
         return ad.unstack(node), ad.Tensor(lam)
 

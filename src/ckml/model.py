@@ -18,7 +18,9 @@ high as those rows. The final stacks are batch-rows high too (earlier
 layers are read at the batch rows), and the ranking losses gather them by
 position among those rows. Its bookkeeping reads the adjacency's row
 ranges, so it costs O(entries into the rows + node count), with no pass
-over the edges and no sort. Evaluation computes every row.
+over the edges and no sort. Evaluation computes every row. It reads the
+final stacks of the behaviors it scores alone, so the last layer's
+attention forms those behaviors' outputs alone, and the others get none.
 """
 
 from __future__ import annotations
@@ -127,7 +129,9 @@ class ModelContext:
 
 @dataclass
 class ForwardOutput:
-    """What the ranking and relation losses and the evaluator read."""
+    """What the ranking and relation losses and the evaluator read; a
+    behavior that `forward` was not asked to read has None for final
+    stacks."""
 
     user_final: list      # per behavior, (M, S, d*), or (batch users, S, d*)
     item_final: list      # per behavior, (N, S, d*), or (batch items, S, d*)
@@ -171,16 +175,21 @@ def _pin_allocator() -> bool:
 
 
 def forward(params: dict, ctx: ModelContext, hyper: HyperConfig,
-            reach: LastLayerReach | None = None) -> ForwardOutput:
+            reach: LastLayerReach | None = None, read=None) -> ForwardOutput:
     """The whole forward. With `reach` (`last_layer_reach`), the last layer
     routes the rows it names alone, and aggregates and attends the batch
     rows alone, and the final stacks hold those rows alone, in ascending
-    order (`LastLayerReach.rows`). If that layer routes and is
-    the only one, its time offsets are computed for routing's source rows
-    alone (`fbc.TimeOffsets`). Otherwise every row's are added, as in
-    evaluation: earlier layers read every row, and a second product for the
-    last would split the tables' gradient sums and change their bytes;
-    no_fbc's aggregator reads its input at full height."""
+    order (`LastLayerReach.rows`). `read`, ascending behavior indices,
+    names the behaviors whose final stacks are read (None: every one, as
+    the losses read them): the last layer's attention forms the outputs of
+    those alone (`fbc.correlate_shared`), and the other behaviors get None
+    for final stacks. Earlier layers compute every behavior, whose states
+    feed the next layer. If one layer routes, its time offsets are computed
+    for routing's source rows alone (`fbc.TimeOffsets`), with the bytes of
+    the one-hot product. Otherwise every row's are added by that product:
+    earlier layers read every row, and a second product for the last would
+    split the tables' gradient sums and change their bytes; no_fbc's
+    aggregator reads its input at full height."""
     ds = ctx.dataset
     K = ds.num_behaviors
     s_spe, s_sha, d_star = hyper.interest_structure()
@@ -223,7 +232,7 @@ def forward(params: dict, ctx: ModelContext, hyper: HyperConfig,
     times = [[None, None] for _ in range(K)]
     if hyper.time_embedding:
         tables = [[params[f"time/{side}/k{k}"] for side in ("user", "item")] for k in range(K)]
-        if reach is not None and not hyper.fbc_disabled and hyper.interaction_layers == 1:
+        if not hyper.fbc_disabled and hyper.interaction_layers == 1:
             # the one layer routes: it adds the offsets to the rows it reads
             times = [[fbc.TimeOffsets(onehot, table, None if mask is None else mask.data)
                       for onehot, table in zip(ctx.buckets[k], tables[k])]
@@ -267,17 +276,20 @@ def forward(params: dict, ctx: ModelContext, hyper: HyperConfig,
             elif s_sha and hyper.fbc_disabled:  # the stacks are all shared
                 outs = [ad.add_all(stacks)] * K
             elif s_sha:
+                # the last layer attends for the behaviors read alone
                 outs, _ = fbc.correlate_shared(
                     stacks, params[f"attn/l{l}/Q"], params[f"attn/l{l}/K"],
                     params[f"attn/l{l}/V"], hyper.attention_heads, s_spe, rows[side],
-                    (M, ds.num_items)[side])
-            for k, out in enumerate(outs):
+                    (M, ds.num_items)[side], read if last else None)
+            for k, out in zip(range(K) if len(outs) == K else read, outs):
                 layer_outputs[k][side].append(out)
                 if not last:  # the last layer's states are never read
                     states[k][side] = out + states[k][side]
 
-    user_final = [objective.aggregate_final(outs[0], rows[0]) for outs in layer_outputs]
-    item_final = [objective.aggregate_final(outs[1], rows[1]) for outs in layer_outputs]
+    reads = range(K) if read is None else read
+    user_final, item_final = (
+        [objective.aggregate_final(outs[side], rows[side]) if k in reads else None
+         for k, outs in enumerate(layer_outputs)] for side in (0, 1))
     return ForwardOutput(user_final, item_final, relation_views, g_stacks)
 
 

@@ -1,8 +1,11 @@
 """Per-user reference for `ckml.evaluator.evaluate`'s ranking: each test
-user's candidates are scored, ranked and summed one user at a time."""
+user's candidates are scored, ranked and summed one user at a time; and
+the interest-distance diagnostic as the package computed it from copies of
+every interest pair."""
 
 import numpy as np
 
+from ckml import autodiff as ad
 from ckml.evaluator import hr_ndcg_at_n
 from ckml.numerics import NumericError
 
@@ -56,3 +59,25 @@ def per_behavior(out, dataset, top_n: int, behaviors) -> dict:
                      ndcg_sum / count if count else 0.0,
                      count)
     return result
+
+
+def interest_center_distance(stacks: np.ndarray) -> dict:
+    """`ckml.evaluator.interest_center_distance` from fancy-index copies of
+    every interest pair, (N, pairs, d*) laid out pair-major, and one
+    `np.percentile` call per percentile."""
+    stacks = np.asarray(stacks)
+    n_interests = stacks.shape[1]
+    if n_interests < 2:
+        raise ValueError("interest distance needs at least two interests")
+    iu = np.triu_indices(n_interests, k=1)
+    diffs = stacks[:, iu[0]] - stacks[:, iu[1]]  # the S(S-1)/2 pairs alone
+    per_item = np.sqrt(ad.sum_last(diffs * diffs)[..., 0]).mean(axis=1)
+    if not np.all(np.isfinite(per_item)):
+        raise NumericError("interest distances contain non-finite values")
+    return {
+        "per_item": per_item,
+        "mean": float(per_item.mean()),
+        "p10": float(np.percentile(per_item, 10)),
+        "p50": float(np.percentile(per_item, 50)),
+        "p90": float(np.percentile(per_item, 90)),
+    }

@@ -89,13 +89,28 @@ def recorded_restrictions():
         fbc._narrowed = narrowed
 
 
+def one_hot_offsets(offsets):
+    """Every row's time offsets as the tape's one-hot product, which
+    `fbc.TimeOffsets` `offsets` stands for (and other offsets as given)."""
+    if not isinstance(offsets, fbc.TimeOffsets):
+        return offsets
+    table = offsets.table
+    out = ad.spmm(offsets.onehot, table.reshape(table.shape[0], -1)).reshape(-1, *table.shape[1:])
+    return out if offsets.mask is None else out * ad.constant(offsets.mask)
+
+
 @contextmanager
 def whole_last_layer():
     """Inside the block `model.forward` computes the last layer at every
-    row, as evaluation does, and hands on the final stacks at the rows of
-    the reach it was given: those that the batch's losses read, in the
-    rows that the narrowed last layer holds."""
-    forward = model.forward
+    row, with every row's time offsets from the one-hot product, and hands
+    on the final stacks at the rows of the reach it was given: those that
+    the batch's losses read, in the rows that the narrowed last layer
+    holds."""
+    forward, route = model.forward, fbc.route_behavior_layer
+
+    def routing(ctx, x_stack, g_stack, time_u, time_i, *args):
+        return route(ctx, x_stack, g_stack, one_hot_offsets(time_u), one_hot_offsets(time_i),
+                     *args)
 
     def whole(params, ctx, hyper, reach=None):
         out = forward(params, ctx, hyper)
@@ -110,11 +125,11 @@ def whole_last_layer():
                         gathered[id(f)] = ad.gather(f, rows)
                 finals[:] = [gathered[id(f)] for f in finals]
         return out
-    model.forward = whole
+    model.forward, fbc.route_behavior_layer = whole, routing
     try:
         yield
     finally:
-        model.forward = forward
+        model.forward, fbc.route_behavior_layer = forward, route
 
 
 _FORWARD_CODE = model.forward.__code__  # the package's, whatever a test patches in
@@ -127,18 +142,20 @@ def recorded_last_layer_rows():
     `fbc.correlate_shared` attended (its weights' row axis), under
     "aggregation" the rows that each of `fbc._aggregate`'s products
     computed (those its matrix has entries in) and its entry count, and
-    under "time offsets" the same for each one-hot product: `model.forward`'s
-    over every row, and those over the rows routing reads, by which the
-    backward of `fbc.TimeOffsets` multiplies (`onehot_rows`)."""
+    under "time offsets" the same for each one-hot product: those over
+    every row (`model.forward`'s and `one_hot_offsets`'), and those over
+    the rows routing reads, by whose transpose the backward of
+    `fbc.TimeOffsets` multiplies (`buckets_of`)."""
     calls = {"attention": [], "aggregation": [], "time offsets": []}
-    correlate, spmm, onehot_rows = fbc.correlate_shared, ad.spmm, fbc.TimeOffsets.onehot_rows
+    correlate, spmm, buckets_of = fbc.correlate_shared, ad.spmm, fbc.TimeOffsets.buckets_of
 
     def attending(*args, **kwargs):
         outs, lam = correlate(*args, **kwargs)
         calls["attention"].append(lam.shape[2])
         return outs, lam
 
-    stages = {fbc._aggregate.__code__: "aggregation", _FORWARD_CODE: "time offsets"}
+    stages = {fbc._aggregate.__code__: "aggregation", _FORWARD_CODE: "time offsets",
+              one_hot_offsets.__code__: "time offsets"}
 
     def multiplying(sparse, x):
         caller = sys._getframe(1)
@@ -150,17 +167,17 @@ def recorded_last_layer_rows():
         return spmm(sparse, x)
 
     def offsetting(self, rows):
-        sparse = onehot_rows(self, rows)
-        calls["time offsets"].append((int(np.count_nonzero(sparse.getnnz(axis=1))),
+        sparse = buckets_of(self, rows)
+        calls["time offsets"].append((int(np.count_nonzero(sparse.getnnz(axis=0))),
                                       sparse.nnz))
         return sparse
     fbc.correlate_shared, ad.spmm = attending, multiplying
-    fbc.TimeOffsets.onehot_rows = offsetting
+    fbc.TimeOffsets.buckets_of = offsetting
     try:
         yield calls
     finally:
         fbc.correlate_shared, ad.spmm = correlate, spmm
-        fbc.TimeOffsets.onehot_rows = onehot_rows
+        fbc.TimeOffsets.buckets_of = buckets_of
 
 
 def mask_built_rows(ctx, side, rows):

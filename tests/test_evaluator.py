@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import naive_evaluator
 from ckml import autodiff as ad
-from ckml import evaluator
+from ckml import evaluator, model
 from ckml.config import HyperConfig
 from ckml.dataio import GenConfig, generate_synthetic
 from ckml.evaluator import (evaluate, hr_ndcg_at_n, interest_center_distance,
@@ -15,6 +15,8 @@ from ckml.evaluator import (evaluate, hr_ndcg_at_n, interest_center_distance,
 from ckml.model import ModelContext, forward
 from ckml.numerics import NumericError
 from ckml.trainer import init_params
+
+from naive_routing import whole_last_layer
 
 rng = np.random.default_rng(3)
 
@@ -86,13 +88,13 @@ class TestHrNdcg:
             hr_ndcg_at_n(0, 10)
 
 
-def eval_fixture(seed=0):
+def eval_fixture(seed=0, **overrides):
     gen = GenConfig(num_users=10, num_items=140, num_behaviors=2,
                     relation_count=2, shared_prototypes=1, specific_prototypes=1,
                     interactions_per_user=5)
     ds = generate_synthetic(gen, seed=seed)
     h = HyperConfig(embed_dim=8, specific_interests=1, shared_interests=1,
-                    attention_heads=2, seed=seed)
+                    attention_heads=2, seed=seed, **overrides)
     h.validate(2)
     ctx = ModelContext(ds, h)
     params = init_params(h, ds, seed=seed)
@@ -152,9 +154,10 @@ class TestEvaluate:
     def test_constant_scorer_has_zero_hr(self, monkeypatch):
         ds, h, ctx, params = eval_fixture()
 
-        def constant_forward(tensors, fctx, fhyper):
-            out = forward(tensors, fctx, fhyper)
+        def constant_forward(tensors, fctx, fhyper, read=None):
             k = ds.target_behavior
+            assert list(read) == [k]  # the scored behavior alone
+            out = forward(tensors, fctx, fhyper, read=read)
             out.user_final[k] = ad.Tensor(np.zeros_like(out.user_final[k].data))
             return out
 
@@ -190,6 +193,35 @@ class TestEvaluate:
         assert r1.per_behavior[k][0] <= r10.per_behavior[k][0]
 
 
+class TestEvaluateReadsTheScoredBehaviors:
+    """`evaluate` forms the final stacks of the behaviors it scores alone;
+    its report keeps the bytes of an evaluation whose forward read every
+    behavior and added every row's time offsets by the one-hot product."""
+
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("all_behaviors", [False, True])
+    def test_report_keeps_the_bytes_of_every_behavior_read(self, monkeypatch, precision,
+                                                           layers, all_behaviors):
+        ds, h, ctx, params = eval_fixture(seed=4, precision=precision,
+                                          interaction_layers=layers)
+        report = evaluate(params, ctx, h, 10, all_behaviors=all_behaviors)
+        reads = []
+
+        def every_behavior(tensors, fctx, fhyper, read=None):
+            reads.append(read)
+            with whole_last_layer():
+                return model.forward(tensors, fctx, fhyper)
+        monkeypatch.setattr("ckml.evaluator.forward", every_behavior)
+        want = evaluate(params, ctx, h, 10, all_behaviors=all_behaviors)
+        assert [list(r) for r in reads] == [[0, 1] if all_behaviors else [1]]
+        assert set(report.per_behavior) == ({0, 1} if all_behaviors else {1})
+        assert bits(report.per_behavior) == bits(want.per_behavior)
+        got, want = (r.diagnostics["interest_distance"] for r in (report, want))
+        assert got.keys() == want.keys()
+        assert all(np.float64(got[k]).tobytes() == np.float64(want[k]).tobytes() for k in got)
+
+
 def forward_stub(user_final, item_final):
     """A `model.forward` stand-in returning the given final stacks, with
     one-interest item stacks so no distance diagnostics run."""
@@ -197,7 +229,7 @@ def forward_stub(user_final, item_final):
         user_final=[ad.Tensor(u) for u in user_final],
         item_final=[ad.Tensor(i) for i in item_final],
         item_interest_stacks=[ad.Tensor(i[:, :1]) for i in item_final])
-    return lambda tensors, ctx, hyper: out
+    return lambda tensors, ctx, hyper, read=None: out
 
 
 def stub_context(test_positive, eval_negatives, num_behaviors):
@@ -330,3 +362,26 @@ class TestInterestCenterDistance:
     def test_needs_two_interests(self):
         with pytest.raises(ValueError):
             interest_center_distance(rng.normal(size=(3, 1, 2)))
+
+    def test_non_finite_distances_rejected(self):
+        stacks = rng.normal(size=(5, 3, 2))
+        stacks[3, 1, 0] = np.inf  # inf - inf in one pair, inf in another
+        with pytest.raises(NumericError, match="interest distances contain non-finite"):
+            interest_center_distance(stacks)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n_items", [1, 7, 16000])
+    @pytest.mark.parametrize("n_interests", range(2, 10))  # 10 or more pairs from 5
+    def test_bytes_equal_those_of_every_pair_copied(self, dtype, n_items, n_interests):
+        case_rng = np.random.default_rng(n_interests * 100 + n_items)
+        for width in (1, 4, 9):
+            stacks = (case_rng.normal(size=(n_items, n_interests, width))
+                      * case_rng.uniform(0.1, 10)).astype(dtype)
+            got = interest_center_distance(stacks)
+            want = naive_evaluator.interest_center_distance(stacks)
+            assert got.keys() == want.keys()
+            assert got["per_item"].dtype == want["per_item"].dtype == dtype
+            assert got["per_item"].tobytes() == want["per_item"].tobytes(), width
+            for key in ("mean", "p10", "p50", "p90"):
+                assert type(got[key]) is float
+                assert np.float64(got[key]).tobytes() == np.float64(want[key]).tobytes(), key

@@ -649,6 +649,47 @@ class TestCorrelateSharedOnRows:
                 assert got.dtype == dtype and got.tobytes() == want.tobytes()
 
 
+class TestCorrelateSharedForReadBehaviors:
+    """`correlate_shared` asked for some behaviors' outputs against the call
+    that reads every behavior: each read behavior's output and weights keep
+    their bytes, and a backward is refused unless every behavior is read."""
+
+    @staticmethod
+    def arrays(dtype, c, n_specific, K=3, V=61, S=2, H=2):
+        case_rng = np.random.default_rng(c * 10 + n_specific)
+        stacks = [case_rng.normal(size=(V, n_specific + S, H * c)).astype(dtype)
+                  for _ in range(K)]
+        projs = [case_rng.normal(size=(H, c, c)).astype(dtype) for _ in range(3)]
+        return stacks, projs
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("c", [1, 2, 4, 8, 9])
+    @pytest.mark.parametrize("n_specific", [0, 2])
+    def test_read_behaviors_keep_their_bytes(self, dtype, c, n_specific):
+        stacks, projs = self.arrays(dtype, c, n_specific)
+        args = ([ad.Tensor(a) for a in stacks], *(ad.Tensor(p) for p in projs), 2, n_specific)
+        whole_outs, whole_lam = correlate_shared(*args)
+        for read in ([0], [1], [2], [0, 2], [1, 2], [0, 1, 2]):
+            outs, lam = correlate_shared(*args, read=read)
+            assert lam.shape == (len(read),) + whole_lam.shape[1:] and lam.dtype == dtype
+            assert lam.data.tobytes() == whole_lam.data[read].tobytes()
+            assert len(outs) == len(read)
+            for k, out in zip(read, outs):
+                assert out.dtype == dtype
+                assert out.data.tobytes() == whole_outs[k].data.tobytes(), (read, k)
+
+    def test_a_backward_needs_every_behavior_read(self):
+        stacks, projs = self.arrays(np.float64, 2, 1)
+        for leaf in range(6):  # a stack or a projection that needs a gradient
+            leaves = [ad.Tensor(a, requires_grad=i == leaf)
+                      for i, a in enumerate(stacks + projs)]
+            with pytest.raises(ValueError, match="every behavior read"):
+                correlate_shared(leaves[:3], *leaves[3:], 2, 1, read=[0, 2])
+            outs, _ = correlate_shared(leaves[:3], *leaves[3:], 2, 1, read=[0, 1, 2])
+            ad.add_all([o.sum() for o in outs]).backward()
+            assert leaves[leaf].grad is not None
+
+
 class TestProject:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("c", [1, 2, 3, 4, 5, 8, 12])
@@ -1376,7 +1417,7 @@ class TestTimeOffsetsOnSourceRows:
         for m in (None, mask):
             offsets = fbc.TimeOffsets(onehot, ad.Tensor(table), m)
             for rows in (slice(None), np.array([0, 2, 3, 6]), np.zeros(0, dtype=np.intp)):
-                want = (offsets.onehot_rows(rows) @ table.reshape(T, -1)).reshape(-1, S, D)
+                want = (onehot[rows] @ table.reshape(T, -1)).reshape(-1, S, D)
                 if m is not None:
                     want = want * m
                 with np.errstate(invalid="ignore"):
@@ -1389,10 +1430,12 @@ class TestTimeOffsetsOnSourceRows:
         table = ad.Tensor(rng.normal(size=(3, 2, 2)), requires_grad=True)
         offsets = fbc.TimeOffsets(onehot, table)
         rows = np.array([0, 3, 4])
-        part = offsets.onehot_rows(rows)
-        assert part.shape == (3, 3) and part.nnz == 3
+        part = offsets.buckets_of(rows)
+        assert part.format == "csc" and part.shape == (3, 3) and part.nnz == 3
+        np.testing.assert_array_equal(part.toarray(), onehot[rows].T.toarray())
         assert offsets.at(rows).tobytes() == table.data[[2, 1, 0]].tobytes()
-        assert offsets.onehot_rows(slice(None)) is onehot
+        whole = offsets.buckets_of(slice(None))
+        assert whole.format == "csc" and np.shares_memory(whole.data, onehot.data)  # a view
         d = rng.normal(size=(3, 2, 2))
         offsets.backward(d, rows)
         np.testing.assert_array_equal(table.grad, d[[2, 1, 0]])

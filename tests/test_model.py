@@ -159,6 +159,55 @@ def test_forward_routes_every_side_behavior_layer_and_iteration(grad_ds):
     assert counts == [2 * grad_ds.num_behaviors * 2 * 3, 0, 0]
 
 
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+@pytest.mark.parametrize("layers", [1, 2])
+@pytest.mark.parametrize("overrides", [
+    {}, {"shared_only": True}, {"specific_only": True}, {"time_embedding": False},
+    {"no_fbc": True}], ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()) or "default")
+def test_read_behaviors_keep_the_bytes_of_every_behavior_read(precision, layers, overrides):
+    # a forward that reads some behaviors gives each of them the final
+    # stacks of a forward that reads every behavior and adds every row's
+    # time offsets by the one-hot product (`whole_last_layer`), and the
+    # others none; the last layer's attention formed the weights of the
+    # read behaviors alone, and one routing layer gathered the offsets with
+    # no one-hot product
+    ds = tiny_dataset(num_users=30, num_items=40, num_behaviors=3, relation_count=2,
+                      per_user=3, seed=17, relation_pairs=20)
+    hyper = HyperConfig(**{**BASE, "precision": precision, "interaction_layers": layers,
+                           **overrides})
+    hyper.validate(3)
+    ctx = ModelContext(ds, hyper)
+    tensors = {k: ad.Tensor(v) for k, v in init_params(hyper, ds, seed=3).items()}
+    with whole_last_layer():
+        whole = model.forward(tensors, ctx, hyper)
+    attended = hyper.interest_structure()[1] > 0 and not hyper.fbc_disabled
+    correlate = fbc.correlate_shared
+    for read in ([0], [2], [0, 2], [1, 2], [0, 1, 2], None):
+        weights = []
+
+        def attending(*args, **kwargs):
+            outs, lam = correlate(*args, **kwargs)
+            weights.append(lam.shape[:2])
+            return outs, lam
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fbc, "correlate_shared", attending)
+            with recorded_last_layer_rows() as rows:
+                out = forward(tensors, ctx, hyper, read=read)
+        assert bool(rows["time offsets"]) == (
+            hyper.time_embedding and (layers > 1 or hyper.fbc_disabled))
+        reads = [0, 1, 2] if read is None else read
+        assert weights == ([(3, 3)] * 2 * (layers - 1) + [(len(reads), 3)] * 2
+                           if attended else [])
+        for k in range(3):
+            for got, want in ((out.user_final[k], whole.user_final[k]),
+                              (out.item_final[k], whole.item_final[k])):
+                if k in reads:
+                    assert got.dtype == want.dtype == hyper.dtype
+                    assert got.data.tobytes() == want.data.tobytes(), (read, k)
+                else:
+                    assert got is None
+
+
 def test_no_fbc_path_has_no_attention_parameters(grad_ds):
     hyper = HyperConfig(**{**BASE, "no_fbc": True})
     hyper.validate(2)
@@ -171,7 +220,10 @@ def test_no_fbc_path_has_no_attention_parameters(grad_ds):
 @settings(max_examples=25, deadline=None)
 def test_time_offsets_are_the_bucket_rows_and_add_at_their_gradient(
         grad_ds, precision, buckets, seed):
-    hyper = HyperConfig(**{**BASE, "precision": precision, "time_buckets": buckets})
+    # two layers, which both read every row's offsets from the one-hot
+    # product; one routing layer gathers them (`fbc.TimeOffsets`)
+    hyper = HyperConfig(**{**BASE, "precision": precision, "time_buckets": buckets,
+                           "interaction_layers": 2})
     hyper.validate(2)
     ctx = ModelContext(grad_ds, hyper)
     dtype = hyper.dtype
