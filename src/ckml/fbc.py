@@ -7,7 +7,8 @@ normalized-affinity agreement), then one aggregator pass runs over the
 bipartite graph on the routed stacks, through the symmetric-degree
 normalized adjacency D_u^-1/2 A D_i^-1/2 and its transpose. Shared
 interest blocks are correlated across behaviors with per-interest
-multi-head attention; specific blocks bypass correlation entirely.
+multi-head attention; specific blocks bypass correlation entirely. Each
+pass adds the time offsets (`TimeOffsets`) to the rows it reads.
 
 Coefficients live per *directed* edge: the user-side column (u, i) and the
 item-side column (i, u) of an interaction evolve independently, exactly as
@@ -266,34 +267,32 @@ def _full_height(values: np.ndarray, rows, height: int, axis: int = 0) -> np.nda
 
 @dataclass
 class TimeOffsets:
-    """A source side's time offsets in the form routing adds them to the
-    rows it reads alone: row r's is `onehot[r] @ table`, times `mask` if
-    given, with `onehot` the (nodes, buckets) one-hot matrix, `table` the
+    """A side's time offsets, added to the node rows that routing or the
+    plain aggregation reads: row r's is its bucket's table row, times
+    `mask` if given, with `ids` the nodes' bucket ids, `table` the
     (buckets, S, d*) Tensor and `mask` a (1, S, 1) array that zeroes an
-    unused block. Each one-hot row holds one entry, a one, so row r's
-    offset is its bucket's table row plus +0.0 (the product's 0 + 1·t),
-    and a product over some rows reads their buckets alone (`buckets_of`)
-    and gives each row the bytes of the whole product."""
+    unused block. Each row has the bytes of its row of the product with the
+    (nodes, buckets) one-hot matrix, 0 + 1·t, and the gradient of some rows
+    is the product with their one-hot rows' transpose (`buckets_of`)."""
 
-    onehot: sp.csr_matrix
+    ids: np.ndarray
     table: ad.Tensor
     mask: np.ndarray | None = None
 
     def buckets_of(self, rows) -> sp.csc_matrix:
         """The transpose of the one-hot matrix's rows `rows` (ascending, a
         slice or an index array), (buckets, len(rows)), built as CSC from
-        their bucket ids: O(len(rows)). Every row's is the transpose's view."""
-        if isinstance(rows, slice):
-            return self.onehot.T
-        indptr = np.arange(len(rows) + 1, dtype=self.onehot.indptr.dtype)
-        return sp.csc_matrix((self.onehot.data[rows], self.onehot.indices[rows], indptr),
-                             (self.onehot.shape[1], len(rows)))
+        their bucket ids: O(len(rows)). Its entries are float32 ones, so a
+        float32 gradient stays float32."""
+        ids = self.ids[rows]
+        return sp.csc_matrix((np.ones(len(ids), dtype=np.float32), ids,
+                              np.arange(len(ids) + 1)), (self.table.shape[0], len(ids)))
 
     def at(self, rows) -> np.ndarray:
         """The offsets of the node rows `rows`, (len(rows), S, d*): their
         buckets' table rows, gathered, plus +0.0 in place, which turns a
         -0.0 into +0.0 as the product's sum from zero does."""
-        out = self.table.data[self.onehot.indices[rows]]
+        out = self.table.data[self.ids[rows]]
         out += 0.0
         return out if self.mask is None else out * self.mask
 
@@ -308,6 +307,20 @@ class TimeOffsets:
         table = self.table
         g = self.buckets_of(rows) @ d.reshape(len(d), math.prod(table.shape[1:]))
         table._accumulate(g.astype(table.dtype, copy=False).reshape(table.shape))
+
+    def added_to(self, stack: ad.Tensor) -> ad.Tensor:
+        """`stack` plus every row's offsets, one tape node: `at` and
+        `backward` at every row."""
+        every = slice(None)
+        out = ad.Tensor(stack.data + self.at(every),
+                        stack.requires_grad or self.table.requires_grad, (stack, self.table))
+        if out.requires_grad:
+            def backward(g):
+                if stack.requires_grad:
+                    stack._accumulate(g)
+                self.backward(g, every)
+            out._backward = backward
+        return out
 
 
 def _route_side(src: ad.Tensor, src_ids: np.ndarray, dst_ids: np.ndarray,
@@ -440,27 +453,24 @@ def _route(ctx: BehaviorContext, x_stack: ad.Tensor, g_stack: ad.Tensor,
            time_u, time_i, tau: float, n_iter: int, reach: tuple | None = None):
     """Steps 1-4 on both sides: iterate coefficient normalization,
     weighted-mean propagation of the opposite side's initial states, and
-    affinity updates. The (user, item) time offsets are each None, a
-    Tensor of every row's, added to every row, or `TimeOffsets`, which
-    routing adds to the source rows it reads alone (`_route_side`).
-    `reach`, if given, is the (user, item) masks of the rows that are read.
-    Returns the last iteration's user and item stacks, before aggregation,
-    and the (user, item) node rows they hold (`_route_side`): (M, S, d*)
-    and (N, S, d*) stacks of every row without `reach`."""
+    affinity updates. Each side's initial states are its stack plus its
+    time offsets, `TimeOffsets` or None, which routing adds to the source
+    rows it reads alone (`_route_side`). `reach`, if given, is the (user,
+    item) masks of the rows that are read. Returns the last iteration's
+    user and item stacks, before aggregation, and the (user, item) node
+    rows they hold (`_route_side`): (M, S, d*) and (N, S, d*) stacks of
+    every row without `reach`."""
     if tau <= 0:
         raise NumericError(f"routing temperature must be positive, got {tau}")
     if n_iter < 1:
         raise NumericError(f"routing needs at least one iteration, got {n_iter}")
-    (h_u0, off_u), (h_i0, off_i) = (
-        (stack, t) if isinstance(t, TimeOffsets) else (_with_time(stack, t), None)
-        for stack, t in ((x_stack, time_u), (g_stack, time_i)))
     # columns (u, i) carry items to users, columns (i, u) users to items
     users, items = ctx.user_ids, ctx.item_ids
     reach_u, reach_i = reach if reach is not None else (None, None)
-    h_u_t, rows_u, bad_u = _route_side(h_i0, items, users, ctx.into_users, None, tau,
-                                       n_iter, reach_u, off_i)
-    h_i_t, rows_i, bad_i = _route_side(h_u0, users, items, ctx.into_items,
-                                       ctx.item_from_user, tau, n_iter, reach_i, off_u)
+    h_u_t, rows_u, bad_u = _route_side(g_stack, items, users, ctx.into_users, None, tau,
+                                       n_iter, reach_u, time_i)
+    h_i_t, rows_i, bad_i = _route_side(x_stack, users, items, ctx.into_items,
+                                       ctx.item_from_user, tau, n_iter, reach_i, time_u)
     bad = [(b[0], side, b[1]) for side, b in enumerate((bad_u, bad_i)) if b]
     if bad:  # the earlier iteration, the user side first
         t, side, node = min(bad)
@@ -476,32 +486,28 @@ def route_behavior_layer(ctx: BehaviorContext, x_stack: ad.Tensor, g_stack: ad.T
     """Allocate one behavior's edges across interests and aggregate once.
 
     Returns (h_user, h_item): stacks of shape (M, S, d*) / (N, S, d*) after
-    the final aggregation pass; nodes without edges come out zero. The time
-    offsets are Tensors, `TimeOffsets` or None (`_route`). With `reach`
-    (`_route`), routing computes the reached rows alone; the stacks hold
-    the (user, item) node rows `rows` alone (`_aggregate`), which are right
-    where their aggregation reads reached rows alone.
+    the final aggregation pass; nodes without edges come out zero. With
+    `reach` (`_route`), routing computes the reached rows alone; the stacks
+    hold the (user, item) node rows `rows` alone (`_aggregate`), which are
+    right where their aggregation reads reached rows alone.
     """
     h_u_t, h_i_t, routed = _route(ctx, x_stack, g_stack, time_u, time_i, tau, n_iter, reach)
     return _aggregate(ctx, h_u_t, h_i_t, aggregator, agg_weights, slope, rows, routed)
 
 
 def plain_aggregation_layer(ctx: BehaviorContext, x_stack: ad.Tensor,
-                            g_stack: ad.Tensor, time_u: ad.Tensor | None,
-                            time_i: ad.Tensor | None, aggregator: str,
+                            g_stack: ad.Tensor, time_u: TimeOffsets | None,
+                            time_i: TimeOffsets | None, aggregator: str,
                             agg_weights: dict | None = None, slope: float = 0.2,
                             rows: tuple = EVERY_ROW):
     """Routing replacement for the no-routing ablation: one configured
     aggregator pass over the bipartite graph on (state + time offset), into
     the (user, item) node rows `rows` alone (`_aggregate`). The aggregation
-    reads its input at every row, so the time offsets here are whole
-    Tensors, added to every row."""
-    return _aggregate(ctx, _with_time(x_stack, time_u), _with_time(g_stack, time_i),
-                      aggregator, agg_weights, slope, rows)
-
-
-def _with_time(stack: ad.Tensor, offset: ad.Tensor | None) -> ad.Tensor:
-    return stack if offset is None else stack + offset
+    reads its input at every row, so every row's offsets are added
+    (`TimeOffsets.added_to`)."""
+    x_stack, g_stack = (stack if t is None else t.added_to(stack)
+                        for stack, t in ((x_stack, time_u), (g_stack, time_i)))
+    return _aggregate(ctx, x_stack, g_stack, aggregator, agg_weights, slope, rows)
 
 
 def _entries(adj: sp.csr_matrix, rows: np.ndarray):

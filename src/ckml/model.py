@@ -37,7 +37,7 @@ from . import autodiff as ad
 from . import cie, fbc, objective
 from .config import ConfigError, HyperConfig
 from .dataio import Dataset, time_buckets
-from .numerics import from_edges, normalized_adjacency
+from .numerics import normalized_adjacency
 
 
 @dataclass
@@ -107,9 +107,7 @@ class ModelContext:
     hyper: HyperConfig
     behaviors: list = field(init=False)
     relation_adjs: list = field(init=False)
-    # per behavior, the (user, item) node-by-bucket one-hot matrices; a
-    # product with a time table gives each node its bucket's offset, and its
-    # backward multiplies by the transpose's view
+    # per behavior, the (user, item) nodes' time bucket ids
     buckets: list = field(init=False)
 
     def __post_init__(self):
@@ -121,9 +119,7 @@ class ModelContext:
         self.relation_adjs = [normalized_adjacency(g.edges[:, 0], g.edges[:, 1],
                                                    (g.num_items, g.num_items), dtype)
                               for g in self.dataset.relation_graphs]
-        count = self.hyper.time_buckets
-        self.buckets = [tuple(from_edges(np.arange(len(ids)), ids, (len(ids), count))
-                              for ids in time_buckets(g, count))
+        self.buckets = [time_buckets(g, self.hyper.time_buckets)
                         for g in self.dataset.behavior_graphs]
 
 
@@ -184,12 +180,8 @@ def forward(params: dict, ctx: ModelContext, hyper: HyperConfig,
     the losses read them): the last layer's attention forms the outputs of
     those alone (`fbc.correlate_shared`), and the other behaviors get None
     for final stacks. Earlier layers compute every behavior, whose states
-    feed the next layer. If one layer routes, its time offsets are computed
-    for routing's source rows alone (`fbc.TimeOffsets`), with the bytes of
-    the one-hot product. Otherwise every row's are added by that product:
-    earlier layers read every row, and a second product for the last would
-    split the tables' gradient sums and change their bytes; no_fbc's
-    aggregator reads its input at full height."""
+    feed the next layer. Each layer adds the time offsets to the rows it
+    reads (`fbc.TimeOffsets`)."""
     ds = ctx.dataset
     K = ds.num_behaviors
     s_spe, s_sha, d_star = hyper.interest_structure()
@@ -231,19 +223,10 @@ def forward(params: dict, ctx: ModelContext, hyper: HyperConfig,
     # per behavior, [user side, item side]
     times = [[None, None] for _ in range(K)]
     if hyper.time_embedding:
-        tables = [[params[f"time/{side}/k{k}"] for side in ("user", "item")] for k in range(K)]
-        if not hyper.fbc_disabled and hyper.interaction_layers == 1:
-            # the one layer routes: it adds the offsets to the rows it reads
-            times = [[fbc.TimeOffsets(onehot, table, None if mask is None else mask.data)
-                      for onehot, table in zip(ctx.buckets[k], tables[k])]
-                     for k in range(K)]
-        else:
-            times = [[ad.spmm(onehot, table.reshape(hyper.time_buckets, s_total * d_star))
-                      .reshape(-1, s_total, d_star)
-                      for onehot, table in zip(ctx.buckets[k], tables[k])]
-                     for k in range(K)]
-            if mask is not None:
-                times = [[t * mask for t in pair] for pair in times]
+        times = [[fbc.TimeOffsets(ids, params[f"time/{side}/k{k}"],
+                                  None if mask is None else mask.data)
+                  for ids, side in zip(ctx.buckets[k], ("user", "item"))]
+                 for k in range(K)]
     states = [[x0, g] for g in g_stacks]
     layer_outputs = [([], []) for _ in range(K)]
 

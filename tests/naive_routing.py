@@ -16,8 +16,10 @@ with, which no output of the package carries. `recorded_restrictions`
 records which routing passes worked on a subset of the edges, and
 `recorded_last_layer_rows` the rows that aggregation, attention and the
 time offsets computed. `whole_last_layer` turns a training step's narrowed
-last layer off, as the reference that it must match, and
-`mask_built_rows` keeps the package's earlier sums into some rows.
+last layer off, as the reference that it must match,
+`offsets_shared_by_every_layer` adds the time offsets as the package did
+before each layer added its own, and `mask_built_rows` keeps the
+package's earlier sums into some rows.
 """
 
 import sys
@@ -32,7 +34,7 @@ from ckml import fbc, model
 from ckml.autodiff import NORM_GUARD
 from ckml.cie import assemble_interest_embedding
 from ckml.fbc import DEGREE_GUARD, _project
-from ckml.numerics import NumericError
+from ckml.numerics import NumericError, from_edges
 
 from naive_autodiff import divide, narrow, stack, tanh, transpose
 
@@ -90,27 +92,84 @@ def recorded_restrictions():
 
 
 def one_hot_offsets(offsets):
-    """Every row's time offsets as the tape's one-hot product, which
-    `fbc.TimeOffsets` `offsets` stands for (and other offsets as given)."""
-    if not isinstance(offsets, fbc.TimeOffsets):
-        return offsets
-    table = offsets.table
-    out = ad.spmm(offsets.onehot, table.reshape(table.shape[0], -1)).reshape(-1, *table.shape[1:])
+    """Every row's time offsets that the `fbc.TimeOffsets` `offsets` stand
+    for, as the tape's product of the (nodes, buckets) one-hot matrix with
+    the table, times the mask."""
+    table, n = offsets.table, len(offsets.ids)
+    onehot = from_edges(np.arange(n), offsets.ids, (n, table.shape[0]))
+    out = ad.spmm(onehot, table.reshape(table.shape[0], -1)).reshape(-1, *table.shape[1:])
     return out if offsets.mask is None else out * ad.constant(offsets.mask)
+
+
+def row_buckets(offsets):
+    """The `fbc.TimeOffsets` of an offsets Tensor, one bucket per row: each
+    row's own offset plus +0.0 (None for None)."""
+    return None if offsets is None else fbc.TimeOffsets(np.arange(len(offsets.data)), offsets)
+
+
+def route_with_offsets(ctx, x_stack, g_stack, time_u, time_i, *args):
+    """`fbc._route` with the time offsets given as Tensors (`row_buckets`)."""
+    return fbc._route(ctx, x_stack, g_stack, row_buckets(time_u), row_buckets(time_i), *args)
+
+
+class WholeOffsets(fbc.TimeOffsets):
+    """`fbc.TimeOffsets` computed at every row: `at` gives some rows of
+    every row's offsets (`one_hot_offsets`), and `backward` multiplies every
+    row's gradient, +0.0 outside the rows given, by the whole one-hot
+    matrix's transpose."""
+
+    def at(self, rows):
+        return one_hot_offsets(self).data[rows]
+
+    def backward(self, d, rows):
+        super().backward(fbc._full_height(d, rows, len(self.ids)), slice(None))
+
+
+@contextmanager
+def _time_offsets_replaced(replace):
+    """Inside the block `fbc.route_behavior_layer` and
+    `fbc.plain_aggregation_layer` take `replace(stack, offsets)` in place of
+    each (stack, offsets) pair they are given."""
+    layers = fbc.route_behavior_layer, fbc.plain_aggregation_layer
+
+    def patched(layer):
+        def replaced(ctx, x_stack, g_stack, time_u, time_i, *args):
+            (x_stack, time_u), (g_stack, time_i) = (
+                (stack, None) if t is None else replace(stack, t)
+                for stack, t in ((x_stack, time_u), (g_stack, time_i)))
+            return layer(ctx, x_stack, g_stack, time_u, time_i, *args)
+        return replaced
+    fbc.route_behavior_layer, fbc.plain_aggregation_layer = map(patched, layers)
+    try:
+        yield
+    finally:
+        fbc.route_behavior_layer, fbc.plain_aggregation_layer = layers
+
+
+@contextmanager
+def offsets_shared_by_every_layer():
+    """Inside the block `model.forward` adds each side's time offsets to
+    the stacks of every layer as one Tensor of every row's
+    (`one_hot_offsets`), made once per forward: so a time table's gradient
+    is one product of the layers' summed gradients, where the package
+    multiplies each layer's."""
+    made = {}  # id -> (offsets, product): holding the offsets keeps ids unique
+
+    def shared(stack, offsets):
+        if id(offsets) not in made:
+            made[id(offsets)] = offsets, one_hot_offsets(offsets)
+        return stack + made[id(offsets)][1], None
+    with _time_offsets_replaced(shared):
+        yield
 
 
 @contextmanager
 def whole_last_layer():
     """Inside the block `model.forward` computes the last layer at every
-    row, with every row's time offsets from the one-hot product, and hands
-    on the final stacks at the rows of the reach it was given: those that
-    the batch's losses read, in the rows that the narrowed last layer
-    holds."""
-    forward, route = model.forward, fbc.route_behavior_layer
-
-    def routing(ctx, x_stack, g_stack, time_u, time_i, *args):
-        return route(ctx, x_stack, g_stack, one_hot_offsets(time_u), one_hot_offsets(time_i),
-                     *args)
+    row, with every row's time offsets (`WholeOffsets`), and hands on the
+    final stacks at the rows of the reach it was given: those that the
+    batch's losses read, in the rows that the narrowed last layer holds."""
+    forward = model.forward
 
     def whole(params, ctx, hyper, reach=None):
         out = forward(params, ctx, hyper)
@@ -125,11 +184,13 @@ def whole_last_layer():
                         gathered[id(f)] = ad.gather(f, rows)
                 finals[:] = [gathered[id(f)] for f in finals]
         return out
-    model.forward, fbc.route_behavior_layer = whole, routing
+    model.forward = whole
     try:
-        yield
+        with _time_offsets_replaced(
+                lambda stack, t: (stack, WholeOffsets(t.ids, t.table, t.mask))):
+            yield
     finally:
-        model.forward, fbc.route_behavior_layer = forward, route
+        model.forward = forward
 
 
 _FORWARD_CODE = model.forward.__code__  # the package's, whatever a test patches in
@@ -142,10 +203,10 @@ def recorded_last_layer_rows():
     `fbc.correlate_shared` attended (its weights' row axis), under
     "aggregation" the rows that each of `fbc._aggregate`'s products
     computed (those its matrix has entries in) and its entry count, and
-    under "time offsets" the same for each one-hot product: those over
-    every row (`model.forward`'s and `one_hot_offsets`'), and those over
-    the rows routing reads, by whose transpose the backward of
-    `fbc.TimeOffsets` multiplies (`buckets_of`)."""
+    under "time offsets" the same for each product with the transposed
+    one-hot rows that the backward of `fbc.TimeOffsets` multiplies by
+    (`buckets_of`), and for any one-hot product in `model.forward`, which
+    makes none."""
     calls = {"attention": [], "aggregation": [], "time offsets": []}
     correlate, spmm, buckets_of = fbc.correlate_shared, ad.spmm, fbc.TimeOffsets.buckets_of
 
@@ -154,8 +215,7 @@ def recorded_last_layer_rows():
         calls["attention"].append(lam.shape[2])
         return outs, lam
 
-    stages = {fbc._aggregate.__code__: "aggregation", _FORWARD_CODE: "time offsets",
-              one_hot_offsets.__code__: "time offsets"}
+    stages = {fbc._aggregate.__code__: "aggregation", _FORWARD_CODE: "time offsets"}
 
     def multiplying(sparse, x):
         caller = sys._getframe(1)

@@ -24,7 +24,8 @@ from ckml.trainer import (Adam, epoch_ranking_triples, epoch_relation_triples,
 
 from conftest import tiny_dataset
 from naive_numerics import softmax_with_temperature
-from naive_routing import naive_route_and_aggregate, recorded_coefficients, tape_route
+from naive_routing import (naive_route_and_aggregate, recorded_coefficients, row_buckets,
+                           tape_route)
 
 
 def report(number, description, ok, detail=""):
@@ -85,8 +86,8 @@ def test_criterion_2_routing_oracle_equivalence():
         tu = rng.normal(size=(M, n_interests, d_star)) * 0.2
         ti = rng.normal(size=(N, n_interests, d_star)) * 0.2
         h_u, h_i = route_behavior_layer(
-            ctx, ad.Tensor(x), ad.Tensor(g), ad.Tensor(tu), ad.Tensor(ti),
-            tau, n_iter, "light")
+            ctx, ad.Tensor(x), ad.Tensor(g), row_buckets(ad.Tensor(tu)),
+            row_buckets(ad.Tensor(ti)), tau, n_iter, "light")
         want_u, want_i = naive_route_and_aggregate(
             [tuple(e) for e in graph.edges], M, N, x, g, tu, ti, tau, n_iter)
         worst = max(worst, float(np.abs(h_u.data - want_u).max()),

@@ -20,8 +20,9 @@ from ckml.numerics import NumericError, finite_difference_gradcheck, from_edges
 import naive_autodiff as nad
 from naive_numerics import bipartite_normalized_adjacencies
 from naive_routing import (composed_correlate_shared, mask_built_rows, naive_route,
-                           naive_route_and_aggregate, per_edge_route, projected_left_to_right,
-                           propagate_layer, recorded_coefficients, tape_route)
+                           naive_route_and_aggregate, one_hot_offsets, per_edge_route,
+                           projected_left_to_right, propagate_layer, recorded_coefficients,
+                           route_with_offsets, row_buckets, tape_route)
 
 rng = np.random.default_rng(7)
 
@@ -157,8 +158,8 @@ class TestRouting:
         weights = {name: ad.Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
                    for name, shape in cie.aggregator_weight_shapes(aggregator, S * D)}
         reach = (np.arange(3) < 2, np.ones(4, bool)) if reached else None
-        h_u, h_i = route_behavior_layer(ctx, x, g, tu, ti, 0.7, 3, aggregator,
-                                        weights or None, reach=reach)
+        h_u, h_i = route_behavior_layer(ctx, x, g, row_buckets(tu), row_buckets(ti), 0.7, 3,
+                                        aggregator, weights or None, reach=reach)
         for h, n in ((h_u, 3), (h_i, 4)):
             assert h.shape == (n, S, D) and h.dtype == dtype
             assert not np.any(h.data) and not np.signbit(h.data).any()
@@ -180,7 +181,7 @@ class TestRouting:
         ctx = make_ctx(edges, 1, 1)
         x = ad.Tensor(np.zeros((1, 1, 2)))
         g = ad.Tensor(np.zeros((1, 1, 2)))
-        ti = ad.Tensor(np.full((1, 1, 2), 3.0))
+        ti = row_buckets(ad.Tensor(np.full((1, 1, 2), 3.0)))
         h_u, _, _ = _route(ctx, x, g, None, ti, 1.0, 1)
         np.testing.assert_allclose(h_u.data[0, 0], [3.0, 3.0])
 
@@ -194,8 +195,8 @@ class TestRouting:
         tu = rng.normal(size=(2, 2, 2)) * 0.1
         ti = rng.normal(size=(3, 2, 2)) * 0.1
         h_u, h_i = route_behavior_layer(
-            ctx, ad.Tensor(x), ad.Tensor(g), ad.Tensor(tu), ad.Tensor(ti),
-            0.8, 3, "light")
+            ctx, ad.Tensor(x), ad.Tensor(g), row_buckets(ad.Tensor(tu)),
+            row_buckets(ad.Tensor(ti)), 0.8, 3, "light")
         want_u, want_i = naive_route_and_aggregate(
             [tuple(e) for e in graph.edges], 2, 3, x, g, tu, ti, 0.8, 3)
         np.testing.assert_allclose(h_u.data, want_u, atol=1e-10)
@@ -239,7 +240,8 @@ def gradcheck_case(n_iter):
     w_i = ad.constant(case_rng.normal(size=(4, 2, 3)))
 
     def loss_fn(t):
-        h_u, h_i, _ = _route(ctx, t["x"] * mask, t["g"], None, t["time_i"], 0.7, n_iter)
+        h_u, h_i, _ = _route(ctx, t["x"] * mask, t["g"], None, row_buckets(t["time_i"]), 0.7,
+                             n_iter)
         return (h_u * w_u).sum() + (h_i * w_i).sum()
 
     params = {"x": case_rng.normal(size=(3, 2, 3)),
@@ -262,7 +264,7 @@ class TestRouteMatchesPerEdgeReference:
                   case_rng.normal(size=(M, S, D)) * 0.1 if timed else None,
                   case_rng.normal(size=(N, S, D)) * 0.1 if timed else None]
         weights = [case_rng.normal(size=(M, S, D)), case_rng.normal(size=(N, S, D))]
-        got = routed_loss(_route, ctx, arrays, weights, tau, n_iter)
+        got = routed_loss(route_with_offsets, ctx, arrays, weights, tau, n_iter)
         want = routed_loss(per_edge_route, ctx, arrays, weights, tau, n_iter)
         for g_stack, w_stack in zip(got[:2], want[:2]):
             assert g_stack.data.tobytes() == w_stack.data.tobytes()
@@ -340,7 +342,7 @@ class TestRouteMatchesTapeReference:
 
         def spied_route(*args):  # the backward runs outside the spy
             with recorded_coefficients() as calls:
-                out = _route(*args)
+                out = route_with_offsets(*args)
             spied.extend(calls)
             return out
 
@@ -1347,10 +1349,9 @@ class TestIntoRows:
 
 class TestTimeOffsetsOnSourceRows:
     """Routing that adds the time offsets to the source rows it reads
-    (`TimeOffsets`) against the whole offsets added to every row, as the
-    earlier layers and evaluation add them: the reached rows, the stacks'
-    gradients and the tables' gradients keep their bytes, with and without
-    a block mask."""
+    (`TimeOffsets`) against the whole offsets, the one-hot product, added
+    to every row: the reached rows, the stacks' gradients and the tables'
+    gradients keep their bytes, with and without a block mask."""
 
     @given(live_edge_cases(), st.sampled_from(["none", "shared_only", "specific_only"]))
     @example(([(0, 0), (0, 1), (1, 1), (2, 0), (2, 2)], 3, 3, 3, 2, 1.0, 2, 0, np.float32,
@@ -1361,8 +1362,7 @@ class TestTimeOffsetsOnSourceRows:
         ctx = make_ctx(edges, M, N)
         case_rng = np.random.default_rng(seed)
         T = 3
-        onehots = [from_edges(np.arange(n), case_rng.integers(T, size=n), (n, T))
-                   for n in (M, N)]
+        buckets = [case_rng.integers(T, size=n) for n in (M, N)]
         arrays = ([case_rng.normal(size=(n, S, D)).astype(dtype) for n in (M, N)]
                   + [(case_rng.normal(size=(T, S, D)) * 0.3).astype(dtype) for _ in range(2)])
         mask = None
@@ -1378,13 +1378,10 @@ class TestTimeOffsetsOnSourceRows:
         def routed(reached):
             leaves = [ad.Tensor(a, requires_grad=True) for a in arrays]
             x, g, t_u, t_i = leaves
-            if reached:
-                offsets = [fbc.TimeOffsets(o, t, mask) for o, t in zip(onehots, (t_u, t_i))]
-            else:
-                offsets = [ad.spmm(o, t.reshape(T, S * D)).reshape(-1, S, D)
-                           for o, t in zip(onehots, (t_u, t_i))]
-                if mask is not None:
-                    offsets = [o * ad.constant(mask) for o in offsets]
+            offsets = [fbc.TimeOffsets(ids, t, mask) for ids, t in zip(buckets, (t_u, t_i))]
+            if not reached:
+                x, g = (stack + one_hot_offsets(o) for stack, o in zip((x, g), offsets))
+                offsets = [None, None]
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(fbc, "LIVE_EDGE_CUT", 2.0 if reached else 0.0)
                 *outs, rows = _route(ctx, x, g, *offsets, tau, n_iter,
@@ -1411,11 +1408,12 @@ class TestTimeOffsetsOnSourceRows:
         table.flat[:8] = [-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf,
                           np.finfo(dtype).smallest_subnormal, -np.finfo(dtype).tiny]
         assert np.signbit(table.flat[3]) and not np.signbit(table.flat[2])
-        onehot = from_edges(np.arange(7), np.array([0, 3, 1, 0, 2, 1, 0]), (7, T))
+        ids = np.array([0, 3, 1, 0, 2, 1, 0])
+        onehot = from_edges(np.arange(7), ids, (7, T))
         mask = np.ones((1, S, 1), dtype=dtype)
         mask[0, 0] = 0.0
         for m in (None, mask):
-            offsets = fbc.TimeOffsets(onehot, ad.Tensor(table), m)
+            offsets = fbc.TimeOffsets(ids, ad.Tensor(table), m)
             for rows in (slice(None), np.array([0, 2, 3, 6]), np.zeros(0, dtype=np.intp)):
                 want = (onehot[rows] @ table.reshape(T, -1)).reshape(-1, S, D)
                 if m is not None:
@@ -1426,16 +1424,37 @@ class TestTimeOffsetsOnSourceRows:
                 assert got.tobytes() == want.tobytes()
 
     def test_offsets_of_rows_read_their_buckets_alone(self):
-        onehot = from_edges(np.arange(5), np.array([2, 0, 2, 1, 0]), (5, 3))
+        ids = np.array([2, 0, 2, 1, 0])
+        onehot = from_edges(np.arange(5), ids, (5, 3))
         table = ad.Tensor(rng.normal(size=(3, 2, 2)), requires_grad=True)
-        offsets = fbc.TimeOffsets(onehot, table)
+        offsets = fbc.TimeOffsets(ids, table)
         rows = np.array([0, 3, 4])
-        part = offsets.buckets_of(rows)
-        assert part.format == "csc" and part.shape == (3, 3) and part.nnz == 3
-        np.testing.assert_array_equal(part.toarray(), onehot[rows].T.toarray())
+        for r, n in ((rows, 3), (slice(None), 5), (slice(1, 4), 3)):
+            part = offsets.buckets_of(r)
+            assert part.format == "csc" and part.shape == (3, n) and part.nnz == n
+            assert part.dtype == np.float32
+            np.testing.assert_array_equal(part.toarray(), onehot[r].T.toarray())
         assert offsets.at(rows).tobytes() == table.data[[2, 1, 0]].tobytes()
-        whole = offsets.buckets_of(slice(None))
-        assert whole.format == "csc" and np.shares_memory(whole.data, onehot.data)  # a view
         d = rng.normal(size=(3, 2, 2))
         offsets.backward(d, rows)
         np.testing.assert_array_equal(table.grad, d[[2, 1, 0]])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_offsets_added_to_every_row_keep_the_bytes_of_the_product(self, dtype):
+        # `added_to`, as the plain aggregation adds them, against a stack
+        # plus the one-hot product on the tape: the sum and both gradients
+        T, S, D = 3, 2, 2
+        ids = np.array([2, 0, 2, 1, 0, 0])
+        mask = np.ones((1, S, 1), dtype=dtype)
+        mask[0, 1] = 0.0
+        w = ad.constant(rng.normal(size=(6, S, D)).astype(dtype))
+        arrays = [rng.normal(size=(n, S, D)).astype(dtype) for n in (6, T)]
+        for m in (None, mask):
+            results = []
+            for add in (lambda stack, o: o.added_to(stack),
+                        lambda stack, o: stack + one_hot_offsets(o)):
+                stack, table = (ad.Tensor(a, requires_grad=True) for a in arrays)
+                out = add(stack, fbc.TimeOffsets(ids, table, m))
+                (out * w).sum().backward()
+                results.append([a.tobytes() for a in (out.data, stack.grad, table.grad)])
+            assert results[0] == results[1]

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ckml import autodiff as ad
-from ckml import fbc, model, numerics
+from ckml import fbc, model
 from ckml.config import HyperConfig
 from ckml.dataio import (Dataset, build_behavior_graphs, build_relation_graphs,
                          time_buckets)
@@ -20,8 +20,8 @@ from ckml.trainer import (epoch_ranking_triples, epoch_relation_triples,
 
 from conftest import tiny_dataset
 from naive_autodiff import patched_accumulate, tape_nodes
-from naive_routing import (recorded_coefficients, recorded_last_layer_rows,
-                           recorded_restrictions, whole_last_layer)
+from naive_routing import (offsets_shared_by_every_layer, recorded_coefficients,
+                           recorded_last_layer_rows, recorded_restrictions, whole_last_layer)
 
 
 def run_gradcheck(ds, hyper, seed=5, triples=None):
@@ -169,8 +169,8 @@ def test_read_behaviors_keep_the_bytes_of_every_behavior_read(precision, layers,
     # stacks of a forward that reads every behavior and adds every row's
     # time offsets by the one-hot product (`whole_last_layer`), and the
     # others none; the last layer's attention formed the weights of the
-    # read behaviors alone, and one routing layer gathered the offsets with
-    # no one-hot product
+    # read behaviors alone, and every layer gathered the offsets with no
+    # one-hot product
     ds = tiny_dataset(num_users=30, num_items=40, num_behaviors=3, relation_count=2,
                       per_user=3, seed=17, relation_pairs=20)
     hyper = HyperConfig(**{**BASE, "precision": precision, "interaction_layers": layers,
@@ -193,8 +193,7 @@ def test_read_behaviors_keep_the_bytes_of_every_behavior_read(precision, layers,
             mp.setattr(fbc, "correlate_shared", attending)
             with recorded_last_layer_rows() as rows:
                 out = forward(tensors, ctx, hyper, read=read)
-        assert bool(rows["time offsets"]) == (
-            hyper.time_embedding and (layers > 1 or hyper.fbc_disabled))
+        assert rows["time offsets"] == []  # gathered, with no one-hot product
         reads = [0, 1, 2] if read is None else read
         assert weights == ([(3, 3)] * 2 * (layers - 1) + [(len(reads), 3)] * 2
                            if attended else [])
@@ -216,77 +215,122 @@ def test_no_fbc_path_has_no_attention_parameters(grad_ds):
 
 
 @given(precision=st.sampled_from(["f32", "f64"]), buckets=st.integers(1, 4),
-       seed=st.integers(0, 2**32 - 1))
+       layers=st.integers(1, 3), no_fbc=st.booleans(), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=25, deadline=None)
 def test_time_offsets_are_the_bucket_rows_and_add_at_their_gradient(
-        grad_ds, precision, buckets, seed):
-    # two layers, which both read every row's offsets from the one-hot
-    # product; one routing layer gathers them (`fbc.TimeOffsets`)
+        grad_ds, precision, buckets, layers, no_fbc, seed):
+    # every layer adds each side's offsets to the rows it reads, every row
+    # here: routing's source rows, or under no_fbc the aggregation's input
     hyper = HyperConfig(**{**BASE, "precision": precision, "time_buckets": buckets,
-                           "interaction_layers": 2})
+                           "interaction_layers": layers, "no_fbc": no_fbc})
     hyper.validate(2)
     ctx = ModelContext(grad_ds, hyper)
     dtype = hyper.dtype
     rng = np.random.default_rng(seed)
     tensors = {k: ad.Tensor(v) for k, v in init_params(hyper, grad_ds, seed=0).items()}
-    tables = {}
-    for name in tensors:
-        if name.startswith("time/"):
-            shape = tensors[name].shape
-            # wide exponents and exact zeros, all made +0.0: the one-hot product
-            # gives +0.0 where the table holds -0.0
-            table = (rng.normal(size=shape) * 10.0 ** rng.integers(-6, 7, size=shape)
-                     * (rng.random(shape) > 0.2)).astype(dtype)
-            table[table == 0] = 0.0
-            tables[name] = tensors[name] = ad.Tensor(table, requires_grad=True)
-    onehots = {id(m) for pair in ctx.buckets for m in pair}
+    names = [f"time/{side}/k{k}" for k in range(2) for side in ("user", "item")]
+    ids = dict(zip(names, (i for g in grad_ds.behavior_graphs
+                           for i in time_buckets(g, buckets))))
+    for name in names:
+        shape = tensors[name].shape
+        # wide exponents and exact zeros, all made +0.0: the one-hot product
+        # gives +0.0 where the table holds -0.0
+        table = (rng.normal(size=shape) * 10.0 ** rng.integers(-6, 7, size=shape)
+                 * (rng.random(shape) > 0.2)).astype(dtype)
+        table[table == 0] = 0.0
+        tensors[name] = ad.Tensor(table, requires_grad=True)
+    name_of = {id(tensors[name]): name for name in names}
     offsets = []
-    spmm = ad.spmm
+    at = fbc.TimeOffsets.at
 
-    def spy(sparse, x):
-        out = spmm(sparse, x)
-        if id(sparse) in onehots:
-            offsets.append(out)
+    def spy(self, rows):
+        out = at(self, rows)
+        offsets.append((self, rows, out))
         return out
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ad, "spmm", spy)
+        mp.setattr(fbc.TimeOffsets, "at", spy)
         forward(tensors, ctx, hyper)
-    names = [f"time/{side}/k{k}" for k in range(2) for side in ("user", "item")]
-    ids = [i for g in grad_ds.behavior_graphs for i in time_buckets(g, buckets)]
-    assert len(offsets) == len(names)
-    weights = []
-    for out, name, node_buckets in zip(offsets, names, ids):
-        want = tables[name].data[node_buckets]
-        assert out.dtype == dtype
-        assert out.data.reshape(want.shape).tobytes() == want.tobytes()
-        weights.append(rng.normal(size=out.shape).astype(dtype))
-    ad.add_all([(out * w).sum() for out, w in zip(offsets, weights)]).backward()
-    for name, node_buckets, w in zip(names, ids, weights):
-        want = np.zeros_like(tables[name].data)
-        np.add.at(want, node_buckets, w.reshape((len(node_buckets),) + want.shape[1:]))
-        assert tables[name].grad.dtype == dtype
-        assert tables[name].grad.tobytes() == want.tobytes()
+    assert sorted(name_of[id(t.table)] for t, _, _ in offsets) == sorted(names * layers)
+    wants = {name: None for name in names}
+    for t, rows, out in offsets:
+        name = name_of[id(t.table)]
+        assert t.ids.dtype.kind == "i" and np.array_equal(t.ids, ids[name])
+        want = t.table.data[ids[name][rows]]
+        assert out.dtype == dtype and out.tobytes() == want.tobytes()
+        w = rng.normal(size=out.shape).astype(dtype)
+        t.backward(w, rows)
+        add_at = np.zeros_like(want, shape=t.table.shape)
+        np.add.at(add_at, ids[name][rows], w)
+        wants[name] = add_at if wants[name] is None else wants[name] + add_at
+    for name in names:
+        assert tensors[name].grad.dtype == dtype
+        assert tensors[name].grad.tobytes() == wants[name].tobytes()
 
 
 @pytest.mark.parametrize("precision", ["f32", "f64"])
-def test_a_step_builds_no_sparse_matrix_and_trains_every_time_table(
-        grad_ds, monkeypatch, precision):
-    hyper = HyperConfig(**{**BASE, "precision": precision})
+@pytest.mark.parametrize("layers", [1, 2, 3])
+@pytest.mark.parametrize("no_fbc", [False, True])
+def test_contexts_hold_bucket_ids_and_a_step_trains_every_time_table(
+        grad_ds, precision, layers, no_fbc):
+    hyper = HyperConfig(**{**BASE, "precision": precision, "interaction_layers": layers,
+                           "no_fbc": no_fbc})
     hyper.validate(2)
     ctx = ModelContext(grad_ds, hyper)
+    # each behavior's (user, item) bucket ids, no one-hot matrix
+    assert [len(pair) for pair in ctx.buckets] == [2, 2]
+    for g, pair in zip(grad_ds.behavior_graphs, ctx.buckets):
+        for ids, n in zip(pair, (g.num_users, g.num_items)):
+            assert isinstance(ids, np.ndarray) and ids.dtype.kind == "i" and ids.shape == (n,)
     params = init_params(hyper, grad_ds, seed=0)
     tensors = {k: ad.Tensor(v, requires_grad=True) for k, v in params.items()}
-    built = []
-    monkeypatch.setattr(model, "from_edges",
-                        lambda *a: built.append(a) or numerics.from_edges(*a))
     rank = [(np.arange(3), np.arange(3), np.arange(3, 6))] * 2
     rel = [(np.arange(3), np.arange(3, 6), np.arange(5, 8))] * 2
     total, _ = batch_loss(tensors, ctx, hyper, rank, rel)
     total.backward()
-    # the one-hot matrices are built once, in ModelContext
-    assert built == []
     assert all(np.any(tensors[f"time/{side}/k{k}"].grad)
                for side in ("user", "item") for k in range(2))
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+@pytest.mark.parametrize("layers", [1, 2, 3])
+@pytest.mark.parametrize("overrides", [
+    {}, {"no_fbc": True}, {"aggregator": "gccf"}, {"shared_only": True, "aggregator": "ngcf"}],
+    ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()) or "default")
+def test_time_offsets_of_each_layer_change_the_time_gradients_alone(precision, layers,
+                                                                    overrides):
+    # each layer multiplies its own offsets' gradient into the time tables,
+    # where offsets made once and shared by every layer took one product of
+    # the layers' summed gradients (`offsets_shared_by_every_layer`): the
+    # loss and every other gradient keep their bytes, and the time tables'
+    # gradients differ by the summation order alone, not at all at one layer
+    ds, hyper, rank, rel = reach_case(12, 14, [0.2, 0.3], 9, [2, 3], precision=precision,
+                                      interaction_layers=layers, **overrides)
+    ctx = ModelContext(ds, hyper)
+    rng = np.random.default_rng(4)
+    params = init_params(hyper, ds, seed=3)
+    for name in params:
+        if name.startswith("time/"):
+            params[name] = (rng.normal(size=params[name].shape) * 0.3).astype(hyper.dtype)
+
+    def step(offsets):
+        tensors = {k: ad.Tensor(v, requires_grad=True) for k, v in params.items()}
+        with offsets:
+            total, _ = batch_loss(tensors, ctx, hyper, rank, rel)
+        total.backward()
+        return total.data.tobytes(), {k: t.grad for k, t in tensors.items()}
+
+    loss, grads = step(nullcontext())
+    want_loss, want_grads = step(offsets_shared_by_every_layer())
+    assert loss == want_loss
+    tol = {"f32": 1e-5, "f64": 1e-12}[precision]
+    assert sum(name.startswith("time/") for name in grads) == 4
+    for name, want in want_grads.items():
+        got = grads[name]
+        assert got.dtype == want.dtype == hyper.dtype, name
+        if name.startswith("time/") and layers > 1:
+            assert np.abs(got - want).max() <= tol * np.abs(want).max(), name
+        else:
+            assert got.tobytes() == want.tobytes(), name
 
 
 @pytest.mark.parametrize("precision, dtype", [("f32", np.float32), ("f64", np.float64)])
