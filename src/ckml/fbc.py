@@ -45,20 +45,17 @@ behaviors' outputs alone, as evaluation's last layer asks, it forms their
 queries, weights and outputs alone, each with the bytes of the whole call.
 
 A training step's losses read the last layer's stacks at the batch's rows
-alone, so that layer works in batch coordinates: each stack holds the rows
-it computes, and so does its gradient. Routing holds the rows it routed
-(every row when it routes a whole side) and adds the time offsets to the
-source rows it reads alone (`TimeOffsets`, a gather of the buckets' table
-rows). Aggregation (`_aggregate`) gives the batch rows alone, through the
-sums of `into_rows` (read from row ranges, one matrix row per batch row
-and one column per routed row), and attention (`correlate_shared`) mixes
-those rows alone. Routing's backward writes its source gradient into full
-height once. Each row keeps its bytes: a sparse product adds a row's
-terms in the same order, an aggregator with weights acts on rows of full
-height, +0.0 where the batch rows or the routed rows do not reach
-(`_rows_at`), so its dense products run over every row, and each
-attention weight gradient is one product over every row, +0.0 outside
-the batch rows (`_head_major`).
+alone, so that layer works in batch coordinates. A `Rows` value says which
+of a side's node rows an array holds: ascending ids, or every row. Routing
+returns the `Rows` it routed and adds the time offsets to the source rows
+it reads alone (`TimeOffsets`). Aggregation (`_aggregate`) gives the batch
+`Rows` alone, through the sums of `into_rows` with their columns numbered
+among the routed rows (`Rows.columns`), and attention (`correlate_shared`)
+mixes those rows alone. Each row keeps its bytes: a sparse product adds a
+row's terms in the same order, an aggregator with weights acts on rows of
+full height, +0.0 where the batch rows or the routed rows do not reach
+(`Rows.scatter`), and each attention weight gradient is one product over
+every row, +0.0 outside the batch rows (`_head_major`).
 """
 
 from __future__ import annotations
@@ -84,8 +81,78 @@ DEGREE_GUARD = 1e-12
 # 0.37-0.41, 0.48-0.50, 0.55-0.60, 0.62-0.69, 0.72-0.76, 0.79-0.83,
 # 0.88-0.93, 0.87-1.01. Near every edge live it still loses.
 LIVE_EDGE_CUT = 0.5
-# The (user, item) node rows of a pass that computes every row.
-EVERY_ROW = (slice(None), slice(None))
+
+
+@dataclass(frozen=True, eq=False)
+class Rows:
+    """Which of a side's `height` rows an array holds, in ascending order:
+    the node ids `ids`, or every row where `ids` is None. Every row indexes
+    by a slice, so taking every row is a view, and an array of every row is
+    written to full height as itself."""
+
+    height: int
+    ids: np.ndarray | None = None
+
+    @classmethod
+    def marked(cls, mask: np.ndarray) -> Rows:
+        return cls(len(mask), np.flatnonzero(mask))
+
+    def __len__(self) -> int:
+        return self.height if self.ids is None else len(self.ids)
+
+    def _at(self, axis: int) -> tuple:
+        return (slice(None),) * axis + (slice(None) if self.ids is None else self.ids,)
+
+    def take(self, a, axis: int = 0):
+        """These rows of `a`, which holds every row along `axis`."""
+        return a[self._at(axis)]
+
+    def full(self, values: np.ndarray, axis: int = 0) -> np.ndarray:
+        """`values`, these rows along `axis`, at full height with +0.0 in
+        the other rows: `values` itself when it holds every row."""
+        if values.shape[axis] == self.height:
+            return values
+        out = np.zeros(values.shape[:axis] + (self.height,) + values.shape[axis + 1:],
+                       dtype=values.dtype)
+        out[self._at(axis)] = values
+        return out
+
+    def positions(self, ids: np.ndarray) -> np.ndarray:
+        """Where the node ids `ids`, each among these rows, are held."""
+        return ids if self.ids is None else np.searchsorted(self.ids, ids)
+
+    def at(self, sub: Rows) -> Rows:
+        """The rows that `sub`, rows of these rows by position, picks."""
+        if sub.ids is None:
+            return self
+        return Rows(self.height, sub.ids if self.ids is None else self.ids[sub.ids])
+
+    def columns(self, m: sp.csr_matrix) -> sp.csr_matrix:
+        """The CSR matrix `m`, whose columns are this side's node rows, with
+        its columns renumbered to these rows, which hold every column with
+        an entry: `m` itself for every row."""
+        if self.ids is None:
+            return m
+        return sp.csr_matrix((m.data, self.positions(m.indices), m.indptr),
+                             (m.shape[0], len(self)))
+
+    def gather(self, x: ad.Tensor) -> ad.Tensor:
+        """These rows of the stack `x` of every row (`take`), one tape node
+        whose backward puts the gradient in their place (`full`)."""
+        return x if self.ids is None else _linear(x, self.take, self.full)
+
+    def scatter(self, x: ad.Tensor) -> ad.Tensor:
+        """The stack `x` of these rows at full height (`full`), one tape node
+        whose backward takes these rows of the gradient (`take`)."""
+        return x if len(self) == self.height else _linear(x, self.full, self.take)
+
+
+def _linear(x: ad.Tensor, f, adjoint) -> ad.Tensor:
+    """`f(x)` for a linear `f`, one tape node whose backward is `adjoint`."""
+    out = ad.Tensor(f(x.data), x.requires_grad, (x,))
+    if x.requires_grad:
+        out._backward = lambda g: x._accumulate(adjoint(g))
+    return out
 
 
 @dataclass
@@ -209,60 +276,45 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 
 def _narrowed(dst_ids: np.ndarray, src_ids: np.ndarray, to_dst: _EdgeWeights,
-              marked: np.ndarray | None, by_dst: sp.csr_matrix | None = None):
-    """A side's edges into the destination rows that `marked` marks, on the
+              marked: Rows | None, by_dst: sp.csr_matrix | None = None):
+    """A side's edges into the destination `Rows` `marked`, on the
     destination and source rows they touch, both renumbered in ascending
-    order (`_renumbered`): (the edges, the destination rows, the source
-    rows, each edge's renumbered destination and source, the sums into
-    destination rows). The marked rows' entries are read from their ranges
-    (`_ranges`) in a destination-major CSR pattern of the side: `by_dst`,
-    as positions in it, or a CSR `to_dst`'s own, as edges; a CSC `to_dst`
-    with no `by_dst` has its edges scanned. They keep their order, sorted
-    by (destination, source) from a pattern and by (source, destination)
-    from a scan, and the sums are built in that order. That while those
-    edges are under `LIVE_EDGE_CUT` of the side's, and not one alone (numpy
-    sums a lone edge's d* >= 9 terms pairwise, many edges' row by row);
-    otherwise, or with `marked` None, the whole side as given, with slices
-    for the edges and rows."""
+    order (`_renumbered`): (the edges, the destination rows and the source
+    rows, as `Rows`, then each edge's renumbered destination and source,
+    and the sums into destination rows). The marked rows' entries are read
+    from their ranges (`_ranges`) in a destination-major CSR pattern of the
+    side: `by_dst`, as positions in it, or a CSR `to_dst`'s own, as edges;
+    a CSC `to_dst` with no `by_dst` has its edges scanned. They keep their
+    order, sorted by (destination, source) from a pattern and by (source,
+    destination) from a scan, and the sums are built in that order. That
+    while those edges are under `LIVE_EDGE_CUT` of the side's, and not one
+    alone (numpy sums a lone edge's d* >= 9 terms pairwise, many edges' row
+    by row); otherwise, or with `marked` None, the whole side as given."""
     if by_dst is None and to_dst.matrix.format == "csr":
         by_dst = to_dst.matrix
     if marked is not None:
         if by_dst is None:
-            edges = np.flatnonzero(marked[dst_ids])
+            edges = np.flatnonzero(np.isin(dst_ids, marked.ids))
             n = len(edges)
         else:
-            marked_rows = np.flatnonzero(marked)
-            starts = by_dst.indptr[marked_rows]
-            counts = by_dst.indptr[marked_rows + 1] - starts
+            starts = by_dst.indptr[marked.ids]
+            counts = by_dst.indptr[marked.ids + 1] - starts
             n = int(counts.sum())
-    if marked is None or n == 1 or n >= LIVE_EDGE_CUT * len(dst_ids):
-        every = slice(None)
-        return every, every, every, dst_ids, src_ids, to_dst
     n_dst, n_src = to_dst.matrix.shape
+    E = len(dst_ids)
+    if marked is None or n == 1 or n >= LIVE_EDGE_CUT * E:
+        return Rows(E), Rows(n_dst), Rows(n_src), dst_ids, src_ids, to_dst
     if by_dst is None:
         rows, dst_c = _renumbered(dst_ids[edges], n_dst)
         srcs, src_c = _renumbered(src_ids[edges], n_src)
-        return edges, rows, srcs, dst_c, src_c, _EdgeWeights.of_edges(
-            src_c, dst_c, (len(srcs), len(rows))).T
-    # row by row: the rows with entries renumber in order
-    edges = _ranges(starts, counts)
-    rows, counts = marked_rows[counts > 0], counts[counts > 0]
-    dst_c = np.repeat(np.arange(len(rows)), counts)
-    srcs, src_c = _renumbered(by_dst.indices[edges], n_src)
-    return edges, rows, srcs, dst_c, src_c, _EdgeWeights.of_counts(
-        counts, src_c, (len(rows), len(srcs)))
-
-
-def _full_height(values: np.ndarray, rows, height: int, axis: int = 0) -> np.ndarray:
-    """`values`, the node rows `rows` (ascending, a slice or an index array)
-    along `axis` of an array of `height` such rows whose other rows are
-    +0.0: `values` itself when it holds every row."""
-    if values.shape[axis] == height:
-        return values
-    out = np.zeros(values.shape[:axis] + (height,) + values.shape[axis + 1:],
-                   dtype=values.dtype)
-    out[(slice(None),) * axis + (rows,)] = values
-    return out
+        to_dst_c = _EdgeWeights.of_edges(src_c, dst_c, (len(srcs), len(rows))).T
+    else:  # row by row: the rows with entries renumber in order
+        edges = _ranges(starts, counts)
+        rows, counts = marked.ids[counts > 0], counts[counts > 0]
+        dst_c = np.repeat(np.arange(len(rows)), counts)
+        srcs, src_c = _renumbered(by_dst.indices[edges], n_src)
+        to_dst_c = _EdgeWeights.of_counts(counts, src_c, (len(rows), len(srcs)))
+    return Rows(E, edges), Rows(n_dst, rows), Rows(n_src, srcs), dst_c, src_c, to_dst_c
 
 
 @dataclass
@@ -279,24 +331,23 @@ class TimeOffsets:
     table: ad.Tensor
     mask: np.ndarray | None = None
 
-    def buckets_of(self, rows) -> sp.csc_matrix:
-        """The transpose of the one-hot matrix's rows `rows` (ascending, a
-        slice or an index array), (buckets, len(rows)), built as CSC from
-        their bucket ids: O(len(rows)). Its entries are float32 ones, so a
-        float32 gradient stays float32."""
-        ids = self.ids[rows]
+    def buckets_of(self, rows: Rows) -> sp.csc_matrix:
+        """The transpose of the one-hot matrix's `Rows` `rows`, (buckets,
+        len(rows)), built as CSC from their bucket ids: O(len(rows)). Its
+        entries are float32 ones, so a float32 gradient stays float32."""
+        ids = rows.take(self.ids)
         return sp.csc_matrix((np.ones(len(ids), dtype=np.float32), ids,
                               np.arange(len(ids) + 1)), (self.table.shape[0], len(ids)))
 
-    def at(self, rows) -> np.ndarray:
-        """The offsets of the node rows `rows`, (len(rows), S, d*): their
+    def at(self, rows: Rows) -> np.ndarray:
+        """The offsets of the `Rows` `rows`, (len(rows), S, d*): their
         buckets' table rows, gathered, plus +0.0 in place, which turns a
         -0.0 into +0.0 as the product's sum from zero does."""
-        out = self.table.data[self.ids[rows]]
+        out = self.table.data[rows.take(self.ids)]
         out += 0.0
         return out if self.mask is None else out * self.mask
 
-    def backward(self, d: np.ndarray, rows):
+    def backward(self, d: np.ndarray, rows: Rows):
         """Adds the gradient of the offsets of `rows`, `d`, to the table's.
         The other rows' would add +-0 to each sum from +0: left out, they
         leave its bytes as they are."""
@@ -311,7 +362,7 @@ class TimeOffsets:
     def added_to(self, stack: ad.Tensor) -> ad.Tensor:
         """`stack` plus every row's offsets, one tape node: `at` and
         `backward` at every row."""
-        every = slice(None)
+        every = Rows(len(self.ids))
         out = ad.Tensor(stack.data + self.at(every),
                         stack.requires_grad or self.table.requires_grad, (stack, self.table))
         if out.requires_grad:
@@ -325,7 +376,7 @@ class TimeOffsets:
 
 def _route_side(src: ad.Tensor, src_ids: np.ndarray, dst_ids: np.ndarray,
                 to_dst: _EdgeWeights, by_dst: sp.csr_matrix | None, tau: float,
-                n_iter: int, reach: np.ndarray | None = None,
+                n_iter: int, reach: Rows | None = None,
                 offsets: TimeOffsets | None = None):
     """Steps 1-4 for one side: each destination node's interest rows become
     the coefficient-weighted means of its edges' source rows, iterated.
@@ -334,26 +385,24 @@ def _route_side(src: ad.Tensor, src_ids: np.ndarray, dst_ids: np.ndarray,
     source and destination node; `to_dst` sums over the edges into
     destination nodes, and its transpose into source nodes; `by_dst` is the
     side's destination-major CSR pattern where `to_dst`'s matrix is CSC.
-    `reach`, a mask over the destination nodes, names the rows that are
-    read: the forward routes the entries of those rows as `_narrowed` gives
-    them, and the backward those of its edges into rows of nonzero
-    gradient. With `offsets`, the forward adds the time offsets of the
+    `reach`, destination `Rows`, names the rows that are read: the forward
+    routes the entries of those rows as `_narrowed` gives them, and the
+    backward those of its edges into rows of nonzero gradient. With `offsets`, the forward adds the time offsets of the
     source rows it reads to them, and the backward hands their gradient to
     the offsets' table. Per-edge arrays are edge-minor, (S, d*, E) and (S,
     E), so every per-edge reduction runs one long inner loop; the
     forward's are of `src`'s dtype.
     Returns the last iteration's (routed rows, S, d*) Tensor of that dtype,
-    whose parents are `src` and the offsets' table, the destination rows
-    it holds (ascending; a slice: every row) and None, or, at the first
+    whose parents are `src` and the offsets' table, the destination `Rows`
+    it holds and None, or, at the first
     iteration whose state is not finite, None, None and (that iteration,
     the first destination node whose row is not finite). Each iteration
     hands its coefficients to `to_dst` once: the first its one weight to
     `uniform`, the others (S, E) arrays to `apply`.
     """
-    n_src, n_dst = src.shape[0], to_dst.matrix.shape[0]
     _, rows, srcs, dst_ids, src_ids, to_dst = _narrowed(dst_ids, src_ids, to_dst, reach,
                                                         by_dst)
-    x = src.data[srcs]
+    x = srcs.take(src.data)
     parents = (src,)
     if offsets is not None:
         x = x + offsets.at(srcs)
@@ -379,8 +428,8 @@ def _route_side(src: ad.Tensor, src_ids: np.ndarray, dst_ids: np.ndarray,
         den = np.where(den > DEGREE_GUARD, den, DEGREE_GUARD)
         h = num / den
         if not np.all(np.isfinite(h)):
-            row = np.argwhere(~np.isfinite(h))[0][0]
-            return None, None, (t, int(np.arange(n_dst)[rows][row]))
+            bad = rows.at(Rows.marked(~np.isfinite(h).all(axis=(1, 2))))
+            return None, None, (t, int(bad.ids[0]))
         step = None
         if t < n_iter:  # the final update is never consumed by Step 5
             unit_h, h_norm, h_live = ad.unit_rows(h)
@@ -403,21 +452,21 @@ def _route_side(src: ad.Tensor, src_ids: np.ndarray, dst_ids: np.ndarray,
         # edge order, and every node-level operation acts per row (where two
         # NaNs meet, numpy's vector loops keep either sign, by position).
         edges, live_rows, live_srcs, dst_c, src_c, to_dst_c = _narrowed(
-            dst_ids, src_ids, to_dst, np.any(g != 0, axis=(1, 2)))
+            dst_ids, src_ids, to_dst, Rows.marked(np.any(g != 0, axis=(1, 2))))
         to_src_c = to_dst_c.T
-        x_c, unit_x_c = x[live_srcs], unit_x[live_srcs]
+        x_c, unit_x_c, x_norm_c, x_live_c = map(live_srcs.take, (x, unit_x, x_norm, x_live))
         # in float64 whatever the forward's dtype, rounded once where it
         # reaches `src`: in float32 the iterations' roundoff would add up
         d_x = np.zeros(x_c.shape)
         d_unit_x = np.zeros(x_c.shape)
         src_e = _edge_rows(x_c, src_c) if n_iter > 1 else None
         d_logits = np.zeros((S, len(dst_c)))
-        dh = g[live_rows].astype(np.float64, copy=False)
+        dh = live_rows.take(g).astype(np.float64, copy=False)
         for t in range(n_iter, 0, -1):
             c, num, den, step = saved[t - 1]
-            num, den = num[live_rows], den[live_rows]
+            num, den = live_rows.take(num), live_rows.take(den)
             if step is not None:  # dh reaches h_t through the logit update
-                unit_h, h_norm, h_live, th = (a[live_rows] for a in step)
+                unit_h, h_norm, h_live, th = (live_rows.take(a) for a in step)
                 d_unit_x += to_src_c.apply(d_logits, th)
                 d_th = to_dst_c.apply(d_logits, unit_x_c)
                 dh = ad.unit_rows_backward(unit_h, h_norm, h_live, d_th * (1.0 - th * th))
@@ -425,7 +474,7 @@ def _route_side(src: ad.Tensor, src_ids: np.ndarray, dst_ids: np.ndarray,
             if t == 1:  # the first iteration's logits are constants
                 d_x += to_src_c.uniform(c[0, 0], d_num)
                 break
-            c = c[:, edges]
+            c = edges.take(c, axis=1)
             d_x += to_src_c.apply(c, d_num)
             # the guarded denominators are constants
             d_den = -ad.sum_last(dh * num / (den * den))[..., 0] * (den[..., 0] > DEGREE_GUARD)
@@ -437,12 +486,11 @@ def _route_side(src: ad.Tensor, src_ids: np.ndarray, dst_ids: np.ndarray,
             dc *= c
             dc /= tau
             d_logits += dc
-        d_x += ad.unit_rows_backward(unit_x_c, x_norm[live_srcs], x_live[live_srcs], d_unit_x)
+        d_x += ad.unit_rows_backward(unit_x_c, x_norm_c, x_live_c, d_unit_x)
         d_x = d_x.astype(x.dtype, copy=False)
-        # the source rows d_x holds (a slice of srcs is a view of them)
-        read = live_srcs if isinstance(srcs, slice) else srcs[live_srcs]
+        read = srcs.at(live_srcs)  # the source rows d_x holds
         if src.requires_grad:  # untouched source rows get +0.0
-            src._accumulate(_full_height(d_x, read, n_src))
+            src._accumulate(read.full(d_x))
         if offsets is not None:
             offsets.backward(d_x, read)
     out._backward = backward
@@ -456,10 +504,10 @@ def _route(ctx: BehaviorContext, x_stack: ad.Tensor, g_stack: ad.Tensor,
     affinity updates. Each side's initial states are its stack plus its
     time offsets, `TimeOffsets` or None, which routing adds to the source
     rows it reads alone (`_route_side`). `reach`, if given, is the (user,
-    item) masks of the rows that are read. Returns the last iteration's
-    user and item stacks, before aggregation, and the (user, item) node
-    rows they hold (`_route_side`): (M, S, d*) and (N, S, d*) stacks of
-    every row without `reach`."""
+    item) `Rows` that are read. Returns the last iteration's user and item
+    stacks, before aggregation, and the (user, item) `Rows` they hold
+    (`_route_side`): (M, S, d*) and (N, S, d*) stacks of every row without
+    `reach`."""
     if tau <= 0:
         raise NumericError(f"routing temperature must be positive, got {tau}")
     if n_iter < 1:
@@ -482,129 +530,73 @@ def _route(ctx: BehaviorContext, x_stack: ad.Tensor, g_stack: ad.Tensor,
 def route_behavior_layer(ctx: BehaviorContext, x_stack: ad.Tensor, g_stack: ad.Tensor,
                          time_u, time_i, tau: float, n_iter: int, aggregator: str,
                          agg_weights: dict | None = None, slope: float = 0.2,
-                         reach: tuple | None = None, rows: tuple = EVERY_ROW):
+                         reach: tuple | None = None, rows: tuple | None = None,
+                         sums: tuple | None = None):
     """Allocate one behavior's edges across interests and aggregate once.
 
     Returns (h_user, h_item): stacks of shape (M, S, d*) / (N, S, d*) after
     the final aggregation pass; nodes without edges come out zero. With
     `reach` (`_route`), routing computes the reached rows alone; the stacks
-    hold the (user, item) node rows `rows` alone (`_aggregate`), which are
-    right where their aggregation reads reached rows alone.
+    hold the (user, item) `Rows` `rows` alone (`_aggregate`, through
+    `sums`), which are right where their aggregation reads reached rows
+    alone.
     """
     h_u_t, h_i_t, routed = _route(ctx, x_stack, g_stack, time_u, time_i, tau, n_iter, reach)
-    return _aggregate(ctx, h_u_t, h_i_t, aggregator, agg_weights, slope, rows, routed)
+    return _aggregate(ctx, h_u_t, h_i_t, aggregator, agg_weights, slope, rows, routed, sums)
 
 
 def plain_aggregation_layer(ctx: BehaviorContext, x_stack: ad.Tensor,
                             g_stack: ad.Tensor, time_u: TimeOffsets | None,
                             time_i: TimeOffsets | None, aggregator: str,
                             agg_weights: dict | None = None, slope: float = 0.2,
-                            rows: tuple = EVERY_ROW):
+                            rows: tuple | None = None, sums: tuple | None = None):
     """Routing replacement for the no-routing ablation: one configured
     aggregator pass over the bipartite graph on (state + time offset), into
-    the (user, item) node rows `rows` alone (`_aggregate`). The aggregation
+    the (user, item) `Rows` `rows` alone (`_aggregate`). The aggregation
     reads its input at every row, so every row's offsets are added
     (`TimeOffsets.added_to`)."""
     x_stack, g_stack = (stack if t is None else t.added_to(stack)
                         for stack, t in ((x_stack, time_u), (g_stack, time_i)))
-    return _aggregate(ctx, x_stack, g_stack, aggregator, agg_weights, slope, rows)
+    return _aggregate(ctx, x_stack, g_stack, aggregator, agg_weights, slope, rows, None, sums)
 
 
-def _entries(adj: sp.csr_matrix, rows: np.ndarray):
-    """The positions of the entries of `adj`'s rows `rows` (ascending), read
-    from their ranges (`_ranges`) in order, and each row's count."""
-    starts = adj.indptr[rows]
-    counts = adj.indptr[rows + 1] - starts
-    return _ranges(starts, counts), counts
-
-
-def _rows_of(adj: sp.csr_matrix, rows: np.ndarray, cols) -> sp.csr_matrix:
-    """The rows `rows` (ascending) of `adj`, one row each, with its columns
-    renumbered to the node rows `cols` (ascending, among them every column
-    with an entry; a slice: every column). Each row keeps its entries in
-    order: O(their count + len(rows), + the width to renumber)."""
-    positions, counts = _entries(adj, rows)
-    indptr = np.zeros(len(rows) + 1, dtype=adj.indptr.dtype)
-    np.cumsum(counts, out=indptr[1:])
-    indices, width = adj.indices[positions], adj.shape[1]
-    if not isinstance(cols, slice):
-        at = np.empty(width, dtype=indices.dtype)
-        at[cols] = np.arange(len(cols), dtype=indices.dtype)
-        indices, width = at[indices], len(cols)
-    return sp.csr_matrix((adj.data[positions], indices, indptr), (len(rows), width))
-
-
-def read_rows(ctx: BehaviorContext, rows: tuple) -> tuple:
-    """The (item, user) node rows that the sums into the (user, item) node
-    rows `rows` (ascending index arrays) read, one per entry."""
-    return tuple(adj.indices[_entries(adj, r)[0]]
-                 for adj, r in zip((ctx.user_from_item, ctx.item_from_user), rows))
-
-
-def into_rows(ctx: BehaviorContext, rows: tuple = EVERY_ROW,
-              routed: tuple = EVERY_ROW) -> tuple:
-    """The sums into the (user, item) node rows `rows` from the (user, item)
-    node rows `routed` (each ascending, a slice or an index array; the
-    routed rows hold every row the sums read): (user rows x routed items,
-    item rows x routed users) matrices of the normalized adjacency's
-    entries into those rows, one matrix row per node row and one column
-    per routed row. Every row's are the adjacency and its transpose's
-    view; a subset's come from the ranges of the adjacency and of its
-    item-major copy. A product with either gives each of those rows from
-    the same terms in the same order as the whole adjacency."""
+def into_rows(ctx: BehaviorContext, rows: tuple) -> tuple:
+    """The sums into the (user, item) `Rows` `rows`: (user rows x items,
+    item rows x users) matrices of the normalized adjacency's entries into
+    those rows, one matrix row per row. Every row's are the adjacency and
+    its transpose's view; a subset's are the rows of the adjacency and of
+    its item-major copy, each read from its range, whose column indices are
+    the rows the sums read. A product with either, its columns renumbered to
+    rows that hold them (`Rows.columns`), gives each of those rows from the
+    same terms in the same order as the whole adjacency."""
     users, items = rows
     adj = ctx.user_from_item
-    return (adj if isinstance(users, slice) else _rows_of(adj, users, routed[1]),
-            adj.T if isinstance(items, slice) else _rows_of(ctx.item_from_user, items,
-                                                            routed[0]))
-
-
-def _rows_at(x: ad.Tensor, rows, held) -> ad.Tensor:
-    """The node rows `rows` of the stack `x`, which holds the node rows
-    `held` (each ascending; a slice: every row): a row that `x` does not
-    hold reads +0.0, as routing gives a row without edges. The backward
-    writes each row's gradient into its place, the others +0.0."""
-    if isinstance(rows, slice):
-        return x
-    at, found = rows, slice(None)
-    if not isinstance(held, slice):
-        found = np.isin(rows, held)
-        at = np.searchsorted(held, rows[found])
-    out = np.zeros((len(rows),) + x.shape[1:], dtype=x.dtype)
-    out[found] = x.data[at]
-    out = ad.Tensor(out, x.requires_grad, (x,))
-    if x.requires_grad:
-        def backward(g):
-            total = np.zeros_like(x.data)
-            total[at] = g[found]
-            x._accumulate(total)
-        out._backward = backward
-    return out
+    return (adj if users.ids is None else adj[users.ids],
+            adj.T if items.ids is None else ctx.item_from_user[items.ids])
 
 
 def _aggregate(ctx: BehaviorContext, h_u: ad.Tensor, h_i: ad.Tensor, aggregator: str,
-               agg_weights: dict | None, slope: float, rows: tuple = EVERY_ROW,
-               routed: tuple = EVERY_ROW):
+               agg_weights: dict | None, slope: float, rows: tuple | None = None,
+               routed: tuple | None = None, sums: tuple | None = None):
     """One aggregator pass over the bipartite graph on user and item stacks
-    that hold the (user, item) node rows `routed` (ascending; slices:
-    every row), each side from the other's rows, into the (user, item)
-    node rows `rows` alone (`into_rows`). Returns (user, item) stacks of
-    those rows. An aggregator with weights acts on rows of full height,
-    +0.0 where the sums or the routed rows do not reach (`_rows_at`), so its
-    dense products, and each row, have the bytes of the whole pass."""
+    that hold the (user, item) `Rows` `routed`, each side from the other's
+    rows, into the (user, item) `Rows` `rows` alone, through their `sums`
+    (`into_rows`, unless given). Every row where not given. Returns (user,
+    item) stacks of those rows. An aggregator with weights acts on rows of
+    full height, +0.0 where the sums or the routed rows do not reach
+    (`Rows.scatter`), so its dense products, and each row, have the bytes
+    of the whole pass."""
+    every = (Rows(ctx.graph.num_users), Rows(ctx.graph.num_items))
+    rows, routed = rows or every, routed or every
     S, d_star = h_u.shape[1:]
-    heights = (ctx.graph.num_users, ctx.graph.num_items)
     flats = [h.reshape(len(h.data), S * d_star) for h in (h_u, h_i)]
     outs = []
-    for side, sums in enumerate(into_rows(ctx, rows, routed)):
-        out = ad.spmm(sums, flats[1 - side])
+    for side, into in enumerate(into_rows(ctx, rows) if sums is None else sums):
+        out = ad.spmm(routed[1 - side].columns(into), flats[1 - side])
         if agg_weights:
-            every = rows[side] if isinstance(rows[side], slice) else np.arange(heights[side])
-            x_self = (_rows_at(flats[side], every, routed[side]) if aggregator in READS_SELF
-                      else None)
-            out = apply_aggregator(aggregator, _rows_at(out, every, rows[side]), x_self,
-                                   agg_weights, slope)
-            out = _rows_at(out, rows[side], slice(None))
+            x_self = routed[side].scatter(flats[side]) if aggregator in READS_SELF else None
+            out = rows[side].gather(apply_aggregator(aggregator, rows[side].scatter(out),
+                                                     x_self, agg_weights, slope))
         outs.append(out.reshape(len(out.data), S, d_star))
     return tuple(outs)
 
@@ -624,17 +616,17 @@ def _project(xh: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(out.transpose(2, 0, 1))
 
 
-def _head_major(chunks: np.ndarray, rows, height: int) -> np.ndarray:
-    """The head-major (H, K, B, S, c) `chunks` of the node rows `rows` as a
+def _head_major(chunks: np.ndarray, rows: Rows) -> np.ndarray:
+    """The head-major (H, K, B, S, c) `chunks` of the `Rows` `rows` as a
     contiguous (H, K·height·S, c) array of every node row, the others +0.0:
     the layout of the weight gradients' products over every row."""
     H, c = chunks.shape[0], chunks.shape[-1]
-    return np.ascontiguousarray(_full_height(chunks, rows, height, axis=2).reshape(H, -1, c))
+    return np.ascontiguousarray(rows.full(chunks, axis=2).reshape(H, -1, c))
 
 
 def correlate_shared(stacks: list, q_proj: ad.Tensor, k_proj: ad.Tensor,
                      v_proj: ad.Tensor, heads: int, n_specific: int = 0,
-                     rows=slice(None), height: int | None = None, read=None):
+                     rows: Rows | None = None, read=None):
     """Per-node, per-shared-interest multi-head attention across behaviors.
 
     stacks: K tensors of shape (B, S, d*), each behavior's `n_specific`
@@ -654,12 +646,11 @@ def correlate_shared(stacks: list, q_proj: ad.Tensor, k_proj: ad.Tensor,
     behavior. A backward needs every behavior read; a subset is refused
     where a parent needs a gradient.
 
-    A node row attends within itself, so the stacks may hold some node
-    rows alone: `rows` of `height` node rows (ascending, an index array;
-    a slice: every row, of the stacks' height). Each projection's weight
-    gradient is still one product over every node row's head-major chunks,
-    the others +0.0 (`_head_major`), so its bytes are those of the call on
-    every row.
+    A node row attends within itself, so the stacks may hold the `Rows`
+    `rows` alone (None: every row, of the stacks' height). Each
+    projection's weight gradient is still one product over every node
+    row's head-major chunks, the others +0.0 (`_head_major`), so its bytes
+    are those of the call on every row.
 
     The attention is one tape node whose parents are the stacks and the
     three projections, with a hand-derived backward; the weights are cast
@@ -667,18 +658,17 @@ def correlate_shared(stacks: list, q_proj: ad.Tensor, k_proj: ad.Tensor,
     """
     K = len(stacks)
     B, S_all, d_star = stacks[0].shape
-    V = B if height is None else height
+    rows = Rows(B) if rows is None else rows
     if d_star % heads != 0:
         raise ValueError(f"head count {heads} must divide interest width {d_star}")
     H, c, S = heads, d_star // heads, S_all - n_specific
     projs = (q_proj, k_proj, v_proj)
     parents = (*stacks, *projs)
-    if read is not None and len(read) == K:  # ascending: every behavior
-        read = None
-    queried = slice(None) if read is None else np.asarray(read, dtype=np.intp)
-    R = K if read is None else len(read)
+    # ascending, so as many as there are behaviors is every behavior
+    queried = Rows(K, None if read is None or len(read) == K else np.asarray(read, np.intp))
+    R = len(queried)
     requires_grad = any(t.requires_grad for t in parents)
-    if requires_grad and read is not None:
+    if requires_grad and queried.ids is not None:
         raise ValueError("attention's backward needs every behavior read")
     x = np.stack([t.data for t in stacks])  # (K, B, S_all, d*)
     residual = x[:, :, n_specific:].sum(axis=0, keepdims=True)
@@ -686,7 +676,7 @@ def correlate_shared(stacks: list, q_proj: ad.Tensor, k_proj: ad.Tensor,
     xh = np.ascontiguousarray(
         x[:, :, n_specific:].reshape(K, B, S, H, c).transpose(3, 0, 1, 2, 4))
     w = [p.data.astype(xh.dtype, copy=False) for p in projs]
-    qx = _project(xh[:, queried], w[0]).reshape(R, B, S, H, c)
+    qx = _project(queried.take(xh, axis=1), w[0]).reshape(R, B, S, H, c)
     kx, vx = (_project(xh, wp).reshape(K, B, S, H, c) for wp in w[1:])
     # the backward's inputs; every other temporary is dropped once consumed
     saved = (xh, qx, kx, vx) if requires_grad else None
@@ -704,7 +694,7 @@ def correlate_shared(stacks: list, q_proj: ad.Tensor, k_proj: ad.Tensor,
     out = out.reshape(R, B, S, d_star)
     out += residual
     del residual
-    out = np.concatenate([x[queried, :, :n_specific], out], axis=2)
+    out = np.concatenate([queried.take(x[:, :, :n_specific]), out], axis=2)
     del x
     node = ad.Tensor(out, requires_grad, parents)
     if saved is None:
@@ -722,12 +712,12 @@ def correlate_shared(stacks: list, q_proj: ad.Tensor, k_proj: ad.Tensor,
         d_q = (d_lam * kx.reshape(1, K, B, S, H, c)).sum(axis=1)
         d_k = (d_lam * qx.reshape(K, 1, B, S, H, c)).sum(axis=0)
         del d_lam
-        xh = _head_major(xh, rows, V)
+        xh = _head_major(xh, rows)
         d_x = None
         for p, wp, d in zip(projs, w, (d_q, d_k, d_v)):
             d = d.transpose(3, 0, 1, 2, 4)  # head-major
             if p.requires_grad:  # summed over every row inside one product
-                p._accumulate(np.matmul(_head_major(d, rows, V).transpose(0, 2, 1), xh))
+                p._accumulate(np.matmul(_head_major(d, rows).transpose(0, 2, 1), xh))
             d = _project(d, wp.transpose(0, 2, 1))
             d_x = d if d_x is None else d_x + d
         d_x = d_x.reshape(K, B, S, d_star)

@@ -11,16 +11,16 @@ Final representations sum the routed outputs of layers 1..L; layer-0
 inputs stay out. The forward returns only what the losses and the
 evaluator read; routing coefficients and attention weights are dropped.
 In a training step the last layer computes only what the batch's losses
-read (`last_layer_reach`), in batch coordinates: it routes the rows the
-batch rows aggregate from, adding their time offsets to those source rows
-alone, and aggregates and attends the batch rows alone, into stacks as
-high as those rows. The final stacks are batch-rows high too (earlier
-layers are read at the batch rows), and the ranking losses gather them by
-position among those rows. Its bookkeeping reads the adjacency's row
-ranges, so it costs O(entries into the rows + node count), with no pass
-over the edges and no sort. Evaluation computes every row. It reads the
-final stacks of the behaviors it scores alone, so the last layer's
-attention forms those behaviors' outputs alone, and the others get none.
+read (`last_layer_reach`), in batch coordinates (`fbc.Rows`): it routes the
+rows the batch rows aggregate from, and aggregates and attends the batch
+rows alone. The final stacks hold the batch rows too (earlier layers are
+read at them), and the ranking losses gather them by position among those
+rows. One read of the adjacency's row ranges gives both the sums into the
+batch rows and the routed rows, with no pass over the edges and no sort.
+Evaluation computes every row. It reads the final stacks of the behaviors
+it scores alone, so the last layer's attention forms those behaviors'
+outputs alone, and the others get none; with no shared interests no layer
+computes the others at all.
 """
 
 from __future__ import annotations
@@ -221,6 +221,10 @@ def forward(params: dict, ctx: ModelContext, hyper: HyperConfig,
         g_stacks = [g * mask for g in g_stacks]
 
     # per behavior, [user side, item side]
+    every = (fbc.Rows(M), fbc.Rows(ds.num_items))
+    reads = range(K) if read is None else read
+    # with no shared interests no layer mixes behaviors: the unread are left out
+    computed = reads if s_sha == 0 else range(K)
     times = [[None, None] for _ in range(K)]
     if hyper.time_embedding:
         times = [[fbc.TimeOffsets(ids, params[f"time/{side}/k{k}"],
@@ -234,18 +238,19 @@ def forward(params: dict, ctx: ModelContext, hyper: HyperConfig,
         agg_w = _agg_weights(params, "agg/fbc", l, hyper.aggregator)
         last = l == hyper.interaction_layers - 1
         narrowed = reach is not None and last
-        rows = reach.rows if narrowed else fbc.EVERY_ROW
+        rows = reach.rows if narrowed else every
         routed = []
-        for k in range(K):
+        for k in computed:
+            sums = reach.sums[k] if narrowed else None
             if hyper.fbc_disabled:
                 routed.append(fbc.plain_aggregation_layer(
                     ctx.behaviors[k], *states[k], *times[k], hyper.aggregator, agg_w, slope,
-                    rows))
+                    rows, sums))
             else:
                 routed.append(fbc.route_behavior_layer(
                     ctx.behaviors[k], *states[k], *times[k], hyper.tau,
                     hyper.routing_iterations, hyper.aggregator, agg_w, slope,
-                    reach.routed[k] if narrowed else None, rows))
+                    reach.routed[k] if narrowed else None, rows, sums))
 
         for side in (0, 1):
             outs = stacks = [h[side] for h in routed]
@@ -263,13 +268,12 @@ def forward(params: dict, ctx: ModelContext, hyper: HyperConfig,
                 outs, _ = fbc.correlate_shared(
                     stacks, params[f"attn/l{l}/Q"], params[f"attn/l{l}/K"],
                     params[f"attn/l{l}/V"], hyper.attention_heads, s_spe, rows[side],
-                    (M, ds.num_items)[side], read if last else None)
-            for k, out in zip(range(K) if len(outs) == K else read, outs):
+                    read if last else None)
+            for k, out in zip(computed if len(outs) == len(computed) else read, outs):
                 layer_outputs[k][side].append(out)
                 if not last:  # the last layer's states are never read
                     states[k][side] = out + states[k][side]
 
-    reads = range(K) if read is None else read
     user_final, item_final = (
         [objective.aggregate_final(outs[side], rows[side]) if k in reads else None
          for k, outs in enumerate(layer_outputs)] for side in (0, 1))
@@ -301,9 +305,10 @@ def relation_term(out: ForwardOutput, relation: int, anchors: np.ndarray,
 class LastLayerReach(NamedTuple):
     """What a training step's last layer computes (`last_layer_reach`)."""
 
-    routed: list | None  # per behavior, (user, item) masks of routed rows; None under no_fbc
-    rows: tuple          # the (user, item) batch rows, ascending
-    positions: list      # per ranking batch, its triples' rows among `rows`, or None
+    routed: list | None  # per behavior, (user, item) Rows routed; None under no_fbc
+    rows: tuple          # the (user, item) batch Rows
+    positions: list      # per ranking batch, its triples' positions among `rows`, or None
+    sums: list           # per behavior, the sums into `rows` (`fbc.into_rows`)
 
 
 def last_layer_reach(ctx: ModelContext, hyper: HyperConfig,
@@ -312,8 +317,8 @@ def last_layer_reach(ctx: ModelContext, hyper: HyperConfig,
     rows are the users and items of every behavior's triples, since
     attention mixes the behaviors row by row; the last layer aggregates and
     attends them alone, through each behavior's sums into them
-    (`fbc.into_rows`). The rows those sums read (`fbc.read_rows`, from the
-    adjacency's row ranges), and under `cie.READS_SELF` the batch rows too,
+    (`fbc.into_rows`, read once from the adjacency's row ranges). The
+    columns those sums read, and under `cie.READS_SELF` the batch rows too,
     are the routed rows, marked with no pass over the edges. Under no_fbc
     nothing routes, so there are none. The triples' positions among the
     batch rows are where the losses read the final stacks. The cost is
@@ -324,24 +329,22 @@ def last_layer_reach(ctx: ModelContext, hyper: HyperConfig,
     for batch in rank_batches:
         if batch is not None:
             users[batch[0]] = True
-            items[batch[1]] = True
-            items[batch[2]] = True
-    rows = (np.flatnonzero(users), np.flatnonzero(items))
-    positions = [None if b is None else (np.searchsorted(rows[0], b[0]),
-                                         *(np.searchsorted(rows[1], ids) for ids in b[1:]))
+            items[np.concatenate(batch[1:])] = True
+    rows = (fbc.Rows.marked(users), fbc.Rows.marked(items))
+    positions = [None if b is None else (rows[0].positions(b[0]),
+                                         *(rows[1].positions(ids) for ids in b[1:]))
                  for b in rank_batches]
+    sums = [fbc.into_rows(b, rows) for b in ctx.behaviors]
     if hyper.fbc_disabled:
-        return LastLayerReach(None, rows, positions)
+        return LastLayerReach(None, rows, positions, sums)
     reads_self = hyper.aggregator in cie.READS_SELF
     routed = []
-    for b in ctx.behaviors:
-        read_items, read_users = fbc.read_rows(b, rows)
-        user_rows = users.copy() if reads_self else np.zeros_like(users)
-        item_rows = items.copy() if reads_self else np.zeros_like(items)
-        user_rows[read_users] = True
-        item_rows[read_items] = True
-        routed.append((user_rows, item_rows))
-    return LastLayerReach(routed, rows, positions)
+    for into_users, into_items in sums:
+        marks = users & reads_self, items & reads_self
+        marks[0][into_items.indices] = True
+        marks[1][into_users.indices] = True
+        routed.append(tuple(map(fbc.Rows.marked, marks)))
+    return LastLayerReach(routed, rows, positions, sums)
 
 
 def batch_loss(params: dict, ctx: ModelContext, hyper: HyperConfig,

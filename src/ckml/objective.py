@@ -30,14 +30,13 @@ class LossBreakdown:
         return float(sum(self.ranking_per_behavior))
 
 
-def aggregate_final(layer_stacks: list, rows=slice(None)) -> ad.Tensor:
+def aggregate_final(layer_stacks: list, rows=None) -> ad.Tensor:
     """Elementwise sum of the per-layer (spe || corr-sha) stacks, layers
-    1..L. The last may hold the node rows `rows` alone (ascending, an index
-    array; a slice: every row), and the sum does too: the earlier layers,
-    which hold every row, are read at those rows."""
+    1..L. The last may hold the `fbc.Rows` `rows` alone, and the sum does
+    too: the earlier layers, which hold every row, are read at those rows."""
     *earlier, last = layer_stacks
-    if not isinstance(rows, slice):
-        earlier = [ad.gather(stack, rows) for stack in earlier]
+    if rows is not None:
+        earlier = [rows.gather(stack) for stack in earlier]
     return ad.add_all(earlier + [last])
 
 

@@ -79,7 +79,7 @@ def recorded_restrictions():
     def recording(dst_ids, src_ids, to_dst, marked, by_dst=None):
         side = narrowed(dst_ids, src_ids, to_dst, marked, by_dst)
         edges = side[0]
-        if not isinstance(edges, slice):
+        if edges.ids is not None:
             caller = sys._getframe(1).f_code.co_name
             kind = {"_route_side": "forward", "backward": "backward"}[caller]
             calls.append((kind, len(edges), len(dst_ids)))
@@ -119,10 +119,10 @@ class WholeOffsets(fbc.TimeOffsets):
     matrix's transpose."""
 
     def at(self, rows):
-        return one_hot_offsets(self).data[rows]
+        return rows.take(one_hot_offsets(self).data)
 
     def backward(self, d, rows):
-        super().backward(fbc._full_height(d, rows, len(self.ids)), slice(None))
+        super().backward(rows.full(d), fbc.Rows(len(self.ids)))
 
 
 @contextmanager
@@ -181,7 +181,7 @@ def whole_last_layer():
                                  (out.item_final, reach.rows[1])):
                 for f in finals:
                     if id(f) not in gathered:
-                        gathered[id(f)] = ad.gather(f, rows)
+                        gathered[id(f)] = ad.gather(f, rows.ids)
                 finals[:] = [gathered[id(f)] for f in finals]
         return out
     model.forward = whole

@@ -33,6 +33,17 @@ def make_ctx(edges, M, N):
     return BehaviorContext(graph)
 
 
+def as_rows(n, rows):
+    """The node rows `rows` of n, an ascending index array or a slice of
+    every row, as `fbc.Rows`."""
+    return fbc.Rows(n, None if isinstance(rows, slice) else rows)
+
+
+def marked(masks):
+    """Masks over node rows, or None, as `fbc.Rows`."""
+    return None if masks is None else tuple(map(fbc.Rows.marked, masks))
+
+
 def tensors(M, N, S, D, scale=1.0):
     x = ad.Tensor(rng.normal(size=(M, S, D)) * scale)
     g = ad.Tensor(rng.normal(size=(N, S, D)) * scale)
@@ -157,7 +168,7 @@ class TestRouting:
                         for n in (3, 4, 3, 4))
         weights = {name: ad.Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
                    for name, shape in cie.aggregator_weight_shapes(aggregator, S * D)}
-        reach = (np.arange(3) < 2, np.ones(4, bool)) if reached else None
+        reach = marked((np.arange(3) < 2, np.ones(4, bool))) if reached else None
         h_u, h_i = route_behavior_layer(ctx, x, g, row_buckets(tu), row_buckets(ti), 0.7, 3,
                                         aggregator, weights or None, reach=reach)
         for h, n in ((h_u, 3), (h_i, 4)):
@@ -634,7 +645,8 @@ class TestCorrelateSharedOnRows:
             weights = [ad.constant((u * mask)[rows]) for u in upstream]
             leaves = [ad.Tensor(a[rows], requires_grad=True) for a in stacks]
             leaves += [ad.Tensor(a, requires_grad=True) for a in projs]
-            outs, lam = correlate_shared(leaves[:K], *leaves[K:], H, n_specific, rows, V)
+            outs, lam = correlate_shared(leaves[:K], *leaves[K:], H, n_specific,
+                                         as_rows(V, rows))
             ad.add_all([(o * w).sum() for o, w in zip(outs, weights)]).backward()
             return [o.data for o in outs], lam.data, [t.grad for t in leaves]
 
@@ -879,9 +891,10 @@ def routed_side(ctx, src, g, tau, n_iter, cut, to_items=False, reach=None):
            (ctx.item_ids, ctx.user_ids, ctx.into_users, ctx.user_from_item))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fbc, "LIVE_EDGE_CUT", cut)
-        out, rows, bad = fbc._route_side(leaf, *ids, tau, n_iter, reach)
+        out, rows, bad = fbc._route_side(leaf, *ids, tau, n_iter,
+                                         None if reach is None else fbc.Rows.marked(reach))
         assert bad is None
-        out._backward(g[rows])
+        out._backward(rows.take(g))
     return out.data, rows, leaf.grad
 
 
@@ -1071,11 +1084,11 @@ class TestReachedForward:
             g[~reach | (case_rng.random(n_dst) < 0.3)] = -0.0
             out, rows, grad = routed_side(ctx, src, g, tau, n_iter, 2.0, to_items, reach)
             whole_out, every, whole_grad = routed_side(ctx, src, g, tau, n_iter, 0.0, to_items)
-            assert every == slice(None) and whole_out.shape[0] == n_dst
+            assert every.ids is None and whole_out.shape[0] == n_dst
             held = np.zeros(n_dst, dtype=bool)
-            held[rows] = True
-            assert out.dtype == grad.dtype == dtype and out.shape == whole_out[rows].shape
-            assert out.tobytes() == whole_out[rows].tobytes()
+            held[rows.take(np.arange(n_dst))] = True
+            assert out.dtype == grad.dtype == dtype and out.shape == rows.take(whole_out).shape
+            assert out.tobytes() == rows.take(whole_out).tobytes()
             assert held.all() or not (held & ~reach).any()
             left_out = whole_out[reach & ~held]
             assert not left_out.any() and not np.signbit(left_out).any()
@@ -1093,12 +1106,12 @@ class TestReachedForward:
         for reach, user in (((users, items), 2), (None, 1)):
             with np.errstate(all="ignore"), pytest.raises(
                     NumericError, match=fr"iteration 1 \(user node {user}\)$"):
-                _route(ctx, ad.Tensor(x), ad.Tensor(g), None, None, 1.0, 2, reach)
+                _route(ctx, ad.Tensor(x), ad.Tensor(g), None, None, 1.0, 2, marked(reach))
         g[1] = 0.0  # the item side alone
         for reach in ((users, items), None):
             with np.errstate(all="ignore"), pytest.raises(
                     NumericError, match=r"iteration 1 \(item node 1\)$"):
-                _route(ctx, ad.Tensor(x), ad.Tensor(g), None, None, 1.0, 2, reach)
+                _route(ctx, ad.Tensor(x), ad.Tensor(g), None, None, 1.0, 2, marked(reach))
 
 
 class TestPropagateLayer:
@@ -1224,7 +1237,8 @@ class TestAggregateOnRows:
         def aggregated(read, rows, routed, routed_stacks):
             h = [ad.Tensor(a[r], requires_grad=True) for a, r in zip(routed_stacks, routed)]
             w = {name: ad.Tensor(a, requires_grad=True) for name, a in weights.items()}
-            outs = _aggregate(ctx, *h, aggregator, w or None, 0.2, rows, routed)
+            outs = _aggregate(ctx, *h, aggregator, w or None, 0.2, *(
+                tuple(map(as_rows, (M, N), r)) for r in (rows, routed)))
             terms = []
             for out, u, r, at in zip(outs, upstream, read, rows):
                 mask = np.zeros((len(u), 1, 1), dtype=dtype)
@@ -1235,7 +1249,8 @@ class TestAggregateOnRows:
 
         every = (slice(None), slice(None))
         for rows in zip(row_subsets(M, case_rng), row_subsets(N, case_rng)):
-            read_items, read_users = fbc.read_rows(ctx, rows)
+            read_items, read_users = (
+                s.indices for s in fbc.into_rows(ctx, tuple(map(as_rows, (M, N), rows))))
             # the rows that the sums read, some other rows, and most of the
             # rows aggregated into, which a self-reading aggregator reads
             routed = []
@@ -1259,6 +1274,89 @@ class TestAggregateOnRows:
                 assert got.dtype == dtype and got.tobytes() == want[r].tobytes()
             for got, want in zip(w, whole_w):
                 assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
+
+def payload_nans(dtype):
+    """A positive and a negative NaN, each with a payload of its own."""
+    bits = ([0x7FC00123, 0xFFC00456] if dtype == np.float32
+            else [0x7FF8000000000123, 0xFFF8000000000456])
+    return np.array(bits, dtype=np.uint32 if dtype == np.float32 else np.uint64).view(dtype)
+
+
+class TestRows:
+    """`fbc.Rows` of every row, of some rows and of none: `full` puts the
+    rows in place with their bytes and +0.0 in the others, `take` of every
+    row is a view, `positions` are `np.searchsorted`'s, `at` composes a
+    sub-selection, and `gather` and `scatter` are tape nodes of `take` and
+    `full` with each other as backward."""
+
+    HEIGHT = 9
+
+    @classmethod
+    def cases(cls):
+        return [fbc.Rows(cls.HEIGHT), fbc.Rows(cls.HEIGHT, np.array([0, 3, 4, 8])),
+                fbc.Rows(cls.HEIGHT, np.zeros(0, dtype=np.intp))]
+
+    @staticmethod
+    def ids(rows):
+        return np.arange(rows.height) if rows.ids is None else rows.ids
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_full_puts_the_rows_in_place_and_positive_zeros_elsewhere(self, dtype, axis):
+        for rows in self.cases():
+            shape = [2, 3, 4]
+            shape[axis] = len(rows)
+            values = rng.normal(size=shape).astype(dtype)
+            flat = values.reshape(-1)
+            flat[0::4] = -0.0
+            flat[1::4] = np.resize(payload_nans(dtype), len(flat[1::4]))
+            out = rows.full(values, axis)
+            assert out.dtype == dtype and out.shape[axis] == self.HEIGHT
+            assert np.take(out, self.ids(rows), axis).tobytes() == values.tobytes()
+            rest = np.delete(out, self.ids(rows), axis)
+            assert not rest.any() and not np.signbit(rest).any()
+            assert (out is values) == (rows.ids is None)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_take_of_every_row_is_a_view(self, dtype):
+        a = rng.normal(size=(self.HEIGHT, 3, self.HEIGHT)).astype(dtype)
+        for rows in self.cases():
+            for axis in (0, 2):
+                got = rows.take(a, axis)
+                assert got.dtype == dtype
+                assert got.tobytes() == np.take(a, self.ids(rows), axis).tobytes()
+                assert np.shares_memory(got, a) == (rows.ids is None)
+
+    def test_positions_are_searchsorted_and_at_composes(self):
+        case_rng = np.random.default_rng(4)
+        for rows in self.cases() + [fbc.Rows(50, np.flatnonzero(case_rng.random(50) < 0.3))]:
+            ids = self.ids(rows)
+            held = case_rng.choice(ids, size=7) if len(ids) else ids
+            assert rows.positions(held).tolist() == np.searchsorted(ids, held).tolist()
+            assert rows.at(fbc.Rows(len(rows))) is rows
+            for picked in (np.zeros(0, dtype=np.intp),
+                           np.flatnonzero(case_rng.random(len(rows)) < 0.5)):
+                sub = rows.at(fbc.Rows(len(rows), picked))
+                assert sub.height == rows.height
+                assert sub.ids.tobytes() == ids[picked].tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gather_and_scatter_are_each_others_backward(self, dtype):
+        for rows in self.cases():
+            x = ad.Tensor(rng.normal(size=(self.HEIGHT, 2)).astype(dtype), requires_grad=True)
+            g = rng.normal(size=(len(rows), 2)).astype(dtype)
+            g[::2] = -0.0
+            out = rows.gather(x)
+            assert out.data.tobytes() == rows.take(x.data).tobytes()
+            (out * ad.constant(g)).sum().backward()
+            assert x.grad.tobytes() == rows.full(g).tobytes()
+            y = ad.Tensor(g, requires_grad=True)
+            out = rows.scatter(y)
+            assert out.data.tobytes() == rows.full(g).tobytes()
+            (out * ad.constant(x.data)).sum().backward()
+            assert y.grad.tobytes() == rows.take(x.data).tobytes()
+            assert (out is y) == (rows.ids is None)
 
 
 class TestRenumbered:
@@ -1291,8 +1389,8 @@ class TestIntoRows:
     every edge (`mask_built_rows`): one matrix row per node row with its
     entries, and products and transposed products with the bytes of the
     earlier sums' at those rows, on both sides, with a column per source
-    row or per routed row (some rows among which are those the sums read,
-    `read_rows`)."""
+    row or per routed row (some rows among which are the columns the sums
+    read, renumbered by `Rows.columns`)."""
 
     @given(bipartite_cases(), st.sampled_from(["none", "one", "some", "every"]),
            st.sampled_from([np.float32, np.float64]))
@@ -1304,17 +1402,17 @@ class TestIntoRows:
         records = [(u, i, 0, t) for t, (u, i) in enumerate(pairs)]
         ctx = BehaviorContext(build_behavior_graphs(records, M, N, 1)[0], np.dtype(dtype))
         rows = tuple(chosen_rows(n, case_rng, mode) for n in (M, N))
-        into = fbc.into_rows(ctx, rows)
+        into = fbc.into_rows(ctx, tuple(map(as_rows, (M, N), rows)))
         if mode == "every":
             assert into[0] is ctx.user_from_item
             routed = rows
         else:
             routed = []
-            for n, read in zip((M, N), fbc.read_rows(ctx, rows)[::-1]):
+            for n, read in zip((M, N), (s.indices for s in into[::-1])):
                 marked = case_rng.random(n) < 0.3
                 marked[read] = True
                 routed.append(np.flatnonzero(marked))
-        on_routed = fbc.into_rows(ctx, rows, routed)
+        on_routed = [as_rows(n, r).columns(s) for n, r, s in zip((N, M), routed[::-1], into)]
         for side, (got, n_src) in enumerate(zip(into, (N, M))):
             # the earlier sums into items multiplied by the user x item
             # matrix's transpose
@@ -1385,8 +1483,8 @@ class TestTimeOffsetsOnSourceRows:
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(fbc, "LIVE_EDGE_CUT", 2.0 if reached else 0.0)
                 *outs, rows = _route(ctx, x, g, *offsets, tau, n_iter,
-                                     reach if reached else None)
-            ad.add_all([(h * ad.constant(w[r])).sum()
+                                     marked(reach) if reached else None)
+            ad.add_all([(h * ad.constant(r.take(w))).sum()
                         for h, w, r in zip(outs, weights, rows)]).backward()
             return [h.data for h in outs], rows, [t.grad for t in leaves]
 
@@ -1394,7 +1492,7 @@ class TestTimeOffsetsOnSourceRows:
         whole_outs, _, whole_grads = routed(False)
         for got, want, r in zip(outs, whole_outs, rows):
             assert got.dtype == want.dtype == dtype
-            assert got.tobytes() == want[r].tobytes()
+            assert got.tobytes() == r.take(want).tobytes()
         for got, want in zip(grads, whole_grads):
             assert got.dtype == want.dtype == dtype and got.tobytes() == want.tobytes()
 
@@ -1419,7 +1517,7 @@ class TestTimeOffsetsOnSourceRows:
                 if m is not None:
                     want = want * m
                 with np.errstate(invalid="ignore"):
-                    got = offsets.at(rows)
+                    got = offsets.at(as_rows(7, rows))
                 assert got.dtype == want.dtype == dtype
                 assert got.tobytes() == want.tobytes()
 
@@ -1429,14 +1527,14 @@ class TestTimeOffsetsOnSourceRows:
         table = ad.Tensor(rng.normal(size=(3, 2, 2)), requires_grad=True)
         offsets = fbc.TimeOffsets(ids, table)
         rows = np.array([0, 3, 4])
-        for r, n in ((rows, 3), (slice(None), 5), (slice(1, 4), 3)):
-            part = offsets.buckets_of(r)
+        for r, n in ((rows, 3), (slice(None), 5), (np.arange(1, 4), 3)):
+            part = offsets.buckets_of(as_rows(5, r))
             assert part.format == "csc" and part.shape == (3, n) and part.nnz == n
             assert part.dtype == np.float32
             np.testing.assert_array_equal(part.toarray(), onehot[r].T.toarray())
-        assert offsets.at(rows).tobytes() == table.data[[2, 1, 0]].tobytes()
+        assert offsets.at(as_rows(5, rows)).tobytes() == table.data[[2, 1, 0]].tobytes()
         d = rng.normal(size=(3, 2, 2))
-        offsets.backward(d, rows)
+        offsets.backward(d, as_rows(5, rows))
         np.testing.assert_array_equal(table.grad, d[[2, 1, 0]])
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])

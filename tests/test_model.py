@@ -163,14 +163,16 @@ def test_forward_routes_every_side_behavior_layer_and_iteration(grad_ds):
 @pytest.mark.parametrize("layers", [1, 2])
 @pytest.mark.parametrize("overrides", [
     {}, {"shared_only": True}, {"specific_only": True}, {"time_embedding": False},
-    {"no_fbc": True}], ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()) or "default")
+    {"no_fbc": True}, {"specific_interests": 2, "shared_interests": 0}],
+    ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()) or "default")
 def test_read_behaviors_keep_the_bytes_of_every_behavior_read(precision, layers, overrides):
     # a forward that reads some behaviors gives each of them the final
     # stacks of a forward that reads every behavior and adds every row's
     # time offsets by the one-hot product (`whole_last_layer`), and the
     # others none; the last layer's attention formed the weights of the
     # read behaviors alone, and every layer gathered the offsets with no
-    # one-hot product
+    # one-hot product. With no shared interests nothing crosses behaviors,
+    # so every layer routed the read behaviors alone
     ds = tiny_dataset(num_users=30, num_items=40, num_behaviors=3, relation_count=2,
                       per_user=3, seed=17, relation_pairs=20)
     hyper = HyperConfig(**{**BASE, "precision": precision, "interaction_layers": layers,
@@ -180,21 +182,30 @@ def test_read_behaviors_keep_the_bytes_of_every_behavior_read(precision, layers,
     tensors = {k: ad.Tensor(v) for k, v in init_params(hyper, ds, seed=3).items()}
     with whole_last_layer():
         whole = model.forward(tensors, ctx, hyper)
-    attended = hyper.interest_structure()[1] > 0 and not hyper.fbc_disabled
-    correlate = fbc.correlate_shared
+    shared = hyper.interest_structure()[1] > 0
+    attended = shared and not hyper.fbc_disabled
+    correlate, route = fbc.correlate_shared, fbc.route_behavior_layer
     for read in ([0], [2], [0, 2], [1, 2], [0, 1, 2], None):
-        weights = []
+        weights, routes = [], []
 
         def attending(*args, **kwargs):
             outs, lam = correlate(*args, **kwargs)
             weights.append(lam.shape[:2])
             return outs, lam
+
+        def routing(*args, **kwargs):
+            routes.append(args[0])
+            return route(*args, **kwargs)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(fbc, "correlate_shared", attending)
+            mp.setattr(fbc, "route_behavior_layer", routing)
             with recorded_last_layer_rows() as rows:
                 out = forward(tensors, ctx, hyper, read=read)
         assert rows["time offsets"] == []  # gathered, with no one-hot product
         reads = [0, 1, 2] if read is None else read
+        if not hyper.fbc_disabled:
+            assert routes == [ctx.behaviors[k] for _ in range(layers)
+                              for k in (reads if not shared else range(3))]
         assert weights == ([(3, 3)] * 2 * (layers - 1) + [(len(reads), 3)] * 2
                            if attended else [])
         for k in range(3):
@@ -255,12 +266,12 @@ def test_time_offsets_are_the_bucket_rows_and_add_at_their_gradient(
     for t, rows, out in offsets:
         name = name_of[id(t.table)]
         assert t.ids.dtype.kind == "i" and np.array_equal(t.ids, ids[name])
-        want = t.table.data[ids[name][rows]]
+        want = t.table.data[rows.take(ids[name])]
         assert out.dtype == dtype and out.tobytes() == want.tobytes()
         w = rng.normal(size=out.shape).astype(dtype)
         t.backward(w, rows)
         add_at = np.zeros_like(want, shape=t.table.shape)
-        np.add.at(add_at, ids[name][rows], w)
+        np.add.at(add_at, rows.take(ids[name]), w)
         wants[name] = add_at if wants[name] is None else wants[name] + add_at
     for name in names:
         assert tensors[name].grad.dtype == dtype
@@ -407,7 +418,8 @@ def loss_and_gradient_bytes(ds, hyper, rank, rel, cut, reached=True):
 
 
 ABLATIONS = [{}, {"no_mi": True}, {"shared_only": True}, {"specific_only": True},
-             {"no_cie": True, "beta": 0.0}, {"time_embedding": False}, {"no_fbc": True}]
+             {"no_cie": True, "beta": 0.0}, {"time_embedding": False}, {"no_fbc": True},
+             {"specific_interests": 2, "shared_interests": 0}]
 
 
 @st.composite
@@ -456,9 +468,10 @@ class TestReachedForward:
         ds.behavior_graphs = build_behavior_graphs(records, 5, 7, 2)
         rank = [None, (np.array([2, 3]), np.array([3, 5]), np.array([6, 4]))]
         reach = last_layer_reach(ModelContext(ds, hyper), hyper, rank)
-        [(users, items), _] = reach.routed
+        [(users, items), _] = [[np.isin(np.arange(r.height), r.ids) for r in pair]
+                               for pair in reach.routed]
         assert not users[[0, 1]].any() and not items[[0, 1, 2]].any()
-        assert [r.tolist() for r in reach.rows] == [[2, 3], [3, 4, 5, 6]]
+        assert [r.ids.tolist() for r in reach.rows] == [[2, 3], [3, 4, 5, 6]]
         with recorded_restrictions() as calls:
             restricted = loss_and_gradient_bytes(ds, hyper, rank, rel, 2.0)
         assert restricted == loss_and_gradient_bytes(ds, hyper, rank, rel, 0.0, reached=False)
@@ -517,7 +530,7 @@ def test_no_fbc_reach_holds_the_row_subsets_alone(grad_ds):
     rank = [(np.array([1, 0]), np.array([0, 1]), np.array([3, 2])), None]
     reach = last_layer_reach(ctx, hyper, rank)
     assert reach.routed is None
-    assert [r.tolist() for r in reach.rows] == [[0, 1], [0, 1, 2, 3]]
+    assert [r.ids.tolist() for r in reach.rows] == [[0, 1], [0, 1, 2, 3]]
     assert [p.tolist() for p in reach.positions[0]] == [[1, 0], [0, 1], [3, 2]]
     assert reach.positions[1] is None
 
@@ -618,7 +631,7 @@ def test_last_layer_stacks_and_their_gradients_are_batch_rows_high(aggregator, l
 
     def attending(stacks_, *args, **kwargs):
         outs, lam = correlate(stacks_, *args, **kwargs)
-        side = heights.index(args[6]) if len(args) > 6 else None
+        side = heights.index(args[5].height) if len(args) > 5 else None
         stacks["attention"].append([(side, out) for out in outs])
         return outs, lam
 

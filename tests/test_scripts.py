@@ -47,3 +47,11 @@ def test_full_scale_script_trains_a_synthesized_dataset(tmp_path, capsys):
                        ["--manifest", str(tmp_path / "data" / "manifest.txt"),
                         "--epochs", "1"], tmp_path)
     assert re.fullmatch(r"best epoch [01]: NDCG@10=\d\.\d{4}", lines[-1]), lines[-1]
+
+
+def test_count_lines_splits_each_file_by_kind(tmp_path):
+    source = tmp_path / "m.py"
+    source.write_text('"""Doc\nstring."""\n\n# a comment\nx = 1  # code\n\n\ndef f():\n'
+                      '    """One line."""\n    return x\n')
+    lines = run_script("count_lines.py", [str(source)], tmp_path)
+    assert lines[-1].split()[1:] == ["10", "3", "3", "1", "3"]
