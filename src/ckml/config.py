@@ -220,9 +220,7 @@ def _coerce(current, value: str, key: str):
         except ValueError:
             raise ConfigError(f"cannot parse float {key}={value!r}") from None
     if isinstance(current, tuple):
-        # brackets are dropped: checkpoints written before the shared
-        # serializer hold alpha as a JSON list such as "[0.5, 1.0]"
-        value = value.strip().strip("[]")
+        value = value.strip()
         if not value:
             return ()
         try:

@@ -343,6 +343,10 @@ def time_buckets(graph: BehaviorGraph, bucket_count: int):
 
 # ------------------------------------------------------------- synthesis
 
+# the width of the planted prototype vectors in the ground truth
+PROTOTYPE_DIM = 8
+
+
 @dataclass
 class GenConfig:
     """Planted-interest generative process for desk-scale experiments."""
@@ -357,7 +361,6 @@ class GenConfig:
     correlation: float = 1.0  # probability a behavior reuses the user's base shared prototype
     secondary_weight: float = 0.15  # mixture mass on the second active prototype
     relation_degree: int = 2
-    prototype_dim: int = 8
 
     def prototype_count(self) -> int:
         return self.shared_prototypes + self.num_behaviors * self.specific_prototypes
@@ -379,7 +382,7 @@ def synthesize_records(cfg: GenConfig, seed: int):
             ("num_behaviors", 1, dims["behaviors"]), ("relation_count", 0, dims["relations"]),
             ("shared_prototypes", 0, np.inf), ("specific_prototypes", 0, np.inf),
             ("interactions_per_user", 1, np.inf), ("relation_degree", 0, np.inf),
-            ("prototype_dim", 1, np.inf), ("correlation", 0, 1)):
+            ("correlation", 0, 1)):
         if not low <= getattr(cfg, name) <= high:
             raise DataError(f"{name} must be in [{low}, {high}], got {getattr(cfg, name)}")
     if not 0 <= cfg.secondary_weight < 1:
@@ -395,7 +398,7 @@ def synthesize_records(cfg: GenConfig, seed: int):
             f"({cfg.num_items // P})")
     rng = np.random.default_rng(seed)
 
-    proto_vectors = rng.normal(size=(P, cfg.prototype_dim))
+    proto_vectors = rng.normal(size=(P, PROTOTYPE_DIM))
     kinds = (["shared"] * cfg.shared_prototypes
              + [f"specific:{k}" for k in range(cfg.num_behaviors)
                 for _ in range(cfg.specific_prototypes)])

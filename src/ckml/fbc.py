@@ -29,10 +29,11 @@ normalized adjacency's index arrays; a subset of its edges has its own
 matrix, on the node rows they touch, renumbered with a presence mask (no
 sort). One helper narrows a side either way (`_narrowed`): a training
 step's last layer routes only the edges into the rows its losses read (the
-reach), read from the row ranges of the adjacency or of its item-major
-copy, and a backward only the forward's edges into rows of nonzero
-gradient, each while those edges are under `LIVE_EDGE_CUT` of the side's,
-so its time grows with their count, not with the graph's. A graph without
+reach), and a backward only the forward's edges into rows of nonzero
+gradient, each while those edges are under `LIVE_EDGE_CUT` of the side's.
+Both read the rows' ranges in a destination-major pattern: the
+adjacency's, or the item-major copy's with each entry's edge id, so their
+time grows with those edges' count, not with the graph's. A graph without
 edges takes the same path. The first iteration's equal logits give every
 edge the weight 1/S, so it takes one product over all interests
 (`uniform`).
@@ -162,7 +163,7 @@ class BehaviorContext:
     graph: object
     dtype: np.dtype = np.dtype(np.float64)  # of the normalized adjacency
     user_from_item: sp.csr_matrix = field(init=False)  # normalized, user x item
-    item_from_user: sp.csr_matrix = field(init=False)  # its item-major copy
+    item_from_user: sp.csr_matrix = field(init=False)  # its item-major copy, users ascending
     user_ids: np.ndarray = field(init=False)  # each edge's user, intp
     item_ids: np.ndarray = field(init=False)  # each edge's item, intp
     # routing's sums, on the normalized adjacency's index arrays
@@ -173,12 +174,17 @@ class BehaviorContext:
         g = self.graph
         self.user_ids = g.edges[:, 0].astype(np.intp)
         self.item_ids = g.edges[:, 1].astype(np.intp)
-        self.user_from_item = normalized_adjacency(
+        adj = self.user_from_item = normalized_adjacency(
             self.user_ids, self.item_ids, (g.num_users, g.num_items), self.dtype)
-        adj = self.user_from_item
-        self.item_from_user = adj.T.tocsr()
+        # the transposition carries each entry's edge id, of the index dtype,
+        # to its item-major place
+        edges = np.arange(adj.nnz, dtype=adj.indices.dtype)
+        order = sp.csr_matrix((edges, adj.indices, adj.indptr), adj.shape).T.tocsr()
+        self.item_from_user = sp.csr_matrix((adj.data[order.data], order.indices, order.indptr),
+                                            order.shape)
         self.into_users = _EdgeWeights.of_pattern(adj.indices, adj.indptr, adj.shape)
-        self.into_items = self.into_users.T
+        self.into_items = _EdgeWeights(self.into_users.matrix.T, self.into_users.buffers,
+                                       self.item_from_user, order.data)
 
     @property
     def edge_count(self) -> int:
@@ -202,22 +208,25 @@ class _EdgeWeights:
     order: a user x item CSR matrix sums into users, its CSC view (`T`)
     into items, adding each row's terms in column, again edge, order.
     `apply` copies each interest's weights into its values: one buffer per
-    dtype, made at the first product in that dtype and shared with `T`."""
+    dtype, made at the first product in that dtype and shared with `T`.
+    `pattern` is a destination-major CSR pattern that lists each
+    destination node's edges in its row range, its entry k being edge
+    `edge_ids[k]`: where not given, a CSR matrix's own, entry e being edge
+    e (`edge_ids` None). The view into items is given the item-major
+    copy's."""
 
-    def __init__(self, matrix, buffers: dict | None = None):
+    def __init__(self, matrix, buffers: dict | None = None, pattern: sp.csr_matrix | None = None,
+                 edge_ids: np.ndarray | None = None):
         self.matrix = matrix
         self.buffers = {} if buffers is None else buffers  # dtype -> values
+        self.pattern = matrix if pattern is None else pattern
+        self.edge_ids = edge_ids
 
     @classmethod
     def of_pattern(cls, indices: np.ndarray, indptr: np.ndarray, shape: tuple) -> _EdgeWeights:
         """Into users, on a CSR pattern; a read-only zero stands in for the
         values until a product gives them a dtype."""
         return cls(sp.csr_matrix((np.broadcast_to(0.0, len(indices)), indices, indptr), shape))
-
-    @classmethod
-    def of_edges(cls, users: np.ndarray, items: np.ndarray, shape: tuple) -> _EdgeWeights:
-        """Into users, over edges sorted by (user, item), none repeated."""
-        return cls.of_counts(np.bincount(users, minlength=shape[0]), items, shape)
 
     @classmethod
     def of_counts(cls, counts: np.ndarray, items: np.ndarray, shape: tuple) -> _EdgeWeights:
@@ -276,45 +285,36 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 
 def _narrowed(dst_ids: np.ndarray, src_ids: np.ndarray, to_dst: _EdgeWeights,
-              marked: Rows | None, by_dst: sp.csr_matrix | None = None):
+              marked: Rows | None):
     """A side's edges into the destination `Rows` `marked`, on the
     destination and source rows they touch, both renumbered in ascending
-    order (`_renumbered`): (the edges, the destination rows and the source
-    rows, as `Rows`, then each edge's renumbered destination and source,
-    and the sums into destination rows). The marked rows' entries are read
-    from their ranges (`_ranges`) in a destination-major CSR pattern of the
-    side: `by_dst`, as positions in it, or a CSR `to_dst`'s own, as edges;
-    a CSC `to_dst` with no `by_dst` has its edges scanned. They keep their
-    order, sorted by (destination, source) from a pattern and by (source,
-    destination) from a scan, and the sums are built in that order. That
-    while those edges are under `LIVE_EDGE_CUT` of the side's, and not one
-    alone (numpy sums a lone edge's d* >= 9 terms pairwise, many edges' row
-    by row); otherwise, or with `marked` None, the whole side as given."""
-    if by_dst is None and to_dst.matrix.format == "csr":
-        by_dst = to_dst.matrix
-    if marked is not None:
-        if by_dst is None:
-            edges = np.flatnonzero(np.isin(dst_ids, marked.ids))
-            n = len(edges)
-        else:
-            starts = by_dst.indptr[marked.ids]
-            counts = by_dst.indptr[marked.ids + 1] - starts
-            n = int(counts.sum())
+    order: (the edges' ids, the destination rows and the source rows, as
+    `Rows`, then each edge's renumbered destination and source, and the
+    sums into destination rows). The marked rows' entries are read from
+    their ranges (`_ranges`) in the side's destination-major CSR pattern
+    (`to_dst.pattern`), so the edges are sorted by (destination, source) and
+    the sums are built in that order; `to_dst.edge_ids` gives their ids,
+    which need not ascend. That while those edges are under
+    `LIVE_EDGE_CUT` of the side's, and not one alone (numpy sums a lone
+    edge's d* >= 9 terms pairwise, many edges' row by row); otherwise, or
+    with `marked` None, the whole side as given, with None for every
+    edge."""
     n_dst, n_src = to_dst.matrix.shape
     E = len(dst_ids)
+    if marked is not None:
+        starts = to_dst.pattern.indptr[marked.ids]
+        counts = to_dst.pattern.indptr[marked.ids + 1] - starts
+        n = int(counts.sum())
     if marked is None or n == 1 or n >= LIVE_EDGE_CUT * E:
-        return Rows(E), Rows(n_dst), Rows(n_src), dst_ids, src_ids, to_dst
-    if by_dst is None:
-        rows, dst_c = _renumbered(dst_ids[edges], n_dst)
-        srcs, src_c = _renumbered(src_ids[edges], n_src)
-        to_dst_c = _EdgeWeights.of_edges(src_c, dst_c, (len(srcs), len(rows))).T
-    else:  # row by row: the rows with entries renumber in order
-        edges = _ranges(starts, counts)
-        rows, counts = marked.ids[counts > 0], counts[counts > 0]
-        dst_c = np.repeat(np.arange(len(rows)), counts)
-        srcs, src_c = _renumbered(by_dst.indices[edges], n_src)
-        to_dst_c = _EdgeWeights.of_counts(counts, src_c, (len(rows), len(srcs)))
-    return Rows(E, edges), Rows(n_dst, rows), Rows(n_src, srcs), dst_c, src_c, to_dst_c
+        return None, Rows(n_dst), Rows(n_src), dst_ids, src_ids, to_dst
+    entries = _ranges(starts, counts)
+    edges = entries if to_dst.edge_ids is None else to_dst.edge_ids[entries]
+    # row by row: the rows with entries renumber in order
+    rows, counts = marked.ids[counts > 0], counts[counts > 0]
+    dst_c = np.repeat(np.arange(len(rows)), counts)
+    srcs, src_c = _renumbered(to_dst.pattern.indices[entries], n_src)
+    to_dst_c = _EdgeWeights.of_counts(counts, src_c, (len(rows), len(srcs)))
+    return edges, Rows(n_dst, rows), Rows(n_src, srcs), dst_c, src_c, to_dst_c
 
 
 @dataclass
@@ -375,33 +375,31 @@ class TimeOffsets:
 
 
 def _route_side(src: ad.Tensor, src_ids: np.ndarray, dst_ids: np.ndarray,
-                to_dst: _EdgeWeights, by_dst: sp.csr_matrix | None, tau: float,
-                n_iter: int, reach: Rows | None = None,
+                to_dst: _EdgeWeights, tau: float, n_iter: int, reach: Rows | None = None,
                 offsets: TimeOffsets | None = None):
     """Steps 1-4 for one side: each destination node's interest rows become
     the coefficient-weighted means of its edges' source rows, iterated.
 
     src: (source nodes, S, d*); `src_ids` and `dst_ids` hold each edge's
     source and destination node; `to_dst` sums over the edges into
-    destination nodes, and its transpose into source nodes; `by_dst` is the
-    side's destination-major CSR pattern where `to_dst`'s matrix is CSC.
-    `reach`, destination `Rows`, names the rows that are read: the forward
-    routes the entries of those rows as `_narrowed` gives them, and the
-    backward those of its edges into rows of nonzero gradient. With `offsets`, the forward adds the time offsets of the
-    source rows it reads to them, and the backward hands their gradient to
-    the offsets' table. Per-edge arrays are edge-minor, (S, d*, E) and (S,
-    E), so every per-edge reduction runs one long inner loop; the
-    forward's are of `src`'s dtype.
+    destination nodes, and its transpose into source nodes. `reach`,
+    destination `Rows`, names the rows that are read: the forward routes
+    the edges into those rows as `_narrowed` gives them, and the backward
+    those of its edges into rows of nonzero gradient, each read from the
+    row ranges of `to_dst`'s destination-major pattern. With `offsets`,
+    the forward adds the time offsets of the source rows it reads to them,
+    and the backward hands their gradient to the offsets' table. Per-edge
+    arrays are edge-minor, (S, d*, E) and (S, E), so every per-edge
+    reduction runs one long inner loop; the forward's are of `src`'s dtype.
     Returns the last iteration's (routed rows, S, d*) Tensor of that dtype,
     whose parents are `src` and the offsets' table, the destination `Rows`
-    it holds and None, or, at the first
-    iteration whose state is not finite, None, None and (that iteration,
-    the first destination node whose row is not finite). Each iteration
-    hands its coefficients to `to_dst` once: the first its one weight to
-    `uniform`, the others (S, E) arrays to `apply`.
+    it holds and None, or, at the first iteration whose state is not
+    finite, None, None and (that iteration, the first destination node
+    whose row is not finite). Each iteration hands its coefficients to
+    `to_dst` once: the first its one weight to `uniform`, the others (S, E)
+    arrays to `apply`.
     """
-    _, rows, srcs, dst_ids, src_ids, to_dst = _narrowed(dst_ids, src_ids, to_dst, reach,
-                                                        by_dst)
+    _, rows, srcs, dst_ids, src_ids, to_dst = _narrowed(dst_ids, src_ids, to_dst, reach)
     x = srcs.take(src.data)
     parents = (src,)
     if offsets is not None:
@@ -474,7 +472,7 @@ def _route_side(src: ad.Tensor, src_ids: np.ndarray, dst_ids: np.ndarray,
             if t == 1:  # the first iteration's logits are constants
                 d_x += to_src_c.uniform(c[0, 0], d_num)
                 break
-            c = edges.take(c, axis=1)
+            c = c if edges is None else c[:, edges]
             d_x += to_src_c.apply(c, d_num)
             # the guarded denominators are constants
             d_den = -ad.sum_last(dh * num / (den * den))[..., 0] * (den[..., 0] > DEGREE_GUARD)
@@ -515,10 +513,10 @@ def _route(ctx: BehaviorContext, x_stack: ad.Tensor, g_stack: ad.Tensor,
     # columns (u, i) carry items to users, columns (i, u) users to items
     users, items = ctx.user_ids, ctx.item_ids
     reach_u, reach_i = reach if reach is not None else (None, None)
-    h_u_t, rows_u, bad_u = _route_side(g_stack, items, users, ctx.into_users, None, tau,
-                                       n_iter, reach_u, time_i)
-    h_i_t, rows_i, bad_i = _route_side(x_stack, users, items, ctx.into_items,
-                                       ctx.item_from_user, tau, n_iter, reach_i, time_u)
+    h_u_t, rows_u, bad_u = _route_side(g_stack, items, users, ctx.into_users, tau, n_iter,
+                                       reach_u, time_i)
+    h_i_t, rows_i, bad_i = _route_side(x_stack, users, items, ctx.into_items, tau, n_iter,
+                                       reach_i, time_u)
     bad = [(b[0], side, b[1]) for side, b in enumerate((bad_u, bad_i)) if b]
     if bad:  # the earlier iteration, the user side first
         t, side, node = min(bad)

@@ -3,13 +3,13 @@
 Dense matrices are plain numpy arrays of the dtype `precision` names
 (float64 or float32), and so are the normalized adjacencies' weights; the
 gradient audit runs in float64. Sparse matrices are scipy CSR matrices
-built from edge lists (`from_edges`). A product with a transpose, as in
-the backward of `spmm`, multiplies by `.T`, scipy's CSC view of the same
-arrays: it adds each output row's terms in ascending order of the other
-index, as a CSR copy of the transpose would, so no copy is kept.
-Aggregation has one normalization, the symmetric-degree weights that
-`normalized_adjacency` gives each edge. `finite_difference_gradcheck` is
-the arbiter for every analytic gradient in the package.
+built from edge lists by `normalized_adjacency`, which gives each edge
+aggregation's one normalization, the symmetric-degree weights. A product
+with a transpose, as in the backward of `spmm`, multiplies by `.T`,
+scipy's CSC view of the same arrays: it adds each output row's terms in
+ascending order of the other index, as a CSR copy of the transpose would,
+so no copy is kept. `finite_difference_gradcheck` is the arbiter for every
+analytic gradient in the package.
 """
 
 from __future__ import annotations
@@ -24,19 +24,6 @@ from . import autodiff as ad
 
 class NumericError(RuntimeError):
     """Non-finite value or invalid numeric argument."""
-
-
-def from_edges(rows, cols, shape, data=None) -> sp.csr_matrix:
-    """The CSR matrix with `data[e]` at each (rows[e], cols[e]), repeated
-    entries summed; values immutable after build. Without `data` the
-    entries are float32 ones, so float32 operands stay float32."""
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    if data is None:
-        data = np.ones(len(rows), dtype=np.float32)
-    # scipy sums repeated entries and sorts each row's columns while it
-    # builds the matrix
-    return sp.csr_matrix((data, (rows, cols)), shape=shape)
 
 
 def normalized_adjacency(rows, cols, shape, dtype=np.float64) -> sp.csr_matrix:
@@ -55,7 +42,8 @@ def normalized_adjacency(rows, cols, shape, dtype=np.float64) -> sp.csr_matrix:
         return 1.0 / np.sqrt(np.bincount(ids, minlength=count)[ids])
 
     data = inv_sqrt_degree(rows, shape[0]) * inv_sqrt_degree(cols, shape[1])
-    return from_edges(rows, cols, shape, data.astype(dtype, copy=False))
+    # scipy sorts each row's columns while it builds the matrix
+    return sp.csr_matrix((data.astype(dtype, copy=False), (rows, cols)), shape=shape)
 
 
 @dataclass

@@ -7,7 +7,7 @@ are drawn by `dataio.draw_free_items`, the sampler of the evaluation
 negatives. A checkpoint holds the model only: its parameters and the
 hyperparameters and dimensions that shape them, and a sha256 of the file's
 config lines and arrays, each array's header with its bytes, that loading
-checks.
+requires and checks.
 """
 
 from __future__ import annotations
@@ -34,12 +34,9 @@ CHECKPOINT_MAGIC = b"CKML"
 CHECKPOINT_VERSION = 1
 _DTYPE_TAGS = {np.dtype(np.float32): 1, np.dtype(np.float64): 2}
 _TAG_DTYPES = {1: np.dtype(np.float32), 2: np.dtype(np.float64)}
-# config keys: the sha256 of the other config lines and of every array, its
-# name, rank, shape and dtype tag with its bytes, as the file holds them;
-# older files hold the sha256 of the arrays' bytes alone, or neither
+# config key: the sha256 of the other config lines and of every array, its
+# name, rank, shape and dtype tag with its bytes, as the file holds them
 CHECKPOINT_DIGEST = "checkpoint.sha256"
-ARRAYS_DIGEST = "arrays.sha256"
-_DIGESTS = (CHECKPOINT_DIGEST, ARRAYS_DIGEST)
 
 
 class CompatibilityError(RuntimeError):
@@ -213,7 +210,7 @@ def train_epoch(params: OrderedDict, ctx: ModelContext, hyper: HyperConfig,
 class Checkpoint:
     version: int
     config: dict           # flat string map: hyper snapshot, dims, epoch
-    arrays: OrderedDict    # name -> ndarray; older files also hold "opt/" entries
+    arrays: OrderedDict    # name -> ndarray
 
     def hyper(self) -> HyperConfig:
         defaults = HyperConfig()
@@ -238,9 +235,8 @@ class Checkpoint:
                 f"checkpoint {key}={raw!r} is not an integer") from None
 
     def model_params(self) -> OrderedDict:
-        """The parameter arrays; an older file's "opt/" arrays are ignored."""
-        return OrderedDict((k, v) for k, v in self.arrays.items()
-                           if not k.startswith("opt/"))
+        """The parameter arrays: every array the file holds."""
+        return OrderedDict(self.arrays)
 
 
 def _config_block(hyper: HyperConfig, dataset: Dataset, epoch: int) -> dict:
@@ -272,7 +268,7 @@ def _array_header(name: str, arr: np.ndarray) -> bytes:
 
 def save_checkpoint(path, arrays: OrderedDict, config_block: dict):
     lines = "".join(f"{k}={v}\n" for k, v in config_block.items()
-                    if k not in _DIGESTS).encode("utf-8")
+                    if k != CHECKPOINT_DIGEST).encode("utf-8")
     digest = hashlib.sha256(lines)
     for name, arr in arrays.items():
         digest.update(_array_header(name, arr))
@@ -344,11 +340,10 @@ def _read_checkpoint_body(fh) -> Checkpoint:
         key, eq, value = line.partition("=")
         if eq:
             config[key] = value
-        if key not in _DIGESTS:
+        if key != CHECKPOINT_DIGEST:
             whole.update(raw.encode("utf-8"))
     (count,) = struct.unpack("<I", fh.read(4))
     arrays = OrderedDict()
-    payloads = hashlib.sha256()
     for _ in range(count):
         start = fh.tell()
         (nlen,) = struct.unpack("<I", fh.read(4))
@@ -364,17 +359,16 @@ def _read_checkpoint_body(fh) -> Checkpoint:
         whole.update(fh.read(end - start))
         buf = read_claimed(math.prod(shape) * dtype.itemsize, f"array {name}")
         whole.update(buf)
-        payloads.update(buf)
         arrays[name] = np.frombuffer(buf, dtype=dtype.newbyteorder("<")).astype(
             dtype).reshape(shape)
     if fh.tell() != size:
         raise CompatibilityError(
             f"checkpoint has {size - fh.tell()} bytes after its {count} arrays")
-    for key, digest, what in ((CHECKPOINT_DIGEST, whole, "config and arrays"),
-                              (ARRAYS_DIGEST, payloads, "arrays")):
-        if config.get(key, digest.hexdigest()) != digest.hexdigest():
-            raise CompatibilityError(f"checkpoint {what} do not match their sha256: "
-                                     "corrupt file")
+    if CHECKPOINT_DIGEST not in config:
+        raise CompatibilityError(f"checkpoint has no {CHECKPOINT_DIGEST} to check it by")
+    if config[CHECKPOINT_DIGEST] != whole.hexdigest():
+        raise CompatibilityError("checkpoint config and arrays do not match their sha256: "
+                                 "corrupt file")
     return Checkpoint(version, config, arrays)
 
 

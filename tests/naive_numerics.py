@@ -2,12 +2,25 @@
 a leaky ReLU and a normalized sparse-dense product, on plain numpy arrays,
 plus the package's earlier symmetric-degree normalization, which took the
 column degrees as an argument and built each direction of a bipartite graph
-separately."""
+separately, and the CSR matrix of an edge list (`from_edges`)."""
 
 import numpy as np
 import scipy.sparse as sp
 
-from ckml.numerics import NumericError, from_edges, normalized_adjacency
+from ckml.numerics import NumericError, normalized_adjacency
+
+
+def from_edges(rows, cols, shape, data=None) -> sp.csr_matrix:
+    """The CSR matrix with `data[e]` at each (rows[e], cols[e]), repeated
+    entries summed. Without `data` the entries are float32 ones, so float32
+    operands stay float32."""
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    if data is None:
+        data = np.ones(len(rows), dtype=np.float32)
+    # scipy sums repeated entries and sorts each row's columns while it
+    # builds the matrix
+    return sp.csr_matrix((data, (rows, cols)), shape=shape)
 
 
 def softmax_with_temperature(values: np.ndarray, tau: float) -> np.ndarray:

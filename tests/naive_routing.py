@@ -34,9 +34,10 @@ from ckml import fbc, model
 from ckml.autodiff import NORM_GUARD
 from ckml.cie import assemble_interest_embedding
 from ckml.fbc import DEGREE_GUARD, _project
-from ckml.numerics import NumericError, from_edges
+from ckml.numerics import NumericError
 
 from naive_autodiff import divide, narrow, stack, tanh, transpose
+from naive_numerics import from_edges
 
 GUARD = 1e-12
 
@@ -76,10 +77,10 @@ def recorded_restrictions():
     calls = []
     narrowed = fbc._narrowed
 
-    def recording(dst_ids, src_ids, to_dst, marked, by_dst=None):
-        side = narrowed(dst_ids, src_ids, to_dst, marked, by_dst)
+    def recording(dst_ids, src_ids, to_dst, marked):
+        side = narrowed(dst_ids, src_ids, to_dst, marked)
         edges = side[0]
-        if edges.ids is not None:
+        if edges is not None:
             caller = sys._getframe(1).f_code.co_name
             kind = {"_route_side": "forward", "backward": "backward"}[caller]
             calls.append((kind, len(edges), len(dst_ids)))

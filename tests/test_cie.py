@@ -10,10 +10,10 @@ from ckml.cie import (AGGREGATORS, READS_SELF, aggregator_weight_shapes,
                       concat_relations, extract_interests, propagate_relation_graph)
 from ckml.config import HyperConfig
 from ckml.dataio import build_relation_graphs
-from ckml.numerics import from_edges, normalized_adjacency
+from ckml.numerics import normalized_adjacency
 from ckml.trainer import init_params
 
-from naive_numerics import separate_normalized_adjacency
+from naive_numerics import from_edges, separate_normalized_adjacency
 from naive_training import per_interest_extract
 
 rng = np.random.default_rng(42)

@@ -232,6 +232,13 @@ class TestTrain:
         assert_one_error_line(capsys, "seed must be non-negative, got -1")
         assert not (tmp_path / "run" / "model.ckml").exists()
 
+    def test_bracketed_alpha_exits_2(self, tmp_path, capsys):
+        # a float list is comma-separated values alone, no JSON brackets
+        cfg = write_config(tmp_path)
+        cfg.write_text(cfg.read_text().replace("[eval]", "alpha = [0.5, 1.0]\n\n[eval]"))
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+        assert_one_error_line(capsys, "cannot parse float list alpha='[0.5, 1.0]'")
+
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["train", "--config", str(tmp_path / "missing.ini")]) == 2
 
@@ -431,9 +438,10 @@ class TestEval:
         assert list(loaded.arrays) == list(param_specs(loaded.hyper(), ds))
         assert not [k for k in loaded.config if k.startswith(("opt", "rng"))]
 
-    def test_checkpoint_with_optimizer_state_evaluates_the_same(self, tmp_path):
+    def test_checkpoint_with_optimizer_state_exits_3(self, tmp_path, capsys):
         # the layout older versions wrote: Adam's moments after the
-        # parameters, the step count and the rng state in the config block
+        # parameters, the step count and the rng state in the config block.
+        # An array the model does not have is refused, "opt/" ones too.
         cfg, ckpt = self._trained(tmp_path)
         loaded = load_checkpoint(ckpt)
         arrays = OrderedDict(loaded.arrays)
@@ -446,13 +454,12 @@ class TestEval:
         older = tmp_path / "older.ckml"
         save_checkpoint(older, arrays, config)
         ds = load_dataset(tmp_path / "out" / "manifest.txt")
-        check_compatible(load_checkpoint(older), ds)
-        written = []
-        for path, out in ((ckpt, "ev"), (older, "ev_older")):
-            assert main(["eval", "--config", str(cfg), "--checkpoint", str(path),
-                         "--out", str(tmp_path / out)]) == 0
-            written.append((tmp_path / out / "eval.jsonl").read_bytes())
-        assert written[0] == written[1]
+        with pytest.raises(trainer.CompatibilityError, match="opt/.* the model needs none"):
+            check_compatible(load_checkpoint(older), ds)
+        capsys.readouterr()
+        assert main(["eval", "--config", str(cfg), "--checkpoint", str(older),
+                     "--out", str(tmp_path / "ev_older")]) == 3
+        assert "opt/" in capsys.readouterr().err
 
     def test_truncated_checkpoint_exits_3(self, tmp_path, capsys):
         cfg, ckpt = self._trained(tmp_path, epochs=0)
@@ -541,9 +548,10 @@ class TestEval:
         check()
         assert "sha256" in capsys.readouterr().err
 
-    def test_checkpoint_without_digest_loads(self, tmp_path, capsys):
-        # a file without the digest, and one with the older digest of the
-        # arrays' payloads alone, load and evaluate as the file they came from
+    def test_checkpoint_without_digest_exits_3(self, tmp_path, capsys):
+        # a file without the digest, one with the older digest of the
+        # arrays' payloads alone, and one without the digest whose payload
+        # has a flipped byte are refused: a file is never loaded unchecked
         cfg, ckpt = self._trained(tmp_path, epochs=0)
         blob = ckpt.read_bytes()
         (clen,) = struct.unpack_from("<I", blob, 6)
@@ -554,18 +562,18 @@ class TestEval:
         for arr in load_checkpoint(ckpt).arrays.values():
             payloads.update(np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<")))
         older = kept + f"arrays.sha256={payloads.hexdigest()}\n".encode()
-        for name, block in (("old", kept), ("older", older)):
+        body = blob[10 + clen:]
+        flipped = body[:-1] + bytes([body[-1] ^ 0x01])
+        for name, block, arrays in (("old", kept, body), ("older", older, body),
+                                    ("flipped", kept, flipped)):
             path = tmp_path / f"{name}.ckml"
-            path.write_bytes(blob[:6] + struct.pack("<I", len(block)) + block
-                             + blob[10 + clen:])
-            assert "checkpoint.sha256" not in load_checkpoint(path).config
+            path.write_bytes(blob[:6] + struct.pack("<I", len(block)) + block + arrays)
+            with pytest.raises(trainer.CompatibilityError, match="no checkpoint.sha256"):
+                load_checkpoint(path)
+            capsys.readouterr()
             assert main(["eval", "--config", str(cfg), "--checkpoint", str(path),
-                         "--out", str(tmp_path / f"ev_{name}")]) == 0
-        assert main(["eval", "--config", str(cfg), "--checkpoint", str(ckpt),
-                     "--out", str(tmp_path / "ev")]) == 0
-        want = (tmp_path / "ev" / "eval.jsonl").read_bytes()
-        for name in ("old", "older"):
-            assert (tmp_path / f"ev_{name}" / "eval.jsonl").read_bytes() == want
+                         "--out", str(tmp_path / f"ev_{name}")]) == 3
+            assert "checkpoint.sha256" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field", ["config value", "array name", "shape field"])
     def test_config_name_and_shape_flips_exit_3(self, tmp_path, capsys, field):

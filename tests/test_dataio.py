@@ -16,10 +16,11 @@ from ckml.dataio import (DataError, GenConfig, assemble_dataset,
                          load_dataset, load_interactions, load_relations,
                          sample_eval_negatives, synthesize_records, time_buckets,
                          write_interactions, write_manifest, write_relations)
-from ckml.numerics import from_edges, normalized_adjacency
+from ckml.numerics import normalized_adjacency
 
 from naive_dataio import (naive_behavior_graphs, naive_leave_one_out_split,
                           naive_relation_graphs, naive_time_buckets, user_items)
+from naive_numerics import from_edges
 
 
 def rec(u, i, k, t=0):

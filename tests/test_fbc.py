@@ -15,10 +15,10 @@ from ckml import cie, fbc
 from ckml.dataio import build_behavior_graphs
 from ckml.fbc import (BehaviorContext, _aggregate, _route, correlate_shared,
                       plain_aggregation_layer, route_behavior_layer)
-from ckml.numerics import NumericError, finite_difference_gradcheck, from_edges
+from ckml.numerics import NumericError, finite_difference_gradcheck
 
 import naive_autodiff as nad
-from naive_numerics import bipartite_normalized_adjacencies
+from naive_numerics import bipartite_normalized_adjacencies, from_edges
 from naive_routing import (composed_correlate_shared, mask_built_rows, naive_route,
                            naive_route_and_aggregate, one_hot_offsets, per_edge_route,
                            projected_left_to_right, propagate_layer, recorded_coefficients,
@@ -845,7 +845,8 @@ class TestEdgeWeightsLayout:
     @settings(max_examples=200, deadline=None)
     def test_each_row_lists_its_edges_ascending(self, layout):
         users, items, num_users, num_items = layout
-        weights = fbc._EdgeWeights.of_edges(users, items, (num_users, num_items))
+        weights = fbc._EdgeWeights.of_counts(np.bincount(users, minlength=num_users), items,
+                                             (num_users, num_items))
         m, E = weights.matrix, len(users)
         assert m.shape == (num_users, num_items) and m.nnz == E
         assert weights.T.matrix.shape == (num_items, num_users)
@@ -867,6 +868,26 @@ class TestEdgeWeightsLayout:
                 want[dst[e]] += w[:, e, None] * stack[src[e]]
             assert sums.apply(w, stack).tobytes() == want.tobytes()
 
+    @given(edge_layouts())
+    @example((np.array([], dtype=np.intp), np.array([], dtype=np.intp), 3, 2))
+    @example((np.array([0, 0, 1, 2, 2], dtype=np.intp), np.array([1, 2, 0, 0, 2], dtype=np.intp),
+              3, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_item_side_pattern_names_each_entrys_edge(self, layout):
+        users, items, M, N = layout
+        ctx = make_ctx(list(zip(users, items)), M, N)
+        into_items, E = ctx.into_items, ctx.edge_count
+        assert into_items.pattern is ctx.item_from_user and ctx.into_users.edge_ids is None
+        pattern, edges = into_items.pattern, into_items.edge_ids
+        # every edge once, entry k in item row r being an edge of item r
+        # and of the user the entry's column names, each item's users ascending
+        np.testing.assert_array_equal(np.sort(edges), np.arange(E))
+        np.testing.assert_array_equal(ctx.item_ids[edges],
+                                      np.repeat(np.arange(N), np.diff(pattern.indptr)))
+        np.testing.assert_array_equal(ctx.user_ids[edges], pattern.indices)
+        for r in range(N):
+            assert np.all(np.diff(pattern.indices[pattern.indptr[r]:pattern.indptr[r + 1]]) > 0)
+
 
 @st.composite
 def live_edge_cases(draw):
@@ -887,8 +908,8 @@ def routed_side(ctx, src, g, tau, n_iter, cut, to_items=False, reach=None):
     backward takes the rows of the gradient `g` (one row per destination
     node) that it holds, with `fbc.LIVE_EDGE_CUT` set to `cut`."""
     leaf = ad.Tensor(src, requires_grad=True)
-    ids = ((ctx.user_ids, ctx.item_ids, ctx.into_items, ctx.item_from_user) if to_items else
-           (ctx.item_ids, ctx.user_ids, ctx.into_users, ctx.user_from_item))
+    ids = ((ctx.user_ids, ctx.item_ids, ctx.into_items) if to_items else
+           (ctx.item_ids, ctx.user_ids, ctx.into_users))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fbc, "LIVE_EDGE_CUT", cut)
         out, rows, bad = fbc._route_side(leaf, *ids, tau, n_iter,
@@ -994,13 +1015,32 @@ class TestLiveEdgeBackward:
                 np.testing.assert_array_equal(rows, want_rows)
                 assert shape == want_shape
 
+    def test_item_side_backward_reads_row_ranges(self, monkeypatch, edge_weight_builds):
+        # the forward into items is whole; items 1 and 3 are live, read by
+        # users 0, 2 and 3, so the backward narrows to their four edges
+        ctx = make_ctx([(0, 1), (0, 2), (1, 0), (1, 2), (2, 1), (2, 3), (3, 3), (3, 4),
+                        (4, 0), (4, 4)], 5, 5)
+        src = rng.normal(size=(5, 2, 9))
+        g = np.zeros((5, 2, 9))
+        g[[1, 3]] = rng.normal(size=(2, 2, 9))
+        whole = side_gradient(ctx, src, g, 1.0, 3, 0.0, to_items=True)
+        scans, isin = [], np.isin
+        monkeypatch.setattr(np, "isin", lambda *a, **kw: scans.append(a) or isin(*a, **kw))
+        edge_weight_builds.clear()
+        narrowed = side_gradient(ctx, src, g, 1.0, 3, 2.0, to_items=True)
+        assert not scans
+        # one item-major matrix: each edge's renumbered item, (live items, users)
+        [(rows, shape)] = edge_weight_builds
+        np.testing.assert_array_equal(rows, [0, 0, 1, 1])
+        assert shape == (2, 3)
+        assert narrowed.tobytes() == whole.tobytes()
+
     def test_restricted_backward_touches_only_live_and_read_rows(self, monkeypatch):
         # users 0 and 2 are live; they read items 0, 1 and 3 of six
         ctx = make_ctx([(0, 0), (0, 1), (1, 1), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5)],
                        5, 6)
         leaf = ad.Tensor(rng.normal(size=(6, 2, 4)), requires_grad=True)
-        out, _, _ = fbc._route_side(leaf, ctx.item_ids, ctx.user_ids, ctx.into_users,
-                                    ctx.user_from_item, 1.0, 3)
+        out, _, _ = fbc._route_side(leaf, ctx.item_ids, ctx.user_ids, ctx.into_users, 1.0, 3)
         node_rows = []
         edge_rows, apply, uniform = fbc._edge_rows, fbc._EdgeWeights.apply, \
             fbc._EdgeWeights.uniform
@@ -1032,8 +1072,8 @@ class TestLiveEdgeBackward:
             w = case_rng.normal(size=(S, len(edges))).astype(dtype)
             stack = case_rng.normal(size=(weights.matrix.shape[1], S, D))
             live = case_rng.random(len(edges)) < 0.5
-            live_edges = fbc._EdgeWeights.of_edges(ctx.user_ids[live], ctx.item_ids[live],
-                                                   ctx.into_users.matrix.shape)
+            live_edges = fbc._EdgeWeights.of_counts(np.bincount(ctx.user_ids[live], minlength=M),
+                                                    ctx.item_ids[live], (M, N))
             if weights is ctx.into_items:
                 live_edges = live_edges.T
             got = live_edges.apply(w[:, live], stack)

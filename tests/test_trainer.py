@@ -351,17 +351,23 @@ class TestCheckpoint:
         with pytest.raises(CompatibilityError, match="magic"):
             load_checkpoint(p)
 
-    def test_checkpoint_from_earlier_encoder_loads(self, small_ds, tmp_path):
-        # earlier checkpoints spelt bools True/False, alpha as a JSON list,
-        # and held the since-removed workers and deterministic keys
+    def test_checkpoint_from_earlier_encoder_refuses_a_bracketed_alpha(self, small_ds,
+                                                                        tmp_path):
+        # earlier checkpoints spelt bools True/False, which still parse, and
+        # held the since-removed workers and deterministic keys, which are
+        # ignored; their alpha, a JSON list, is refused
         h = small_hyper(alpha=(0.5, 1.0), no_fbc=True)
         block = _config_block(h, small_ds, 0)
-        block.update({"hyper.alpha": "[0.5, 1.0]", "hyper.no_fbc": "True",
+        block.update({"hyper.no_fbc": "True",
                       "hyper.time_embedding": "True", "hyper.no_cie": "False",
                       "hyper.deterministic": "True", "hyper.workers": "1"})
         path = tmp_path / "old.ckml"
         save_checkpoint(path, init_params(h, small_ds, seed=4), block)
         assert load_checkpoint(path).hyper() == h
+        block["hyper.alpha"] = "[0.5, 1.0]"
+        save_checkpoint(path, init_params(h, small_ds, seed=4), block)
+        with pytest.raises(CompatibilityError, match="alpha"):
+            load_checkpoint(path).hyper()
 
     def test_unknown_dtype_tag_rejected(self, tmp_path):
         p = tmp_path / "tag.ckml"
